@@ -1,7 +1,7 @@
 """Exact-arithmetic engine, classifier and CLI for the q-Askey scheme."""
 
-from .qrational import Rational, format_rational, parse_rational, rational
-from .qpolynomial import Poly, format_poly, poly, poly_add, poly_divrem, poly_eval, poly_mul
+from .qrational import format_rational, parse_rational, rational
+from .qpolynomial import Poly, format_poly, poly, poly_divrem
 from .qseries import QSeriesParams, qhyper, qhyper_sum, qpoch, qpoch_many
 from .core import (
     NewtonExpansion,

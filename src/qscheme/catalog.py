@@ -26,7 +26,7 @@ from .core import ParameterVector, monic_poly
 from .errors import DivisionByZero, InadmissibleParams, Mismatch
 from .classifier import LABELS, ZeroPattern, pattern_of
 from .qrational import admissible_q, format_rational, rational
-from .qseries import qhyper_sum, qpoch, qpoch_many
+from .qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
 from . import symmetry
 
 Params = Mapping[str, Fraction]
@@ -68,14 +68,10 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     return [m[i][n] for i in range(n)]
 
 
-def _paired_product(x: Fraction, anchor: Fraction, q: Fraction, k: int) -> Fraction:
-    """prod_{j<k} (1 - anchor q^j x + anchor^2 q^{2j})."""
-    acc = Fraction(1)
-    power = Fraction(1)
-    for _ in range(k):
-        acc *= 1 - anchor * power * x + anchor * anchor * power * power
-        power *= q
-    return acc
+def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> Callable[[Fraction], Fraction]:
+    """The z-series step factor at q**j: q * (1 - anchor q^j x + anchor^2 q^{2j}),
+    i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z)."""
+    return lambda qj: q * (1 - anchor * qj * x + anchor * anchor * qj * qj)
 
 
 def _z_series(
@@ -88,16 +84,7 @@ def _z_series(
 ) -> Fraction:
     """sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
     * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j})."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
-        if num == 0:
-            break
-        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
-        if den == 0:
-            raise DivisionByZero(f"z-series denominator vanished at term {k}")
-        total += num / den * q**k * _paired_product(x, anchor, q, k)
-    return total
+    return terminating_sum((q ** (-n), *upper_extra), lower, q, n, _z_step(q, x, anchor))
 
 
 def _inverse_arg_series(
@@ -114,24 +101,13 @@ def _inverse_arg_series(
     into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
     so that x = 0 is a legal argument.  `correction` is the usual
     sign/triangular-power exponent of the underlying series."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
-        if num == 0:
-            break
-        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
-        if den == 0:
-            raise DivisionByZero(
-                f"inverse-argument series denominator vanished at term {k}"
-            )
-        term = num / den * weight**k
-        for j in range(k):
-            term *= x - node_scale * q**j
-        if correction:
-            sign = -1 if (k * correction) % 2 else 1
-            term *= sign * q ** (k * (k - 1) // 2 * correction)
-        total += term
-    return total
+    return terminating_sum(
+        (q ** (-n), *upper_extra),
+        lower,
+        q,
+        n,
+        lambda qj: weight * (x - node_scale * qj) * (-qj) ** correction,
+    )
 
 
 def cdqhahn_value(

@@ -57,19 +57,22 @@ def load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
+    families = config.get("families", {})
+    if not isinstance(families, dict) or not all(
+        isinstance(params, dict) for params in families.values()
+    ):
+        raise UsageError('config "families" must map family keys to objects of parameters')
     return config
 
 
 def parse_param_overrides(pairs: list[str]) -> dict[str, Fraction]:
+    """name=value pairs; raises ValueError on a malformed value."""
     out: dict[str, Fraction] = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--param expects name=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        try:
-            out[name.strip()] = parse_rational(value)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        out[name.strip()] = parse_rational(value)
     return out
 
 
@@ -112,19 +115,20 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     if args.n < 0:
         raise UsageError("n must be >= 0")
     spec = catalog.FAMILIES[args.family]
-    params: dict[str, Fraction] = {}
     family_config = config.get("families", {}).get(args.family, {})
-    for name, value in family_config.items():
-        params[name] = parse_rational(str(value))
-    params.update(parse_param_overrides(args.param))
-    q = None
-    if args.q is not None:
-        q = parse_rational(args.q)
-    elif "q" in config:
-        q = parse_rational(str(config["q"]))
-    xs = []
-    if args.xs:
-        xs = [parse_rational(piece) for piece in args.xs.split(",")]
+    try:
+        params = {name: parse_rational(str(value)) for name, value in family_config.items()}
+        q = None
+        if args.q is not None:
+            q = parse_rational(args.q)
+        elif "q" in config:
+            q = parse_rational(str(config["q"]))
+        xs = []
+        if args.xs:
+            xs = [parse_rational(piece) for piece in args.xs.split(",")]
+        params.update(parse_param_overrides(args.param))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         pv = catalog.instantiate(args.family, params or None, q)
     except QSchemeError as exc:
@@ -221,6 +225,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qscheme",
@@ -261,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES)
-    p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--depth", type=int, default=None)
-    p_verify.add_argument("--count", type=int, default=None)
+    p_verify.add_argument("--n-max", type=_int_at_least(0), default=None)
+    p_verify.add_argument("--depth", type=_int_at_least(1), default=None)
+    p_verify.add_argument("--count", type=_int_at_least(0), default=None)
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--json", help="write the JSON report here")
     p_verify.set_defaults(fn=lambda a, cfg: cmd_verify(a))

@@ -33,7 +33,7 @@ from .errors import (
     XSeparationViolated,
     ZeroG,
 )
-from .qpolynomial import Poly
+from .qpolynomial import Poly, product_of_linear
 from .qrational import admissible_q, format_rational, rational
 
 SequenceKind = Literal["x", "h", "g", "node", "eigenvalue", "lowering"]
@@ -92,32 +92,20 @@ class ParameterVector:
     # -- separation checks (finite and exact for rational q) ----------------
 
     def h_separation_ok(self, depth: int) -> bool:
-        """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth.
-
-        Equivalent to a2 != a1 * q**m for m = 1 .. 2*depth - 1.
-        """
-        return all(
-            self.a[2] != self.a[1] * self.q**m for m in range(1, 2 * depth)
-        )
+        """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth."""
+        return _first_collision(self.a, self.q, depth) is None
 
     def check_h_separation(self, depth: int) -> None:
-        for n in range(1, depth + 1):
-            hn = self.eigenvalue(n)
-            for j in range(n):
-                if hn == self.eigenvalue(j):
-                    raise HSeparationViolated(n, j)
+        if hit := _first_collision(self.a, self.q, depth):
+            raise HSeparationViolated(*hit)
 
     def x_separation_ok(self, depth: int) -> bool:
-        return all(
-            self.b[2] != self.b[1] * self.q**m for m in range(1, 2 * depth)
-        )
+        """node(m) != node(j) for all 0 <= j < m <= depth."""
+        return _first_collision(self.b, self.q, depth) is None
 
     def check_x_separation(self, depth: int) -> None:
-        for m in range(1, depth + 1):
-            xm = self.node(m)
-            for j in range(m):
-                if xm == self.node(j):
-                    raise XSeparationViolated(m, j)
+        if hit := _first_collision(self.b, self.q, depth):
+            raise XSeparationViolated(*hit)
 
     # -- serialization -------------------------------------------------------
 
@@ -151,6 +139,24 @@ class ParameterVector:
             b=tuple(rational(v) for v in data["b"]),
             d=tuple(rational(v) for v in data["d"]),
         )
+
+
+def _first_collision(
+    coeffs: tuple[Fraction, ...], q: Fraction, depth: int
+) -> tuple[int, int] | None:
+    """The first pair j < n <= depth, in (n, j) loop order, at which the
+    sequence c0 + c1*q**k + c2*q**-k repeats a value; None if none does.
+
+    For q other than 0 and +/-1 the values at n != j agree exactly when
+    c2 == c1 * q**(n+j), so the first pair comes from the smallest such
+    m = n + j in 1 .. 2*depth - 1.
+    """
+    qm = Fraction(1)
+    for m in range(1, 2 * depth):
+        qm *= q
+        if coeffs[2] == coeffs[1] * qm:
+            return m // 2 + 1, m - m // 2 - 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -203,10 +209,7 @@ def seq_eval(pv: ParameterVector, kind: SequenceKind, k: int) -> Fraction:
 
 def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
-    acc = Poly.one()
-    for j in range(k):
-        acc = acc * Poly.linear(pv.node(j))
-    return acc
+    return product_of_linear(pv.node(j) for j in range(k))
 
 
 @dataclass(frozen=True)
@@ -248,15 +251,7 @@ def expansion(pv: ParameterVector, order: int) -> NewtonExpansion:
 @lru_cache(maxsize=8192)
 def monic_poly(pv: ParameterVector, n: int) -> Poly:
     """The monic degree-n polynomial sum_k c[n][k] v_k in the monomial basis."""
-    row = _expansion_rows(pv, n)[n]
-    acc = Poly.zero()
-    basis = Poly.one()
-    for k in range(n + 1):
-        if row[k] != 0:
-            acc = acc + basis * row[k]
-        if k < n:
-            basis = basis * Poly.linear(pv.node(k))
-    return acc
+    return from_newton_coeffs(pv, _expansion_rows(pv, n)[n])
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
@@ -273,12 +268,17 @@ def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     return out
 
 
-def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
-    coeffs = list(coeffs)
+def _newton_horner(coeffs: list[Fraction], nodes: list[Fraction]) -> Poly:
+    """sum_k coeffs[k] * prod_{j<k} (x - nodes[j]) in the monomial basis."""
     acc = Poly.zero()
     for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * Poly.linear(pv.node(k)) + Poly.constant(coeffs[k])
+        acc = acc * Poly.linear(nodes[k]) + Poly.constant(coeffs[k])
     return acc
+
+
+def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
+    coeffs = list(coeffs)
+    return _newton_horner(coeffs, [pv.node(k) for k in range(len(coeffs))])
 
 
 def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
@@ -395,19 +395,14 @@ def dual_normalized_poly(pv: ParameterVector, m: int, strict: bool = False) -> P
     """
     if strict:
         pv.check_x_separation(m)
-    acc = Poly.zero()
-    basis = Poly.one()
-    coeff = Fraction(1)
+    coeffs = [Fraction(1)]
     xm = pv.node(m)
-    for k in range(m + 1):
-        if k > 0:
-            g = pv.lowering(k)
-            if g == 0:
-                raise ZeroG(k)
-            coeff *= (xm - pv.node(k - 1)) / g
-            basis = basis * Poly.linear(pv.eigenvalue(k - 1))
-        acc = acc + basis * coeff
-    return acc
+    for k in range(1, m + 1):
+        g = pv.lowering(k)
+        if g == 0:
+            raise ZeroG(k)
+        coeffs.append(coeffs[-1] * (xm - pv.node(k - 1)) / g)
+    return _newton_horner(coeffs, [pv.eigenvalue(k) for k in range(m + 1)])
 
 
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:

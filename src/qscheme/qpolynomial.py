@@ -150,18 +150,6 @@ def poly(coeffs: Iterable[Scalar]) -> Poly:
     return Poly(tuple(coeffs))
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_eval(p: Poly, x: Scalar) -> Fraction:
-    return p(x)
-
-
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Long division: a = q*b + r with deg(r) < deg(b)."""
     if b.is_zero:

@@ -11,12 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):

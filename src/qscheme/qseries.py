@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DivisionByZero
 from .qrational import rational
@@ -86,6 +86,44 @@ class QSeriesParams:
                     )
 
 
+def terminating_sum(
+    upper: Sequence[Fraction],
+    lower: Sequence[Fraction],
+    q: Fraction,
+    n: int,
+    step: Callable[[Fraction], Fraction],
+) -> Fraction:
+    """sum_{k=0}^{n} (upper; q)_k / ((q; q)_k (lower; q)_k) * prod_{j<k} step(q**j).
+
+    The one term loop behind every series of the package: the q-shifted
+    factorials and the product of step factors are kept as running products,
+    so term k costs O(len(upper) + len(lower)) operations.  Once the running
+    numerator hits zero all later terms are zero and the loop stops, which is
+    what makes early-terminating series with otherwise-degenerate lower
+    parameters legal; a vanishing denominator before that raises.
+    """
+    num = den = steps = Fraction(1)
+    total = Fraction(0)
+    qj = Fraction(1)  # q**(k-1) while term k is built
+    for k in range(n + 1):
+        if k > 0:
+            for a in upper:
+                num *= 1 - a * qj
+            if num == 0:
+                break
+            for b in lower:
+                den *= 1 - b * qj
+            steps *= step(qj)
+            qj *= q
+            den *= 1 - qj
+            if den == 0:
+                raise DivisionByZero(
+                    f"denominator vanished at term {k} of a terminating series"
+                )
+        total += num / den * steps
+    return total
+
+
 def qhyper_sum(
     upper: Sequence[Fraction],
     lower: Sequence[Fraction],
@@ -95,43 +133,16 @@ def qhyper_sum(
 ) -> Fraction:
     """Sum the n+1 terms of the terminating series defined above.
 
-    The first upper parameter is expected to be q**(-n).  Terms are built
-    incrementally; once the running numerator hits zero all later terms are
-    zero and the loop stops, which is what makes early-terminating series
-    with otherwise-degenerate lower parameters legal.
+    The first upper parameter is expected to be q**(-n).  The factor
+    ((-1)^k q^{k(k-1)/2})^(s - r + 1) z^k is the product of the step factors
+    z * (-q^j)^(s - r + 1) over j < k.
     """
     upper = [rational(u) for u in upper]
     lower = [rational(b) for b in lower]
     q = rational(q)
     z = rational(z)
     correction = len(lower) - len(upper) + 1
-    num = Fraction(1)
-    den = Fraction(1)
-    total = Fraction(0)
-    qk = Fraction(1)  # q**k
-    zk = Fraction(1)  # z**k
-    for k in range(n + 1):
-        if k > 0:
-            qk_prev = qk / q  # q**(k-1)
-            for a in upper:
-                num *= 1 - a * qk_prev
-            if num == 0:
-                break
-            for b in lower:
-                den *= 1 - b * qk_prev
-            den *= 1 - qk
-            if den == 0:
-                raise DivisionByZero(
-                    f"denominator vanished at term {k} of a terminating series"
-                )
-        term = num / den * zk
-        if correction:
-            sign = -1 if (k * correction) % 2 else 1
-            term *= sign * q ** (k * (k - 1) // 2 * correction)
-        total += term
-        qk *= q
-        zk *= z
-    return total
+    return terminating_sum(upper, lower, q, n, lambda qj: z * (-qj) ** correction)
 
 
 def qhyper(params: QSeriesParams) -> Fraction:

@@ -331,26 +331,30 @@ def run_suite(
     count: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteReport]:
-    """Run one named suite (or all of them); returns one report per suite."""
+    """Run one named suite (or all of them); returns one report per suite.
+
+    An argument left at None is not passed on, so each suite applies its own
+    default; 0 is passed on as 0.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    reports: list[SuiteReport] = []
-    if suite in ("constraints", "all"):
-        reports.append(suite_constraints(depth=depth or 12))
-    if suite in ("recurrence", "all"):
+    args = {"n_max": n_max, "depth": depth, "count": count, "seed": seed}
+    # suite -> (function, {run_suite argument: suite keyword}).  Built per call
+    # so that the module globals are read when the suites run.
+    table = {
+        "constraints": (suite_constraints, {"depth": "depth"}),
+        "recurrence": (suite_recurrence, {"n_max": "n_max", "count": "count", "seed": "seed"}),
+        "eigen": (suite_eigen, {"n_max": "n_max", "count": "count", "seed": "seed"}),
+        "duality": (suite_duality, {"depth": "depth"}),
+        "catalog": (suite_catalog, {"n_max": "n_max"}),
+        "limits": (suite_limits, {"n_max": "n_max", "depth": "t_max"}),
+        "charts": (suite_charts, {}),
+        "symmetry": (suite_symmetry, {"seed": "seed"}),  # only within "all"
+    }
+    reports = []
+    for name in table if suite == "all" else (suite,):
+        fn, keywords = table[name]
         reports.append(
-            suite_recurrence(n_max=n_max or 10, count=count or 25, seed=seed)
+            fn(**{kw: args[arg] for arg, kw in keywords.items() if args[arg] is not None})
         )
-    if suite in ("eigen", "all"):
-        reports.append(suite_eigen(n_max=n_max or 10, count=count or 10, seed=seed))
-    if suite in ("duality", "all"):
-        reports.append(suite_duality(depth=depth or 8))
-    if suite in ("catalog", "all"):
-        reports.append(suite_catalog(n_max=n_max or 8))
-    if suite in ("limits", "all"):
-        reports.append(suite_limits(n_max=n_max or 4, t_max=depth or 12))
-    if suite in ("charts", "all"):
-        reports.append(suite_charts())
-    if suite == "all":
-        reports.append(suite_symmetry(seed=seed))
     return reports

@@ -107,7 +107,8 @@ def test_kn_zero_raises():
 
 
 def test_paired_factor_identity_randomized():
-    """(az, a/z; q)_k as a polynomial in x equals prod a q^j (node(j) - x)."""
+    """The z-series step factors multiply to q^k (az, a/z; q)_k, which as a
+    polynomial in x equals q^k prod a q^j (node(j) - x)."""
     rng = random.Random(31)
     for _ in range(12):
         a = F(rng.randint(1, 6), rng.randint(1, 4))
@@ -115,9 +116,12 @@ def test_paired_factor_identity_randomized():
         if q in (0, 1) or a == 0:
             continue
         x = F(rng.randint(-8, 8), rng.randint(1, 5))
+        step = catalog._z_step(q, x, a)
         for k in range(9):
-            lhs = catalog._paired_product(x, a, q, k)
-            rhs = F(1)
+            lhs = F(1)
+            for j in range(k):
+                lhs *= step(q**j)
+            rhs = q**k
             for j in range(k):
                 node_j = a * q**j + q**-j / a
                 rhs *= a * q**j * (node_j - x)

@@ -172,3 +172,61 @@ def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
     assert exc.value.code == 2
+
+
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "recurrence", "--n-max", "-1"],
+        ["verify", "recurrence", "--count", "-1"],
+        ["verify", "limits", "--depth", "0"],
+    ],
+)
+def test_verify_rejects_out_of_range_counts(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(error_lines(err)) == 1 and "Traceback" not in err
+
+
+def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
+    from qscheme import verify
+    from qscheme.core import UncheckedParameterVector
+
+    checked = []
+
+    def recording(pv, n):
+        if not isinstance(pv, UncheckedParameterVector):
+            checked.append(n)
+        return real(pv, n)
+
+    real = verify.recurrence_check
+    monkeypatch.setattr(verify, "recurrence_check", recording)
+    code, out, _ = run(capsys, "verify", "recurrence", "--n-max", "0")
+    assert code == 0
+    assert "48/48 checks passed" in out
+    assert checked and set(checked) == {0}
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ["eval", "3a", "--xs=abc"]),
+        (None, ["eval", "3a", "-q", "1/0"]),
+        ({"families": {"3a": {"a": "two"}}}, ["eval", "3a"]),
+        ({"families": []}, ["eval", "3a"]),
+    ],
+)
+def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)] + argv
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(error_lines(err)) == 1 and err.startswith("error:")

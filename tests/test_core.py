@@ -143,6 +143,45 @@ def test_json_round_trip(pv_3a):
     assert ParameterVector.from_json_dict(data) == pv_3a
 
 
+def nested_loop_collision(values, depth: int):
+    """Reference: the first j < n <= depth, in (n, j) order, with
+    values(n) == values(j), found by comparing every pair."""
+    for n in range(1, depth + 1):
+        for j in range(n):
+            if values(n) == values(j):
+                return n, j
+    return None
+
+
+def test_separation_predicates_match_pairwise_reference():
+    rng = random.Random(17)
+    small = lambda: F(rng.randint(-3, 3), rng.choice([1, 2, 4]))
+    for _ in range(300):
+        q = F(rng.choice([-3, -2, 2, 3, 5]), rng.choice([1, 2, 3]))
+        if q in (1, -1):
+            continue
+        a = (small(), small(), small())
+        b = (small(), small(), small())
+        if rng.random() < 0.5:  # force a collision at some n + j
+            a = (a[0], a[1], a[1] * q ** rng.randint(1, 9))
+        if rng.random() < 0.5:
+            b = (b[0], b[1], b[1] * q ** rng.randint(1, 9))
+        pv = UncheckedParameterVector(q=q, a=a, b=b, d=(0, 0, 0, 0, 0))
+        for depth in (1, 2, 3, 5):
+            for ok, check, values, error in (
+                (pv.h_separation_ok, pv.check_h_separation, pv.eigenvalue, HSeparationViolated),
+                (pv.x_separation_ok, pv.check_x_separation, pv.node, XSeparationViolated),
+            ):
+                expected = nested_loop_collision(values, depth)
+                assert ok(depth) == (expected is None)
+                if expected is None:
+                    check(depth)
+                else:
+                    with pytest.raises(error) as exc:
+                        check(depth)
+                    assert exc.value.args[0] == str(error(*expected))
+
+
 # -- Newton basis and expansion ---------------------------------------------------
 
 
@@ -225,6 +264,28 @@ def test_two_routes_to_monic_polynomials(pv_3a):
             by_rec.append(nxt)
         for n in range(9):
             assert monic_poly(pv, n) == by_rec[n]
+
+
+def basis_product_monic_poly(pv, n: int) -> Poly:
+    """Reference: sum_k c[n][k] v_k with each Newton basis polynomial v_k
+    built as an explicit product of linear factors."""
+    row = expansion(pv, n).rows[n]
+    acc = Poly.zero()
+    basis = Poly.one()
+    for k in range(n + 1):
+        if row[k] != 0:
+            acc = acc + basis * row[k]
+        if k < n:
+            basis = basis * Poly.linear(pv.node(k))
+    return acc
+
+
+@pytest.mark.parametrize("q", [catalog.DEFAULT_Q, F(-2, 3)])
+def test_monic_poly_matches_basis_product_reference(q):
+    for key in catalog.FAMILIES:
+        pv = catalog.instantiate(key, None, q)
+        for n in range(13):
+            assert monic_poly(pv, n) == basis_product_monic_poly(pv, n), (key, n)
 
 
 # -- the operator ----------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qscheme import catalog
 from qscheme.errors import DivisionByZero
-from qscheme.qseries import QSeriesParams, qhyper, qhyper_sum, qpoch
+from qscheme.qseries import QSeriesParams, qhyper, qhyper_sum, qpoch, qpoch_many
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -143,3 +144,88 @@ def test_qseries_params_record():
         QSeriesParams(upper=(q**-3, F(3)), lower=(q**-1,), q=q, z=q, n=3)
     # an upper parameter terminating the series earlier legalizes the lower
     QSeriesParams(upper=(q**-3, q**-1), lower=(q**-2,), q=q, z=q, n=3)
+
+
+def per_term_inverse_arg_series(n, q, x, node_scale, weight, upper_extra, lower, correction):
+    """Reference: every term rebuilt from qpoch products, the triangular power
+    taken as q ** (k(k-1)/2 * correction)."""
+    total = F(0)
+    for k in range(n + 1):
+        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
+        if num == 0:
+            break
+        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
+        if den == 0:
+            raise DivisionByZero(f"denominator vanished at term {k}")
+        term = num / den * weight**k
+        for j in range(k):
+            term *= x - node_scale * q**j
+        if correction:
+            sign = -1 if (k * correction) % 2 else 1
+            term *= sign * q ** (k * (k - 1) // 2 * correction)
+        total += term
+    return total
+
+
+def per_term_z_series(n, q, x, anchor, upper_extra, lower):
+    """Reference: every term rebuilt from qpoch products and the paired
+    product prod_{j<k} (1 - anchor q^j x + anchor^2 q^{2j})."""
+    total = F(0)
+    for k in range(n + 1):
+        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
+        if num == 0:
+            break
+        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
+        if den == 0:
+            raise DivisionByZero(f"denominator vanished at term {k}")
+        paired = F(1)
+        for j in range(k):
+            paired *= 1 - anchor * q**j * x + anchor * anchor * q ** (2 * j)
+        total += num / den * q**k * paired
+    return total
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+def test_shared_term_loop_matches_per_term_reference():
+    rng = random.Random(4242)
+    small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
+    seen_corrections = set()
+    early = 0
+    for _ in range(150):
+        q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
+        n = rng.randint(0, 7)
+        upper_extra = tuple(small() for _ in range(rng.randint(0, 2)))
+        lower = tuple(small() for _ in range(rng.randint(0, 2)))
+        if rng.random() < 0.3 and n >= 2:
+            # an upper q^{-m} ends the series at term m, so a lower q^{-m}
+            # whose zero would come at term m + 1 stays legal
+            m = rng.randint(0, n - 2)
+            upper_extra += (q ** (-m),)
+            lower += (q ** (-m),)
+            early += 1
+        correction = rng.choice([-2, -1, 0, 1])
+        x, node_scale, weight, anchor, z = (small() for _ in range(5))
+
+        upper = (q ** (-n),) + upper_extra
+        seen_corrections.add(len(lower) - len(upper) + 1)
+        # with node_scale = 0 and x = 1 the inverse-argument series is the
+        # power-basis series in z = weight
+        assert outcome(qhyper_sum, upper, lower, q, z, n) == outcome(
+            per_term_inverse_arg_series,
+            n, q, F(1), F(0), z, upper_extra, lower, len(lower) - len(upper) + 1,
+        )
+        assert outcome(
+            catalog._inverse_arg_series, n, q, x, node_scale, weight, upper_extra, lower, correction
+        ) == outcome(
+            per_term_inverse_arg_series, n, q, x, node_scale, weight, upper_extra, lower, correction
+        )
+        assert outcome(catalog._z_series, n, q, x, anchor, upper_extra, lower) == outcome(
+            per_term_z_series, n, q, x, anchor, upper_extra, lower
+        )
+    assert {-2, -1, 0, 1} <= seen_corrections and early > 0
