@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import ParameterVector, monic_poly
@@ -66,6 +67,20 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[col])]
     return [m[i][n] for i in range(n)]
+
+
+@lru_cache(maxsize=256)
+def _laurent_inverse(q: Fraction, powers: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the inverse of the matrix [q**(e*k)] (row k = 0..len-1, column
+    e in powers), which turns the values of sum_e c_e q**(e*k) at those k into
+    the coefficients c_e.  It is a Vandermonde matrix in the distinct nodes
+    q**e, so it is invertible for every admissible q."""
+    size = len(powers)
+    rows = [[q ** (e * k) for e in powers] for k in range(size)]
+    columns = [
+        _solve_linear(rows, [Fraction(int(i == j)) for i in range(size)]) for j in range(size)
+    ]
+    return tuple(zip(*columns))
 
 
 def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> Callable[[Fraction], Fraction]:
@@ -682,7 +697,8 @@ def instantiate(
 
     Node and eigenvalue coefficients come from values at k = 0..2, lowering
     coefficients from k = 0..4; the fit is verified against the closed forms
-    up to k = 8 before the vector is returned.
+    up to k = 8 before the vector is returned.  The systems depend only on q
+    and the exponents, so each is solved through a cached inverse.
     """
     spec = FAMILIES[family]
     q = rational(q) if q is not None else DEFAULT_Q
@@ -691,8 +707,9 @@ def instantiate(
     p = coerce_params(spec, params)
 
     def solve(values: list[Fraction], powers: tuple[int, ...]) -> list[Fraction]:
-        rows = [[q ** (e * k) for e in powers] for k in range(len(values))]
-        return _solve_linear(rows, values)
+        return [
+            sum(m * v for m, v in zip(row, values)) for row in _laurent_inverse(q, powers)
+        ]
 
     b = solve([spec.node_fn(p, q, k) for k in range(3)], (0, 1, -1))
     a = solve([spec.eigen_fn(p, q, k) for k in range(3)], (0, 1, -1))

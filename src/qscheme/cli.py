@@ -31,6 +31,8 @@ from .qpolynomial import format_poly
 from .qrational import format_rational, parse_rational
 
 DEFAULT_HARD_CAP = 24
+# Ceiling of `verify --count`; every suite's default count lies far below it.
+COUNT_CAP = 1000
 
 
 class UsageError(Exception):
@@ -196,10 +198,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = hard_cap()
-    if args.n_max is not None and args.n_max > cap:
-        raise UsageError(
-            f"--n-max {args.n_max} exceeds the hard cap {cap} (QSCHEME_HARD_CAP)"
-        )
+    for flag, value in (("--n-max", args.n_max), ("--depth", args.depth)):
+        if value is not None and value > cap:
+            raise UsageError(f"{flag} {value} exceeds the hard cap {cap} (QSCHEME_HARD_CAP)")
+    if args.count is not None and args.count > COUNT_CAP:
+        raise UsageError(f"--count {args.count} exceeds the cap {COUNT_CAP}")
     reports = verify.run_suite(
         args.suite,
         n_max=args.n_max,

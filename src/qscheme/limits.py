@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from . import catalog
 from .core import ParameterVector, monic_poly
 from .errors import ConvergenceFailure
-from .qpolynomial import Poly, product_of_linear
+from .qpolynomial import product_of_linear
 from .qrational import format_rational
 from .qseries import qhyper_sum, qpoch
 
@@ -169,9 +169,21 @@ def gap(
     sample_xs: Sequence[Fraction] = DEFAULT_SAMPLE_XS,
 ) -> Fraction:
     """Max over the samples of |prefactor * source(scale*x) - target(x)|."""
-    source = monic_poly(case.source_instance(epsilon), n)
-    lhs = source.compose_affine(case.arg_scale(epsilon)) * case.prefactor(epsilon, n)
-    diff = lhs - monic_poly(case.target_instance(), n)
+    source, target = case.source_instance(epsilon), case.target_instance()
+    return _gap(case, epsilon, n, source, target, sample_xs)
+
+
+def _gap(
+    case: LimitCase,
+    epsilon: Fraction,
+    n: int,
+    source: ParameterVector,
+    target: ParameterVector,
+    sample_xs: Sequence[Fraction],
+) -> Fraction:
+    """`gap` for a source vector already built at epsilon and a target vector."""
+    scaled = monic_poly(source, n).compose_affine(case.arg_scale(epsilon))
+    diff = scaled * case.prefactor(epsilon, n) - monic_poly(target, n)
     return max(abs(diff(x)) for x in sample_xs)
 
 
@@ -200,9 +212,16 @@ class LimitReport:
     exact_checks: tuple[tuple[str, bool], ...]
 
     @property
+    def examined(self) -> bool:
+        """Whether any trace saw a nonzero gap; all-zero traces show no decay."""
+        return any(g != 0 for t in self.traces for g in t.gaps)
+
+    @property
     def ok(self) -> bool:
-        return all(t.converged for t in self.traces) and all(
-            passed for _, passed in self.exact_checks
+        return (
+            self.examined
+            and all(t.converged for t in self.traces)
+            and all(passed for _, passed in self.exact_checks)
         )
 
     def to_json(self) -> dict:
@@ -242,10 +261,18 @@ def verify(
     strict: bool = True,
 ) -> LimitReport:
     """Gap decay certificate over the epsilon schedule eps0 * ratio**t,
-    t = 1..t_max, plus the case's exact identities."""
+    t = 1..t_max, plus the case's exact identities.
+
+    The target vector is built once and each source vector once per epsilon,
+    so one call makes t_max + 1 instances however large n_max is.  A case
+    fails when no trace saw a nonzero gap: all-zero traces show no decay.
+    """
+    target = case.target_instance()
+    epsilons = [case.eps_at(t) for t in range(1, t_max + 1)]
+    sources = [(eps, case.source_instance(eps)) for eps in epsilons]
     traces = []
     for n in range(n_max + 1):
-        gaps = tuple(gap(case, case.eps_at(t), n, sample_xs) for t in range(1, t_max + 1))
+        gaps = tuple(_gap(case, eps, n, source, target, sample_xs) for eps, source in sources)
         ratios = tuple(
             gaps[i + 1] / gaps[i]
             for i in range(len(gaps) - 1)
@@ -268,9 +295,14 @@ def verify(
             f"n={t.n}: " + ", ".join(format_rational(g) for g in t.gaps) for t in bad
         ]
         failed_checks = [name for name, passed in report.exact_checks if not passed]
-        detail = "gap decay failed" if bad else "exact identity failed"
+        reasons = []
+        if bad:
+            reasons.append("gap decay failed")
+        if not report.examined:
+            reasons.append(f"no nonzero gap was examined (n <= {n_max}, t <= {t_max})")
         if failed_checks:
-            detail += f" ({', '.join(failed_checks)})"
+            reasons.append(f"exact identity failed ({', '.join(failed_checks)})")
+        detail = "; ".join(reasons)
         raise ConvergenceFailure(case.id, detail, trace_strings)
     return report
 

@@ -19,6 +19,7 @@ from qscheme.core import monic_poly, recurrence_coeff0
 from qscheme.errors import DivisionByZero, InadmissibleParams
 from qscheme.qpolynomial import product_of_linear
 from qscheme.symmetry import q_invert
+from qscheme.verify import Q_POOL
 
 
 def test_registry_shape():
@@ -185,3 +186,34 @@ def test_registry_json_deterministic_and_ordered():
         set(r) >= {"key", "name", "kls_section", "node_label", "pattern", "defaults"}
         for r in rows
     )
+
+
+LAURENT_POWERS = ((0, 1, -1), (0, 1, -1, 2, -2))
+
+
+@pytest.mark.parametrize("powers", LAURENT_POWERS)
+def test_laurent_inverse_is_exact(powers):
+    size = len(powers)
+    for q in Q_POOL:
+        inverse = catalog._laurent_inverse(q, powers)
+        matrix = [[q ** (e * k) for e in powers] for k in range(size)]
+        product = [
+            [sum(inverse[i][k] * matrix[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        assert product == [[int(i == j) for j in range(size)] for i in range(size)], q
+
+
+@pytest.mark.parametrize("q", [catalog.DEFAULT_Q, F(-2, 3)])
+def test_instantiate_matches_direct_elimination(q):
+    # Reference: the per-call Gaussian elimination the cached inverse replaced.
+    def direct(values, powers):
+        rows = [[q ** (e * k) for e in powers] for k in range(len(values))]
+        return tuple(catalog._solve_linear(rows, values))
+
+    for key, spec in FAMILIES.items():
+        p = catalog.coerce_params(spec, None)
+        pv = instantiate(key, None, q)
+        assert pv.b == direct([spec.node_fn(p, q, k) for k in range(3)], LAURENT_POWERS[0])
+        assert pv.a == direct([spec.eigen_fn(p, q, k) for k in range(3)], LAURENT_POWERS[0])
+        assert pv.d == direct([spec.lowering_fn(p, q, k) for k in range(5)], LAURENT_POWERS[1])

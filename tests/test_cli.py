@@ -230,3 +230,24 @@ def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert len(error_lines(err)) == 1 and err.startswith("error:")
+
+
+def test_verify_limits_at_n_max_zero_fails(capsys):
+    # Degree 0 gives all-zero gap traces, which show no decay.
+    code, out, _ = run(capsys, "verify", "limits", "--n-max", "0")
+    assert code == 1
+    assert "[FAIL] limits/2a->3b  (no nonzero gap examined)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "constraints", "--depth", "25"], "--depth 25 exceeds the hard cap 24"),
+        (["verify", "recurrence", "--count", "1001"], "--count 1001 exceeds the cap 1000"),
+    ],
+)
+def test_verify_caps_depth_and_count(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("QSCHEME_HARD_CAP", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert error_lines(err) == [err.strip()] and message in err

@@ -1,5 +1,6 @@
 """Limit transitions: exact gap decay plus the embedded exact identities."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -95,3 +96,42 @@ def test_limit_sources_admissible_along_schedule():
         for t in (1, 6, 12):
             pv = case.source_instance(case.eps_at(t))
             assert pv.h_separation_ok(6)
+
+
+def test_all_zero_gap_traces_fail():
+    # At degree 0 both sides are u_0 = 1, so every gap is 0 and nothing is checked.
+    report = verify(CASES[0], n_max=0, strict=False)
+    assert all(g == 0 for trace in report.traces for g in trace.gaps)
+    assert not report.examined and not report.ok
+    with pytest.raises(ConvergenceFailure, match="no nonzero gap was examined"):
+        verify(CASES[0], n_max=0)
+    # 3a->4c is exact up to degree 1, so its first nonzero gap is at n = 2.
+    unexamined = [c.id for c in CASES if not verify(c, n_max=1, strict=False).examined]
+    assert unexamined == ["3a->4c"]
+
+
+def test_memoised_gaps_match_per_call_gap():
+    for case in CASES:
+        report = verify(case, n_max=2, t_max=4, strict=False)
+        for trace in report.traces:
+            expected = tuple(gap(case, case.eps_at(t), trace.n) for t in range(1, 5))
+            assert trace.gaps == expected, (case.id, trace.n)
+
+
+def test_verify_builds_each_instance_once():
+    # Each verify builds t_max sources (one per epsilon) and one target,
+    # however many degrees it checks.
+    for case in CASES:
+        built = {"source": 0, "target": 0}
+
+        def source(eps, case=case, built=built):
+            built["source"] += 1
+            return case.source_instance(eps)
+
+        def target(case=case, built=built):
+            built["target"] += 1
+            return case.target_instance()
+
+        counted = dataclasses.replace(case, source_instance=source, target_instance=target)
+        verify(counted, n_max=2, t_max=4, strict=False)
+        assert built == {"source": 4, "target": 1}, case.id
