@@ -157,19 +157,22 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             a_n, b_n = recurrence_coeffs(pv, n)
         a_str = format_rational(a_n)
         b_str = format_rational(b_n) if b_n is not None else "-"
-        line = f"{n:>2}  {format_poly(u):<42} {a_str:>12} {b_str:>12}"
-        line += "".join(f" {format_rational(u(x)):>14}" for x in xs)
+        poly_str = format_poly(u)
+        values = [format_rational(u(x)) for x in xs]
+        line = f"{n:>2}  {poly_str:<42} {a_str:>12} {b_str:>12}"
+        line += "".join(f" {value:>14}" for value in values)
         print(line)
-        rows_json.append(
-            {
-                "n": n,
-                "coeffs": [format_rational(c) for c in u.coeffs],
-                "poly": format_poly(u),
-                "a_n": a_str,
-                "b_n": b_str,
-                "values": {format_rational(x): format_rational(u(x)) for x in xs},
-            }
-        )
+        if args.json:
+            rows_json.append(
+                {
+                    "n": n,
+                    "coeffs": [format_rational(c) for c in u.coeffs],
+                    "poly": poly_str,
+                    "a_n": a_str,
+                    "b_n": b_str,
+                    "values": dict(zip(map(format_rational, xs), values)),
+                }
+            )
     if args.json:
         _write_json(
             args.json,

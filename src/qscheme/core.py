@@ -226,21 +226,24 @@ class NewtonExpansion:
         return self.rows[n][k]
 
 
+def _newton_row(h: list[Fraction], g: list[Fraction], n: int) -> list[Fraction]:
+    """Row n of the triangle from h[0..n] and g[0..n]; raises for the first
+    k, descending from n - 1, with h[n] == h[k]."""
+    row = [Fraction(0)] * (n + 1)
+    row[n] = Fraction(1)
+    for k in range(n - 1, -1, -1):
+        denom = h[n] - h[k]
+        if denom == 0:
+            raise HSeparationViolated(n, k)
+        row[k] = row[k + 1] * g[k + 1] / denom
+    return row
+
+
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     h = [pv.eigenvalue(k) for k in range(order + 1)]
     g = [pv.lowering(k) for k in range(order + 1)]
-    rows: list[tuple[Fraction, ...]] = []
-    for n in range(order + 1):
-        row = [Fraction(0)] * (n + 1)
-        row[n] = Fraction(1)
-        for k in range(n - 1, -1, -1):
-            denom = h[n] - h[k]
-            if denom == 0:
-                raise HSeparationViolated(n, k)
-            row[k] = row[k + 1] * g[k + 1] / denom
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(_newton_row(h, g, n)) for n in range(order + 1))
 
 
 def expansion(pv: ParameterVector, order: int) -> NewtonExpansion:
@@ -250,8 +253,17 @@ def expansion(pv: ParameterVector, order: int) -> NewtonExpansion:
 
 @lru_cache(maxsize=8192)
 def monic_poly(pv: ParameterVector, n: int) -> Poly:
-    """The monic degree-n polynomial sum_k c[n][k] v_k in the monomial basis."""
-    return from_newton_coeffs(pv, _expansion_rows(pv, n)[n])
+    """The monic degree-n polynomial sum_k c[n][k] v_k in the monomial basis.
+
+    Only row n of the triangle is built.  When some eigenvalues up to n
+    repeat, the error is the one expansion(pv, n) raises: the first colliding
+    pair over the rows 0..n, not just row n.
+    """
+    h = [pv.eigenvalue(k) for k in range(n + 1)]
+    if len(set(h)) <= n:
+        _expansion_rows(pv, n)
+    g = [pv.lowering(k) for k in range(n + 1)]
+    return _newton_horner(_newton_row(h, g, n), [pv.node(k) for k in range(n + 1)])
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
@@ -270,14 +282,19 @@ def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
 
 def _newton_horner(coeffs: list[Fraction], nodes: list[Fraction]) -> Poly:
     """sum_k coeffs[k] * prod_{j<k} (x - nodes[j]) in the monomial basis."""
-    acc = Poly.zero()
+    acc: list[Fraction] = []  # low degree first
     for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * Poly.linear(nodes[k]) + Poly.constant(coeffs[k])
-    return acc
+        # acc <- acc * (x - nodes[k]) + coeffs[k], in place
+        node = nodes[k]
+        acc.insert(0, Fraction(0))
+        for i in range(len(acc) - 1):
+            acc[i] -= node * acc[i + 1]
+        acc[0] += coeffs[k]
+    return Poly(acc)
 
 
 def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
-    coeffs = list(coeffs)
+    coeffs = [rational(c) for c in coeffs]
     return _newton_horner(coeffs, [pv.node(k) for k in range(len(coeffs))])
 
 
@@ -323,15 +340,18 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
             raise HSeparationViolated(max(da, db), min(da, db))
         return value / denom
 
-    a_n = x(n) + ratio(n + 1, n, n + 1) - ratio(n, n - 1, n)
+    # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.
+    upper = ratio(n + 1, n, n + 1)
     lead = ratio(n, n - 1, n)
+    xn = x(n)
+    a_n = xn + upper - lead
     if lead == 0:
         return a_n, Fraction(0)
     inner = (
         (ratio(n - 1, n - 2, n) if n >= 2 else Fraction(0))
-        - ratio(n, n - 1, n)
+        - lead
         + ratio(n + 1, n - 1, n + 1)
-        + x(n)
+        + xn
         - x(n - 1)
     )
     return a_n, lead * inner

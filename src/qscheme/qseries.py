@@ -17,7 +17,6 @@ earlier index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -45,45 +44,6 @@ def qpoch_many(bs: Sequence[Fraction], q: Fraction, k: int) -> Fraction:
     for b in bs:
         acc *= qpoch(b, q, k)
     return acc
-
-
-@dataclass(frozen=True)
-class QSeriesParams:
-    """A terminating series: upper[0] must equal q**(-n)."""
-
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    q: Fraction
-    z: Fraction
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(rational(u) for u in self.upper))
-        object.__setattr__(self, "lower", tuple(rational(b) for b in self.lower))
-        object.__setattr__(self, "q", rational(self.q))
-        object.__setattr__(self, "z", rational(self.z))
-        self.validate()
-
-    def validate(self) -> None:
-        if self.n < 0:
-            raise ValueError("termination order must be >= 0")
-        if not self.upper or self.upper[0] != self.q ** (-self.n):
-            raise ValueError("first upper parameter must be q**(-n)")
-        # A lower parameter equal to q**(-m) with m < n zeroes the k = m+1
-        # denominator; that is only legal when some upper parameter kills the
-        # numerator at an index <= m+1.
-        kill = self.n + 1
-        for a in self.upper:
-            for m in range(self.n + 1):
-                if a == self.q ** (-m):
-                    kill = min(kill, m + 1)
-        for b in self.lower:
-            for m in range(self.n):
-                if b == self.q ** (-m) and m + 1 < kill:
-                    raise DivisionByZero(
-                        f"lower parameter {b} vanishes at term {m + 1} "
-                        "before the series terminates"
-                    )
 
 
 def terminating_sum(
@@ -143,8 +103,3 @@ def qhyper_sum(
     z = rational(z)
     correction = len(lower) - len(upper) + 1
     return terminating_sum(upper, lower, q, n, lambda qj: z * (-qj) ** correction)
-
-
-def qhyper(params: QSeriesParams) -> Fraction:
-    """Evaluate a terminating series given as a QSeriesParams record."""
-    return qhyper_sum(params.upper, params.lower, params.q, params.z, params.n)

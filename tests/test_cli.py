@@ -7,7 +7,8 @@ import pytest
 
 from qscheme.cli import main
 
-GOLDEN_DOT = Path(__file__).parent / "data" / "scheme.dot"
+DATA = Path(__file__).parent / "data"
+GOLDEN_DOT = DATA / "scheme.dot"
 
 
 def run(capsys, *argv):
@@ -65,6 +66,15 @@ def test_eval_json_payload(capsys, tmp_path):
     assert payload["vector"]["q"] == "1/2"
     assert payload["rows"][2]["poly"] == "x^2 - 3/2 x + 1/2"
     assert payload["vector"]["check"]["h_separation_ok"] is True
+
+
+def test_eval_repeated_sample_point_keeps_its_columns(capsys, tmp_path):
+    target = tmp_path / "eval.json"
+    code, out, _ = run(capsys, "eval", "3a", "-n", "6", "--xs=3,-1/2,3", "--json", str(target))
+    assert code == 0
+    assert out == (DATA / "eval_3a_n6.txt").read_text()
+    assert out.splitlines()[1].split()[-3:] == ["u_n(3)", "u_n(-1/2)", "u_n(3)"]
+    assert target.read_bytes() == (DATA / "eval_3a_n6.json").read_bytes()
 
 
 def test_eval_rejects_inadmissible_params(capsys):

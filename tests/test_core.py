@@ -7,8 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from qscheme import catalog
+from qscheme import catalog, core
 from qscheme.core import (
+    NewtonExpansion,
     ParameterVector,
     SequenceView,
     UncheckedParameterVector,
@@ -30,13 +31,14 @@ from qscheme.core import (
 )
 from qscheme.errors import (
     ConstraintViolation,
+    QSchemeError,
     HSeparationViolated,
     XSeparationViolated,
     ZeroG,
 )
 from qscheme.qpolynomial import Poly, poly, product_of_linear
 from qscheme.symmetry import GaugeAction, apply_gauge, dualize
-from qscheme.verify import random_parameter_vector
+from qscheme.verify import Q_POOL, random_parameter_vector
 
 
 def oracle_coeff(pv, n: int, k: int) -> F:
@@ -286,6 +288,138 @@ def test_monic_poly_matches_basis_product_reference(q):
         pv = catalog.instantiate(key, None, q)
         for n in range(13):
             assert monic_poly(pv, n) == basis_product_monic_poly(pv, n), (key, n)
+
+
+def triangle_rows(pv, order: int):
+    """Reference: the whole triangle up to order, built row by row as
+    expansion() does; returns the rows before the first collision and that
+    collision's error (None when there is none)."""
+    h = [pv.eigenvalue(k) for k in range(order + 1)]
+    g = [pv.lowering(k) for k in range(order + 1)]
+    rows = []
+    for n in range(order + 1):
+        row = [F(0)] * (n + 1)
+        row[n] = F(1)
+        for k in range(n - 1, -1, -1):
+            denom = h[n] - h[k]
+            if denom == 0:
+                return rows, HSeparationViolated(n, k)
+            row[k] = row[k + 1] * g[k + 1] / denom
+        rows.append(row)
+    return rows, None
+
+
+def poly_horner(coeffs, nodes) -> Poly:
+    """Reference: Newton-to-monomial Horner with a Poly product and sum per step."""
+    acc = Poly.zero()
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * Poly.linear(nodes[k]) + Poly.constant(coeffs[k])
+    return acc
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of the QSchemeError it raised."""
+    try:
+        return fn(*args)
+    except QSchemeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", Q_POOL)
+def test_monic_poly_matches_triangle_reference(q):
+    """Row n alone gives what row n of the whole triangle gave, to n = 24."""
+    for key in catalog.FAMILIES:
+        try:
+            pv = catalog.instantiate(key, None, q)
+        except QSchemeError:
+            continue
+        # rows of the triangle to n agree with those of the triangle to 24,
+        # and the triangle to n raises once its rows reach the first collision
+        rows, error = triangle_rows(pv, 24)
+        nodes = [pv.node(k) for k in range(25)]
+        for n in range(25):
+            if n < len(rows):
+                expected = poly_horner(rows[n], nodes)
+            else:
+                expected = type(error), str(error)
+            assert outcome(monic_poly, pv, n) == expected, (key, n)
+
+
+def colliding_vectors(count: int, seed: int):
+    """Unchecked vectors whose eigenvalues repeat, q = +/-1 included."""
+    rng = random.Random(seed)
+    small = lambda: F(rng.randint(-3, 3), rng.choice([1, 2, 4]))
+    for i in range(count):
+        q = F(rng.choice([-1, 1])) if i % 3 == 0 else F(rng.choice([-3, -2, 2, 3]), rng.choice([1, 2, 3]))
+        a = (small(), small(), small())
+        if q not in (1, -1) or rng.random() < 0.5:
+            a = (a[0], a[1], a[1] * q ** rng.randint(1, 9))
+        d = tuple(small() for _ in range(5))
+        yield UncheckedParameterVector(q=q, a=a, b=(small(), small(), small()), d=d)
+
+
+def test_monic_poly_raises_the_triangle_collision():
+    """The same error and pair as expansion(pv, n), including at q = +/-1."""
+    raised = 0
+    for pv in colliding_vectors(200, seed=29):
+        for n in range(9):
+            expected = outcome(expansion, pv, n)
+            got = outcome(monic_poly, pv, n)
+            if isinstance(expected, NewtonExpansion):
+                assert got == poly_horner(expected.rows[n], [pv.node(k) for k in range(n + 1)])
+            else:
+                raised += 1
+                assert got == expected, (pv, n)
+    assert raised > 600
+
+
+def test_cold_monic_poly_builds_no_triangle():
+    pv = catalog.instantiate("1a")
+    monic_poly.cache_clear()
+    core._expansion_rows.cache_clear()
+    monic_poly(pv, 24)
+    assert core._expansion_rows.cache_info().misses == 0
+    assert monic_poly.cache_info().misses == 1
+
+
+def recurrence_coeffs_reference(pv, n: int):
+    """Reference: the recurrence coefficients with every ratio recomputed
+    where it is used."""
+    h, g, x = pv.eigenvalue, pv.lowering, pv.node
+
+    def ratio(num_idx, da, db):
+        value = g(num_idx)
+        if value == 0:
+            return F(0)
+        denom = h(da) - h(db)
+        if denom == 0:
+            raise HSeparationViolated(max(da, db), min(da, db))
+        return value / denom
+
+    a_n = x(n) + ratio(n + 1, n, n + 1) - ratio(n, n - 1, n)
+    lead = ratio(n, n - 1, n)
+    if lead == 0:
+        return a_n, F(0)
+    inner = (
+        (ratio(n - 1, n - 2, n) if n >= 2 else F(0))
+        - ratio(n, n - 1, n)
+        + ratio(n + 1, n - 1, n + 1)
+        + x(n)
+        - x(n - 1)
+    )
+    return a_n, lead * inner
+
+
+def test_recurrence_coeffs_match_reference():
+    vectors = [catalog.instantiate(key, None, q) for key in catalog.FAMILIES for q in (F(1, 2), F(-3))]
+    vectors += list(colliding_vectors(200, seed=31))
+    raised = 0
+    for pv in vectors:
+        for n in range(1, 10):
+            expected = outcome(recurrence_coeffs_reference, pv, n)
+            raised += isinstance(expected[0], type)
+            assert outcome(recurrence_coeffs, pv, n) == expected, (pv, n)
+    assert raised > 100
 
 
 # -- the operator ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qscheme import limits
+from qscheme import limits, verify as verify_suites
 from qscheme.classifier import build_graph
 from qscheme.errors import ConvergenceFailure
 from qscheme.limits import (
@@ -108,6 +108,15 @@ def test_all_zero_gap_traces_fail():
     # 3a->4c is exact up to degree 1, so its first nonzero gap is at n = 2.
     unexamined = [c.id for c in CASES if not verify(c, n_max=1, strict=False).examined]
     assert unexamined == ["3a->4c"]
+
+
+def test_limits_suite_with_no_epsilon_fails_each_case():
+    # t_max = 0 gives empty gap traces: each case fails instead of crashing.
+    expected = {f"limits/{case.id}" for case in CASES}
+    for reports in ([verify_suites.suite_limits(t_max=0)], verify_suites.run_suite("limits", depth=0)):
+        checks = {c.name: c for r in reports for c in r.checks if c.name in expected}
+        assert set(checks) == expected
+        assert all(not c.passed and c.detail == "no nonzero gap examined" for c in checks.values())
 
 
 def test_memoised_gaps_match_per_call_gap():

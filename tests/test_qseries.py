@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qscheme import catalog
 from qscheme.errors import DivisionByZero
-from qscheme.qseries import QSeriesParams, qhyper, qhyper_sum, qpoch, qpoch_many
+from qscheme.qseries import qhyper_sum, qpoch, qpoch_many
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -134,16 +134,15 @@ def test_early_termination_makes_bad_lower_legal():
     assert value == k0 + k1
 
 
-def test_qseries_params_record():
+def test_upper_zero_decides_lower_collision():
     q = F(1, 2)
-    params = QSeriesParams(upper=(q**-2, F(3)), lower=(F(0),), q=q, z=q, n=2)
-    assert qhyper(params) == qhyper_sum((q**-2, F(3)), (F(0),), q, q, 2)
-    with pytest.raises(ValueError):
-        QSeriesParams(upper=(F(5),), lower=(), q=q, z=q, n=2)
+    # the lower q^{-1} zeroes the denominator at term 2 and nothing ends the series first
     with pytest.raises(DivisionByZero):
-        QSeriesParams(upper=(q**-3, F(3)), lower=(q**-1,), q=q, z=q, n=3)
-    # an upper parameter terminating the series earlier legalizes the lower
-    QSeriesParams(upper=(q**-3, q**-1), lower=(q**-2,), q=q, z=q, n=3)
+        qhyper_sum((q**-3, F(3)), (q**-1,), q, q, 3)
+    # an upper q^{-1} zeroes the numerator at term 2, at or before the lower zero
+    for lower in ((q**-2,), (q**-1,)):
+        value = qhyper_sum((q**-3, q**-1), lower, q, q, 3)
+        assert value == oracle_qhyper((q**-3, q**-1), lower, q, q, 3)
 
 
 def per_term_inverse_arg_series(n, q, x, node_scale, weight, upper_extra, lower, correction):
