@@ -6,7 +6,6 @@ from .qseries import qhyper_sum, qpoch, qpoch_many
 from .core import (
     NewtonExpansion,
     ParameterVector,
-    SequenceView,
     UncheckedParameterVector,
     apply_operator,
     dual_normalized_poly,
@@ -21,7 +20,6 @@ from .core import (
     recurrence_check,
     recurrence_coeff0,
     recurrence_coeffs,
-    seq_eval,
     to_newton_coeffs,
 )
 from .symmetry import (

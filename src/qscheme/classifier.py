@@ -218,38 +218,32 @@ _CASCADE = {"b2": "d4", "a2": "d4", "b1": "d3", "a1": "d3"}
 _SLOTS = ("b2", "b1", "d4", "d2", "d0", "d1", "d3", "a2", "a1")
 
 
-def _get(pattern: ZeroPattern, slot: str) -> bool:
-    b2, b0, b1 = pattern.b_row
+def _slots(pattern: ZeroPattern) -> dict[str, bool]:
+    """The flags of the nine flippable slots by name; b0 and a0 stay black."""
+    b2, _, b1 = pattern.b_row
     d4, d2, d0, d1, d3 = pattern.d_row
-    a2, a0, a1 = pattern.a_row
+    a2, _, a1 = pattern.a_row
     return {
         "b2": b2, "b1": b1, "a2": a2, "a1": a1,
         "d4": d4, "d2": d2, "d0": d0, "d1": d1, "d3": d3,
-    }[slot]
-
-
-def _with_whites(pattern: ZeroPattern, slots: set[str]) -> ZeroPattern:
-    b2, b0, b1 = pattern.b_row
-    d4, d2, d0, d1, d3 = pattern.d_row
-    a2, a0, a1 = pattern.a_row
-    values = {
-        "b2": b2, "b1": b1, "a2": a2, "a1": a1,
-        "d4": d4, "d2": d2, "d0": d0, "d1": d1, "d3": d3,
     }
-    for slot in slots:
-        values[slot] = False
+
+
+def _with_whites(pattern: ZeroPattern, whites: set[str]) -> ZeroPattern:
+    values = _slots(pattern) | dict.fromkeys(whites, False)
     return ZeroPattern(
-        b_row=(values["b2"], b0, values["b1"]),
+        b_row=(values["b2"], pattern.b_row[1], values["b1"]),
         d_row=(values["d4"], values["d2"], values["d0"], values["d1"], values["d3"]),
-        a_row=(values["a2"], a0, values["a1"]),
+        a_row=(values["a2"], pattern.a_row[1], values["a1"]),
     )
 
 
 def arrows_from(pattern: ZeroPattern) -> frozenset[ZeroPattern]:
     """Admissible targets reached by one black-to-white flip plus cascade."""
     targets = set()
+    black = _slots(pattern)
     for slot in _SLOTS:
-        if not _get(pattern, slot):
+        if not black[slot]:
             continue
         whites = {slot}
         cascade = _CASCADE.get(slot)

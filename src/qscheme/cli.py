@@ -55,7 +55,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
@@ -78,8 +78,15 @@ def parse_param_overrides(pairs: list[str]) -> dict[str, Fraction]:
     return out
 
 
+def _write_bytes(path: str, blob: bytes) -> None:
+    try:
+        Path(path).write_bytes(blob)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: str, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 # -- commands ------------------------------------------------------------------
@@ -189,7 +196,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     graph = classifier.build_graph()
     blob = classifier.emit(graph, args.format)
     if args.output:
-        Path(args.output).write_bytes(blob)
+        _write_bytes(args.output, blob)
         print(
             f"wrote {args.output}: {graph.labeled_count} labeled nodes "
             f"(+{graph.unlisted_count} unlisted), {len(graph.arrows)} arrows"

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .errors import (
     ConstraintViolation,
@@ -35,8 +35,6 @@ from .errors import (
 )
 from .qpolynomial import Poly, product_of_linear
 from .qrational import admissible_q, format_rational, rational
-
-SequenceKind = Literal["x", "h", "g", "node", "eigenvalue", "lowering"]
 
 
 @dataclass(frozen=True)
@@ -89,22 +87,22 @@ class ParameterVector:
         d = self.d
         return d[0] + d[1] * qk + d[2] / qk + d[3] * qk * qk + d[4] / (qk * qk)
 
-    # -- separation checks (finite and exact for rational q) ----------------
+    # -- separation checks (exact for every q) --------------------------------
 
     def h_separation_ok(self, depth: int) -> bool:
         """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth."""
-        return _first_collision(self.a, self.q, depth) is None
+        return _first_repeat(map(self.eigenvalue, range(depth + 1))) is None
 
     def check_h_separation(self, depth: int) -> None:
-        if hit := _first_collision(self.a, self.q, depth):
+        if hit := _first_repeat(map(self.eigenvalue, range(depth + 1))):
             raise HSeparationViolated(*hit)
 
     def x_separation_ok(self, depth: int) -> bool:
         """node(m) != node(j) for all 0 <= j < m <= depth."""
-        return _first_collision(self.b, self.q, depth) is None
+        return _first_repeat(map(self.node, range(depth + 1))) is None
 
     def check_x_separation(self, depth: int) -> None:
-        if hit := _first_collision(self.b, self.q, depth):
+        if hit := _first_repeat(map(self.node, range(depth + 1))):
             raise XSeparationViolated(*hit)
 
     # -- serialization -------------------------------------------------------
@@ -141,21 +139,16 @@ class ParameterVector:
         )
 
 
-def _first_collision(
-    coeffs: tuple[Fraction, ...], q: Fraction, depth: int
-) -> tuple[int, int] | None:
-    """The first pair j < n <= depth, in (n, j) loop order, at which the
-    sequence c0 + c1*q**k + c2*q**-k repeats a value; None if none does.
-
-    For q other than 0 and +/-1 the values at n != j agree exactly when
-    c2 == c1 * q**(n+j), so the first pair comes from the smallest such
-    m = n + j in 1 .. 2*depth - 1.
+def _first_repeat(values: Iterable[Fraction]) -> tuple[int, int] | None:
+    """The first pair (n, j), j < n, with values[n] == values[j]; None if the
+    values are distinct.  The scan stops at the first repeat, where the
+    values before n are distinct, so j is the only match for that n.
     """
-    qm = Fraction(1)
-    for m in range(1, 2 * depth):
-        qm *= q
-        if coeffs[2] == coeffs[1] * qm:
-            return m // 2 + 1, m - m // 2 - 1
+    seen: dict[Fraction, int] = {}
+    for n, value in enumerate(values):
+        j = seen.setdefault(value, n)
+        if j != n:
+            return n, j
     return None
 
 
@@ -183,30 +176,6 @@ def perturbed(
     )
 
 
-@dataclass(frozen=True)
-class SequenceView:
-    """A single sequence of a vector, indexable by k."""
-
-    owner: ParameterVector
-    kind: SequenceKind
-
-    def __getitem__(self, k: int) -> Fraction:
-        return seq_eval(self.owner, self.kind, k)
-
-
-def seq_eval(pv: ParameterVector, kind: SequenceKind, k: int) -> Fraction:
-    """Exact value of node/eigenvalue/lowering at index k >= 0."""
-    if k < 0:
-        raise ValueError("sequence index must be >= 0")
-    if kind in ("x", "node"):
-        return pv.node(k)
-    if kind in ("h", "eigenvalue"):
-        return pv.eigenvalue(k)
-    if kind in ("g", "lowering"):
-        return pv.lowering(k)
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
 def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
     return product_of_linear(pv.node(j) for j in range(k))
@@ -227,21 +196,26 @@ class NewtonExpansion:
 
 
 def _newton_row(h: list[Fraction], g: list[Fraction], n: int) -> list[Fraction]:
-    """Row n of the triangle from h[0..n] and g[0..n]; raises for the first
-    k, descending from n - 1, with h[n] == h[k]."""
+    """Row n of the triangle from h[0..n] and g[0..n]; requires h[n] != h[k]
+    for k < n."""
     row = [Fraction(0)] * (n + 1)
     row[n] = Fraction(1)
     for k in range(n - 1, -1, -1):
-        denom = h[n] - h[k]
-        if denom == 0:
-            raise HSeparationViolated(n, k)
-        row[k] = row[k + 1] * g[k + 1] / denom
+        row[k] = row[k + 1] * g[k + 1] / (h[n] - h[k])
     return row
+
+
+def _eigenvalues(pv: ParameterVector, n: int) -> list[Fraction]:
+    """eigenvalue(0..n); raises HSeparationViolated at the first repeat."""
+    h = [pv.eigenvalue(k) for k in range(n + 1)]
+    if hit := _first_repeat(h):
+        raise HSeparationViolated(*hit)
+    return h
 
 
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
-    h = [pv.eigenvalue(k) for k in range(order + 1)]
+    h = _eigenvalues(pv, order)
     g = [pv.lowering(k) for k in range(order + 1)]
     return tuple(tuple(_newton_row(h, g, n)) for n in range(order + 1))
 
@@ -255,13 +229,10 @@ def expansion(pv: ParameterVector, order: int) -> NewtonExpansion:
 def monic_poly(pv: ParameterVector, n: int) -> Poly:
     """The monic degree-n polynomial sum_k c[n][k] v_k in the monomial basis.
 
-    Only row n of the triangle is built.  When some eigenvalues up to n
-    repeat, the error is the one expansion(pv, n) raises: the first colliding
-    pair over the rows 0..n, not just row n.
+    Only row n of the triangle is built, after eigenvalue(0..n) are checked
+    for a repeat.
     """
-    h = [pv.eigenvalue(k) for k in range(n + 1)]
-    if len(set(h)) <= n:
-        _expansion_rows(pv, n)
+    h = _eigenvalues(pv, n)
     g = [pv.lowering(k) for k in range(n + 1)]
     return _newton_horner(_newton_row(h, g, n), [pv.node(k) for k in range(n + 1)])
 
@@ -317,10 +288,8 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
 
 def recurrence_coeff0(pv: ParameterVector) -> Fraction:
     """a_0 in u_1 = x - a_0: node(0) - lowering(1)/(eigenvalue(1)-eigenvalue(0))."""
-    denom = pv.eigenvalue(1) - pv.eigenvalue(0)
-    if denom == 0:
-        raise HSeparationViolated(1, 0)
-    return pv.node(0) - pv.lowering(1) / denom
+    h = _eigenvalues(pv, 1)
+    return pv.node(0) - pv.lowering(1) / (h[1] - h[0])
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:

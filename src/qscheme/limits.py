@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from . import catalog
@@ -46,98 +47,69 @@ _NONZERO_XS = (Fraction(3), Fraction(-2), Fraction(1, 5), Fraction(7, 2), Fracti
 # -- exact identities embedded in the limit formulas ---------------------------
 
 
-def check_power_basis_identity(n_max: int = 8) -> bool:
-    """sum form of the monomials: the terminating 2-over-1 series with a
-    vanishing lower parameter collapses to x**n."""
-    q = _Q
-    for n in range(n_max + 1):
-        for x in _NONZERO_XS:
-            value = qhyper_sum((q**-n, x), (Fraction(0),), q, q, n)
-            if value != x**n:
-                return False
-    return True
+def _identity_holds(
+    lhs: Callable[[int, Fraction], Fraction],
+    rhs: Callable[[int, Fraction], Fraction],
+    n_max: int,
+) -> bool:
+    """lhs(n, x) == rhs(n, x) for every n <= n_max and x in _NONZERO_XS."""
+    return all(
+        lhs(n, x) == rhs(n, x) for n in range(n_max + 1) for x in _NONZERO_XS
+    )
 
 
-def check_shifted_product_identity(n_max: int = 6, b: Fraction = Fraction(1, 3)) -> bool:
-    """(b;q)_n * series == prod_{j<n} (x - b q^j), exactly."""
-    q = _Q
-    for n in range(n_max + 1):
-        expected = product_of_linear(b * q**j for j in range(n))
-        for x in _NONZERO_XS:
-            value = qpoch(b, q, n) * qhyper_sum((q**-n, x), (b,), q, q, n)
-            if value != expected(x):
-                return False
-    return True
+_B = Fraction(1, 3)  # the lower parameter of the shifted product identity
+_BIG_QLAGUERRE = {"a": Fraction(1, 3), "b": Fraction(-1, 2)}
+_LITTLE_QJACOBI = {"a": Fraction(1, 4), "b": Fraction(1, 3)}
+_QBESSEL = {"a": Fraction(1)}
 
-
-def check_descending_product_identity(n_max: int = 6) -> bool:
-    """(-1)^n q^{n(n-1)/2} * series == prod_{j<n} (x - q^j), exactly."""
-    q = _Q
-    for n in range(n_max + 1):
-        sign = -1 if n % 2 else 1
-        expected = product_of_linear(q**j for j in range(n))
-        for x in _NONZERO_XS:
-            value = sign * q ** (n * (n - 1) // 2) * qhyper_sum((q**-n,), (), q, q * x, n)
-            if value != expected(x):
-                return False
-    return True
-
-
-def check_cdqhahn_rep_pair(n_max: int = 6) -> bool:
-    """The two anchored series of continuous dual q-Hahn agree."""
-    q = _Q
-    a, b, c = Fraction(2), Fraction(1, 3), Fraction(1, 5)
-    for n in range(n_max + 1):
-        for x in _NONZERO_XS:
-            if catalog.cdqhahn_value(q, n, x, a, b, c) != catalog.cdqhahn_value(
-                q, n, x, b, a, c
-            ):
-                return False
-    return True
-
-
-def check_big_qlaguerre_rep_pair(n_max: int = 6) -> bool:
-    """The inverse-argument and power-basis series of big q-Laguerre agree."""
-    params = {"a": Fraction(1, 3), "b": Fraction(-1, 2)}
-    for n in range(n_max + 1):
-        for x in _NONZERO_XS:
-            if catalog.hyper_eval("3b", params, _Q, n, x) != catalog.hyper_eval(
-                "3c", params, _Q, n, x
-            ):
-                return False
-    return True
-
-
-def check_little_qjacobi_rep_pair(n_max: int = 6) -> bool:
-    params = {"a": Fraction(1, 4), "b": Fraction(1, 3)}
-    for n in range(n_max + 1):
-        for x in _NONZERO_XS:
-            lhs = catalog.little_qjacobi_value(params, _Q, n, x)
-            rhs = catalog.little_qjacobi_value_inverse_rep(params, _Q, n, x)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def check_qbessel_rep_pair(n_max: int = 6) -> bool:
-    params = {"a": Fraction(1)}
-    for n in range(n_max + 1):
-        for x in _NONZERO_XS:
-            lhs = catalog.qbessel_value(params, _Q, n, x)
-            rhs = catalog.qbessel_value_inverse_rep(params, _Q, n, x)
-            if lhs != rhs:
-                return False
-    return True
-
+# name -> (lhs(n, x), rhs(n, x), n_max); each identity is exact at q = _Q.
+_IDENTITIES: dict[str, tuple[Callable, Callable, int]] = {
+    # the terminating 2-over-1 series with a vanishing lower parameter
+    # collapses to x**n
+    "power_basis_identity": (
+        lambda n, x: qhyper_sum((_Q**-n, x), (Fraction(0),), _Q, _Q, n),
+        lambda n, x: x**n,
+        8,
+    ),
+    # (b;q)_n * series == prod_{j<n} (x - b q^j)
+    "shifted_product_identity": (
+        lambda n, x: qpoch(_B, _Q, n) * qhyper_sum((_Q**-n, x), (_B,), _Q, _Q, n),
+        lambda n, x: product_of_linear(_B * _Q**j for j in range(n))(x),
+        6,
+    ),
+    # (-1)^n q^{n(n-1)/2} * series == prod_{j<n} (x - q^j)
+    "descending_product_identity": (
+        lambda n, x: (-1) ** n * _Q ** (n * (n - 1) // 2) * qhyper_sum((_Q**-n,), (), _Q, _Q * x, n),
+        lambda n, x: product_of_linear(_Q**j for j in range(n))(x),
+        6,
+    ),
+    # the two anchored series of continuous dual q-Hahn
+    "cdqhahn_rep_pair": (
+        lambda n, x: catalog.cdqhahn_value(_Q, n, x, Fraction(2), Fraction(1, 3), Fraction(1, 5)),
+        lambda n, x: catalog.cdqhahn_value(_Q, n, x, Fraction(1, 3), Fraction(2), Fraction(1, 5)),
+        6,
+    ),
+    # the inverse-argument and power-basis series of big q-Laguerre
+    "big_qlaguerre_rep_pair": (
+        lambda n, x: catalog.hyper_eval("3b", _BIG_QLAGUERRE, _Q, n, x),
+        lambda n, x: catalog.hyper_eval("3c", _BIG_QLAGUERRE, _Q, n, x),
+        6,
+    ),
+    "little_qjacobi_rep_pair": (
+        lambda n, x: catalog.little_qjacobi_value(_LITTLE_QJACOBI, _Q, n, x),
+        lambda n, x: catalog.little_qjacobi_value_inverse_rep(_LITTLE_QJACOBI, _Q, n, x),
+        6,
+    ),
+    "qbessel_rep_pair": (
+        lambda n, x: catalog.qbessel_value(_QBESSEL, _Q, n, x),
+        lambda n, x: catalog.qbessel_value_inverse_rep(_QBESSEL, _Q, n, x),
+        6,
+    ),
+}
 
 EXACT_CHECKS: dict[str, Callable[[], bool]] = {
-    "power_basis_identity": check_power_basis_identity,
-    "shifted_product_identity": check_shifted_product_identity,
-    "descending_product_identity": check_descending_product_identity,
-    "cdqhahn_rep_pair": check_cdqhahn_rep_pair,
-    "big_qlaguerre_rep_pair": check_big_qlaguerre_rep_pair,
-    "little_qjacobi_rep_pair": check_little_qjacobi_rep_pair,
-    "qbessel_rep_pair": check_qbessel_rep_pair,
+    name: partial(_identity_holds, *entry) for name, entry in _IDENTITIES.items()
 }
 
 

@@ -261,3 +261,22 @@ def test_verify_caps_depth_and_count(capsys, monkeypatch, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert error_lines(err) == [err.strip()] and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--json", "{missing}/list.json"],
+        ["eval", "3a", "-n", "1", "--json", "{missing}/eval.json"],
+        ["graph", "-o", "{missing}/scheme.dot"],
+        ["verify", "constraints", "--json", "{missing}/report.json"],
+        ["--config", "{latin1}", "list"],
+    ],
+)
+def test_unwritable_output_or_undecodable_config_is_a_usage_error(capsys, tmp_path, argv):
+    latin1 = tmp_path / "config.json"
+    latin1.write_bytes('{"q": "1/3", "note": "Askey–Wilson"}'.encode("cp1252"))
+    paths = {"missing": tmp_path / "no-such-dir", "latin1": latin1}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert error_lines(err) == [err.strip()] and err.startswith("error: cannot ")

@@ -11,7 +11,6 @@ from qscheme import catalog, core
 from qscheme.core import (
     NewtonExpansion,
     ParameterVector,
-    SequenceView,
     UncheckedParameterVector,
     apply_operator,
     dual_normalized_poly,
@@ -26,7 +25,6 @@ from qscheme.core import (
     recurrence_check,
     recurrence_coeff0,
     recurrence_coeffs,
-    seq_eval,
     to_newton_coeffs,
 )
 from qscheme.errors import (
@@ -75,13 +73,7 @@ def test_sequence_values(pv_3a):
     assert pv_3a.node(1) == 2
     assert pv_3a.eigenvalue(2) == 3
     assert pv_3a.lowering(0) == 0
-    assert seq_eval(pv_3a, "x", 1) == 2
-    assert seq_eval(pv_3a, "h", 2) == 3
-    assert seq_eval(pv_3a, "lowering", 1) == F(1, 4)
-    view = SequenceView(pv_3a, "g")
-    assert view[1] == F(1, 4)
-    with pytest.raises(ValueError):
-        seq_eval(pv_3a, "x", -1)
+    assert pv_3a.lowering(1) == F(1, 4)
 
 
 def test_lowering_starts_at_zero_for_random_vectors():
@@ -371,6 +363,40 @@ def test_monic_poly_raises_the_triangle_collision():
                 raised += 1
                 assert got == expected, (pv, n)
     assert raised > 600
+
+
+def test_one_repeat_test_matches_references_at_every_q():
+    """Separation methods, monic_poly and expansion agree with the pairwise
+    and the whole-triangle references, in value or in error and pair, at
+    q = +/-1 too, where no closed form in q**(n+j) decides a repeat."""
+    pairs = unit_q = 0
+    for seed in (29, 31, 37):
+        for pv in colliding_vectors(300, seed=seed):
+            unit_q += pv.q in (1, -1)
+            h = [pv.eigenvalue(k) for k in range(10)]
+            nodes = [pv.node(k) for k in range(10)]
+            for depth in range(10):
+                pairs += 1
+                for ok, check, values, error in (
+                    (pv.h_separation_ok, pv.check_h_separation, h, HSeparationViolated),
+                    (pv.x_separation_ok, pv.check_x_separation, nodes, XSeparationViolated),
+                ):
+                    hit = nested_loop_collision(values.__getitem__, depth)
+                    assert ok(depth) == (hit is None), (pv, depth)
+                    want = None if hit is None else (error, str(error(*hit)))
+                    assert outcome(check, depth) == want, (pv, depth)
+                rows, collision = triangle_rows(pv, depth)
+                hit = nested_loop_collision(h.__getitem__, depth)
+                if collision is None:
+                    assert hit is None
+                    assert expansion(pv, depth).rows == tuple(map(tuple, rows))
+                    assert monic_poly(pv, depth) == poly_horner(rows[depth], nodes)
+                else:
+                    assert (collision.n, collision.j) == hit
+                    want = HSeparationViolated, str(collision)
+                    assert outcome(expansion, pv, depth) == want, (pv, depth)
+                    assert outcome(monic_poly, pv, depth) == want, (pv, depth)
+    assert pairs == 9000 and unit_q > 250
 
 
 def test_cold_monic_poly_builds_no_triangle():

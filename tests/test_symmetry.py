@@ -7,7 +7,7 @@ import pytest
 
 from qscheme import catalog
 from qscheme.classifier import LABELS, pattern_of
-from qscheme.core import duality_check, monic_poly, seq_eval
+from qscheme.core import duality_check, monic_poly
 from qscheme.errors import ChartUnreachable, XSeparationViolated
 from qscheme.symmetry import (
     CHART_DISCREPANCIES,
@@ -111,9 +111,9 @@ def test_q_invert_involution(pv_3a):
 def test_q_invert_preserves_sequences(pv_3a):
     qi = q_invert(pv_3a)
     assert qi.q == 2
-    for kind in ("x", "h", "g"):
+    for kind in ("node", "eigenvalue", "lowering"):
         for k in range(11):
-            assert seq_eval(qi, kind, k) == seq_eval(pv_3a, kind, k)
+            assert getattr(qi, kind)(k) == getattr(pv_3a, kind)(k)
 
 
 def test_q_invert_preserves_polynomials(pv_3a):

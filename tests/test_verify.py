@@ -1,0 +1,37 @@
+"""Suite-level behaviour of the verify module: a check that compared no
+(vector, n) instance fails instead of passing vacuously."""
+
+import pytest
+
+from qscheme import verify
+
+
+def test_all_of_needs_one_result_and_stops_at_the_first_failure():
+    assert verify._all_of([]) is False
+    assert verify._all_of([True, True]) is True
+    seen = []
+    results = (seen.append(ok) or ok for ok in (True, False, True))
+    assert verify._all_of(results) is False
+    assert seen == [True, False]
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs, vacuous",
+    [
+        ("recurrence", {"n_max": -1}, lambda name: "broken" not in name),
+        ("eigen", {"n_max": -1}, lambda name: True),
+        ("duality", {"depth": -1}, lambda name: "self-dual" not in name),
+    ],
+    ids=["recurrence", "eigen", "duality"],
+)
+def test_checks_that_compare_nothing_fail(suite, kwargs, vacuous):
+    (report,) = verify.run_suite(suite, **kwargs)
+    compared_nothing = [c for c in report.checks if vacuous(c.name)]
+    assert compared_nothing
+    assert not any(c.passed for c in compared_nothing)
+    assert all(c.passed for c in report.checks if not vacuous(c.name))
+
+
+def test_symmetry_checks_with_no_degree_fail():
+    report = verify.suite_symmetry(n_max=-1)
+    assert report.checks and not any(c.passed for c in report.checks)
