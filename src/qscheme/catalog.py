@@ -193,10 +193,9 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    key: str
+    key: str  # also the family's diagram label
     name: str
     kls_section: int | None
-    node_label: str
     params: tuple[ParamSpec, ...]
     defaults: dict[str, Fraction]
     newton_form: str
@@ -209,7 +208,7 @@ class FamilySpec:
 
     @property
     def pattern(self) -> ZeroPattern:
-        return LABELS[self.node_label]
+        return LABELS[self.key]
 
 
 def _nonzero(name: str) -> ParamSpec:
@@ -253,7 +252,6 @@ _register(
         key="1a",
         name="Askey-Wilson",
         kls_section=1,
-        node_label="1a",
         params=(_nonzero("a"), _any("b"), _any("c"), _any("d")),
         defaults={
             "a": Fraction(2),
@@ -296,7 +294,6 @@ _register(
         key="2a",
         name="continuous dual q-Hahn",
         kls_section=3,
-        node_label="2a",
         params=(_nonzero("a"), _any("b"), _any("c")),
         defaults={"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
@@ -318,7 +315,6 @@ _register(
         key="2b",
         name="big q-Jacobi",
         kls_section=5,
-        node_label="2b",
         params=(_any("a"), _any("b"), _any("c")),
         defaults={"a": Fraction(1, 3), "b": Fraction(1, 4), "c": Fraction(-1, 2)},
         newton_form="v_k(x) = prod_{j<k} (x - q^-j)",
@@ -346,7 +342,6 @@ _register(
         key="3a",
         name="Al-Salam-Chihara",
         kls_section=8,
-        node_label="3a",
         params=(_nonzero("a"), _any("b")),
         defaults={"a": Fraction(2), "b": Fraction(1, 4)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
@@ -369,7 +364,6 @@ _register(
         key="3b",
         name="big q-Laguerre",
         kls_section=11,
-        node_label="3b",
         params=(_any("a"), _any("b")),
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = x^k (qa/x; q)_k",
@@ -396,7 +390,6 @@ _register(
         key="3c",
         name="big q-Laguerre",
         kls_section=11,
-        node_label="3c",
         params=(_any("a"), _any("b")),
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = (-1)^k q^{-k(k-1)/2} (x; q)_k",
@@ -420,7 +413,6 @@ _register(
         key="3d",
         name="little q-Jacobi",
         kls_section=12,
-        node_label="3d",
         params=(_any("a"), _nonzero("b")),
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = (-b)^-k q^{-k(k+1)/2} (qbx; q)_k",
@@ -451,7 +443,6 @@ _register(
         key="3e",
         name="little q-Jacobi",
         kls_section=12,
-        node_label="3e",
         params=(_any("a"), _any("b")),
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
@@ -472,7 +463,6 @@ _register(
         key="4a",
         name="continuous big q-Hermite",
         kls_section=18,
-        node_label="4a",
         params=(_nonzero("a"),),
         defaults={"a": Fraction(2)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
@@ -491,7 +481,6 @@ _register(
         key="4b",
         name="shifted-factorial polynomials x^n (b/x;q)_n",
         kls_section=None,
-        node_label="4b",
         params=(_any("b"),),
         defaults={"b": Fraction(1, 3)},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
@@ -510,7 +499,6 @@ _register(
         key="4c",
         name="Al-Salam-Carlitz I",
         kls_section=24,
-        node_label="4c",
         params=(_nonzero("a"),),
         defaults={"a": Fraction(-1)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
@@ -532,7 +520,6 @@ _register(
         key="4d",
         name="little q-Laguerre",
         kls_section=20,
-        node_label="4d",
         params=(_nonzero("a"),),
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
@@ -556,7 +543,6 @@ _register(
         key="4e",
         name="little q-Laguerre",
         kls_section=20,
-        node_label="4e",
         params=(_any("a"),),
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
@@ -576,7 +562,6 @@ _register(
         key="4f'",
         name="q-Bessel",
         kls_section=22,
-        node_label="4f'",
         params=(_nonzero("a"),),
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
@@ -596,7 +581,6 @@ _register(
         key="4g",
         name="q-Bessel",
         kls_section=22,
-        node_label="4g",
         params=(_any("a"),),
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k",
@@ -616,7 +600,6 @@ _register(
         key="5a",
         name="monomials x^n",
         kls_section=None,
-        node_label="5a",
         params=(),
         defaults={},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
@@ -636,7 +619,6 @@ _register(
         key="5b",
         name="shifted-factorial polynomials x^n (1/x;q)_n",
         kls_section=None,
-        node_label="5b",
         params=(),
         defaults={},
         newton_form="v_k(x) = x^k",
@@ -654,7 +636,6 @@ _register(
         key="5c'",
         name="Stieltjes-Wigert",
         kls_section=27,
-        node_label="5c'",
         params=(),
         defaults={},
         newton_form="v_k(x) = x^k",
@@ -754,11 +735,10 @@ class CrosscheckReport:
     params: dict[str, Fraction]
     n_max: int
     checked_values: int
-    pattern_matches: bool
 
     @property
     def ok(self) -> bool:
-        return self.pattern_matches and self.checked_values > 0
+        return self.checked_values > 0
 
 
 def crosscheck(
@@ -787,8 +767,7 @@ def crosscheck(
                     f"{family}: n={n}, x={x}: engine {lhs} != closed form {rhs}"
                 )
             checked += 1
-    pattern_matches = pattern_of(pv) == spec.pattern
-    if not pattern_matches:
+    if pattern_of(pv) != spec.pattern:
         raise Mismatch(
             f"{family}: default-parameter pattern {pattern_of(pv).as_string()} "
             f"is not the diagram {spec.pattern.as_string()}"
@@ -799,7 +778,6 @@ def crosscheck(
         params=dict(p),
         n_max=n_max,
         checked_values=checked,
-        pattern_matches=pattern_matches,
     )
 
 
@@ -823,14 +801,14 @@ def registry_json() -> list[dict]:
 
     out = []
     for spec in sorted(
-        FAMILIES.values(), key=lambda s: (label_sort_key(s.node_label), s.name)
+        FAMILIES.values(), key=lambda s: (label_sort_key(s.key), s.name)
     ):
         out.append(
             {
                 "key": spec.key,
                 "name": spec.name,
                 "kls_section": spec.kls_section,
-                "node_label": spec.node_label,
+                "node_label": spec.key,
                 "pattern": spec.pattern.as_string(),
                 "params": [
                     {"name": ps.name, "constraint": ps.constraint}

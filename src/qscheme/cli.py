@@ -89,6 +89,13 @@ def _write_json(path: str, payload) -> None:
     _write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
+def _check_writable(path: str | None) -> None:
+    """Create (or empty) an output file before the work that fills it, so an
+    unwritable path exits 2 before anything runs or prints."""
+    if path is not None:
+        _write_bytes(path, b"")
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -144,6 +151,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    _check_writable(args.json)
     merged = catalog.coerce_params(spec, params or None)
     shown_params = " ".join(
         f"{k}={format_rational(v)}" for k, v in merged.items()
@@ -213,6 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} {value} exceeds the hard cap {cap} (QSCHEME_HARD_CAP)")
     if args.count is not None and args.count > COUNT_CAP:
         raise UsageError(f"--count {args.count} exceeds the cap {COUNT_CAP}")
+    _check_writable(args.json)
     reports = verify.run_suite(
         args.suite,
         n_max=args.n_max,

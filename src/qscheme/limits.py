@@ -1,10 +1,9 @@
 """Degeneration limits between families, certified in exact arithmetic.
 
-Each case rescales a source family's monic polynomial so that it converges
-coefficientwise to the target family's monic polynomial as a parameter
-epsilon goes to zero:
-
-    prefactor(eps, n) * u_n^source(scale(eps) * x)  ->  u_n^target(x).
+Each case moves the source family's parameters with epsilon and rescales its
+nodes by the gauge x -> rho(eps) * x, which turns u_n(x) into
+rho**n * u_n(x / rho); the gauged source's monic polynomial then converges
+coefficientwise to the target family's as epsilon goes to zero.
 
 Because both sides are rational in epsilon, the gap (max absolute
 difference over a fixed sample set larger than the degree) decays
@@ -28,6 +27,7 @@ from .errors import ConvergenceFailure
 from .qpolynomial import product_of_linear
 from .qrational import format_rational
 from .qseries import qhyper_sum, qpoch
+from .symmetry import GaugeAction, apply_gauge
 
 DEFAULT_SAMPLE_XS = (
     Fraction(-2),
@@ -38,6 +38,7 @@ DEFAULT_SAMPLE_XS = (
 )
 
 RATIO_BOUND = Fraction(3, 4)
+EPS_RATIO = Fraction(1, 2)
 GAP_THRESHOLD = Fraction(1, 10**9)
 
 _Q = Fraction(1, 2)
@@ -119,44 +120,31 @@ EXACT_CHECKS: dict[str, Callable[[], bool]] = {
 @dataclass(frozen=True)
 class LimitCase:
     id: str
-    description: str
     source_label: str
     target_label: str
     source_instance: Callable[[Fraction], ParameterVector]
     target_instance: Callable[[], ParameterVector]
-    arg_scale: Callable[[Fraction], Fraction]
-    prefactor: Callable[[Fraction, int], Fraction]
+    rho: Callable[[Fraction], Fraction]  # the gauge's node scale at epsilon
     eps0: Fraction
-    eps_ratio: Fraction
     exact_checks: tuple[str, ...] = ()
 
     def eps_at(self, t: int) -> Fraction:
-        return self.eps0 * self.eps_ratio**t
+        return self.eps0 * EPS_RATIO**t
 
 
-def gap(
-    case: LimitCase,
-    epsilon: Fraction,
-    n: int,
-    sample_xs: Sequence[Fraction] = DEFAULT_SAMPLE_XS,
-) -> Fraction:
-    """Max over the samples of |prefactor * source(scale*x) - target(x)|."""
-    source, target = case.source_instance(epsilon), case.target_instance()
-    return _gap(case, epsilon, n, source, target, sample_xs)
+def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
+    """The source vector at epsilon with its nodes scaled by rho(epsilon)."""
+    return apply_gauge(case.source_instance(epsilon), GaugeAction(rho=case.rho(epsilon)))
 
 
-def _gap(
-    case: LimitCase,
-    epsilon: Fraction,
-    n: int,
-    source: ParameterVector,
-    target: ParameterVector,
-    sample_xs: Sequence[Fraction],
-) -> Fraction:
-    """`gap` for a source vector already built at epsilon and a target vector."""
-    scaled = monic_poly(source, n).compose_affine(case.arg_scale(epsilon))
-    diff = scaled * case.prefactor(epsilon, n) - monic_poly(target, n)
-    return max(abs(diff(x)) for x in sample_xs)
+def gap(case: LimitCase, epsilon: Fraction, n: int) -> Fraction:
+    """Max over the samples of |u_n(x) of the gauged source - u_n(x) of the target|."""
+    return _gap(_gauged_source(case, epsilon), case.target_instance(), n)
+
+
+def _gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
+    diff = monic_poly(source, n) - monic_poly(target, n)
+    return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
 
 
 @dataclass(frozen=True)
@@ -208,10 +196,7 @@ class LimitReport:
 
 
 def _trace_converged(
-    gaps: Sequence[Fraction],
-    ratios: Sequence[Fraction],
-    ratio_bound: Fraction,
-    threshold: Fraction,
+    gaps: Sequence[Fraction], ratios: Sequence[Fraction], threshold: Fraction
 ) -> bool:
     if all(g == 0 for g in gaps):
         return True
@@ -220,31 +205,28 @@ def _trace_converged(
     if not ratios:
         return False
     tail = ratios[len(ratios) // 2 :]
-    return all(r <= ratio_bound for r in tail)
+    return all(r <= RATIO_BOUND for r in tail)
 
 
 def verify(
     case: LimitCase,
     n_max: int = 4,
     t_max: int = 12,
-    ratio_bound: Fraction = RATIO_BOUND,
     threshold: Fraction = GAP_THRESHOLD,
-    sample_xs: Sequence[Fraction] = DEFAULT_SAMPLE_XS,
     strict: bool = True,
 ) -> LimitReport:
-    """Gap decay certificate over the epsilon schedule eps0 * ratio**t,
+    """Gap decay certificate over the epsilon schedule eps0 * EPS_RATIO**t,
     t = 1..t_max, plus the case's exact identities.
 
-    The target vector is built once and each source vector once per epsilon,
+    The target vector is built once and each gauged source once per epsilon,
     so one call makes t_max + 1 instances however large n_max is.  A case
     fails when no trace saw a nonzero gap: all-zero traces show no decay.
     """
     target = case.target_instance()
-    epsilons = [case.eps_at(t) for t in range(1, t_max + 1)]
-    sources = [(eps, case.source_instance(eps)) for eps in epsilons]
+    sources = [_gauged_source(case, case.eps_at(t)) for t in range(1, t_max + 1)]
     traces = []
     for n in range(n_max + 1):
-        gaps = tuple(_gap(case, eps, n, source, target, sample_xs) for eps, source in sources)
+        gaps = tuple(_gap(source, target, n) for source in sources)
         ratios = tuple(
             gaps[i + 1] / gaps[i]
             for i in range(len(gaps) - 1)
@@ -256,7 +238,7 @@ def verify(
                 n=n,
                 gaps=gaps,
                 ratios=ratios,
-                converged=_trace_converged(gaps, ratios, ratio_bound, threshold),
+                converged=_trace_converged(gaps, ratios, threshold),
             )
         )
     checks = tuple((name, EXACT_CHECKS[name]()) for name in case.exact_checks)
@@ -281,7 +263,6 @@ def verify(
 
 def _build_cases() -> tuple[LimitCase, ...]:
     q = _Q
-    half = Fraction(1, 2)
 
     def f(num, den=1):
         return Fraction(num, den)
@@ -301,17 +282,14 @@ def _build_cases() -> tuple[LimitCase, ...]:
         cases.append(
             LimitCase(
                 id=f"2a->{target}",
-                description="continuous dual q-Hahn -> big q-Laguerre",
                 source_label="2a",
                 target_label=target,
                 source_instance=cdqh_source,
                 target_instance=lambda target=target: catalog.instantiate(
                     target, {"a": bt, "b": ct}, q
                 ),
-                arg_scale=lambda eps: 1 / eps,
-                prefactor=lambda eps, n: eps**n,
+                rho=lambda eps: eps,
                 eps0=f(1, 2**16),
-                eps_ratio=half,
                 exact_checks=(
                     ("cdqhahn_rep_pair", "big_qlaguerre_rep_pair")
                     if target == "3c"
@@ -326,17 +304,14 @@ def _build_cases() -> tuple[LimitCase, ...]:
     cases.append(
         LimitCase(
             id="3a->4c",
-            description="Al-Salam-Chihara -> Al-Salam-Carlitz I",
             source_label="3a",
             target_label="4c",
             source_instance=lambda eps: catalog.instantiate(
                 "3a", {"a": 1 / eps, "b": b_ac / eps}, q
             ),
             target_instance=lambda: catalog.instantiate("4c", {"a": b_ac}, q),
-            arg_scale=lambda eps: 1 / eps,
-            prefactor=lambda eps, n: eps**n,
+            rho=lambda eps: eps,
             eps0=f(1, 2**16),
-            eps_ratio=half,
         )
     )
 
@@ -345,17 +320,14 @@ def _build_cases() -> tuple[LimitCase, ...]:
     cases.append(
         LimitCase(
             id="3a->4b",
-            description="Al-Salam-Chihara -> shifted-factorial polynomials",
             source_label="3a",
             target_label="4b",
             source_instance=lambda eps: catalog.instantiate(
                 "3a", {"a": eps, "b": b_sf / eps}, q
             ),
             target_instance=lambda: catalog.instantiate("4b", {"b": b_sf}, q),
-            arg_scale=lambda eps: 1 / eps,
-            prefactor=lambda eps, n: eps**n,
+            rho=lambda eps: eps,
             eps0=f(1, 2**16),
-            eps_ratio=half,
             exact_checks=("shifted_product_identity",),
         )
     )
@@ -371,56 +343,47 @@ def _build_cases() -> tuple[LimitCase, ...]:
         cases.append(
             LimitCase(
                 id=f"2b->{target}",
-                description="big q-Jacobi -> little q-Jacobi",
                 source_label="2b",
                 target_label=target,
                 source_instance=bigqj_source,
                 target_instance=lambda target=target: catalog.instantiate(
                     target, {"a": b_bj, "b": a_bj}, q
                 ),
-                arg_scale=lambda eps: q * a_bj,
-                prefactor=lambda eps, n: (q * a_bj) ** (-n),
+                rho=lambda eps: 1 / (q * a_bj),
                 eps0=f(1, 2**24),
-                eps_ratio=half,
             )
         )
 
     # little q-Jacobi -> q-Bessel: second parameter to -infinity with the
-    # product of both parameters held fixed.
+    # product of both parameters held fixed.  The inverse-argument forms sit
+    # on the q-inverted diagram, where 3d' has the same u_n as 3d.
     a_qb = f(1)
 
-    def littleqj_source_power(eps):
-        return catalog.instantiate("3e", {"a": a_qb * eps / q, "b": -1 / eps}, q)
-
-    def littleqj_source_inverse(eps):
-        return catalog.instantiate("3d", {"a": a_qb * eps / q, "b": -1 / eps}, q)
+    def littleqj_params(eps):
+        return {"a": a_qb * eps / q, "b": -1 / eps}
 
     cases.append(
         LimitCase(
             id="3e->4g",
-            description="little q-Jacobi -> q-Bessel",
             source_label="3e",
             target_label="4g",
-            source_instance=littleqj_source_power,
+            source_instance=lambda eps: catalog.instantiate("3e", littleqj_params(eps), q),
             target_instance=lambda: catalog.instantiate("4g", {"a": a_qb}, q),
-            arg_scale=lambda eps: Fraction(1),
-            prefactor=lambda eps, n: Fraction(1),
+            rho=lambda eps: Fraction(1),
             eps0=f(1, 2**24),
-            eps_ratio=half,
         )
     )
     cases.append(
         LimitCase(
             id="3d'->4f'",
-            description="little q-Jacobi -> q-Bessel (inverse-argument forms)",
             source_label="3d'",
             target_label="4f'",
-            source_instance=littleqj_source_inverse,
+            source_instance=lambda eps: catalog.instance_for_label(
+                "3d'", littleqj_params(eps), q
+            ),
             target_instance=lambda: catalog.instantiate("4f'", {"a": a_qb}, q),
-            arg_scale=lambda eps: Fraction(1),
-            prefactor=lambda eps, n: Fraction(1),
+            rho=lambda eps: Fraction(1),
             eps0=f(1, 2**24),
-            eps_ratio=half,
             exact_checks=("little_qjacobi_rep_pair", "qbessel_rep_pair"),
         )
     )
@@ -429,15 +392,12 @@ def _build_cases() -> tuple[LimitCase, ...]:
     cases.append(
         LimitCase(
             id="4a->5a",
-            description="continuous big q-Hermite -> monomials",
             source_label="4a",
             target_label="5a",
             source_instance=lambda eps: catalog.instantiate("4a", {"a": eps}, q),
             target_instance=lambda: catalog.instantiate("5a", {}, q),
-            arg_scale=lambda eps: 1 / eps,
-            prefactor=lambda eps, n: eps**n,
+            rho=lambda eps: eps,
             eps0=f(1, 2**16),
-            eps_ratio=half,
             exact_checks=("power_basis_identity",),
         )
     )
@@ -446,15 +406,12 @@ def _build_cases() -> tuple[LimitCase, ...]:
     cases.append(
         LimitCase(
             id="4e->5b",
-            description="little q-Laguerre -> shifted-factorial polynomials",
             source_label="4e",
             target_label="5b",
             source_instance=lambda eps: catalog.instantiate("4e", {"a": eps}, q),
             target_instance=lambda: catalog.instantiate("5b", {}, q),
-            arg_scale=lambda eps: Fraction(1),
-            prefactor=lambda eps, n: Fraction(1),
+            rho=lambda eps: Fraction(1),
             eps0=f(1, 2**24),
-            eps_ratio=half,
             exact_checks=("descending_product_identity",),
         )
     )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import catalog, limits
-from .classifier import LABELS, pattern_of
+from .classifier import LABELS, SELF_DUAL, pattern_of
 from .core import (
     ParameterVector,
     UncheckedParameterVector,
@@ -251,7 +251,7 @@ def suite_duality(depth: int = 8) -> SuiteReport:
             pair_ok and value_ok,
             "pattern and values",
         )
-    for label in ("1a", "3c", "4b", "5a"):
+    for label in SELF_DUAL:
         pv = catalog.instance_for_label(label)
         report.add(
             f"duality/self-dual/{label}",

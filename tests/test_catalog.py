@@ -24,7 +24,7 @@ from qscheme.verify import Q_POOL
 
 def test_registry_shape():
     assert len(FAMILIES) == 18
-    labels = {spec.node_label for spec in FAMILIES.values()}
+    labels = {spec.key for spec in FAMILIES.values()}
     assert {"1a", "2a", "2b", "3a", "3b", "3c", "3d", "3e"} <= labels
     assert {"4a", "4b", "4c", "4d", "4e", "4f'", "4g", "5a", "5b", "5c'"} <= labels
 

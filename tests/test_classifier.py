@@ -214,7 +214,7 @@ def test_graph_counts_and_acyclicity():
 def test_every_catalog_family_lands_on_its_node():
     graph = build_graph()
     for key, spec in catalog.FAMILIES.items():
-        node = graph.node_by_label(spec.node_label)
+        node = graph.node_by_label(spec.key)
         assert pattern_of(catalog.instantiate(key)) == node.pattern
 
 

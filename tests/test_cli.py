@@ -9,6 +9,8 @@ from qscheme.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DOT = DATA / "scheme.dot"
+GOLDEN_VERIFY_ALL_TXT = DATA / "verify_all.txt"
+GOLDEN_VERIFY_ALL_JSON = DATA / "verify_all.json"
 
 
 def run(capsys, *argv):
@@ -152,6 +154,14 @@ def test_verify_charts_passes_with_warnings(capsys):
     assert "35/35 checks passed" in out
 
 
+def test_verify_all_matches_golden_bytes(capsys, tmp_path):
+    target = tmp_path / "verify_all.json"
+    code, out, _ = run(capsys, "verify", "all", "--json", str(target))
+    assert code == 0
+    assert out == GOLDEN_VERIFY_ALL_TXT.read_text(encoding="utf-8")
+    assert target.read_bytes() == GOLDEN_VERIFY_ALL_JSON.read_bytes()
+
+
 def test_verify_constraints(capsys):
     code, out, _ = run(capsys, "verify", "constraints")
     assert code == 0
@@ -280,3 +290,22 @@ def test_unwritable_output_or_undecodable_config_is_a_usage_error(capsys, tmp_pa
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert error_lines(err) == [err.strip()] and err.startswith("error: cannot ")
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "charts"], "qscheme.verify.run_suite"),
+        (["eval", "3a", "-n", "3"], "qscheme.cli.monic_poly"),
+    ],
+    ids=["verify", "eval"],
+)
+def test_unwritable_json_fails_before_any_work(capsys, monkeypatch, tmp_path, argv, target):
+    monkeypatch.setattr(target, _never_called)
+    code, out, err = run(capsys, *argv, "--json", str(tmp_path / "no-such-dir" / "x.json"))
+    assert code == 2 and out == ""
+    assert error_lines(err) == [err.strip()] and err.startswith("error: cannot write ")

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from qscheme import limits, verify as verify_suites
-from qscheme.classifier import build_graph
+from qscheme.classifier import LABELS, build_graph, pattern_of
+from qscheme.core import monic_poly
 from qscheme.errors import ConvergenceFailure
 from qscheme.limits import (
     CASES,
     CASE_IDS,
+    DEFAULT_SAMPLE_XS,
     EXACT_CHECKS,
     GAP_THRESHOLD,
     RATIO_BOUND,
@@ -144,3 +146,26 @@ def test_verify_builds_each_instance_once():
         counted = dataclasses.replace(case, source_instance=source, target_instance=target)
         verify(counted, n_max=2, t_max=4, strict=False)
         assert built == {"source": 4, "target": 1}, case.id
+
+
+def test_limit_instances_sit_on_their_labels():
+    for case in CASES:
+        assert pattern_of(case.target_instance()) == LABELS[case.target_label], case.id
+        for t in (1, 6, 12):
+            source = case.source_instance(case.eps_at(t))
+            assert pattern_of(source) == LABELS[case.source_label], (case.id, t)
+
+
+def test_gauged_gap_matches_rescaled_polynomials():
+    # Reference: rescale the source polynomial itself, with scale = 1/rho:
+    # u_n^src(scale * x) * scale**-n - u_n^tgt(x).
+    for case in CASES:
+        target = case.target_instance()
+        for t in range(1, 13):
+            eps = case.eps_at(t)
+            source = case.source_instance(eps)
+            scale = 1 / case.rho(eps)
+            for n in range(5):
+                diff = monic_poly(source, n).compose_affine(scale) * scale**-n - monic_poly(target, n)
+                expected = max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
+                assert gap(case, eps, n) == expected, (case.id, t, n)
