@@ -44,9 +44,12 @@ def hard_cap() -> int:
     if raw is None:
         return DEFAULT_HARD_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise UsageError(f"QSCHEME_HARD_CAP must be an integer, got {raw!r}") from exc
+    if cap < 0:
+        raise UsageError(f"QSCHEME_HARD_CAP must be >= 0, got {raw!r}")
+    return cap
 
 
 def load_config(path: str | None) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 from .errors import (
@@ -74,6 +75,11 @@ class ParameterVector:
 
     # -- sequences ---------------------------------------------------------
 
+    # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
+    # asked.  Unannotated, so it is no dataclass field: ==, hash, repr and
+    # replace ignore it.
+    _table = ((), (), ())
+
     def node(self, k: int) -> Fraction:
         qk = self.q**k
         return self.b[0] + self.b[1] * qk + self.b[2] / qk
@@ -87,22 +93,37 @@ class ParameterVector:
         d = self.d
         return d[0] + d[1] * qk + d[2] / qk + d[3] * qk * qk + d[4] / (qk * qk)
 
+    def _sequences(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
+        """(node(0..n), eigenvalue(0..n), lowering(0..n)), each value built
+        once per vector.  The table grows by publishing longer tuples in one
+        assignment, never in place, so concurrent callers each see a correct
+        prefix."""
+        x, h, g = self._table
+        if len(x) <= n:
+            ks = range(len(x), n + 1)
+            x += tuple(self.node(k) for k in ks)
+            h += tuple(self.eigenvalue(k) for k in ks)
+            g += tuple(self.lowering(k) for k in ks)
+            object.__setattr__(self, "_table", (x, h, g))
+        m = max(n + 1, 0)
+        return x[:m], h[:m], g[:m]
+
     # -- separation checks (exact for every q) --------------------------------
 
     def h_separation_ok(self, depth: int) -> bool:
         """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth."""
-        return _first_repeat(map(self.eigenvalue, range(depth + 1))) is None
+        return _first_repeat(self._sequences(depth)[1]) is None
 
     def check_h_separation(self, depth: int) -> None:
-        if hit := _first_repeat(map(self.eigenvalue, range(depth + 1))):
+        if hit := _first_repeat(self._sequences(depth)[1]):
             raise HSeparationViolated(*hit)
 
     def x_separation_ok(self, depth: int) -> bool:
         """node(m) != node(j) for all 0 <= j < m <= depth."""
-        return _first_repeat(map(self.node, range(depth + 1))) is None
+        return _first_repeat(self._sequences(depth)[0]) is None
 
     def check_x_separation(self, depth: int) -> None:
-        if hit := _first_repeat(map(self.node, range(depth + 1))):
+        if hit := _first_repeat(self._sequences(depth)[0]):
             raise XSeparationViolated(*hit)
 
     # -- serialization -------------------------------------------------------
@@ -178,7 +199,7 @@ def perturbed(
 
 def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
-    return product_of_linear(pv.node(j) for j in range(k))
+    return product_of_linear(pv._sequences(k - 1)[0])
 
 
 @dataclass(frozen=True)
@@ -195,7 +216,7 @@ class NewtonExpansion:
         return self.rows[n][k]
 
 
-def _newton_row(h: list[Fraction], g: list[Fraction], n: int) -> list[Fraction]:
+def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> list[Fraction]:
     """Row n of the triangle from h[0..n] and g[0..n]; requires h[n] != h[k]
     for k < n."""
     row = [Fraction(0)] * (n + 1)
@@ -205,18 +226,18 @@ def _newton_row(h: list[Fraction], g: list[Fraction], n: int) -> list[Fraction]:
     return row
 
 
-def _eigenvalues(pv: ParameterVector, n: int) -> list[Fraction]:
-    """eigenvalue(0..n); raises HSeparationViolated at the first repeat."""
-    h = [pv.eigenvalue(k) for k in range(n + 1)]
+def _separated_sequences(pv: ParameterVector, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """pv._sequences(n); raises HSeparationViolated at the first repeated
+    eigenvalue."""
+    x, h, g = pv._sequences(n)
     if hit := _first_repeat(h):
         raise HSeparationViolated(*hit)
-    return h
+    return x, h, g
 
 
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
-    h = _eigenvalues(pv, order)
-    g = [pv.lowering(k) for k in range(order + 1)]
+    _, h, g = _separated_sequences(pv, order)
     return tuple(tuple(_newton_row(h, g, n)) for n in range(order + 1))
 
 
@@ -232,41 +253,50 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     Only row n of the triangle is built, after eigenvalue(0..n) are checked
     for a repeat.
     """
-    h = _eigenvalues(pv, n)
-    g = [pv.lowering(k) for k in range(n + 1)]
-    return _newton_horner(_newton_row(h, g, n), [pv.node(k) for k in range(n + 1)])
+    x, h, g = _separated_sequences(pv, n)
+    return _newton_horner(_newton_row(h, g, n), x)
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     """Coefficients e_k with p = sum e_k v_k, by repeated node deflation."""
     out: list[Fraction] = []
     rest = p
-    k = 0
-    while not rest.is_zero:
-        rest, value = rest.deflate(pv.node(k))
+    for node in pv._sequences(p.degree)[0]:
+        rest, value = rest.deflate(node)
         out.append(value)
-        k += 1
     if not out:
         out.append(Fraction(0))
     return out
 
 
-def _newton_horner(coeffs: list[Fraction], nodes: list[Fraction]) -> Poly:
-    """sum_k coeffs[k] * prod_{j<k} (x - nodes[j]) in the monomial basis."""
-    acc: list[Fraction] = []  # low degree first
-    for k in range(len(coeffs) - 1, -1, -1):
-        # acc <- acc * (x - nodes[k]) + coeffs[k], in place
-        node = nodes[k]
-        acc.insert(0, Fraction(0))
-        for i in range(len(acc) - 1):
-            acc[i] -= node * acc[i + 1]
-        acc[0] += coeffs[k]
-    return Poly(acc)
+def _newton_horner(coeffs: list[Fraction], nodes: tuple[Fraction, ...]) -> Poly:
+    """sum_k coeffs[k] * prod_{j<k} (x - nodes[j]) in the monomial basis.
+
+    The accumulator is integer numerators over one common denominator.  Each
+    step multiplies by (x - p/r), which scales the denominator by r, then
+    adds the next coefficient a/b after scaling by b / gcd(den, b), the
+    factor the denominator lacks.  Fractions are built once, at the end.
+    """
+    if not coeffs:
+        return Poly(())
+    num, den = [coeffs[-1].numerator], coeffs[-1].denominator  # low degree first
+    for k in range(len(coeffs) - 2, -1, -1):
+        p, r = nodes[k].numerator, nodes[k].denominator
+        # num/den * (x - p/r) = (r*x*num - p*num) / (den*r)
+        num = [-p * num[0]] + [r * hi - p * lo for hi, lo in zip(num, num[1:])] + [r * num[-1]]
+        den *= r
+        a, b = coeffs[k].numerator, coeffs[k].denominator
+        f = b // gcd(den, b)
+        if f != 1:
+            num = [f * v for v in num]
+            den *= f
+        num[0] += a * (den // b)
+    return Poly([Fraction(v, den) for v in num])
 
 
 def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
     coeffs = [rational(c) for c in coeffs]
-    return _newton_horner(coeffs, [pv.node(k) for k in range(len(coeffs))])
+    return _newton_horner(coeffs, pv._sequences(len(coeffs) - 1)[0])
 
 
 def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
@@ -277,34 +307,33 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     transform termwise, convert back to the monomial basis.
     """
     e = to_newton_coeffs(pv, p)
+    _, h, g = pv._sequences(len(e))
     out = []
     for k in range(len(e)):
-        value = pv.eigenvalue(k) * e[k]
+        value = h[k] * e[k]
         if k + 1 < len(e):
-            value += pv.lowering(k + 1) * e[k + 1]
+            value += g[k + 1] * e[k + 1]
         out.append(value)
     return from_newton_coeffs(pv, out)
 
 
 def recurrence_coeff0(pv: ParameterVector) -> Fraction:
     """a_0 in u_1 = x - a_0: node(0) - lowering(1)/(eigenvalue(1)-eigenvalue(0))."""
-    h = _eigenvalues(pv, 1)
-    return pv.node(0) - pv.lowering(1) / (h[1] - h[0])
+    x, h, g = _separated_sequences(pv, 1)
+    return x[0] - g[1] / (h[1] - h[0])
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
     """(a_n, b_n) of x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1}, for n >= 1."""
     if n < 1:
         raise ValueError("recurrence coefficients need n >= 1; use recurrence_coeff0")
-    h = pv.eigenvalue
-    g = pv.lowering
-    x = pv.node
+    x, h, g = pv._sequences(n + 1)
 
     def ratio(num_idx: int, da: int, db: int) -> Fraction:
-        value = g(num_idx)
+        value = g[num_idx]
         if value == 0:
             return Fraction(0)
-        denom = h(da) - h(db)
+        denom = h[da] - h[db]
         if denom == 0:
             raise HSeparationViolated(max(da, db), min(da, db))
         return value / denom
@@ -312,7 +341,7 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
     # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.
     upper = ratio(n + 1, n, n + 1)
     lead = ratio(n, n - 1, n)
-    xn = x(n)
+    xn = x[n]
     a_n = xn + upper - lead
     if lead == 0:
         return a_n, Fraction(0)
@@ -321,7 +350,7 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
         - lead
         + ratio(n + 1, n - 1, n + 1)
         + xn
-        - x(n - 1)
+        - x[n - 1]
     )
     return a_n, lead * inner
 
@@ -349,8 +378,9 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     Such an N truncates the family to a finite orthogonal system of degrees
     n <= N, and forces c[n][k] = 0 exactly for k <= N < n.
     """
+    g = pv._sequences(n_max + 1)[2]
     for k in range(1, n_max + 2):
-        if pv.lowering(k) == 0:
+        if g[k] == 0:
             return k - 1
     return None
 
@@ -361,13 +391,12 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     In this normalization the family satisfies the node/eigenvalue duality
     checked by duality_check.  Requires lowering(1..n) nonzero.
     """
+    _, h, g = pv._sequences(n)
     factor = Fraction(1)
-    hn = pv.eigenvalue(n)
     for j in range(n):
-        g = pv.lowering(j + 1)
-        if g == 0:
+        if g[j + 1] == 0:
             raise ZeroG(j + 1)
-        factor *= (hn - pv.eigenvalue(j)) / g
+        factor *= (h[n] - h[j]) / g[j + 1]
     return monic_poly(pv, n) * factor
 
 
@@ -382,16 +411,17 @@ def dual_normalized_poly(pv: ParameterVector, m: int, strict: bool = False) -> P
     also be collision-free up to m (needed when this polynomial is built
     through the dualized vector's Newton expansion rather than this sum).
     """
+    if m < 0:
+        raise ValueError("the dual polynomial needs m >= 0")
     if strict:
         pv.check_x_separation(m)
+    x, h, g = pv._sequences(m)
     coeffs = [Fraction(1)]
-    xm = pv.node(m)
     for k in range(1, m + 1):
-        g = pv.lowering(k)
-        if g == 0:
+        if g[k] == 0:
             raise ZeroG(k)
-        coeffs.append(coeffs[-1] * (xm - pv.node(k - 1)) / g)
-    return _newton_horner(coeffs, [pv.eigenvalue(k) for k in range(m + 1)])
+        coeffs.append(coeffs[-1] * (x[m] - x[k - 1]) / g[k])
+    return _newton_horner(coeffs, h)
 
 
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:

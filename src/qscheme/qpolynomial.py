@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero
@@ -116,11 +117,19 @@ class Poly:
         return result
 
     def __call__(self, x: Scalar) -> Fraction:
+        """p(x) by a homogeneous Horner on integers: with x = s/r and the
+        coefficients N_i/D over their common denominator D,
+        p(x) = sum N_i s^i r^(n-i) / (D r^n)."""
         x = rational(x)
-        acc = Fraction(0)
+        if not self.coeffs:
+            return Fraction(0)
+        s, r = x.numerator, x.denominator
+        den = lcm(*(c.denominator for c in self.coeffs))
+        acc, rpow = 0, 1  # rpow = r^(n-i) at coefficient i
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * s + c.numerator * (den // c.denominator) * rpow
+            rpow *= r
+        return Fraction(acc, den * (rpow // r))
 
     def compose_affine(self, scale: Scalar, shift: Scalar = 0) -> "Poly":
         """Return p(scale*x + shift)."""

@@ -309,3 +309,11 @@ def test_unwritable_json_fails_before_any_work(capsys, monkeypatch, tmp_path, ar
     code, out, err = run(capsys, *argv, "--json", str(tmp_path / "no-such-dir" / "x.json"))
     assert code == 2 and out == ""
     assert error_lines(err) == [err.strip()] and err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("argv", [["eval", "3a", "-n", "0"], ["verify", "charts"]])
+def test_negative_hard_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("QSCHEME_HARD_CAP", "-3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert error_lines(err) == [err.strip()] and "QSCHEME_HARD_CAP must be >= 0" in err

@@ -2,7 +2,11 @@
 finite cutoffs and duality, each checked against an independent brute-force
 route before trusting frozen values."""
 
+import dataclasses
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
@@ -633,3 +637,159 @@ def test_duality_top_instance(pv_1a_top):
 def test_duality_parameter_involution():
     pv = catalog.instantiate("2b")
     assert dualize(dualize(pv)) == pv
+
+
+# -- integer kernels and the sequence table --------------------------------------
+
+
+def fraction_horner(coeffs, nodes) -> Poly:
+    """Reference: the Newton-to-monomial Horner on a list of Fractions."""
+    acc = []  # low degree first
+    for k in range(len(coeffs) - 1, -1, -1):
+        node = nodes[k]
+        acc.insert(0, F(0))
+        for i in range(len(acc) - 1):
+            acc[i] -= node * acc[i + 1]
+        acc[0] += coeffs[k]
+    return Poly(acc)
+
+
+def monic_poly_reference(x, h, g, n: int) -> Poly:
+    """Reference: u_n from sequence lists and the Fraction Horner."""
+    for m in range(n + 1):
+        for j in range(m):
+            if h[m] == h[j]:
+                raise HSeparationViolated(m, j)
+    return fraction_horner(core._newton_row(h, g, n), x[: n + 1])
+
+
+def dual_normalized_poly_reference(x, h, g, m: int) -> Poly:
+    """Reference: the dual sum from sequence lists and the Fraction Horner."""
+    coeffs = [F(1)]
+    for k in range(1, m + 1):
+        if g[k] == 0:
+            raise ZeroG(k)
+        coeffs.append(coeffs[-1] * (x[m] - x[k - 1]) / g[k])
+    return fraction_horner(coeffs, h[: m + 1])
+
+
+@pytest.mark.parametrize("q", Q_POOL)
+def test_integer_horner_matches_fraction_reference(q):
+    """monic_poly and dual_normalized_poly, uncached and on a fresh table for
+    every degree, against the Fraction Horner on per-k sequence values."""
+    compared = 0
+    for key in catalog.FAMILIES:
+        try:
+            base = catalog.instantiate(key, None, q)
+        except QSchemeError:
+            continue
+        seqs = [[f(k) for k in range(25)] for f in (base.node, base.eigenvalue, base.lowering)]
+        for n in range(25):
+            pv = dataclasses.replace(base)
+            want = outcome(monic_poly_reference, *seqs, n)
+            assert outcome(monic_poly.__wrapped__, pv, n) == want, (key, n)
+            want = outcome(dual_normalized_poly_reference, *seqs, n)
+            assert outcome(dual_normalized_poly, pv, n) == want, (key, n)
+            if (collision := outcome(pv.check_x_separation, n)) is not None:
+                want = collision
+            assert outcome(dual_normalized_poly, pv, n, True) == want, (key, n)
+            compared += 1
+    assert compared >= 15 * 25
+
+
+def test_dual_normalized_poly_rejects_a_negative_degree(pv_3a):
+    # the Horner needs no node for a single coefficient, so m = -1 must be
+    # refused before it would return the constant 1
+    with pytest.raises(ValueError):
+        dual_normalized_poly(pv_3a, -1)
+
+
+def test_integer_horner_matches_fraction_reference_on_random_rows():
+    """Mixed, unreduced denominators, zero and integer nodes and coefficients."""
+    rng = random.Random(61)
+
+    def scalar():
+        return F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 4, 6, 9, 25, 2**20 + 7]))
+
+    for _ in range(500):
+        size = rng.randint(0, 12)
+        coeffs = [scalar() for _ in range(size)]
+        nodes = tuple(scalar() for _ in range(size))
+        assert core._newton_horner(coeffs, nodes) == fraction_horner(coeffs, nodes)
+
+
+def laurent(coeffs, q, k: int) -> F:
+    """sum_e coeffs[e] * q**power(e) for the powers 0, 1, -1, 2, -2."""
+    return sum((c * q ** (p * k) for c, p in zip(coeffs, (0, 1, -1, 2, -2))), F(0))
+
+
+def sequence_vectors():
+    vectors = [catalog.instantiate(key, None, q) for key in catalog.FAMILIES for q in (F(1, 2), F(-2, 3))]
+    rng = random.Random(67)
+    vectors += [random_parameter_vector(rng) for _ in range(200)]
+    vectors += [pv for pv in colliding_vectors(60, seed=71) if pv.q in (1, -1)]
+    return vectors
+
+
+def test_sequence_table_matches_laurent_formula():
+    unit_q = 0
+    for pv in sequence_vectors():
+        unit_q += pv.q in (1, -1)
+        x, h, g = pv._sequences(30)
+        assert len(x) == len(h) == len(g) == 31
+        for k in range(31):
+            assert x[k] == laurent(pv.b, pv.q, k) == pv.node(k), (pv, k)
+            assert h[k] == laurent(pv.a, pv.q, k) == pv.eigenvalue(k), (pv, k)
+            assert g[k] == laurent(pv.d, pv.q, k) == pv.lowering(k), (pv, k)
+    assert unit_q >= 15
+
+
+def test_sequence_table_reads_any_prefix():
+    pv = catalog.instantiate("1a")
+    assert pv._sequences(-1) == ((), (), ())
+    grown = [pv._sequences(n) for n in (3, 20, 7, 0, 20, 25)]
+    longest = grown[-1]
+    for n, table in zip((3, 20, 7, 0, 20, 25), grown):
+        assert table == tuple(seq[: n + 1] for seq in longest)
+    assert pv._sequences(-3) == ((), (), ())
+
+
+def test_sequence_table_is_not_part_of_the_value():
+    grown, fresh = catalog.instantiate("2a"), catalog.instantiate("2a")
+    before = repr(grown)
+    monic_poly.__wrapped__(grown, 12)
+    assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
+    assert grown == fresh and hash(grown) == hash(fresh)
+    assert repr(grown) == repr(fresh) == before
+    assert [f.name for f in dataclasses.fields(grown)] == ["q", "a", "b", "d"]
+    copy = dataclasses.replace(grown)
+    assert copy == grown and len(copy._table[0]) == 0
+
+
+def test_threads_growing_one_table_get_the_serial_results():
+    """Four threads race to grow one fresh vector's table; each gets the
+    serial polynomial, and the table left behind is a correct prefix."""
+    degrees = (24, 3, 17, 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for key in ("1a", "3a", "4d"):
+            serial = {n: monic_poly.__wrapped__(catalog.instantiate(key), n) for n in degrees}
+            for _ in range(5):
+                pv = catalog.instantiate(key)  # fresh, empty table
+                barrier = threading.Barrier(len(degrees), timeout=30)
+
+                def build(n):
+                    barrier.wait()
+                    return monic_poly.__wrapped__(pv, n)
+
+                with ThreadPoolExecutor(max_workers=len(degrees)) as pool:
+                    results = dict(zip(degrees, pool.map(build, degrees, timeout=60)))
+                assert results == serial, key
+                x, h, g = pv._table
+                # a slower thread may publish a shorter prefix last
+                assert len(x) == len(h) == len(g) >= min(degrees) + 1
+                assert x == tuple(pv.node(k) for k in range(len(x)))
+                assert g == tuple(pv.lowering(k) for k in range(len(g)))
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,5 +1,6 @@
 """Exact dense polynomial arithmetic."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -86,3 +87,48 @@ def test_format_poly():
     assert format_poly(Poly.one()) == "1"
     assert format_poly(poly([0, 1])) == "x"
     assert format_poly(poly([-1, 0, 0, 2])) == "2 x^3 - 1"
+
+
+def fraction_eval(p: Poly, x) -> F:
+    """Reference: Horner on Fractions, one reduced Fraction per step."""
+    x = F(x)
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+BIG = 3**90 + 1
+EVAL_POINTS = [0, 1, -1, 7, F(1, 2), F(-2, 3), F(BIG, 2**70), F(-(2**80) - 1, 3**41), -BIG, F(5, BIG)]
+EVAL_POLYS = [
+    Poly.zero(),
+    poly([0, 0]),
+    Poly.constant(F(-7, 3)),
+    Poly.constant(BIG),
+    Poly.x(),
+    poly([F(1, 2), F(-3, 2), 1]),
+    poly([0, 0, F(BIG, 7), 0, F(-1, 2**64)]),
+    poly([F(-BIG, 6), F(5, 4), 0, F(3, 10)]),
+]
+
+
+@pytest.mark.parametrize("p", EVAL_POLYS, ids=range(len(EVAL_POLYS)))
+def test_integer_eval_matches_fraction_reference(p):
+    for x in EVAL_POINTS:
+        got = p(x)
+        assert type(got) is F and got == fraction_eval(p, x), (p, x)
+    assert p("3/4") == fraction_eval(p, F(3, 4))
+
+
+def test_integer_eval_matches_fraction_reference_on_random_polys():
+    """500 seeded polynomials with mixed denominators, one point each."""
+    rng = random.Random(73)
+    dens = [1, 1, 2, 3, 4, 5, 12, 49, 2**31 - 1, 10**12]
+
+    def scalar():
+        return F(rng.randint(-(10**6), 10**6), rng.choice(dens))
+
+    for _ in range(500):
+        p = poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 14))])
+        x = scalar()
+        assert p(x) == fraction_eval(p, x), (p, x)
