@@ -678,8 +678,9 @@ def instantiate(
 
     Node and eigenvalue coefficients come from values at k = 0..2, lowering
     coefficients from k = 0..4; the fit is verified against the closed forms
-    up to k = 8 before the vector is returned.  The systems depend only on q
-    and the exponents, so each is solved through a cached inverse.
+    up to k = 8 on the vector's own sequence table, which it keeps.  The
+    systems depend only on q and the exponents, so each is solved through a
+    cached inverse.
     """
     spec = FAMILIES[family]
     q = rational(q) if q is not None else DEFAULT_Q
@@ -699,11 +700,12 @@ def instantiate(
         pv = ParameterVector(q=q, a=tuple(a), b=tuple(b), d=tuple(d))
     except Exception as exc:
         raise InadmissibleParams(f"{family}: {exc}") from exc
+    x, h, g = pv._sequences(8)
     for k in range(9):
         if (
-            pv.node(k) != spec.node_fn(p, q, k)
-            or pv.eigenvalue(k) != spec.eigen_fn(p, q, k)
-            or pv.lowering(k) != spec.lowering_fn(p, q, k)
+            x[k] != spec.node_fn(p, q, k)
+            or h[k] != spec.eigen_fn(p, q, k)
+            or g[k] != spec.lowering_fn(p, q, k)
         ):
             raise Mismatch(
                 f"{family}: solved coefficients disagree with closed forms at k={k}"

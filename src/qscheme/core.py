@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -76,9 +76,11 @@ class ParameterVector:
     # -- sequences ---------------------------------------------------------
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked.  Unannotated, so it is no dataclass field: ==, hash, repr and
-    # replace ignore it.
+    # asked, and eigenvalue -> k for the prefix of eigenvalues known to be
+    # repeat-free.  Unannotated, so they are no dataclass fields: ==, hash,
+    # repr and replace ignore them.  Each is replaced whole, never mutated.
     _table = ((), (), ())
+    _h_index = {}
 
     def node(self, k: int) -> Fraction:
         qk = self.q**k
@@ -112,11 +114,14 @@ class ParameterVector:
 
     def h_separation_ok(self, depth: int) -> bool:
         """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth."""
-        return _first_repeat(self._sequences(depth)[1]) is None
+        try:
+            _separated_sequences(self, depth)
+        except HSeparationViolated:
+            return False
+        return True
 
     def check_h_separation(self, depth: int) -> None:
-        if hit := _first_repeat(self._sequences(depth)[1]):
-            raise HSeparationViolated(*hit)
+        _separated_sequences(self, depth)
 
     def x_separation_ok(self, depth: int) -> bool:
         """node(m) != node(j) for all 0 <= j < m <= depth."""
@@ -160,14 +165,20 @@ class ParameterVector:
         )
 
 
-def _first_repeat(values: Iterable[Fraction]) -> tuple[int, int] | None:
+def _first_repeat(
+    values: tuple[Fraction, ...], seen: dict[Fraction, int] | None = None
+) -> tuple[int, int] | None:
     """The first pair (n, j), j < n, with values[n] == values[j]; None if the
     values are distinct.  The scan stops at the first repeat, where the
     values before n are distinct, so j is the only match for that n.
+
+    seen, if given, maps values[:len(seen)], known to be distinct, to their
+    indices; the scan starts after them and adds the values it passes.
     """
-    seen: dict[Fraction, int] = {}
-    for n, value in enumerate(values):
-        j = seen.setdefault(value, n)
+    if seen is None:
+        seen = {}
+    for n in range(len(seen), len(values)):
+        j = seen.setdefault(values[n], n)
         if j != n:
             return n, j
     return None
@@ -199,6 +210,8 @@ def perturbed(
 
 def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
+    if k < 0:
+        raise ValueError("the Newton basis needs k >= 0")
     return product_of_linear(pv._sequences(k - 1)[0])
 
 
@@ -216,29 +229,53 @@ class NewtonExpansion:
         return self.rows[n][k]
 
 
-def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> list[Fraction]:
-    """Row n of the triangle from h[0..n] and g[0..n]; requires h[n] != h[k]
-    for k < n."""
-    row = [Fraction(0)] * (n + 1)
-    row[n] = Fraction(1)
+def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> list[int]:
+    """Row n of the triangle as integers N_0..N_n over the common denominator
+    N_n, from h[0..n] and g[0..n]; requires h[n] != h[k] for k < n.
+
+    With h_j = H_j/Dh over Dh, the lcm of the denominators of h[0..n], and
+    g_j = a_j/b_j in lowest terms,
+
+        N_k = prod_{j=k+1..n} a_j*Dh * prod_{j=1..k} b_j * prod_{j<k} (H_n - H_j),
+
+    built by one suffix and one prefix product: no Fraction and no gcd.
+    """
+    if n < 0:
+        raise ValueError("u_n needs n >= 0")
+    dh = lcm(*(v.denominator for v in h[: n + 1]))
+    big = [v.numerator * (dh // v.denominator) for v in h[: n + 1]]
+    row = [1] * (n + 1)
+    acc = 1
     for k in range(n - 1, -1, -1):
-        row[k] = row[k + 1] * g[k + 1] / (h[n] - h[k])
+        acc *= g[k + 1].numerator * dh
+        row[k] = acc
+    acc = 1
+    for k in range(1, n + 1):
+        acc *= g[k].denominator * (big[n] - big[k - 1])
+        row[k] *= acc
     return row
 
 
 def _separated_sequences(pv: ParameterVector, n: int) -> tuple[tuple[Fraction, ...], ...]:
     """pv._sequences(n); raises HSeparationViolated at the first repeated
-    eigenvalue."""
+    eigenvalue.  Only eigenvalues past the vector's repeat-free prefix are
+    scanned; a longer prefix is published in one assignment, none on a
+    raise."""
     x, h, g = pv._sequences(n)
-    if hit := _first_repeat(h):
-        raise HSeparationViolated(*hit)
+    seen = pv._h_index
+    if len(seen) <= n:
+        seen = dict(seen)
+        if hit := _first_repeat(h, seen):
+            raise HSeparationViolated(*hit)
+        object.__setattr__(pv, "_h_index", seen)
     return x, h, g
 
 
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     _, h, g = _separated_sequences(pv, order)
-    return tuple(tuple(_newton_row(h, g, n)) for n in range(order + 1))
+    rows = (_newton_row(h, g, n) for n in range(order + 1))
+    return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
 
 def expansion(pv: ParameterVector, order: int) -> NewtonExpansion:
@@ -254,7 +291,8 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     for a repeat.
     """
     x, h, g = _separated_sequences(pv, n)
-    return _newton_horner(_newton_row(h, g, n), x)
+    row = _newton_row(h, g, n)
+    return _newton_horner(row, row[-1], x)
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
@@ -269,34 +307,34 @@ def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     return out
 
 
-def _newton_horner(coeffs: list[Fraction], nodes: tuple[Fraction, ...]) -> Poly:
-    """sum_k coeffs[k] * prod_{j<k} (x - nodes[j]) in the monomial basis.
+def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Poly:
+    """sum_k (nums[k]/den) * prod_{j<k} (x - nodes[j]) in the monomial basis.
 
-    The accumulator is integer numerators over one common denominator.  Each
-    step multiplies by (x - p/r), which scales the denominator by r, then
-    adds the next coefficient a/b after scaling by b / gcd(den, b), the
-    factor the denominator lacks.  Fractions are built once, at the end.
+    The accumulator holds integer numerators over den*t.  Each step
+    multiplies it by (x - p/r) as acc*(r*x - p), scaling t by r, then adds
+    nums[k]*t to the constant term.  Fractions are built once, at the end.
     """
-    if not coeffs:
+    if not nums:
         return Poly(())
-    num, den = [coeffs[-1].numerator], coeffs[-1].denominator  # low degree first
-    for k in range(len(coeffs) - 2, -1, -1):
+    acc, t = [nums[-1]], 1  # low degree first
+    for k in range(len(nums) - 2, -1, -1):
         p, r = nodes[k].numerator, nodes[k].denominator
-        # num/den * (x - p/r) = (r*x*num - p*num) / (den*r)
-        num = [-p * num[0]] + [r * hi - p * lo for hi, lo in zip(num, num[1:])] + [r * num[-1]]
-        den *= r
-        a, b = coeffs[k].numerator, coeffs[k].denominator
-        f = b // gcd(den, b)
-        if f != 1:
-            num = [f * v for v in num]
-            den *= f
-        num[0] += a * (den // b)
-    return Poly([Fraction(v, den) for v in num])
+        acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
+        t *= r
+        acc[0] += nums[k] * t
+    den *= t
+    return Poly([Fraction(v, den) for v in acc])
+
+
+def _over_lcm(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
     coeffs = [rational(c) for c in coeffs]
-    return _newton_horner(coeffs, pv._sequences(len(coeffs) - 1)[0])
+    return _newton_horner(*_over_lcm(coeffs), pv._sequences(len(coeffs) - 1)[0])
 
 
 def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
@@ -421,7 +459,7 @@ def dual_normalized_poly(pv: ParameterVector, m: int, strict: bool = False) -> P
         if g[k] == 0:
             raise ZeroG(k)
         coeffs.append(coeffs[-1] * (x[m] - x[k - 1]) / g[k])
-    return _newton_horner(coeffs, h)
+    return _newton_horner(*_over_lcm(coeffs), h)
 
 
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:

@@ -187,23 +187,27 @@ def product_of_linear(roots: Iterable[Scalar]) -> Poly:
 
 
 def format_poly(p: Poly, var: str = "x") -> str:
-    """Human-readable form, highest degree first: "x^2 - 3/2 x + 1/2"."""
+    """Human-readable form, highest degree first: "x^2 - 3/2 x + 1/2".
+
+    Each coefficient is written from its numerator and denominator: the sign
+    from the numerator, the text as str(Fraction) writes the magnitude."""
     if p.is_zero:
         return "0"
     parts: list[str] = []
     for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
+        c = p.coeffs[i]
+        num, den = c.numerator, c.denominator
+        if not num:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        mag = -num if num < 0 else num
+        text = str(mag) if den == 1 else f"{mag}/{den}"
         if i == 0:
-            body = str(mag)
+            body = text
         else:
             xpow = var if i == 1 else f"{var}^{i}"
-            body = xpow if mag == 1 else f"{mag} {xpow}"
+            body = xpow if mag == 1 and den == 1 else f"{text} {xpow}"
         if not parts:
-            parts.append(f"-{body}" if sign == "-" else body)
+            parts.append(f"-{body}" if num < 0 else body)
         else:
-            parts.append(f"{sign} {body}")
+            parts.append(f"{'-' if num < 0 else '+'} {body}")
     return " ".join(parts)

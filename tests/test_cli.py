@@ -1,5 +1,6 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -77,6 +78,23 @@ def test_eval_repeated_sample_point_keeps_its_columns(capsys, tmp_path):
     assert out == (DATA / "eval_3a_n6.txt").read_text()
     assert out.splitlines()[1].split()[-3:] == ["u_n(3)", "u_n(-1/2)", "u_n(3)"]
     assert target.read_bytes() == (DATA / "eval_3a_n6.json").read_bytes()
+
+
+def test_eval_at_the_hard_cap_matches_recorded_digests(capsys, tmp_path):
+    """SHA-256 of the stdout and --json bytes of eval -n 24, recorded for
+    every family at two bases; guards the largest coefficients byte for byte."""
+    recorded = json.loads((DATA / "eval_n24_sha256.json").read_text())["sha256"]
+    assert len(recorded) == 36
+    target = tmp_path / "eval.json"
+    for key, want in recorded.items():
+        family, q = key.split()
+        code, out, _ = run(capsys, "eval", family, "-n", "24", f"-q={q}", "--xs=3,-1/2", "--json", str(target))
+        assert code == 0
+        got = {
+            "stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "json": hashlib.sha256(target.read_bytes()).hexdigest(),
+        }
+        assert got == want, key
 
 
 def test_eval_rejects_inadmissible_params(capsys):

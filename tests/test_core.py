@@ -403,6 +403,33 @@ def test_one_repeat_test_matches_references_at_every_q():
     assert pairs == 9000 and unit_q > 250
 
 
+def test_repeat_free_index_raises_the_whole_prefix_repeat():
+    """Only eigenvalues past a vector's repeat-free index are scanned, yet
+    the pair raised is the one _first_repeat finds on all of h[0..n], for
+    ascending and descending degrees and for a call after a raise, at q = +/-1
+    too; a raise publishes nothing."""
+    raised = unit_q = 0
+    for pv in colliding_vectors(300, seed=79):
+        unit_q += pv.q in (1, -1)
+        h = tuple(pv.eigenvalue(k) for k in range(13))
+        for degrees in (range(13), range(12, -1, -1), (5, 12, 12, 3, 8, 12)):
+            fresh = dataclasses.replace(pv)
+            for n in degrees:
+                before = fresh._h_index
+                known = dict(before)
+                hit = core._first_repeat(h[: n + 1])
+                got = outcome(core._separated_sequences, fresh, n)
+                if hit is None:
+                    assert got == fresh._sequences(n), (pv, n)
+                else:
+                    raised += 1
+                    assert got == (HSeparationViolated, str(HSeparationViolated(*hit))), (pv, n)
+                    assert fresh._h_index is before and before == known, (pv, n)
+                index = fresh._h_index
+                assert index == {h[k]: k for k in range(len(index))}, (pv, n)
+    assert raised > 1000 and unit_q >= 100
+
+
 def test_cold_monic_poly_builds_no_triangle():
     pv = catalog.instantiate("1a")
     monic_poly.cache_clear()
@@ -654,13 +681,24 @@ def fraction_horner(coeffs, nodes) -> Poly:
     return Poly(acc)
 
 
+def fraction_newton_row(h, g, n: int) -> list[F]:
+    """Reference: row n of the triangle by the Fraction recursion
+    c[n][k] = c[n][k+1] * g[k+1] / (h[n] - h[k])."""
+    row = [F(0)] * (n + 1)
+    row[n] = F(1)
+    for k in range(n - 1, -1, -1):
+        row[k] = row[k + 1] * g[k + 1] / (h[n] - h[k])
+    return row
+
+
 def monic_poly_reference(x, h, g, n: int) -> Poly:
-    """Reference: u_n from sequence lists and the Fraction Horner."""
+    """Reference: u_n from sequence lists, the Fraction row and the Fraction
+    Horner."""
     for m in range(n + 1):
         for j in range(m):
             if h[m] == h[j]:
                 raise HSeparationViolated(m, j)
-    return fraction_horner(core._newton_row(h, g, n), x[: n + 1])
+    return fraction_horner(fraction_newton_row(h, g, n), x[: n + 1])
 
 
 def dual_normalized_poly_reference(x, h, g, m: int) -> Poly:
@@ -704,6 +742,18 @@ def test_dual_normalized_poly_rejects_a_negative_degree(pv_3a):
         dual_normalized_poly(pv_3a, -1)
 
 
+@pytest.mark.parametrize(
+    "build, bound",
+    [(monic_poly, "n >= 0"), (normalized_poly, "n >= 0"), (newton_basis, "k >= 0")],
+)
+def test_negative_degrees_are_refused(pv_3a, build, bound):
+    for degree in (-1, -5):
+        with pytest.raises(ValueError, match=bound):
+            build(pv_3a, degree)
+    with pytest.raises(ValueError, match="n >= 0"):
+        core._newton_row(*pv_3a._sequences(4)[1:], -1)
+
+
 def test_integer_horner_matches_fraction_reference_on_random_rows():
     """Mixed, unreduced denominators, zero and integer nodes and coefficients."""
     rng = random.Random(61)
@@ -715,7 +765,39 @@ def test_integer_horner_matches_fraction_reference_on_random_rows():
         size = rng.randint(0, 12)
         coeffs = [scalar() for _ in range(size)]
         nodes = tuple(scalar() for _ in range(size))
-        assert core._newton_horner(coeffs, nodes) == fraction_horner(coeffs, nodes)
+        assert core._newton_horner(*core._over_lcm(coeffs), nodes) == fraction_horner(coeffs, nodes)
+
+
+def test_integer_newton_row_matches_fraction_reference_on_random_rows():
+    """The integer row over its common denominator, and the Fraction rows of
+    _expansion_rows, against the Fraction recursion: zero lowering values
+    (finite families), mixed denominators, separated eigenvalues."""
+    rng = random.Random(73)
+
+    def scalar(zero_share=0.0):
+        if rng.random() < zero_share:
+            return F(0)
+        return F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 4, 6, 9, 25, 2**20 + 7]))
+
+    zeros = 0
+    for _ in range(500):
+        n = rng.randint(0, 10)
+        h = []
+        while len(h) <= n:
+            if (value := scalar()) not in h:
+                h.append(value)
+        g = tuple(scalar(0.1) for _ in range(n + 1))
+        zeros += F(0) in g[1:]
+        row = core._newton_row(tuple(h), g, n)
+        want = fraction_newton_row(h, g, n)
+        assert all(isinstance(v, int) for v in row) and row[n] != 0
+        assert [F(v, row[n]) for v in row] == want
+    assert zeros > 50
+    for pv in [catalog.instantiate(key) for key in catalog.FAMILIES] + [qracah_like(4)]:
+        h, g = pv._sequences(12)[1:]
+        assert core._expansion_rows.__wrapped__(pv, 12) == tuple(
+            tuple(fraction_newton_row(h, g, n)) for n in range(13)
+        ), pv
 
 
 def laurent(coeffs, q, k: int) -> F:
@@ -758,12 +840,23 @@ def test_sequence_table_is_not_part_of_the_value():
     grown, fresh = catalog.instantiate("2a"), catalog.instantiate("2a")
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
-    assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
+    # instantiate checks the fit on the table to k = 8 and leaves it warm
+    assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 9
+    assert len(grown._h_index) == 13 and len(fresh._h_index) == 0
     assert grown == fresh and hash(grown) == hash(fresh)
     assert repr(grown) == repr(fresh) == before
     assert [f.name for f in dataclasses.fields(grown)] == ["q", "a", "b", "d"]
     copy = dataclasses.replace(grown)
-    assert copy == grown and len(copy._table[0]) == 0
+    assert copy == grown and len(copy._table[0]) == 0 and len(copy._h_index) == 0
+    assert type(grown)._h_index == {}  # published per vector, never mutated
+
+
+def test_instantiate_leaves_the_checked_table_warm():
+    for key in catalog.FAMILIES:
+        pv = catalog.instantiate(key, None, F(-2, 3))
+        x, h, g = pv._table
+        assert len(x) == len(h) == len(g) == 9
+        assert (x, h, g) == dataclasses.replace(pv)._sequences(8), key
 
 
 def test_threads_growing_one_table_get_the_serial_results():
@@ -776,7 +869,7 @@ def test_threads_growing_one_table_get_the_serial_results():
         for key in ("1a", "3a", "4d"):
             serial = {n: monic_poly.__wrapped__(catalog.instantiate(key), n) for n in degrees}
             for _ in range(5):
-                pv = catalog.instantiate(key)  # fresh, empty table
+                pv = dataclasses.replace(catalog.instantiate(key))  # empty memo
                 barrier = threading.Barrier(len(degrees), timeout=30)
 
                 def build(n):
@@ -791,5 +884,9 @@ def test_threads_growing_one_table_get_the_serial_results():
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
                 assert x == tuple(pv.node(k) for k in range(len(x)))
                 assert g == tuple(pv.lowering(k) for k in range(len(g)))
+                # likewise the repeat-free index: a correct prefix of h
+                index = pv._h_index
+                assert len(index) >= min(degrees) + 1
+                assert index == {pv.eigenvalue(k): k for k in range(len(index))}
     finally:
         sys.setswitchinterval(interval)

@@ -132,3 +132,58 @@ def test_integer_eval_matches_fraction_reference_on_random_polys():
         p = poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 14))])
         x = scalar()
         assert p(x) == fraction_eval(p, x), (p, x)
+
+
+def fraction_format_poly(p: Poly, var: str = "x") -> str:
+    """Reference: format_poly on Fraction comparisons, abs and str."""
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeff(i)
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            xpow = var if i == 1 else f"{var}^{i}"
+            body = xpow if mag == 1 else f"{mag} {xpow}"
+        if not parts:
+            parts.append(f"-{body}" if sign == "-" else body)
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+FORMAT_POLYS = [
+    Poly.zero(),
+    Poly.one(),
+    Poly.constant(-1),
+    poly([0, -1]),
+    poly([1, 1, 1]),
+    poly([-1, -1, -1]),
+    poly([F(-1, 3), 0, F(1, 3)]),
+    poly([F(5, 2), F(-7, 4), F(-10, 11)]),
+    poly([BIG, -BIG, 0, F(BIG, 2**70), F(-1, BIG)]),
+    poly([0, 0, F(-3, 2), 11, -1]),
+]
+
+
+@pytest.mark.parametrize("p", FORMAT_POLYS, ids=range(len(FORMAT_POLYS)))
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_format_poly_matches_fraction_reference(p, var):
+    assert format_poly(p, var) == fraction_format_poly(p, var)
+
+
+def test_format_poly_matches_fraction_reference_on_random_polys():
+    rng = random.Random(79)
+
+    def scalar():
+        return F(rng.choice([-1, 1, rng.randint(-(10**30), 10**30)]), rng.choice([1, 1, 1, 2, 9, 10**20]))
+
+    for _ in range(500):
+        p = poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 10))])
+        var = rng.choice(["x", "y"])
+        assert format_poly(p, var) == fraction_format_poly(p, var), p
