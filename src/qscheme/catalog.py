@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import ParameterVector, monic_poly
 from .errors import DivisionByZero, InadmissibleParams, Mismatch
 from .classifier import LABELS, ZeroPattern, pattern_of
+from .qpolynomial import _newton_horner, _over_lcm
 from .qrational import admissible_q, format_rational, rational
 from .qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
 from . import symmetry
@@ -53,34 +53,22 @@ SAMPLE_XS = (
 )
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Tiny exact Gaussian elimination (systems here are 3x3 and 5x5)."""
-    n = len(rows)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        head = m[col][col]
-        m[col] = [v / head for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def _laurent_fit(values: list[Fraction], q: Fraction) -> list[Fraction]:
+    """The coefficients c_{-m..m} of f(t) = sum_e c_e t**e from its values at
+    t = q**k, k = 0..2m.
 
-
-@lru_cache(maxsize=256)
-def _laurent_inverse(q: Fraction, powers: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of the inverse of the matrix [q**(e*k)] (row k = 0..len-1, column
-    e in powers), which turns the values of sum_e c_e q**(e*k) at those k into
-    the coefficients c_e.  It is a Vandermonde matrix in the distinct nodes
-    q**e, so it is invertible for every admissible q."""
-    size = len(powers)
-    rows = [[q ** (e * k) for e in powers] for k in range(size)]
-    columns = [
-        _solve_linear(rows, [Fraction(int(i == j)) for i in range(size)]) for j in range(size)
-    ]
-    return tuple(zip(*columns))
+    t**m f(t) is a polynomial of degree <= 2m with coefficients c_{-m..m},
+    interpolated at the distinct nodes q**k by divided differences; the one
+    Newton-to-monomial Horner turns it into those coefficients, and the
+    trailing zeros a Poly strips are put back."""
+    m = len(values) // 2
+    nodes = [q**k for k in range(2 * m + 1)]
+    diffs = [t**m * v for t, v in zip(nodes, values)]
+    for j in range(1, 2 * m + 1):
+        for i in range(2 * m, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
+    coeffs = list(_newton_horner(*_over_lcm(diffs), nodes).coeffs)
+    return coeffs + [Fraction(0)] * (2 * m + 1 - len(coeffs))
 
 
 def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> Callable[[Fraction], Fraction]:
@@ -674,39 +662,31 @@ def coerce_params(spec: FamilySpec, params: Mapping | None) -> dict[str, Fractio
 def instantiate(
     family: str, params: Mapping | None = None, q: Fraction | int | str | None = None
 ) -> ParameterVector:
-    """Solve the Laurent coefficients reproducing the family's sequences.
+    """Fit the Laurent coefficients reproducing the family's sequences.
 
-    Node and eigenvalue coefficients come from values at k = 0..2, lowering
-    coefficients from k = 0..4; the fit is verified against the closed forms
-    up to k = 8 on the vector's own sequence table, which it keeps.  The
-    systems depend only on q and the exponents, so each is solved through a
-    cached inverse.
+    Each closed form is evaluated once at k = 0..8.  Node and eigenvalue
+    coefficients are fitted to the values at k = 0..2, lowering coefficients
+    to those at k = 0..4; the fit is verified against all nine values on the
+    vector's own sequence table, which it keeps.
     """
     spec = FAMILIES[family]
     q = rational(q) if q is not None else DEFAULT_Q
     if not admissible_q(q):
         raise InadmissibleParams(f"base q = {q} must avoid 0 and +/-1")
     p = coerce_params(spec, params)
-
-    def solve(values: list[Fraction], powers: tuple[int, ...]) -> list[Fraction]:
-        return [
-            sum(m * v for m, v in zip(row, values)) for row in _laurent_inverse(q, powers)
-        ]
-
-    b = solve([spec.node_fn(p, q, k) for k in range(3)], (0, 1, -1))
-    a = solve([spec.eigen_fn(p, q, k) for k in range(3)], (0, 1, -1))
-    d = solve([spec.lowering_fn(p, q, k) for k in range(5)], (0, 1, -1, 2, -2))
+    fns = (spec.node_fn, spec.eigen_fn, spec.lowering_fn)
+    closed = [[fn(p, q, k) for k in range(9)] for fn in fns]
+    # Each fit lists c_{-m..m}: b2, a2 and d2 multiply q**-k, d4 q**-2k.
+    b2, b0, b1 = _laurent_fit(closed[0][:3], q)
+    a2, a0, a1 = _laurent_fit(closed[1][:3], q)
+    d4, d2, d0, d1, d3 = _laurent_fit(closed[2][:5], q)
     try:
-        pv = ParameterVector(q=q, a=tuple(a), b=tuple(b), d=tuple(d))
+        pv = ParameterVector(q=q, a=(a0, a1, a2), b=(b0, b1, b2), d=(d0, d1, d2, d3, d4))
     except Exception as exc:
         raise InadmissibleParams(f"{family}: {exc}") from exc
-    x, h, g = pv._sequences(8)
+    table = pv._sequences(8)
     for k in range(9):
-        if (
-            x[k] != spec.node_fn(p, q, k)
-            or h[k] != spec.eigen_fn(p, q, k)
-            or g[k] != spec.lowering_fn(p, q, k)
-        ):
+        if any(row[k] != want[k] for row, want in zip(table, closed)):
             raise Mismatch(
                 f"{family}: solved coefficients disagree with closed forms at k={k}"
             )
@@ -724,6 +704,8 @@ def hyper_eval(
     spec = FAMILIES[family]
     q = rational(q) if q is not None else DEFAULT_Q
     p = coerce_params(spec, params)
+    if n < 0:
+        raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
     kn = spec.kn_fn(p, q, n)
     if kn == 0:
         raise DivisionByZero(f"{family}: k_{n} vanishes for these parameters")

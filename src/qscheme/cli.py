@@ -14,6 +14,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -263,7 +264,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  parse_args leaves it unchanged:
+    each call fills a fresh namespace, and append copies the --param default."""
     parser = argparse.ArgumentParser(
         prog="qscheme",
         description="Exact-arithmetic toolkit for the q-Askey scheme "

@@ -34,7 +34,7 @@ from .errors import (
     XSeparationViolated,
     ZeroG,
 )
-from .qpolynomial import Poly, product_of_linear
+from .qpolynomial import Poly, _newton_horner, _over_lcm, product_of_linear
 from .qrational import admissible_q, format_rational, rational
 
 
@@ -305,31 +305,6 @@ def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     if not out:
         out.append(Fraction(0))
     return out
-
-
-def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Poly:
-    """sum_k (nums[k]/den) * prod_{j<k} (x - nodes[j]) in the monomial basis.
-
-    The accumulator holds integer numerators over den*t.  Each step
-    multiplies it by (x - p/r) as acc*(r*x - p), scaling t by r, then adds
-    nums[k]*t to the constant term.  Fractions are built once, at the end.
-    """
-    if not nums:
-        return Poly(())
-    acc, t = [nums[-1]], 1  # low degree first
-    for k in range(len(nums) - 2, -1, -1):
-        p, r = nodes[k].numerator, nodes[k].denominator
-        acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
-        t *= r
-        acc[0] += nums[k] * t
-    den *= t
-    return Poly([Fraction(v, den) for v in acc])
-
-
-def _over_lcm(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:

@@ -137,12 +137,8 @@ def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
     return apply_gauge(case.source_instance(epsilon), GaugeAction(rho=case.rho(epsilon)))
 
 
-def gap(case: LimitCase, epsilon: Fraction, n: int) -> Fraction:
-    """Max over the samples of |u_n(x) of the gauged source - u_n(x) of the target|."""
-    return _gap(_gauged_source(case, epsilon), case.target_instance(), n)
-
-
-def _gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
+def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
+    """Max over the samples of |u_n(x) of source - u_n(x) of target|."""
     diff = monic_poly(source, n) - monic_poly(target, n)
     return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
 
@@ -226,7 +222,7 @@ def verify(
     sources = [_gauged_source(case, case.eps_at(t)) for t in range(1, t_max + 1)]
     traces = []
     for n in range(n_max + 1):
-        gaps = tuple(_gap(source, target, n) for source in sources)
+        gaps = tuple(gap(source, target, n) for source in sources)
         ratios = tuple(
             gaps[i + 1] / gaps[i]
             for i in range(len(gaps) - 1)

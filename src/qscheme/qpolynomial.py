@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero
 from .qrational import rational
@@ -124,20 +124,23 @@ class Poly:
         if not self.coeffs:
             return Fraction(0)
         s, r = x.numerator, x.denominator
-        den = lcm(*(c.denominator for c in self.coeffs))
+        nums, den = _over_lcm(self.coeffs)
         acc, rpow = 0, 1  # rpow = r^(n-i) at coefficient i
-        for c in reversed(self.coeffs):
-            acc = acc * s + c.numerator * (den // c.denominator) * rpow
+        for num in reversed(nums):
+            acc = acc * s + num * rpow
             rpow *= r
         return Fraction(acc, den * (rpow // r))
 
     def compose_affine(self, scale: Scalar, shift: Scalar = 0) -> "Poly":
-        """Return p(scale*x + shift)."""
-        arg = Poly((rational(shift), rational(scale)))
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.constant(c)
-        return acc
+        """Return p(scale*x + shift).
+
+        With scale s != 0, p(s*x + t) = sum_k c_k s^k (x + t/s)^k: the Newton
+        form with coefficients c_k s^k and every node -t/s."""
+        scale, shift = rational(scale), rational(shift)
+        if scale == 0:
+            return Poly((self(shift),))
+        nums, den = _over_lcm([c * scale**k for k, c in enumerate(self.coeffs)])
+        return _newton_horner(nums, den, (-shift / scale,) * len(nums))
 
     def deflate(self, root: Scalar) -> tuple["Poly", Fraction]:
         """Synthetic division by (x - root): returns (quotient, remainder)."""
@@ -180,10 +183,34 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def product_of_linear(roots: Iterable[Scalar]) -> Poly:
     """The monic polynomial with the given roots (with multiplicity)."""
-    acc = Poly.one()
-    for r in roots:
-        acc = acc * Poly.linear(r)
-    return acc
+    roots = tuple(rational(r) for r in roots)
+    return _newton_horner([0] * len(roots) + [1], 1, roots)
+
+
+def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Poly:
+    """sum_k (nums[k]/den) * prod_{j<k} (x - nodes[j]) in the monomial basis.
+
+    The one Newton-to-monomial conversion of the package.  The accumulator
+    holds integer numerators over den*t.  Each step multiplies it by
+    (x - p/r) as acc*(r*x - p), scaling t by r, then adds nums[k]*t to the
+    constant term.  Fractions are built once, at the end.
+    """
+    if not nums:
+        return Poly(())
+    acc, t = [nums[-1]], 1  # low degree first
+    for k in range(len(nums) - 2, -1, -1):
+        p, r = nodes[k].numerator, nodes[k].denominator
+        acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
+        t *= r
+        acc[0] += nums[k] * t
+    den *= t
+    return Poly([Fraction(v, den) for v in acc])
+
+
+def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

@@ -60,8 +60,11 @@ def terminating_sum(
     so term k costs O(len(upper) + len(lower)) operations.  Once the running
     numerator hits zero all later terms are zero and the loop stops, which is
     what makes early-terminating series with otherwise-degenerate lower
-    parameters legal; a vanishing denominator before that raises.
+    parameters legal; a vanishing denominator before that raises, and so
+    does a negative n.
     """
+    if n < 0:
+        raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
     num = den = steps = Fraction(1)
     total = Fraction(0)
     qj = Fraction(1)  # q**(k-1) while term k is built

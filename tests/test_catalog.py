@@ -188,28 +188,53 @@ def test_registry_json_deterministic_and_ordered():
     )
 
 
-LAURENT_POWERS = ((0, 1, -1), (0, 1, -1, 2, -2))
+def _solve_linear(rows: list[list[F]], rhs: list[F]) -> list[F]:
+    """Reference: exact Gaussian elimination (systems here are 3x3 and 5x5)."""
+    n = len(rows)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        head = m[col][col]
+        m[col] = [v / head for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
 
 
-@pytest.mark.parametrize("powers", LAURENT_POWERS)
-def test_laurent_inverse_is_exact(powers):
-    size = len(powers)
+@pytest.mark.parametrize("m", [1, 2])
+def test_laurent_fit_is_exact(m):
+    """Random c_{-m..m}, with zero entries at either end, both ends and all
+    of them, come back exactly from their values at q**k, k = 0..2m."""
+    rng = random.Random(47 + m)
+    size = 2 * m + 1
     for q in Q_POOL:
-        inverse = catalog._laurent_inverse(q, powers)
-        matrix = [[q ** (e * k) for e in powers] for k in range(size)]
-        product = [
-            [sum(inverse[i][k] * matrix[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-        assert product == [[int(i == j) for j in range(size)] for i in range(size)], q
+        for trial in range(12):
+            coeffs = [F(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for _ in range(size)]
+            if trial % 4 in (1, 3):
+                coeffs[0] = F(0)
+            if trial % 4 in (2, 3):
+                coeffs[-1] = F(0)
+            if trial == 11:
+                coeffs = [F(0)] * size
+            values = [
+                sum(c * q ** (e * k) for e, c in zip(range(-m, m + 1), coeffs))
+                for k in range(size)
+            ]
+            assert catalog._laurent_fit(values, q) == coeffs, (q, coeffs)
+
+
+LAURENT_POWERS = ((0, 1, -1), (0, 1, -1, 2, -2))
 
 
 @pytest.mark.parametrize("q", [catalog.DEFAULT_Q, F(-2, 3)])
 def test_instantiate_matches_direct_elimination(q):
-    # Reference: the per-call Gaussian elimination the cached inverse replaced.
+    # Reference: a Gaussian elimination per Laurent system.
     def direct(values, powers):
         rows = [[q ** (e * k) for e in powers] for k in range(len(values))]
-        return tuple(catalog._solve_linear(rows, values))
+        return tuple(_solve_linear(rows, values))
 
     for key, spec in FAMILIES.items():
         p = catalog.coerce_params(spec, None)
@@ -217,3 +242,10 @@ def test_instantiate_matches_direct_elimination(q):
         assert pv.b == direct([spec.node_fn(p, q, k) for k in range(3)], LAURENT_POWERS[0])
         assert pv.a == direct([spec.eigen_fn(p, q, k) for k in range(3)], LAURENT_POWERS[0])
         assert pv.d == direct([spec.lowering_fn(p, q, k) for k in range(5)], LAURENT_POWERS[1])
+
+
+@pytest.mark.parametrize("key", list(FAMILIES))
+def test_hyper_eval_refuses_negative_degrees(key):
+    # Refused before k_n or the series is built, whose errors would not name n.
+    with pytest.raises(ValueError, match="a terminating series needs n >= 0, got n = -1"):
+        hyper_eval(key, None, None, -1, 2)

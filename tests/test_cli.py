@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qscheme.cli import main
+from qscheme.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DOT = DATA / "scheme.dot"
@@ -95,6 +95,15 @@ def test_eval_at_the_hard_cap_matches_recorded_digests(capsys, tmp_path):
             "json": hashlib.sha256(target.read_bytes()).hexdigest(),
         }
         assert got == want, key
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    _, first, _ = run(capsys, "eval", "3a", "-n", "2", "--param", "a=3")
+    assert first.splitlines()[0] == "family 3a (Al-Salam-Chihara), q = 1/2, a=3 b=1/4"
+    # Neither the shared parser nor the --param append default keeps a=3.
+    _, second, _ = run(capsys, "eval", "3a", "-n", "2")
+    assert second.splitlines()[0] == "family 3a (Al-Salam-Chihara), q = 1/2, a=2 b=1/4"
+    assert build_parser() is build_parser()
 
 
 def test_eval_rejects_inadmissible_params(capsys):

@@ -45,13 +45,16 @@ def test_case_registry():
 def test_zero_degree_gap_vanishes():
     case = case_by_id("2a->3b")
     for t in (1, 4, 9):
-        assert gap(case, case.eps_at(t), 0) == 0
+        assert gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), 0) == 0
 
 
 def test_monomial_limit_gaps_strictly_decrease():
     case = case_by_id("4a->5a")
     for n in range(1, 5):
-        gaps = [gap(case, case.eps_at(t), n) for t in range(1, 13)]
+        gaps = [
+            gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), n)
+            for t in range(1, 13)
+        ]
         assert all(g > 0 for g in gaps)
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
 
@@ -125,7 +128,10 @@ def test_memoised_gaps_match_per_call_gap():
     for case in CASES:
         report = verify(case, n_max=2, t_max=4, strict=False)
         for trace in report.traces:
-            expected = tuple(gap(case, case.eps_at(t), trace.n) for t in range(1, 5))
+            expected = tuple(
+                gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), trace.n)
+                for t in range(1, 5)
+            )
             assert trace.gaps == expected, (case.id, trace.n)
 
 
@@ -168,4 +174,5 @@ def test_gauged_gap_matches_rescaled_polynomials():
             for n in range(5):
                 diff = monic_poly(source, n).compose_affine(scale) * scale**-n - monic_poly(target, n)
                 expected = max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
-                assert gap(case, eps, n) == expected, (case.id, t, n)
+                gauged = limits._gauged_source(case, eps)
+                assert gap(gauged, target, n) == expected, (case.id, t, n)

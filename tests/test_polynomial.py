@@ -187,3 +187,85 @@ def test_format_poly_matches_fraction_reference_on_random_polys():
         p = poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 10))])
         var = rng.choice(["x", "y"])
         assert format_poly(p, var) == fraction_format_poly(p, var), p
+
+
+# -- the Newton-form kernel against the Poly-level references -----------------
+
+
+def poly_product_of_linear(roots) -> Poly:
+    """Reference: one Poly product per monic linear factor."""
+    acc = Poly.one()
+    for r in roots:
+        acc = acc * Poly.linear(r)
+    return acc
+
+
+def poly_compose_affine(p: Poly, scale, shift=0) -> Poly:
+    """Reference: a Horner over Poly in the argument scale*x + shift."""
+    arg = poly([shift, scale])
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Poly.constant(c)
+    return acc
+
+
+ROOT_LISTS = [
+    [],
+    [0],
+    [F(-3, 7)],
+    [1, 1, 1],
+    [F(1, 2)] * 5,
+    [0, 0, F(2, 3), F(2, 3), -5],
+    ["2/3", 4, F(-1, 9), "2/3"],
+    [F(2**40 + 1, 3**20), F(-(3**15), 2**33), 7],
+]
+
+
+@pytest.mark.parametrize("roots", ROOT_LISTS, ids=range(len(ROOT_LISTS)))
+def test_product_of_linear_matches_poly_product_reference(roots):
+    got = product_of_linear(iter(roots))
+    assert got == poly_product_of_linear(roots)
+    assert got.degree == len(roots) and got.is_monic
+
+
+def test_product_of_linear_matches_reference_on_random_roots():
+    """Repeated roots drawn from a small pool, mixed denominators, no roots."""
+    rng = random.Random(83)
+    pool = [F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 2**20 + 7])) for _ in range(6)]
+    for _ in range(300):
+        roots = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        assert product_of_linear(roots) == poly_product_of_linear(roots), roots
+
+
+AFFINE_CASES = [
+    (poly([]), F(3, 2), F(1, 3)),
+    (poly([]), 0, F(1, 3)),
+    (poly([F(-5, 7)]), F(3, 2), F(1, 3)),
+    (poly([F(-5, 7)]), 0, 0),
+    (poly([1, -2, F(1, 3)]), 0, F(4, 5)),
+    (poly([1, -2, F(1, 3)]), 0, 0),
+    (poly([1, -2, F(1, 3)]), F(-2, 9), 0),
+    (poly([0, 0, 0, 1]), 1, -1),
+    (poly([F(1, 2), 0, F(-3, 4), 0, 2]), F(-1, 3), F(5, 2)),
+    (poly([F(2**50 + 3, 3**30), -1, F(7, 2**45)]), F(3**20, 2**31), F(-(5**18), 7)),
+]
+
+
+@pytest.mark.parametrize("p, scale, shift", AFFINE_CASES, ids=range(len(AFFINE_CASES)))
+def test_compose_affine_matches_poly_horner_reference(p, scale, shift):
+    assert p.compose_affine(scale, shift) == poly_compose_affine(p, scale, shift)
+
+
+def test_compose_affine_matches_reference_on_random_polys():
+    """Zero scale and zero shift each about one draw in six."""
+    rng = random.Random(89)
+
+    def scalar(zero_share):
+        if rng.random() < zero_share:
+            return F(0)
+        return F(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 9, 25, 2**20 + 7]))
+
+    for _ in range(400):
+        p = poly([scalar(0.1) for _ in range(rng.randint(0, 12))])
+        scale, shift = scalar(1 / 6), scalar(1 / 6)
+        assert p.compose_affine(scale, shift) == poly_compose_affine(p, scale, shift), (p, scale, shift)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qscheme import catalog
 from qscheme.errors import DivisionByZero
-from qscheme.qseries import qhyper_sum, qpoch, qpoch_many
+from qscheme.qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -120,6 +120,16 @@ def test_lower_parameter_collision_raises():
     q = F(1, 2)
     with pytest.raises(DivisionByZero):
         qhyper_sum((q**-3, F(3)), (q**-1,), q, q, 3)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_bound_is_refused(n):
+    # qhyper_sum and every catalog series run through terminating_sum.
+    q = F(1, 2)
+    with pytest.raises(ValueError, match=f"a terminating series needs n >= 0, got n = {n}"):
+        qhyper_sum((q**-n, F(3)), (F(1, 5),), q, q, n)
+    with pytest.raises(ValueError, match="n >= 0"):
+        terminating_sum((), (), q, n, lambda qj: qj)
 
 
 def test_early_termination_makes_bad_lower_legal():

@@ -1,8 +1,9 @@
-"""The span tracer in bench/spans.py must still bind every name it patches.
+"""The benchmark in bench/ must still reach every name it uses.
 
-The tracer rebinds module globals and class methods by name, so renaming or
-deleting one of them breaks traced benchmark runs; this test makes that
-visible in the ordinary test run.
+The span tracer rebinds module globals and class methods by name, and the
+workloads call the engine, its caches and the CLI by name, so renaming or
+deleting one of them breaks benchmark runs; these tests make that visible in
+the ordinary test run.
 """
 
 from pathlib import Path
@@ -24,3 +25,15 @@ def test_traced_constraints_suite_runs(monkeypatch):
     assert tracer.calls("verify.run_suite") == 1
     assert tracer.calls("verify.suite_constraints") == 1
     assert tracer.calls("core.ParameterVector.h_separation_ok") == 18
+
+
+def test_bench_workloads_run_and_pass_their_gates(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench import workloads
+
+    workloads.Caches()
+    for workload in (workloads.EvalCap(0), workloads.RandomIdentities(0)):
+        item = workload.make_items()[0]
+        outputs = [part() for part in workload.parts(item)]
+        assert workload.check(item, workload.digest(item, outputs)) is None, workload.name
+    assert len(workloads.VerifyAll(0).expected) == 184
