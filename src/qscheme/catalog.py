@@ -703,6 +703,8 @@ def hyper_eval(
     """Monic value k_n^{-1} * (named representation) at rational x."""
     spec = FAMILIES[family]
     q = rational(q) if q is not None else DEFAULT_Q
+    if not admissible_q(q):
+        raise InadmissibleParams(f"base q = {q} must avoid 0 and +/-1")
     p = coerce_params(spec, params)
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")

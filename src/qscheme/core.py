@@ -76,37 +76,70 @@ class ParameterVector:
     # -- sequences ---------------------------------------------------------
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked, and eigenvalue -> k for the prefix of eigenvalues known to be
-    # repeat-free.  Unannotated, so they are no dataclass fields: ==, hash,
-    # repr and replace ignore them.  Each is replaced whole, never mutated.
+    # asked, eigenvalue -> k for the prefix of eigenvalues known to be
+    # repeat-free, and, once computed, the hash and the integer Laurent
+    # forms.  Unannotated, so they are no dataclass fields: ==, hash, repr
+    # and replace ignore them.  Each is replaced whole, never mutated.
     _table = ((), (), ())
     _h_index = {}
+    _hash = None
+    _forms = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.q, self.a, self.b, self.d))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def _laurent_forms(self) -> tuple[tuple[list[int], int], ...]:
+        """The node, eigenvalue and lowering coefficients in Laurent order
+        c_{-m..m}, each as integer numerators over their lcm."""
+        forms = self._forms
+        if forms is None:
+            a, b, d = self.a, self.b, self.d
+            forms = (
+                _over_lcm((b[2], b[0], b[1])),
+                _over_lcm((a[2], a[0], a[1])),
+                _over_lcm((d[4], d[2], d[0], d[1], d[3])),
+            )
+            object.__setattr__(self, "_forms", forms)
+        return forms
+
+    def _at(self, which: int, k: int) -> Fraction:
+        p, r = self.q.numerator, self.q.denominator
+        qk = (p**k, r**k) if k >= 0 else (r**-k, p**-k)
+        return _laurent_at(self._laurent_forms()[which], *qk)
 
     def node(self, k: int) -> Fraction:
-        qk = self.q**k
-        return self.b[0] + self.b[1] * qk + self.b[2] / qk
+        return self._at(0, k)
 
     def eigenvalue(self, k: int) -> Fraction:
-        qk = self.q**k
-        return self.a[0] + self.a[1] * qk + self.a[2] / qk
+        return self._at(1, k)
 
     def lowering(self, k: int) -> Fraction:
-        qk = self.q**k
-        d = self.d
-        return d[0] + d[1] * qk + d[2] / qk + d[3] * qk * qk + d[4] / (qk * qk)
+        return self._at(2, k)
 
     def _sequences(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         """(node(0..n), eigenvalue(0..n), lowering(0..n)), each value built
-        once per vector.  The table grows by publishing longer tuples in one
-        assignment, never in place, so concurrent callers each see a correct
-        prefix."""
-        x, h, g = self._table
-        if len(x) <= n:
-            ks = range(len(x), n + 1)
-            x += tuple(self.node(k) for k in ks)
-            h += tuple(self.eigenvalue(k) for k in ks)
-            g += tuple(self.lowering(k) for k in ks)
-            object.__setattr__(self, "_table", (x, h, g))
+        once per vector from running integer powers q**k = P/R.  The table
+        grows by publishing longer tuples in one assignment, never in place,
+        so concurrent callers each see a correct prefix."""
+        table = self._table
+        start = len(table[0])
+        if start <= n:
+            forms = self._laurent_forms()
+            p, r = self.q.numerator, self.q.denominator
+            P, R = p**start, r**start
+            grown = ([], [], [])
+            for _ in range(start, n + 1):
+                for values, form in zip(grown, forms):
+                    values.append(_laurent_at(form, P, R))
+                P *= p
+                R *= r
+            table = tuple(old + tuple(new) for old, new in zip(table, grown))
+            object.__setattr__(self, "_table", table)
+        x, h, g = table
         m = max(n + 1, 0)
         return x[:m], h[:m], g[:m]
 
@@ -184,9 +217,28 @@ def _first_repeat(
     return None
 
 
+def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> Fraction:
+    """sum_e c_e (P/R)**e for coefficients c_{-m..m} given as form =
+    ([n_{-m}, ..., n_m], den), their integer numerators over one
+    denominator:
+
+        sum_e n_e P**(m+e) R**(m-e) / (den P**m R**m),
+
+    with the numerator summed by a homogeneous Horner; one Fraction, one gcd.
+    """
+    nums, den = form
+    acc, rk = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        rk *= R
+        acc = acc * P + c * rk
+    return Fraction(acc, den * (P * R) ** (len(nums) // 2))
+
+
 @dataclass(frozen=True)
 class UncheckedParameterVector(ParameterVector):
     """Constraint checks skipped; only for deliberately broken vectors."""
+
+    __hash__ = ParameterVector.__hash__  # keep the memo; @dataclass would replace it
 
     def _validate(self) -> None:  # noqa: D102 - negative-test escape hatch
         pass
@@ -337,35 +389,46 @@ def recurrence_coeff0(pv: ParameterVector) -> Fraction:
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
-    """(a_n, b_n) of x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1}, for n >= 1."""
+    """(a_n, b_n) of x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1}, for n >= 1.
+
+    With r(i, a, b) = lowering(i) / (eigenvalue(a) - eigenvalue(b)),
+
+        a_n = node(n) + r(n+1, n, n+1) - r(n, n-1, n),
+        b_n = r(n, n-1, n) * (r(n-1, n-2, n) - r(n, n-1, n) + r(n+1, n-1, n+1)
+                              + node(n) - node(n-1)),
+
+    each ratio an integer pair over the eigenvalues' common denominator,
+    summed by cross-multiplication: one Fraction for a_n and one for b_n.
+    """
     if n < 1:
         raise ValueError("recurrence coefficients need n >= 1; use recurrence_coeff0")
     x, h, g = pv._sequences(n + 1)
+    lo = max(n - 2, 0)
+    dh = lcm(*(v.denominator for v in h[lo:]))
+    big = {j: h[j].numerator * (dh // h[j].denominator) for j in range(lo, n + 2)}
 
-    def ratio(num_idx: int, da: int, db: int) -> Fraction:
+    def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
         value = g[num_idx]
-        if value == 0:
-            return Fraction(0)
-        denom = h[da] - h[db]
-        if denom == 0:
+        if not value:
+            return 0, 1
+        denom = big[da] - big[db]
+        if not denom:
             raise HSeparationViolated(max(da, db), min(da, db))
-        return value / denom
+        return value.numerator * dh, value.denominator * denom
 
     # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.
-    upper = ratio(n + 1, n, n + 1)
-    lead = ratio(n, n - 1, n)
-    xn = x[n]
-    a_n = xn + upper - lead
-    if lead == 0:
+    un, ud = ratio(n + 1, n, n + 1)
+    ln, ld = ratio(n, n - 1, n)
+    xn, xd = x[n].numerator, x[n].denominator
+    a_n = Fraction((xn * ud + un * xd) * ld - ln * xd * ud, xd * ud * ld)
+    if not ln:
         return a_n, Fraction(0)
-    inner = (
-        (ratio(n - 1, n - 2, n) if n >= 2 else Fraction(0))
-        - lead
-        + ratio(n + 1, n - 1, n + 1)
-        + xn
-        - x[n - 1]
-    )
-    return a_n, lead * inner
+    inner, den = ratio(n - 1, n - 2, n) if n >= 2 else (0, 1)
+    prev = x[n - 1]
+    terms = ((-ln, ld), ratio(n + 1, n - 1, n + 1), (xn, xd), (-prev.numerator, prev.denominator))
+    for num, d in terms:
+        inner, den = inner * d + num * den, den * d
+    return a_n, Fraction(ln * inner, ld * den)
 
 
 def recurrence_check(pv: ParameterVector, n: int) -> bool:
@@ -402,15 +465,16 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     """u_n rescaled by prod_{j<n} (eigenvalue(n)-eigenvalue(j))/lowering(j+1).
 
     In this normalization the family satisfies the node/eigenvalue duality
-    checked by duality_check.  Requires lowering(1..n) nonzero.
+    checked by duality_check.  Requires lowering(1..n) nonzero.  The factor
+    is 1/c[n][0], read off the integer Newton row as N_n/N_0.
     """
     _, h, g = pv._sequences(n)
-    factor = Fraction(1)
-    for j in range(n):
-        if g[j + 1] == 0:
-            raise ZeroG(j + 1)
-        factor *= (h[n] - h[j]) / g[j + 1]
-    return monic_poly(pv, n) * factor
+    for j in range(1, n + 1):
+        if not g[j]:
+            raise ZeroG(j)
+    u = monic_poly(pv, n)
+    row = _newton_row(h, g, n)
+    return u * Fraction(row[n], row[0])
 
 
 def dual_normalized_poly(pv: ParameterVector, m: int, strict: bool = False) -> Poly:

@@ -25,17 +25,24 @@ from .qrational import rational
 
 
 def qpoch(b: Fraction | int | str, q: Fraction | int | str, k: int) -> Fraction:
-    """(b; q)_k as a finite exact product; k = 0 gives 1."""
+    """(b; q)_k as a finite exact product; k = 0 gives 1.
+
+    With b = bn/bd and q**j = P/R, factor j is (bd*R - bn*P)/(bd*R); the
+    numerators are multiplied as integers, the denominators multiply to
+    bd**k * r**(k(k-1)/2) for q = p/r, and one Fraction is built.
+    """
     if k < 0:
         raise ValueError("q-shifted factorial needs k >= 0")
     b = rational(b)
     q = rational(q)
-    acc = Fraction(1)
-    power = Fraction(1)
+    bn, bd = b.numerator, b.denominator
+    p, r = q.numerator, q.denominator
+    num = P = R = 1
     for _ in range(k):
-        acc *= 1 - b * power
-        power *= q
-    return acc
+        num *= bd * R - bn * P
+        P *= p
+        R *= r
+    return Fraction(num, bd**k * r ** (k * (k - 1) // 2))
 
 
 def qpoch_many(bs: Sequence[Fraction], q: Fraction, k: int) -> Fraction:
@@ -55,36 +62,47 @@ def terminating_sum(
 ) -> Fraction:
     """sum_{k=0}^{n} (upper; q)_k / ((q; q)_k (lower; q)_k) * prod_{j<k} step(q**j).
 
-    The one term loop behind every series of the package: the q-shifted
-    factorials and the product of step factors are kept as running products,
-    so term k costs O(len(upper) + len(lower)) operations.  Once the running
-    numerator hits zero all later terms are zero and the loop stops, which is
-    what makes early-terminating series with otherwise-degenerate lower
+    The one term loop behind every series of the package.  Term k is term
+    k-1 times the integer ratio rn/rd of its new factors, each factor
+    1 - a*q**(k-1) written as (ad*R - an*P)/(ad*R) for a = an/ad and
+    q**(k-1) = P/R, so term k costs O(len(upper) + len(lower)) integer
+    products.  The term tn/td and the partial sum sn/td share one unreduced
+    denominator, and one Fraction is built at the end.  Once an upper factor
+    vanishes all later terms are zero and the loop stops, which is what
+    makes early-terminating series with otherwise-degenerate lower
     parameters legal; a vanishing denominator before that raises, and so
     does a negative n.
     """
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    num = den = steps = Fraction(1)
-    total = Fraction(0)
+    ups = [(a.numerator, a.denominator) for a in upper]
+    lows = [(b.numerator, b.denominator) for b in lower]
+    tn = td = sn = 1
     qj = Fraction(1)  # q**(k-1) while term k is built
-    for k in range(n + 1):
-        if k > 0:
-            for a in upper:
-                num *= 1 - a * qj
-            if num == 0:
-                break
-            for b in lower:
-                den *= 1 - b * qj
-            steps *= step(qj)
-            qj *= q
-            den *= 1 - qj
-            if den == 0:
-                raise DivisionByZero(
-                    f"denominator vanished at term {k} of a terminating series"
-                )
-        total += num / den * steps
-    return total
+    for k in range(1, n + 1):
+        P, R = qj.numerator, qj.denominator
+        rn = rd = 1
+        for an, ad in ups:
+            rn *= ad * R - an * P
+            rd *= ad * R
+        if not rn:
+            break
+        for bn, bd in lows:
+            rd *= bd * R - bn * P
+            rn *= bd * R
+        s = step(qj)
+        qj *= q
+        P, R = qj.numerator, qj.denominator
+        rn *= s.numerator * R
+        rd *= s.denominator * (R - P)
+        if not rd:
+            raise DivisionByZero(
+                f"denominator vanished at term {k} of a terminating series"
+            )
+        tn *= rn
+        td *= rd
+        sn = sn * rd + tn
+    return Fraction(sn, td)
 
 
 def qhyper_sum(

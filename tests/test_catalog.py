@@ -1,6 +1,7 @@
 """The family registry against the engine and against its own closed forms."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -249,3 +250,14 @@ def test_hyper_eval_refuses_negative_degrees(key):
     # Refused before k_n or the series is built, whose errors would not name n.
     with pytest.raises(ValueError, match="a terminating series needs n >= 0, got n = -1"):
         hyper_eval(key, None, None, -1, 2)
+
+
+@pytest.mark.parametrize("key", list(FAMILIES))
+def test_hyper_eval_refuses_the_bases_instantiate_refuses(key):
+    # At q = +/-1 the series used to return numbers; at q = 0 k_n divided by zero.
+    for q in (0, 1, -1, "1", F(-1)):
+        message = re.escape(f"base q = {F(q)} must avoid 0 and +/-1")
+        with pytest.raises(InadmissibleParams, match=message):
+            instantiate(key, None, q)
+        with pytest.raises(InadmissibleParams, match=message):
+            hyper_eval(key, None, q, 3, 2)

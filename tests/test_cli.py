@@ -97,6 +97,19 @@ def test_eval_at_the_hard_cap_matches_recorded_digests(capsys, tmp_path):
         assert got == want, key
 
 
+def test_verify_limits_matches_recorded_digests(capsys, tmp_path):
+    """SHA-256 of the stdout and --json bytes of verify limits --n-max 6
+    --depth 14; guards every limit gap and exact identity byte for byte."""
+    recorded = json.loads((DATA / "verify_limits_sha256.json").read_text())["sha256"]
+    target = tmp_path / "limits.json"
+    code, out, _ = run(capsys, "verify", "limits", "--n-max", "6", "--depth", "14", "--json", str(target))
+    assert code == 0
+    assert {
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "json": hashlib.sha256(target.read_bytes()).hexdigest(),
+    } == recorded
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     _, first, _ = run(capsys, "eval", "3a", "-n", "2", "--param", "a=3")
     assert first.splitlines()[0] == "family 3a (Al-Salam-Chihara), q = 1/2, a=3 b=1/4"

@@ -632,6 +632,40 @@ def test_normalized_requires_nonzero_lowering():
         dual_normalized_poly(pv, 4)
 
 
+def normalized_poly_reference(pv, n: int) -> Poly:
+    """Reference: the factor as the running Fraction product normalized_poly
+    built before it read the factor off the Newton row."""
+    _, h, g = pv._sequences(n)
+    factor = F(1)
+    for j in range(n):
+        if g[j + 1] == 0:
+            raise ZeroG(j + 1)
+        factor *= (h[n] - h[j]) / g[j + 1]
+    return monic_poly(pv, n) * factor
+
+
+def test_normalized_poly_matches_fraction_reference():
+    """Value, or error and index: ZeroG at the first vanishing lowering value
+    before any eigenvalue repeat, at q = +/-1 too."""
+    rng = random.Random(83)
+    vectors = [qracah_like(n_cut) for n_cut in (1, 2, 4)]
+    vectors += [catalog.instantiate(key, None, F(-2, 3)) for key in catalog.FAMILIES]
+    for pv in colliding_vectors(120, seed=89):
+        vectors.append(pv)
+        j = rng.randint(1, 8)  # plant lowering(j) = 0 through d0
+        d = list(pv.d)
+        q = pv.q
+        d[0] = -(d[1] * q**j + d[2] * q**-j + d[3] * q ** (2 * j) + d[4] * q ** (-2 * j))
+        vectors.append(perturbed(pv, d=tuple(d)))
+    seen = {ZeroG: 0, HSeparationViolated: 0, Poly: 0}
+    for pv in vectors:
+        for n in range(9):
+            want = outcome(normalized_poly_reference, pv, n)
+            assert outcome(normalized_poly, pv, n) == want, (pv, n)
+            seen[want[0] if isinstance(want, tuple) else Poly] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def test_dual_normalized_two_routes():
     """Sum form vs product times the dualized vector's monic polynomial."""
     pv = catalog.instantiate("2a", {"a": F(3), "b": F(1, 4), "c": F(1, 5)})
@@ -826,6 +860,17 @@ def test_sequence_table_matches_laurent_formula():
     assert unit_q >= 15
 
 
+def test_sequences_at_negative_k_match_laurent_formula():
+    unit_q = 0
+    for pv in sequence_vectors():
+        unit_q += pv.q in (1, -1)
+        for k in range(-6, 0):
+            assert pv.node(k) == laurent(pv.b, pv.q, k), (pv, k)
+            assert pv.eigenvalue(k) == laurent(pv.a, pv.q, k), (pv, k)
+            assert pv.lowering(k) == laurent(pv.d, pv.q, k), (pv, k)
+    assert unit_q >= 15
+
+
 def test_sequence_table_reads_any_prefix():
     pv = catalog.instantiate("1a")
     assert pv._sequences(-1) == ((), (), ())
@@ -843,12 +888,19 @@ def test_sequence_table_is_not_part_of_the_value():
     # instantiate checks the fit on the table to k = 8 and leaves it warm
     assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 9
     assert len(grown._h_index) == 13 and len(fresh._h_index) == 0
+    assert fresh._hash is None
     assert grown == fresh and hash(grown) == hash(fresh)
-    assert repr(grown) == repr(fresh) == before
+    assert grown._hash == fresh._hash == hash((grown.q, grown.a, grown.b, grown.d))
+    assert repr(grown) == repr(fresh) == before and "_hash" not in before
     assert [f.name for f in dataclasses.fields(grown)] == ["q", "a", "b", "d"]
     copy = dataclasses.replace(grown)
     assert copy == grown and len(copy._table[0]) == 0 and len(copy._h_index) == 0
+    assert copy._hash is None and hash(copy) == hash(grown)
+    assert copy._forms is None and grown._forms is not None
     assert type(grown)._h_index == {}  # published per vector, never mutated
+    assert type(grown)._hash is None and type(grown)._forms is None
+    unchecked = perturbed(grown)
+    assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
 
 
 def test_instantiate_leaves_the_checked_table_warm():
@@ -860,8 +912,9 @@ def test_instantiate_leaves_the_checked_table_warm():
 
 
 def test_threads_growing_one_table_get_the_serial_results():
-    """Four threads race to grow one fresh vector's table; each gets the
-    serial polynomial, and the table left behind is a correct prefix."""
+    """Four threads race to grow one fresh vector's table and to memoise its
+    hash and Laurent forms; each gets the serial polynomial and hash, and the
+    table left behind is a correct prefix."""
     degrees = (24, 3, 17, 9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -874,11 +927,14 @@ def test_threads_growing_one_table_get_the_serial_results():
 
                 def build(n):
                     barrier.wait()
-                    return monic_poly.__wrapped__(pv, n)
+                    return monic_poly.__wrapped__(pv, n), hash(pv)
 
                 with ThreadPoolExecutor(max_workers=len(degrees)) as pool:
                     results = dict(zip(degrees, pool.map(build, degrees, timeout=60)))
-                assert results == serial, key
+                fields_hash = hash((pv.q, pv.a, pv.b, pv.d))
+                assert results == {n: (u, fields_hash) for n, u in serial.items()}, key
+                assert pv._hash == fields_hash
+                assert pv._forms == dataclasses.replace(pv)._laurent_forms()
                 x, h, g = pv._table
                 # a slower thread may publish a shorter prefix last
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1

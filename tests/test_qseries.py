@@ -66,6 +66,21 @@ def test_qpoch_matches_oracle_randomized():
         assert qpoch(b, q, k) == oracle_qpoch(b, q, k)
 
 
+def test_qpoch_matches_oracle_for_int_str_and_degenerate_arguments():
+    rng = random.Random(2026)
+    for _ in range(200):
+        b = F(rng.randint(-6, 6), rng.choice([1, 1, 2, 5]))
+        q = F(rng.choice([-3, -1, 0, 1, 2]), rng.choice([1, 1, 3]))
+        k = rng.randint(0, 9)
+        want = oracle_qpoch(b, q, k)
+        forms = [(b, q), (str(b), str(q))]
+        if b.denominator == q.denominator == 1:
+            forms.append((int(b), int(q)))
+        for args in forms:
+            got = qpoch(*args, k)
+            assert type(got) is F and got == want, (args, k)
+
+
 @given(
     b=rationals,
     q=rationals,
@@ -238,3 +253,75 @@ def test_shared_term_loop_matches_per_term_reference():
             per_term_z_series, n, q, x, anchor, upper_extra, lower
         )
     assert {-2, -1, 0, 1} <= seen_corrections and early > 0
+
+
+def fraction_terminating_sum(upper, lower, q, n, step):
+    """Reference: the Fraction term loop that terminating_sum replaced, with
+    the numerator, denominator and step product kept as running Fractions."""
+    if n < 0:
+        raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
+    num = den = steps = F(1)
+    total = F(0)
+    qj = F(1)
+    for k in range(n + 1):
+        if k > 0:
+            for a in upper:
+                num *= 1 - a * qj
+            if num == 0:
+                break
+            for b in lower:
+                den *= 1 - b * qj
+            steps *= step(qj)
+            qj *= q
+            den *= 1 - qj
+            if den == 0:
+                raise DivisionByZero(
+                    f"denominator vanished at term {k} of a terminating series"
+                )
+        total += num / den * steps
+    return total
+
+
+def test_integer_term_loop_matches_fraction_reference():
+    """Value, or error and message, on seeded series with early stops,
+    vanishing denominators, zero step factors and negative and int bases."""
+    rng = random.Random(6161)
+    small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
+    seen = {"early": 0, "raised": 0, "zero_step": 0, "int_q": 0, "negative_q": 0}
+    for _ in range(600):
+        if rng.random() < 0.3:
+            q = rng.choice([-3, -2, -1, 1, 2, 3])  # an int base, +/-1 included
+            seen["int_q"] += 1
+        else:
+            q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
+        seen["negative_q"] += q < 0
+        n = rng.randint(0, 8)
+        upper = [F(q) ** -n] + [small() for _ in range(rng.randint(0, 2))]
+        lower = [small() for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3 and n >= 1:
+            m = rng.randint(0, n - 1)
+            upper.append(F(q) ** -m)  # ends the series at term m + 1
+            seen["early"] += 1
+        if rng.random() < 0.3 and n >= 1:
+            lower.append(F(q) ** -rng.randint(0, n - 1))  # a denominator zero
+        z, c = small(), rng.choice([-2, -1, 0, 1])
+        if rng.random() < 0.3:
+            root = F(q) ** rng.randint(0, max(n - 1, 0))
+            step = lambda qj, z=z, root=root: z * (qj - root)  # zero at q**j = root
+            seen["zero_step"] += 1
+        else:
+            step = lambda qj, z=z, c=c: z * (-qj) ** c
+        rng.shuffle(upper)
+        want = outcome_with_message(fraction_terminating_sum, upper, lower, q, n, step)
+        got = outcome_with_message(terminating_sum, upper, lower, q, n, step)
+        assert got == want, (upper, lower, q, n)
+        assert type(got) is F or got[0] is DivisionByZero
+        seen["raised"] += type(want) is tuple
+    assert min(seen.values()) > 20, seen
+
+
+def outcome_with_message(fn, *args):
+    try:
+        return fn(*args)
+    except DivisionByZero as exc:
+        return DivisionByZero, str(exc)
