@@ -151,6 +151,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         raise UsageError(str(exc)) from exc
     try:
         pv = catalog.instantiate(args.family, params or None, q)
+        pv.check_h_separation(args.n)
     except QSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

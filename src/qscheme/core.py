@@ -76,12 +76,10 @@ class ParameterVector:
     # -- sequences ---------------------------------------------------------
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked, eigenvalue -> k for the prefix of eigenvalues known to be
-    # repeat-free, and, once computed, the hash and the integer Laurent
-    # forms.  Unannotated, so they are no dataclass fields: ==, hash, repr
-    # and replace ignore them.  Each is replaced whole, never mutated.
+    # asked and, once computed, the hash and the integer Laurent forms.
+    # Unannotated, so they are no dataclass fields: ==, hash, repr and
+    # replace ignore them.  Each is replaced whole, never mutated.
     _table = ((), (), ())
-    _h_index = {}
     _hash = None
     _forms = None
 
@@ -143,25 +141,27 @@ class ParameterVector:
         m = max(n + 1, 0)
         return x[:m], h[:m], g[:m]
 
-    # -- separation checks (exact for every q) --------------------------------
+    # -- separation checks (closed form, exact for every q and every k) -------
+
+    def _repeat_within(self, row: tuple[Fraction, ...], depth: int) -> tuple[int, int] | None:
+        """The first repeat (n, j), n <= depth, of c0 + c1*q**k + c2*q**-k."""
+        hit = _first_repeat(row[1], row[2], self.q) if depth >= 1 else None
+        return hit if hit and hit[0] <= depth else None
 
     def h_separation_ok(self, depth: int) -> bool:
         """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth."""
-        try:
-            _separated_sequences(self, depth)
-        except HSeparationViolated:
-            return False
-        return True
+        return self._repeat_within(self.a, depth) is None
 
     def check_h_separation(self, depth: int) -> None:
-        _separated_sequences(self, depth)
+        if hit := self._repeat_within(self.a, depth):
+            raise HSeparationViolated(*hit)
 
     def x_separation_ok(self, depth: int) -> bool:
         """node(m) != node(j) for all 0 <= j < m <= depth."""
-        return _first_repeat(self._sequences(depth)[0]) is None
+        return self._repeat_within(self.b, depth) is None
 
     def check_x_separation(self, depth: int) -> None:
-        if hit := _first_repeat(self._sequences(depth)[0]):
+        if hit := self._repeat_within(self.b, depth):
             raise XSeparationViolated(*hit)
 
     # -- serialization -------------------------------------------------------
@@ -198,22 +198,31 @@ class ParameterVector:
         )
 
 
-def _first_repeat(
-    values: tuple[Fraction, ...], seen: dict[Fraction, int] | None = None
-) -> tuple[int, int] | None:
-    """The first pair (n, j), j < n, with values[n] == values[j]; None if the
-    values are distinct.  The scan stops at the first repeat, where the
-    values before n are distinct, so j is the only match for that n.
+def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | None:
+    """The first (n, j), j < n, in (n, j) order, with s_n == s_j among all k
+    for s_k = c0 + c1*q**k + c2*q**-k; None if s never repeats.
 
-    seen, if given, maps values[:len(seen)], known to be distinct, to their
-    indices; the scan starts after them and adds the values it passes.
+    s_n - s_j = (q**n - q**j)(c1 - c2*q**-(n+j)): s is constant at q = 1 or
+    c1 = c2 = 0 and has period 2 at q = -1; otherwise s_n == s_j iff c1, c2
+    are nonzero and c2/c1 = q**s, s = n + j, first met at the smallest n.
+    In lowest terms q**s = p**s/r**s, searched on integers until it outgrows
+    c2/c1.  q = 0 leaves q**-k undefined and raises ZeroDivisionError.
     """
-    if seen is None:
-        seen = {}
-    for n in range(len(seen), len(values)):
-        j = seen.setdefault(values[n], n)
-        if j != n:
-            return n, j
+    if q == 0:
+        raise ZeroDivisionError("q = 0 leaves q**-k undefined")
+    if q == 1 or c1 == c2 == 0:
+        return 1, 0
+    if q == -1:
+        return (1, 0) if c1 + c2 == 0 else (2, 0)
+    if c1 == 0 or c2 == 0:
+        return None
+    num, den = (c2 / c1).as_integer_ratio()
+    p, r = q.as_integer_ratio()
+    P, R, s = p, r, 1
+    while abs(P) <= abs(num) and R <= den:
+        if (P, R) == (num, den):
+            return s // 2 + 1, s - s // 2 - 1
+        P, R, s = P * p, R * r, s + 1
     return None
 
 
@@ -308,24 +317,10 @@ def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> lis
     return row
 
 
-def _separated_sequences(pv: ParameterVector, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """pv._sequences(n); raises HSeparationViolated at the first repeated
-    eigenvalue.  Only eigenvalues past the vector's repeat-free prefix are
-    scanned; a longer prefix is published in one assignment, none on a
-    raise."""
-    x, h, g = pv._sequences(n)
-    seen = pv._h_index
-    if len(seen) <= n:
-        seen = dict(seen)
-        if hit := _first_repeat(h, seen):
-            raise HSeparationViolated(*hit)
-        object.__setattr__(pv, "_h_index", seen)
-    return x, h, g
-
-
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
-    _, h, g = _separated_sequences(pv, order)
+    pv.check_h_separation(order)
+    _, h, g = pv._sequences(order)
     rows = (_newton_row(h, g, n) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
@@ -342,7 +337,8 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     Only row n of the triangle is built, after eigenvalue(0..n) are checked
     for a repeat.
     """
-    x, h, g = _separated_sequences(pv, n)
+    pv.check_h_separation(n)
+    x, h, g = pv._sequences(n)
     row = _newton_row(h, g, n)
     return _newton_horner(row, row[-1], x)
 
@@ -384,7 +380,8 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
 
 def recurrence_coeff0(pv: ParameterVector) -> Fraction:
     """a_0 in u_1 = x - a_0: node(0) - lowering(1)/(eigenvalue(1)-eigenvalue(0))."""
-    x, h, g = _separated_sequences(pv, 1)
+    pv.check_h_separation(1)
+    x, h, g = pv._sequences(1)
     return x[0] - g[1] / (h[1] - h[0])
 
 

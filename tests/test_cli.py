@@ -280,6 +280,7 @@ def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
         (None, ["eval", "3a", "-q", "1/0"]),
         ({"families": {"3a": {"a": "two"}}}, ["eval", "3a"]),
         ({"families": []}, ["eval", "3a"]),
+        (None, ["eval", "2b", "--param", "a=4", "--param", "b=2", "-n", "4"]),  # h_2 == h_0
     ],
 )
 def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
@@ -287,8 +288,8 @@ def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = ["--config", str(path)] + argv
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert len(error_lines(err)) == 1 and err.startswith("error:")
 
 

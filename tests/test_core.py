@@ -33,7 +33,6 @@ from qscheme.core import (
 )
 from qscheme.errors import (
     ConstraintViolation,
-    QSchemeError,
     HSeparationViolated,
     XSeparationViolated,
     ZeroG,
@@ -41,6 +40,13 @@ from qscheme.errors import (
 from qscheme.qpolynomial import Poly, poly, product_of_linear
 from qscheme.symmetry import GaugeAction, apply_gauge, dualize
 from qscheme.verify import Q_POOL, random_parameter_vector
+from reference import (
+    catalog_monic_polys,
+    fraction_horner,
+    nested_loop_collision,
+    outcome,
+    triangle_rows,
+)
 
 
 def oracle_coeff(pv, n: int, k: int) -> F:
@@ -141,43 +147,50 @@ def test_json_round_trip(pv_3a):
     assert ParameterVector.from_json_dict(data) == pv_3a
 
 
-def nested_loop_collision(values, depth: int):
-    """Reference: the first j < n <= depth, in (n, j) order, with
-    values(n) == values(j), found by comparing every pair."""
-    for n in range(1, depth + 1):
-        for j in range(n):
-            if values(n) == values(j):
-                return n, j
-    return None
-
-
 def test_separation_predicates_match_pairwise_reference():
+    """Depths to 40 and planted repeats c2/c1 = q**s with s up to 60, for q
+    with |p| = 1, with r = 1 and negative q, against the pairwise scan of
+    the Laurent values."""
     rng = random.Random(17)
     small = lambda: F(rng.randint(-3, 3), rng.choice([1, 2, 4]))
-    for _ in range(300):
-        q = F(rng.choice([-3, -2, 2, 3, 5]), rng.choice([1, 2, 3]))
-        if q in (1, -1):
-            continue
+    pool = [F(1, 2), F(-1, 3), F(1, 5), F(2), F(-3), F(5), F(-2, 3), F(3, 2), F(-5, 2)]
+    deep = 0
+    for i in range(300):
+        q = pool[i % len(pool)]
         a = (small(), small(), small())
         b = (small(), small(), small())
         if rng.random() < 0.5:  # force a collision at some n + j
-            a = (a[0], a[1], a[1] * q ** rng.randint(1, 9))
+            a = (a[0], a[1], a[1] * q ** rng.randint(1, 60))
         if rng.random() < 0.5:
-            b = (b[0], b[1], b[1] * q ** rng.randint(1, 9))
+            b = (b[0], b[1], b[1] * q ** rng.randint(1, 60))
         pv = UncheckedParameterVector(q=q, a=a, b=b, d=(0, 0, 0, 0, 0))
-        for depth in (1, 2, 3, 5):
-            for ok, check, values, error in (
-                (pv.h_separation_ok, pv.check_h_separation, pv.eigenvalue, HSeparationViolated),
-                (pv.x_separation_ok, pv.check_x_separation, pv.node, XSeparationViolated),
-            ):
-                expected = nested_loop_collision(values, depth)
+        for ok, check, row, error in (
+            (pv.h_separation_ok, pv.check_h_separation, a, HSeparationViolated),
+            (pv.x_separation_ok, pv.check_x_separation, b, XSeparationViolated),
+        ):
+            values = [laurent(row, q, k) for k in range(41)]
+            for depth in (0, 1, 2, 3, 5, 17, 40):
+                expected = nested_loop_collision(values.__getitem__, depth)
                 assert ok(depth) == (expected is None)
+                deep += expected is not None and expected[0] > 17
                 if expected is None:
                     check(depth)
                 else:
                     with pytest.raises(error) as exc:
                         check(depth)
                     assert exc.value.args[0] == str(error(*expected))
+    assert deep > 50
+
+
+def test_separation_at_q_zero_raises_instead_of_hanging():
+    """q = 0, which only an unchecked vector reaches, has no q**-k: every
+    separation check past depth 0 raises ZeroDivisionError."""
+    for row in ((1, 2, 3), (0, 0, 0), (1, 0, 2)):
+        pv = UncheckedParameterVector(q=0, a=row, b=row, d=(0, 0, 0, 0, 0))
+        assert pv.h_separation_ok(0) and pv.x_separation_ok(0)
+        for check in (pv.h_separation_ok, pv.check_h_separation, pv.x_separation_ok, pv.check_x_separation):
+            with pytest.raises(ZeroDivisionError):
+                check(1)
 
 
 # -- Newton basis and expansion ---------------------------------------------------
@@ -264,80 +277,26 @@ def test_two_routes_to_monic_polynomials(pv_3a):
             assert monic_poly(pv, n) == by_rec[n]
 
 
-def basis_product_monic_poly(pv, n: int) -> Poly:
-    """Reference: sum_k c[n][k] v_k with each Newton basis polynomial v_k
-    built as an explicit product of linear factors."""
-    row = expansion(pv, n).rows[n]
-    acc = Poly.zero()
-    basis = Poly.one()
-    for k in range(n + 1):
-        if row[k] != 0:
-            acc = acc + basis * row[k]
-        if k < n:
-            basis = basis * Poly.linear(pv.node(k))
-    return acc
-
-
 @pytest.mark.parametrize("q", [catalog.DEFAULT_Q, F(-2, 3)])
 def test_monic_poly_matches_basis_product_reference(q):
+    """u_n against row n of expansion() summed over the Newton basis."""
     for key in catalog.FAMILIES:
         pv = catalog.instantiate(key, None, q)
+        nodes = [pv.node(k) for k in range(13)]
         for n in range(13):
-            assert monic_poly(pv, n) == basis_product_monic_poly(pv, n), (key, n)
-
-
-def triangle_rows(pv, order: int):
-    """Reference: the whole triangle up to order, built row by row as
-    expansion() does; returns the rows before the first collision and that
-    collision's error (None when there is none)."""
-    h = [pv.eigenvalue(k) for k in range(order + 1)]
-    g = [pv.lowering(k) for k in range(order + 1)]
-    rows = []
-    for n in range(order + 1):
-        row = [F(0)] * (n + 1)
-        row[n] = F(1)
-        for k in range(n - 1, -1, -1):
-            denom = h[n] - h[k]
-            if denom == 0:
-                return rows, HSeparationViolated(n, k)
-            row[k] = row[k + 1] * g[k + 1] / denom
-        rows.append(row)
-    return rows, None
-
-
-def poly_horner(coeffs, nodes) -> Poly:
-    """Reference: Newton-to-monomial Horner with a Poly product and sum per step."""
-    acc = Poly.zero()
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * Poly.linear(nodes[k]) + Poly.constant(coeffs[k])
-    return acc
-
-
-def outcome(fn, *args):
-    """A call's value, or the type and message of the QSchemeError it raised."""
-    try:
-        return fn(*args)
-    except QSchemeError as exc:
-        return type(exc), str(exc)
+            assert monic_poly(pv, n) == fraction_horner(expansion(pv, n).rows[n], nodes), (key, n)
 
 
 @pytest.mark.parametrize("q", Q_POOL)
 def test_monic_poly_matches_triangle_reference(q):
     """Row n alone gives what row n of the whole triangle gave, to n = 24."""
     for key in catalog.FAMILIES:
-        try:
-            pv = catalog.instantiate(key, None, q)
-        except QSchemeError:
+        if (reference := catalog_monic_polys(key, q)) is None:
             continue
+        pv = catalog.instantiate(key, None, q)
         # rows of the triangle to n agree with those of the triangle to 24,
         # and the triangle to n raises once its rows reach the first collision
-        rows, error = triangle_rows(pv, 24)
-        nodes = [pv.node(k) for k in range(25)]
-        for n in range(25):
-            if n < len(rows):
-                expected = poly_horner(rows[n], nodes)
-            else:
-                expected = type(error), str(error)
+        for n, expected in enumerate(reference[1]):
             assert outcome(monic_poly, pv, n) == expected, (key, n)
 
 
@@ -362,7 +321,7 @@ def test_monic_poly_raises_the_triangle_collision():
             expected = outcome(expansion, pv, n)
             got = outcome(monic_poly, pv, n)
             if isinstance(expected, NewtonExpansion):
-                assert got == poly_horner(expected.rows[n], [pv.node(k) for k in range(n + 1)])
+                assert got == fraction_horner(expected.rows[n], [pv.node(k) for k in range(n + 1)])
             else:
                 raised += 1
                 assert got == expected, (pv, n)
@@ -394,40 +353,13 @@ def test_one_repeat_test_matches_references_at_every_q():
                 if collision is None:
                     assert hit is None
                     assert expansion(pv, depth).rows == tuple(map(tuple, rows))
-                    assert monic_poly(pv, depth) == poly_horner(rows[depth], nodes)
+                    assert monic_poly(pv, depth) == fraction_horner(rows[depth], nodes)
                 else:
                     assert (collision.n, collision.j) == hit
                     want = HSeparationViolated, str(collision)
                     assert outcome(expansion, pv, depth) == want, (pv, depth)
                     assert outcome(monic_poly, pv, depth) == want, (pv, depth)
     assert pairs == 9000 and unit_q > 250
-
-
-def test_repeat_free_index_raises_the_whole_prefix_repeat():
-    """Only eigenvalues past a vector's repeat-free index are scanned, yet
-    the pair raised is the one _first_repeat finds on all of h[0..n], for
-    ascending and descending degrees and for a call after a raise, at q = +/-1
-    too; a raise publishes nothing."""
-    raised = unit_q = 0
-    for pv in colliding_vectors(300, seed=79):
-        unit_q += pv.q in (1, -1)
-        h = tuple(pv.eigenvalue(k) for k in range(13))
-        for degrees in (range(13), range(12, -1, -1), (5, 12, 12, 3, 8, 12)):
-            fresh = dataclasses.replace(pv)
-            for n in degrees:
-                before = fresh._h_index
-                known = dict(before)
-                hit = core._first_repeat(h[: n + 1])
-                got = outcome(core._separated_sequences, fresh, n)
-                if hit is None:
-                    assert got == fresh._sequences(n), (pv, n)
-                else:
-                    raised += 1
-                    assert got == (HSeparationViolated, str(HSeparationViolated(*hit))), (pv, n)
-                    assert fresh._h_index is before and before == known, (pv, n)
-                index = fresh._h_index
-                assert index == {h[k]: k for k in range(len(index))}, (pv, n)
-    assert raised > 1000 and unit_q >= 100
 
 
 def test_cold_monic_poly_builds_no_triangle():
@@ -703,18 +635,6 @@ def test_duality_parameter_involution():
 # -- integer kernels and the sequence table --------------------------------------
 
 
-def fraction_horner(coeffs, nodes) -> Poly:
-    """Reference: the Newton-to-monomial Horner on a list of Fractions."""
-    acc = []  # low degree first
-    for k in range(len(coeffs) - 1, -1, -1):
-        node = nodes[k]
-        acc.insert(0, F(0))
-        for i in range(len(acc) - 1):
-            acc[i] -= node * acc[i + 1]
-        acc[0] += coeffs[k]
-    return Poly(acc)
-
-
 def fraction_newton_row(h, g, n: int) -> list[F]:
     """Reference: row n of the triangle by the Fraction recursion
     c[n][k] = c[n][k+1] * g[k+1] / (h[n] - h[k])."""
@@ -723,16 +643,6 @@ def fraction_newton_row(h, g, n: int) -> list[F]:
     for k in range(n - 1, -1, -1):
         row[k] = row[k + 1] * g[k + 1] / (h[n] - h[k])
     return row
-
-
-def monic_poly_reference(x, h, g, n: int) -> Poly:
-    """Reference: u_n from sequence lists, the Fraction row and the Fraction
-    Horner."""
-    for m in range(n + 1):
-        for j in range(m):
-            if h[m] == h[j]:
-                raise HSeparationViolated(m, j)
-    return fraction_horner(fraction_newton_row(h, g, n), x[: n + 1])
 
 
 def dual_normalized_poly_reference(x, h, g, m: int) -> Poly:
@@ -751,19 +661,17 @@ def test_integer_horner_matches_fraction_reference(q):
     every degree, against the Fraction Horner on per-k sequence values."""
     compared = 0
     for key in catalog.FAMILIES:
-        try:
-            base = catalog.instantiate(key, None, q)
-        except QSchemeError:
+        if (reference := catalog_monic_polys(key, q)) is None:
             continue
-        seqs = [[f(k) for k in range(25)] for f in (base.node, base.eigenvalue, base.lowering)]
+        seqs, us = reference
+        base = catalog.instantiate(key, None, q)
         for n in range(25):
             pv = dataclasses.replace(base)
-            want = outcome(monic_poly_reference, *seqs, n)
-            assert outcome(monic_poly.__wrapped__, pv, n) == want, (key, n)
+            assert outcome(monic_poly.__wrapped__, pv, n) == us[n], (key, n)
             want = outcome(dual_normalized_poly_reference, *seqs, n)
             assert outcome(dual_normalized_poly, pv, n) == want, (key, n)
-            if (collision := outcome(pv.check_x_separation, n)) is not None:
-                want = collision
+            if hit := nested_loop_collision(seqs[0].__getitem__, n):
+                want = XSeparationViolated, str(XSeparationViolated(*hit))
             assert outcome(dual_normalized_poly, pv, n, True) == want, (key, n)
             compared += 1
     assert compared >= 15 * 25
@@ -887,17 +795,15 @@ def test_sequence_table_is_not_part_of_the_value():
     monic_poly.__wrapped__(grown, 12)
     # instantiate checks the fit on the table to k = 8 and leaves it warm
     assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 9
-    assert len(grown._h_index) == 13 and len(fresh._h_index) == 0
     assert fresh._hash is None
     assert grown == fresh and hash(grown) == hash(fresh)
     assert grown._hash == fresh._hash == hash((grown.q, grown.a, grown.b, grown.d))
     assert repr(grown) == repr(fresh) == before and "_hash" not in before
     assert [f.name for f in dataclasses.fields(grown)] == ["q", "a", "b", "d"]
     copy = dataclasses.replace(grown)
-    assert copy == grown and len(copy._table[0]) == 0 and len(copy._h_index) == 0
+    assert copy == grown and len(copy._table[0]) == 0
     assert copy._hash is None and hash(copy) == hash(grown)
     assert copy._forms is None and grown._forms is not None
-    assert type(grown)._h_index == {}  # published per vector, never mutated
     assert type(grown)._hash is None and type(grown)._forms is None
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
@@ -940,9 +846,5 @@ def test_threads_growing_one_table_get_the_serial_results():
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
                 assert x == tuple(pv.node(k) for k in range(len(x)))
                 assert g == tuple(pv.lowering(k) for k in range(len(g)))
-                # likewise the repeat-free index: a correct prefix of h
-                index = pv._h_index
-                assert len(index) >= min(degrees) + 1
-                assert index == {pv.eigenvalue(k): k for k in range(len(index))}
     finally:
         sys.setswitchinterval(interval)

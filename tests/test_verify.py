@@ -35,3 +35,24 @@ def test_checks_that_compare_nothing_fail(suite, kwargs, vacuous):
 def test_symmetry_checks_with_no_degree_fail():
     report = verify.suite_symmetry(n_max=-1)
     assert report.checks and not any(c.passed for c in report.checks)
+
+
+def test_run_suite_takes_its_options_by_keyword_only(monkeypatch):
+    # run_suite("all", 101), meant as a seed, once ran every suite at degree 101
+    ran = []
+    for name in [name for name in vars(verify) if name.startswith("suite_")]:
+        monkeypatch.setattr(verify, name, lambda name=name, **kwargs: ran.append(name))
+    with pytest.raises(TypeError):
+        verify.run_suite("all", 101)
+    assert ran == []
+    verify.run_suite("all", seed=101)
+    assert len(ran) == 8
+
+
+def test_self_dual_check_fails_on_the_default_1a_instance(monkeypatch):
+    # at a = 2, q = 1/2 the nodes repeat, node(2) == node(0), so the dual
+    # vector has no u_2 although its pattern is 1a again
+    monkeypatch.setattr(verify, "_SELF_DUAL_PARAMS", {})
+    checks = {c.name: c.passed for c in verify.suite_duality(depth=2).checks}
+    assert checks["duality/self-dual/1a"] is False
+    assert all(passed for name, passed in checks.items() if name != "duality/self-dual/1a")
