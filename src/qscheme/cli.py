@@ -151,12 +151,16 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         raise UsageError(str(exc)) from exc
     try:
         pv = catalog.instantiate(args.family, params or None, q)
-        pv.check_h_separation(args.n)
+        _check_writable(args.json)
+        # a_n needs eigenvalue(n + 1): build every row before printing any
+        rows = [
+            (monic_poly(pv, n), recurrence_coeffs(pv, n) if n else (recurrence_coeff0(pv), None))
+            for n in range(args.n + 1)
+        ]
     except QSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _check_writable(args.json)
     merged = catalog.coerce_params(spec, params or None)
     shown_params = " ".join(
         f"{k}={format_rational(v)}" for k, v in merged.items()
@@ -169,12 +173,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     header += "".join(f" {'u_n(' + format_rational(x) + ')':>14}" for x in xs)
     print(header)
     rows_json = []
-    for n in range(args.n + 1):
-        u = monic_poly(pv, n)
-        if n == 0:
-            a_n, b_n = recurrence_coeff0(pv), None
-        else:
-            a_n, b_n = recurrence_coeffs(pv, n)
+    for n, (u, (a_n, b_n)) in enumerate(rows):
         a_str = format_rational(a_n)
         b_str = format_rational(b_n) if b_n is not None else "-"
         poly_str = format_poly(u)

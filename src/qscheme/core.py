@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     XSeparationViolated,
     ZeroG,
 )
-from .qpolynomial import Poly, _newton_horner, _over_lcm, product_of_linear
+from .qpolynomial import Poly, _homogeneous_horner, _newton_horner, _over_lcm, product_of_linear
 from .qrational import admissible_q, format_rational, rational
 
 
@@ -236,11 +235,7 @@ def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> Fraction:
     with the numerator summed by a homogeneous Horner; one Fraction, one gcd.
     """
     nums, den = form
-    acc, rk = nums[-1], 1
-    for c in reversed(nums[:-1]):
-        rk *= R
-        acc = acc * P + c * rk
-    return Fraction(acc, den * (P * R) ** (len(nums) // 2))
+    return Fraction(_homogeneous_horner(nums, P, R), den * (P * R) ** (len(nums) // 2))
 
 
 @dataclass(frozen=True)
@@ -303,8 +298,7 @@ def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> lis
     """
     if n < 0:
         raise ValueError("u_n needs n >= 0")
-    dh = lcm(*(v.denominator for v in h[: n + 1]))
-    big = [v.numerator * (dh // v.denominator) for v in h[: n + 1]]
+    big, dh = _over_lcm(h[: n + 1])
     row = [1] * (n + 1)
     acc = 1
     for k in range(n - 1, -1, -1):
@@ -401,8 +395,8 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("recurrence coefficients need n >= 1; use recurrence_coeff0")
     x, h, g = pv._sequences(n + 1)
     lo = max(n - 2, 0)
-    dh = lcm(*(v.denominator for v in h[lo:]))
-    big = {j: h[j].numerator * (dh // h[j].denominator) for j in range(lo, n + 2)}
+    nums, dh = _over_lcm(h[lo:])
+    big = dict(enumerate(nums, lo))
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
         value = g[num_idx]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import catalog
 from .core import ParameterVector, monic_poly
@@ -59,10 +59,12 @@ def _identity_holds(
     )
 
 
+# The identities' parameters are also those of the limit targets below.
 _B = Fraction(1, 3)  # the lower parameter of the shifted product identity
 _BIG_QLAGUERRE = {"a": Fraction(1, 3), "b": Fraction(-1, 2)}
 _LITTLE_QJACOBI = {"a": Fraction(1, 4), "b": Fraction(1, 3)}
 _QBESSEL = {"a": Fraction(1)}
+_AL_SALAM_CARLITZ = {"a": Fraction(-1)}  # a limit target only: no identity uses it
 
 # name -> (lhs(n, x), rhs(n, x), n_max); each identity is exact at q = _Q.
 _IDENTITIES: dict[str, tuple[Callable, Callable, int]] = {
@@ -119,17 +121,29 @@ EXACT_CHECKS: dict[str, Callable[[], bool]] = {
 
 @dataclass(frozen=True)
 class LimitCase:
-    id: str
+    """One arrow of the scheme: the source family at source_params(eps),
+    its nodes scaled by rho(eps), tends to the target at target_params."""
+
     source_label: str
+    source_params: Callable[[Fraction], Mapping[str, Fraction]]
     target_label: str
-    source_instance: Callable[[Fraction], ParameterVector]
-    target_instance: Callable[[], ParameterVector]
+    target_params: Mapping[str, Fraction]
     rho: Callable[[Fraction], Fraction]  # the gauge's node scale at epsilon
     eps0: Fraction
     exact_checks: tuple[str, ...] = ()
 
+    @property
+    def id(self) -> str:
+        return f"{self.source_label}->{self.target_label}"
+
     def eps_at(self, t: int) -> Fraction:
         return self.eps0 * EPS_RATIO**t
+
+    def source_instance(self, eps: Fraction) -> ParameterVector:
+        return catalog.instance_for_label(self.source_label, self.source_params(eps), _Q)
+
+    def target_instance(self) -> ParameterVector:
+        return catalog.instance_for_label(self.target_label, self.target_params, _Q)
 
 
 def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
@@ -145,20 +159,10 @@ def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GapTrace:
-    case_id: str
     n: int
     gaps: tuple[Fraction, ...]
     ratios: tuple[Fraction, ...]
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_id,
-            "n": self.n,
-            "gap_trace": [format_rational(g) for g in self.gaps],
-            "ratios": [format_rational(r) for r in self.ratios],
-            "pass": self.converged,
-        }
 
 
 @dataclass(frozen=True)
@@ -180,37 +184,17 @@ class LimitReport:
             and all(passed for _, passed in self.exact_checks)
         )
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_id,
-            "traces": [t.to_json() for t in self.traces],
-            "exact_checks": [
-                {"name": name, "pass": passed} for name, passed in self.exact_checks
-            ],
-            "pass": self.ok,
-        }
 
-
-def _trace_converged(
-    gaps: Sequence[Fraction], ratios: Sequence[Fraction], threshold: Fraction
-) -> bool:
+def _trace_converged(gaps: Sequence[Fraction], ratios: Sequence[Fraction]) -> bool:
     if all(g == 0 for g in gaps):
         return True
-    if gaps[-1] >= threshold:
-        return False
-    if not ratios:
+    if gaps[-1] >= GAP_THRESHOLD or not ratios:
         return False
     tail = ratios[len(ratios) // 2 :]
     return all(r <= RATIO_BOUND for r in tail)
 
 
-def verify(
-    case: LimitCase,
-    n_max: int = 4,
-    t_max: int = 12,
-    threshold: Fraction = GAP_THRESHOLD,
-    strict: bool = True,
-) -> LimitReport:
+def verify(case: LimitCase, n_max: int = 4, t_max: int = 12, strict: bool = True) -> LimitReport:
     """Gap decay certificate over the epsilon schedule eps0 * EPS_RATIO**t,
     t = 1..t_max, plus the case's exact identities.
 
@@ -229,13 +213,7 @@ def verify(
             if gaps[i] != 0 and gaps[i + 1] != 0
         )
         traces.append(
-            GapTrace(
-                case_id=case.id,
-                n=n,
-                gaps=gaps,
-                ratios=ratios,
-                converged=_trace_converged(gaps, ratios, threshold),
-            )
+            GapTrace(n=n, gaps=gaps, ratios=ratios, converged=_trace_converged(gaps, ratios))
         )
     checks = tuple((name, EXACT_CHECKS[name]()) for name in case.exact_checks)
     report = LimitReport(case_id=case.id, traces=tuple(traces), exact_checks=checks)
@@ -257,165 +235,70 @@ def verify(
     return report
 
 
-def _build_cases() -> tuple[LimitCase, ...]:
-    q = _Q
+# Sources shared by two cases, each built around its targets' parameters.
 
-    def f(num, den=1):
-        return Fraction(num, den)
 
-    cases = []
+def _cdqhahn(eps: Fraction) -> dict[str, Fraction]:
+    return {"a": eps, "b": _Q * _BIG_QLAGUERRE["a"] / eps, "c": _Q * _BIG_QLAGUERRE["b"] / eps}
 
+
+def _big_qjacobi(eps: Fraction) -> dict[str, Fraction]:
+    a = _LITTLE_QJACOBI["b"]
+    return {"a": a, "b": _LITTLE_QJACOBI["a"], "c": -a * eps}
+
+
+def _little_qjacobi(eps: Fraction) -> dict[str, Fraction]:
+    return {"a": _QBESSEL["a"] * eps / _Q, "b": -1 / eps}
+
+
+CASES: tuple[LimitCase, ...] = (
     # continuous dual q-Hahn -> big q-Laguerre: shrink the node anchor while
     # the two companion parameters grow reciprocally.
-    bt, ct = f(1, 3), f(-1, 2)
-
-    def cdqh_source(eps):
-        return catalog.instantiate(
-            "2a", {"a": eps, "b": q * bt / eps, "c": q * ct / eps}, q
-        )
-
-    for target in ("3b", "3c"):
-        cases.append(
-            LimitCase(
-                id=f"2a->{target}",
-                source_label="2a",
-                target_label=target,
-                source_instance=cdqh_source,
-                target_instance=lambda target=target: catalog.instantiate(
-                    target, {"a": bt, "b": ct}, q
-                ),
-                rho=lambda eps: eps,
-                eps0=f(1, 2**16),
-                exact_checks=(
-                    ("cdqhahn_rep_pair", "big_qlaguerre_rep_pair")
-                    if target == "3c"
-                    else ()
-                ),
-            )
-        )
-
+    LimitCase("2a", _cdqhahn, "3b", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16)),
+    LimitCase(
+        "2a", _cdqhahn, "3c", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16),
+        ("cdqhahn_rep_pair", "big_qlaguerre_rep_pair"),
+    ),
     # Al-Salam-Chihara -> Al-Salam-Carlitz I: both parameters grow, the
     # polynomial is viewed at a magnified argument.
-    b_ac = f(-1)
-    cases.append(
-        LimitCase(
-            id="3a->4c",
-            source_label="3a",
-            target_label="4c",
-            source_instance=lambda eps: catalog.instantiate(
-                "3a", {"a": 1 / eps, "b": b_ac / eps}, q
-            ),
-            target_instance=lambda: catalog.instantiate("4c", {"a": b_ac}, q),
-            rho=lambda eps: eps,
-            eps0=f(1, 2**16),
-        )
-    )
-
+    LimitCase(
+        "3a", lambda eps: {"a": 1 / eps, "b": _AL_SALAM_CARLITZ["a"] / eps},
+        "4c", _AL_SALAM_CARLITZ, lambda eps: eps, Fraction(1, 2**16),
+    ),
     # Al-Salam-Chihara -> shifted-factorial family.
-    b_sf = f(1, 3)
-    cases.append(
-        LimitCase(
-            id="3a->4b",
-            source_label="3a",
-            target_label="4b",
-            source_instance=lambda eps: catalog.instantiate(
-                "3a", {"a": eps, "b": b_sf / eps}, q
-            ),
-            target_instance=lambda: catalog.instantiate("4b", {"b": b_sf}, q),
-            rho=lambda eps: eps,
-            eps0=f(1, 2**16),
-            exact_checks=("shifted_product_identity",),
-        )
-    )
-
+    LimitCase(
+        "3a", lambda eps: {"a": eps, "b": _B / eps}, "4b", {"b": _B},
+        lambda eps: eps, Fraction(1, 2**16), ("shifted_product_identity",),
+    ),
     # big q-Jacobi -> little q-Jacobi: the fourth (translation) parameter of
     # the four-parameter normalization shrinks; absorbed into the third slot.
-    a_bj, b_bj = f(1, 3), f(1, 4)
-
-    def bigqj_source(eps):
-        return catalog.instantiate("2b", {"a": a_bj, "b": b_bj, "c": -a_bj * eps}, q)
-
-    for target in ("3d", "3e"):
-        cases.append(
-            LimitCase(
-                id=f"2b->{target}",
-                source_label="2b",
-                target_label=target,
-                source_instance=bigqj_source,
-                target_instance=lambda target=target: catalog.instantiate(
-                    target, {"a": b_bj, "b": a_bj}, q
-                ),
-                rho=lambda eps: 1 / (q * a_bj),
-                eps0=f(1, 2**24),
-            )
-        )
-
+    LimitCase(
+        "2b", _big_qjacobi, "3d", _LITTLE_QJACOBI,
+        lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24),
+    ),
+    LimitCase(
+        "2b", _big_qjacobi, "3e", _LITTLE_QJACOBI,
+        lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24),
+    ),
     # little q-Jacobi -> q-Bessel: second parameter to -infinity with the
     # product of both parameters held fixed.  The inverse-argument forms sit
     # on the q-inverted diagram, where 3d' has the same u_n as 3d.
-    a_qb = f(1)
-
-    def littleqj_params(eps):
-        return {"a": a_qb * eps / q, "b": -1 / eps}
-
-    cases.append(
-        LimitCase(
-            id="3e->4g",
-            source_label="3e",
-            target_label="4g",
-            source_instance=lambda eps: catalog.instantiate("3e", littleqj_params(eps), q),
-            target_instance=lambda: catalog.instantiate("4g", {"a": a_qb}, q),
-            rho=lambda eps: Fraction(1),
-            eps0=f(1, 2**24),
-        )
-    )
-    cases.append(
-        LimitCase(
-            id="3d'->4f'",
-            source_label="3d'",
-            target_label="4f'",
-            source_instance=lambda eps: catalog.instance_for_label(
-                "3d'", littleqj_params(eps), q
-            ),
-            target_instance=lambda: catalog.instantiate("4f'", {"a": a_qb}, q),
-            rho=lambda eps: Fraction(1),
-            eps0=f(1, 2**24),
-            exact_checks=("little_qjacobi_rep_pair", "qbessel_rep_pair"),
-        )
-    )
-
+    LimitCase("3e", _little_qjacobi, "4g", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24)),
+    LimitCase(
+        "3d'", _little_qjacobi, "4f'", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24),
+        ("little_qjacobi_rep_pair", "qbessel_rep_pair"),
+    ),
     # continuous big q-Hermite -> monomials.
-    cases.append(
-        LimitCase(
-            id="4a->5a",
-            source_label="4a",
-            target_label="5a",
-            source_instance=lambda eps: catalog.instantiate("4a", {"a": eps}, q),
-            target_instance=lambda: catalog.instantiate("5a", {}, q),
-            rho=lambda eps: eps,
-            eps0=f(1, 2**16),
-            exact_checks=("power_basis_identity",),
-        )
-    )
-
+    LimitCase(
+        "4a", lambda eps: {"a": eps}, "5a", {}, lambda eps: eps, Fraction(1, 2**16),
+        ("power_basis_identity",),
+    ),
     # little q-Laguerre -> descending shifted-factorial family.
-    cases.append(
-        LimitCase(
-            id="4e->5b",
-            source_label="4e",
-            target_label="5b",
-            source_instance=lambda eps: catalog.instantiate("4e", {"a": eps}, q),
-            target_instance=lambda: catalog.instantiate("5b", {}, q),
-            rho=lambda eps: Fraction(1),
-            eps0=f(1, 2**24),
-            exact_checks=("descending_product_identity",),
-        )
-    )
-
-    return tuple(cases)
-
-
-CASES: tuple[LimitCase, ...] = _build_cases()
+    LimitCase(
+        "4e", lambda eps: {"a": eps}, "5b", {}, lambda eps: Fraction(1), Fraction(1, 2**24),
+        ("descending_product_identity",),
+    ),
+)
 CASE_IDS: tuple[str, ...] = tuple(c.id for c in CASES)
 
 

@@ -123,13 +123,9 @@ class Poly:
         x = rational(x)
         if not self.coeffs:
             return Fraction(0)
-        s, r = x.numerator, x.denominator
         nums, den = _over_lcm(self.coeffs)
-        acc, rpow = 0, 1  # rpow = r^(n-i) at coefficient i
-        for num in reversed(nums):
-            acc = acc * s + num * rpow
-            rpow *= r
-        return Fraction(acc, den * (rpow // r))
+        r = x.denominator
+        return Fraction(_homogeneous_horner(nums, x.numerator, r), den * r ** (len(nums) - 1))
 
     def compose_affine(self, scale: Scalar, shift: Scalar = 0) -> "Poly":
         """Return p(scale*x + shift).
@@ -205,6 +201,16 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
         acc[0] += nums[k] * t
     den *= t
     return Poly([Fraction(v, den) for v in acc])
+
+
+def _homogeneous_horner(nums: Sequence[int], s: int, r: int) -> int:
+    """sum_i nums[i] * s**i * r**(d-i), d = len(nums) - 1: the numerator of
+    sum_i nums[i] * (s/r)**i over r**d, by one Horner on integers."""
+    acc, rpow = nums[-1], 1
+    for num in reversed(nums[:-1]):
+        rpow *= r
+        acc = acc * s + num * rpow
+    return acc
 
 
 def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 from functools import cache
 
 from qscheme import catalog
-from qscheme.errors import HSeparationViolated, QSchemeError
-from qscheme.qpolynomial import Poly
+from qscheme.errors import DivisionByZero, HSeparationViolated, QSchemeError
+from qscheme.qpolynomial import Poly, poly
+from qscheme.qseries import qpoch, qpoch_many
 
 
 def outcome(fn, *args):
@@ -82,3 +83,86 @@ def catalog_monic_polys(key: str, q: F):
     us = [fraction_horner(row, seqs[0]) for row in rows]
     us += [(type(error), str(error))] * (MONIC_DEGREE + 1 - len(rows))
     return seqs, tuple(us)
+
+
+def poly_product_of_linear(roots) -> Poly:
+    """Reference: one Poly product per monic linear factor."""
+    acc = Poly.one()
+    for r in roots:
+        acc = acc * Poly.linear(r)
+    return acc
+
+
+def poly_compose_affine(p: Poly, scale, shift=0) -> Poly:
+    """Reference: a Horner over Poly in the argument scale*x + shift."""
+    arg = poly([shift, scale])
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Poly.constant(c)
+    return acc
+
+
+def per_term_inverse_arg_series(n, q, x, node_scale, weight, upper_extra, lower, correction):
+    """Reference: every term rebuilt from qpoch products, the triangular power
+    taken as q ** (k(k-1)/2 * correction)."""
+    total = F(0)
+    for k in range(n + 1):
+        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
+        if num == 0:
+            break
+        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
+        if den == 0:
+            raise DivisionByZero(f"denominator vanished at term {k} of a terminating series")
+        term = num / den * weight**k
+        for j in range(k):
+            term *= x - node_scale * q**j
+        if correction:
+            sign = -1 if (k * correction) % 2 else 1
+            term *= sign * q ** (k * (k - 1) // 2 * correction)
+        total += term
+    return total
+
+
+def per_term_z_series(n, q, x, anchor, upper_extra, lower):
+    """Reference: every term rebuilt from qpoch products and the paired
+    product prod_{j<k} (1 - anchor q^j x + anchor^2 q^{2j})."""
+    total = F(0)
+    for k in range(n + 1):
+        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
+        if num == 0:
+            break
+        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
+        if den == 0:
+            raise DivisionByZero(f"denominator vanished at term {k} of a terminating series")
+        paired = F(1)
+        for j in range(k):
+            paired *= 1 - anchor * q**j * x + anchor * anchor * q ** (2 * j)
+        total += num / den * q**k * paired
+    return total
+
+
+def fraction_terminating_sum(upper, lower, q, n, step):
+    """Reference: the Fraction term loop that terminating_sum replaced, with
+    the numerator, denominator and step product kept as running Fractions."""
+    if n < 0:
+        raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
+    num = den = steps = F(1)
+    total = F(0)
+    qj = F(1)
+    for k in range(n + 1):
+        if k > 0:
+            for a in upper:
+                num *= 1 - a * qj
+            if num == 0:
+                break
+            for b in lower:
+                den *= 1 - b * qj
+            steps *= step(qj)
+            qj *= q
+            den *= 1 - qj
+            if den == 0:
+                raise DivisionByZero(
+                    f"denominator vanished at term {k} of a terminating series"
+                )
+        total += num / den * steps
+    return total

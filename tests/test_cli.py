@@ -281,6 +281,7 @@ def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
         ({"families": {"3a": {"a": "two"}}}, ["eval", "3a"]),
         ({"families": []}, ["eval", "3a"]),
         (None, ["eval", "2b", "--param", "a=4", "--param", "b=2", "-n", "4"]),  # h_2 == h_0
+        (None, ["eval", "2b", "--param", "a=-2", "--param", "b=-4", "-n", "1"]),  # a_1 needs h_2 == h_0
     ],
 )
 def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):

@@ -15,6 +15,7 @@ from qscheme.qpolynomial import (
     poly_divrem,
     product_of_linear,
 )
+from reference import poly_compose_affine, poly_product_of_linear
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeff, min_size=0, max_size=6).map(poly)
@@ -190,23 +191,6 @@ def test_format_poly_matches_fraction_reference_on_random_polys():
 
 
 # -- the Newton-form kernel against the Poly-level references -----------------
-
-
-def poly_product_of_linear(roots) -> Poly:
-    """Reference: one Poly product per monic linear factor."""
-    acc = Poly.one()
-    for r in roots:
-        acc = acc * Poly.linear(r)
-    return acc
-
-
-def poly_compose_affine(p: Poly, scale, shift=0) -> Poly:
-    """Reference: a Horner over Poly in the argument scale*x + shift."""
-    arg = poly([shift, scale])
-    acc = Poly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * arg + Poly.constant(c)
-    return acc
 
 
 ROOT_LISTS = [

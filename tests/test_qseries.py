@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 from qscheme import catalog
 from qscheme.errors import DivisionByZero
-from qscheme.qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
-from reference import outcome
+from qscheme.qseries import qhyper_sum, qpoch, terminating_sum
+from reference import (
+    fraction_terminating_sum,
+    outcome,
+    per_term_inverse_arg_series,
+    per_term_z_series,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -171,45 +176,6 @@ def test_upper_zero_decides_lower_collision():
         assert value == oracle_qhyper((q**-3, q**-1), lower, q, q, 3)
 
 
-def per_term_inverse_arg_series(n, q, x, node_scale, weight, upper_extra, lower, correction):
-    """Reference: every term rebuilt from qpoch products, the triangular power
-    taken as q ** (k(k-1)/2 * correction)."""
-    total = F(0)
-    for k in range(n + 1):
-        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
-        if num == 0:
-            break
-        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
-        if den == 0:
-            raise DivisionByZero(f"denominator vanished at term {k} of a terminating series")
-        term = num / den * weight**k
-        for j in range(k):
-            term *= x - node_scale * q**j
-        if correction:
-            sign = -1 if (k * correction) % 2 else 1
-            term *= sign * q ** (k * (k - 1) // 2 * correction)
-        total += term
-    return total
-
-
-def per_term_z_series(n, q, x, anchor, upper_extra, lower):
-    """Reference: every term rebuilt from qpoch products and the paired
-    product prod_{j<k} (1 - anchor q^j x + anchor^2 q^{2j})."""
-    total = F(0)
-    for k in range(n + 1):
-        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
-        if num == 0:
-            break
-        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
-        if den == 0:
-            raise DivisionByZero(f"denominator vanished at term {k} of a terminating series")
-        paired = F(1)
-        for j in range(k):
-            paired *= 1 - anchor * q**j * x + anchor * anchor * q ** (2 * j)
-        total += num / den * q**k * paired
-    return total
-
-
 def test_shared_term_loop_matches_per_term_reference():
     rng = random.Random(4242)
     small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
@@ -247,33 +213,6 @@ def test_shared_term_loop_matches_per_term_reference():
             per_term_z_series, n, q, x, anchor, upper_extra, lower
         )
     assert {-2, -1, 0, 1} <= seen_corrections and early > 0
-
-
-def fraction_terminating_sum(upper, lower, q, n, step):
-    """Reference: the Fraction term loop that terminating_sum replaced, with
-    the numerator, denominator and step product kept as running Fractions."""
-    if n < 0:
-        raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    num = den = steps = F(1)
-    total = F(0)
-    qj = F(1)
-    for k in range(n + 1):
-        if k > 0:
-            for a in upper:
-                num *= 1 - a * qj
-            if num == 0:
-                break
-            for b in lower:
-                den *= 1 - b * qj
-            steps *= step(qj)
-            qj *= q
-            den *= 1 - qj
-            if den == 0:
-                raise DivisionByZero(
-                    f"denominator vanished at term {k} of a terminating series"
-                )
-        total += num / den * steps
-    return total
 
 
 def test_integer_term_loop_matches_fraction_reference():
