@@ -94,10 +94,23 @@ def _write_json(path: str, payload) -> None:
 
 
 def _check_writable(path: str | None) -> None:
-    """Create (or empty) an output file before the work that fills it, so an
-    unwritable path exits 2 before anything runs or prints."""
-    if path is not None:
-        _write_bytes(path, b"")
+    """Open an output path for writing before the work that fills it, so an
+    unwritable path exits 2 before anything runs or prints.  The path is
+    left as it was: an existing file is opened without truncation, and a
+    file created by the check is removed again, so a run that fails later
+    leaves nothing behind."""
+    if path is None:
+        return
+    target = Path(path)
+    try:
+        if target.exists():
+            with target.open("ab"):
+                pass
+        else:
+            target.touch(exist_ok=False)
+            target.unlink()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 # -- commands ------------------------------------------------------------------

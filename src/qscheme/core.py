@@ -165,14 +165,14 @@ class ParameterVector:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self, checked_depth: int | None = None) -> dict:
+    def to_json_dict(self, checked_depth: int) -> dict:
         payload = {
             "q": format_rational(self.q),
             "a": [format_rational(v) for v in self.a],
             "b": [format_rational(v) for v in self.b],
             "d": [format_rational(v) for v in self.d],
         }
-        check = {
+        payload["check"] = {
             "constraints": [
                 "sum_d_zero",
                 "d3_equals_a1_b1_over_q",
@@ -180,11 +180,9 @@ class ParameterVector:
                 "a1_a2_not_both_zero",
                 "some_d_nonzero",
             ],
+            "h_separation_depth": checked_depth,
+            "h_separation_ok": self.h_separation_ok(checked_depth),
         }
-        if checked_depth is not None:
-            check["h_separation_depth"] = checked_depth
-            check["h_separation_ok"] = self.h_separation_ok(checked_depth)
-        payload["check"] = check
         return payload
 
     @staticmethod
@@ -287,7 +285,8 @@ class NewtonExpansion:
 
 def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> list[int]:
     """Row n of the triangle as integers N_0..N_n over the common denominator
-    N_n, from h[0..n] and g[0..n]; requires h[n] != h[k] for k < n.
+    N_n, from h[0..n] and g[0..n]; N_n != 0 needs h[n] != h[k] for k < n,
+    N_0 != 0 needs g[1..n] nonzero.
 
     With h_j = H_j/Dh over Dh, the lcm of the denominators of h[0..n], and
     g_j = a_j/b_j in lowest terms,
@@ -297,7 +296,7 @@ def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> lis
     built by one suffix and one prefix product: no Fraction and no gcd.
     """
     if n < 0:
-        raise ValueError("u_n needs n >= 0")
+        raise ValueError("a Newton row needs n >= 0")
     big, dh = _over_lcm(h[: n + 1])
     row = [1] * (n + 1)
     acc = 1
@@ -452,44 +451,46 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     return None
 
 
+def _normalized(values: tuple[Fraction, ...], nodes: tuple[Fraction, ...],
+                g: tuple[Fraction, ...], n: int) -> Poly:
+    """sum_k prod_{j<k} (values[n]-values[j]) / prod_{j=1..k} g[j]
+          * prod_{j<k} (x - nodes[j]):
+
+    the integer Newton row of `values` normalized by its k = 0 entry, which
+    is nonzero once lowering(1..n) is.  Raises ZeroG at the first vanishing
+    lowering value."""
+    for j in range(1, n + 1):
+        if not g[j]:
+            raise ZeroG(j)
+    row = _newton_row(values, g, n)
+    return _newton_horner(row, row[0], nodes)
+
+
 def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     """u_n rescaled by prod_{j<n} (eigenvalue(n)-eigenvalue(j))/lowering(j+1).
 
     In this normalization the family satisfies the node/eigenvalue duality
-    checked by duality_check.  Requires lowering(1..n) nonzero.  The factor
-    is 1/c[n][0], read off the integer Newton row as N_n/N_0.
+    checked by duality_check.  Requires lowering(1..n) nonzero and, checked
+    after it, eigenvalue(0..n) free of repeats.
     """
-    _, h, g = pv._sequences(n)
-    for j in range(1, n + 1):
-        if not g[j]:
-            raise ZeroG(j)
-    u = monic_poly(pv, n)
-    row = _newton_row(h, g, n)
-    return u * Fraction(row[n], row[0])
+    x, h, g = pv._sequences(n)
+    u = _normalized(h, x, g, n)
+    pv.check_h_separation(n)
+    return u
 
 
-def dual_normalized_poly(pv: ParameterVector, m: int, strict: bool = False) -> Poly:
+def dual_normalized_poly(pv: ParameterVector, m: int) -> Poly:
     """The dual partner of normalized_poly, a polynomial in the eigenvalue
-    variable:
+    variable: normalized_poly with the node and eigenvalue sequences
+    exchanged,
 
         sum_k prod_{j<k} (node(m)-node(j)) / prod_{j=1..k} lowering(j)
               * prod_{j<k} (y - eigenvalue(j)).
 
-    Requires lowering(1..m) nonzero.  With strict=True the node sequence must
-    also be collision-free up to m (needed when this polynomial is built
-    through the dualized vector's Newton expansion rather than this sum).
+    Requires lowering(1..m) nonzero.
     """
-    if m < 0:
-        raise ValueError("the dual polynomial needs m >= 0")
-    if strict:
-        pv.check_x_separation(m)
     x, h, g = pv._sequences(m)
-    coeffs = [Fraction(1)]
-    for k in range(1, m + 1):
-        if g[k] == 0:
-            raise ZeroG(k)
-        coeffs.append(coeffs[-1] * (x[m] - x[k - 1]) / g[k])
-    return _newton_horner(*_over_lcm(coeffs), h)
+    return _normalized(x, h, g, m)
 
 
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:

@@ -60,11 +60,3 @@ class InadmissibleParams(QSchemeError):
 class Mismatch(QSchemeError):
     """Two independent routes to the same value disagree."""
 
-
-class ConvergenceFailure(QSchemeError):
-    """A limit transition failed its gap-decay certificate."""
-
-    def __init__(self, case_id: str, detail: str, trace: list[str]):
-        super().__init__(f"{case_id}: {detail}")
-        self.case_id = case_id
-        self.trace = list(trace)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import catalog, limits
-from .classifier import LABELS, SELF_DUAL, pattern_of
+from .classifier import DUAL_PAIRS, LABELS, SELF_DUAL, pattern_of
 from .core import (
     ParameterVector,
     UncheckedParameterVector,
@@ -138,12 +138,11 @@ def random_parameter_vector(rng: random.Random, depth: int = 12) -> ParameterVec
         return pv
 
 
-def random_broken_vector(
-    rng: random.Random, depth: int = 8
-) -> UncheckedParameterVector:
+def random_broken_vector(rng: random.Random) -> UncheckedParameterVector:
     """A vector with exactly one of the d3/d4 constraints broken, the
-    zero-sum constraint kept intact."""
-    pv = random_parameter_vector(rng, depth)
+    zero-sum constraint kept intact, from an admissible vector with
+    eigenvalue separation to depth 8."""
+    pv = random_parameter_vector(rng, depth=8)
     delta = Fraction(0)
     while delta == 0:
         delta = _small(rng)
@@ -178,9 +177,7 @@ def suite_constraints(depth: int = 12) -> SuiteReport:
     return report
 
 
-def suite_recurrence(
-    n_max: int = 10, count: int = 25, broken: int = 5, seed: int = DEFAULT_SEED
-) -> SuiteReport:
+def suite_recurrence(n_max: int = 10, count: int = 25, seed: int = DEFAULT_SEED) -> SuiteReport:
     report = SuiteReport("recurrence", seed=seed)
     rng = random.Random(seed)
     for key in catalog.FAMILIES:
@@ -191,8 +188,8 @@ def suite_recurrence(
         pv = random_parameter_vector(rng, depth=n_max + 2)
         ok = _all_of(recurrence_check(pv, n) for n in range(n_max + 1))
         report.add(f"recurrence/random-{i}", ok, f"q={format_rational(pv.q)}")
-    for i in range(broken):
-        pv = random_broken_vector(rng, depth=8)
+    for i in range(5):
+        pv = random_broken_vector(rng)
         fails = any(not recurrence_check(pv, n) for n in range(7))
         report.add(f"recurrence/broken-{i}", fails, "must fail for some n <= 6")
     return report
@@ -215,24 +212,24 @@ def suite_eigen(n_max: int = 10, count: int = 10, seed: int = DEFAULT_SEED) -> S
     return report
 
 
-DUALITY_INSTANCES: tuple[tuple[str, str, dict], ...] = (
-    # (source label, expected dual label, parameters free of node collisions)
-    ("2a", "2b", {"a": Fraction(3), "b": Fraction(1, 4), "c": Fraction(1, 5)}),
-    ("3a", "3d", {"a": Fraction(3), "b": Fraction(1, 4)}),
-    ("3b", "3b'", {}),
-    ("4a", "4f", {"a": Fraction(3)}),
-    ("4c", "4d'", {"a": Fraction(-1)}),
+# Parameters free of node collisions for the pair and self-dual checks; a
+# label not listed here uses its defaults.  The default 1a (a = 2, q = 1/2)
+# has node(2) == node(0): its dual has no u_2.
+_DUALITY_PARAMS: dict[str, dict] = {
+    "1a": {"a": Fraction(3)},
+    "2a": {"a": Fraction(3), "b": Fraction(1, 4), "c": Fraction(1, 5)},
+    "3a": {"a": Fraction(3), "b": Fraction(1, 4)},
+    "4a": {"a": Fraction(3)},
+}
+# (source label, expected dual label, parameters), one per dual pair
+DUALITY_INSTANCES: tuple[tuple[str, str, dict], ...] = tuple(
+    (label, dual_label, _DUALITY_PARAMS.get(label, {})) for label, dual_label in DUAL_PAIRS
 )
-# The default 1a (a = 2, q = 1/2) has node(2) == node(0): its dual has no u_2.
-_SELF_DUAL_PARAMS = {"1a": {"a": Fraction(3)}}
 
 
 def suite_duality(depth: int = 8) -> SuiteReport:
     report = SuiteReport("duality")
-    pv_top = catalog.instantiate(
-        "1a",
-        {"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5), "d": Fraction(1, 7)},
-    )
+    pv_top = catalog.instantiate("1a")
     ok = _all_of(
         duality_check(pv_top, n, m)
         for n in range(depth + 1)
@@ -254,7 +251,7 @@ def suite_duality(depth: int = 8) -> SuiteReport:
             "pattern and values",
         )
     for label in SELF_DUAL:
-        pv = catalog.instance_for_label(label, _SELF_DUAL_PARAMS.get(label))
+        pv = catalog.instance_for_label(label, _DUALITY_PARAMS.get(label))
         ok = pv.x_separation_ok(depth) and pattern_of(dualize(pv)) == pattern_of(pv)
         report.add(f"duality/self-dual/{label}", ok)
     return report
@@ -274,12 +271,8 @@ def suite_catalog(n_max: int = 8) -> SuiteReport:
 def suite_limits(n_max: int = 4, t_max: int = 12) -> SuiteReport:
     report = SuiteReport("limits")
     for case in limits.CASES:
-        rep = limits.verify(case, n_max=n_max, t_max=t_max, strict=False)
-        if rep.examined:
-            detail = f"final gap {format_rational(max(t.gaps[-1] for t in rep.traces))}"
-        else:
-            detail = "no nonzero gap examined"
-        report.add(f"limits/{case.id}", rep.ok, detail)
+        rep = limits.verify(case, n_max=n_max, t_max=t_max)
+        report.add(f"limits/{case.id}", rep.ok, rep.detail)
         for name, passed in rep.exact_checks:
             report.add(f"limits/{case.id}/{name}", passed, "exact identity")
     return report
@@ -312,12 +305,13 @@ def suite_charts() -> SuiteReport:
     return report
 
 
-def suite_symmetry(n_max: int = 6, count: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """Gauge/involution checks (exercised through `verify all` and tests)."""
+def suite_symmetry(seed: int = DEFAULT_SEED) -> SuiteReport:
+    """Gauge/involution checks on four catalog and six random vectors, for
+    n <= 6 (exercised through `verify all` and tests)."""
     report = SuiteReport("symmetry", seed=seed)
     rng = random.Random(seed)
     vectors = [catalog.instantiate(key) for key in ("1a", "2b", "3a", "4c")]
-    vectors += [random_parameter_vector(rng, depth=n_max + 2) for _ in range(count)]
+    vectors += [random_parameter_vector(rng, depth=8) for _ in range(6)]
     gauge = GaugeAction(
         tau=Fraction(3, 2), mu=Fraction(2), sigma=Fraction(-1, 3), rho=Fraction(3, 4)
     )
@@ -327,7 +321,7 @@ def suite_symmetry(n_max: int = 6, count: int = 6, seed: int = DEFAULT_SEED) -> 
             monic_poly(gauged, n)
             == monic_poly(pv, n).compose_affine(1 / gauge.rho, -gauge.sigma)
             * gauge.rho**n
-            for n in range(n_max + 1)
+            for n in range(7)
         )
         qi = q_invert(q_invert(pv)) == pv
         report.add(f"symmetry/gauge-{i}", ok and qi)

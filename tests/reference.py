@@ -166,3 +166,62 @@ def fraction_terminating_sum(upper, lower, q, n, step):
                 )
         total += num / den * steps
     return total
+
+
+def fraction_eval(p: Poly, x) -> F:
+    """Reference: Horner on Fractions, one reduced Fraction per step."""
+    x = F(x)
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_format_poly(p: Poly, var: str = "x") -> str:
+    """Reference: format_poly on Fraction comparisons, abs and str."""
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeff(i)
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            xpow = var if i == 1 else f"{var}^{i}"
+            body = xpow if mag == 1 else f"{mag} {xpow}"
+        if not parts:
+            parts.append(f"-{body}" if sign == "-" else body)
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+def oracle_qpoch(b: F, q: F, k: int) -> F:
+    """Reference: (b; q)_k as a product of k Fraction factors."""
+    total = F(1)
+    for j in range(k):
+        total *= 1 - b * q**j
+    return total
+
+
+def oracle_qhyper(upper, lower, q, z, n) -> F:
+    """Textbook term-by-term sum; every term built from scratch."""
+    e = len(lower) - len(upper) + 1
+    total = F(0)
+    for k in range(n + 1):
+        num = F(1)
+        for a in upper:
+            num *= oracle_qpoch(a, q, k)
+        if num == 0:
+            continue
+        den = oracle_qpoch(q, q, k)
+        for b in lower:
+            den *= oracle_qpoch(b, q, k)
+        term = num / den * z**k
+        term *= (F(-1) ** k * q ** (k * (k - 1) // 2)) ** e
+        total += term
+    return total

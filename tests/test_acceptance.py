@@ -61,7 +61,7 @@ def test_criterion_2_recurrence_theorem_both_directions():
         pv = random_parameter_vector(rng, depth=12)
         assert all(recurrence_check(pv, n) for n in range(11)), (i, pv)
     for i in range(50):
-        broken = random_broken_vector(rng, depth=8)
+        broken = random_broken_vector(rng)
         assert any(not recurrence_check(broken, n) for n in range(7)), (i, broken)
     _report(2, "three-term recurrence, 200 forward + 50 reverse")
 

@@ -301,6 +301,16 @@ def test_verify_limits_at_n_max_zero_fails(capsys):
     assert "[FAIL] limits/2a->3b  (no nonzero gap examined)" in out
 
 
+def test_verify_limits_at_n_max_five_names_the_failing_degree(capsys):
+    # At the default 12 epsilons the degree-5 gaps of 2b->3d and 2b->3e
+    # have not yet fallen below the threshold.
+    code, out, _ = run(capsys, "verify", "limits", "--n-max", "5")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert [line.split()[1] for line in failed] == ["limits/2b->3d", "limits/2b->3e"]
+    assert all(line.split(None, 2)[2].startswith("(gap decay failed at n=5; final gap ") for line in failed)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -351,6 +361,18 @@ def test_unwritable_json_fails_before_any_work(capsys, monkeypatch, tmp_path, ar
     code, out, err = run(capsys, *argv, "--json", str(tmp_path / "no-such-dir" / "x.json"))
     assert code == 2 and out == ""
     assert error_lines(err) == [err.strip()] and err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("before", [None, b'{"kept": true}\n'], ids=["absent", "existing"])
+def test_failed_eval_leaves_the_json_path_as_it_was(capsys, tmp_path, before):
+    target = tmp_path / "e.json"
+    if before is not None:
+        target.write_bytes(before)
+    # a_1 needs eigenvalue(2), which equals eigenvalue(0)
+    argv = ["eval", "2b", "--param", "a=-2", "--param", "b=-4", "-n", "1", "--json", str(target)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert (target.read_bytes() if target.exists() else None) == before
 
 
 @pytest.mark.parametrize("argv", [["eval", "3a", "-n", "0"], ["verify", "charts"]])

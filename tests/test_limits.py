@@ -7,7 +7,6 @@ import pytest
 from qscheme import limits, verify as verify_suites
 from qscheme.classifier import LABELS, build_graph, pattern_of
 from qscheme.core import monic_poly
-from qscheme.errors import ConvergenceFailure
 from qscheme.limits import (
     CASES,
     CASE_IDS,
@@ -19,6 +18,7 @@ from qscheme.limits import (
     gap,
     verify,
 )
+from qscheme.qrational import format_rational
 
 EXPECTED_IDS = {
     "2a->3b",
@@ -61,10 +61,15 @@ def test_monomial_limit_gaps_strictly_decrease():
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
 
 
+def _final_gap(report) -> str:
+    return format_rational(max(t.gaps[-1] for t in report.traces))
+
+
 @pytest.mark.parametrize("case_id", sorted(EXPECTED_IDS))
 def test_case_converges(case_id):
     report = verify(case_by_id(case_id), n_max=4, t_max=12)
-    assert report.ok
+    assert report.ok, report.detail
+    assert report.detail == f"final gap {_final_gap(report)}"
     for trace in report.traces:
         if any(g != 0 for g in trace.gaps):
             assert trace.gaps[-1] < GAP_THRESHOLD
@@ -77,10 +82,24 @@ def test_exact_identities_hold():
         assert check(), name
 
 
-def test_strict_verification_raises_on_impossible_threshold(monkeypatch):
+def test_failing_detail_names_the_first_non_converged_degree(monkeypatch):
     monkeypatch.setattr(limits, "GAP_THRESHOLD", F(1, 10**40))
-    with pytest.raises(ConvergenceFailure):
-        verify(case_by_id("4e->5b"), n_max=2, t_max=3)
+    report = verify(case_by_id("4e->5b"), n_max=2, t_max=3)
+    # degree 0 gives all-zero gaps, which count as converged
+    assert [t.converged for t in report.traces] == [True, False, False]
+    assert not report.ok
+    assert report.detail == f"gap decay failed at n=1; final gap {_final_gap(report)}"
+
+
+def test_failed_identity_is_named_in_the_detail(monkeypatch):
+    monkeypatch.setitem(EXACT_CHECKS, "power_basis_identity", lambda: False)
+    report = verify(case_by_id("4a->5a"))
+    assert all(t.converged for t in report.traces) and not report.ok
+    suffix = "; exact identity failed (power_basis_identity)"
+    assert report.detail == f"final gap {_final_gap(report)}{suffix}"
+    monkeypatch.setattr(limits, "GAP_THRESHOLD", F(1, 10**40))
+    report = verify(case_by_id("4a->5a"), n_max=2, t_max=3)
+    assert report.detail == f"gap decay failed at n=1; final gap {_final_gap(report)}{suffix}"
 
 
 def test_every_limit_is_a_scheme_arrow():
@@ -98,13 +117,12 @@ def test_limit_sources_admissible_along_schedule():
 
 def test_all_zero_gap_traces_fail():
     # At degree 0 both sides are u_0 = 1, so every gap is 0 and nothing is checked.
-    report = verify(CASES[0], n_max=0, strict=False)
+    report = verify(CASES[0], n_max=0)
     assert all(g == 0 for trace in report.traces for g in trace.gaps)
     assert not report.examined and not report.ok
-    with pytest.raises(ConvergenceFailure, match="no nonzero gap was examined"):
-        verify(CASES[0], n_max=0)
+    assert report.detail == "no nonzero gap examined"
     # 3a->4c is exact up to degree 1, so its first nonzero gap is at n = 2.
-    unexamined = [c.id for c in CASES if not verify(c, n_max=1, strict=False).examined]
+    unexamined = [c.id for c in CASES if not verify(c, n_max=1).examined]
     assert unexamined == ["3a->4c"]
 
 
@@ -119,7 +137,7 @@ def test_limits_suite_with_no_epsilon_fails_each_case():
 
 def test_memoised_gaps_match_per_call_gap():
     for case in CASES:
-        report = verify(case, n_max=2, t_max=4, strict=False)
+        report = verify(case, n_max=2, t_max=4)
         for trace in report.traces:
             expected = tuple(
                 gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), trace.n)
@@ -141,7 +159,7 @@ def test_verify_builds_each_instance_once(monkeypatch):
     monkeypatch.setattr(limits.catalog, "instance_for_label", counting)
     for case in CASES:
         built.clear()
-        verify(case, n_max=2, t_max=4, strict=False)
+        verify(case, n_max=2, t_max=4)
         counts = {"source": built.count(case.source_label), "target": built.count(case.target_label)}
         assert counts == {"source": 4, "target": 1} and len(built) == 5, case.id
 

@@ -15,7 +15,12 @@ from qscheme.qpolynomial import (
     poly_divrem,
     product_of_linear,
 )
-from reference import poly_compose_affine, poly_product_of_linear
+from reference import (
+    fraction_eval,
+    fraction_format_poly,
+    poly_compose_affine,
+    poly_product_of_linear,
+)
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeff, min_size=0, max_size=6).map(poly)
@@ -90,15 +95,6 @@ def test_format_poly():
     assert format_poly(poly([-1, 0, 0, 2])) == "2 x^3 - 1"
 
 
-def fraction_eval(p: Poly, x) -> F:
-    """Reference: Horner on Fractions, one reduced Fraction per step."""
-    x = F(x)
-    acc = F(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
 BIG = 3**90 + 1
 EVAL_POINTS = [0, 1, -1, 7, F(1, 2), F(-2, 3), F(BIG, 2**70), F(-(2**80) - 1, 3**41), -BIG, F(5, BIG)]
 EVAL_POLYS = [
@@ -133,29 +129,6 @@ def test_integer_eval_matches_fraction_reference_on_random_polys():
         p = poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 14))])
         x = scalar()
         assert p(x) == fraction_eval(p, x), (p, x)
-
-
-def fraction_format_poly(p: Poly, var: str = "x") -> str:
-    """Reference: format_poly on Fraction comparisons, abs and str."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            xpow = var if i == 1 else f"{var}^{i}"
-            body = xpow if mag == 1 else f"{mag} {xpow}"
-        if not parts:
-            parts.append(f"-{body}" if sign == "-" else body)
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
 
 
 FORMAT_POLYS = [

@@ -12,6 +12,8 @@ from qscheme.errors import DivisionByZero
 from qscheme.qseries import qhyper_sum, qpoch, terminating_sum
 from reference import (
     fraction_terminating_sum,
+    oracle_qhyper,
+    oracle_qpoch,
     outcome,
     per_term_inverse_arg_series,
     per_term_z_series,
@@ -20,32 +22,6 @@ from reference import (
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
 )
-
-
-def oracle_qpoch(b: F, q: F, k: int) -> F:
-    total = F(1)
-    for j in range(k):
-        total *= 1 - b * q**j
-    return total
-
-
-def oracle_qhyper(upper, lower, q, z, n) -> F:
-    """Textbook term-by-term sum; every term built from scratch."""
-    e = len(lower) - len(upper) + 1
-    total = F(0)
-    for k in range(n + 1):
-        num = F(1)
-        for a in upper:
-            num *= oracle_qpoch(a, q, k)
-        if num == 0:
-            continue
-        den = oracle_qpoch(q, q, k)
-        for b in lower:
-            den *= oracle_qpoch(b, q, k)
-        term = num / den * z**k
-        term *= (F(-1) ** k * q ** (k * (k - 1) // 2)) ** e
-        total += term
-    return total
 
 
 def test_qpoch_empty_product():

@@ -37,3 +37,19 @@ def test_bench_workloads_run_and_pass_their_gates(monkeypatch):
         outputs = [part() for part in workload.parts(item)]
         assert workload.check(item, workload.digest(item, outputs)) is None, workload.name
     assert len(workloads.VerifyAll(0).expected) == 184
+
+
+def test_traced_duality_and_catalog_suites_reach_their_layers(monkeypatch):
+    # The per-layer metrics read these spans by name.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench.spans import Tracer
+
+    from qscheme import verify
+
+    tracer = Tracer()
+    with tracer.installed():
+        reports = verify.run_suite("duality", depth=2) + verify.run_suite("catalog", n_max=1)
+    assert [r.suite for r in reports] == ["duality", "catalog"]
+    assert all(c.passed for r in reports for c in r.checks)
+    assert tracer.calls("core.dual_normalized_poly") > 0
+    assert tracer.calls("catalog.crosscheck") == 18
