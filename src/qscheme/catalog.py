@@ -1,10 +1,12 @@
 """The family registry: explicit data for every scheme diagram.
 
 Each entry records one (continuous) family attached to a diagram label:
-closed forms for its node/eigenvalue/lowering sequences, the leading
+the eleven Laurent coefficients of its eigenvalue, node and lowering
+sequences in q**k as functions of its parameters (the factored forms of
+Koekoek, Lesky & Swarttouw (2010), ch. 14, multiplied out), the leading
 coefficient k_n of its conventionally normalized polynomials, and a
 terminating q-hypergeometric representation.  The registry is the
-independent oracle for the engine: a vector built from the sequence data
+independent oracle for the engine: a vector built from the coefficients
 must reproduce k_n^{-1} times the named polynomial exactly.
 
 Families whose representation is naturally a function of z with
@@ -25,7 +27,6 @@ from typing import Callable, Mapping
 from .core import ParameterVector, monic_poly
 from .errors import DivisionByZero, InadmissibleParams, Mismatch
 from .classifier import LABELS, ZeroPattern, pattern_of
-from .qpolynomial import _newton_horner, _over_lcm
 from .qrational import admissible_q, format_rational, rational
 from .qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
 from . import symmetry
@@ -35,7 +36,8 @@ Params = Mapping[str, Fraction]
 DEFAULT_Q = Fraction(1, 2)
 
 # Nonzero rational sample abscissas for polynomial-identity checks; several
-# representations carry 1/x and cannot be probed at the origin.
+# representations carry 1/x and cannot be probed at the origin.  Degrees past
+# len(SAMPLE_XS) - 1 continue with the integers 6, 7, ... (see _sample_xs).
 SAMPLE_XS = (
     Fraction(2),
     Fraction(3),
@@ -53,22 +55,10 @@ SAMPLE_XS = (
 )
 
 
-def _laurent_fit(values: list[Fraction], q: Fraction) -> list[Fraction]:
-    """The coefficients c_{-m..m} of f(t) = sum_e c_e t**e from its values at
-    t = q**k, k = 0..2m.
-
-    t**m f(t) is a polynomial of degree <= 2m with coefficients c_{-m..m},
-    interpolated at the distinct nodes q**k by divided differences; the one
-    Newton-to-monomial Horner turns it into those coefficients, and the
-    trailing zeros a Poly strips are put back."""
-    m = len(values) // 2
-    nodes = [q**k for k in range(2 * m + 1)]
-    diffs = [t**m * v for t, v in zip(nodes, values)]
-    for j in range(1, 2 * m + 1):
-        for i in range(2 * m, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
-    coeffs = list(_newton_horner(*_over_lcm(diffs), nodes).coeffs)
-    return coeffs + [Fraction(0)] * (2 * m + 1 - len(coeffs))
+def _sample_xs(count: int) -> tuple[Fraction, ...]:
+    """The first `count` distinct sample abscissas: SAMPLE_XS, then 6, 7, ..."""
+    extra = range(6, 6 + count - len(SAMPLE_XS))
+    return SAMPLE_XS[:count] + tuple(Fraction(x) for x in extra)
 
 
 def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> Callable[[Fraction], Fraction]:
@@ -188,9 +178,8 @@ class FamilySpec:
     defaults: dict[str, Fraction]
     newton_form: str
     positivity: str  # recorded orthogonality-range metadata, not enforced
-    node_fn: Callable[[Params, Fraction, int], Fraction]
-    eigen_fn: Callable[[Params, Fraction, int], Fraction]
-    lowering_fn: Callable[[Params, Fraction, int], Fraction]
+    # (a, b, d): the eleven coefficients in ParameterVector field order
+    coefficients: Callable[[Params, Fraction], tuple[tuple, tuple, tuple]]
     kn_fn: Callable[[Params, Fraction, int], Fraction]
     named_fn: Callable[[Params, Fraction, int, Fraction], Fraction]
 
@@ -216,16 +205,25 @@ def _halfsq(n: int) -> int:
     return n * (n - 1) // 2
 
 
-# -- sequence closed forms ----------------------------------------------------
+# -- sequence coefficients ------------------------------------------------------
+#
+# eigenvalue(k) = a0 + a1 q**k + a2 q**-k and node(k) = b0 + b1 q**k + b2 q**-k
+# are stated as (c0, c1, c2); lowering(k) always vanishes at k = 0, so it is
+# stated through its factored form.
 
 
-def _sym_node(p, q, k):
-    a = p["a"]
-    return a * q**k + q ** (-k) / a
-
-
-def _hk_qinv_minus_one(p, q, k):
-    return q ** (-k) - 1
+def _lowering(scale: Fraction, power: int, *alphas: Fraction) -> tuple[Fraction, ...]:
+    """(d0, d1, d2, d3, d4) of scale * q**(power*k) * (1 - q**k)
+    * prod (1 - alpha*q**k), a Laurent polynomial in q**k whose exponents
+    must stay within -2..2."""
+    coeffs = [scale, -scale]  # of q**(power*k), q**((power+1)*k), ...
+    for alpha in alphas:
+        coeffs = [c - alpha * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    top = power + len(coeffs) - 1
+    if power < -2 or top > 2:
+        raise ValueError(f"lowering exponents {power}..{top} leave -2..2")
+    by_exponent = dict(zip(range(power, top + 1), coeffs))
+    return tuple(by_exponent.get(e, 0) for e in (0, 1, -1, 2, -2))
 
 
 FAMILIES: dict[str, FamilySpec] = {}
@@ -249,16 +247,17 @@ _register(
         },
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a,b,c,d real with pairwise products < 1",
-        node_fn=_sym_node,
-        eigen_fn=lambda p, q, k: q ** (-k)
-        * (1 - q**k)
-        * (1 - p["a"] * p["b"] * p["c"] * p["d"] * q ** (k - 1)),
-        lowering_fn=lambda p, q, k: q ** (-2 * k + 1)
-        / p["a"]
-        * (1 - p["a"] * p["b"] * q ** (k - 1))
-        * (1 - p["a"] * p["c"] * q ** (k - 1))
-        * (1 - p["a"] * p["d"] * q ** (k - 1))
-        * (1 - q**k),
+        coefficients=lambda p, q: (
+            (
+                -1 - p["a"] * p["b"] * p["c"] * p["d"] / q,
+                p["a"] * p["b"] * p["c"] * p["d"] / q,
+                1,
+            ),
+            (0, p["a"], 1 / p["a"]),
+            _lowering(
+                q / p["a"], -2, p["a"] * p["b"] / q, p["a"] * p["c"] / q, p["a"] * p["d"] / q
+            ),
+        ),
         kn_fn=lambda p, q, n: qpoch(
             q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"], q, n
         ),
@@ -286,13 +285,11 @@ _register(
         defaults={"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab, ac, bc < 1",
-        node_fn=_sym_node,
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: q ** (-2 * k + 1)
-        / p["a"]
-        * (1 - p["a"] * p["b"] * q ** (k - 1))
-        * (1 - p["a"] * p["c"] * q ** (k - 1))
-        * (1 - q**k),
+        coefficients=lambda p, q: (
+            (-1, 0, 1),
+            (0, p["a"], 1 / p["a"]),
+            _lowering(q / p["a"], -2, p["a"] * p["b"] / q, p["a"] * p["c"] / q),
+        ),
         kn_fn=lambda p, q, n: Fraction(1),
         named_fn=lambda p, q, n, x: cdqhahn_value(q, n, x, p["a"], p["b"], p["c"]),
     )
@@ -307,12 +304,11 @@ _register(
         defaults={"a": Fraction(1, 3), "b": Fraction(1, 4), "c": Fraction(-1, 2)},
         newton_form="v_k(x) = prod_{j<k} (x - q^-j)",
         positivity="0 < aq < 1, 0 <= bq < 1, c < 0",
-        node_fn=lambda p, q, k: q ** (-k),
-        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (-1 + q ** (k + 1) * p["a"] * p["b"]),
-        lowering_fn=lambda p, q, k: q ** (1 - 2 * k)
-        * (1 - p["a"] * q**k)
-        * (1 - p["c"] * q**k)
-        * (1 - q**k),
+        coefficients=lambda p, q: (
+            (-1 - p["a"] * p["b"] * q, p["a"] * p["b"] * q, 1),
+            (0, 0, 1),
+            _lowering(q, -2, p["a"], p["c"]),
+        ),
         kn_fn=lambda p, q, n: qpoch(q ** (n + 1) * p["a"] * p["b"], q, n)
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["c"], q, n)),
         named_fn=lambda p, q, n, x: qhyper_sum(
@@ -334,12 +330,11 @@ _register(
         defaults={"a": Fraction(2), "b": Fraction(1, 4)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab < 1",
-        node_fn=_sym_node,
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: q ** (-2 * k + 1)
-        / p["a"]
-        * (1 - p["a"] * p["b"] * q ** (k - 1))
-        * (1 - q**k),
+        coefficients=lambda p, q: (
+            (-1, 0, 1),
+            (0, p["a"], 1 / p["a"]),
+            _lowering(q / p["a"], -2, p["a"] * p["b"] / q),
+        ),
         kn_fn=lambda p, q, n: Fraction(1),
         named_fn=lambda p, q, n, x: qpoch(p["a"] * p["b"], q, n)
         / p["a"] ** n
@@ -356,12 +351,11 @@ _register(
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = x^k (qa/x; q)_k",
         positivity="0 < aq < 1, b < 0",
-        node_fn=lambda p, q, k: p["a"] * q ** (k + 1),
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: -(q ** (1 - k))
-        * p["b"]
-        * (1 - p["a"] * q**k)
-        * (1 - q**k),
+        coefficients=lambda p, q: (
+            (-1, 0, 1),
+            (0, p["a"] * q, 0),
+            _lowering(-q * p["b"], -1, p["a"]),
+        ),
         kn_fn=lambda p, q, n: 1
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
         named_fn=lambda p, q, n, x: (-p["b"]) ** n
@@ -382,12 +376,11 @@ _register(
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = (-1)^k q^{-k(k-1)/2} (x; q)_k",
         positivity="0 < aq < 1, b < 0",
-        node_fn=lambda p, q, k: q ** (-k),
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: q ** (1 - 2 * k)
-        * (1 - p["a"] * q**k)
-        * (1 - p["b"] * q**k)
-        * (1 - q**k),
+        coefficients=lambda p, q: (
+            (-1, 0, 1),
+            (0, 0, 1),
+            _lowering(q, -2, p["a"], p["b"]),
+        ),
         kn_fn=lambda p, q, n: 1
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
         named_fn=lambda p, q, n, x: qhyper_sum(
@@ -405,9 +398,11 @@ _register(
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = (-b)^-k q^{-k(k+1)/2} (qbx; q)_k",
         positivity="0 < a < 1/q, b < 1/q",
-        node_fn=lambda p, q, k: q ** (-k - 1) / p["b"],
-        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (-1 + q ** (k + 1) * p["a"] * p["b"]),
-        lowering_fn=lambda p, q, k: (1 - q ** (-k)) * (1 - q ** (-k) / p["b"]),
+        coefficients=lambda p, q: (
+            (-1 - p["a"] * p["b"] * q, p["a"] * p["b"] * q, 1),
+            (0, 0, 1 / (q * p["b"])),
+            _lowering(1 / p["b"], -2, p["b"]),
+        ),
         kn_fn=lambda p, q, n: _sign(n)
         * q ** (-_halfsq(n))
         * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
@@ -435,9 +430,11 @@ _register(
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
         positivity="0 < a < 1/q, b < 1/q",
-        node_fn=lambda p, q, k: Fraction(0),
-        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (-1 + q ** (k + 1) * p["a"] * p["b"]),
-        lowering_fn=lambda p, q, k: (1 - q ** (-k)) * (1 - p["a"] * q**k),
+        coefficients=lambda p, q: (
+            (-1 - p["a"] * p["b"] * q, p["a"] * p["b"] * q, 1),
+            (0, 0, 0),
+            _lowering(-1, -1, p["a"]),
+        ),
         kn_fn=lambda p, q, n: _sign(n)
         * q ** (-_halfsq(n))
         * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
@@ -455,9 +452,11 @@ _register(
         defaults={"a": Fraction(2)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a real",
-        node_fn=_sym_node,
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: q ** (1 - 2 * k) / p["a"] * (1 - q**k),
+        coefficients=lambda p, q: (
+            (-1, 0, 1),
+            (0, p["a"], 1 / p["a"]),
+            _lowering(q / p["a"], -2),
+        ),
         kn_fn=lambda p, q, n: Fraction(1),
         named_fn=lambda p, q, n, x: _z_series(n, q, x, p["a"], (), ())
         / p["a"] ** n,
@@ -473,9 +472,11 @@ _register(
         defaults={"b": Fraction(1, 3)},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
         positivity="none recorded",
-        node_fn=lambda p, q, k: q ** (-k),
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: (1 - q ** (-k)) * (p["b"] - q ** (1 - k)),
+        coefficients=lambda p, q: (
+            (-1, 0, 1),
+            (0, 0, 1),
+            _lowering(q, -2, p["b"] / q),
+        ),
         kn_fn=lambda p, q, n: Fraction(1),
         named_fn=lambda p, q, n, x: qpoch(p["b"], q, n)
         * qhyper_sum((q ** (-n), x), (p["b"],), q, q, n),
@@ -491,9 +492,7 @@ _register(
         defaults={"a": Fraction(-1)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="a < 0",
-        node_fn=lambda p, q, k: q**k,
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: p["a"] * (1 - q ** (-k)),
+        coefficients=lambda p, q: ((-1, 0, 1), (0, 1, 0), _lowering(-p["a"], -1)),
         kn_fn=lambda p, q, n: Fraction(1),
         named_fn=lambda p, q, n, x: (-p["a"]) ** n
         * q ** (_halfsq(n))
@@ -512,9 +511,7 @@ _register(
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="0 < aq < 1",
-        node_fn=lambda p, q, k: q**k,
-        eigen_fn=lambda p, q, k: 1 - q ** (-k),
-        lowering_fn=lambda p, q, k: p["a"] * (q**k - 1),
+        coefficients=lambda p, q: ((1, 0, -1), (0, 1, 0), _lowering(-p["a"], 0)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
         named_fn=lambda p, q, n, x: _sign(n)
         * q ** (n * (n + 1) // 2)
@@ -535,9 +532,7 @@ _register(
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
         positivity="0 < aq < 1",
-        node_fn=lambda p, q, k: Fraction(0),
-        eigen_fn=lambda p, q, k: 1 - q ** (-k),
-        lowering_fn=lambda p, q, k: q ** (-k) * (1 - p["a"] * q**k) * (1 - q**k),
+        coefficients=lambda p, q: ((1, 0, -1), (0, 0, 0), _lowering(1, -1, p["a"])),
         kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
         named_fn=lambda p, q, n, x: qhyper_sum(
             (q ** (-n), Fraction(0)), (q * p["a"],), q, q * x, n
@@ -554,9 +549,11 @@ _register(
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="a > 0",
-        node_fn=lambda p, q, k: q**k,
-        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (1 + p["a"] * q**k),
-        lowering_fn=lambda p, q, k: p["a"] * q ** (k - 1) * (q**k - 1),
+        coefficients=lambda p, q: (
+            (1 - p["a"], p["a"], -1),
+            (0, 1, 0),
+            _lowering(-p["a"] / q, 1),
+        ),
         kn_fn=lambda p, q, n: _sign(n)
         * q ** (-_halfsq(n))
         * qpoch(-p["a"] * q**n, q, n),
@@ -573,9 +570,7 @@ _register(
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k",
         positivity="a > 0",
-        node_fn=lambda p, q, k: Fraction(0),
-        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (1 + p["a"] * q**k),
-        lowering_fn=lambda p, q, k: q ** (-k) - 1,
+        coefficients=lambda p, q: ((1 - p["a"], p["a"], -1), (0, 0, 0), _lowering(1, -1)),
         kn_fn=lambda p, q, n: _sign(n)
         * q ** (-_halfsq(n))
         * qpoch(-p["a"] * q**n, q, n),
@@ -592,9 +587,7 @@ _register(
         defaults={},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
         positivity="none recorded",
-        node_fn=lambda p, q, k: q ** (-k),
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: q ** (1 - 2 * k) * (1 - q**k),
+        coefficients=lambda p, q: ((-1, 0, 1), (0, 0, 1), _lowering(q, -2)),
         kn_fn=lambda p, q, n: Fraction(1),
         named_fn=lambda p, q, n, x: qhyper_sum(
             (q ** (-n), x), (Fraction(0),), q, q, n
@@ -611,9 +604,7 @@ _register(
         defaults={},
         newton_form="v_k(x) = x^k",
         positivity="none recorded",
-        node_fn=lambda p, q, k: Fraction(0),
-        eigen_fn=_hk_qinv_minus_one,
-        lowering_fn=lambda p, q, k: 1 - q ** (-k),
+        coefficients=lambda p, q: ((-1, 0, 1), (0, 0, 0), _lowering(-1, -1)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)),
         named_fn=lambda p, q, n, x: qhyper_sum((q ** (-n),), (), q, q * x, n),
     )
@@ -628,9 +619,7 @@ _register(
         defaults={},
         newton_form="v_k(x) = x^k",
         positivity="none recorded",
-        node_fn=lambda p, q, k: Fraction(0),
-        eigen_fn=lambda p, q, k: q**k - 1,
-        lowering_fn=lambda p, q, k: q ** (-k) - 1,
+        coefficients=lambda p, q: ((-1, 1, 0), (0, 0, 0), _lowering(1, -1)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (n * n) / qpoch(q, q, n),
         named_fn=lambda p, q, n, x: qhyper_sum(
             (q ** (-n),), (Fraction(0),), q, -(q ** (n + 1)) * x, n
@@ -659,38 +648,29 @@ def coerce_params(spec: FamilySpec, params: Mapping | None) -> dict[str, Fractio
     return merged
 
 
-def instantiate(
-    family: str, params: Mapping | None = None, q: Fraction | int | str | None = None
-) -> ParameterVector:
-    """Fit the Laurent coefficients reproducing the family's sequences.
-
-    Each closed form is evaluated once at k = 0..8.  Node and eigenvalue
-    coefficients are fitted to the values at k = 0..2, lowering coefficients
-    to those at k = 0..4; the fit is verified against all nine values on the
-    vector's own sequence table, which it keeps.
-    """
+def _resolve(
+    family: str, params: Mapping | None, q: Fraction | int | str | None
+) -> tuple[FamilySpec, dict[str, Fraction], Fraction]:
+    """The family's spec, its coerced parameters and the base q, which
+    defaults to DEFAULT_Q and must be admissible."""
     spec = FAMILIES[family]
     q = rational(q) if q is not None else DEFAULT_Q
     if not admissible_q(q):
         raise InadmissibleParams(f"base q = {q} must avoid 0 and +/-1")
-    p = coerce_params(spec, params)
-    fns = (spec.node_fn, spec.eigen_fn, spec.lowering_fn)
-    closed = [[fn(p, q, k) for k in range(9)] for fn in fns]
-    # Each fit lists c_{-m..m}: b2, a2 and d2 multiply q**-k, d4 q**-2k.
-    b2, b0, b1 = _laurent_fit(closed[0][:3], q)
-    a2, a0, a1 = _laurent_fit(closed[1][:3], q)
-    d4, d2, d0, d1, d3 = _laurent_fit(closed[2][:5], q)
+    return spec, coerce_params(spec, params), q
+
+
+def instantiate(
+    family: str, params: Mapping | None = None, q: Fraction | int | str | None = None
+) -> ParameterVector:
+    """The family's vector: the eleven coefficients its registry entry states
+    for these parameters and q."""
+    spec, p, q = _resolve(family, params, q)
+    a, b, d = spec.coefficients(p, q)
     try:
-        pv = ParameterVector(q=q, a=(a0, a1, a2), b=(b0, b1, b2), d=(d0, d1, d2, d3, d4))
+        return ParameterVector(q=q, a=a, b=b, d=d)
     except Exception as exc:
         raise InadmissibleParams(f"{family}: {exc}") from exc
-    table = pv._sequences(8)
-    for k in range(9):
-        if any(row[k] != want[k] for row, want in zip(table, closed)):
-            raise Mismatch(
-                f"{family}: solved coefficients disagree with closed forms at k={k}"
-            )
-    return pv
 
 
 def hyper_eval(
@@ -701,11 +681,7 @@ def hyper_eval(
     x: Fraction | int | str,
 ) -> Fraction:
     """Monic value k_n^{-1} * (named representation) at rational x."""
-    spec = FAMILIES[family]
-    q = rational(q) if q is not None else DEFAULT_Q
-    if not admissible_q(q):
-        raise InadmissibleParams(f"base q = {q} must avoid 0 and +/-1")
-    p = coerce_params(spec, params)
+    spec, p, q = _resolve(family, params, q)
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
     kn = spec.kn_fn(p, q, n)
@@ -726,9 +702,9 @@ class CrosscheckReport:
 
 def crosscheck(family: str, n_max: int = 8) -> CrosscheckReport:
     """Engine route vs closed form at the family's defaults: monic_poly from
-    the instantiated vector must equal hyper_eval at n+1 distinct sample
-    points for every n <= n_max, and the vector's zero pattern must land on
-    the family's diagram."""
+    the instantiated vector must equal hyper_eval at the n+1 distinct points
+    _sample_xs(n + 1) for every n <= n_max, and the vector's zero pattern must
+    land on the family's diagram."""
     spec = FAMILIES[family]
     p = coerce_params(spec, None)
     pv = instantiate(family, p, DEFAULT_Q)
@@ -737,7 +713,7 @@ def crosscheck(family: str, n_max: int = 8) -> CrosscheckReport:
         u = monic_poly(pv, n)
         if u.degree != n or not u.is_monic:
             raise Mismatch(f"{family}: engine polynomial at n={n} is not monic")
-        for x in SAMPLE_XS[: n + 1]:
+        for x in _sample_xs(n + 1):
             lhs = u(x)
             rhs = hyper_eval(family, p, DEFAULT_Q, n, x)
             if lhs != rhs:

@@ -2,12 +2,20 @@
 engine computes with integer kernels and closed forms, kept to pin the
 engine to them."""
 
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 from functools import cache
 
 from qscheme import catalog
-from qscheme.errors import DivisionByZero, HSeparationViolated, QSchemeError
+from qscheme.core import ParameterVector
+from qscheme.errors import (
+    DivisionByZero,
+    HSeparationViolated,
+    InadmissibleParams,
+    Mismatch,
+    QSchemeError,
+)
 from qscheme.qpolynomial import Poly, poly
+from qscheme.qrational import admissible_q, rational
 from qscheme.qseries import qpoch, qpoch_many
 
 
@@ -225,3 +233,197 @@ def oracle_qhyper(upper, lower, q, z, n) -> F:
         term *= (F(-1) ** k * q ** (k * (k - 1) // 2)) ** e
         total += term
     return total
+
+
+# -- the catalog's sequences as closed forms ---------------------------------------
+#
+# Each family's node, eigenvalue and lowering sequences in the factored forms
+# of Koekoek, Lesky & Swarttouw (2010), ch. 14.  The registry states their
+# Laurent coefficients; fitted_instantiate recovers those from these forms.
+
+
+def _sym_node(p, q, k):
+    a = p["a"]
+    return a * q**k + q ** (-k) / a
+
+
+def _hk_qinv_minus_one(p, q, k):
+    return q ** (-k) - 1
+
+
+CLOSED_FORMS = {
+    "1a": dict(
+        node_fn=_sym_node,
+        eigen_fn=lambda p, q, k: q ** (-k)
+        * (1 - q**k)
+        * (1 - p["a"] * p["b"] * p["c"] * p["d"] * q ** (k - 1)),
+        lowering_fn=lambda p, q, k: q ** (-2 * k + 1)
+        / p["a"]
+        * (1 - p["a"] * p["b"] * q ** (k - 1))
+        * (1 - p["a"] * p["c"] * q ** (k - 1))
+        * (1 - p["a"] * p["d"] * q ** (k - 1))
+        * (1 - q**k),
+    ),
+    "2a": dict(
+        node_fn=_sym_node,
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: q ** (-2 * k + 1)
+        / p["a"]
+        * (1 - p["a"] * p["b"] * q ** (k - 1))
+        * (1 - p["a"] * p["c"] * q ** (k - 1))
+        * (1 - q**k),
+    ),
+    "2b": dict(
+        node_fn=lambda p, q, k: q ** (-k),
+        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (-1 + q ** (k + 1) * p["a"] * p["b"]),
+        lowering_fn=lambda p, q, k: q ** (1 - 2 * k)
+        * (1 - p["a"] * q**k)
+        * (1 - p["c"] * q**k)
+        * (1 - q**k),
+    ),
+    "3a": dict(
+        node_fn=_sym_node,
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: q ** (-2 * k + 1)
+        / p["a"]
+        * (1 - p["a"] * p["b"] * q ** (k - 1))
+        * (1 - q**k),
+    ),
+    "3b": dict(
+        node_fn=lambda p, q, k: p["a"] * q ** (k + 1),
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: -(q ** (1 - k))
+        * p["b"]
+        * (1 - p["a"] * q**k)
+        * (1 - q**k),
+    ),
+    "3c": dict(
+        node_fn=lambda p, q, k: q ** (-k),
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: q ** (1 - 2 * k)
+        * (1 - p["a"] * q**k)
+        * (1 - p["b"] * q**k)
+        * (1 - q**k),
+    ),
+    "3d": dict(
+        node_fn=lambda p, q, k: q ** (-k - 1) / p["b"],
+        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (-1 + q ** (k + 1) * p["a"] * p["b"]),
+        lowering_fn=lambda p, q, k: (1 - q ** (-k)) * (1 - q ** (-k) / p["b"]),
+    ),
+    "3e": dict(
+        node_fn=lambda p, q, k: Fraction(0),
+        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (-1 + q ** (k + 1) * p["a"] * p["b"]),
+        lowering_fn=lambda p, q, k: (1 - q ** (-k)) * (1 - p["a"] * q**k),
+    ),
+    "4a": dict(
+        node_fn=_sym_node,
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: q ** (1 - 2 * k) / p["a"] * (1 - q**k),
+    ),
+    "4b": dict(
+        node_fn=lambda p, q, k: q ** (-k),
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: (1 - q ** (-k)) * (p["b"] - q ** (1 - k)),
+    ),
+    "4c": dict(
+        node_fn=lambda p, q, k: q**k,
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: p["a"] * (1 - q ** (-k)),
+    ),
+    "4d": dict(
+        node_fn=lambda p, q, k: q**k,
+        eigen_fn=lambda p, q, k: 1 - q ** (-k),
+        lowering_fn=lambda p, q, k: p["a"] * (q**k - 1),
+    ),
+    "4e": dict(
+        node_fn=lambda p, q, k: Fraction(0),
+        eigen_fn=lambda p, q, k: 1 - q ** (-k),
+        lowering_fn=lambda p, q, k: q ** (-k) * (1 - p["a"] * q**k) * (1 - q**k),
+    ),
+    "4f'": dict(
+        node_fn=lambda p, q, k: q**k,
+        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (1 + p["a"] * q**k),
+        lowering_fn=lambda p, q, k: p["a"] * q ** (k - 1) * (q**k - 1),
+    ),
+    "4g": dict(
+        node_fn=lambda p, q, k: Fraction(0),
+        eigen_fn=lambda p, q, k: (1 - q ** (-k)) * (1 + p["a"] * q**k),
+        lowering_fn=lambda p, q, k: q ** (-k) - 1,
+    ),
+    "5a": dict(
+        node_fn=lambda p, q, k: q ** (-k),
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: q ** (1 - 2 * k) * (1 - q**k),
+    ),
+    "5b": dict(
+        node_fn=lambda p, q, k: Fraction(0),
+        eigen_fn=_hk_qinv_minus_one,
+        lowering_fn=lambda p, q, k: 1 - q ** (-k),
+    ),
+    "5c'": dict(
+        node_fn=lambda p, q, k: Fraction(0),
+        eigen_fn=lambda p, q, k: q**k - 1,
+        lowering_fn=lambda p, q, k: q ** (-k) - 1,
+    ),
+}
+
+LAURENT_POWERS = ((0, 1, -1), (0, 1, -1, 2, -2))
+
+
+def solve_linear(rows: list[list[F]], rhs: list[F]) -> list[F]:
+    """Exact Gaussian elimination (systems here are 3x3 and 5x5)."""
+    n = len(rows)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        head = m[col][col]
+        m[col] = [v / head for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+@cache
+def laurent_inverse(q: F, powers: tuple[int, ...]) -> list[list[F]]:
+    """The inverse of the matrix (q**(e*k)), k = 0..len(powers)-1, one
+    column solved by elimination per unit vector."""
+    rows = [[q ** (e * k) for e in powers] for k in range(len(powers))]
+    unit = [[F(int(i == j)) for i in range(len(powers))] for j in range(len(powers))]
+    columns = [solve_linear(rows, e) for e in unit]
+    return [list(row) for row in zip(*columns)]
+
+
+def fitted_instantiate(family, params=None, q=None) -> ParameterVector:
+    """Reference: the vector whose Laurent coefficients interpolate the
+    family's closed forms, solved by elimination from their values at
+    k = 0..2 (node, eigenvalue) and k = 0..4 (lowering), then checked
+    against them at k = 0..8; refusals as instantiate words them."""
+    spec = catalog.FAMILIES[family]
+    q = rational(q) if q is not None else catalog.DEFAULT_Q
+    if not admissible_q(q):
+        raise InadmissibleParams(f"base q = {q} must avoid 0 and +/-1")
+    p = catalog.coerce_params(spec, params)
+    forms = CLOSED_FORMS[family]
+    closed = [
+        [forms[name](p, q, k) for k in range(9)]
+        for name in ("node_fn", "eigen_fn", "lowering_fn")
+    ]
+
+    def fit(values, powers):
+        inverse = laurent_inverse(q, powers)
+        return [sum(c * v for c, v in zip(row, values)) for row in inverse]
+
+    b = fit(closed[0][:3], LAURENT_POWERS[0])
+    a = fit(closed[1][:3], LAURENT_POWERS[0])
+    d = fit(closed[2][:5], LAURENT_POWERS[1])
+    try:
+        pv = ParameterVector(q=q, a=a, b=b, d=d)
+    except Exception as exc:
+        raise InadmissibleParams(f"{family}: {exc}") from exc
+    for k in range(9):
+        if (pv.node(k), pv.eigenvalue(k), pv.lowering(k)) != tuple(row[k] for row in closed):
+            raise Mismatch(f"{family}: solved coefficients disagree with closed forms at k={k}")
+    return pv

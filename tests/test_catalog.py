@@ -22,6 +22,8 @@ from qscheme.qpolynomial import product_of_linear
 from qscheme.symmetry import q_invert
 from qscheme.verify import Q_POOL
 
+from reference import fitted_instantiate, outcome
+
 
 def test_registry_shape():
     assert len(FAMILIES) == 18
@@ -35,6 +37,15 @@ def test_every_family_crosschecks_exactly():
         report = crosscheck(key, n_max=8)
         assert report.ok
         assert report.checked_values == sum(n + 1 for n in range(9))
+
+
+def test_crosscheck_compares_each_degree_at_enough_distinct_points():
+    # a degree-n identity needs n + 1 points; SAMPLE_XS alone stops at 13
+    xs = catalog._sample_xs(25)
+    assert xs[:13] == catalog.SAMPLE_XS and catalog._sample_xs(9) == catalog.SAMPLE_XS[:9]
+    assert len(set(xs)) == 25 and 0 not in xs
+    for key in FAMILIES:
+        assert crosscheck(key, n_max=14).checked_values == sum(n + 1 for n in range(15)) == 120
 
 
 def test_monic_normalization_at_zero_degree():
@@ -189,60 +200,43 @@ def test_registry_json_deterministic_and_ordered():
     )
 
 
-def _solve_linear(rows: list[list[F]], rhs: list[F]) -> list[F]:
-    """Reference: exact Gaussian elimination (systems here are 3x3 and 5x5)."""
-    n = len(rows)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        head = m[col][col]
-        m[col] = [v / head for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_laurent_fit_is_exact(m):
-    """Random c_{-m..m}, with zero entries at either end, both ends and all
-    of them, come back exactly from their values at q**k, k = 0..2m."""
-    rng = random.Random(47 + m)
-    size = 2 * m + 1
-    for q in Q_POOL:
-        for trial in range(12):
-            coeffs = [F(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for _ in range(size)]
-            if trial % 4 in (1, 3):
-                coeffs[0] = F(0)
-            if trial % 4 in (2, 3):
-                coeffs[-1] = F(0)
-            if trial == 11:
-                coeffs = [F(0)] * size
-            values = [
-                sum(c * q ** (e * k) for e, c in zip(range(-m, m + 1), coeffs))
-                for k in range(size)
-            ]
-            assert catalog._laurent_fit(values, q) == coeffs, (q, coeffs)
-
-
-LAURENT_POWERS = ((0, 1, -1), (0, 1, -1, 2, -2))
-
-
-@pytest.mark.parametrize("q", [catalog.DEFAULT_Q, F(-2, 3)])
+@pytest.mark.parametrize("q", Q_POOL)
 def test_instantiate_matches_direct_elimination(q):
-    # Reference: a Gaussian elimination per Laurent system.
-    def direct(values, powers):
-        rows = [[q ** (e * k) for e in powers] for k in range(len(values))]
-        return tuple(_solve_linear(rows, values))
-
+    """At every base, at the defaults and at seeded parameters with zeros
+    among them, the stated coefficients give the vector fitted to the closed
+    forms by elimination, or the same refusal."""
+    rng = random.Random(53)
+    refusals = set()
     for key, spec in FAMILIES.items():
-        p = catalog.coerce_params(spec, None)
-        pv = instantiate(key, None, q)
-        assert pv.b == direct([spec.node_fn(p, q, k) for k in range(3)], LAURENT_POWERS[0])
-        assert pv.a == direct([spec.eigen_fn(p, q, k) for k in range(3)], LAURENT_POWERS[0])
-        assert pv.d == direct([spec.lowering_fn(p, q, k) for k in range(5)], LAURENT_POWERS[1])
+        draws = [None] + [
+            {ps.name: F(rng.randint(-3, 3), rng.randint(1, 3)) for ps in spec.params}
+            for _ in range(10)
+        ]
+        for params in draws:
+            want = outcome(fitted_instantiate, key, params, q)
+            assert outcome(instantiate, key, params, q) == want, (key, params)
+            if isinstance(want, tuple):
+                refusals.add(want)
+    # refused by the parameter check and by the vector's constraints
+    assert (InadmissibleParams, "1a: parameter a violates a != 0") in refusals
+    assert (InadmissibleParams, "3b: all lowering coefficients vanish (degenerate family)") in refusals
+
+
+def test_lowering_expands_the_factored_form():
+    a, b, c, d, q = F(2), F(1, 3), F(1, 5), F(1, 7), F(1, 2)
+    # d0..d4 multiply q**0, q**k, q**-k, q**2k, q**-2k
+    assert catalog._lowering(q / a, -2, a * b / q, a * c / q, a * d / q) == instantiate("1a").d
+    assert catalog._lowering(-a / q, 1) == (0, -a / q, 0, a / q, 0)
+    assert catalog._lowering(1 / b, -2, b) == (1, 0, -1 - 1 / b, 0, 1 / b)
+
+
+@pytest.mark.parametrize(
+    "power, alphas, span",
+    [(-3, (), "-3..-2"), (2, (), "2..3"), (-2, (1, 2, 3, 4), "-2..3"), (0, (1, 2), "0..3")],
+)
+def test_lowering_rejects_exponents_outside_the_laurent_span(power, alphas, span):
+    with pytest.raises(ValueError, match=re.escape(f"lowering exponents {span} leave -2..2")):
+        catalog._lowering(F(1), power, *alphas)
 
 
 @pytest.mark.parametrize("key", list(FAMILIES))

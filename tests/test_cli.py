@@ -162,6 +162,13 @@ def test_config_must_be_valid_json(capsys, tmp_path):
     assert code == 2 and "config" in err
 
 
+def test_list_json_matches_golden_file(capsys, tmp_path):
+    target = tmp_path / "list.json"
+    code, out, _ = run(capsys, "list", "--json", str(target))
+    assert code == 0 and len(out.splitlines()) == 19
+    assert target.read_bytes() == (DATA / "list.json").read_bytes()
+
+
 def test_graph_dot_matches_golden_file(capsys, tmp_path):
     target = tmp_path / "scheme.dot"
     code, out, _ = run(capsys, "graph", "--format", "dot", "-o", str(target))

@@ -784,8 +784,7 @@ def test_sequence_table_is_not_part_of_the_value():
     grown, fresh = catalog.instantiate("2a"), catalog.instantiate("2a")
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
-    # instantiate checks the fit on the table to k = 8 and leaves it warm
-    assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 9
+    assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
     assert fresh._hash is None
     assert grown == fresh and hash(grown) == hash(fresh)
     assert grown._hash == fresh._hash == hash((grown.q, grown.a, grown.b, grown.d))
@@ -798,14 +797,6 @@ def test_sequence_table_is_not_part_of_the_value():
     assert type(grown)._hash is None and type(grown)._forms is None
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
-
-
-def test_instantiate_leaves_the_checked_table_warm():
-    for key in catalog.FAMILIES:
-        pv = catalog.instantiate(key, None, F(-2, 3))
-        x, h, g = pv._table
-        assert len(x) == len(h) == len(g) == 9
-        assert (x, h, g) == dataclasses.replace(pv)._sequences(8), key
 
 
 def test_threads_growing_one_table_get_the_serial_results():

@@ -51,3 +51,19 @@ def test_self_dual_check_fails_on_the_default_1a_instance(monkeypatch):
     checks = {c.name: c.passed for c in verify.suite_duality(depth=2).checks}
     assert checks["duality/self-dual/1a"] is False
     assert all(passed for name, passed in checks.items() if name != "duality/self-dual/1a")
+
+
+def test_duality_builds_each_polynomial_once_per_instance(monkeypatch):
+    builds = {"normalized": [], "dual": []}
+    for name, key in (("normalized_poly", "normalized"), ("dual_normalized_poly", "dual")):
+
+        def counted(pv, n, build=getattr(verify, name), calls=builds[key]):
+            calls.append((pv, n))
+            return build(pv, n)
+
+        monkeypatch.setattr(verify, name, counted)
+    report = verify.suite_duality(depth=8)
+    assert report.passed
+    instances = 1 + len(verify.DUALITY_INSTANCES)
+    for calls in builds.values():
+        assert len(calls) == len(set(calls)) == 9 * instances
