@@ -682,12 +682,17 @@ def hyper_eval(
 ) -> Fraction:
     """Monic value k_n^{-1} * (named representation) at rational x."""
     spec, p, q = _resolve(family, params, q)
+    return _monic_series(spec, p, q, n)(rational(x))
+
+
+def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Callable[[Fraction], Fraction]:
+    """x -> k_n^{-1} * (named representation) at x, with k_n computed once."""
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
     kn = spec.kn_fn(p, q, n)
     if kn == 0:
-        raise DivisionByZero(f"{family}: k_{n} vanishes for these parameters")
-    return spec.named_fn(p, q, n, rational(x)) / kn
+        raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
+    return lambda x: spec.named_fn(p, q, n, x) / kn
 
 
 @dataclass(frozen=True)
@@ -702,7 +707,8 @@ class CrosscheckReport:
 
 def crosscheck(family: str, n_max: int = 8) -> CrosscheckReport:
     """Engine route vs closed form at the family's defaults: monic_poly from
-    the instantiated vector must equal hyper_eval at the n+1 distinct points
+    the instantiated vector must equal hyper_eval's value, with the family
+    resolved once and k_n computed once per n, at the n+1 distinct points
     _sample_xs(n + 1) for every n <= n_max, and the vector's zero pattern must
     land on the family's diagram."""
     spec = FAMILIES[family]
@@ -713,9 +719,10 @@ def crosscheck(family: str, n_max: int = 8) -> CrosscheckReport:
         u = monic_poly(pv, n)
         if u.degree != n or not u.is_monic:
             raise Mismatch(f"{family}: engine polynomial at n={n} is not monic")
+        closed_form = _monic_series(spec, p, DEFAULT_Q, n)
         for x in _sample_xs(n + 1):
             lhs = u(x)
-            rhs = hyper_eval(family, p, DEFAULT_Q, n, x)
+            rhs = closed_form(x)
             if lhs != rhs:
                 raise Mismatch(
                     f"{family}: n={n}, x={x}: engine {lhs} != closed form {rhs}"

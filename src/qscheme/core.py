@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable
 
 from .errors import (
@@ -33,7 +34,14 @@ from .errors import (
     XSeparationViolated,
     ZeroG,
 )
-from .qpolynomial import Poly, _homogeneous_horner, _newton_horner, _over_lcm, product_of_linear
+from .qpolynomial import (
+    Poly,
+    _homogeneous_horner,
+    _newton_division,
+    _newton_horner,
+    _over_lcm,
+    product_of_linear,
+)
 from .qrational import admissible_q, format_rational, rational
 
 
@@ -337,15 +345,14 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
-    """Coefficients e_k with p = sum e_k v_k, by repeated node deflation."""
-    out: list[Fraction] = []
-    rest = p
-    for node in pv._sequences(p.degree)[0]:
-        rest, value = rest.deflate(node)
-        out.append(value)
-    if not out:
-        out.append(Fraction(0))
-    return out
+    """Coefficients e_k with p = sum e_k v_k.
+
+    With node(0..d-1) over their lcm Dx and p = sum N_i x**i / D, synthetic
+    division of P(y) = sum N_i Dx**(d-i) y**i by y - Dx*node(j) runs on
+    integers; its k-th remainder e'_k gives e_k = e'_k Dx**k / (D Dx**d).
+    """
+    nums, den = _newton_division(p, pv._sequences(p.degree - 1)[0])
+    return [Fraction(v, den) for v in nums] or [Fraction(0)]
 
 
 def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
@@ -358,17 +365,22 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
 
     The operator is represented through its Newton-basis action
     L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}: expand p over the basis,
-    transform termwise, convert back to the monomial basis.
+    transform termwise, convert back to the monomial basis, all on integers.
+    The expansion is to_newton_coeffs' e_k = E_k/den, scaled by Dx as there;
+    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over their lcms,
+    h_k e_k + g_{k+1} e_{k+1} = (H_k E_k Dg + G_{k+1} E_{k+1} Dh) / (den Dh Dg)
+    goes to _newton_horner, and Fractions are built only for the output.
     """
-    e = to_newton_coeffs(pv, p)
-    _, h, g = pv._sequences(len(e))
-    out = []
-    for k in range(len(e)):
-        value = h[k] * e[k]
-        if k + 1 < len(e):
-            value += g[k + 1] * e[k + 1]
-        out.append(value)
-    return from_newton_coeffs(pv, out)
+    e, den = _newton_division(p, pv._sequences(p.degree - 1)[0])
+    if not e:
+        return Poly.zero()
+    x, h, g = pv._sequences(len(e) - 1)
+    hs, dh = _over_lcm(h)
+    gs, dg = _over_lcm(g[1:])  # gs[k] is lowering(k+1)
+    out = [hk * ek * dg for hk, ek in zip(hs, e)]
+    for k in range(len(e) - 1):
+        out[k] += gs[k] * e[k + 1] * dh
+    return _newton_horner(out, den * dh * dg, x)
 
 
 def recurrence_coeff0(pv: ParameterVector) -> Fraction:
@@ -422,19 +434,27 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
 
 
 def recurrence_check(pv: ParameterVector, n: int) -> bool:
-    """Exact polynomial check of the three-term recurrence at index n."""
-    if n == 0:
-        lhs = Poly.x() * monic_poly(pv, 0)
-        rhs = monic_poly(pv, 1) + recurrence_coeff0(pv) * monic_poly(pv, 0)
-        return lhs == rhs
-    a_n, b_n = recurrence_coeffs(pv, n)
-    lhs = Poly.x() * monic_poly(pv, n)
-    rhs = (
-        monic_poly(pv, n + 1)
-        + a_n * monic_poly(pv, n)
-        + b_n * monic_poly(pv, n - 1)
-    )
-    return lhs == rhs
+    """Exact check of the three-term recurrence x*u_n = u_{n+1} + a_n*u_n
+    + b_n*u_{n-1} at index n (no b_n term at n = 0).
+
+    Each monic u_m is put over its common denominator, u_m = U_m/D_m, and
+    a_n = A/Da, b_n = B/Db in lowest terms.  Every term of
+    x*u_n - u_{n+1} - a_n*u_n - b_n*u_{n-1} is cross-multiplied by the
+    denominators of all the others: every factor is nonzero, so the
+    residual vanishes iff one integer list does.
+    """
+    coeffs = recurrence_coeffs(pv, n) if n else (recurrence_coeff0(pv),)
+    # (scalar, u_m, power of x) for each term of the residual
+    terms = [(1, monic_poly(pv, n), 1), (-1, monic_poly(pv, n + 1), 0)]
+    terms += [(-c, monic_poly(pv, n - i), 0) for i, c in enumerate(coeffs)]
+    parts = [(c, *_over_lcm(u.coeffs), shift) for c, u, shift in terms]
+    total = prod(c.denominator * den for c, _, den, _ in parts)
+    residual = [0] * (n + 2)
+    for c, nums, den, shift in parts:
+        scale = c.numerator * (total // (c.denominator * den))
+        for i, v in enumerate(nums, shift):
+            residual[i] += v * scale
+    return not any(residual)
 
 
 def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:

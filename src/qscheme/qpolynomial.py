@@ -140,17 +140,8 @@ class Poly:
 
     def deflate(self, root: Scalar) -> tuple["Poly", Fraction]:
         """Synthetic division by (x - root): returns (quotient, remainder)."""
-        root = rational(root)
-        acc = Fraction(0)
-        out: list[Fraction] = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        if not out:
-            return Poly.zero(), Fraction(0)
-        rem = out.pop()
-        out.reverse()
-        return Poly(out), rem
+        out, den = _newton_division(self, (rational(root),))
+        return Poly([Fraction(c, den) for c in out[1:]]), Fraction(out[0], den)
 
 
 def poly(coeffs: Iterable[Scalar]) -> Poly:
@@ -201,6 +192,42 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
         acc[0] += nums[k] * t
     den *= t
     return Poly([Fraction(v, den) for v in acc])
+
+
+def _newton_division(p: Poly, nodes: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Divide p by (x - nodes[0]), the quotient by (x - nodes[1]), and so on,
+    m = len(nodes) <= deg p + 1 times: integers (out, den) with
+
+        p = sum_{k<m} (out[k]/den) prod_{j<k} (x - nodes[j])
+            + prod_{j<m} (x - nodes[j]) * sum_i (out[m+i]/den) x**i,
+
+    the m remainders, then the last quotient.  The inverse of _newton_horner,
+    and the one synthetic division of the package.  With the nodes over
+    their lcm Dx, X_j = nodes[j]*Dx, and p = sum N_i x**i / D of degree d,
+    the integer polynomial P(y) = sum N_i Dx**(d-i) y**i has
+    p(x) = P(Dx*x) / (D Dx**d).  Synthetic division of P by (y - X_0),
+    (y - X_1), ... runs on integers; its k-th remainder e'_k gives
+    out[k] = e'_k Dx**k, and its last quotient Q gives out[m+i] = Q_i Dx**(m+i),
+    all over den = D Dx**d.
+    """
+    if not p.coeffs:
+        return [0] * len(nodes), 1
+    nums, den = _over_lcm(p.coeffs)
+    xs, dx = _over_lcm(nodes)
+    acc, scale = [], 1  # P, high degree first
+    for num in reversed(nums):
+        acc.append(num * scale)
+        scale *= dx
+    rems = []
+    for node in xs:
+        for i in range(1, len(acc)):
+            acc[i] += node * acc[i - 1]
+        rems.append(acc.pop())
+    out, scale = rems + acc[::-1], 1
+    for j in range(len(out)):
+        out[j] *= scale
+        scale *= dx
+    return out, den * dx ** (len(nums) - 1)
 
 
 def _homogeneous_horner(nums: Sequence[int], s: int, r: int) -> int:

@@ -6,7 +6,13 @@ from fractions import Fraction, Fraction as F
 from functools import cache
 
 from qscheme import catalog
-from qscheme.core import ParameterVector
+from qscheme.core import (
+    ParameterVector,
+    from_newton_coeffs,
+    monic_poly,
+    recurrence_coeff0,
+    recurrence_coeffs,
+)
 from qscheme.errors import (
     DivisionByZero,
     HSeparationViolated,
@@ -91,6 +97,66 @@ def catalog_monic_polys(key: str, q: F):
     us = [fraction_horner(row, seqs[0]) for row in rows]
     us += [(type(error), str(error))] * (MONIC_DEGREE + 1 - len(rows))
     return seqs, tuple(us)
+
+
+def fraction_deflate(p: Poly, root) -> tuple[Poly, F]:
+    """Reference: synthetic division by (x - root) on Fractions, returning
+    (quotient, remainder)."""
+    root = rational(root)
+    acc = F(0)
+    out: list[F] = []
+    for c in reversed(p.coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    if not out:
+        return Poly.zero(), F(0)
+    rem = out.pop()
+    out.reverse()
+    return Poly(out), rem
+
+
+def fraction_to_newton_coeffs(pv, p: Poly) -> list[F]:
+    """Reference: coefficients e_k with p = sum e_k v_k, by repeated node
+    deflation on Fractions."""
+    out: list[F] = []
+    rest = p
+    for node in pv._sequences(p.degree)[0]:
+        rest, value = fraction_deflate(rest, node)
+        out.append(value)
+    if not out:
+        out.append(F(0))
+    return out
+
+
+def fraction_apply_operator(pv, p: Poly) -> Poly:
+    """Reference: L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1} applied
+    termwise to the Fraction Newton coefficients of p."""
+    e = fraction_to_newton_coeffs(pv, p)
+    _, h, g = pv._sequences(len(e))
+    out = []
+    for k in range(len(e)):
+        value = h[k] * e[k]
+        if k + 1 < len(e):
+            value += g[k + 1] * e[k + 1]
+        out.append(value)
+    return from_newton_coeffs(pv, out)
+
+
+def poly_recurrence_check(pv, n: int) -> bool:
+    """Reference: the three-term recurrence as one Poly equation, summed by
+    Poly products and sums on Fractions."""
+    if n == 0:
+        lhs = Poly.x() * monic_poly(pv, 0)
+        rhs = monic_poly(pv, 1) + recurrence_coeff0(pv) * monic_poly(pv, 0)
+        return lhs == rhs
+    a_n, b_n = recurrence_coeffs(pv, n)
+    lhs = Poly.x() * monic_poly(pv, n)
+    rhs = (
+        monic_poly(pv, n + 1)
+        + a_n * monic_poly(pv, n)
+        + b_n * monic_poly(pv, n - 1)
+    )
+    return lhs == rhs
 
 
 def poly_product_of_linear(roots) -> Poly:

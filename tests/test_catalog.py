@@ -1,5 +1,6 @@
 """The family registry against the engine and against its own closed forms."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction as F
@@ -46,6 +47,40 @@ def test_crosscheck_compares_each_degree_at_enough_distinct_points():
     assert len(set(xs)) == 25 and 0 not in xs
     for key in FAMILIES:
         assert crosscheck(key, n_max=14).checked_values == sum(n + 1 for n in range(15)) == 120
+
+
+@pytest.mark.parametrize("key", list(FAMILIES))
+def test_crosscheck_resolves_once_and_builds_each_k_n_once(monkeypatch, key):
+    spec = FAMILIES[key]
+    kn_calls, coerce_calls = [], []
+    real_coerce = catalog.coerce_params
+
+    def kn_fn(p, q, n):
+        kn_calls.append(n)
+        return spec.kn_fn(p, q, n)
+
+    def coerce_params(*args):
+        coerce_calls.append(args)
+        return real_coerce(*args)
+
+    monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, kn_fn=kn_fn))
+    monkeypatch.setattr(catalog, "coerce_params", coerce_params)
+    assert crosscheck(key, n_max=8).checked_values == 45
+    assert kn_calls == list(range(9))
+    assert len(coerce_calls) == 2  # crosscheck's own and instantiate's
+
+
+@pytest.mark.parametrize("key", ["1a", "3b", "5c'"])
+def test_crosscheck_and_hyper_eval_report_a_vanishing_k_n_alike(monkeypatch, key):
+    spec = FAMILIES[key]
+    kn_fn = lambda p, q, n: 0 if n == 3 else spec.kn_fn(p, q, n)
+    monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, kn_fn=kn_fn))
+    message = re.escape(f"{key}: k_3 vanishes for these parameters")
+    with pytest.raises(DivisionByZero, match=message):
+        crosscheck(key, n_max=8)
+    with pytest.raises(DivisionByZero, match=message):
+        hyper_eval(key, None, None, 3, 2)
+    assert hyper_eval(key, None, None, 2, 2) == monic_poly(instantiate(key), 2)(2)
 
 
 def test_monic_normalization_at_zero_degree():

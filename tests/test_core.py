@@ -34,17 +34,21 @@ from qscheme.core import (
 from qscheme.errors import (
     ConstraintViolation,
     HSeparationViolated,
+    InadmissibleParams,
     XSeparationViolated,
     ZeroG,
 )
 from qscheme.qpolynomial import Poly, poly, product_of_linear
 from qscheme.symmetry import GaugeAction, apply_gauge, dualize
-from qscheme.verify import Q_POOL, random_parameter_vector
+from qscheme.verify import Q_POOL, random_broken_vector, random_parameter_vector
 from reference import (
     catalog_monic_polys,
+    fraction_apply_operator,
     fraction_horner,
+    fraction_to_newton_coeffs,
     nested_loop_collision,
     outcome,
+    poly_recurrence_check,
     triangle_rows,
 )
 
@@ -501,6 +505,93 @@ def test_broken_vector_mixes_lower_orders(pv_3a):
             found = True
             break
     assert found
+
+
+# -- the integer operator and recurrence against their Fraction references -------
+
+TINY = F(1, 2**64)
+
+
+def identity_vectors():
+    """(name, vector) pairs for the operator and recurrence references: every
+    family at every base it accepts, seeded random and broken vectors,
+    planted zero lowering values, repeated nodes and repeated eigenvalues."""
+    for key in catalog.FAMILIES:
+        for q in Q_POOL:
+            try:
+                yield f"{key} q={q}", catalog.instantiate(key, None, q)
+            except InadmissibleParams:
+                pass
+    rng = random.Random(43)
+    for i in range(12):
+        yield f"random-{i}", random_parameter_vector(rng, depth=8)
+    for i in range(12):
+        yield f"broken-{i}", random_broken_vector(rng)
+    yield "zero lowering(4)", qracah_like(3)
+    yield "zero lowering(1)", ParameterVector(
+        q=F(1, 2), a=(F(0), F(1), F(0)), b=(F(0), F(0), F(1)), d=(-3, 2, 1, 0, 0)
+    )
+    for i, pv in enumerate(colliding_vectors(12, seed=47)):
+        yield f"colliding-{i}", pv
+
+
+def test_integer_operator_and_recurrence_match_fraction_references():
+    """to_newton_coeffs, apply_operator and recurrence_check give the Fraction
+    references' value, or their error type and message, on every vector in
+    identity_vectors, for u_n, a seeded polynomial of degree n, the zero
+    and the constant polynomial, n = 0 included."""
+    rng = random.Random(53)
+    names = set()
+    raised = failed = repeated_nodes = 0
+    for name, pv in identity_vectors():
+        names.add(name.split(" ")[0].split("-")[0])
+        repeated_nodes += not pv.x_separation_ok(7)  # e.g. the default 1a, node(2) == node(0)
+        for n in range(8):
+            expected = outcome(poly_recurrence_check, pv, n)
+            assert outcome(recurrence_check, pv, n) == expected, (name, n)
+            raised += isinstance(expected, tuple)
+            failed += expected is False
+            polys = [Poly.zero(), poly([F(rng.randint(-9, 9), rng.randint(1, 9))])]
+            polys.append(poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] + [1]))
+            u = outcome(monic_poly, pv, n)
+            if isinstance(u, Poly):
+                polys.append(u)
+            for p in polys:
+                assert to_newton_coeffs(pv, p) == fraction_to_newton_coeffs(pv, p), (name, n, p)
+                assert outcome(apply_operator, pv, p) == outcome(fraction_apply_operator, pv, p), (name, n, p)
+    assert {"1a", "random", "broken", "zero", "colliding"} <= names
+    assert raised > 50 and failed > 10 and repeated_nodes > 10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recurrence_check_sees_every_coefficient(monkeypatch, pv_3a, n):
+    """2**-64 added to any one coefficient of u_{n-1}, u_n or u_{n+1} makes
+    the recurrence fail: no cross-multiplication factor is zero and no term
+    is dropped."""
+    assert all(b != 0 for _, b in (recurrence_coeffs(pv_3a, m) for m in range(1, 7)))
+    real = core.monic_poly
+    for m in (n - 1, n, n + 1):
+        for i in range(m + 1):
+
+            def nudged(pv, k, m=m, i=i):
+                u = real(pv, k)
+                return u + poly([0] * i + [TINY]) if k == m else u
+
+            monkeypatch.setattr(core, "monic_poly", nudged)
+            assert recurrence_check(pv_3a, n) is False, (m, i)
+            monkeypatch.setattr(core, "monic_poly", real)
+    assert recurrence_check(pv_3a, n) is True
+
+
+def test_operator_sees_every_coefficient(pv_3a):
+    """u_n + 2**-64 x**k is no eigenfunction for eigenvalue(n), k <= n, n >= 1
+    (every constant is an eigenfunction for eigenvalue(0))."""
+    for n in range(1, 7):
+        u = monic_poly(pv_3a, n)
+        assert apply_operator(pv_3a, u) == u * pv_3a.eigenvalue(n)
+        for k in range(n + 1):
+            p = u + poly([0] * k + [TINY])
+            assert apply_operator(pv_3a, p) != p * pv_3a.eigenvalue(n), (n, k)
 
 
 # -- finite cutoff ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from qscheme.qpolynomial import (
     product_of_linear,
 )
 from reference import (
+    fraction_deflate,
     fraction_eval,
     fraction_format_poly,
     poly_compose_affine,
@@ -60,6 +61,18 @@ def test_deflate_reverses_linear_multiplication():
     assert quotient == product_of_linear([F(2), F(-1, 3)])
     _, rem2 = p.deflate(F(5))
     assert rem2 == p(F(5))
+
+
+def test_deflate_matches_fraction_reference():
+    rng = random.Random(59)
+    small = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    for size in range(10):
+        for _ in range(12):
+            p = poly([small() for _ in range(size)])
+            root = small()
+            assert p.deflate(root) == fraction_deflate(p, root), (p, root)
+    assert Poly.zero().deflate(3) == (Poly.zero(), 0)
+    assert poly([F(5, 3)]).deflate(F(-2, 7)) == (Poly.zero(), F(5, 3))
 
 
 def test_divrem_examples():

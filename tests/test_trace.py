@@ -53,3 +53,21 @@ def test_traced_duality_and_catalog_suites_reach_their_layers(monkeypatch):
     assert all(c.passed for r in reports for c in r.checks)
     assert tracer.calls("core.dual_normalized_poly") > 0
     assert tracer.calls("catalog.crosscheck") == 18
+
+
+def test_traced_random_identities_item_reaches_the_operator_and_recurrence(monkeypatch):
+    # The per-layer metrics read these spans by name.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench import workloads
+    from bench.spans import Tracer
+
+    workload = workloads.RandomIdentities(0)
+    item = workload.make_items()[0]
+    tracer = Tracer()
+    with tracer.installed():
+        outputs = [part() for part in workload.parts(item)]
+    assert workload.check(item, workload.digest(item, outputs)) is None
+    assert tracer.calls("core.apply_operator") == 11
+    assert tracer.calls("core.recurrence_check") == 11
+    # The operator divides out the nodes on integers, not through Poly.deflate.
+    assert tracer.calls("qpolynomial.Poly.deflate") == 0
