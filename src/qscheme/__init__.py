@@ -1,7 +1,7 @@
 """Exact-arithmetic engine, classifier and CLI for the q-Askey scheme."""
 
 from .qrational import format_rational, parse_rational, rational
-from .qpolynomial import Poly, format_poly, poly, poly_divrem
+from .qpolynomial import Poly, format_poly, poly
 from .qseries import qhyper_sum, qpoch, qpoch_many
 from .core import (
     NewtonExpansion,
@@ -12,7 +12,6 @@ from .core import (
     duality_check,
     expansion,
     finite_cutoff,
-    from_newton_coeffs,
     monic_poly,
     newton_basis,
     normalized_poly,

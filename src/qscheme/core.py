@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterable
 
 from .errors import (
     ConstraintViolation,
@@ -355,11 +354,6 @@ def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     return [Fraction(v, den) for v in nums] or [Fraction(0)]
 
 
-def from_newton_coeffs(pv: ParameterVector, coeffs: Iterable[Fraction]) -> Poly:
-    coeffs = [rational(c) for c in coeffs]
-    return _newton_horner(*_over_lcm(coeffs), pv._sequences(len(coeffs) - 1)[0])
-
-
 def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     """Apply the family's eigenoperator.
 
@@ -369,7 +363,8 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     The expansion is to_newton_coeffs' e_k = E_k/den, scaled by Dx as there;
     with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over their lcms,
     h_k e_k + g_{k+1} e_{k+1} = (H_k E_k Dg + G_{k+1} E_{k+1} Dh) / (den Dh Dg)
-    goes to _newton_horner, and Fractions are built only for the output.
+    goes to _newton_horner, whose output Poly keeps them as integers: no
+    Fraction is built.
     """
     e, den = _newton_division(p, pv._sequences(p.degree - 1)[0])
     if not e:
@@ -437,8 +432,8 @@ def recurrence_check(pv: ParameterVector, n: int) -> bool:
     """Exact check of the three-term recurrence x*u_n = u_{n+1} + a_n*u_n
     + b_n*u_{n-1} at index n (no b_n term at n = 0).
 
-    Each monic u_m is put over its common denominator, u_m = U_m/D_m, and
-    a_n = A/Da, b_n = B/Db in lowest terms.  Every term of
+    Each monic u_m is read as stored, integer numerators U_m over one
+    denominator D_m, and a_n = A/Da, b_n = B/Db in lowest terms.  Every term of
     x*u_n - u_{n+1} - a_n*u_n - b_n*u_{n-1} is cross-multiplied by the
     denominators of all the others: every factor is nonzero, so the
     residual vanishes iff one integer list does.
@@ -447,7 +442,7 @@ def recurrence_check(pv: ParameterVector, n: int) -> bool:
     # (scalar, u_m, power of x) for each term of the residual
     terms = [(1, monic_poly(pv, n), 1), (-1, monic_poly(pv, n + 1), 0)]
     terms += [(-c, monic_poly(pv, n - i), 0) for i, c in enumerate(coeffs)]
-    parts = [(c, *_over_lcm(u.coeffs), shift) for c, u, shift in terms]
+    parts = [(c, u.nums, u.den, shift) for c, u, shift in terms]
     total = prod(c.denominator * den for c, _, den, _ in parts)
     residual = [0] * (n + 2)
     for c, nums, den, shift in parts:

@@ -1,88 +1,144 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored low degree first with no trailing zeros; the zero
-polynomial stores an empty tuple and reports degree -1.  Degrees stay small
-(~20) at desk scale, so the plain dense representation is enough.
+A polynomial is stored as integer numerators over one denominator,
+p(x) = sum_i nums[i] x**i / den, low degree first and in lowest terms:
+den > 0, gcd(den, *nums) == 1 and no trailing zero numerator.  The zero
+polynomial stores no numerators over den = 1 and reports degree -1.  Every
+kernel of the package works on that integer form, so a product, a sum or a
+Newton conversion never builds a `Fraction` per coefficient; the `coeffs`
+view builds them on first use.  Degrees stay small (~20) at desk scale, so
+the plain dense representation is enough.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import DivisionByZero
 from .qrational import rational
 
 Scalar = Union[int, str, Fraction]
 
 
-def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [rational(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Poly:
-    """coeffs[i] is the coefficient of x**i."""
+    """p(x) = sum_i nums[i] x**i / den in lowest terms; immutable.
 
-    coeffs: tuple[Fraction, ...] = ()
+    Two polynomials are equal iff their (nums, den) are, since the form is
+    unique; `coeffs[i]` is the coefficient of x**i as a `Fraction`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    __slots__ = ("nums", "den", "_coeffs")
+
+    nums: tuple[int, ...]
+    den: int
+
+    def __new__(cls, coeffs: Iterable[Scalar] = ()) -> "Poly":
+        """The polynomial with low-degree-first coefficients `coeffs`."""
+        return Poly._of(*_over_lcm([rational(c) for c in coeffs]))
+
+    @staticmethod
+    def _of(nums: Sequence[int], den: int) -> "Poly":
+        """sum_i nums[i] x**i / den, den != 0, brought to lowest terms by one
+        gcd over the denominator and every numerator."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        if not end:
+            nums, den = (), 1
+        else:
+            if end < len(nums):
+                nums = nums[:end]
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            nums = tuple(nums) if g == 1 else tuple([v // g for v in nums])
+            den //= g
+        self = object.__new__(Poly)
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_coeffs(self, None)
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to Poly.{name}: polynomials are immutable")
+
+    def __reduce__(self):
+        return Poly._of, (self.nums, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, low degree first, built once."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = tuple(Fraction(v, den) for v in self.nums)
+            _set_coeffs(self, coeffs)
+        return coeffs
+
+    def __repr__(self) -> str:
+        return f"Poly(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly._of((), 1)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((Fraction(1),))
+        return Poly._of((1,), 1)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((Fraction(0), Fraction(1)))
+        return Poly._of((0, 1), 1)
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
-        return Poly((rational(c),))
+        c = rational(c)
+        return Poly._of((c.numerator,), c.denominator)
 
     @staticmethod
     def linear(root: Scalar) -> "Poly":
         """The monic factor (x - root)."""
-        return Poly((-rational(root), Fraction(1)))
+        root = rational(root)
+        return Poly._of((-root.numerator, root.denominator), root.denominator)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [v * (den // self.den) for v in self.nums]
+        b = [v * (den // other.den) for v in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        for i, v in enumerate(b):
+            a[i] += v
+        return Poly._of(a, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-v for v in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -90,16 +146,16 @@ class Poly:
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if not isinstance(other, Poly):
             s = rational(other)
-            return Poly(tuple(c * s for c in self.coeffs))
+            return Poly._of([v * s.numerator for v in self.nums], self.den * s.denominator)
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        b = other.nums
+        out = [0] * (len(self.nums) + len(b) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, c in enumerate(b, i):
+                    out[j] += a * c
+        return Poly._of(out, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self * other
@@ -117,55 +173,41 @@ class Poly:
         return result
 
     def __call__(self, x: Scalar) -> Fraction:
-        """p(x) by a homogeneous Horner on integers: with x = s/r and the
-        coefficients N_i/D over their common denominator D,
-        p(x) = sum N_i s^i r^(n-i) / (D r^n)."""
+        """p(x) by a homogeneous Horner on the numerators: with x = s/r,
+        p(x) = sum nums[i] s^i r^(d-i) / (den r^d)."""
         x = rational(x)
-        if not self.coeffs:
+        if not self.nums:
             return Fraction(0)
-        nums, den = _over_lcm(self.coeffs)
         r = x.denominator
-        return Fraction(_homogeneous_horner(nums, x.numerator, r), den * r ** (len(nums) - 1))
+        return Fraction(_homogeneous_horner(self.nums, x.numerator, r), self.den * r ** self.degree)
 
     def compose_affine(self, scale: Scalar, shift: Scalar = 0) -> "Poly":
         """Return p(scale*x + shift).
 
-        With scale s != 0, p(s*x + t) = sum_k c_k s^k (x + t/s)^k: the Newton
-        form with coefficients c_k s^k and every node -t/s."""
+        With scale s = S/R != 0, p(s*x + t) = sum_k c_k s^k (x + t/s)^k: the
+        Newton form with every node -t/s and coefficients
+        c_k s^k = nums[k] S^k R^(d-k) / (den R^d)."""
         scale, shift = rational(scale), rational(shift)
-        if scale == 0:
+        if scale == 0 or self.is_zero:
             return Poly((self(shift),))
-        nums, den = _over_lcm([c * scale**k for k, c in enumerate(self.coeffs)])
-        return _newton_horner(nums, den, (-shift / scale,) * len(nums))
+        s, r, d = scale.numerator, scale.denominator, self.degree
+        nums = [v * s**k * r ** (d - k) for k, v in enumerate(self.nums)]
+        return _newton_horner(nums, self.den * r**d, (-shift / scale,) * len(nums))
 
     def deflate(self, root: Scalar) -> tuple["Poly", Fraction]:
         """Synthetic division by (x - root): returns (quotient, remainder)."""
         out, den = _newton_division(self, (rational(root),))
-        return Poly([Fraction(c, den) for c in out[1:]]), Fraction(out[0], den)
+        return Poly._of(out[1:], den), Fraction(out[0], den)
+
+
+_set_nums = Poly.nums.__set__
+_set_den = Poly.den.__set__
+_set_coeffs = Poly._coeffs.__set__
 
 
 def poly(coeffs: Iterable[Scalar]) -> Poly:
     """Build a polynomial from low-degree-first coefficients."""
-    return Poly(tuple(coeffs))
-
-
-def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Long division: a = q*b + r with deg(r) < deg(b)."""
-    if b.is_zero:
-        raise DivisionByZero("polynomial division by zero")
-    if a.degree < b.degree:
-        return Poly.zero(), a
-    rem = list(a.coeffs)
-    lead = b.coeffs[-1]
-    db = b.degree
-    quot = [Fraction(0)] * (a.degree - db + 1)
-    for i in range(a.degree - db, -1, -1):
-        c = rem[i + db] / lead
-        quot[i] = c
-        if c != 0:
-            for j, bc in enumerate(b.coeffs):
-                rem[i + j] -= c * bc
-    return Poly(quot), Poly(rem)
+    return Poly(coeffs)
 
 
 def product_of_linear(roots: Iterable[Scalar]) -> Poly:
@@ -180,18 +222,18 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
     The one Newton-to-monomial conversion of the package.  The accumulator
     holds integer numerators over den*t.  Each step multiplies it by
     (x - p/r) as acc*(r*x - p), scaling t by r, then adds nums[k]*t to the
-    constant term.  Fractions are built once, at the end.
+    constant term.  The result is the accumulator over den*t, reduced once;
+    no Fraction is built.
     """
     if not nums:
-        return Poly(())
+        return Poly.zero()
     acc, t = [nums[-1]], 1  # low degree first
     for k in range(len(nums) - 2, -1, -1):
         p, r = nodes[k].numerator, nodes[k].denominator
         acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
         t *= r
         acc[0] += nums[k] * t
-    den *= t
-    return Poly([Fraction(v, den) for v in acc])
+    return Poly._of(acc, den * t)
 
 
 def _newton_division(p: Poly, nodes: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -208,11 +250,12 @@ def _newton_division(p: Poly, nodes: Sequence[Fraction]) -> tuple[list[int], int
     p(x) = P(Dx*x) / (D Dx**d).  Synthetic division of P by (y - X_0),
     (y - X_1), ... runs on integers; its k-th remainder e'_k gives
     out[k] = e'_k Dx**k, and its last quotient Q gives out[m+i] = Q_i Dx**(m+i),
-    all over den = D Dx**d.
+    all over den = D Dx**d.  N_i and D are p's own numerators and
+    denominator, read as stored.
     """
-    if not p.coeffs:
+    if not p.nums:
         return [0] * len(nodes), 1
-    nums, den = _over_lcm(p.coeffs)
+    nums, den = p.nums, p.den
     xs, dx = _over_lcm(nodes)
     acc, scale = [], 1  # P, high degree first
     for num in reversed(nums):
@@ -249,23 +292,25 @@ def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 def format_poly(p: Poly, var: str = "x") -> str:
     """Human-readable form, highest degree first: "x^2 - 3/2 x + 1/2".
 
-    Each coefficient is written from its numerator and denominator: the sign
-    from the numerator, the text as str(Fraction) writes the magnitude."""
+    Each coefficient nums[i]/den is reduced by one gcd and written from its
+    numerator and denominator: the sign from the numerator, the text as
+    str(Fraction) writes the magnitude."""
     if p.is_zero:
         return "0"
     parts: list[str] = []
+    nums, den = p.nums, p.den
     for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        num, den = c.numerator, c.denominator
+        num = nums[i]
         if not num:
             continue
-        mag = -num if num < 0 else num
-        text = str(mag) if den == 1 else f"{mag}/{den}"
+        g = gcd(num, den)
+        mag, d = (-num if num < 0 else num) // g, den // g
+        text = str(mag) if d == 1 else f"{mag}/{d}"
         if i == 0:
             body = text
         else:
             xpow = var if i == 1 else f"{var}^{i}"
-            body = xpow if mag == 1 and den == 1 else f"{text} {xpow}"
+            body = xpow if mag == 1 and d == 1 else f"{text} {xpow}"
         if not parts:
             parts.append(f"-{body}" if num < 0 else body)
         else:

@@ -100,15 +100,22 @@ class SuiteReport:
         }
 
 
-def _all_of(results: Iterable[bool]) -> bool:
-    """True when every result holds and there is at least one: a check that
-    compared nothing fails instead of passing vacuously."""
+def _first_failure(results: Iterable[bool]) -> str | None:
+    """None when every result holds and there is at least one; otherwise the
+    witness: the first failing n, for results given in n = 0, 1, ... order,
+    or that nothing was compared, so such a check fails instead of passing
+    vacuously.  Stops at the first failure."""
     compared = False
-    for ok in results:
+    for n, ok in enumerate(results):
         if not ok:
-            return False
+            return f"first failure at n={n}"
         compared = True
-    return compared
+    return None if compared else "compared no n"
+
+
+def _all_of(results: Iterable[bool]) -> bool:
+    """True when every result holds and there is at least one."""
+    return _first_failure(results) is None
 
 
 def _small(rng: random.Random) -> Fraction:
@@ -183,12 +190,13 @@ def suite_recurrence(n_max: int = 10, count: int = 25, seed: int = DEFAULT_SEED)
     rng = random.Random(seed)
     for key in catalog.FAMILIES:
         pv = catalog.instantiate(key)
-        ok = _all_of(recurrence_check(pv, n) for n in range(n_max + 1))
-        report.add(f"recurrence/{key}", ok)
+        failure = _first_failure(recurrence_check(pv, n) for n in range(n_max + 1))
+        report.add(f"recurrence/{key}", failure is None, failure or "")
     for i in range(count):
         pv = random_parameter_vector(rng, depth=n_max + 2)
-        ok = _all_of(recurrence_check(pv, n) for n in range(n_max + 1))
-        report.add(f"recurrence/random-{i}", ok, f"q={format_rational(pv.q)}")
+        failure = _first_failure(recurrence_check(pv, n) for n in range(n_max + 1))
+        detail = f"q={format_rational(pv.q)}"
+        report.add(f"recurrence/random-{i}", failure is None, f"{detail}, {failure}" if failure else detail)
     for i in range(5):
         pv = random_broken_vector(rng)
         fails = any(not recurrence_check(pv, n) for n in range(7))
@@ -205,11 +213,11 @@ def suite_eigen(n_max: int = 10, count: int = 10, seed: int = DEFAULT_SEED) -> S
         for i in range(count)
     ]
     for name, pv in vectors:
-        ok = _all_of(
+        failure = _first_failure(
             apply_operator(pv, monic_poly(pv, n)) == monic_poly(pv, n) * pv.eigenvalue(n)
             for n in range(n_max + 1)
         )
-        report.add(name, ok)
+        report.add(name, failure is None, failure or "")
     return report
 
 

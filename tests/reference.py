@@ -2,13 +2,13 @@
 engine computes with integer kernels and closed forms, kept to pin the
 engine to them."""
 
+from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
 from functools import cache
 
 from qscheme import catalog
 from qscheme.core import (
     ParameterVector,
-    from_newton_coeffs,
     monic_poly,
     recurrence_coeff0,
     recurrence_coeffs,
@@ -20,7 +20,7 @@ from qscheme.errors import (
     Mismatch,
     QSchemeError,
 )
-from qscheme.qpolynomial import Poly, poly
+from qscheme.qpolynomial import Poly, _newton_horner, _over_lcm
 from qscheme.qrational import admissible_q, rational
 from qscheme.qseries import qpoch, qpoch_many
 
@@ -99,20 +99,136 @@ def catalog_monic_polys(key: str, q: F):
     return seqs, tuple(us)
 
 
+@dataclass(frozen=True)
+class FractionPoly:
+    """Reference: the polynomial type that stored one reduced Fraction per
+    coefficient, low degree first with no trailing zeros, with its Fraction
+    arithmetic and formatting.  Evaluation, affine composition and deflation
+    are the Fraction Horner routes the integer kernels were pinned to."""
+
+    coeffs: tuple = ()
+
+    def __post_init__(self):
+        out = [rational(c) for c in self.coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        object.__setattr__(self, "coeffs", tuple(out))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def coeff(self, i: int) -> F:
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return F(0)
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            s = rational(other)
+            return FractionPoly(tuple(c * s for c in self.coeffs))
+        if self.is_zero or other.is_zero:
+            return FractionPoly()
+        out = [F(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __rmul__(self, other) -> "FractionPoly":
+        return self * other
+
+    def __pow__(self, n: int) -> "FractionPoly":
+        result = FractionPoly((1,))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __call__(self, x) -> F:
+        """Horner on Fractions, one reduced Fraction per step."""
+        x = F(x)
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose_affine(self, scale, shift=0) -> "FractionPoly":
+        """A Horner over FractionPoly in the argument scale*x + shift."""
+        arg = FractionPoly((rational(shift), rational(scale)))
+        acc = FractionPoly()
+        for c in reversed(self.coeffs):
+            acc = acc * arg + FractionPoly((c,))
+        return acc
+
+    def deflate(self, root) -> tuple["FractionPoly", F]:
+        """Synthetic division by (x - root) on Fractions: (quotient, remainder)."""
+        root = rational(root)
+        acc = F(0)
+        out: list[F] = []
+        for c in reversed(self.coeffs):
+            acc = acc * root + c
+            out.append(acc)
+        if not out:
+            return FractionPoly(), F(0)
+        rem = out.pop()
+        out.reverse()
+        return FractionPoly(out), rem
+
+    def format(self, var: str = "x") -> str:
+        """Highest degree first, each coefficient written from its
+        numerator and denominator."""
+        if self.is_zero:
+            return "0"
+        parts: list[str] = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            num, den = c.numerator, c.denominator
+            if not num:
+                continue
+            mag = -num if num < 0 else num
+            text = str(mag) if den == 1 else f"{mag}/{den}"
+            if i == 0:
+                body = text
+            else:
+                xpow = var if i == 1 else f"{var}^{i}"
+                body = xpow if mag == 1 and den == 1 else f"{text} {xpow}"
+            if not parts:
+                parts.append(f"-{body}" if num < 0 else body)
+            else:
+                parts.append(f"{'-' if num < 0 else '+'} {body}")
+        return " ".join(parts)
+
+
 def fraction_deflate(p: Poly, root) -> tuple[Poly, F]:
     """Reference: synthetic division by (x - root) on Fractions, returning
     (quotient, remainder)."""
-    root = rational(root)
-    acc = F(0)
-    out: list[F] = []
-    for c in reversed(p.coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    if not out:
-        return Poly.zero(), F(0)
-    rem = out.pop()
-    out.reverse()
-    return Poly(out), rem
+    quotient, rem = FractionPoly(p.coeffs).deflate(root)
+    return Poly(quotient.coeffs), rem
 
 
 def fraction_to_newton_coeffs(pv, p: Poly) -> list[F]:
@@ -139,7 +255,7 @@ def fraction_apply_operator(pv, p: Poly) -> Poly:
         if k + 1 < len(e):
             value += g[k + 1] * e[k + 1]
         out.append(value)
-    return from_newton_coeffs(pv, out)
+    return _newton_horner(*_over_lcm(out), pv._sequences(len(out) - 1)[0])
 
 
 def poly_recurrence_check(pv, n: int) -> bool:
@@ -168,12 +284,8 @@ def poly_product_of_linear(roots) -> Poly:
 
 
 def poly_compose_affine(p: Poly, scale, shift=0) -> Poly:
-    """Reference: a Horner over Poly in the argument scale*x + shift."""
-    arg = poly([shift, scale])
-    acc = Poly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * arg + Poly.constant(c)
-    return acc
+    """Reference: a Horner over FractionPoly in the argument scale*x + shift."""
+    return Poly(FractionPoly(p.coeffs).compose_affine(scale, shift).coeffs)
 
 
 def per_term_inverse_arg_series(n, q, x, node_scale, weight, upper_extra, lower, correction):
@@ -244,11 +356,7 @@ def fraction_terminating_sum(upper, lower, q, n, step):
 
 def fraction_eval(p: Poly, x) -> F:
     """Reference: Horner on Fractions, one reduced Fraction per step."""
-    x = F(x)
-    acc = F(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    return FractionPoly(p.coeffs)(x)
 
 
 def fraction_format_poly(p: Poly, var: str = "x") -> str:

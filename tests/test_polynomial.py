@@ -2,20 +2,20 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscheme.errors import DivisionByZero
 from qscheme.qpolynomial import (
     Poly,
     format_poly,
     poly,
-    poly_divrem,
     product_of_linear,
 )
 from reference import (
+    FractionPoly,
     fraction_deflate,
     fraction_eval,
     fraction_format_poly,
@@ -73,24 +73,6 @@ def test_deflate_matches_fraction_reference():
             assert p.deflate(root) == fraction_deflate(p, root), (p, root)
     assert Poly.zero().deflate(3) == (Poly.zero(), 0)
     assert poly([F(5, 3)]).deflate(F(-2, 7)) == (Poly.zero(), F(5, 3))
-
-
-def test_divrem_examples():
-    a = poly([F(1, 2), F(-3, 2), 1])
-    q_, r = poly_divrem(a, Poly.linear(1))
-    assert q_ == Poly.linear(F(1, 2)) and r.is_zero
-    with pytest.raises(DivisionByZero):
-        poly_divrem(a, Poly.zero())
-
-
-@given(a=polys, b=polys)
-@settings(max_examples=80, derandomize=True)
-def test_divrem_recombination(a, b):
-    if b.is_zero:
-        return
-    q_, r = poly_divrem(a, b)
-    assert q_ * b + r == a
-    assert r.degree < b.degree
 
 
 @given(a=polys, b=polys, c=polys)
@@ -239,3 +221,78 @@ def test_compose_affine_matches_reference_on_random_polys():
         p = poly([scalar(0.1) for _ in range(rng.randint(0, 12))])
         scale, shift = scalar(1 / 6), scalar(1 / 6)
         assert p.compose_affine(scale, shift) == poly_compose_affine(p, scale, shift), (p, scale, shift)
+
+
+# -- the integer representation against the Fraction reference ----------------
+
+# Zeros, negative denominators (reduced away by Fraction) and large numerators.
+scalars = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(-12, 12).filter(bool)),
+    st.builds(F, st.integers(-(2**70), 2**70), st.sampled_from([1, -3, 2**40, -(10**12) - 1])),
+)
+# Up to two trailing zeros after the drawn coefficients.
+coeff_lists = st.builds(
+    lambda cs, zeros: cs + [F(0)] * zeros, st.lists(scalars, max_size=6), st.integers(0, 2)
+)
+
+
+def assert_lowest_terms(p: Poly) -> None:
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1, (p.nums, p.den)
+    assert not p.nums or p.nums[-1] != 0, p.nums
+
+
+@given(a=coeff_lists, b=coeff_lists, s=scalars, t=scalars)
+@settings(max_examples=150, derandomize=True)
+def test_integer_poly_matches_fraction_reference(a, b, s, t):
+    p, q = Poly(a), Poly(b)
+    ref_p, ref_q = FractionPoly(a), FractionPoly(b)
+    for got, want in ((p, ref_p), (q, ref_q)):
+        assert_lowest_terms(got)
+        assert got.coeffs == want.coeffs and all(type(c) is F for c in got.coeffs)
+        assert (got.degree, got.is_zero, got.is_monic) == (want.degree, want.is_zero, want.is_monic)
+        assert [got.coeff(i) for i in range(-1, len(a) + 2)] == [want.coeff(i) for i in range(-1, len(a) + 2)]
+    # Equality and hashing follow the Fraction coefficients.
+    assert (p == q) == (ref_p.coeffs == ref_q.coeffs)
+    for same in (Poly(a + [0]), Poly._of([-6 * v for v in p.nums], -6 * p.den), p * 1):
+        assert same == p and hash(same) == hash(p)
+    assert p - p == Poly.zero() and hash(p - p) == hash(Poly.zero())
+    if not p.is_zero:
+        half = Poly._of(p.nums, 2 * p.den)  # the same numerators when they are not all even
+        assert half != p and half == p * F(1, 2)
+    results = [
+        (p + q, ref_p + ref_q),
+        (p - q, ref_p - ref_q),
+        (-p, -ref_p),
+        (p * q, ref_p * ref_q),
+        (p * s, ref_p * s),
+        (s * q, s * ref_q),
+        (q**2, ref_q**2),
+        (p.compose_affine(s, t), ref_p.compose_affine(s, t)),
+        (p.deflate(t)[0], ref_p.deflate(t)[0]),
+    ]
+    for got, want in results:
+        assert_lowest_terms(got)
+        assert got.coeffs == want.coeffs
+    assert p.deflate(t)[1] == ref_p.deflate(t)[1]
+    assert p(t) == ref_p(t)
+    assert format_poly(p) == ref_p.format() and format_poly(q, "y") == ref_q.format("y")
+
+
+@given(
+    nums=st.lists(st.integers(-(10**20), 10**20) | st.just(0), max_size=7),
+    den=st.integers(-(10**6), 10**6).filter(bool),
+)
+@settings(max_examples=150, derandomize=True)
+def test_of_brings_numerators_over_a_signed_denominator_to_lowest_terms(nums, den):
+    p = Poly._of(nums, den)
+    assert_lowest_terms(p)
+    assert p.coeffs == FractionPoly([F(v, den) for v in nums]).coeffs
+    assert p == Poly([F(v, den) for v in nums])
+
+
+def test_poly_is_immutable():
+    p = poly([1, 2])
+    with pytest.raises(AttributeError):
+        p.nums = (3,)
+    assert p.nums == (1, 2) and p.den == 1

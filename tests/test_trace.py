@@ -6,6 +6,7 @@ deleting one of them breaks benchmark runs; these tests make that visible in
 the ordinary test run.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +72,27 @@ def test_traced_random_identities_item_reaches_the_operator_and_recurrence(monke
     assert tracer.calls("core.recurrence_check") == 11
     # The operator divides out the nodes on integers, not through Poly.deflate.
     assert tracer.calls("qpolynomial.Poly.deflate") == 0
+
+
+def test_traced_eval_cap_item_records_the_largest_coefficient_bits(monkeypatch):
+    # core.max_coeff_bits.* read the observer on monic_poly, which needs
+    # coeffs to yield Fractions.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench import workloads
+    from bench.spans import Tracer, coeff_bits
+
+    from qscheme import catalog
+    from qscheme.core import monic_poly
+
+    workload = workloads.EvalCap(0)
+    item = workload.make_items()[0]
+    workloads.Caches()  # cold caches, as the benchmark runs an eval-cap item
+    tracer = Tracer()
+    with tracer.installed():
+        outputs = [part() for part in workload.parts(item)]
+    assert workload.check(item, workload.digest(item, outputs)) is None
+    key, q, _ = item
+    coeffs = monic_poly(catalog.instantiate(key, None, q), workload.N).coeffs
+    assert all(type(c) is Fraction for c in coeffs)
+    assert tracer.max_bits[24] > 0
+    assert tracer.max_bits[24] == max(coeff_bits(c) for c in coeffs)

@@ -1,9 +1,14 @@
 """Suite-level behaviour of the verify module: a check that compared no
-(vector, n) instance fails instead of passing vacuously."""
+(vector, n) instance fails instead of passing vacuously, and a failing
+check names its first failing n."""
+
+from fractions import Fraction as F
 
 import pytest
 
-from qscheme import verify
+from qscheme import catalog, verify
+from qscheme.core import apply_operator, perturbed
+from qscheme.qpolynomial import Poly
 
 
 def test_all_of_needs_one_result_and_stops_at_the_first_failure():
@@ -30,6 +35,45 @@ def test_checks_that_compare_nothing_fail(suite, kwargs, vacuous):
     assert compared_nothing
     assert not any(c.passed for c in compared_nothing)
     assert all(c.passed for c in report.checks if not vacuous(c.name))
+
+
+def test_first_failure_names_the_first_failing_n():
+    assert verify._first_failure([True, True, False, False]) == "first failure at n=2"
+    assert verify._first_failure([True]) is None
+    assert verify._first_failure([]) == "compared no n"
+
+
+def test_a_failing_recurrence_check_names_its_first_failing_n(monkeypatch):
+    # d3 moved off a1*b1/q, the zero sum kept: the recurrence holds at n = 0
+    # and 1 and first fails at n = 2.
+    pv = catalog.instantiate("3a")
+    d = list(pv.d)
+    d[3] += F(1, 7)
+    d[0] -= F(1, 7)
+    broken = perturbed(pv, d=tuple(d))
+    instantiate = catalog.instantiate
+    monkeypatch.setattr(catalog, "instantiate", lambda key: broken if key == "3a" else instantiate(key))
+    monkeypatch.setattr(verify, "random_parameter_vector", lambda rng, depth: broken)
+    (report,) = verify.run_suite("recurrence", n_max=6, count=1)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["recurrence/3a"].passed
+    assert checks["recurrence/3a"].detail == "first failure at n=2"
+    assert not checks["recurrence/random-0"].passed
+    assert checks["recurrence/random-0"].detail == "q=1/2, first failure at n=2"
+    passing = [checks[f"recurrence/{key}"] for key in catalog.FAMILIES if key != "3a"]
+    assert all(c.passed and c.detail == "" for c in passing)
+
+
+def test_a_failing_eigen_check_names_its_first_failing_n(monkeypatch):
+    def off_at_degree_3(pv, u):
+        return apply_operator(pv, u) + (Poly.x() if u.degree == 3 else Poly.zero())
+
+    monkeypatch.setattr(verify, "apply_operator", off_at_degree_3)
+    (report,) = verify.run_suite("eigen", n_max=5, count=1)
+    assert {c.detail for c in report.checks} == {"first failure at n=3"}
+    assert not any(c.passed for c in report.checks)
+    (report,) = verify.run_suite("eigen", n_max=-1, count=1)
+    assert {c.detail for c in report.checks} == {"compared no n"}
 
 
 def test_run_suite_takes_its_options_by_keyword_only(monkeypatch):
