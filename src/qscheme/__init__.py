@@ -9,13 +9,11 @@ from .core import (
     UncheckedParameterVector,
     apply_operator,
     dual_normalized_poly,
-    duality_check,
     expansion,
     finite_cutoff,
     monic_poly,
     newton_basis,
     normalized_poly,
-    perturbed,
     recurrence_check,
     recurrence_coeff0,
     recurrence_coeffs,

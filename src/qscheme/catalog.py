@@ -15,7 +15,10 @@ x = z + 1/z are evaluated at rational x through the pairing
     (1 - a q^j z)(1 - a q^j / z) = 1 - a q^j x + a^2 q^{2j}
                                  = a q^j (node(j) - x),
 
-which keeps the whole computation inside exact rational arithmetic.
+which keeps the whole computation inside exact rational arithmetic.  Each
+series hands qseries.terminating_sum its step factor as Laurent
+coefficients in q^j (the paired factor above is q, -q a x, q a^2 from the
+power 0), which the term loop evaluates on integers.
 """
 
 from __future__ import annotations
@@ -61,10 +64,11 @@ def _sample_xs(count: int) -> tuple[Fraction, ...]:
     return SAMPLE_XS[:count] + tuple(Fraction(x) for x in extra)
 
 
-def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> Callable[[Fraction], Fraction]:
-    """The z-series step factor at q**j: q * (1 - anchor q^j x + anchor^2 q^{2j}),
-    i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z)."""
-    return lambda qj: q * (1 - anchor * qj * x + anchor * anchor * qj * qj)
+def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> tuple[tuple[Fraction, ...], int]:
+    """The z-series step factor q * (1 - anchor q^j x + anchor^2 q^{2j}),
+    i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z),
+    as its Laurent coefficients in q^j from the power 0."""
+    return (q, -q * anchor * x, q * anchor * anchor), 0
 
 
 def _z_series(
@@ -93,13 +97,12 @@ def _inverse_arg_series(
     """Series whose terms carry (node_scale/x; q)_k * (weight*x)^k, absorbed
     into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
     so that x = 0 is a legal argument.  `correction` is the usual
-    sign/triangular-power exponent of the underlying series."""
+    sign/triangular-power exponent c of the underlying series: the step
+    factor weight * (x - node_scale*q^j) * (-q^j)^c has the Laurent
+    coefficients s*weight*x, -s*weight*node_scale from the power c, s = (-1)^c."""
+    sw = -weight if correction % 2 else weight
     return terminating_sum(
-        (q ** (-n), *upper_extra),
-        lower,
-        q,
-        n,
-        lambda qj: weight * (x - node_scale * qj) * (-qj) ** correction,
+        (q ** (-n), *upper_extra), lower, q, n, ((sw * x, -sw * node_scale), correction)
     )
 
 

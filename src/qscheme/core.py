@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
+from typing import Sequence
 
 from .errors import (
     ConstraintViolation,
@@ -82,10 +83,13 @@ class ParameterVector:
     # -- sequences ---------------------------------------------------------
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked and, once computed, the hash and the integer Laurent forms.
+    # asked; beside it, the same sequences in the integer form that
+    # _integer_prefix reads; once computed, the hash and the integer Laurent
+    # forms.
     # Unannotated, so they are no dataclass fields: ==, hash, repr and
     # replace ignore them.  Each is replaced whole, never mutated.
     _table = ((), (), ())
+    _int_table = (((), ()), ((), ()), ((), ()))
     _hash = None
     _forms = None
 
@@ -146,6 +150,25 @@ class ParameterVector:
         x, h, g = table
         m = max(n + 1, 0)
         return x[:m], h[:m], g[:m]
+
+    def _integer_prefix(self, which: int, m: int) -> tuple[Sequence[int], int]:
+        """node (which = 0), eigenvalue (1) or lowering (2) at k < m as
+        integer numerators over the lcm of exactly those m denominators.
+
+        The vector keeps, beside _table and published whole like it, each
+        sequence's numerators over the lcm L of every value built so far and
+        the running lcms L_0, L_1, ... of its prefixes; a prefix is read off
+        by one exact division by L/L_(m-1), or none when the two agree."""
+        if m <= 0:
+            return (), 1
+        forms = self._int_table
+        if len(forms[0][1]) < m:
+            forms = tuple(map(_extend_over_lcm, forms, self._sequences(m - 1)))
+            object.__setattr__(self, "_int_table", forms)
+        nums, lcms = forms[which]
+        den = lcms[m - 1]
+        scale = lcms[-1] // den
+        return (nums[:m] if scale == 1 else [v // scale for v in nums[:m]]), den
 
     # -- separation checks (closed form, exact for every q and every k) -------
 
@@ -230,6 +253,25 @@ def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | 
     return None
 
 
+def _extend_over_lcm(
+    form: tuple[tuple[int, ...], tuple[int, ...]], values: tuple[Fraction, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(nums, lcms) of values[:len(lcms)] extended to all of values: nums
+    over the lcm of every denominator, lcms[k] the lcm of the denominators
+    of values[0..k]."""
+    nums, lcms = form
+    old = den = lcms[-1] if lcms else 1
+    new = values[len(lcms):]
+    grown = []
+    for v in new:
+        den = lcm(den, v.denominator)
+        grown.append(den)
+    scale = den // old
+    nums = [v * scale for v in nums] if scale != 1 else list(nums)
+    nums += [v.numerator * (den // v.denominator) for v in new]
+    return tuple(nums), lcms + tuple(grown)
+
+
 def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> Fraction:
     """sum_e c_e (P/R)**e for coefficients c_{-m..m} given as form =
     ([n_{-m}, ..., n_m], den), their integer numerators over one
@@ -253,22 +295,6 @@ class UncheckedParameterVector(ParameterVector):
         pass
 
 
-def perturbed(
-    pv: ParameterVector,
-    *,
-    a: tuple | None = None,
-    b: tuple | None = None,
-    d: tuple | None = None,
-) -> UncheckedParameterVector:
-    """Copy a vector with fields replaced, skipping constraint checks."""
-    return UncheckedParameterVector(
-        q=pv.q,
-        a=a if a is not None else pv.a,
-        b=b if b is not None else pv.b,
-        d=d if d is not None else pv.d,
-    )
-
-
 def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
     if k < 0:
@@ -290,13 +316,14 @@ class NewtonExpansion:
         return self.rows[n][k]
 
 
-def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> list[int]:
+def _newton_row(h: tuple[Sequence[int], int], g: tuple[Fraction, ...], n: int) -> list[int]:
     """Row n of the triangle as integers N_0..N_n over the common denominator
     N_n, from h[0..n] and g[0..n]; N_n != 0 needs h[n] != h[k] for k < n,
     N_0 != 0 needs g[1..n] nonzero.
 
-    With h_j = H_j/Dh over Dh, the lcm of the denominators of h[0..n], and
-    g_j = a_j/b_j in lowest terms,
+    h = (H, Dh) gives h_j = H_j/Dh over Dh, the lcm of the denominators of
+    h[0..n] (as _integer_prefix builds it), and with g_j = a_j/b_j in lowest
+    terms,
 
         N_k = prod_{j=k+1..n} a_j*Dh * prod_{j=1..k} b_j * prod_{j<k} (H_n - H_j),
 
@@ -304,7 +331,7 @@ def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> lis
     """
     if n < 0:
         raise ValueError("a Newton row needs n >= 0")
-    big, dh = _over_lcm(h[: n + 1])
+    big, dh = h
     row = [1] * (n + 1)
     acc = 1
     for k in range(n - 1, -1, -1):
@@ -320,8 +347,8 @@ def _newton_row(h: tuple[Fraction, ...], g: tuple[Fraction, ...], n: int) -> lis
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     pv.check_h_separation(order)
-    _, h, g = pv._sequences(order)
-    rows = (_newton_row(h, g, n) for n in range(order + 1))
+    g = pv._sequences(order)[2]
+    rows = (_newton_row(pv._integer_prefix(1, n + 1), g, n) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
 
@@ -338,8 +365,8 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     for a repeat.
     """
     pv.check_h_separation(n)
-    x, h, g = pv._sequences(n)
-    row = _newton_row(h, g, n)
+    x, _, g = pv._sequences(n)
+    row = _newton_row(pv._integer_prefix(1, n + 1), g, n)
     return _newton_horner(row, row[-1], x)
 
 
@@ -350,7 +377,7 @@ def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     division of P(y) = sum N_i Dx**(d-i) y**i by y - Dx*node(j) runs on
     integers; its k-th remainder e'_k gives e_k = e'_k Dx**k / (D Dx**d).
     """
-    nums, den = _newton_division(p, pv._sequences(p.degree - 1)[0])
+    nums, den = _newton_division(p, pv._integer_prefix(0, p.degree))
     return [Fraction(v, den) for v in nums] or [Fraction(0)]
 
 
@@ -361,21 +388,22 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}: expand p over the basis,
     transform termwise, convert back to the monomial basis, all on integers.
     The expansion is to_newton_coeffs' e_k = E_k/den, scaled by Dx as there;
-    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over their lcms,
+    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over the lcms of
+    their prefixes (lowering(0) = 0 adds nothing to Dg),
     h_k e_k + g_{k+1} e_{k+1} = (H_k E_k Dg + G_{k+1} E_{k+1} Dh) / (den Dh Dg)
     goes to _newton_horner, whose output Poly keeps them as integers: no
     Fraction is built.
     """
-    e, den = _newton_division(p, pv._sequences(p.degree - 1)[0])
+    e, den = _newton_division(p, pv._integer_prefix(0, p.degree))
     if not e:
         return Poly.zero()
-    x, h, g = pv._sequences(len(e) - 1)
-    hs, dh = _over_lcm(h)
-    gs, dg = _over_lcm(g[1:])  # gs[k] is lowering(k+1)
+    m = len(e)
+    hs, dh = pv._integer_prefix(1, m)
+    gs, dg = pv._integer_prefix(2, m)
     out = [hk * ek * dg for hk, ek in zip(hs, e)]
-    for k in range(len(e) - 1):
-        out[k] += gs[k] * e[k + 1] * dh
-    return _newton_horner(out, den * dh * dg, x)
+    for k in range(m - 1):
+        out[k] += gs[k + 1] * e[k + 1] * dh
+    return _newton_horner(out, den * dh * dg, pv._sequences(m - 1)[0])
 
 
 def recurrence_coeff0(pv: ParameterVector) -> Fraction:
@@ -394,15 +422,14 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
         b_n = r(n, n-1, n) * (r(n-1, n-2, n) - r(n, n-1, n) + r(n+1, n-1, n+1)
                               + node(n) - node(n-1)),
 
-    each ratio an integer pair over the eigenvalues' common denominator,
-    summed by cross-multiplication: one Fraction for a_n and one for b_n.
+    each ratio an integer pair over the common denominator of
+    eigenvalue(0..n+1), summed by cross-multiplication: one Fraction for a_n
+    and one for b_n.
     """
     if n < 1:
         raise ValueError("recurrence coefficients need n >= 1; use recurrence_coeff0")
-    x, h, g = pv._sequences(n + 1)
-    lo = max(n - 2, 0)
-    nums, dh = _over_lcm(h[lo:])
-    big = dict(enumerate(nums, lo))
+    x, _, g = pv._sequences(n + 1)
+    big, dh = pv._integer_prefix(1, n + 2)
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
         value = g[num_idx]
@@ -466,14 +493,14 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     return None
 
 
-def _normalized(values: tuple[Fraction, ...], nodes: tuple[Fraction, ...],
+def _normalized(values: tuple[Sequence[int], int], nodes: tuple[Fraction, ...],
                 g: tuple[Fraction, ...], n: int) -> Poly:
     """sum_k prod_{j<k} (values[n]-values[j]) / prod_{j=1..k} g[j]
           * prod_{j<k} (x - nodes[j]):
 
-    the integer Newton row of `values` normalized by its k = 0 entry, which
-    is nonzero once lowering(1..n) is.  Raises ZeroG at the first vanishing
-    lowering value."""
+    the integer Newton row of `values` (values[0..n] as _integer_prefix
+    gives them) normalized by its k = 0 entry, which is nonzero once
+    lowering(1..n) is.  Raises ZeroG at the first vanishing lowering value."""
     for j in range(1, n + 1):
         if not g[j]:
             raise ZeroG(j)
@@ -485,11 +512,12 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     """u_n rescaled by prod_{j<n} (eigenvalue(n)-eigenvalue(j))/lowering(j+1).
 
     In this normalization the family satisfies the node/eigenvalue duality
-    checked by duality_check.  Requires lowering(1..n) nonzero and, checked
-    after it, eigenvalue(0..n) free of repeats.
+    normalized_poly(pv, n)(node(m)) == dual_normalized_poly(pv, m)(eigenvalue(n)).
+    Requires lowering(1..n) nonzero and, checked after it, eigenvalue(0..n)
+    free of repeats.
     """
-    x, h, g = pv._sequences(n)
-    u = _normalized(h, x, g, n)
+    x, _, g = pv._sequences(n)
+    u = _normalized(pv._integer_prefix(1, n + 1), x, g, n)
     pv.check_h_separation(n)
     return u
 
@@ -504,12 +532,5 @@ def dual_normalized_poly(pv: ParameterVector, m: int) -> Poly:
 
     Requires lowering(1..m) nonzero.
     """
-    x, h, g = pv._sequences(m)
-    return _normalized(x, h, g, m)
-
-
-def duality_check(pv: ParameterVector, n: int, m: int) -> bool:
-    """Exact equality U_n(node(m)) == dual_U_m(eigenvalue(n))."""
-    lhs = normalized_poly(pv, n)(pv.node(m))
-    rhs = dual_normalized_poly(pv, m)(pv.eigenvalue(n))
-    return lhs == rhs
+    _, h, g = pv._sequences(m)
+    return _normalized(pv._integer_prefix(0, m + 1), h, g, m)

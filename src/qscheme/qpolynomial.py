@@ -196,7 +196,8 @@ class Poly:
 
     def deflate(self, root: Scalar) -> tuple["Poly", Fraction]:
         """Synthetic division by (x - root): returns (quotient, remainder)."""
-        out, den = _newton_division(self, (rational(root),))
+        root = rational(root)
+        out, den = _newton_division(self, ((root.numerator,), root.denominator))
         return Poly._of(out[1:], den), Fraction(out[0], den)
 
 
@@ -236,27 +237,27 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
     return Poly._of(acc, den * t)
 
 
-def _newton_division(p: Poly, nodes: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Divide p by (x - nodes[0]), the quotient by (x - nodes[1]), and so on,
-    m = len(nodes) <= deg p + 1 times: integers (out, den) with
+def _newton_division(p: Poly, nodes: tuple[Sequence[int], int]) -> tuple[list[int], int]:
+    """Divide p by (x - y_0), the quotient by (x - y_1), and so on,
+    m <= deg p + 1 times, for the nodes y_j = X_j/Dx given as their integer
+    numerators over one denominator, nodes = (X, Dx): integers (out, den) with
 
-        p = sum_{k<m} (out[k]/den) prod_{j<k} (x - nodes[j])
-            + prod_{j<m} (x - nodes[j]) * sum_i (out[m+i]/den) x**i,
+        p = sum_{k<m} (out[k]/den) prod_{j<k} (x - y_j)
+            + prod_{j<m} (x - y_j) * sum_i (out[m+i]/den) x**i,
 
     the m remainders, then the last quotient.  The inverse of _newton_horner,
-    and the one synthetic division of the package.  With the nodes over
-    their lcm Dx, X_j = nodes[j]*Dx, and p = sum N_i x**i / D of degree d,
-    the integer polynomial P(y) = sum N_i Dx**(d-i) y**i has
+    and the one synthetic division of the package.  With p = sum N_i x**i / D
+    of degree d, the integer polynomial P(y) = sum N_i Dx**(d-i) y**i has
     p(x) = P(Dx*x) / (D Dx**d).  Synthetic division of P by (y - X_0),
     (y - X_1), ... runs on integers; its k-th remainder e'_k gives
     out[k] = e'_k Dx**k, and its last quotient Q gives out[m+i] = Q_i Dx**(m+i),
     all over den = D Dx**d.  N_i and D are p's own numerators and
     denominator, read as stored.
     """
+    xs, dx = nodes
     if not p.nums:
-        return [0] * len(nodes), 1
+        return [0] * len(xs), 1
     nums, den = p.nums, p.den
-    xs, dx = _over_lcm(nodes)
     acc, scale = [], 1  # P, high degree first
     for num in reversed(nums):
         acc.append(num * scale)

@@ -10,6 +10,13 @@ over k = 0..n of
     (q^{-n}; q)_k (a_2..a_r; q)_k / ((q; q)_k (b_1..b_s; q)_k)
         * ((-1)^k q^{k(k-1)/2})^(s - r + 1) * z^k.
 
+Every series of the package, this one and the catalog's, runs through one
+term loop, terminating_sum, in the form of Gasper & Rahman, Basic
+Hypergeometric Series (2004), ch. 1: each term is the previous one times a
+rational function of q^k.  Beyond the q-shifted factorials, that function's
+step factor is data, its Laurent coefficients in q^j, and the loop
+evaluates it on integers at q^j = P/R, building one Fraction per series.
+
 Everything is exact over rationals; a vanishing denominator factor raises
 DivisionByZero unless an upper factor already killed the series at an
 earlier index.
@@ -18,9 +25,10 @@ earlier index.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DivisionByZero
+from .qpolynomial import _homogeneous_horner, _over_lcm
 from .qrational import rational
 
 
@@ -58,29 +66,44 @@ def terminating_sum(
     lower: Sequence[Fraction],
     q: Fraction,
     n: int,
-    step: Callable[[Fraction], Fraction],
+    step: tuple[Sequence[Fraction], int],
 ) -> Fraction:
-    """sum_{k=0}^{n} (upper; q)_k / ((q; q)_k (lower; q)_k) * prod_{j<k} step(q**j).
+    """sum_{k=0}^{n} (upper; q)_k / ((q; q)_k (lower; q)_k) * prod_{j<k} s(q**j),
 
-    The one term loop behind every series of the package.  Term k is term
-    k-1 times the integer ratio rn/rd of its new factors, each factor
-    1 - a*q**(k-1) written as (ad*R - an*P)/(ad*R) for a = an/ad and
-    q**(k-1) = P/R, so term k costs O(len(upper) + len(lower)) integer
-    products.  The term tn/td and the partial sum sn/td share one unreduced
-    denominator, and one Fraction is built at the end.  Once an upper factor
-    vanishes all later terms are zero and the loop stops, which is what
-    makes early-terminating series with otherwise-degenerate lower
-    parameters legal; a vanishing denominator before that raises, and so
-    does a negative n.
+    with the step factor s(t) = sum_i coeffs[i] * t**(low + i) given as its
+    Laurent coefficients, step = (coeffs, low); low may be negative.
+
+    The one term loop behind every series of the package, on integers.
+    q**(k-1) = P/R is kept as running integer powers of q = p/r.  Term k is
+    term k-1 times the integer ratio rn/rd of its new factors: each factor
+    1 - a*q**(k-1) is (ad*R - an*P)/(ad*R) for a = an/ad, and with coeffs
+    over their lcm den and high = low + len(coeffs) - 1,
+
+        s(P/R) = H * P**max(low, 0) * R**max(-high, 0)
+                 / (den * P**max(-low, 0) * R**max(high, 0)),
+
+    where H = sum_i N_i P**i R**(high-low-i) is one homogeneous Horner of
+    the numerators N_i.  So term k costs O(len(upper) + len(lower) +
+    len(coeffs)) integer products.  The term tn/td and the partial sum sn/td
+    share one unreduced denominator, and one Fraction is built at the end.
+    Once an upper factor vanishes all later terms are zero and the loop
+    stops, which is what makes early-terminating series with
+    otherwise-degenerate lower parameters legal; a vanishing denominator
+    before that raises, and so does a negative n.
     """
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
     ups = [(a.numerator, a.denominator) for a in upper]
     lows = [(b.numerator, b.denominator) for b in lower]
+    coeffs, low = step
+    nums, den = _over_lcm(coeffs)
+    high = low + len(nums) - 1
+    p_up, p_down = max(low, 0), max(-low, 0)
+    r_up, r_down = max(-high, 0), max(high, 0)
+    p, r = q.numerator, q.denominator
     tn = td = sn = 1
-    qj = Fraction(1)  # q**(k-1) while term k is built
+    P = R = 1  # q**(k-1) = P/R while term k is built
     for k in range(1, n + 1):
-        P, R = qj.numerator, qj.denominator
         rn = rd = 1
         for an, ad in ups:
             rn *= ad * R - an * P
@@ -90,11 +113,12 @@ def terminating_sum(
         for bn, bd in lows:
             rd *= bd * R - bn * P
             rn *= bd * R
-        s = step(qj)
-        qj *= q
-        P, R = qj.numerator, qj.denominator
-        rn *= s.numerator * R
-        rd *= s.denominator * (R - P)
+        rn *= _homogeneous_horner(nums, P, R) * P**p_up * R**r_up
+        rd *= den * P**p_down * R**r_down
+        P *= p
+        R *= r
+        rn *= R
+        rd *= R - P
         if not rd:
             raise DivisionByZero(
                 f"denominator vanished at term {k} of a terminating series"
@@ -115,12 +139,13 @@ def qhyper_sum(
     """Sum the n+1 terms of the terminating series defined above.
 
     The first upper parameter is expected to be q**(-n).  The factor
-    ((-1)^k q^{k(k-1)/2})^(s - r + 1) z^k is the product of the step factors
-    z * (-q^j)^(s - r + 1) over j < k.
+    ((-1)^k q^{k(k-1)/2})^c z^k, c = s - r + 1, is the product of the step
+    factors z * (-q^j)^c over j < k: the one Laurent coefficient (-1)^c z
+    at the power c.
     """
     upper = [rational(u) for u in upper]
     lower = [rational(b) for b in lower]
     q = rational(q)
     z = rational(z)
     correction = len(lower) - len(upper) + 1
-    return terminating_sum(upper, lower, q, n, lambda qj: z * (-qj) ** correction)
+    return terminating_sum(upper, lower, q, n, ((-z if correction % 2 else z,), correction))

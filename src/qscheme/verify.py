@@ -236,10 +236,11 @@ DUALITY_INSTANCES: tuple[tuple[str, str, dict], ...] = tuple(
 )
 
 
-def _duality_holds(pv: ParameterVector, depth: int) -> bool:
-    """duality_check(pv, n, m) for every n, m <= depth in (n, m) order, each
-    normalized and dual polynomial built once; False when depth < 0 leaves
-    nothing to compare."""
+def _duality_failure(pv: ParameterVector, depth: int) -> str | None:
+    """None when normalized_poly(pv, n)(node(m)) == dual_normalized_poly(pv,
+    m)(eigenvalue(n)) for every n, m <= depth, each polynomial built once;
+    else a detail naming the first failing (n, m) in (n, m) order, or saying
+    that depth < 0 left nothing to compare."""
     duals = []
     for n in range(depth + 1):
         u = normalized_poly(pv, n)
@@ -247,23 +248,23 @@ def _duality_holds(pv: ParameterVector, depth: int) -> bool:
             if m == len(duals):
                 duals.append(dual_normalized_poly(pv, m))
             if u(pv.node(m)) != duals[m](pv.eigenvalue(n)):
-                return False
-    return depth >= 0
+                return f"first failure at n={n}, m={m}"
+    return None if depth >= 0 else "compared no n"
 
 
 def suite_duality(depth: int = 8) -> SuiteReport:
     report = SuiteReport("duality")
-    ok = _duality_holds(catalog.instantiate("1a"), depth)
-    report.add("duality/1a", ok, f"n,m <= {depth}")
+    failure = _duality_failure(catalog.instantiate("1a"), depth)
+    report.add("duality/1a", failure is None, failure or f"n,m <= {depth}")
     for label, dual_label, params in DUALITY_INSTANCES:
         pv = catalog.instantiate(label, params or None)
         dual = dualize(pv, depth=depth + 1)
         pair_ok = pattern_of(dual) == LABELS[dual_label]
-        value_ok = _duality_holds(pv, depth)
+        failure = _duality_failure(pv, depth)
         report.add(
             f"duality/{label}<->{dual_label}",
-            pair_ok and value_ok,
-            "pattern and values",
+            pair_ok and failure is None,
+            failure or "pattern and values",
         )
     for label in SELF_DUAL:
         pv = catalog.instance_for_label(label, _DUALITY_PARAMS.get(label))

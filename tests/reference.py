@@ -1,6 +1,6 @@
 """Reference routes shared by the tests: plain Fraction versions of what the
 engine computes with integer kernels and closed forms, kept to pin the
-engine to them."""
+engine to them, and the helpers that build the tests' broken vectors."""
 
 from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
@@ -9,7 +9,10 @@ from functools import cache
 from qscheme import catalog
 from qscheme.core import (
     ParameterVector,
+    UncheckedParameterVector,
+    dual_normalized_poly,
     monic_poly,
+    normalized_poly,
     recurrence_coeff0,
     recurrence_coeffs,
 )
@@ -23,6 +26,30 @@ from qscheme.errors import (
 from qscheme.qpolynomial import Poly, _newton_horner, _over_lcm
 from qscheme.qrational import admissible_q, rational
 from qscheme.qseries import qpoch, qpoch_many
+
+
+def perturbed(
+    pv: ParameterVector,
+    *,
+    a: tuple | None = None,
+    b: tuple | None = None,
+    d: tuple | None = None,
+) -> UncheckedParameterVector:
+    """Copy a vector with fields replaced, skipping constraint checks."""
+    return UncheckedParameterVector(
+        q=pv.q,
+        a=a if a is not None else pv.a,
+        b=b if b is not None else pv.b,
+        d=d if d is not None else pv.d,
+    )
+
+
+def duality_check(pv: ParameterVector, n: int, m: int) -> bool:
+    """Reference: U_n(node(m)) == dual_U_m(eigenvalue(n)) for one pair, both
+    polynomials built for it; verify's duality suite builds each once."""
+    lhs = normalized_poly(pv, n)(pv.node(m))
+    rhs = dual_normalized_poly(pv, m)(pv.eigenvalue(n))
+    return lhs == rhs
 
 
 def outcome(fn, *args):
@@ -329,9 +356,13 @@ def per_term_z_series(n, q, x, anchor, upper_extra, lower):
 
 def fraction_terminating_sum(upper, lower, q, n, step):
     """Reference: the Fraction term loop that terminating_sum replaced, with
-    the numerator, denominator and step product kept as running Fractions."""
+    the numerator, denominator and step product kept as running Fractions
+    and the step's Laurent coefficients (coeffs, low) turned into the
+    Fraction lambda sum_i coeffs[i] * qj**(low + i)."""
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
+    coeffs, low = step
+    step = lambda qj: sum(c * qj ** (low + i) for i, c in enumerate(coeffs))
     num = den = steps = F(1)
     total = F(0)
     qj = F(1)

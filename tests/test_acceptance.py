@@ -12,7 +12,6 @@ from qscheme import catalog, limits
 from qscheme.classifier import LABELS, build_graph, emit, pattern_of
 from qscheme.core import (
     apply_operator,
-    duality_check,
     monic_poly,
     recurrence_check,
 )
@@ -35,6 +34,7 @@ from qscheme.verify import (
 )
 
 from golden_data import all_labelled_patterns, golden_arrow_set
+from reference import duality_check
 
 SEED = 424242
 

@@ -25,10 +25,10 @@ from qscheme.classifier import (
     pattern_of,
     validate,
 )
-from qscheme.core import perturbed
 from qscheme.errors import RuleViolation
 
 from golden_data import all_labelled_patterns, golden_arrow_set
+from reference import perturbed
 
 
 # -- pattern mechanics ------------------------------------------------------------

@@ -18,13 +18,11 @@ from qscheme.core import (
     UncheckedParameterVector,
     apply_operator,
     dual_normalized_poly,
-    duality_check,
     expansion,
     finite_cutoff,
     monic_poly,
     newton_basis,
     normalized_poly,
-    perturbed,
     recurrence_check,
     recurrence_coeff0,
     recurrence_coeffs,
@@ -42,11 +40,13 @@ from qscheme.symmetry import GaugeAction, apply_gauge, dualize
 from qscheme.verify import Q_POOL, random_broken_vector, random_parameter_vector
 from reference import (
     catalog_monic_polys,
+    duality_check,
     fraction_apply_operator,
     fraction_horner,
     fraction_to_newton_coeffs,
     nested_loop_collision,
     outcome,
+    perturbed,
     poly_recurrence_check,
     triangle_rows,
 )
@@ -775,7 +775,7 @@ def test_negative_degrees_are_refused(pv_3a, build, bound):
         with pytest.raises(ValueError, match=bound):
             build(pv_3a, degree)
     with pytest.raises(ValueError, match="n >= 0"):
-        core._newton_row(*pv_3a._sequences(4)[1:], -1)
+        core._newton_row(pv_3a._integer_prefix(1, 5), pv_3a._sequences(4)[2], -1)
 
 
 def test_integer_horner_matches_fraction_reference_on_random_rows():
@@ -812,7 +812,7 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
                 h.append(value)
         g = tuple(scalar(0.1) for _ in range(n + 1))
         zeros += F(0) in g[1:]
-        row = core._newton_row(tuple(h), g, n)
+        row = core._newton_row(core._over_lcm(h), g, n)
         want = fraction_newton_row(h, g, n)
         assert all(isinstance(v, int) for v in row) and row[n] != 0
         assert [F(v, row[n]) for v in row] == want
@@ -871,6 +871,23 @@ def test_sequence_table_reads_any_prefix():
     assert pv._sequences(-3) == ((), (), ())
 
 
+def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
+    """Any prefix, asked in any order, is the Fraction prefix over the lcm of
+    exactly its denominators, on a table grown by other callers too."""
+    rng = random.Random(79)
+    scaled = 0
+    for pv in sequence_vectors()[::3]:
+        pv = dataclasses.replace(pv)  # empty memo
+        for m in rng.sample(range(-1, 16), 17):
+            if rng.random() < 0.3:
+                pv._sequences(rng.randint(0, 20))
+            for which, seq in enumerate(pv._sequences(m - 1)):
+                nums, den = pv._integer_prefix(which, m)
+                assert (list(nums), den) == (core._over_lcm(seq) if m > 0 else ([], 1)), (pv, which, m)
+                scaled += m > 0 and den != pv._int_table[which][1][-1]
+    assert scaled > 100
+
+
 def test_sequence_table_is_not_part_of_the_value():
     grown, fresh = catalog.instantiate("2a"), catalog.instantiate("2a")
     before = repr(grown)
@@ -885,6 +902,7 @@ def test_sequence_table_is_not_part_of_the_value():
     assert copy == grown and len(copy._table[0]) == 0
     assert copy._hash is None and hash(copy) == hash(grown)
     assert copy._forms is None and grown._forms is not None
+    assert copy._int_table == type(grown)._int_table != grown._int_table
     assert type(grown)._hash is None and type(grown)._forms is None
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
@@ -919,5 +937,13 @@ def test_threads_growing_one_table_get_the_serial_results():
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
                 assert x == tuple(pv.node(k) for k in range(len(x)))
                 assert g == tuple(pv.lowering(k) for k in range(len(g)))
+                # ... and so may the integer table, each on its own
+                forms = pv._int_table
+                m = len(forms[0][1])
+                assert m >= min(degrees) + 1
+                fresh = dataclasses.replace(pv)._sequences(m - 1)
+                assert [(list(nums), lcms[-1]) for nums, lcms in forms] == [
+                    core._over_lcm(seq) for seq in fresh
+                ]
     finally:
         sys.setswitchinterval(interval)

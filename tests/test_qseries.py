@@ -126,7 +126,7 @@ def test_negative_bound_is_refused(n):
     with pytest.raises(ValueError, match=f"a terminating series needs n >= 0, got n = {n}"):
         qhyper_sum((q**-n, F(3)), (F(1, 5),), q, q, n)
     with pytest.raises(ValueError, match="n >= 0"):
-        terminating_sum((), (), q, n, lambda qj: qj)
+        terminating_sum((), (), q, n, ((F(1),), 1))
 
 
 def test_early_termination_makes_bad_lower_legal():
@@ -193,14 +193,19 @@ def test_shared_term_loop_matches_per_term_reference():
 
 def test_integer_term_loop_matches_fraction_reference():
     """Value, or error and message, on seeded series with early stops,
-    vanishing denominators, zero step factors and negative and int bases."""
+    vanishing denominators, Laurent steps from q**-2 up with interior zero
+    coefficients or a zero at q**j = root, and negative, +/-1 and int bases."""
     rng = random.Random(6161)
     small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
-    seen = {"early": 0, "raised": 0, "zero_step": 0, "int_q": 0, "negative_q": 0}
+    seen = dict.fromkeys(
+        ("early", "raised", "zero_step", "interior_zero", "int_q", "negative_q", "unit_q"), 0
+    )
+    lows = set()
     for _ in range(600):
         if rng.random() < 0.3:
             q = rng.choice([-3, -2, -1, 1, 2, 3])  # an int base, +/-1 included
             seen["int_q"] += 1
+            seen["unit_q"] += q in (-1, 1)
         else:
             q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
         seen["negative_q"] += q < 0
@@ -213,17 +218,22 @@ def test_integer_term_loop_matches_fraction_reference():
             seen["early"] += 1
         if rng.random() < 0.3 and n >= 1:
             lower.append(F(q) ** -rng.randint(0, n - 1))  # a denominator zero
-        z, c = small(), rng.choice([-2, -1, 0, 1])
+        low = rng.randint(-2, 1)
+        lows.add(low)
         if rng.random() < 0.3:
-            root = F(q) ** rng.randint(0, max(n - 1, 0))
-            step = lambda qj, z=z, root=root: z * (qj - root)  # zero at q**j = root
+            root, z = F(q) ** rng.randint(0, max(n - 1, 0)), small() or F(1)
+            coeffs = (-z * root, z)  # z * (q**j - root) * q**(j*low): zero at q**j = root
             seen["zero_step"] += 1
         else:
-            step = lambda qj, z=z, c=c: z * (-qj) ** c
+            coeffs = [small() for _ in range(rng.randint(1, 3))]
+            if len(coeffs) == 3 and rng.random() < 0.5:
+                coeffs[1] = F(0)
+                seen["interior_zero"] += 1
+        step = (tuple(coeffs), low)
         rng.shuffle(upper)
         want = outcome(fraction_terminating_sum, upper, lower, q, n, step)
         got = outcome(terminating_sum, upper, lower, q, n, step)
-        assert got == want, (upper, lower, q, n)
+        assert got == want, (upper, lower, q, n, step)
         assert type(got) is F or got[0] is DivisionByZero
         seen["raised"] += type(want) is tuple
-    assert min(seen.values()) > 20, seen
+    assert min(seen.values()) > 20 and lows == {-2, -1, 0, 1}, (seen, lows)

@@ -7,7 +7,7 @@ import pytest
 
 from qscheme import catalog
 from qscheme.classifier import LABELS, pattern_of
-from qscheme.core import duality_check, monic_poly
+from qscheme.core import monic_poly
 from qscheme.errors import ChartUnreachable, XSeparationViolated
 from qscheme.symmetry import (
     CHART_DISCREPANCIES,
@@ -22,6 +22,7 @@ from qscheme.symmetry import (
     q_invert,
 )
 from qscheme.verify import random_parameter_vector
+from reference import duality_check
 
 
 def constraints_hold(pv) -> bool:

@@ -1,14 +1,15 @@
 """Suite-level behaviour of the verify module: a check that compared no
 (vector, n) instance fails instead of passing vacuously, and a failing
-check names its first failing n."""
+check names its first failing n, or (n, m) for duality."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from qscheme import catalog, verify
-from qscheme.core import apply_operator, perturbed
+from qscheme.core import apply_operator
 from qscheme.qpolynomial import Poly
+from reference import perturbed
 
 
 def test_all_of_needs_one_result_and_stops_at_the_first_failure():
@@ -74,6 +75,24 @@ def test_a_failing_eigen_check_names_its_first_failing_n(monkeypatch):
     assert not any(c.passed for c in report.checks)
     (report,) = verify.run_suite("eigen", n_max=-1, count=1)
     assert {c.detail for c in report.checks} == {"compared no n"}
+
+
+def test_a_failing_duality_check_names_its_first_failing_pair(monkeypatch):
+    def off_at_degree_2(pv, m, build=verify.dual_normalized_poly):
+        return build(pv, m) + (Poly.one() if m == 2 else Poly.zero())
+
+    monkeypatch.setattr(verify, "dual_normalized_poly", off_at_degree_2)
+    value_checks = lambda report: [c for c in report.checks if "self-dual" not in c.name]
+    checks = value_checks(verify.suite_duality(depth=3))
+    assert len(checks) == 1 + len(verify.DUALITY_INSTANCES)
+    assert {c.detail for c in checks} == {"first failure at n=0, m=2"}
+    assert not any(c.passed for c in checks)
+    # below m = 2 nothing is wrong, and the passing details stay as they were
+    checks = value_checks(verify.suite_duality(depth=1))
+    assert all(c.passed for c in checks)
+    assert [c.detail for c in checks] == ["n,m <= 1"] + ["pattern and values"] * (len(checks) - 1)
+    (report,) = verify.run_suite("duality", depth=-1)
+    assert {c.detail for c in value_checks(report)} == {"compared no n"}
 
 
 def test_run_suite_takes_its_options_by_keyword_only(monkeypatch):
