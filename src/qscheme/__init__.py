@@ -1,7 +1,7 @@
 """Exact-arithmetic engine, classifier and CLI for the q-Askey scheme."""
 
 from .qrational import format_rational, parse_rational, rational
-from .qpolynomial import Poly, format_poly, poly
+from .qpolynomial import Poly, format_poly
 from .qseries import qhyper_sum, qpoch, qpoch_many
 from .core import (
     NewtonExpansion,

@@ -23,7 +23,7 @@ power 0), which the term loop evaluates on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -168,8 +168,11 @@ def qbessel_value_inverse_rep(p: Params, q: Fraction, n: int, x: Fraction) -> Fr
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    constraint: str = "any rational"
-    check: Callable[[Fraction], bool] = field(default=lambda v: True)
+    nonzero: bool = False
+
+    @property
+    def constraint(self) -> str:
+        return f"{self.name} != 0" if self.nonzero else "any rational"
 
 
 @dataclass(frozen=True)
@@ -189,14 +192,6 @@ class FamilySpec:
     @property
     def pattern(self) -> ZeroPattern:
         return LABELS[self.key]
-
-
-def _nonzero(name: str) -> ParamSpec:
-    return ParamSpec(name, f"{name} != 0", lambda v: v != 0)
-
-
-def _any(name: str) -> ParamSpec:
-    return ParamSpec(name)
 
 
 def _sign(n: int) -> int:
@@ -241,7 +236,7 @@ _register(
         key="1a",
         name="Askey-Wilson",
         kls_section=1,
-        params=(_nonzero("a"), _any("b"), _any("c"), _any("d")),
+        params=(ParamSpec("a", nonzero=True), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
         defaults={
             "a": Fraction(2),
             "b": Fraction(1, 3),
@@ -284,7 +279,7 @@ _register(
         key="2a",
         name="continuous dual q-Hahn",
         kls_section=3,
-        params=(_nonzero("a"), _any("b"), _any("c")),
+        params=(ParamSpec("a", nonzero=True), ParamSpec("b"), ParamSpec("c")),
         defaults={"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab, ac, bc < 1",
@@ -303,7 +298,7 @@ _register(
         key="2b",
         name="big q-Jacobi",
         kls_section=5,
-        params=(_any("a"), _any("b"), _any("c")),
+        params=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c")),
         defaults={"a": Fraction(1, 3), "b": Fraction(1, 4), "c": Fraction(-1, 2)},
         newton_form="v_k(x) = prod_{j<k} (x - q^-j)",
         positivity="0 < aq < 1, 0 <= bq < 1, c < 0",
@@ -329,7 +324,7 @@ _register(
         key="3a",
         name="Al-Salam-Chihara",
         kls_section=8,
-        params=(_nonzero("a"), _any("b")),
+        params=(ParamSpec("a", nonzero=True), ParamSpec("b")),
         defaults={"a": Fraction(2), "b": Fraction(1, 4)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab < 1",
@@ -350,7 +345,7 @@ _register(
         key="3b",
         name="big q-Laguerre",
         kls_section=11,
-        params=(_any("a"), _any("b")),
+        params=(ParamSpec("a"), ParamSpec("b")),
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = x^k (qa/x; q)_k",
         positivity="0 < aq < 1, b < 0",
@@ -375,7 +370,7 @@ _register(
         key="3c",
         name="big q-Laguerre",
         kls_section=11,
-        params=(_any("a"), _any("b")),
+        params=(ParamSpec("a"), ParamSpec("b")),
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = (-1)^k q^{-k(k-1)/2} (x; q)_k",
         positivity="0 < aq < 1, b < 0",
@@ -397,7 +392,7 @@ _register(
         key="3d",
         name="little q-Jacobi",
         kls_section=12,
-        params=(_any("a"), _nonzero("b")),
+        params=(ParamSpec("a"), ParamSpec("b", nonzero=True)),
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = (-b)^-k q^{-k(k+1)/2} (qbx; q)_k",
         positivity="0 < a < 1/q, b < 1/q",
@@ -429,7 +424,7 @@ _register(
         key="3e",
         name="little q-Jacobi",
         kls_section=12,
-        params=(_any("a"), _any("b")),
+        params=(ParamSpec("a"), ParamSpec("b")),
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
         positivity="0 < a < 1/q, b < 1/q",
@@ -451,7 +446,7 @@ _register(
         key="4a",
         name="continuous big q-Hermite",
         kls_section=18,
-        params=(_nonzero("a"),),
+        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(2)},
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a real",
@@ -471,7 +466,7 @@ _register(
         key="4b",
         name="shifted-factorial polynomials x^n (b/x;q)_n",
         kls_section=None,
-        params=(_any("b"),),
+        params=(ParamSpec("b"),),
         defaults={"b": Fraction(1, 3)},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
         positivity="none recorded",
@@ -491,7 +486,7 @@ _register(
         key="4c",
         name="Al-Salam-Carlitz I",
         kls_section=24,
-        params=(_nonzero("a"),),
+        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(-1)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="a < 0",
@@ -510,7 +505,7 @@ _register(
         key="4d",
         name="little q-Laguerre",
         kls_section=20,
-        params=(_nonzero("a"),),
+        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="0 < aq < 1",
@@ -531,7 +526,7 @@ _register(
         key="4e",
         name="little q-Laguerre",
         kls_section=20,
-        params=(_any("a"),),
+        params=(ParamSpec("a"),),
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
         positivity="0 < aq < 1",
@@ -548,7 +543,7 @@ _register(
         key="4f'",
         name="q-Bessel",
         kls_section=22,
-        params=(_nonzero("a"),),
+        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="a > 0",
@@ -569,7 +564,7 @@ _register(
         key="4g",
         name="q-Bessel",
         kls_section=22,
-        params=(_any("a"),),
+        params=(ParamSpec("a"),),
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k",
         positivity="a > 0",
@@ -644,7 +639,7 @@ def coerce_params(spec: FamilySpec, params: Mapping | None) -> dict[str, Fractio
     for ps in spec.params:
         if ps.name not in merged:
             raise InadmissibleParams(f"{spec.key}: missing parameter {ps.name!r}")
-        if not ps.check(merged[ps.name]):
+        if ps.nonzero and merged[ps.name] == 0:
             raise InadmissibleParams(
                 f"{spec.key}: parameter {ps.name} violates {ps.constraint}"
             )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .errors import (
@@ -83,13 +83,13 @@ class ParameterVector:
     # -- sequences ---------------------------------------------------------
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked; beside it, the same sequences in the integer form that
-    # _integer_prefix reads; once computed, the hash and the integer Laurent
-    # forms.
+    # asked; the integer prefixes _integer_prefix has built, by (which, m);
+    # once computed, the hash and the integer Laurent forms.
     # Unannotated, so they are no dataclass fields: ==, hash, repr and
-    # replace ignore them.  Each is replaced whole, never mutated.
+    # replace ignore them.  _table is replaced whole, never mutated; each
+    # _prefixes entry is written once, with its complete value.
     _table = ((), (), ())
-    _int_table = (((), ()), ((), ()), ((), ()))
+    _prefixes = None
     _hash = None
     _forms = None
 
@@ -151,24 +151,22 @@ class ParameterVector:
         m = max(n + 1, 0)
         return x[:m], h[:m], g[:m]
 
-    def _integer_prefix(self, which: int, m: int) -> tuple[Sequence[int], int]:
+    def _integer_prefix(self, which: int, m: int) -> tuple[tuple[int, ...], int]:
         """node (which = 0), eigenvalue (1) or lowering (2) at k < m as
-        integer numerators over the lcm of exactly those m denominators.
-
-        The vector keeps, beside _table and published whole like it, each
-        sequence's numerators over the lcm L of every value built so far and
-        the running lcms L_0, L_1, ... of its prefixes; a prefix is read off
-        by one exact division by L/L_(m-1), or none when the two agree."""
+        integer numerators over the lcm of exactly those m denominators,
+        built once per (which, m).  Threads that race on a new entry at
+        worst build it twice; each writes the same complete value."""
         if m <= 0:
             return (), 1
-        forms = self._int_table
-        if len(forms[0][1]) < m:
-            forms = tuple(map(_extend_over_lcm, forms, self._sequences(m - 1)))
-            object.__setattr__(self, "_int_table", forms)
-        nums, lcms = forms[which]
-        den = lcms[m - 1]
-        scale = lcms[-1] // den
-        return (nums[:m] if scale == 1 else [v // scale for v in nums[:m]]), den
+        memo = self._prefixes
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_prefixes", memo)
+        form = memo.get((which, m))
+        if form is None:
+            nums, den = _over_lcm(self._sequences(m - 1)[which])
+            form = memo[which, m] = (tuple(nums), den)
+        return form
 
     # -- separation checks (closed form, exact for every q and every k) -------
 
@@ -251,25 +249,6 @@ def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | 
             return s // 2 + 1, s - s // 2 - 1
         P, R, s = P * p, R * r, s + 1
     return None
-
-
-def _extend_over_lcm(
-    form: tuple[tuple[int, ...], tuple[int, ...]], values: tuple[Fraction, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(nums, lcms) of values[:len(lcms)] extended to all of values: nums
-    over the lcm of every denominator, lcms[k] the lcm of the denominators
-    of values[0..k]."""
-    nums, lcms = form
-    old = den = lcms[-1] if lcms else 1
-    new = values[len(lcms):]
-    grown = []
-    for v in new:
-        den = lcm(den, v.denominator)
-        grown.append(den)
-    scale = den // old
-    nums = [v * scale for v in nums] if scale != 1 else list(nums)
-    nums += [v.numerator * (den // v.denominator) for v in new]
-    return tuple(nums), lcms + tuple(grown)
 
 
 def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> Fraction:

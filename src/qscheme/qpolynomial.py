@@ -206,11 +206,6 @@ _set_den = Poly.den.__set__
 _set_coeffs = Poly._coeffs.__set__
 
 
-def poly(coeffs: Iterable[Scalar]) -> Poly:
-    """Build a polynomial from low-degree-first coefficients."""
-    return Poly(coeffs)
-
-
 def product_of_linear(roots: Iterable[Scalar]) -> Poly:
     """The monic polynomial with the given roots (with multiplicity)."""
     roots = tuple(rational(r) for r in roots)

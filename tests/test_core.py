@@ -35,7 +35,7 @@ from qscheme.errors import (
     XSeparationViolated,
     ZeroG,
 )
-from qscheme.qpolynomial import Poly, poly, product_of_linear
+from qscheme.qpolynomial import Poly, product_of_linear
 from qscheme.symmetry import GaugeAction, apply_gauge, dualize
 from qscheme.verify import Q_POOL, random_broken_vector, random_parameter_vector
 from reference import (
@@ -205,7 +205,7 @@ def test_newton_basis_empty_product(pv_3a):
 
 def test_newton_basis_3a_degree_two(pv_3a):
     # nodes 5/2 and 2: (x - 5/2)(x - 2) = x^2 - 9/2 x + 5
-    assert newton_basis(pv_3a, 2) == poly([5, F(-9, 2), 1])
+    assert newton_basis(pv_3a, 2) == Poly([5, F(-9, 2), 1])
 
 
 def test_newton_basis_constant_nodes(pv_5b):
@@ -255,14 +255,14 @@ def test_monic_poly_trivial(pv_3a):
 
 
 def test_monic_poly_5b_degree_two(pv_5b):
-    assert monic_poly(pv_5b, 2) == poly([F(1, 2), F(-3, 2), 1])
+    assert monic_poly(pv_5b, 2) == Poly([F(1, 2), F(-3, 2), 1])
 
 
 def test_monic_poly_5a_is_power_basis():
     pv = catalog.instantiate("5a")
     assert recurrence_coeff0(pv) == 0
     for n in range(7):
-        assert monic_poly(pv, n) == poly([0] * n + [1])
+        assert monic_poly(pv, n) == Poly([0] * n + [1])
 
 
 def test_two_routes_to_monic_polynomials(pv_3a):
@@ -418,7 +418,7 @@ def test_recurrence_coeffs_match_reference():
 
 
 def test_newton_coeff_round_trip(pv_3a):
-    p = poly([F(1, 3), F(-2), F(5), F(1)])
+    p = Poly([F(1, 3), F(-2), F(5), F(1)])
     e = to_newton_coeffs(pv_3a, p)
     assert sum((newton_basis(pv_3a, k) * c for k, c in enumerate(e)), Poly.zero()) == p
 
@@ -551,8 +551,8 @@ def test_integer_operator_and_recurrence_match_fraction_references():
             assert outcome(recurrence_check, pv, n) == expected, (name, n)
             raised += isinstance(expected, tuple)
             failed += expected is False
-            polys = [Poly.zero(), poly([F(rng.randint(-9, 9), rng.randint(1, 9))])]
-            polys.append(poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] + [1]))
+            polys = [Poly.zero(), Poly([F(rng.randint(-9, 9), rng.randint(1, 9))])]
+            polys.append(Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] + [1]))
             u = outcome(monic_poly, pv, n)
             if isinstance(u, Poly):
                 polys.append(u)
@@ -575,7 +575,7 @@ def test_recurrence_check_sees_every_coefficient(monkeypatch, pv_3a, n):
 
             def nudged(pv, k, m=m, i=i):
                 u = real(pv, k)
-                return u + poly([0] * i + [TINY]) if k == m else u
+                return u + Poly([0] * i + [TINY]) if k == m else u
 
             monkeypatch.setattr(core, "monic_poly", nudged)
             assert recurrence_check(pv_3a, n) is False, (m, i)
@@ -590,7 +590,7 @@ def test_operator_sees_every_coefficient(pv_3a):
         u = monic_poly(pv_3a, n)
         assert apply_operator(pv_3a, u) == u * pv_3a.eigenvalue(n)
         for k in range(n + 1):
-            p = u + poly([0] * k + [TINY])
+            p = u + Poly([0] * k + [TINY])
             assert apply_operator(pv_3a, p) != p * pv_3a.eigenvalue(n), (n, k)
 
 
@@ -644,7 +644,7 @@ def test_normalized_trivial(pv_3a):
 
 def test_normalized_first_order(pv_3a):
     # (h_1 - h_0)/g_1 = 4, so U_1 = 4(x - 9/4)
-    assert normalized_poly(pv_3a, 1) == poly([-9, 4])
+    assert normalized_poly(pv_3a, 1) == Poly([-9, 4])
 
 
 def test_normalized_requires_nonzero_lowering():
@@ -872,19 +872,21 @@ def test_sequence_table_reads_any_prefix():
 
 
 def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
-    """Any prefix, asked in any order, is the Fraction prefix over the lcm of
-    exactly its denominators, on a table grown by other callers too."""
+    """Any prefix, asked in any order and again, is the Fraction prefix over
+    the lcm of exactly its denominators, as a tuple, on a table grown by other
+    callers too; many of them have a smaller lcm than the whole table's."""
     rng = random.Random(79)
     scaled = 0
     for pv in sequence_vectors()[::3]:
         pv = dataclasses.replace(pv)  # empty memo
-        for m in rng.sample(range(-1, 16), 17):
+        for m in rng.choices(range(-1, 16), k=25):
             if rng.random() < 0.3:
                 pv._sequences(rng.randint(0, 20))
             for which, seq in enumerate(pv._sequences(m - 1)):
                 nums, den = pv._integer_prefix(which, m)
+                assert type(nums) is tuple, (pv, which, m)
                 assert (list(nums), den) == (core._over_lcm(seq) if m > 0 else ([], 1)), (pv, which, m)
-                scaled += m > 0 and den != pv._int_table[which][1][-1]
+                scaled += m > 0 and den != core._over_lcm(pv._table[which])[1]
     assert scaled > 100
 
 
@@ -902,7 +904,8 @@ def test_sequence_table_is_not_part_of_the_value():
     assert copy == grown and len(copy._table[0]) == 0
     assert copy._hash is None and hash(copy) == hash(grown)
     assert copy._forms is None and grown._forms is not None
-    assert copy._int_table == type(grown)._int_table != grown._int_table
+    assert copy._prefixes is None and grown._prefixes
+    assert type(grown)._prefixes is None
     assert type(grown)._hash is None and type(grown)._forms is None
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
@@ -910,8 +913,9 @@ def test_sequence_table_is_not_part_of_the_value():
 
 def test_threads_growing_one_table_get_the_serial_results():
     """Four threads race to grow one fresh vector's table and to memoise its
-    hash and Laurent forms; each gets the serial polynomial and hash, and the
-    table left behind is a correct prefix."""
+    hash, Laurent forms and integer prefixes; each gets the serial polynomial
+    and hash, the table left behind is a correct prefix, and every integer
+    prefix left behind is correct."""
     degrees = (24, 3, 17, 9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -937,13 +941,11 @@ def test_threads_growing_one_table_get_the_serial_results():
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
                 assert x == tuple(pv.node(k) for k in range(len(x)))
                 assert g == tuple(pv.lowering(k) for k in range(len(g)))
-                # ... and so may the integer table, each on its own
-                forms = pv._int_table
-                m = len(forms[0][1])
-                assert m >= min(degrees) + 1
-                fresh = dataclasses.replace(pv)._sequences(m - 1)
-                assert [(list(nums), lcms[-1]) for nums, lcms in forms] == [
-                    core._over_lcm(seq) for seq in fresh
-                ]
+                # a thread may lose its entries to another's new memo, but
+                # every entry left behind is a fresh vector's
+                assert pv._prefixes
+                fresh = dataclasses.replace(pv)
+                for (which, m), form in pv._prefixes.items():
+                    assert form == fresh._integer_prefix(which, m), (key, which, m)
     finally:
         sys.setswitchinterval(interval)

@@ -9,15 +9,16 @@ import pytest
 from qscheme import catalog, verify
 from qscheme.core import apply_operator
 from qscheme.qpolynomial import Poly
+from qscheme.symmetry import GaugeAction, apply_gauge
 from reference import perturbed
 
 
-def test_all_of_needs_one_result_and_stops_at_the_first_failure():
-    assert verify._all_of([]) is False
-    assert verify._all_of([True, True]) is True
+def test_first_failure_needs_one_result_and_stops_at_the_first_failure():
+    assert verify._first_failure([]) == "compared no n"
+    assert verify._first_failure([True, True]) is None
     seen = []
     results = (seen.append(ok) or ok for ok in (True, False, True))
-    assert verify._all_of(results) is False
+    assert verify._first_failure(results) == "first failure at n=1"
     assert seen == [True, False]
 
 
@@ -93,6 +94,20 @@ def test_a_failing_duality_check_names_its_first_failing_pair(monkeypatch):
     assert [c.detail for c in checks] == ["n,m <= 1"] + ["pattern and values"] * (len(checks) - 1)
     (report,) = verify.run_suite("duality", depth=-1)
     assert {c.detail for c in value_checks(report)} == {"compared no n"}
+
+
+def test_a_failing_symmetry_check_names_its_witness(monkeypatch):
+    def off_at_degree_3(pv, n, build=verify.monic_poly):
+        return build(pv, n) + (Poly.x() if n == 3 else Poly.zero())
+
+    monkeypatch.setattr(verify, "monic_poly", off_at_degree_3)
+    checks = verify.suite_symmetry().checks
+    assert len(checks) == 10
+    assert {c.detail for c in checks} == {"first failure at n=3"}
+    assert not any(c.passed for c in checks)
+    monkeypatch.setattr(verify, "q_invert", lambda pv: apply_gauge(pv, GaugeAction(tau=F(1))))
+    checks = verify.suite_symmetry().checks
+    assert {c.detail for c in checks} == {"first failure at n=3; q_invert is not an involution"}
 
 
 def test_run_suite_takes_its_options_by_keyword_only(monkeypatch):
