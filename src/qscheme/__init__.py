@@ -15,7 +15,6 @@ from .core import (
     newton_basis,
     normalized_poly,
     recurrence_check,
-    recurrence_coeff0,
     recurrence_coeffs,
     to_newton_coeffs,
 )

@@ -166,28 +166,18 @@ def qbessel_value_inverse_rep(p: Params, q: Fraction, n: int, x: Fraction) -> Fr
 
 
 @dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    nonzero: bool = False
-
-    @property
-    def constraint(self) -> str:
-        return f"{self.name} != 0" if self.nonzero else "any rational"
-
-
-@dataclass(frozen=True)
 class FamilySpec:
     key: str  # also the family's diagram label
     name: str
     kls_section: int | None
-    params: tuple[ParamSpec, ...]
-    defaults: dict[str, Fraction]
+    defaults: dict[str, Fraction]  # every parameter, in display order
     newton_form: str
     positivity: str  # recorded orthogonality-range metadata, not enforced
     # (a, b, d): the eleven coefficients in ParameterVector field order
     coefficients: Callable[[Params, Fraction], tuple[tuple, tuple, tuple]]
     kn_fn: Callable[[Params, Fraction, int], Fraction]
     named_fn: Callable[[Params, Fraction, int, Fraction], Fraction]
+    nonzero: tuple[str, ...] = ()  # the parameters that must not vanish
 
     @property
     def pattern(self) -> ZeroPattern:
@@ -236,13 +226,13 @@ _register(
         key="1a",
         name="Askey-Wilson",
         kls_section=1,
-        params=(ParamSpec("a", nonzero=True), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
         defaults={
             "a": Fraction(2),
             "b": Fraction(1, 3),
             "c": Fraction(1, 5),
             "d": Fraction(1, 7),
         },
+        nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a,b,c,d real with pairwise products < 1",
         coefficients=lambda p, q: (
@@ -279,8 +269,8 @@ _register(
         key="2a",
         name="continuous dual q-Hahn",
         kls_section=3,
-        params=(ParamSpec("a", nonzero=True), ParamSpec("b"), ParamSpec("c")),
         defaults={"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5)},
+        nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab, ac, bc < 1",
         coefficients=lambda p, q: (
@@ -298,7 +288,6 @@ _register(
         key="2b",
         name="big q-Jacobi",
         kls_section=5,
-        params=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c")),
         defaults={"a": Fraction(1, 3), "b": Fraction(1, 4), "c": Fraction(-1, 2)},
         newton_form="v_k(x) = prod_{j<k} (x - q^-j)",
         positivity="0 < aq < 1, 0 <= bq < 1, c < 0",
@@ -324,8 +313,8 @@ _register(
         key="3a",
         name="Al-Salam-Chihara",
         kls_section=8,
-        params=(ParamSpec("a", nonzero=True), ParamSpec("b")),
         defaults={"a": Fraction(2), "b": Fraction(1, 4)},
+        nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab < 1",
         coefficients=lambda p, q: (
@@ -345,7 +334,6 @@ _register(
         key="3b",
         name="big q-Laguerre",
         kls_section=11,
-        params=(ParamSpec("a"), ParamSpec("b")),
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = x^k (qa/x; q)_k",
         positivity="0 < aq < 1, b < 0",
@@ -370,7 +358,6 @@ _register(
         key="3c",
         name="big q-Laguerre",
         kls_section=11,
-        params=(ParamSpec("a"), ParamSpec("b")),
         defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
         newton_form="v_k(x) = (-1)^k q^{-k(k-1)/2} (x; q)_k",
         positivity="0 < aq < 1, b < 0",
@@ -392,8 +379,8 @@ _register(
         key="3d",
         name="little q-Jacobi",
         kls_section=12,
-        params=(ParamSpec("a"), ParamSpec("b", nonzero=True)),
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
+        nonzero=("b",),
         newton_form="v_k(x) = (-b)^-k q^{-k(k+1)/2} (qbx; q)_k",
         positivity="0 < a < 1/q, b < 1/q",
         coefficients=lambda p, q: (
@@ -424,7 +411,6 @@ _register(
         key="3e",
         name="little q-Jacobi",
         kls_section=12,
-        params=(ParamSpec("a"), ParamSpec("b")),
         defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
         positivity="0 < a < 1/q, b < 1/q",
@@ -446,8 +432,8 @@ _register(
         key="4a",
         name="continuous big q-Hermite",
         kls_section=18,
-        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(2)},
+        nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a real",
         coefficients=lambda p, q: (
@@ -466,7 +452,6 @@ _register(
         key="4b",
         name="shifted-factorial polynomials x^n (b/x;q)_n",
         kls_section=None,
-        params=(ParamSpec("b"),),
         defaults={"b": Fraction(1, 3)},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
         positivity="none recorded",
@@ -486,8 +471,8 @@ _register(
         key="4c",
         name="Al-Salam-Carlitz I",
         kls_section=24,
-        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(-1)},
+        nonzero=("a",),
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="a < 0",
         coefficients=lambda p, q: ((-1, 0, 1), (0, 1, 0), _lowering(-p["a"], -1)),
@@ -505,8 +490,8 @@ _register(
         key="4d",
         name="little q-Laguerre",
         kls_section=20,
-        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(1, 3)},
+        nonzero=("a",),
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="0 < aq < 1",
         coefficients=lambda p, q: ((1, 0, -1), (0, 1, 0), _lowering(-p["a"], 0)),
@@ -526,7 +511,6 @@ _register(
         key="4e",
         name="little q-Laguerre",
         kls_section=20,
-        params=(ParamSpec("a"),),
         defaults={"a": Fraction(1, 3)},
         newton_form="v_k(x) = x^k",
         positivity="0 < aq < 1",
@@ -543,8 +527,8 @@ _register(
         key="4f'",
         name="q-Bessel",
         kls_section=22,
-        params=(ParamSpec("a", nonzero=True),),
         defaults={"a": Fraction(1)},
+        nonzero=("a",),
         newton_form="v_k(x) = x^k (1/x; q)_k",
         positivity="a > 0",
         coefficients=lambda p, q: (
@@ -564,7 +548,6 @@ _register(
         key="4g",
         name="q-Bessel",
         kls_section=22,
-        params=(ParamSpec("a"),),
         defaults={"a": Fraction(1)},
         newton_form="v_k(x) = x^k",
         positivity="a > 0",
@@ -581,7 +564,6 @@ _register(
         key="5a",
         name="monomials x^n",
         kls_section=None,
-        params=(),
         defaults={},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
         positivity="none recorded",
@@ -598,7 +580,6 @@ _register(
         key="5b",
         name="shifted-factorial polynomials x^n (1/x;q)_n",
         kls_section=None,
-        params=(),
         defaults={},
         newton_form="v_k(x) = x^k",
         positivity="none recorded",
@@ -613,7 +594,6 @@ _register(
         key="5c'",
         name="Stieltjes-Wigert",
         kls_section=27,
-        params=(),
         defaults={},
         newton_form="v_k(x) = x^k",
         positivity="none recorded",
@@ -631,17 +611,15 @@ def coerce_params(spec: FamilySpec, params: Mapping | None) -> dict[str, Fractio
     merged = dict(spec.defaults)
     if params:
         for name, value in params.items():
-            if all(ps.name != name for ps in spec.params):
+            if name not in merged:
                 raise InadmissibleParams(
                     f"{spec.key}: unknown parameter {name!r}"
                 )
             merged[name] = rational(value)
-    for ps in spec.params:
-        if ps.name not in merged:
-            raise InadmissibleParams(f"{spec.key}: missing parameter {ps.name!r}")
-        if ps.nonzero and merged[ps.name] == 0:
+    for name in spec.nonzero:
+        if merged[name] == 0:
             raise InadmissibleParams(
-                f"{spec.key}: parameter {ps.name} violates {ps.constraint}"
+                f"{spec.key}: parameter {name} violates {name} != 0"
             )
     return merged
 
@@ -693,22 +671,13 @@ def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Callable[
     return lambda x: spec.named_fn(p, q, n, x) / kn
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    family: str
-    checked_values: int
-
-    @property
-    def ok(self) -> bool:
-        return self.checked_values > 0
-
-
-def crosscheck(family: str, n_max: int = 8) -> CrosscheckReport:
+def crosscheck(family: str, n_max: int = 8) -> int:
     """Engine route vs closed form at the family's defaults: monic_poly from
     the instantiated vector must equal hyper_eval's value, with the family
     resolved once and k_n computed once per n, at the n+1 distinct points
     _sample_xs(n + 1) for every n <= n_max, and the vector's zero pattern must
-    land on the family's diagram."""
+    land on the family's diagram.  Returns the number of values compared;
+    any mismatch raises."""
     spec = FAMILIES[family]
     p = coerce_params(spec, None)
     pv = instantiate(family, p, DEFAULT_Q)
@@ -731,7 +700,7 @@ def crosscheck(family: str, n_max: int = 8) -> CrosscheckReport:
             f"{family}: default-parameter pattern {pattern_of(pv).as_string()} "
             f"is not the diagram {spec.pattern.as_string()}"
         )
-    return CrosscheckReport(family=family, checked_values=checked)
+    return checked
 
 
 def instance_for_label(
@@ -764,8 +733,11 @@ def registry_json() -> list[dict]:
                 "node_label": spec.key,
                 "pattern": spec.pattern.as_string(),
                 "params": [
-                    {"name": ps.name, "constraint": ps.constraint}
-                    for ps in spec.params
+                    {
+                        "name": name,
+                        "constraint": f"{name} != 0" if name in spec.nonzero else "any rational",
+                    }
+                    for name in spec.defaults
                 ],
                 "defaults": {
                     k: format_rational(v) for k, v in spec.defaults.items()

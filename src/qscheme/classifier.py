@@ -71,13 +71,6 @@ class ZeroPattern:
             return None
         return ZeroPattern(b_row=self.a_row, d_row=self.d_row, a_row=self.b_row)
 
-    @property
-    def white_count(self) -> int:
-        return sum(not v for row in (self.b_row, self.d_row, self.a_row) for v in row)
-
-    def sort_key(self) -> str:
-        return self.as_string()
-
 
 def validate(pattern: ZeroPattern) -> list[str]:
     """Empty list iff the pattern is admissible under rules 1-5."""
@@ -197,7 +190,6 @@ def _build_label_table() -> dict[str, ZeroPattern]:
 LABELS: dict[str, ZeroPattern] = _build_label_table()
 PATTERN_LABELS: dict[ZeroPattern, str] = {p: label for label, p in LABELS.items()}
 
-SELF_MIRRORED = ("1a", "3e")
 SELF_DUAL = ("1a", "3c", "4b", "5a")
 DUAL_PAIRS = (("2a", "2b"), ("3a", "3d"), ("3b", "3b'"), ("4a", "4f"), ("4c", "4d'"))
 
@@ -214,44 +206,24 @@ def base_families(label: str) -> tuple[str, ...]:
     return FAMILY_LISTS.get(label.rstrip("'"), ())
 
 
-_CASCADE = {"b2": "d4", "a2": "d4", "b1": "d3", "a1": "d3"}
-_SLOTS = ("b2", "b1", "d4", "d2", "d0", "d1", "d3", "a2", "a1")
-
-
-def _slots(pattern: ZeroPattern) -> dict[str, bool]:
-    """The flags of the nine flippable slots by name; b0 and a0 stay black."""
-    b2, _, b1 = pattern.b_row
-    d4, d2, d0, d1, d3 = pattern.d_row
-    a2, _, a1 = pattern.a_row
-    return {
-        "b2": b2, "b1": b1, "a2": a2, "a1": a1,
-        "d4": d4, "d2": d2, "d0": d0, "d1": d1, "d3": d3,
-    }
-
-
-def _with_whites(pattern: ZeroPattern, whites: set[str]) -> ZeroPattern:
-    values = _slots(pattern) | dict.fromkeys(whites, False)
-    return ZeroPattern(
-        b_row=(values["b2"], pattern.b_row[1], values["b1"]),
-        d_row=(values["d4"], values["d2"], values["d0"], values["d1"], values["d3"]),
-        a_row=(values["a2"], pattern.a_row[1], values["a1"]),
-    )
+# Cells of as_string() (b2 b0 b1 | d4 d2 d0 d1 d3 | a2 a0 a1 at 0-2, 4-8 and
+# 10-12) that a flip may turn white, and the cell each one forces white with
+# it: b2 or a2 forces d4, b1 or a1 forces d3.
+_FLIPPABLE = (0, 2, 4, 5, 6, 7, 8, 10, 12)
+_FORCED = {0: 4, 10: 4, 2: 8, 12: 8}
 
 
 def arrows_from(pattern: ZeroPattern) -> frozenset[ZeroPattern]:
     """Admissible targets reached by one black-to-white flip plus cascade."""
+    cells = pattern.as_string()
     targets = set()
-    black = _slots(pattern)
-    for slot in _SLOTS:
-        if not black[slot]:
-            continue
-        whites = {slot}
-        cascade = _CASCADE.get(slot)
-        if cascade:
-            whites.add(cascade)
-        candidate = _with_whites(pattern, whites)
-        if candidate != pattern and not validate(candidate):
-            targets.add(candidate)
+    for i in _FLIPPABLE:
+        if cells[i] == "B":
+            flipped = list(cells)
+            flipped[i] = flipped[_FORCED.get(i, i)] = "W"
+            candidate = ZeroPattern.from_string("".join(flipped))
+            if not validate(candidate):
+                targets.add(candidate)
     return frozenset(targets)
 
 
@@ -276,15 +248,6 @@ class SchemeGraph:
     def unlisted_count(self) -> int:
         return sum(n.unlisted for n in self.nodes)
 
-    def node_by_label(self, label: str) -> SchemeNode:
-        for node in self.nodes:
-            if node.label == label:
-                return node
-        raise KeyError(label)
-
-    def arrow_labels(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.arrows)
-
 
 def build_graph() -> SchemeGraph:
     """Enumerate admissible patterns, attach fixed labels (X-nn for patterns
@@ -292,7 +255,7 @@ def build_graph() -> SchemeGraph:
     patterns = enumerate_nodes()
     unlisted = sorted(
         (p for p in patterns if p not in PATTERN_LABELS),
-        key=ZeroPattern.sort_key,
+        key=ZeroPattern.as_string,
     )
     label_of: dict[ZeroPattern, str] = dict(PATTERN_LABELS)
     for i, p in enumerate(unlisted, start=1):

@@ -24,7 +24,6 @@ from pathlib import Path
 from . import catalog, classifier, verify
 from .core import (
     monic_poly,
-    recurrence_coeff0,
     recurrence_coeffs,
 )
 from .errors import QSchemeError
@@ -167,7 +166,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         _check_writable(args.json)
         # a_n needs eigenvalue(n + 1): build every row before printing any
         rows = [
-            (monic_poly(pv, n), recurrence_coeffs(pv, n) if n else (recurrence_coeff0(pv), None))
+            (monic_poly(pv, n), recurrence_coeffs(pv, n))
             for n in range(args.n + 1)
         ]
     except QSchemeError as exc:

@@ -128,28 +128,27 @@ class ParameterVector:
     def lowering(self, k: int) -> Fraction:
         return self._at(2, k)
 
-    def _sequences(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
-        """(node(0..n), eigenvalue(0..n), lowering(0..n)), each value built
-        once per vector from running integer powers q**k = P/R.  The table
-        grows by publishing longer tuples in one assignment, never in place,
-        so concurrent callers each see a correct prefix."""
+    def _values(self, which: int, m: int) -> tuple[Fraction, ...]:
+        """node (which = 0), eigenvalue (1) or lowering (2) at k < m, each
+        value built once per vector from running integer powers q**k = P/R.
+        The table grows all three sequences at once by publishing longer
+        tuples in one assignment, never in place, so concurrent callers each
+        see a correct prefix."""
         table = self._table
         start = len(table[0])
-        if start <= n:
+        if start < m:
             forms = self._laurent_forms()
             p, r = self.q.numerator, self.q.denominator
             P, R = p**start, r**start
             grown = ([], [], [])
-            for _ in range(start, n + 1):
+            for _ in range(start, m):
                 for values, form in zip(grown, forms):
                     values.append(_laurent_at(form, P, R))
                 P *= p
                 R *= r
             table = tuple(old + tuple(new) for old, new in zip(table, grown))
             object.__setattr__(self, "_table", table)
-        x, h, g = table
-        m = max(n + 1, 0)
-        return x[:m], h[:m], g[:m]
+        return table[which][:max(m, 0)]
 
     def _integer_prefix(self, which: int, m: int) -> tuple[tuple[int, ...], int]:
         """node (which = 0), eigenvalue (1) or lowering (2) at k < m as
@@ -164,7 +163,7 @@ class ParameterVector:
             object.__setattr__(self, "_prefixes", memo)
         form = memo.get((which, m))
         if form is None:
-            nums, den = _over_lcm(self._sequences(m - 1)[which])
+            nums, den = _over_lcm(self._values(which, m))
             form = memo[which, m] = (tuple(nums), den)
         return form
 
@@ -278,7 +277,7 @@ def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
     if k < 0:
         raise ValueError("the Newton basis needs k >= 0")
-    return product_of_linear(pv._sequences(k - 1)[0])
+    return product_of_linear(pv._values(0, k))
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ def _newton_row(h: tuple[Sequence[int], int], g: tuple[Fraction, ...], n: int) -
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     pv.check_h_separation(order)
-    g = pv._sequences(order)[2]
+    g = pv._values(2, order + 1)
     rows = (_newton_row(pv._integer_prefix(1, n + 1), g, n) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
@@ -344,9 +343,8 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     for a repeat.
     """
     pv.check_h_separation(n)
-    x, _, g = pv._sequences(n)
-    row = _newton_row(pv._integer_prefix(1, n + 1), g, n)
-    return _newton_horner(row, row[-1], x)
+    row = _newton_row(pv._integer_prefix(1, n + 1), pv._values(2, n + 1), n)
+    return _newton_horner(row, row[-1], pv._values(0, n))
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
@@ -382,18 +380,12 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     out = [hk * ek * dg for hk, ek in zip(hs, e)]
     for k in range(m - 1):
         out[k] += gs[k + 1] * e[k + 1] * dh
-    return _newton_horner(out, den * dh * dg, pv._sequences(m - 1)[0])
+    return _newton_horner(out, den * dh * dg, pv._values(0, m - 1))
 
 
-def recurrence_coeff0(pv: ParameterVector) -> Fraction:
-    """a_0 in u_1 = x - a_0: node(0) - lowering(1)/(eigenvalue(1)-eigenvalue(0))."""
-    pv.check_h_separation(1)
-    x, h, g = pv._sequences(1)
-    return x[0] - g[1] / (h[1] - h[0])
-
-
-def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
-    """(a_n, b_n) of x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1}, for n >= 1.
+def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction | None]:
+    """(a_n, b_n) of x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1}, for n >= 0;
+    b_0 is None, since u_{-1} = 0 leaves it undefined.
 
     With r(i, a, b) = lowering(i) / (eigenvalue(a) - eigenvalue(b)),
 
@@ -403,11 +395,15 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
 
     each ratio an integer pair over the common denominator of
     eigenvalue(0..n+1), summed by cross-multiplication: one Fraction for a_n
-    and one for b_n.
+    and one for b_n.  At n = 0 the lead ratio r(0, -1, 0) is absent, so
+    a_0 = node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)), and u_1
+    needs eigenvalue(1) != eigenvalue(0) even where lowering(1) = 0.
     """
-    if n < 1:
-        raise ValueError("recurrence coefficients need n >= 1; use recurrence_coeff0")
-    x, _, g = pv._sequences(n + 1)
+    if n < 0:
+        raise ValueError("recurrence coefficients need n >= 0")
+    if not n:
+        pv.check_h_separation(1)
+    x, g = pv._values(0, n + 1), pv._values(2, n + 2)
     big, dh = pv._integer_prefix(1, n + 2)
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
@@ -421,9 +417,11 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction]:
 
     # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.
     un, ud = ratio(n + 1, n, n + 1)
-    ln, ld = ratio(n, n - 1, n)
+    ln, ld = ratio(n, n - 1, n) if n else (0, 1)
     xn, xd = x[n].numerator, x[n].denominator
     a_n = Fraction((xn * ud + un * xd) * ld - ln * xd * ud, xd * ud * ld)
+    if not n:
+        return a_n, None
     if not ln:
         return a_n, Fraction(0)
     inner, den = ratio(n - 1, n - 2, n) if n >= 2 else (0, 1)
@@ -444,10 +442,12 @@ def recurrence_check(pv: ParameterVector, n: int) -> bool:
     denominators of all the others: every factor is nonzero, so the
     residual vanishes iff one integer list does.
     """
-    coeffs = recurrence_coeffs(pv, n) if n else (recurrence_coeff0(pv),)
+    a_n, b_n = recurrence_coeffs(pv, n)
+    u_n = monic_poly(pv, n)
     # (scalar, u_m, power of x) for each term of the residual
-    terms = [(1, monic_poly(pv, n), 1), (-1, monic_poly(pv, n + 1), 0)]
-    terms += [(-c, monic_poly(pv, n - i), 0) for i, c in enumerate(coeffs)]
+    terms = [(1, u_n, 1), (-1, monic_poly(pv, n + 1), 0), (-a_n, u_n, 0)]
+    if n:
+        terms.append((-b_n, monic_poly(pv, n - 1), 0))
     parts = [(c, u.nums, u.den, shift) for c, u, shift in terms]
     total = prod(c.denominator * den for c, _, den, _ in parts)
     residual = [0] * (n + 2)
@@ -465,7 +465,7 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     Such an N truncates the family to a finite orthogonal system of degrees
     n <= N, and forces c[n][k] = 0 exactly for k <= N < n.
     """
-    g = pv._sequences(n_max + 1)[2]
+    g = pv._values(2, n_max + 2)
     for k in range(1, n_max + 2):
         if g[k] == 0:
             return k - 1
@@ -495,8 +495,7 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     Requires lowering(1..n) nonzero and, checked after it, eigenvalue(0..n)
     free of repeats.
     """
-    x, _, g = pv._sequences(n)
-    u = _normalized(pv._integer_prefix(1, n + 1), x, g, n)
+    u = _normalized(pv._integer_prefix(1, n + 1), pv._values(0, n), pv._values(2, n + 1), n)
     pv.check_h_separation(n)
     return u
 
@@ -511,5 +510,4 @@ def dual_normalized_poly(pv: ParameterVector, m: int) -> Poly:
 
     Requires lowering(1..m) nonzero.
     """
-    _, h, g = pv._sequences(m)
-    return _normalized(pv._integer_prefix(0, m + 1), h, g, m)
+    return _normalized(pv._integer_prefix(0, m + 1), pv._values(1, m), pv._values(2, m + 1), m)

@@ -296,11 +296,3 @@ CASES: tuple[LimitCase, ...] = (
         ("descending_product_identity",),
     ),
 )
-CASE_IDS: tuple[str, ...] = tuple(c.id for c in CASES)
-
-
-def case_by_id(case_id: str) -> LimitCase:
-    for case in CASES:
-        if case.id == case_id:
-            return case
-    raise KeyError(case_id)

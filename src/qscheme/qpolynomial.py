@@ -122,11 +122,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.nums) and self.nums[-1] == self.den
 
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.nums):
-            return Fraction(self.nums[i], self.den)
-        return Fraction(0)
-
     def __add__(self, other: "Poly") -> "Poly":
         den = lcm(self.den, other.den)
         a = [v * (den // self.den) for v in self.nums]

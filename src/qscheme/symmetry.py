@@ -30,7 +30,7 @@ from .qrational import rational
 
 @dataclass(frozen=True)
 class GaugeAction:
-    """Shifts are applied before scales; composition is componentwise."""
+    """Shifts are applied before scales."""
 
     tau: Fraction = Fraction(0)
     mu: Fraction = Fraction(1)
@@ -44,17 +44,6 @@ class GaugeAction:
         object.__setattr__(self, "rho", rational(self.rho))
         if self.mu == 0 or self.rho == 0:
             raise ValueError("gauge scales must be nonzero")
-
-    def compose(self, other: "GaugeAction") -> "GaugeAction":
-        return GaugeAction(
-            tau=self.tau + other.tau,
-            mu=self.mu * other.mu,
-            sigma=self.sigma + other.sigma,
-            rho=self.rho * other.rho,
-        )
-
-
-IDENTITY_GAUGE = GaugeAction()
 
 
 def apply_gauge(pv: ParameterVector, g: GaugeAction) -> ParameterVector:

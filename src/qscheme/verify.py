@@ -272,8 +272,8 @@ def suite_catalog(n_max: int = 8) -> SuiteReport:
     report = SuiteReport("catalog")
     for key in catalog.FAMILIES:
         try:
-            rep = catalog.crosscheck(key, n_max=n_max)
-            report.add(f"catalog/{key}", rep.ok, f"{rep.checked_values} values")
+            n = catalog.crosscheck(key, n_max=n_max)
+            report.add(f"catalog/{key}", n > 0, f"{n} values")
         except QSchemeError as exc:
             report.add(f"catalog/{key}", False, str(exc))
     return report

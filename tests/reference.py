@@ -13,7 +13,6 @@ from qscheme.core import (
     dual_normalized_poly,
     monic_poly,
     normalized_poly,
-    recurrence_coeff0,
     recurrence_coeffs,
 )
 from qscheme.errors import (
@@ -263,7 +262,7 @@ def fraction_to_newton_coeffs(pv, p: Poly) -> list[F]:
     deflation on Fractions."""
     out: list[F] = []
     rest = p
-    for node in pv._sequences(p.degree)[0]:
+    for node in pv._values(0, p.degree + 1):
         rest, value = fraction_deflate(rest, node)
         out.append(value)
     if not out:
@@ -275,14 +274,14 @@ def fraction_apply_operator(pv, p: Poly) -> Poly:
     """Reference: L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1} applied
     termwise to the Fraction Newton coefficients of p."""
     e = fraction_to_newton_coeffs(pv, p)
-    _, h, g = pv._sequences(len(e))
+    h, g = pv._values(1, len(e)), pv._values(2, len(e))
     out = []
     for k in range(len(e)):
         value = h[k] * e[k]
         if k + 1 < len(e):
             value += g[k + 1] * e[k + 1]
         out.append(value)
-    return _newton_horner(*_over_lcm(out), pv._sequences(len(out) - 1)[0])
+    return _newton_horner(*_over_lcm(out), pv._values(0, len(out)))
 
 
 def poly_recurrence_check(pv, n: int) -> bool:
@@ -290,7 +289,7 @@ def poly_recurrence_check(pv, n: int) -> bool:
     Poly products and sums on Fractions."""
     if n == 0:
         lhs = Poly.x() * monic_poly(pv, 0)
-        rhs = monic_poly(pv, 1) + recurrence_coeff0(pv) * monic_poly(pv, 0)
+        rhs = monic_poly(pv, 1) + recurrence_coeffs(pv, 0)[0] * monic_poly(pv, 0)
         return lhs == rhs
     a_n, b_n = recurrence_coeffs(pv, n)
     lhs = Poly.x() * monic_poly(pv, n)
@@ -396,7 +395,7 @@ def fraction_format_poly(p: Poly, var: str = "x") -> str:
         return "0"
     parts: list[str] = []
     for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
+        c = p.coeffs[i]
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"

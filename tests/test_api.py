@@ -1,0 +1,78 @@
+"""Every public name of the package has a caller in the package or the bench.
+
+A name that only tests reach is API nobody uses: it is deleted, or, when it
+states a paper object that an open ROADMAP item will call, listed in KEPT.
+Read from the source with `ast` only; nothing is imported.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "qscheme").glob("*.py") if p.name != "__init__.py")
+CALLERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
+
+# Paper objects without a caller yet, each with the ROADMAP item that gives
+# it one.  A name leaves this list as soon as something calls it.
+KEPT = {
+    "core.expansion": "items 7 and 10: the c_{n,k} triangle",
+    "core.NewtonExpansion.coeff": "items 7 and 10: one c_{n,k}",
+    "core.newton_basis": "items 1 and 5",
+    "core.to_newton_coeffs": "items 1 and 5",
+    "core.finite_cutoff": "items 1 and 5",
+    "core.ParameterVector.from_json_dict": "item 5: eval --vector and identify",
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def public_names() -> dict[str, str]:
+    """module.qualname -> bare name of each public top-level function, class
+    and constant, and each public method and property of a top-level class."""
+    out = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in filter(_public, names):
+                out[f"{path.stem}.{name}"] = name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        out[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return out
+
+
+def loaded_names() -> set[str]:
+    """Every name the package (without __init__.py) or the bench loads, as a
+    Name, as an attribute, or as a string constant that is an identifier
+    (bench/spans.py names the methods it wraps as strings)."""
+    used = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    names, used = public_names(), loaded_names()
+    uncalled = {qualname for qualname, name in names.items() if name not in used}
+    dead = sorted(uncalled - set(KEPT))
+    assert not dead, f"public names that only tests reach: {dead}"
+    # KEPT can only shrink: each entry still exists and still has no caller.
+    gone = sorted(set(KEPT) - set(names))
+    assert not gone, f"KEPT names that no longer exist: {gone}"
+    called = sorted(set(KEPT) - uncalled)
+    assert not called, f"KEPT names that now have a caller: {called}"

@@ -17,7 +17,7 @@ from qscheme.catalog import (
     registry_json,
 )
 from qscheme.classifier import pattern_of
-from qscheme.core import monic_poly, recurrence_coeff0
+from qscheme.core import monic_poly, recurrence_coeffs
 from qscheme.errors import DivisionByZero, InadmissibleParams
 from qscheme.qpolynomial import product_of_linear
 from qscheme.symmetry import q_invert
@@ -35,9 +35,7 @@ def test_registry_shape():
 
 def test_every_family_crosschecks_exactly():
     for key in FAMILIES:
-        report = crosscheck(key, n_max=8)
-        assert report.ok
-        assert report.checked_values == sum(n + 1 for n in range(9))
+        assert crosscheck(key, n_max=8) == sum(n + 1 for n in range(9))
 
 
 def test_crosscheck_compares_each_degree_at_enough_distinct_points():
@@ -46,7 +44,7 @@ def test_crosscheck_compares_each_degree_at_enough_distinct_points():
     assert xs[:13] == catalog.SAMPLE_XS and catalog._sample_xs(9) == catalog.SAMPLE_XS[:9]
     assert len(set(xs)) == 25 and 0 not in xs
     for key in FAMILIES:
-        assert crosscheck(key, n_max=14).checked_values == sum(n + 1 for n in range(15)) == 120
+        assert crosscheck(key, n_max=14) == sum(n + 1 for n in range(15)) == 120
 
 
 @pytest.mark.parametrize("key", list(FAMILIES))
@@ -65,7 +63,7 @@ def test_crosscheck_resolves_once_and_builds_each_k_n_once(monkeypatch, key):
 
     monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, kn_fn=kn_fn))
     monkeypatch.setattr(catalog, "coerce_params", coerce_params)
-    assert crosscheck(key, n_max=8).checked_values == 45
+    assert crosscheck(key, n_max=8) == 45
     assert kn_calls == list(range(9))
     assert len(coerce_calls) == 2  # crosscheck's own and instantiate's
 
@@ -114,10 +112,10 @@ def test_stieltjes_wigert_nodes_vanish():
 def test_al_salam_carlitz_first_polynomial():
     pv = instantiate("4c", {"a": F(-1)})
     # u_1(0) = -a_0 with a_0 = 1 + a = 0 here
-    assert recurrence_coeff0(pv) == 0
+    assert recurrence_coeffs(pv, 0) == (0, None)
     assert monic_poly(pv, 1)(0) == 0
     other = instantiate("4c", {"a": F(-2)})
-    assert recurrence_coeff0(other) == -1
+    assert recurrence_coeffs(other, 0) == (-1, None)
     assert hyper_eval("4c", {"a": F(-2)}, None, 1, F(0)) == 1
 
 
@@ -125,12 +123,16 @@ def test_al_salam_carlitz_first_polynomial():
 
 
 def test_inadmissible_parameters():
-    with pytest.raises(InadmissibleParams):
-        instantiate("1a", {"a": 0})
-    with pytest.raises(InadmissibleParams):
-        instantiate("3d", {"b": 0})
-    with pytest.raises(InadmissibleParams):
-        instantiate("4c", {"a": 0})
+    nonzero = {key: spec.nonzero for key, spec in FAMILIES.items() if spec.nonzero}
+    assert nonzero == {
+        "1a": ("a",), "2a": ("a",), "3a": ("a",), "3d": ("b",),
+        "4a": ("a",), "4c": ("a",), "4d": ("a",), "4f'": ("a",),
+    }
+    for key, names in nonzero.items():
+        for name in names:
+            with pytest.raises(InadmissibleParams) as info:
+                instantiate(key, {name: 0})
+            assert str(info.value) == f"{key}: parameter {name} violates {name} != 0"
     with pytest.raises(InadmissibleParams):
         instantiate("3a", {"zz": 1})
     with pytest.raises(InadmissibleParams):
@@ -245,7 +247,7 @@ def test_instantiate_matches_direct_elimination(q):
     refusals = set()
     for key, spec in FAMILIES.items():
         draws = [None] + [
-            {ps.name: F(rng.randint(-3, 3), rng.randint(1, 3)) for ps in spec.params}
+            {name: F(rng.randint(-3, 3), rng.randint(1, 3)) for name in spec.defaults}
             for _ in range(10)
         ]
         for params in draws:

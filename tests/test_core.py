@@ -24,7 +24,6 @@ from qscheme.core import (
     newton_basis,
     normalized_poly,
     recurrence_check,
-    recurrence_coeff0,
     recurrence_coeffs,
     to_newton_coeffs,
 )
@@ -65,7 +64,7 @@ def expand_in_monic_basis(pv, p: Poly) -> list[F]:
     out = [F(0)] * (p.degree + 1)
     rest = p
     for k in range(p.degree, -1, -1):
-        c = rest.coeff(k)
+        c = rest.coeffs[k] if k <= rest.degree else F(0)
         out[k] = c
         if c != 0:
             rest = rest - monic_poly(pv, k) * c
@@ -260,7 +259,7 @@ def test_monic_poly_5b_degree_two(pv_5b):
 
 def test_monic_poly_5a_is_power_basis():
     pv = catalog.instantiate("5a")
-    assert recurrence_coeff0(pv) == 0
+    assert recurrence_coeffs(pv, 0) == (0, None)
     for n in range(7):
         assert monic_poly(pv, n) == Poly([0] * n + [1])
 
@@ -271,7 +270,7 @@ def test_two_routes_to_monic_polynomials(pv_3a):
     rng = random.Random(23)
     vectors += [random_parameter_vector(rng, depth=10) for _ in range(4)]
     for pv in vectors:
-        by_rec = [Poly.one(), Poly.x() - Poly.constant(recurrence_coeff0(pv))]
+        by_rec = [Poly.one(), Poly.x() - Poly.constant(recurrence_coeffs(pv, 0)[0])]
         for n in range(1, 8):
             a_n, b_n = recurrence_coeffs(pv, n)
             nxt = Poly.x() * by_rec[n] - a_n * by_rec[n] - b_n * by_rec[n - 1]
@@ -376,8 +375,13 @@ def test_cold_monic_poly_builds_no_triangle():
 
 def recurrence_coeffs_reference(pv, n: int):
     """Reference: the recurrence coefficients with every ratio recomputed
-    where it is used."""
+    where it is used; a_0 as node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0))
+    once eigenvalue(1) != eigenvalue(0) is checked."""
     h, g, x = pv.eigenvalue, pv.lowering, pv.node
+    if n == 0:
+        if h(1) == h(0):
+            raise HSeparationViolated(1, 0)
+        return x(0) - g(1) / (h(1) - h(0)), None
 
     def ratio(num_idx, da, db):
         value = g(num_idx)
@@ -407,7 +411,7 @@ def test_recurrence_coeffs_match_reference():
     vectors += list(colliding_vectors(200, seed=31))
     raised = 0
     for pv in vectors:
-        for n in range(1, 10):
+        for n in range(10):
             expected = outcome(recurrence_coeffs_reference, pv, n)
             raised += isinstance(expected[0], type)
             assert outcome(recurrence_coeffs, pv, n) == expected, (pv, n)
@@ -442,10 +446,18 @@ def test_operator_eigen_property(pv_3a):
 
 
 def test_recurrence_first_coefficients(pv_3a):
-    assert recurrence_coeff0(pv_3a) == F(9, 4)
-    assert recurrence_coeff0(catalog.instantiate("5a")) == 0
-    with pytest.raises(ValueError):
-        recurrence_coeffs(pv_3a, 0)
+    assert recurrence_coeffs(pv_3a, 0) == (F(9, 4), None)
+    assert recurrence_coeffs(catalog.instantiate("5a"), 0) == (0, None)
+    with pytest.raises(ValueError, match="n >= 0"):
+        recurrence_coeffs(pv_3a, -1)
+
+
+def test_first_recurrence_coefficient_ignores_lowering_zero(pv_3a):
+    """u_{-1} = 0: a_0 has no lowering(0) term, even where lowering(0) != 0."""
+    pv = perturbed(pv_3a, d=(pv_3a.d[0] + 1,) + pv_3a.d[1:])
+    assert pv.lowering(0) == 1
+    x, h, g = pv.node, pv.eigenvalue, pv.lowering
+    assert recurrence_coeffs(pv, 0) == (x(0) - g(1) / (h(1) - h(0)), None)
 
 
 def test_recurrence_formula_with_all_lowering_zero():
@@ -658,7 +670,7 @@ def test_normalized_requires_nonzero_lowering():
 def normalized_poly_reference(pv, n: int) -> Poly:
     """Reference: the factor as the running Fraction product normalized_poly
     built before it read the factor off the Newton row."""
-    _, h, g = pv._sequences(n)
+    h, g = pv._values(1, n + 1), pv._values(2, n + 1)
     factor = F(1)
     for j in range(n):
         if g[j + 1] == 0:
@@ -775,7 +787,7 @@ def test_negative_degrees_are_refused(pv_3a, build, bound):
         with pytest.raises(ValueError, match=bound):
             build(pv_3a, degree)
     with pytest.raises(ValueError, match="n >= 0"):
-        core._newton_row(pv_3a._integer_prefix(1, 5), pv_3a._sequences(4)[2], -1)
+        core._newton_row(pv_3a._integer_prefix(1, 5), pv_3a._values(2, 5), -1)
 
 
 def test_integer_horner_matches_fraction_reference_on_random_rows():
@@ -818,7 +830,7 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
         assert [F(v, row[n]) for v in row] == want
     assert zeros > 50
     for pv in [catalog.instantiate(key) for key in catalog.FAMILIES] + [qracah_like(4)]:
-        h, g = pv._sequences(12)[1:]
+        h, g = pv._values(1, 13), pv._values(2, 13)
         assert core._expansion_rows.__wrapped__(pv, 12) == tuple(
             tuple(fraction_newton_row(h, g, n)) for n in range(13)
         ), pv
@@ -841,7 +853,7 @@ def test_sequence_table_matches_laurent_formula():
     unit_q = 0
     for pv in sequence_vectors():
         unit_q += pv.q in (1, -1)
-        x, h, g = pv._sequences(30)
+        x, h, g = (pv._values(which, 31) for which in range(3))
         assert len(x) == len(h) == len(g) == 31
         for k in range(31):
             assert x[k] == laurent(pv.b, pv.q, k) == pv.node(k), (pv, k)
@@ -863,12 +875,13 @@ def test_sequences_at_negative_k_match_laurent_formula():
 
 def test_sequence_table_reads_any_prefix():
     pv = catalog.instantiate("1a")
-    assert pv._sequences(-1) == ((), (), ())
-    grown = [pv._sequences(n) for n in (3, 20, 7, 0, 20, 25)]
-    longest = grown[-1]
-    for n, table in zip((3, 20, 7, 0, 20, 25), grown):
-        assert table == tuple(seq[: n + 1] for seq in longest)
-    assert pv._sequences(-3) == ((), (), ())
+    sizes = (4, 21, 8, 1, 21, 26, 0)
+    assert pv._values(0, 0) == () and pv._values(2, -2) == ()
+    grown = [tuple(pv._values(which, m) for which in range(3)) for m in sizes]
+    longest = grown[5]
+    for m, table in zip(sizes, grown):
+        assert table == tuple(seq[:m] for seq in longest)
+    assert all(len(seq) == 26 for seq in pv._table)
 
 
 def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
@@ -881,8 +894,9 @@ def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
         pv = dataclasses.replace(pv)  # empty memo
         for m in rng.choices(range(-1, 16), k=25):
             if rng.random() < 0.3:
-                pv._sequences(rng.randint(0, 20))
-            for which, seq in enumerate(pv._sequences(m - 1)):
+                pv._values(0, rng.randint(0, 20) + 1)
+            for which in range(3):
+                seq = pv._values(which, m)
                 nums, den = pv._integer_prefix(which, m)
                 assert type(nums) is tuple, (pv, which, m)
                 assert (list(nums), den) == (core._over_lcm(seq) if m > 0 else ([], 1)), (pv, which, m)

@@ -15,7 +15,6 @@ from qscheme.symmetry import (
     CHART_ROWS,
     ChartId,
     GaugeAction,
-    IDENTITY_GAUGE,
     apply_gauge,
     canonicalize,
     dualize,
@@ -37,7 +36,7 @@ def constraints_hold(pv) -> bool:
 
 
 def test_identity_gauge_is_neutral(pv_3a):
-    assert apply_gauge(pv_3a, IDENTITY_GAUGE) == pv_3a
+    assert apply_gauge(pv_3a, GaugeAction()) == pv_3a
 
 
 def test_gauge_requires_nonzero_scales():
@@ -45,13 +44,6 @@ def test_gauge_requires_nonzero_scales():
         GaugeAction(mu=0)
     with pytest.raises(ValueError):
         GaugeAction(rho=0)
-
-
-def test_gauge_composition_componentwise():
-    g1 = GaugeAction(tau=F(1), mu=F(2), sigma=F(3), rho=F(1, 2))
-    g2 = GaugeAction(tau=F(-2), mu=F(3), sigma=F(1, 3), rho=F(4))
-    combined = g1.compose(g2)
-    assert combined == GaugeAction(tau=F(-1), mu=F(6), sigma=F(10, 3), rho=F(2))
 
 
 def test_eigenvalue_scale_triples_sequences(pv_3a):
