@@ -19,6 +19,12 @@ which keeps the whole computation inside exact rational arithmetic.  Each
 series hands qseries.terminating_sum its step factor as Laurent
 coefficients in q^j (the paired factor above is q, -q a x, q a^2 from the
 power 0), which the term loop evaluates on integers.
+
+A closed form is set up once per (family, parameters, q, n): the set-up
+computes everything that does not depend on x (products of parameters,
+q**-n, prefactors, the upper and lower parameter tuples and the x-free step
+coefficients) and returns the function of x, so a check at many points
+pays for those once.  Nothing outlives that function.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
 from . import symmetry
 
 Params = Mapping[str, Fraction]
+Series = Callable[[Fraction], Fraction]  # x -> a closed form's value at x
 
 DEFAULT_Q = Fraction(1, 2)
 
@@ -64,104 +71,128 @@ def _sample_xs(count: int) -> tuple[Fraction, ...]:
     return SAMPLE_XS[:count] + tuple(Fraction(x) for x in extra)
 
 
-def _z_step(q: Fraction, x: Fraction, anchor: Fraction) -> tuple[tuple[Fraction, ...], int]:
-    """The z-series step factor q * (1 - anchor q^j x + anchor^2 q^{2j}),
+def _scaled(pref: Fraction, series: Series) -> Series:
+    """x -> pref * series(x)."""
+    return lambda x: pref * series(x)
+
+
+def _parameter_series(
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+    q: Fraction,
+    n: int,
+    scale: Fraction = 1,
+) -> Series:
+    """x -> the terminating series with upper parameters (*upper, scale*x),
+    lower parameters `lower` and argument q; upper[0] is q**(-n)."""
+    return lambda x: qhyper_sum((*upper, scale * x), lower, q, q, n)
+
+
+def _argument_series(
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+    q: Fraction,
+    n: int,
+    scale: Fraction,
+) -> Series:
+    """x -> the terminating series with the given parameters at the
+    argument scale*x; upper[0] is q**(-n)."""
+    return lambda x: qhyper_sum(upper, lower, q, scale * x, n)
+
+
+def _z_step(
+    q: Fraction, anchor: Fraction
+) -> Callable[[Fraction], tuple[tuple[Fraction, ...], int]]:
+    """x -> the z-series step factor q * (1 - anchor q^j x + anchor^2 q^{2j}),
     i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z),
-    as its Laurent coefficients in q^j from the power 0."""
-    return (q, -q * anchor * x, q * anchor * anchor), 0
+    as its Laurent coefficients in q^j from the power 0; only the middle
+    one, -q anchor x, depends on x."""
+    qa, qaa = q * anchor, q * anchor * anchor
+    return lambda x: ((q, -qa * x, qaa), 0)
 
 
 def _z_series(
     n: int,
     q: Fraction,
-    x: Fraction,
     anchor: Fraction,
     upper_extra: tuple[Fraction, ...],
     lower: tuple[Fraction, ...],
-) -> Fraction:
-    """sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
+) -> Series:
+    """x -> sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
     * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j})."""
-    return terminating_sum((q ** (-n), *upper_extra), lower, q, n, _z_step(q, x, anchor))
+    upper = (q ** (-n), *upper_extra)
+    step = _z_step(q, anchor)
+    return lambda x: terminating_sum(upper, lower, q, n, step(x))
 
 
 def _inverse_arg_series(
     n: int,
     q: Fraction,
-    x: Fraction,
     node_scale: Fraction,
     weight: Fraction,
     upper_extra: tuple[Fraction, ...] = (),
     lower: tuple[Fraction, ...] = (),
     correction: int = 0,
-) -> Fraction:
-    """Series whose terms carry (node_scale/x; q)_k * (weight*x)^k, absorbed
-    into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
+) -> Series:
+    """x -> the series whose terms carry (node_scale/x; q)_k * (weight*x)^k,
+    absorbed into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
     so that x = 0 is a legal argument.  `correction` is the usual
     sign/triangular-power exponent c of the underlying series: the step
     factor weight * (x - node_scale*q^j) * (-q^j)^c has the Laurent
     coefficients s*weight*x, -s*weight*node_scale from the power c, s = (-1)^c."""
+    upper = (q ** (-n), *upper_extra)
     sw = -weight if correction % 2 else weight
-    return terminating_sum(
-        (q ** (-n), *upper_extra), lower, q, n, ((sw * x, -sw * node_scale), correction)
-    )
+    shift = -sw * node_scale
+    return lambda x: terminating_sum(upper, lower, q, n, ((sw * x, shift), correction))
 
 
 def cdqhahn_value(
-    q: Fraction, n: int, x: Fraction, anchor: Fraction, o1: Fraction, o2: Fraction
-) -> Fraction:
-    """Monic continuous dual q-Hahn value anchored at one of its parameters."""
+    q: Fraction, n: int, anchor: Fraction, o1: Fraction, o2: Fraction
+) -> Series:
+    """Monic continuous dual q-Hahn values anchored at one of its parameters."""
     if anchor == 0:
         raise InadmissibleParams("continuous dual q-Hahn anchor must be nonzero")
-    pref = qpoch_many((anchor * o1, anchor * o2), q, n) / anchor**n
-    return pref * _z_series(n, q, x, anchor, (), (anchor * o1, anchor * o2))
+    lower = (anchor * o1, anchor * o2)
+    return _scaled(qpoch_many(lower, q, n) / anchor**n, _z_series(n, q, anchor, (), lower))
 
 
-def little_qjacobi_value(p: Params, q: Fraction, n: int, x: Fraction) -> Fraction:
+def little_qjacobi_value(p: Params, q: Fraction, n: int) -> Series:
     """Little q-Jacobi in standard normalization, power-basis series."""
     a, b = p["a"], p["b"]
-    return qhyper_sum(
-        (q ** (-n), a * b * q ** (n + 1)), (q * a,), q, q * x, n
-    )
+    return _argument_series((q ** (-n), a * b * q ** (n + 1)), (q * a,), q, n, q)
 
 
-def little_qjacobi_value_inverse_rep(
-    p: Params, q: Fraction, n: int, x: Fraction
-) -> Fraction:
+def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
     """The same polynomial through its 1/x-parameter series."""
     a, b = p["a"], p["b"]
-    sign = -1 if n % 2 else 1
-    pref = sign * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
-    return pref * _inverse_arg_series(
-        n,
-        q,
-        x,
-        node_scale=Fraction(1),
-        weight=1 / a,
-        upper_extra=(a * b * q ** (n + 1),),
-        lower=(q * b,),
-        correction=-1,
+    pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
+    return _scaled(
+        pref,
+        _inverse_arg_series(
+            n,
+            q,
+            node_scale=Fraction(1),
+            weight=1 / a,
+            upper_extra=(a * b * q ** (n + 1),),
+            lower=(q * b,),
+            correction=-1,
+        ),
     )
 
 
-def qbessel_value(p: Params, q: Fraction, n: int, x: Fraction) -> Fraction:
+def qbessel_value(p: Params, q: Fraction, n: int) -> Series:
     """q-Bessel in standard normalization, power-basis series."""
-    a = p["a"]
-    return qhyper_sum((q ** (-n), -a * q**n), (Fraction(0),), q, q * x, n)
+    return _argument_series((q ** (-n), -p["a"] * q**n), (Fraction(0),), q, n, q)
 
 
-def qbessel_value_inverse_rep(p: Params, q: Fraction, n: int, x: Fraction) -> Fraction:
+def qbessel_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
     """The same polynomial through its 1/x-parameter series."""
     a = p["a"]
-    sign = -1 if n % 2 else 1
-    pref = sign * q ** (n * n) * a**n
-    return pref * _inverse_arg_series(
-        n,
-        q,
-        x,
-        node_scale=Fraction(1),
-        weight=-1 / a,
-        upper_extra=(-a * q**n,),
-        correction=-2,
+    return _scaled(
+        _sign(n) * q ** (n * n) * a**n,
+        _inverse_arg_series(
+            n, q, node_scale=Fraction(1), weight=-1 / a, upper_extra=(-a * q**n,), correction=-2
+        ),
     )
 
 
@@ -176,7 +207,9 @@ class FamilySpec:
     # (a, b, d): the eleven coefficients in ParameterVector field order
     coefficients: Callable[[Params, Fraction], tuple[tuple, tuple, tuple]]
     kn_fn: Callable[[Params, Fraction, int], Fraction]
-    named_fn: Callable[[Params, Fraction, int, Fraction], Fraction]
+    # (p, q, n) -> the named representation as a function of x, with every
+    # x-free quantity (products of parameters, q**-n, prefactors) computed once
+    series: Callable[[Params, Fraction, int], Series]
     nonzero: tuple[str, ...] = ()  # the parameters that must not vanish
 
     @property
@@ -249,17 +282,15 @@ _register(
         kn_fn=lambda p, q, n: qpoch(
             q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"], q, n
         ),
-        named_fn=lambda p, q, n, x: qpoch_many(
-            (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]), q, n
-        )
-        / p["a"] ** n
-        * _z_series(
-            n,
-            q,
-            x,
-            p["a"],
-            (q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"],),
-            (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]),
+        series=lambda p, q, n: _scaled(
+            qpoch_many((p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]), q, n) / p["a"] ** n,
+            _z_series(
+                n,
+                q,
+                p["a"],
+                (q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"],),
+                (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]),
+            ),
         ),
     )
 )
@@ -279,7 +310,7 @@ _register(
             _lowering(q / p["a"], -2, p["a"] * p["b"] / q, p["a"] * p["c"] / q),
         ),
         kn_fn=lambda p, q, n: Fraction(1),
-        named_fn=lambda p, q, n, x: cdqhahn_value(q, n, x, p["a"], p["b"], p["c"]),
+        series=lambda p, q, n: cdqhahn_value(q, n, p["a"], p["b"], p["c"]),
     )
 )
 
@@ -298,12 +329,8 @@ _register(
         ),
         kn_fn=lambda p, q, n: qpoch(q ** (n + 1) * p["a"] * p["b"], q, n)
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["c"], q, n)),
-        named_fn=lambda p, q, n, x: qhyper_sum(
-            (q ** (-n), p["a"] * p["b"] * q ** (n + 1), x),
-            (q * p["a"], q * p["c"]),
-            q,
-            q,
-            n,
+        series=lambda p, q, n: _parameter_series(
+            (q ** (-n), p["a"] * p["b"] * q ** (n + 1)), (q * p["a"], q * p["c"]), q, n
         ),
     )
 )
@@ -323,9 +350,10 @@ _register(
             _lowering(q / p["a"], -2, p["a"] * p["b"] / q),
         ),
         kn_fn=lambda p, q, n: Fraction(1),
-        named_fn=lambda p, q, n, x: qpoch(p["a"] * p["b"], q, n)
-        / p["a"] ** n
-        * _z_series(n, q, x, p["a"], (), (p["a"] * p["b"], Fraction(0))),
+        series=lambda p, q, n: _scaled(
+            qpoch(p["a"] * p["b"], q, n) / p["a"] ** n,
+            _z_series(n, q, p["a"], (), (p["a"] * p["b"], Fraction(0))),
+        ),
     )
 )
 
@@ -344,12 +372,12 @@ _register(
         ),
         kn_fn=lambda p, q, n: 1
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
-        named_fn=lambda p, q, n, x: (-p["b"]) ** n
-        * q ** (n * (n + 1) // 2)
-        * _inverse_arg_series(
-            n, q, x, node_scale=q * p["a"], weight=1 / p["b"], lower=(q * p["a"],)
-        )
-        / qpoch(q * p["b"], q, n),
+        series=lambda p, q, n: _scaled(
+            (-p["b"]) ** n * q ** (n * (n + 1) // 2) / qpoch(q * p["b"], q, n),
+            _inverse_arg_series(
+                n, q, node_scale=q * p["a"], weight=1 / p["b"], lower=(q * p["a"],)
+            ),
+        ),
     )
 )
 
@@ -368,8 +396,8 @@ _register(
         ),
         kn_fn=lambda p, q, n: 1
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
-        named_fn=lambda p, q, n, x: qhyper_sum(
-            (q ** (-n), Fraction(0), x), (q * p["a"], q * p["b"]), q, q, n
+        series=lambda p, q, n: _parameter_series(
+            (q ** (-n), Fraction(0)), (q * p["a"], q * p["b"]), q, n
         ),
     )
 )
@@ -392,16 +420,18 @@ _register(
         * q ** (-_halfsq(n))
         * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
         / qpoch(p["a"] * q, q, n),
-        named_fn=lambda p, q, n, x: (-q * p["b"]) ** (-n)
-        * q ** (-_halfsq(n))
-        * qpoch(q * p["b"], q, n)
-        / qpoch(q * p["a"], q, n)
-        * qhyper_sum(
-            (q ** (-n), p["a"] * p["b"] * q ** (n + 1), q * p["b"] * x),
-            (q * p["b"], Fraction(0)),
-            q,
-            q,
-            n,
+        series=lambda p, q, n: _scaled(
+            (-q * p["b"]) ** (-n)
+            * q ** (-_halfsq(n))
+            * qpoch(q * p["b"], q, n)
+            / qpoch(q * p["a"], q, n),
+            _parameter_series(
+                (q ** (-n), p["a"] * p["b"] * q ** (n + 1)),
+                (q * p["b"], Fraction(0)),
+                q,
+                n,
+                q * p["b"],
+            ),
         ),
     )
 )
@@ -423,7 +453,7 @@ _register(
         * q ** (-_halfsq(n))
         * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
         / qpoch(p["a"] * q, q, n),
-        named_fn=lambda p, q, n, x: little_qjacobi_value(p, q, n, x),
+        series=little_qjacobi_value,
     )
 )
 
@@ -442,8 +472,7 @@ _register(
             _lowering(q / p["a"], -2),
         ),
         kn_fn=lambda p, q, n: Fraction(1),
-        named_fn=lambda p, q, n, x: _z_series(n, q, x, p["a"], (), ())
-        / p["a"] ** n,
+        series=lambda p, q, n: _scaled(1 / p["a"] ** n, _z_series(n, q, p["a"], (), ())),
     )
 )
 
@@ -461,8 +490,9 @@ _register(
             _lowering(q, -2, p["b"] / q),
         ),
         kn_fn=lambda p, q, n: Fraction(1),
-        named_fn=lambda p, q, n, x: qpoch(p["b"], q, n)
-        * qhyper_sum((q ** (-n), x), (p["b"],), q, q, n),
+        series=lambda p, q, n: _scaled(
+            qpoch(p["b"], q, n), _parameter_series((q ** (-n),), (p["b"],), q, n)
+        ),
     )
 )
 
@@ -477,10 +507,9 @@ _register(
         positivity="a < 0",
         coefficients=lambda p, q: ((-1, 0, 1), (0, 1, 0), _lowering(-p["a"], -1)),
         kn_fn=lambda p, q, n: Fraction(1),
-        named_fn=lambda p, q, n, x: (-p["a"]) ** n
-        * q ** (_halfsq(n))
-        * _inverse_arg_series(
-            n, q, x, node_scale=Fraction(1), weight=q / p["a"]
+        series=lambda p, q, n: _scaled(
+            (-p["a"]) ** n * q ** (_halfsq(n)),
+            _inverse_arg_series(n, q, node_scale=Fraction(1), weight=q / p["a"]),
         ),
     )
 )
@@ -496,12 +525,11 @@ _register(
         positivity="0 < aq < 1",
         coefficients=lambda p, q: ((1, 0, -1), (0, 1, 0), _lowering(-p["a"], 0)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
-        named_fn=lambda p, q, n, x: _sign(n)
-        * q ** (n * (n + 1) // 2)
-        * p["a"] ** n
-        / qpoch(q * p["a"], q, n)
-        * _inverse_arg_series(
-            n, q, x, node_scale=Fraction(1), weight=1 / p["a"], correction=-1
+        series=lambda p, q, n: _scaled(
+            _sign(n) * q ** (n * (n + 1) // 2) * p["a"] ** n / qpoch(q * p["a"], q, n),
+            _inverse_arg_series(
+                n, q, node_scale=Fraction(1), weight=1 / p["a"], correction=-1
+            ),
         ),
     )
 )
@@ -516,8 +544,8 @@ _register(
         positivity="0 < aq < 1",
         coefficients=lambda p, q: ((1, 0, -1), (0, 0, 0), _lowering(1, -1, p["a"])),
         kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
-        named_fn=lambda p, q, n, x: qhyper_sum(
-            (q ** (-n), Fraction(0)), (q * p["a"],), q, q * x, n
+        series=lambda p, q, n: _argument_series(
+            (q ** (-n), Fraction(0)), (q * p["a"],), q, n, q
         ),
     )
 )
@@ -539,7 +567,7 @@ _register(
         kn_fn=lambda p, q, n: _sign(n)
         * q ** (-_halfsq(n))
         * qpoch(-p["a"] * q**n, q, n),
-        named_fn=lambda p, q, n, x: qbessel_value_inverse_rep(p, q, n, x),
+        series=qbessel_value_inverse_rep,
     )
 )
 
@@ -555,7 +583,7 @@ _register(
         kn_fn=lambda p, q, n: _sign(n)
         * q ** (-_halfsq(n))
         * qpoch(-p["a"] * q**n, q, n),
-        named_fn=lambda p, q, n, x: qbessel_value(p, q, n, x),
+        series=qbessel_value,
     )
 )
 
@@ -569,9 +597,7 @@ _register(
         positivity="none recorded",
         coefficients=lambda p, q: ((-1, 0, 1), (0, 0, 1), _lowering(q, -2)),
         kn_fn=lambda p, q, n: Fraction(1),
-        named_fn=lambda p, q, n, x: qhyper_sum(
-            (q ** (-n), x), (Fraction(0),), q, q, n
-        ),
+        series=lambda p, q, n: _parameter_series((q ** (-n),), (Fraction(0),), q, n),
     )
 )
 
@@ -585,7 +611,7 @@ _register(
         positivity="none recorded",
         coefficients=lambda p, q: ((-1, 0, 1), (0, 0, 0), _lowering(-1, -1)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)),
-        named_fn=lambda p, q, n, x: qhyper_sum((q ** (-n),), (), q, q * x, n),
+        series=lambda p, q, n: _argument_series((q ** (-n),), (), q, n, q),
     )
 )
 
@@ -599,10 +625,10 @@ _register(
         positivity="none recorded",
         coefficients=lambda p, q: ((-1, 1, 0), (0, 0, 0), _lowering(1, -1)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (n * n) / qpoch(q, q, n),
-        named_fn=lambda p, q, n, x: qhyper_sum(
-            (q ** (-n),), (Fraction(0),), q, -(q ** (n + 1)) * x, n
-        )
-        / qpoch(q, q, n),
+        series=lambda p, q, n: _scaled(
+            1 / qpoch(q, q, n),
+            _argument_series((q ** (-n),), (Fraction(0),), q, n, -(q ** (n + 1))),
+        ),
     )
 )
 
@@ -657,24 +683,34 @@ def hyper_eval(
     x: Fraction | int | str,
 ) -> Fraction:
     """Monic value k_n^{-1} * (named representation) at rational x."""
+    return closed_form(family, params, q, n)(rational(x))
+
+
+def closed_form(
+    family: str, params: Mapping | None, q: Fraction | int | str | None, n: int
+) -> Series:
+    """x -> k_n^{-1} * (named representation) at x, set up once for this
+    family, parameters, base and degree."""
     spec, p, q = _resolve(family, params, q)
-    return _monic_series(spec, p, q, n)(rational(x))
+    return _monic_series(spec, p, q, n)
 
 
-def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Callable[[Fraction], Fraction]:
-    """x -> k_n^{-1} * (named representation) at x, with k_n computed once."""
+def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Series:
+    """x -> k_n^{-1} * (named representation) at x, with k_n and the
+    series' x-free quantities computed once."""
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
     kn = spec.kn_fn(p, q, n)
     if kn == 0:
         raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
-    return lambda x: spec.named_fn(p, q, n, x) / kn
+    series = spec.series(p, q, n)
+    return lambda x: series(x) / kn
 
 
 def crosscheck(family: str, n_max: int = 8) -> int:
     """Engine route vs closed form at the family's defaults: monic_poly from
     the instantiated vector must equal hyper_eval's value, with the family
-    resolved once and k_n computed once per n, at the n+1 distinct points
+    resolved once and its closed form set up once per n, at the n+1 distinct points
     _sample_xs(n + 1) for every n <= n_max, and the vector's zero pattern must
     land on the family's diagram.  Returns the number of values compared;
     any mismatch raises."""
@@ -686,10 +722,10 @@ def crosscheck(family: str, n_max: int = 8) -> int:
         u = monic_poly(pv, n)
         if u.degree != n or not u.is_monic:
             raise Mismatch(f"{family}: engine polynomial at n={n} is not monic")
-        closed_form = _monic_series(spec, p, DEFAULT_Q, n)
+        series = _monic_series(spec, p, DEFAULT_Q, n)
         for x in _sample_xs(n + 1):
             lhs = u(x)
-            rhs = closed_form(x)
+            rhs = series(x)
             if lhs != rhs:
                 raise Mismatch(
                     f"{family}: n={n}, x={x}: engine {lhs} != closed form {rhs}"

@@ -396,23 +396,22 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     each ratio an integer pair over the common denominator of
     eigenvalue(0..n+1), summed by cross-multiplication: one Fraction for a_n
     and one for b_n.  At n = 0 the lead ratio r(0, -1, 0) is absent, so
-    a_0 = node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)), and u_1
-    needs eigenvalue(1) != eigenvalue(0) even where lowering(1) = 0.
+    a_0 = node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)).  Each ratio
+    tests its denominator before its numerator: u_{n+1}, and so a_n, needs
+    eigenvalue(n+1) != eigenvalue(n) even where lowering(n+1) = 0.
     """
     if n < 0:
         raise ValueError("recurrence coefficients need n >= 0")
-    if not n:
-        pv.check_h_separation(1)
     x, g = pv._values(0, n + 1), pv._values(2, n + 2)
     big, dh = pv._integer_prefix(1, n + 2)
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
-        value = g[num_idx]
-        if not value:
-            return 0, 1
         denom = big[da] - big[db]
         if not denom:
             raise HSeparationViolated(max(da, db), min(da, db))
+        value = g[num_idx]
+        if not value:
+            return 0, 1
         return value.numerator * dh, value.denominator * denom
 
     # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.

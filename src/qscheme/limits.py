@@ -9,9 +9,13 @@ Because both sides are rational in epsilon, the gap (max absolute
 difference over a fixed sample set larger than the degree) decays
 geometrically; a case passes when the tail ratios stay below a bound and
 the final gap beats a hard threshold, both compared as exact rationals.
+The gap is computed on the two monic polynomials' integer numerators: each
+sample's difference is one integer over a known denominator, the largest is
+found by cross-multiplication, and one Fraction is built per gap.
 Identities that hold without any limit (power-basis evaluations and
 pairs of representations of one and the same polynomial) are asserted as
-exact equalities instead.
+exact equalities instead; each side is set up once per degree and then
+evaluated at the sample points.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import catalog
 from .core import ParameterVector, monic_poly
-from .qpolynomial import product_of_linear
+from .qpolynomial import _homogeneous_horner, product_of_linear
 from .qrational import format_rational
 from .qseries import qhyper_sum, qpoch
 from .symmetry import GaugeAction, apply_gauge
@@ -47,15 +51,17 @@ _NONZERO_XS = (Fraction(3), Fraction(-2), Fraction(1, 5), Fraction(7, 2), Fracti
 # -- exact identities embedded in the limit formulas ---------------------------
 
 
-def _identity_holds(
-    lhs: Callable[[int, Fraction], Fraction],
-    rhs: Callable[[int, Fraction], Fraction],
-    n_max: int,
-) -> bool:
-    """lhs(n, x) == rhs(n, x) for every n <= n_max and x in _NONZERO_XS."""
-    return all(
-        lhs(n, x) == rhs(n, x) for n in range(n_max + 1) for x in _NONZERO_XS
-    )
+Side = Callable[[int], Callable[[Fraction], Fraction]]  # n -> (x -> value)
+
+
+def _identity_holds(lhs: Side, rhs: Side, n_max: int) -> bool:
+    """lhs(n)(x) == rhs(n)(x) for every n <= n_max and x in _NONZERO_XS,
+    each side set up once per n."""
+    for n in range(n_max + 1):
+        left, right = lhs(n), rhs(n)
+        if not all(left(x) == right(x) for x in _NONZERO_XS):
+            return False
+    return True
 
 
 # The identities' parameters are also those of the limit targets below.
@@ -65,47 +71,63 @@ _LITTLE_QJACOBI = {"a": Fraction(1, 4), "b": Fraction(1, 3)}
 _QBESSEL = {"a": Fraction(1)}
 _AL_SALAM_CARLITZ = {"a": Fraction(-1)}  # a limit target only: no identity uses it
 
-# name -> (lhs(n, x), rhs(n, x), n_max); each identity is exact at q = _Q.
-_IDENTITIES: dict[str, tuple[Callable, Callable, int]] = {
+
+def _power_basis_series(n: int) -> Callable[[Fraction], Fraction]:
+    """x -> the terminating 2-over-1 series with upper x and lower 0."""
+    top = _Q**-n
+    return lambda x: qhyper_sum((top, x), (Fraction(0),), _Q, _Q, n)
+
+
+def _shifted_series(n: int) -> Callable[[Fraction], Fraction]:
+    """x -> (b;q)_n times the 2-over-1 series with upper x and lower b = _B."""
+    top, pref = _Q**-n, qpoch(_B, _Q, n)
+    return lambda x: pref * qhyper_sum((top, x), (_B,), _Q, _Q, n)
+
+
+def _descending_series(n: int) -> Callable[[Fraction], Fraction]:
+    """x -> (-1)^n q^{n(n-1)/2} times the 1-over-0 series at argument q x."""
+    top, pref = _Q**-n, (-1) ** n * _Q ** (n * (n - 1) // 2)
+    return lambda x: pref * qhyper_sum((top,), (), _Q, _Q * x, n)
+
+
+# name -> (lhs, rhs, n_max), each side n -> (x -> value); each identity is
+# exact at q = _Q.
+_IDENTITIES: dict[str, tuple[Side, Side, int]] = {
     # the terminating 2-over-1 series with a vanishing lower parameter
     # collapses to x**n
-    "power_basis_identity": (
-        lambda n, x: qhyper_sum((_Q**-n, x), (Fraction(0),), _Q, _Q, n),
-        lambda n, x: x**n,
-        8,
-    ),
+    "power_basis_identity": (_power_basis_series, lambda n: lambda x: x**n, 8),
     # (b;q)_n * series == prod_{j<n} (x - b q^j)
     "shifted_product_identity": (
-        lambda n, x: qpoch(_B, _Q, n) * qhyper_sum((_Q**-n, x), (_B,), _Q, _Q, n),
-        lambda n, x: product_of_linear(_B * _Q**j for j in range(n))(x),
+        _shifted_series,
+        lambda n: product_of_linear(_B * _Q**j for j in range(n)),
         6,
     ),
     # (-1)^n q^{n(n-1)/2} * series == prod_{j<n} (x - q^j)
     "descending_product_identity": (
-        lambda n, x: (-1) ** n * _Q ** (n * (n - 1) // 2) * qhyper_sum((_Q**-n,), (), _Q, _Q * x, n),
-        lambda n, x: product_of_linear(_Q**j for j in range(n))(x),
+        _descending_series,
+        lambda n: product_of_linear(_Q**j for j in range(n)),
         6,
     ),
     # the two anchored series of continuous dual q-Hahn
     "cdqhahn_rep_pair": (
-        lambda n, x: catalog.cdqhahn_value(_Q, n, x, Fraction(2), Fraction(1, 3), Fraction(1, 5)),
-        lambda n, x: catalog.cdqhahn_value(_Q, n, x, Fraction(1, 3), Fraction(2), Fraction(1, 5)),
+        lambda n: catalog.cdqhahn_value(_Q, n, Fraction(2), Fraction(1, 3), Fraction(1, 5)),
+        lambda n: catalog.cdqhahn_value(_Q, n, Fraction(1, 3), Fraction(2), Fraction(1, 5)),
         6,
     ),
     # the inverse-argument and power-basis series of big q-Laguerre
     "big_qlaguerre_rep_pair": (
-        lambda n, x: catalog.hyper_eval("3b", _BIG_QLAGUERRE, _Q, n, x),
-        lambda n, x: catalog.hyper_eval("3c", _BIG_QLAGUERRE, _Q, n, x),
+        lambda n: catalog.closed_form("3b", _BIG_QLAGUERRE, _Q, n),
+        lambda n: catalog.closed_form("3c", _BIG_QLAGUERRE, _Q, n),
         6,
     ),
     "little_qjacobi_rep_pair": (
-        lambda n, x: catalog.little_qjacobi_value(_LITTLE_QJACOBI, _Q, n, x),
-        lambda n, x: catalog.little_qjacobi_value_inverse_rep(_LITTLE_QJACOBI, _Q, n, x),
+        lambda n: catalog.little_qjacobi_value(_LITTLE_QJACOBI, _Q, n),
+        lambda n: catalog.little_qjacobi_value_inverse_rep(_LITTLE_QJACOBI, _Q, n),
         6,
     ),
     "qbessel_rep_pair": (
-        lambda n, x: catalog.qbessel_value(_QBESSEL, _Q, n, x),
-        lambda n, x: catalog.qbessel_value_inverse_rep(_QBESSEL, _Q, n, x),
+        lambda n: catalog.qbessel_value(_QBESSEL, _Q, n),
+        lambda n: catalog.qbessel_value_inverse_rep(_QBESSEL, _Q, n),
         6,
     ),
 }
@@ -151,9 +173,25 @@ def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
 
 
 def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
-    """Max over the samples of |u_n(x) of source - u_n(x) of target|."""
-    diff = monic_poly(source, n) - monic_poly(target, n)
-    return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
+    """Max over the samples of |u_n(x) of source - u_n(x) of target|.
+
+    Both monic polynomials have degree n and are read as stored, integer
+    numerators U, V over denominators Du, Dv.  At x = s/r each is one
+    homogeneous Horner over r**n, so the difference there is
+    (U(s, r) Dv - V(s, r) Du) / (Du Dv r**n).  The samples' absolute
+    numerators are compared over their r**n by cross-multiplication, and one
+    Fraction is built, for the largest.
+    """
+    u, v = monic_poly(source, n), monic_poly(target, n)
+    best, best_rn = 0, 1
+    for x in DEFAULT_SAMPLE_XS:
+        s, r = x.numerator, x.denominator
+        num = _homogeneous_horner(u.nums, s, r) * v.den - _homogeneous_horner(v.nums, s, r) * u.den
+        num = abs(num)
+        rn = r**n
+        if num * best_rn > best * rn:
+            best, best_rn = num, rn
+    return Fraction(best, u.den * v.den * best_rn)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ from qscheme.errors import (
 )
 from qscheme.qpolynomial import Poly, _newton_horner, _over_lcm
 from qscheme.qrational import admissible_q, rational
-from qscheme.qseries import qpoch, qpoch_many
+from qscheme.catalog import _halfsq, _sign
+from qscheme.limits import DEFAULT_SAMPLE_XS
+from qscheme.qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
 
 
 def perturbed(
@@ -353,6 +355,224 @@ def per_term_z_series(n, q, x, anchor, upper_extra, lower):
     return total
 
 
+# -- the closed forms as they were evaluated point by point -------------------------
+#
+# The catalog's series before they became per-degree set-ups: every x-free
+# quantity rebuilt at each x.  The helpers and the family lambdas are kept
+# as they were, renamed per_x_*.
+
+
+def per_x_z_step(q: Fraction, x: Fraction, anchor: Fraction) -> tuple[tuple[Fraction, ...], int]:
+    """The z-series step factor q * (1 - anchor q^j x + anchor^2 q^{2j}),
+    i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z),
+    as its Laurent coefficients in q^j from the power 0."""
+    return (q, -q * anchor * x, q * anchor * anchor), 0
+
+
+def per_x_z_series(
+    n: int,
+    q: Fraction,
+    x: Fraction,
+    anchor: Fraction,
+    upper_extra: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+) -> Fraction:
+    """sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
+    * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j})."""
+    return terminating_sum((q ** (-n), *upper_extra), lower, q, n, per_x_z_step(q, x, anchor))
+
+
+def per_x_inverse_arg_series(
+    n: int,
+    q: Fraction,
+    x: Fraction,
+    node_scale: Fraction,
+    weight: Fraction,
+    upper_extra: tuple[Fraction, ...] = (),
+    lower: tuple[Fraction, ...] = (),
+    correction: int = 0,
+) -> Fraction:
+    """Series whose terms carry (node_scale/x; q)_k * (weight*x)^k, absorbed
+    into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
+    so that x = 0 is a legal argument.  `correction` is the usual
+    sign/triangular-power exponent c of the underlying series: the step
+    factor weight * (x - node_scale*q^j) * (-q^j)^c has the Laurent
+    coefficients s*weight*x, -s*weight*node_scale from the power c, s = (-1)^c."""
+    sw = -weight if correction % 2 else weight
+    return terminating_sum(
+        (q ** (-n), *upper_extra), lower, q, n, ((sw * x, -sw * node_scale), correction)
+    )
+
+
+def per_x_cdqhahn_value(
+    q: Fraction, n: int, x: Fraction, anchor: Fraction, o1: Fraction, o2: Fraction
+) -> Fraction:
+    """Monic continuous dual q-Hahn value anchored at one of its parameters."""
+    if anchor == 0:
+        raise InadmissibleParams("continuous dual q-Hahn anchor must be nonzero")
+    pref = qpoch_many((anchor * o1, anchor * o2), q, n) / anchor**n
+    return pref * per_x_z_series(n, q, x, anchor, (), (anchor * o1, anchor * o2))
+
+
+def per_x_little_qjacobi_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
+    """Little q-Jacobi in standard normalization, power-basis series."""
+    a, b = p["a"], p["b"]
+    return qhyper_sum(
+        (q ** (-n), a * b * q ** (n + 1)), (q * a,), q, q * x, n
+    )
+
+
+def per_x_little_qjacobi_value_inverse_rep(
+    p, q: Fraction, n: int, x: Fraction
+) -> Fraction:
+    """The same polynomial through its 1/x-parameter series."""
+    a, b = p["a"], p["b"]
+    sign = -1 if n % 2 else 1
+    pref = sign * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
+    return pref * per_x_inverse_arg_series(
+        n,
+        q,
+        x,
+        node_scale=Fraction(1),
+        weight=1 / a,
+        upper_extra=(a * b * q ** (n + 1),),
+        lower=(q * b,),
+        correction=-1,
+    )
+
+
+def per_x_qbessel_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
+    """q-Bessel in standard normalization, power-basis series."""
+    a = p["a"]
+    return qhyper_sum((q ** (-n), -a * q**n), (Fraction(0),), q, q * x, n)
+
+
+def per_x_qbessel_value_inverse_rep(p, q: Fraction, n: int, x: Fraction) -> Fraction:
+    """The same polynomial through its 1/x-parameter series."""
+    a = p["a"]
+    sign = -1 if n % 2 else 1
+    pref = sign * q ** (n * n) * a**n
+    return pref * per_x_inverse_arg_series(
+        n,
+        q,
+        x,
+        node_scale=Fraction(1),
+        weight=-1 / a,
+        upper_extra=(-a * q**n,),
+        correction=-2,
+    )
+
+
+PER_X_NAMED = {
+    "1a": lambda p, q, n, x: qpoch_many(
+            (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]), q, n
+        )
+        / p["a"] ** n
+        * per_x_z_series(
+            n,
+            q,
+            x,
+            p["a"],
+            (q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"],),
+            (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]),
+        ),
+    "2a": lambda p, q, n, x: per_x_cdqhahn_value(q, n, x, p["a"], p["b"], p["c"]),
+    "2b": lambda p, q, n, x: qhyper_sum(
+            (q ** (-n), p["a"] * p["b"] * q ** (n + 1), x),
+            (q * p["a"], q * p["c"]),
+            q,
+            q,
+            n,
+        ),
+    "3a": lambda p, q, n, x: qpoch(p["a"] * p["b"], q, n)
+        / p["a"] ** n
+        * per_x_z_series(n, q, x, p["a"], (), (p["a"] * p["b"], Fraction(0))),
+    "3b": lambda p, q, n, x: (-p["b"]) ** n
+        * q ** (n * (n + 1) // 2)
+        * per_x_inverse_arg_series(
+            n, q, x, node_scale=q * p["a"], weight=1 / p["b"], lower=(q * p["a"],)
+        )
+        / qpoch(q * p["b"], q, n),
+    "3c": lambda p, q, n, x: qhyper_sum(
+            (q ** (-n), Fraction(0), x), (q * p["a"], q * p["b"]), q, q, n
+        ),
+    "3d": lambda p, q, n, x: (-q * p["b"]) ** (-n)
+        * q ** (-_halfsq(n))
+        * qpoch(q * p["b"], q, n)
+        / qpoch(q * p["a"], q, n)
+        * qhyper_sum(
+            (q ** (-n), p["a"] * p["b"] * q ** (n + 1), q * p["b"] * x),
+            (q * p["b"], Fraction(0)),
+            q,
+            q,
+            n,
+        ),
+    "3e": lambda p, q, n, x: per_x_little_qjacobi_value(p, q, n, x),
+    "4a": lambda p, q, n, x: per_x_z_series(n, q, x, p["a"], (), ())
+        / p["a"] ** n,
+    "4b": lambda p, q, n, x: qpoch(p["b"], q, n)
+        * qhyper_sum((q ** (-n), x), (p["b"],), q, q, n),
+    "4c": lambda p, q, n, x: (-p["a"]) ** n
+        * q ** (_halfsq(n))
+        * per_x_inverse_arg_series(
+            n, q, x, node_scale=Fraction(1), weight=q / p["a"]
+        ),
+    "4d": lambda p, q, n, x: _sign(n)
+        * q ** (n * (n + 1) // 2)
+        * p["a"] ** n
+        / qpoch(q * p["a"], q, n)
+        * per_x_inverse_arg_series(
+            n, q, x, node_scale=Fraction(1), weight=1 / p["a"], correction=-1
+        ),
+    "4e": lambda p, q, n, x: qhyper_sum(
+            (q ** (-n), Fraction(0)), (q * p["a"],), q, q * x, n
+        ),
+    "4f'": lambda p, q, n, x: per_x_qbessel_value_inverse_rep(p, q, n, x),
+    "4g": lambda p, q, n, x: per_x_qbessel_value(p, q, n, x),
+    "5a": lambda p, q, n, x: qhyper_sum(
+            (q ** (-n), x), (Fraction(0),), q, q, n
+        ),
+    "5b": lambda p, q, n, x: qhyper_sum((q ** (-n),), (), q, q * x, n),
+    "5c'": lambda p, q, n, x: qhyper_sum(
+            (q ** (-n),), (Fraction(0),), q, -(q ** (n + 1)) * x, n
+        )
+        / qpoch(q, q, n),
+}
+
+
+def closed_outcome(fn, *args):
+    """outcome, also for the ZeroDivisionError of a vanishing prefactor."""
+    try:
+        return outcome(fn, *args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def per_x_monic_value(key: str, q: F, n: int, x: F) -> F:
+    """k_n^{-1} times the family's per-x named representation at its
+    defaults, refused as hyper_eval refuses a vanishing k_n."""
+    spec = catalog.FAMILIES[key]
+    p = catalog.coerce_params(spec, None)
+    kn = spec.kn_fn(p, q, n)
+    if kn == 0:
+        raise DivisionByZero(f"{key}: k_{n} vanishes for these parameters")
+    return PER_X_NAMED[key](p, q, n, x) / kn
+
+
+CLOSED_FORM_DEGREE = 8
+
+
+@cache
+def per_x_closed_forms(key: str, q: F) -> dict:
+    """(n, x) -> the outcome of per_x_monic_value for n <= CLOSED_FORM_DEGREE
+    and x in catalog._sample_xs(n + 1), built once per session."""
+    return {
+        (n, x): closed_outcome(per_x_monic_value, key, q, n, x)
+        for n in range(CLOSED_FORM_DEGREE + 1)
+        for x in catalog._sample_xs(n + 1)
+    }
+
+
 def fraction_terminating_sum(upper, lower, q, n, step):
     """Reference: the Fraction term loop that terminating_sum replaced, with
     the numerator, denominator and step product kept as running Fractions
@@ -387,6 +607,13 @@ def fraction_terminating_sum(upper, lower, q, n, step):
 def fraction_eval(p: Poly, x) -> F:
     """Reference: Horner on Fractions, one reduced Fraction per step."""
     return FractionPoly(p.coeffs)(x)
+
+
+def fraction_gap(source, target, n: int) -> F:
+    """Reference: the limit gap as the Poly difference of the two monic
+    polynomials evaluated at each sample, maximised over Fractions."""
+    diff = monic_poly(source, n) - monic_poly(target, n)
+    return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
 
 
 def fraction_format_poly(p: Poly, var: str = "x") -> str:

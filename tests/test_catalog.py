@@ -23,7 +23,18 @@ from qscheme.qpolynomial import product_of_linear
 from qscheme.symmetry import q_invert
 from qscheme.verify import Q_POOL
 
-from reference import fitted_instantiate, outcome
+from reference import (
+    PER_X_NAMED,
+    closed_outcome,
+    fitted_instantiate,
+    outcome,
+    per_x_cdqhahn_value,
+    per_x_closed_forms,
+    per_x_little_qjacobi_value,
+    per_x_little_qjacobi_value_inverse_rep,
+    per_x_qbessel_value,
+    per_x_qbessel_value_inverse_rep,
+)
 
 
 def test_registry_shape():
@@ -79,6 +90,66 @@ def test_crosscheck_and_hyper_eval_report_a_vanishing_k_n_alike(monkeypatch, key
     with pytest.raises(DivisionByZero, match=message):
         hyper_eval(key, None, None, 3, 2)
     assert hyper_eval(key, None, None, 2, 2) == monic_poly(instantiate(key), 2)(2)
+
+
+def test_crosscheck_sets_up_each_closed_form_once_per_degree(monkeypatch):
+    for key, spec in FAMILIES.items():
+        setups = []
+
+        def series(p, q, n, spec=spec):
+            setups.append(n)
+            return spec.series(p, q, n)
+
+        monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, series=series))
+        assert crosscheck(key, n_max=8) == 45
+        assert setups == list(range(9)), key
+
+
+def test_closed_forms_match_their_per_point_evaluation():
+    """hyper_eval, whose series is set up once per degree, against the named
+    representations rebuilt at every x: the same value, or the same error
+    type and message, for every family, base in Q_POOL, n <= 8 and sample."""
+    assert set(PER_X_NAMED) == set(FAMILIES)
+    seen = {"value": 0, DivisionByZero: 0, ZeroDivisionError: 0}
+    for key in FAMILIES:
+        for q in Q_POOL:
+            for (n, x), want in per_x_closed_forms(key, q).items():
+                assert closed_outcome(hyper_eval, key, None, q, n, x) == want, (key, q, n, x)
+                seen[want[0] if type(want) is tuple else "value"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_series_helpers_match_their_per_point_evaluation():
+    """The five public series helpers, at the parameters the limit identities
+    use and others, against their per-x forms on every third base of Q_POOL."""
+    pairs = []
+    for a, o1, o2 in ((F(2), F(1, 3), F(1, 5)), (F(1, 3), F(2), F(1, 5)), (F(0), F(1), F(1))):
+        pairs.append(
+            (lambda q, n, a=a, o1=o1, o2=o2: catalog.cdqhahn_value(q, n, a, o1, o2),
+             lambda q, n, x, a=a, o1=o1, o2=o2: per_x_cdqhahn_value(q, n, x, a, o1, o2))
+        )
+    helpers = (
+        (catalog.little_qjacobi_value, per_x_little_qjacobi_value, ("a", "b")),
+        (catalog.little_qjacobi_value_inverse_rep, per_x_little_qjacobi_value_inverse_rep, ("a", "b")),
+        (catalog.qbessel_value, per_x_qbessel_value, ("a",)),
+        (catalog.qbessel_value_inverse_rep, per_x_qbessel_value_inverse_rep, ("a",)),
+    )
+    for factory, per_x, names in helpers:
+        for values in ((F(1, 4), F(1, 3)), (F(-3, 2), F(2))):
+            p = dict(zip(names, values))
+            pairs.append(
+                (lambda q, n, factory=factory, p=p: factory(p, q, n),
+                 lambda q, n, x, per_x=per_x, p=p: per_x(p, q, n, x))
+            )
+    raised = 0
+    for factory, per_x in pairs:
+        for q in Q_POOL[::3]:
+            for n in range(9):
+                for x in catalog._sample_xs(n + 1):
+                    want = closed_outcome(per_x, q, n, x)
+                    assert closed_outcome(lambda: factory(q, n)(x)) == want, (q, n, x)
+                    raised += type(want) is tuple
+    assert raised > 0
 
 
 def test_monic_normalization_at_zero_degree():
@@ -167,7 +238,7 @@ def test_paired_factor_identity_randomized():
         if q in (0, 1) or a == 0:
             continue
         x = F(rng.randint(-8, 8), rng.randint(1, 5))
-        coeffs, low = catalog._z_step(q, x, a)
+        coeffs, low = catalog._z_step(q, a)(x)
         for k in range(9):
             lhs = F(1)
             for j in range(k):

@@ -125,6 +125,13 @@ def test_eval_rejects_inadmissible_params(capsys):
     assert "violates" in err
 
 
+def test_eval_refuses_a_recurrence_coefficient_whose_next_polynomial_is_undefined(capsys):
+    # lowering(2) = 0 here, but eigenvalue(2) == eigenvalue(1) leaves u_2, and so a_1, undefined
+    argv = ("eval", "1a", "-n", "1", "--param", "a=2", "--param", "b=1", "--param", "c=2", "--param", "d=1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: eigenvalue(2) == eigenvalue(1)\n")
+
+
 def test_eval_unknown_family(capsys):
     code, _, err = run(capsys, "eval", "9z")
     assert code == 2

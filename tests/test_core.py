@@ -375,8 +375,9 @@ def test_cold_monic_poly_builds_no_triangle():
 
 def recurrence_coeffs_reference(pv, n: int):
     """Reference: the recurrence coefficients with every ratio recomputed
-    where it is used; a_0 as node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0))
-    once eigenvalue(1) != eigenvalue(0) is checked."""
+    where it is used, its denominator checked before its numerator is read;
+    a_0 as node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)) once
+    eigenvalue(1) != eigenvalue(0) is checked."""
     h, g, x = pv.eigenvalue, pv.lowering, pv.node
     if n == 0:
         if h(1) == h(0):
@@ -384,13 +385,10 @@ def recurrence_coeffs_reference(pv, n: int):
         return x(0) - g(1) / (h(1) - h(0)), None
 
     def ratio(num_idx, da, db):
-        value = g(num_idx)
-        if value == 0:
-            return F(0)
         denom = h(da) - h(db)
         if denom == 0:
             raise HSeparationViolated(max(da, db), min(da, db))
-        return value / denom
+        return g(num_idx) / denom
 
     a_n = x(n) + ratio(n + 1, n, n + 1) - ratio(n, n - 1, n)
     lead = ratio(n, n - 1, n)

@@ -16,7 +16,11 @@ from qscheme.limits import (
     gap,
     verify,
 )
+from qscheme.qpolynomial import Poly
 from qscheme.qrational import format_rational
+
+import reference
+from reference import fraction_gap
 
 EXPECTED_IDS = {
     "2a->3b",
@@ -183,3 +187,36 @@ def test_gauged_gap_matches_rescaled_polynomials():
                 expected = max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
                 gauged = limits._gauged_source(case, eps)
                 assert gap(gauged, target, n) == expected, (case.id, t, n)
+
+
+def test_integer_gap_matches_fraction_reference():
+    zero = 0
+    for case in CASES:
+        target = case.target_instance()
+        for t in range(1, 13):
+            source = limits._gauged_source(case, case.eps_at(t))
+            for n in range(5):
+                want = fraction_gap(source, target, n)
+                got = gap(source, target, n)
+                assert got == want and type(got) is F, (case.id, t, n)
+                zero += want == 0
+    assert zero > 0
+
+
+@pytest.mark.parametrize(
+    "diff, expected",
+    [
+        (Poly([F(27, 4), 1, -1]), F(7)),  # 7 - (x - 1/2)**2: largest at x = 1/2
+        (Poly([F(62, 9), F(-2, 3), -1]), F(7)),  # 7 - (x + 1/3)**2: largest at x = -1/3
+        (Poly([0, 1]), F(3)),  # largest at x = 3; x = -1/3 has the largest numerator over 27
+        (Poly.zero(), F(0)),
+    ],
+)
+def test_gap_compares_samples_over_their_denominators(monkeypatch, diff, expected):
+    # gap reads each side's monic polynomial through monic_poly; here the
+    # "vectors" are the polynomials themselves, so the difference is chosen.
+    for module in (limits, reference):
+        monkeypatch.setattr(module, "monic_poly", lambda poly, n: poly)
+    target = Poly([F(1, 5), 0, 0, 1])
+    source = target + diff
+    assert gap(source, target, 3) == fraction_gap(source, target, 3) == expected

@@ -180,14 +180,14 @@ def test_shared_term_loop_matches_per_term_reference():
             per_term_inverse_arg_series,
             n, q, F(1), F(0), z, upper_extra, lower, len(lower) - len(upper) + 1,
         )
-        assert outcome(
-            catalog._inverse_arg_series, n, q, x, node_scale, weight, upper_extra, lower, correction
-        ) == outcome(
+        inverse_arg = lambda: catalog._inverse_arg_series(
+            n, q, node_scale, weight, upper_extra, lower, correction
+        )(x)
+        assert outcome(inverse_arg) == outcome(
             per_term_inverse_arg_series, n, q, x, node_scale, weight, upper_extra, lower, correction
         )
-        assert outcome(catalog._z_series, n, q, x, anchor, upper_extra, lower) == outcome(
-            per_term_z_series, n, q, x, anchor, upper_extra, lower
-        )
+        z_series = lambda: catalog._z_series(n, q, anchor, upper_extra, lower)(x)
+        assert outcome(z_series) == outcome(per_term_z_series, n, q, x, anchor, upper_extra, lower)
     assert {-2, -1, 0, 1} <= seen_corrections and early > 0
 
 
