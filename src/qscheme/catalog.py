@@ -9,6 +9,16 @@ terminating q-hypergeometric representation.  The registry is the
 independent oracle for the engine: a vector built from the coefficients
 must reproduce k_n^{-1} times the named polynomial exactly.
 
+Each fact is stated once.  An entry that is an earlier entry's family with
+some parameters at 0 (2a = 1a at d = 0, 3a = 2a at c = 0, 4a = 3a at b = 0,
+5a = 4b at b = 0, 5b = 3e at a = b = 0) takes its coefficients, k_n and
+series from that entry and states only its own name, section, defaults,
+Newton form, positivity and nonzero parameters.  A family drawn at two
+labels (3b/3c, 3d/3e, 4d/4e, 4f'/4g), one per Newton basis, states its
+name, section, defaults, positivity and k_n once for both.  The one
+representation that no label carries is little_qjacobi_value_inverse_rep,
+the 1/x-parameter series of little q-Jacobi.
+
 Families whose representation is naturally a function of z with
 x = z + 1/z are evaluated at rational x through the pairing
 
@@ -119,8 +129,10 @@ def _z_series(
     lower: tuple[Fraction, ...],
 ) -> Series:
     """x -> sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
-    * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j})."""
-    upper = (q ** (-n), *upper_extra)
+    * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j}); a parameter 0
+    contributes (0;q)_k = 1 and is dropped."""
+    upper = (q ** (-n), *filter(None, upper_extra))
+    lower = tuple(filter(None, lower))
     step = _z_step(q, anchor)
     return lambda x: terminating_sum(upper, lower, q, n, step(x))
 
@@ -146,24 +158,10 @@ def _inverse_arg_series(
     return lambda x: terminating_sum(upper, lower, q, n, ((sw * x, shift), correction))
 
 
-def cdqhahn_value(
-    q: Fraction, n: int, anchor: Fraction, o1: Fraction, o2: Fraction
-) -> Series:
-    """Monic continuous dual q-Hahn values anchored at one of its parameters."""
-    if anchor == 0:
-        raise InadmissibleParams("continuous dual q-Hahn anchor must be nonzero")
-    lower = (anchor * o1, anchor * o2)
-    return _scaled(qpoch_many(lower, q, n) / anchor**n, _z_series(n, q, anchor, (), lower))
-
-
-def little_qjacobi_value(p: Params, q: Fraction, n: int) -> Series:
-    """Little q-Jacobi in standard normalization, power-basis series."""
-    a, b = p["a"], p["b"]
-    return _argument_series((q ** (-n), a * b * q ** (n + 1)), (q * a,), q, n, q)
-
-
 def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
-    """The same polynomial through its 1/x-parameter series."""
+    """Little q-Jacobi in standard normalization through its 1/x-parameter
+    series: the same polynomial as the power-basis series of 3e, and the one
+    representation that no diagram label carries."""
     a, b = p["a"], p["b"]
     pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
     return _scaled(
@@ -176,22 +174,6 @@ def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
             upper_extra=(a * b * q ** (n + 1),),
             lower=(q * b,),
             correction=-1,
-        ),
-    )
-
-
-def qbessel_value(p: Params, q: Fraction, n: int) -> Series:
-    """q-Bessel in standard normalization, power-basis series."""
-    return _argument_series((q ** (-n), -p["a"] * q**n), (Fraction(0),), q, n, q)
-
-
-def qbessel_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
-    """The same polynomial through its 1/x-parameter series."""
-    a = p["a"]
-    return _scaled(
-        _sign(n) * q ** (n * n) * a**n,
-        _inverse_arg_series(
-            n, q, node_scale=Fraction(1), weight=-1 / a, upper_extra=(-a * q**n,), correction=-2
         ),
     )
 
@@ -236,9 +218,9 @@ def _halfsq(n: int) -> int:
 def _lowering(scale: Fraction, power: int, *alphas: Fraction) -> tuple[Fraction, ...]:
     """(d0, d1, d2, d3, d4) of scale * q**(power*k) * (1 - q**k)
     * prod (1 - alpha*q**k), a Laurent polynomial in q**k whose exponents
-    must stay within -2..2."""
+    must stay within -2..2; a factor with alpha = 0 is 1 and is skipped."""
     coeffs = [scale, -scale]  # of q**(power*k), q**((power+1)*k), ...
-    for alpha in alphas:
+    for alpha in filter(None, alphas):
         coeffs = [c - alpha * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
     top = power + len(coeffs) - 1
     if power < -2 or top > 2:
@@ -252,6 +234,71 @@ FAMILIES: dict[str, FamilySpec] = {}
 
 def _register(spec: FamilySpec) -> None:
     FAMILIES[spec.key] = spec
+
+
+def _specialised(parent: str, **fixed: Fraction) -> dict[str, Callable]:
+    """The coefficients, k_n and series of the registered `parent` with the
+    parameters `fixed` held at their values, for an entry that is the
+    parent's family at those values (an arrow of the scheme)."""
+    spec = FAMILIES[parent]
+    return {
+        "coefficients": lambda p, q: spec.coefficients({**p, **fixed}, q),
+        "kn_fn": lambda p, q, n: spec.kn_fn({**p, **fixed}, q, n),
+        "series": lambda p, q, n: spec.series({**p, **fixed}, q, n),
+    }
+
+
+# Askey-Wilson, which 2a, 3a and 4a specialise, forms each product of its
+# parameters once.
+
+
+def _askey_wilson_coefficients(p: Params, q: Fraction) -> tuple[tuple, tuple, tuple]:
+    a = p["a"]
+    ab, ac, ad = a * p["b"], a * p["c"], a * p["d"]
+    abcd = ab * p["c"] * p["d"] / q
+    return (-1 - abcd, abcd, 1), (0, a, 1 / a), _lowering(q / a, -2, ab / q, ac / q, ad / q)
+
+
+def _askey_wilson_series(p: Params, q: Fraction, n: int) -> Series:
+    a = p["a"]
+    lower = (a * p["b"], a * p["c"], a * p["d"])
+    top = q ** (n - 1) * lower[0] * p["c"] * p["d"]
+    return _scaled(qpoch_many(lower, q, n) / a**n, _z_series(n, q, a, (top,), lower))
+
+
+# The four families drawn at two labels, one Newton basis each: what both
+# labels share is stated once.
+_BIG_QLAGUERRE = {
+    "name": "big q-Laguerre",
+    "kls_section": 11,
+    "defaults": {"a": Fraction(1, 3), "b": Fraction(-1, 2)},
+    "positivity": "0 < aq < 1, b < 0",
+    "kn_fn": lambda p, q, n: 1 / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
+}
+_LITTLE_QJACOBI = {
+    "name": "little q-Jacobi",
+    "kls_section": 12,
+    "defaults": {"a": Fraction(1, 4), "b": Fraction(1, 3)},
+    "positivity": "0 < a < 1/q, b < 1/q",
+    "kn_fn": lambda p, q, n: _sign(n)
+    * q ** (-_halfsq(n))
+    * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
+    / qpoch(p["a"] * q, q, n),
+}
+_LITTLE_QLAGUERRE = {
+    "name": "little q-Laguerre",
+    "kls_section": 20,
+    "defaults": {"a": Fraction(1, 3)},
+    "positivity": "0 < aq < 1",
+    "kn_fn": lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
+}
+_QBESSEL = {
+    "name": "q-Bessel",
+    "kls_section": 22,
+    "defaults": {"a": Fraction(1)},
+    "positivity": "a > 0",
+    "kn_fn": lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) * qpoch(-p["a"] * q**n, q, n),
+}
 
 
 _register(
@@ -268,30 +315,11 @@ _register(
         nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a,b,c,d real with pairwise products < 1",
-        coefficients=lambda p, q: (
-            (
-                -1 - p["a"] * p["b"] * p["c"] * p["d"] / q,
-                p["a"] * p["b"] * p["c"] * p["d"] / q,
-                1,
-            ),
-            (0, p["a"], 1 / p["a"]),
-            _lowering(
-                q / p["a"], -2, p["a"] * p["b"] / q, p["a"] * p["c"] / q, p["a"] * p["d"] / q
-            ),
-        ),
+        coefficients=_askey_wilson_coefficients,
         kn_fn=lambda p, q, n: qpoch(
             q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"], q, n
         ),
-        series=lambda p, q, n: _scaled(
-            qpoch_many((p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]), q, n) / p["a"] ** n,
-            _z_series(
-                n,
-                q,
-                p["a"],
-                (q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"],),
-                (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]),
-            ),
-        ),
+        series=_askey_wilson_series,
     )
 )
 
@@ -304,13 +332,7 @@ _register(
         nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab, ac, bc < 1",
-        coefficients=lambda p, q: (
-            (-1, 0, 1),
-            (0, p["a"], 1 / p["a"]),
-            _lowering(q / p["a"], -2, p["a"] * p["b"] / q, p["a"] * p["c"] / q),
-        ),
-        kn_fn=lambda p, q, n: Fraction(1),
-        series=lambda p, q, n: cdqhahn_value(q, n, p["a"], p["b"], p["c"]),
+        **_specialised("1a", d=Fraction(0)),
     )
 )
 
@@ -344,34 +366,20 @@ _register(
         nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="ab < 1",
-        coefficients=lambda p, q: (
-            (-1, 0, 1),
-            (0, p["a"], 1 / p["a"]),
-            _lowering(q / p["a"], -2, p["a"] * p["b"] / q),
-        ),
-        kn_fn=lambda p, q, n: Fraction(1),
-        series=lambda p, q, n: _scaled(
-            qpoch(p["a"] * p["b"], q, n) / p["a"] ** n,
-            _z_series(n, q, p["a"], (), (p["a"] * p["b"], Fraction(0))),
-        ),
+        **_specialised("2a", c=Fraction(0)),
     )
 )
 
 _register(
     FamilySpec(
         key="3b",
-        name="big q-Laguerre",
-        kls_section=11,
-        defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
+        **_BIG_QLAGUERRE,
         newton_form="v_k(x) = x^k (qa/x; q)_k",
-        positivity="0 < aq < 1, b < 0",
         coefficients=lambda p, q: (
             (-1, 0, 1),
             (0, p["a"] * q, 0),
             _lowering(-q * p["b"], -1, p["a"]),
         ),
-        kn_fn=lambda p, q, n: 1
-        / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
         series=lambda p, q, n: _scaled(
             (-p["b"]) ** n * q ** (n * (n + 1) // 2) / qpoch(q * p["b"], q, n),
             _inverse_arg_series(
@@ -384,18 +392,13 @@ _register(
 _register(
     FamilySpec(
         key="3c",
-        name="big q-Laguerre",
-        kls_section=11,
-        defaults={"a": Fraction(1, 3), "b": Fraction(-1, 2)},
+        **_BIG_QLAGUERRE,
         newton_form="v_k(x) = (-1)^k q^{-k(k-1)/2} (x; q)_k",
-        positivity="0 < aq < 1, b < 0",
         coefficients=lambda p, q: (
             (-1, 0, 1),
             (0, 0, 1),
             _lowering(q, -2, p["a"], p["b"]),
         ),
-        kn_fn=lambda p, q, n: 1
-        / (qpoch(q * p["a"], q, n) * qpoch(q * p["b"], q, n)),
         series=lambda p, q, n: _parameter_series(
             (q ** (-n), Fraction(0)), (q * p["a"], q * p["b"]), q, n
         ),
@@ -405,21 +408,14 @@ _register(
 _register(
     FamilySpec(
         key="3d",
-        name="little q-Jacobi",
-        kls_section=12,
-        defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
+        **_LITTLE_QJACOBI,
         nonzero=("b",),
         newton_form="v_k(x) = (-b)^-k q^{-k(k+1)/2} (qbx; q)_k",
-        positivity="0 < a < 1/q, b < 1/q",
         coefficients=lambda p, q: (
             (-1 - p["a"] * p["b"] * q, p["a"] * p["b"] * q, 1),
             (0, 0, 1 / (q * p["b"])),
             _lowering(1 / p["b"], -2, p["b"]),
         ),
-        kn_fn=lambda p, q, n: _sign(n)
-        * q ** (-_halfsq(n))
-        * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
-        / qpoch(p["a"] * q, q, n),
         series=lambda p, q, n: _scaled(
             (-q * p["b"]) ** (-n)
             * q ** (-_halfsq(n))
@@ -439,21 +435,16 @@ _register(
 _register(
     FamilySpec(
         key="3e",
-        name="little q-Jacobi",
-        kls_section=12,
-        defaults={"a": Fraction(1, 4), "b": Fraction(1, 3)},
+        **_LITTLE_QJACOBI,
         newton_form="v_k(x) = x^k",
-        positivity="0 < a < 1/q, b < 1/q",
         coefficients=lambda p, q: (
             (-1 - p["a"] * p["b"] * q, p["a"] * p["b"] * q, 1),
             (0, 0, 0),
             _lowering(-1, -1, p["a"]),
         ),
-        kn_fn=lambda p, q, n: _sign(n)
-        * q ** (-_halfsq(n))
-        * qpoch(p["a"] * p["b"] * q ** (n + 1), q, n)
-        / qpoch(p["a"] * q, q, n),
-        series=little_qjacobi_value,
+        series=lambda p, q, n: _argument_series(
+            (q ** (-n), p["a"] * p["b"] * q ** (n + 1)), (q * p["a"],), q, n, q
+        ),
     )
 )
 
@@ -466,13 +457,7 @@ _register(
         nonzero=("a",),
         newton_form="v_k(x) = prod_{j<k} (x - a q^j - q^-j/a)",
         positivity="a real",
-        coefficients=lambda p, q: (
-            (-1, 0, 1),
-            (0, p["a"], 1 / p["a"]),
-            _lowering(q / p["a"], -2),
-        ),
-        kn_fn=lambda p, q, n: Fraction(1),
-        series=lambda p, q, n: _scaled(1 / p["a"] ** n, _z_series(n, q, p["a"], (), ())),
+        **_specialised("3a", b=Fraction(0)),
     )
 )
 
@@ -517,14 +502,10 @@ _register(
 _register(
     FamilySpec(
         key="4d",
-        name="little q-Laguerre",
-        kls_section=20,
-        defaults={"a": Fraction(1, 3)},
+        **_LITTLE_QLAGUERRE,
         nonzero=("a",),
         newton_form="v_k(x) = x^k (1/x; q)_k",
-        positivity="0 < aq < 1",
         coefficients=lambda p, q: ((1, 0, -1), (0, 1, 0), _lowering(-p["a"], 0)),
-        kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
         series=lambda p, q, n: _scaled(
             _sign(n) * q ** (n * (n + 1) // 2) * p["a"] ** n / qpoch(q * p["a"], q, n),
             _inverse_arg_series(
@@ -537,13 +518,9 @@ _register(
 _register(
     FamilySpec(
         key="4e",
-        name="little q-Laguerre",
-        kls_section=20,
-        defaults={"a": Fraction(1, 3)},
+        **_LITTLE_QLAGUERRE,
         newton_form="v_k(x) = x^k",
-        positivity="0 < aq < 1",
         coefficients=lambda p, q: ((1, 0, -1), (0, 0, 0), _lowering(1, -1, p["a"])),
-        kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)) / qpoch(p["a"] * q, q, n),
         series=lambda p, q, n: _argument_series(
             (q ** (-n), Fraction(0)), (q * p["a"],), q, n, q
         ),
@@ -553,37 +530,37 @@ _register(
 _register(
     FamilySpec(
         key="4f'",
-        name="q-Bessel",
-        kls_section=22,
-        defaults={"a": Fraction(1)},
+        **_QBESSEL,
         nonzero=("a",),
         newton_form="v_k(x) = x^k (1/x; q)_k",
-        positivity="a > 0",
         coefficients=lambda p, q: (
             (1 - p["a"], p["a"], -1),
             (0, 1, 0),
             _lowering(-p["a"] / q, 1),
         ),
-        kn_fn=lambda p, q, n: _sign(n)
-        * q ** (-_halfsq(n))
-        * qpoch(-p["a"] * q**n, q, n),
-        series=qbessel_value_inverse_rep,
+        series=lambda p, q, n: _scaled(
+            _sign(n) * q ** (n * n) * p["a"] ** n,
+            _inverse_arg_series(
+                n,
+                q,
+                node_scale=Fraction(1),
+                weight=-1 / p["a"],
+                upper_extra=(-p["a"] * q**n,),
+                correction=-2,
+            ),
+        ),
     )
 )
 
 _register(
     FamilySpec(
         key="4g",
-        name="q-Bessel",
-        kls_section=22,
-        defaults={"a": Fraction(1)},
+        **_QBESSEL,
         newton_form="v_k(x) = x^k",
-        positivity="a > 0",
         coefficients=lambda p, q: ((1 - p["a"], p["a"], -1), (0, 0, 0), _lowering(1, -1)),
-        kn_fn=lambda p, q, n: _sign(n)
-        * q ** (-_halfsq(n))
-        * qpoch(-p["a"] * q**n, q, n),
-        series=qbessel_value,
+        series=lambda p, q, n: _argument_series(
+            (q ** (-n), -p["a"] * q**n), (Fraction(0),), q, n, q
+        ),
     )
 )
 
@@ -595,9 +572,7 @@ _register(
         defaults={},
         newton_form="v_k(x) = (-1)^k q^{k(k-1)/2} (x; q)_k",
         positivity="none recorded",
-        coefficients=lambda p, q: ((-1, 0, 1), (0, 0, 1), _lowering(q, -2)),
-        kn_fn=lambda p, q, n: Fraction(1),
-        series=lambda p, q, n: _parameter_series((q ** (-n),), (Fraction(0),), q, n),
+        **_specialised("4b", b=Fraction(0)),
     )
 )
 
@@ -609,9 +584,7 @@ _register(
         defaults={},
         newton_form="v_k(x) = x^k",
         positivity="none recorded",
-        coefficients=lambda p, q: ((-1, 0, 1), (0, 0, 0), _lowering(-1, -1)),
-        kn_fn=lambda p, q, n: _sign(n) * q ** (-_halfsq(n)),
-        series=lambda p, q, n: _argument_series((q ** (-n),), (), q, n, q),
+        **_specialised("3e", a=Fraction(0), b=Fraction(0)),
     )
 )
 

@@ -14,8 +14,9 @@ sample's difference is one integer over a known denominator, the largest is
 found by cross-multiplication, and one Fraction is built per gap.
 Identities that hold without any limit (power-basis evaluations and
 pairs of representations of one and the same polynomial) are asserted as
-exact equalities instead; each side is set up once per degree and then
-evaluated at the sample points.
+exact equalities instead; each series is the catalog's, read by label,
+each side is set up once per degree and then evaluated at more nonzero
+points than the degree.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import catalog
 from .core import ParameterVector, monic_poly
 from .qpolynomial import _homogeneous_horner, product_of_linear
 from .qrational import format_rational
-from .qseries import qhyper_sum, qpoch
 from .symmetry import GaugeAction, apply_gauge
 
 DEFAULT_SAMPLE_XS = (
@@ -45,7 +45,6 @@ EPS_RATIO = Fraction(1, 2)
 GAP_THRESHOLD = Fraction(1, 10**9)
 
 _Q = Fraction(1, 2)
-_NONZERO_XS = (Fraction(3), Fraction(-2), Fraction(1, 5), Fraction(7, 2), Fraction(-1, 3))
 
 
 # -- exact identities embedded in the limit formulas ---------------------------
@@ -55,11 +54,13 @@ Side = Callable[[int], Callable[[Fraction], Fraction]]  # n -> (x -> value)
 
 
 def _identity_holds(lhs: Side, rhs: Side, n_max: int) -> bool:
-    """lhs(n)(x) == rhs(n)(x) for every n <= n_max and x in _NONZERO_XS,
-    each side set up once per n."""
+    """lhs(n)(x) == rhs(n)(x) for every n <= n_max at the catalog's nonzero
+    samples, at least n + 1 of them (and never fewer than five), so two
+    sides of degree n that agree there are equal; each side is set up once
+    per n."""
     for n in range(n_max + 1):
         left, right = lhs(n), rhs(n)
-        if not all(left(x) == right(x) for x in _NONZERO_XS):
+        if not all(left(x) == right(x) for x in catalog._sample_xs(max(n + 1, 5))):
             return False
     return True
 
@@ -72,46 +73,38 @@ _QBESSEL = {"a": Fraction(1)}
 _AL_SALAM_CARLITZ = {"a": Fraction(-1)}  # a limit target only: no identity uses it
 
 
-def _power_basis_series(n: int) -> Callable[[Fraction], Fraction]:
-    """x -> the terminating 2-over-1 series with upper x and lower 0."""
-    top = _Q**-n
-    return lambda x: qhyper_sum((top, x), (Fraction(0),), _Q, _Q, n)
-
-
-def _shifted_series(n: int) -> Callable[[Fraction], Fraction]:
-    """x -> (b;q)_n times the 2-over-1 series with upper x and lower b = _B."""
-    top, pref = _Q**-n, qpoch(_B, _Q, n)
-    return lambda x: pref * qhyper_sum((top, x), (_B,), _Q, _Q, n)
-
-
-def _descending_series(n: int) -> Callable[[Fraction], Fraction]:
-    """x -> (-1)^n q^{n(n-1)/2} times the 1-over-0 series at argument q x."""
-    top, pref = _Q**-n, (-1) ** n * _Q ** (n * (n - 1) // 2)
-    return lambda x: pref * qhyper_sum((top,), (), _Q, _Q * x, n)
-
-
-# name -> (lhs, rhs, n_max), each side n -> (x -> value); each identity is
-# exact at q = _Q.
+# name -> (lhs, rhs, n_max), each side n -> (x -> value) and each series the
+# catalog's of its label, normalised by k_n (closed_form) where the identity
+# needs it; each identity is exact at q = _Q.
 _IDENTITIES: dict[str, tuple[Side, Side, int]] = {
-    # the terminating 2-over-1 series with a vanishing lower parameter
+    # the monomials' 2-over-1 series, with a vanishing lower parameter,
     # collapses to x**n
-    "power_basis_identity": (_power_basis_series, lambda n: lambda x: x**n, 8),
+    "power_basis_identity": (
+        lambda n: catalog.FAMILIES["5a"].series({}, _Q, n),
+        lambda n: lambda x: x**n,
+        8,
+    ),
     # (b;q)_n * series == prod_{j<n} (x - b q^j)
     "shifted_product_identity": (
-        _shifted_series,
+        lambda n: catalog.FAMILIES["4b"].series({"b": _B}, _Q, n),
         lambda n: product_of_linear(_B * _Q**j for j in range(n)),
         6,
     ),
     # (-1)^n q^{n(n-1)/2} * series == prod_{j<n} (x - q^j)
     "descending_product_identity": (
-        _descending_series,
+        lambda n: catalog.closed_form("5b", {}, _Q, n),
         lambda n: product_of_linear(_Q**j for j in range(n)),
         6,
     ),
-    # the two anchored series of continuous dual q-Hahn
+    # the series of continuous dual q-Hahn anchored at a and at b, which
+    # the polynomial's symmetry in its parameters makes equal
     "cdqhahn_rep_pair": (
-        lambda n: catalog.cdqhahn_value(_Q, n, Fraction(2), Fraction(1, 3), Fraction(1, 5)),
-        lambda n: catalog.cdqhahn_value(_Q, n, Fraction(1, 3), Fraction(2), Fraction(1, 5)),
+        lambda n: catalog.FAMILIES["2a"].series(
+            {"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5)}, _Q, n
+        ),
+        lambda n: catalog.FAMILIES["2a"].series(
+            {"a": Fraction(1, 3), "b": Fraction(2), "c": Fraction(1, 5)}, _Q, n
+        ),
         6,
     ),
     # the inverse-argument and power-basis series of big q-Laguerre
@@ -120,14 +113,16 @@ _IDENTITIES: dict[str, tuple[Side, Side, int]] = {
         lambda n: catalog.closed_form("3c", _BIG_QLAGUERRE, _Q, n),
         6,
     ),
+    # the power-basis series of little q-Jacobi and its 1/x-parameter series
     "little_qjacobi_rep_pair": (
-        lambda n: catalog.little_qjacobi_value(_LITTLE_QJACOBI, _Q, n),
+        lambda n: catalog.FAMILIES["3e"].series(_LITTLE_QJACOBI, _Q, n),
         lambda n: catalog.little_qjacobi_value_inverse_rep(_LITTLE_QJACOBI, _Q, n),
         6,
     ),
+    # the power-basis and inverse-argument series of q-Bessel
     "qbessel_rep_pair": (
-        lambda n: catalog.qbessel_value(_QBESSEL, _Q, n),
-        lambda n: catalog.qbessel_value_inverse_rep(_QBESSEL, _Q, n),
+        lambda n: catalog.FAMILIES["4g"].series(_QBESSEL, _Q, n),
+        lambda n: catalog.FAMILIES["4f'"].series(_QBESSEL, _Q, n),
         6,
     ),
 }

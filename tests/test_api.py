@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller in the package or the bench.
+"""Every public name of the package has a caller in the package or the bench,
+and every series is the catalog's.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
@@ -76,3 +77,25 @@ def test_every_public_name_has_a_caller():
     assert not gone, f"KEPT names that no longer exist: {gone}"
     called = sorted(set(KEPT) - uncalled)
     assert not called, f"KEPT names that now have a caller: {called}"
+
+
+def _imports_qseries(node: ast.AST) -> bool:
+    """Whether node is `from .qseries import ...`, `from . import qseries`
+    or an absolute import of qscheme.qseries."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.endswith("qseries") or any(alias.name == "qseries" for alias in node.names)
+    if isinstance(node, ast.Import):
+        return any(alias.name.endswith(".qseries") for alias in node.names)
+    return False
+
+
+def test_only_the_catalog_builds_series():
+    """A series is stated once, in the catalog, and read from there by label:
+    no other module imports the series primitives."""
+    importers = sorted(
+        path.name
+        for path in MODULES
+        if any(_imports_qseries(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert importers == ["catalog.py"]

@@ -10,13 +10,14 @@ import pytest
 from qscheme import catalog
 from qscheme.catalog import (
     FAMILIES,
+    closed_form,
     crosscheck,
     hyper_eval,
     instance_for_label,
     instantiate,
     registry_json,
 )
-from qscheme.classifier import pattern_of
+from qscheme.classifier import build_graph, pattern_of
 from qscheme.core import monic_poly, recurrence_coeffs
 from qscheme.errors import DivisionByZero, InadmissibleParams
 from qscheme.qpolynomial import product_of_linear
@@ -120,19 +121,21 @@ def test_closed_forms_match_their_per_point_evaluation():
 
 
 def test_series_helpers_match_their_per_point_evaluation():
-    """The five public series helpers, at the parameters the limit identities
+    """The series of 2a, 3e, 4g and 4f', reached by label, and the one
+    representation no label carries, at the parameters the limit identities
     use and others, against their per-x forms on every third base of Q_POOL."""
     pairs = []
-    for a, o1, o2 in ((F(2), F(1, 3), F(1, 5)), (F(1, 3), F(2), F(1, 5)), (F(0), F(1), F(1))):
+    for a, o1, o2 in ((F(2), F(1, 3), F(1, 5)), (F(1, 3), F(2), F(1, 5))):
+        p = {"a": a, "b": o1, "c": o2}
         pairs.append(
-            (lambda q, n, a=a, o1=o1, o2=o2: catalog.cdqhahn_value(q, n, a, o1, o2),
+            (lambda q, n, p=p: FAMILIES["2a"].series(p, q, n),
              lambda q, n, x, a=a, o1=o1, o2=o2: per_x_cdqhahn_value(q, n, x, a, o1, o2))
         )
     helpers = (
-        (catalog.little_qjacobi_value, per_x_little_qjacobi_value, ("a", "b")),
+        (FAMILIES["3e"].series, per_x_little_qjacobi_value, ("a", "b")),
         (catalog.little_qjacobi_value_inverse_rep, per_x_little_qjacobi_value_inverse_rep, ("a", "b")),
-        (catalog.qbessel_value, per_x_qbessel_value, ("a",)),
-        (catalog.qbessel_value_inverse_rep, per_x_qbessel_value_inverse_rep, ("a",)),
+        (FAMILIES["4g"].series, per_x_qbessel_value, ("a",)),
+        (FAMILIES["4f'"].series, per_x_qbessel_value_inverse_rep, ("a",)),
     )
     for factory, per_x, names in helpers:
         for values in ((F(1, 4), F(1, 3)), (F(-3, 2), F(2))):
@@ -266,14 +269,61 @@ def test_degenerate_families_are_newton_type():
         assert monic_poly(pv, n) == product_of_linear(q**j for j in range(n))
 
 
-@pytest.mark.parametrize("pair", [("3b", "3c"), ("3d", "3e"), ("4d", "4e"), ("4f'", "4g")])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("3b", "3c", {"a": F(2, 7), "b": F(-3, 5)}),
+        ("3d", "3e", {"a": F(2, 7), "b": F(3, 5)}),
+        ("4d", "4e", {"a": F(2, 7)}),
+        ("4f'", "4g", {"a": F(3, 2)}),
+    ],
+)
 def test_same_family_two_newton_bases(pair):
-    """One family expanded over two node ladders gives identical polynomials."""
-    first, second = pair
-    pv1 = instantiate(first)
-    pv2 = instantiate(second)
-    for n in range(9):
-        assert monic_poly(pv1, n) == monic_poly(pv2, n)
+    """One family expanded over two node ladders gives identical polynomials,
+    and the two labels' closed forms agree, at the defaults and at a second
+    point: the premise on which both labels share one k_n."""
+    first, second, other = pair
+    for params in (None, other):
+        pv1 = instantiate(first, params)
+        pv2 = instantiate(second, params)
+        for n in range(9):
+            assert monic_poly(pv1, n) == monic_poly(pv2, n)
+            form1, form2 = closed_form(first, params, None, n), closed_form(second, params, None, n)
+            for x in catalog._sample_xs(n + 1):
+                assert form1(x) == form2(x), (first, second, params, n, x)
+
+
+# Each entry stated through another: child -> (parent, the parameters held
+# at 0, the number of scheme arrows from the parent's node to the child's).
+SPECIALISATIONS = {
+    "2a": ("1a", {"d": 0}, 1),
+    "3a": ("2a", {"c": 0}, 1),
+    "4a": ("3a", {"b": 0}, 1),
+    "5a": ("4b", {"b": 0}, 1),
+    "5b": ("3e", {"a": 0, "b": 0}, 2),
+}
+
+
+def _arrow_distance(arrows, source: str, target: str) -> int | None:
+    """The fewest arrows from source to target, or None if none lead there."""
+    frontier, seen, steps = {source}, {source}, 0
+    while frontier:
+        if target in frontier:
+            return steps
+        frontier = {head for tail, head in arrows if tail in frontier} - seen
+        seen |= frontier
+        steps += 1
+    return None
+
+
+@pytest.mark.parametrize("child", list(SPECIALISATIONS))
+def test_specialisations_are_scheme_arrows(child):
+    """An entry stated through another is that family with some parameters
+    at 0: its vector is the parent's there, and its node lies that many
+    arrows below the parent's in the scheme."""
+    parent, zeros, steps = SPECIALISATIONS[child]
+    assert instantiate(child) == instantiate(parent, {**FAMILIES[child].defaults, **zeros})
+    assert _arrow_distance(build_graph().arrows, parent, child) == steps
 
 
 def test_little_q_laguerre_base_inversion_identification():

@@ -16,7 +16,7 @@ from qscheme.limits import (
     gap,
     verify,
 )
-from qscheme.qpolynomial import Poly
+from qscheme.qpolynomial import Poly, product_of_linear
 from qscheme.qrational import format_rational
 
 import reference
@@ -81,6 +81,22 @@ def test_case_converges(case_id):
 def test_exact_identities_hold():
     for name, check in EXACT_CHECKS.items():
         assert check(), name
+
+
+def test_an_identity_is_decided_at_more_points_than_its_degree():
+    """A false degree-6 identity that agrees at five points fails: the
+    shifted product's right side plus a quintic vanishing at those five."""
+    lhs, rhs, n_max = limits._IDENTITIES["shifted_product_identity"]
+    fooled = (F(3), F(-2), F(1, 5), F(7, 2), F(-1, 3))
+    quintic = product_of_linear(fooled)
+
+    def planted(n):
+        right = rhs(n)
+        return right if n != 6 else lambda x: right(x) + quintic(x)
+
+    assert n_max == 6 and limits._identity_holds(lhs, rhs, 6)
+    assert all(lhs(6)(x) == planted(6)(x) for x in fooled)
+    assert not limits._identity_holds(lhs, planted, 6)
 
 
 def test_failing_detail_names_the_first_non_converged_degree(monkeypatch):
