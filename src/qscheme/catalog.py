@@ -35,13 +35,19 @@ computes everything that does not depend on x (products of parameters,
 q**-n, prefactors, the upper and lower parameter tuples and the x-free step
 coefficients) and returns the function of x, so a check at many points
 pays for those once.  Nothing outlives that function.
+
+A vector is built once per (family, parameters, q) while it is alive:
+instantiate keeps a weak table of live vectors, so equal requests share one
+vector and the memos it grows, and a vector goes when the last caller or
+engine cache holding it lets go.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Hashable, Mapping
 
 from .core import ParameterVector, monic_poly
 from .errors import DivisionByZero, InadmissibleParams, Mismatch
@@ -635,17 +641,42 @@ def _resolve(
     return spec, coerce_params(spec, params), q
 
 
+# The live vectors: each instance by (family, parameters in `defaults`
+# order, q), and each vector derived from one by what it is derived from.
+# Held weakly, so a vector lives exactly as long as a caller or an engine
+# cache holds it, and equal requests share one vector and its memos.
+_LIVE: weakref.WeakValueDictionary[Hashable, ParameterVector] = weakref.WeakValueDictionary()
+
+
+def _live(key: Hashable, build: Callable[[], ParameterVector]) -> ParameterVector:
+    """The live vector stored under `key`, built and stored on a miss; a
+    build that raises stores nothing."""
+    pv = _LIVE.get(key)
+    if pv is None:
+        pv = _LIVE[key] = build()
+    return pv
+
+
 def instantiate(
     family: str, params: Mapping | None = None, q: Fraction | int | str | None = None
 ) -> ParameterVector:
     """The family's vector: the eleven coefficients its registry entry states
-    for these parameters and q."""
+    for these parameters and q.
+
+    Equal requests (parameters and q compared after coercion, q omitted
+    meaning DEFAULT_Q) get one shared vector while any caller holds it, so
+    its sequence table and memos are shared too; dataclasses.replace(pv)
+    gives a private copy with empty memos."""
     spec, p, q = _resolve(family, params, q)
-    a, b, d = spec.coefficients(p, q)
-    try:
-        return ParameterVector(q=q, a=a, b=b, d=d)
-    except Exception as exc:
-        raise InadmissibleParams(f"{family}: {exc}") from exc
+
+    def build() -> ParameterVector:
+        a, b, d = spec.coefficients(p, q)
+        try:
+            return ParameterVector(q=q, a=a, b=b, d=d)
+        except Exception as exc:
+            raise InadmissibleParams(f"{family}: {exc}") from exc
+
+    return _live((family, *p.values(), q), build)
 
 
 def hyper_eval(
@@ -716,14 +747,15 @@ def instance_for_label(
     label: str, params: Mapping | None = None, q: Fraction | int | str | None = None
 ) -> ParameterVector:
     """A vector whose pattern sits at the given diagram label, using the
-    registry entry directly or the q <-> 1/q image of its partner."""
+    registry entry directly or the q <-> 1/q image of its partner.  Like
+    instantiate's, the vector is shared while any caller holds it."""
     if label in FAMILIES:
         return instantiate(label, params, q)
-    if label.endswith("'") and label[:-1] in FAMILIES:
-        return symmetry.q_invert(instantiate(label[:-1], params, q))
-    if label + "'" in FAMILIES:
-        return symmetry.q_invert(instantiate(label + "'", params, q))
-    raise KeyError(f"no registry entry reaches diagram {label!r}")
+    partner = label[:-1] if label.endswith("'") else label + "'"
+    if partner not in FAMILIES:
+        raise KeyError(f"no registry entry reaches diagram {label!r}")
+    base = instantiate(partner, params, q)
+    return _live(("q_invert", base), lambda: symmetry.q_invert(base))
 
 
 def registry_json() -> list[dict]:

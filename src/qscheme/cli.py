@@ -14,6 +14,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -23,6 +24,7 @@ from pathlib import Path
 
 from . import catalog, classifier, verify
 from .core import (
+    ParameterVector,
     monic_poly,
     recurrence_coeffs,
 )
@@ -58,7 +60,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, text or an over-long integer
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
@@ -79,6 +81,23 @@ def parse_param_overrides(pairs: list[str]) -> dict[str, Fraction]:
         name, _, value = pair.partition("=")
         out[name.strip()] = parse_rational(value)
     return out
+
+
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on int/str conversion (4300 digits) while exact
+    results are formatted, and restore it afterwards; inputs stay parsed
+    under the limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # an interpreter without the limit
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _write_bytes(path: str, blob: bytes) -> None:
@@ -146,7 +165,6 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         raise UsageError(f"n = {args.n} exceeds the hard cap {cap} (QSCHEME_HARD_CAP)")
     if args.n < 0:
         raise UsageError("n must be >= 0")
-    spec = catalog.FAMILIES[args.family]
     family_config = config.get("families", {}).get(args.family, {})
     try:
         params = {name: parse_rational(str(value)) for name, value in family_config.items()}
@@ -172,7 +190,16 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     except QSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _print_eval(args, params, xs, pv, rows)
+    return 0
 
+
+@_all_digits()
+def _print_eval(
+    args: argparse.Namespace, params: dict, xs: list, pv: ParameterVector, rows: list
+) -> None:
+    """eval's table, and its JSON with --json, with every digit of every value."""
+    spec = catalog.FAMILIES[args.family]
     merged = catalog.coerce_params(spec, params or None)
     shown_params = " ".join(
         f"{k}={format_rational(v)}" for k, v in merged.items()
@@ -213,7 +240,6 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
                 "rows": rows_json,
             },
         )
-    return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:

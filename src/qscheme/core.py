@@ -84,12 +84,14 @@ class ParameterVector:
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
     # asked; the integer prefixes _integer_prefix has built, by (which, m);
-    # once computed, the hash and the integer Laurent forms.
+    # the first repeats _repeat_within has found, by which; once computed,
+    # the hash and the integer Laurent forms.
     # Unannotated, so they are no dataclass fields: ==, hash, repr and
     # replace ignore them.  _table is replaced whole, never mutated; each
-    # _prefixes entry is written once, with its complete value.
+    # _prefixes and _repeats entry is written once, with its complete value.
     _table = ((), (), ())
     _prefixes = None
+    _repeats = None
     _hash = None
     _forms = None
 
@@ -169,25 +171,35 @@ class ParameterVector:
 
     # -- separation checks (closed form, exact for every q and every k) -------
 
-    def _repeat_within(self, row: tuple[Fraction, ...], depth: int) -> tuple[int, int] | None:
-        """The first repeat (n, j), n <= depth, of c0 + c1*q**k + c2*q**-k."""
-        hit = _first_repeat(row[1], row[2], self.q) if depth >= 1 else None
+    def _repeat_within(self, which: int, depth: int) -> tuple[int, int] | None:
+        """The first repeat (n, j), n <= depth, of the node (which = 0) or
+        eigenvalue (1) sequence; _first_repeat runs once per vector and row."""
+        if depth < 1:
+            return None
+        memo = self._repeats
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_repeats", memo)
+        if which not in memo:
+            row = (self.b, self.a)[which]
+            memo[which] = _first_repeat(row[1], row[2], self.q)
+        hit = memo[which]
         return hit if hit and hit[0] <= depth else None
 
     def h_separation_ok(self, depth: int) -> bool:
         """eigenvalue(n) != eigenvalue(j) for all 0 <= j < n <= depth."""
-        return self._repeat_within(self.a, depth) is None
+        return self._repeat_within(1, depth) is None
 
     def check_h_separation(self, depth: int) -> None:
-        if hit := self._repeat_within(self.a, depth):
+        if hit := self._repeat_within(1, depth):
             raise HSeparationViolated(*hit)
 
     def x_separation_ok(self, depth: int) -> bool:
         """node(m) != node(j) for all 0 <= j < m <= depth."""
-        return self._repeat_within(self.b, depth) is None
+        return self._repeat_within(0, depth) is None
 
     def check_x_separation(self, depth: int) -> None:
-        if hit := self._repeat_within(self.b, depth):
+        if hit := self._repeat_within(0, depth):
             raise XSeparationViolated(*hit)
 
     # -- serialization -------------------------------------------------------

@@ -163,8 +163,10 @@ class LimitCase:
 
 
 def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
-    """The source vector at epsilon with its nodes scaled by rho(epsilon)."""
-    return apply_gauge(case.source_instance(epsilon), GaugeAction(rho=case.rho(epsilon)))
+    """The source vector at epsilon with its nodes scaled by rho(epsilon),
+    shared while alive by the cases whose schedules meet there."""
+    source, rho = case.source_instance(epsilon), case.rho(epsilon)
+    return catalog._live(("gauge", source, rho), lambda: apply_gauge(source, GaugeAction(rho=rho)))
 
 
 def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:

@@ -11,6 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+
+def _from_text(text: str) -> Fraction:
+    """Fraction of a "p/q" or decimal string.  An exponent part is refused
+    before Fraction sees it: Fraction expands 1e-999999999 digit by digit."""
+    text = text.strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"not a rational: {text!r} has an exponent part")
+    return Fraction(text)
+
+
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):
@@ -18,7 +28,7 @@ def rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return _from_text(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -30,7 +40,7 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" string; raises ValueError on malformed input."""
     try:
-        return Fraction(text.strip())
+        return _from_text(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 

@@ -1,13 +1,21 @@
 """The family registry against the engine and against its own closed forms."""
 
 import dataclasses
+import gc
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from qscheme import catalog
+from qscheme import catalog, core, limits, symmetry
 from qscheme.catalog import (
     FAMILIES,
     closed_form,
@@ -21,7 +29,7 @@ from qscheme.classifier import build_graph, pattern_of
 from qscheme.core import monic_poly, recurrence_coeffs
 from qscheme.errors import DivisionByZero, InadmissibleParams
 from qscheme.qpolynomial import product_of_linear
-from qscheme.symmetry import q_invert
+from qscheme.symmetry import GaugeAction, apply_gauge, q_invert
 from qscheme.verify import Q_POOL
 
 from reference import (
@@ -414,3 +422,138 @@ def test_hyper_eval_refuses_the_bases_instantiate_refuses(key):
             instantiate(key, None, q)
         with pytest.raises(InadmissibleParams, match=message):
             hyper_eval(key, None, q, 3, 2)
+
+
+# -- the live table ---------------------------------------------------------------
+
+
+def _clear_engine_caches() -> None:
+    core.monic_poly.cache_clear()
+    core._expansion_rows.cache_clear()
+    gc.collect()
+
+
+def test_equal_requests_share_one_live_vector():
+    # 3a's defaults are a = 2, b = 1/4; q defaults to 1/2.
+    pv = instantiate("3a", {"a": 2, "b": F(1, 4)})
+    for params in (None, {"a": "2", "b": "1/4"}, {"a": F(2), "b": " 1/4"}, {"b": F(1, 4)}):
+        for q in (None, F(1, 2), "1/2", "2/4"):
+            assert instantiate("3a", params, q) is pv, (params, q)
+    assert instance_for_label("3a") is pv
+
+
+def test_different_requests_get_distinct_vectors():
+    base = instantiate("2a")
+    others = [
+        instantiate("2a", {"c": F(1, 7)}),
+        instantiate("2a", {"a": F(1, 3), "b": F(2)}),  # the same set of parameters, reordered
+        instantiate("2a", None, F(1, 3)),
+        instantiate("2a", None, F(-1, 2)),
+        instantiate("1a", {"d": 0}),  # the same vector, requested through another family
+    ]
+    assert others[-1] == base
+    assert len({id(pv) for pv in [base, *others]}) == len(others) + 1
+
+
+def test_an_inadmissible_request_stores_nothing():
+    before = set(catalog._LIVE.keys())
+    # refused by the parameter check, by the base and by the vector's constraints
+    for args in (("1a", {"a": 0}), ("3a", None, 1), ("3b", {"b": 0})):
+        with pytest.raises(InadmissibleParams):
+            instantiate(*args)
+    assert set(catalog._LIVE.keys()) == before
+
+
+def test_primed_labels_and_gauged_sources_hit_the_table(monkeypatch):
+    _clear_engine_caches()
+    built = {"q_invert": 0, "apply_gauge": 0}
+
+    def counting(name, real):
+        def call(*args):
+            built[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(symmetry, "q_invert", counting("q_invert", symmetry.q_invert))
+    monkeypatch.setattr(limits, "apply_gauge", counting("apply_gauge", limits.apply_gauge))
+    params = {"a": F(2, 11), "b": F(3, 13)}
+    primed = instance_for_label("3d'", params)
+    assert instance_for_label("3d'", {"a": "2/11", "b": "3/13"}, "1/2") is primed
+    assert primed == q_invert(instantiate("3d", params)) and built["q_invert"] == 1
+    # 2a->3b and 2a->3c share their source's epsilon schedule and rho
+    first, second = (case for case in limits.CASES if case.source_label == "2a")
+    eps = first.eps_at(3)
+    gauged = limits._gauged_source(first, eps)
+    assert limits._gauged_source(second, eps) is gauged and built["apply_gauge"] == 1
+    assert gauged == apply_gauge(first.source_instance(eps), GaugeAction(rho=first.rho(eps)))
+    assert limits._gauged_source(first, first.eps_at(4)) is not gauged
+
+
+def test_a_vector_lives_while_a_caller_or_an_engine_cache_holds_it():
+    _clear_engine_caches()
+    params = {"a": F(5, 11), "b": F(-2, 13)}
+    pv = instantiate("3b", params)
+    monic_poly(pv, 6)
+    core._expansion_rows(pv, 3)
+    ref = weakref.ref(pv)
+    del pv
+    gc.collect()
+    assert ref() is not None and instantiate("3b", params) is ref()  # the caches hold it
+    _clear_engine_caches()
+    assert ref() is None
+    fresh = instantiate("3b", params)
+    assert fresh._table == ((), (), ()) and fresh._prefixes is None  # constructed afresh
+
+
+def test_threads_racing_on_one_request_get_equal_vectors():
+    """Four threads (more than the cores of a small host) ask for the same
+    new vectors at once: a race on a miss may build twice, but every thread
+    gets the serial value, and the table then hands out one vector."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(20):
+            params = {"a": F(2, 3 + 2 * i), "b": F(-1, 7)}
+            serial = dataclasses.replace(instantiate("3d", params))
+            _clear_engine_caches()
+            barrier = threading.Barrier(4, timeout=30)
+
+            def request():
+                barrier.wait()
+                return instance_for_label("3d'", params), instantiate("3d", params)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(request) for _ in range(4)]]
+            primed, plain = instance_for_label("3d'", params), instantiate("3d", params)
+            assert plain == serial and primed == q_invert(serial)
+            assert all(p == primed and v == plain for p, v in results)
+            assert instance_for_label("3d'", params) is primed and instantiate("3d", params) is plain
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_nothing_outlives_the_engine_caches():
+    """In a fresh interpreter, a limits and a charts pass (instances, primed
+    labels and gauged sources) fill the table; with the reports dropped and
+    the two caches cleared it is empty, and the next request builds anew."""
+    script = (
+        "import gc\n"
+        "from qscheme import catalog, core, verify\n"
+        "reports = verify.run_suite('limits') + verify.run_suite('charts')\n"
+        "assert all(c.passed for r in reports for c in r.checks)\n"
+        "filled = len(catalog._LIVE)\n"
+        "del reports\n"
+        "core.monic_poly.cache_clear()\n"
+        "core._expansion_rows.cache_clear()\n"
+        "gc.collect()\n"
+        "print(filled, len(catalog._LIVE), len(catalog.instantiate('1a')._table[0]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    filled, left, table = map(int, done.stdout.split())
+    assert filled > 100 and (left, table) == (0, 0)

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from qscheme import catalog
 from qscheme.cli import build_parser, main
+from qscheme.core import monic_poly
+from qscheme.qpolynomial import format_poly
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DOT = DATA / "scheme.dot"
@@ -296,16 +301,48 @@ def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
         ({"families": []}, ["eval", "3a"]),
         (None, ["eval", "2b", "--param", "a=4", "--param", "b=2", "-n", "4"]),  # h_2 == h_0
         (None, ["eval", "2b", "--param", "a=-2", "--param", "b=-4", "-n", "1"]),  # a_1 needs h_2 == h_0
+        # exponent parts, which Fraction would expand digit by digit
+        (None, ["eval", "1a", "-n", "2", "-q=1e-999999999"]),
+        (None, ["eval", "1a", "-n", "2", "-q=1e999999"]),
+        (None, ["eval", "1a", "-n", "2", "--param", "a=1e99999"]),
+        (None, ["eval", "1a", "--xs=2.5E-999999999"]),
+        ({"families": {"3a": {"a": "1e-999999999"}}}, ["eval", "3a"]),
+        # JSON integers past Python's 4300-digit int/str limit (raw config text)
+        pytest.param('{"q": ' + "7" * 5000 + "}", ["eval", "3a"], id="config-q-5000-digits"),
+        pytest.param(
+            '{"families": {"3a": {"a": ' + "7" * 5000 + "}}}", ["eval", "3a"], id="config-a-5000-digits"
+        ),
     ],
 )
 def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = ["--config", str(path)] + argv
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert len(error_lines(err)) == 1 and err.startswith("error:")
+
+
+def test_eval_prints_exact_results_past_the_digit_limit(capsys):
+    """At q = 10**-30, u_24 of 5b has coefficients of more than 4300 digits,
+    Python's default int/str limit: they print in full, and the limit is in
+    place again afterwards."""
+    q = "1/" + "1" + "0" * 30
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eval", "5b", "-n", "24", f"-q={q}")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    u = monic_poly(catalog.instantiate("5b", None, q), 24)
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = format_poly(u)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(abs(c).denominator for c in u.coeffs).bit_length() > 4300 * 3.32
+    assert out.splitlines()[-1].startswith(f"24  {expected} ")
 
 
 def test_verify_limits_at_n_max_zero_fails(capsys):

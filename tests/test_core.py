@@ -872,7 +872,7 @@ def test_sequences_at_negative_k_match_laurent_formula():
 
 
 def test_sequence_table_reads_any_prefix():
-    pv = catalog.instantiate("1a")
+    pv = dataclasses.replace(catalog.instantiate("1a"))  # empty memo
     sizes = (4, 21, 8, 1, 21, 26, 0)
     assert pv._values(0, 0) == () and pv._values(2, -2) == ()
     grown = [tuple(pv._values(which, m) for which in range(3)) for m in sizes]
@@ -903,7 +903,8 @@ def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
 
 
 def test_sequence_table_is_not_part_of_the_value():
-    grown, fresh = catalog.instantiate("2a"), catalog.instantiate("2a")
+    # private copies: instantiate shares one live vector, memos and all
+    grown, fresh = (dataclasses.replace(catalog.instantiate("2a")) for _ in range(2))
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
     assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
@@ -917,7 +918,8 @@ def test_sequence_table_is_not_part_of_the_value():
     assert copy._hash is None and hash(copy) == hash(grown)
     assert copy._forms is None and grown._forms is not None
     assert copy._prefixes is None and grown._prefixes
-    assert type(grown)._prefixes is None
+    assert copy._repeats is None and grown._repeats == {1: None}  # eigenvalues never repeat
+    assert type(grown)._prefixes is None and type(grown)._repeats is None
     assert type(grown)._hash is None and type(grown)._forms is None
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash

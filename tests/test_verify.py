@@ -2,11 +2,12 @@
 (vector, n) instance fails instead of passing vacuously, and a failing
 check names its first failing n, or (n, m) for duality."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
 
-from qscheme import catalog, verify
+from qscheme import catalog, core, verify
 from qscheme.core import apply_operator
 from qscheme.qpolynomial import Poly
 from qscheme.symmetry import GaugeAction, apply_gauge
@@ -145,3 +146,24 @@ def test_duality_builds_each_polynomial_once_per_instance(monkeypatch):
     instances = 1 + len(verify.DUALITY_INSTANCES)
     for calls in builds.values():
         assert len(calls) == len(set(calls)) == 9 * instances
+
+
+def test_verify_all_builds_each_live_vector_once(monkeypatch):
+    """One cold run_suite("all") at the default seed passes every check and
+    constructs at most 375 ParameterVectors: equal requests share one live
+    vector (514 were built when each request built its own)."""
+    built = 0
+    real = core.ParameterVector.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    core.monic_poly.cache_clear()
+    core._expansion_rows.cache_clear()
+    gc.collect()
+    monkeypatch.setattr(core.ParameterVector, "__post_init__", counting)
+    checks = [c for report in verify.run_suite("all") for c in report.checks]
+    assert len(checks) == 184 and all(c.passed for c in checks)
+    assert 0 < built <= 375
