@@ -45,9 +45,8 @@ engine cache holding it lets go.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .core import ParameterVector, monic_poly
 from .errors import DivisionByZero, InadmissibleParams, Mismatch
@@ -184,8 +183,7 @@ def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
     )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     key: str  # also the family's diagram label
     name: str
     kls_section: int | None
@@ -665,8 +663,8 @@ def instantiate(
 
     Equal requests (parameters and q compared after coercion, q omitted
     meaning DEFAULT_Q) get one shared vector while any caller holds it, so
-    its sequence table and memos are shared too; dataclasses.replace(pv)
-    gives a private copy with empty memos."""
+    its sequence table and memos are shared too; pv._replace() gives a
+    private copy with empty memos."""
     spec, p, q = _resolve(family, params, q)
 
     def build() -> ParameterVector:

@@ -30,15 +30,14 @@ arrays, which are reported as unlisted with X-nn labels, never dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .core import ParameterVector
 from .errors import RuleViolation
 
 
-@dataclass(frozen=True)
-class ZeroPattern:
+class ZeroPattern(NamedTuple):
     """True = black (any value), False = white (zero)."""
 
     b_row: tuple[bool, bool, bool]  # (b2, b0, b1)
@@ -227,16 +226,14 @@ def arrows_from(pattern: ZeroPattern) -> frozenset[ZeroPattern]:
     return frozenset(targets)
 
 
-@dataclass(frozen=True)
-class SchemeNode:
+class SchemeNode(NamedTuple):
     label: str
     pattern: ZeroPattern
     families: tuple[str, ...]
     unlisted: bool
 
 
-@dataclass(frozen=True)
-class SchemeGraph:
+class SchemeGraph(NamedTuple):
     nodes: tuple[SchemeNode, ...]
     arrows: tuple[tuple[str, str], ...]
 

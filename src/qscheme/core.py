@@ -22,11 +22,10 @@ constraints hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ConstraintViolation,
@@ -45,14 +44,22 @@ from .qpolynomial import (
 from .qrational import admissible_q, format_rational, rational
 
 
-@dataclass(frozen=True)
 class ParameterVector:
-    """q plus the eleven Laurent coefficients, validated on construction."""
+    """q plus the eleven Laurent coefficients, validated on construction.
+
+    Immutable: its value is (q, a, b, d), which `==` (between vectors of one
+    class), the hash and `repr` read.  Every route to a vector validates:
+    the constructor, `_replace`, and copy and pickle, which rebuild it
+    through the constructor."""
 
     q: Fraction
     a: tuple[Fraction, Fraction, Fraction]
     b: tuple[Fraction, Fraction, Fraction]
     d: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+
+    def __init__(self, q, a, b, d) -> None:
+        vars(self).update(q=q, a=a, b=b, d=d)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "q", rational(self.q))
@@ -86,14 +93,25 @@ class ParameterVector:
     # asked; the integer prefixes _integer_prefix has built, by (which, m);
     # the first repeats _repeat_within has found, by which; once computed,
     # the hash and the integer Laurent forms.
-    # Unannotated, so they are no dataclass fields: ==, hash, repr and
-    # replace ignore them.  _table is replaced whole, never mutated; each
-    # _prefixes and _repeats entry is written once, with its complete value.
+    # No part of the value: ==, hash, repr and _replace ignore them.  _table
+    # is replaced whole, never mutated; each _prefixes and _repeats entry is
+    # written once, with its complete value.
     _table = ((), (), ())
     _prefixes = None
     _repeats = None
     _hash = None
     _forms = None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: vectors are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: vectors are immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.q, self.a, self.b, self.d) == (other.q, other.a, other.b, other.d)
+        return NotImplemented
 
     def __hash__(self) -> int:
         value = self._hash
@@ -101,6 +119,17 @@ class ParameterVector:
             value = hash((self.q, self.a, self.b, self.d))
             object.__setattr__(self, "_hash", value)
         return value
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(q={self.q!r}, a={self.a!r}, b={self.b!r}, d={self.d!r})"
+
+    def __reduce__(self):
+        return type(self), (self.q, self.a, self.b, self.d)
+
+    def _replace(self, **changes) -> "ParameterVector":
+        """This vector with `changes` to its fields, validated, its memos
+        empty; `pv._replace()` is a private copy of pv."""
+        return type(self)(**{"q": self.q, "a": self.a, "b": self.b, "d": self.d, **changes})
 
     def _laurent_forms(self) -> tuple[tuple[list[int], int], ...]:
         """The node, eigenvalue and lowering coefficients in Laurent order
@@ -275,11 +304,8 @@ def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> Fraction:
     return Fraction(_homogeneous_horner(nums, P, R), den * (P * R) ** (len(nums) // 2))
 
 
-@dataclass(frozen=True)
 class UncheckedParameterVector(ParameterVector):
     """Constraint checks skipped; only for deliberately broken vectors."""
-
-    __hash__ = ParameterVector.__hash__  # keep the memo; @dataclass would replace it
 
     def _validate(self) -> None:  # noqa: D102 - negative-test escape hatch
         pass
@@ -292,8 +318,7 @@ def newton_basis(pv: ParameterVector, k: int) -> Poly:
     return product_of_linear(pv._values(0, k))
 
 
-@dataclass(frozen=True)
-class NewtonExpansion:
+class NewtonExpansion(NamedTuple):
     """Lower-triangular expansion coefficients of u_n over the Newton basis."""
 
     vector: ParameterVector

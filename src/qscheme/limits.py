@@ -21,10 +21,9 @@ points than the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import catalog
 from .core import ParameterVector, monic_poly
@@ -135,8 +134,7 @@ EXACT_CHECKS: dict[str, Callable[[], bool]] = {
 # -- limit cases ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitCase:
+class LimitCase(NamedTuple):
     """One arrow of the scheme: the source family at source_params(eps),
     its nodes scaled by rho(eps), tends to the target at target_params."""
 
@@ -191,16 +189,14 @@ def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
     return Fraction(best, u.den * v.den * best_rn)
 
 
-@dataclass(frozen=True)
-class GapTrace:
+class GapTrace(NamedTuple):
     n: int
     gaps: tuple[Fraction, ...]
     ratios: tuple[Fraction, ...]
     converged: bool
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     traces: tuple[GapTrace, ...]
     exact_checks: tuple[tuple[str, bool], ...]
 

@@ -9,16 +9,25 @@ in JSON payloads, so it is used directly as the scalar type.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 
 def _from_text(text: str) -> Fraction:
-    """Fraction of a "p/q" or decimal string.  An exponent part is refused
-    before Fraction sees it: Fraction expands 1e-999999999 digit by digit."""
+    """Fraction of a "p/q" or decimal string; a ValueError names its cause.
+    An exponent part is refused before Fraction sees it: Fraction expands
+    1e-999999999 digit by digit."""
     text = text.strip()
     if "e" in text or "E" in text:
         raise ValueError(f"not a rational: {text!r} has an exponent part")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        too_long = limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit
+        cause = f" has more than {limit} digits" if too_long else ""
+        raise ValueError(f"not a rational: {text!r}{cause}") from exc
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -38,11 +47,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" string; raises ValueError on malformed input."""
+    """Parse a "p/q" string; raises ValueError on malformed input, naming
+    the cause: an exponent part, a zero denominator or a run of digits past
+    Python's int/str limit."""
     try:
         return _from_text(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a rational: {text!r} has a zero denominator") from exc
 
 
 def admissible_q(q: Fraction) -> bool:

@@ -19,31 +19,56 @@ row, against which computed zero signatures are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ParameterVector
 from .errors import ChartUnreachable, XSeparationViolated
 from .qrational import rational
 
 
-@dataclass(frozen=True)
 class GaugeAction:
-    """Shifts are applied before scales."""
+    """Shifts are applied before scales.  Immutable; its value is
+    (tau, mu, sigma, rho), coerced to Fractions, and both scales are
+    nonzero."""
 
-    tau: Fraction = Fraction(0)
-    mu: Fraction = Fraction(1)
-    sigma: Fraction = Fraction(0)
-    rho: Fraction = Fraction(1)
+    __slots__ = ("tau", "mu", "sigma", "rho")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", rational(self.tau))
-        object.__setattr__(self, "mu", rational(self.mu))
-        object.__setattr__(self, "sigma", rational(self.sigma))
-        object.__setattr__(self, "rho", rational(self.rho))
-        if self.mu == 0 or self.rho == 0:
+    tau: Fraction
+    mu: Fraction
+    sigma: Fraction
+    rho: Fraction
+
+    def __init__(self, tau=Fraction(0), mu=Fraction(1), sigma=Fraction(0), rho=Fraction(1)) -> None:
+        values = tuple(map(rational, (tau, mu, sigma, rho)))
+        if values[1] == 0 or values[3] == 0:
             raise ValueError("gauge scales must be nonzero")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self.tau, self.mu, self.sigma, self.rho
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to GaugeAction.{name}: gauge actions are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete GaugeAction.{name}: gauge actions are immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "GaugeAction(tau={!r}, mu={!r}, sigma={!r}, rho={!r})".format(*self._values())
+
+    def __reduce__(self):
+        return GaugeAction, self._values()
 
 
 def apply_gauge(pv: ParameterVector, g: GaugeAction) -> ParameterVector:
@@ -93,8 +118,7 @@ class ChartId(Enum):
     A2D0_D2 = "a2=d0=1 with coordinates (a1, b1, b2, d2)"
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     chart: ChartId
     coords: tuple[Fraction, Fraction, Fraction, Fraction]
     vector: ParameterVector

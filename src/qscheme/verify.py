@@ -10,9 +10,8 @@ rational comparison.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import catalog, limits
 from .classifier import DUAL_PAIRS, LABELS, SELF_DUAL, pattern_of
@@ -66,19 +65,38 @@ SUITES = (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class SuiteReport:
+    """One suite's checks and warnings, appended to as the suite runs."""
+
     suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    seed: int | None = None
+    checks: list[CheckResult]
+    warnings: list[str]
+    seed: int | None
+
+    def __init__(self, suite: str, seed: int | None = None) -> None:
+        self.suite = suite
+        self.checks = []
+        self.warnings = []
+        self.seed = seed
+
+    def _values(self) -> tuple:
+        return self.suite, self.checks, self.warnings, self.seed
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return "SuiteReport(suite={!r}, checks={!r}, warnings={!r}, seed={!r})".format(*self._values())
 
     @property
     def passed(self) -> bool:
@@ -341,6 +359,16 @@ def suite_symmetry(seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
+def _default_vectors() -> list[ParameterVector]:
+    held = []
+    for key in catalog.FAMILIES:
+        try:
+            held.append(catalog.instantiate(key))
+        except QSchemeError:
+            pass
+    return held
+
+
 def run_suite(
     suite: str,
     *,
@@ -369,6 +397,10 @@ def run_suite(
         "charts": (suite_charts, {}),
         "symmetry": (suite_symmetry, {"seed": "seed"}),  # only within "all"
     }
+    # An "all" pass holds every family's default vector, so that the suites
+    # after constraints find them live in the catalog instead of rebuilding
+    # them; a family whose defaults fail is left to the suites to report.
+    held = _default_vectors() if suite == "all" else ()
     reports = []
     for name in table if suite == "all" else (suite,):
         fn, keywords = table[name]

@@ -1,12 +1,14 @@
 """Every public name of the package has a caller in the package or the bench,
-and every series is the catalog's.
+every series is the catalog's, and importing the package stays cheap.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
-Read from the source with `ast` only; nothing is imported.
+Read from the source with `ast`; the import test runs in a fresh interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,3 +101,45 @@ def test_only_the_catalog_builds_series():
         if any(_imports_qseries(node) for node in ast.walk(ast.parse(path.read_text())))
     )
     assert importers == ["catalog.py"]
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an `import` or absolute `from ... import` in tree names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    """The records are NamedTuples and plain classes: `import dataclasses`
+    loads inspect, ast and dis, and each @dataclass generates and execs its
+    methods, which once took a third of `import qscheme`."""
+    importers = sorted(
+        path.name
+        for path in MODULES + [ROOT / "src" / "qscheme" / "__init__.py"]
+        if any(name.split(".")[0] == "dataclasses" for name in _imported_modules(ast.parse(path.read_text())))
+    )
+    assert importers == []
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """In a fresh interpreter without site hooks (-I -S), which could load
+    either module themselves."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import qscheme, qscheme.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == []

@@ -1,6 +1,5 @@
 """The family registry against the engine and against its own closed forms."""
 
-import dataclasses
 import gc
 import os
 import random
@@ -81,7 +80,7 @@ def test_crosscheck_resolves_once_and_builds_each_k_n_once(monkeypatch, key):
         coerce_calls.append(args)
         return real_coerce(*args)
 
-    monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, kn_fn=kn_fn))
+    monkeypatch.setitem(FAMILIES, key, spec._replace(kn_fn=kn_fn))
     monkeypatch.setattr(catalog, "coerce_params", coerce_params)
     assert crosscheck(key, n_max=8) == 45
     assert kn_calls == list(range(9))
@@ -92,7 +91,7 @@ def test_crosscheck_resolves_once_and_builds_each_k_n_once(monkeypatch, key):
 def test_crosscheck_and_hyper_eval_report_a_vanishing_k_n_alike(monkeypatch, key):
     spec = FAMILIES[key]
     kn_fn = lambda p, q, n: 0 if n == 3 else spec.kn_fn(p, q, n)
-    monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, kn_fn=kn_fn))
+    monkeypatch.setitem(FAMILIES, key, spec._replace(kn_fn=kn_fn))
     message = re.escape(f"{key}: k_3 vanishes for these parameters")
     with pytest.raises(DivisionByZero, match=message):
         crosscheck(key, n_max=8)
@@ -109,7 +108,7 @@ def test_crosscheck_sets_up_each_closed_form_once_per_degree(monkeypatch):
             setups.append(n)
             return spec.series(p, q, n)
 
-        monkeypatch.setitem(FAMILIES, key, dataclasses.replace(spec, series=series))
+        monkeypatch.setitem(FAMILIES, key, spec._replace(series=series))
         assert crosscheck(key, n_max=8) == 45
         assert setups == list(range(9)), key
 
@@ -515,7 +514,7 @@ def test_threads_racing_on_one_request_get_equal_vectors():
     try:
         for i in range(20):
             params = {"a": F(2, 3 + 2 * i), "b": F(-1, 7)}
-            serial = dataclasses.replace(instantiate("3d", params))
+            serial = instantiate("3d", params)._replace()
             _clear_engine_caches()
             barrier = threading.Barrier(4, timeout=30)
 

@@ -292,6 +292,18 @@ def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
     assert checked and set(checked) == {0}
 
 
+# The last argument of a bad-input case -> the end of its one stderr line.
+REFUSAL_CAUSES = {
+    "1/0": "'1/0' has a zero denominator",
+    "-q=1/0": "'1/0' has a zero denominator",
+    "-q=1e-5": "'1e-5' has an exponent part",
+    "-q=1e-999999999": "has an exponent part",
+    "a=" + "7" * 5000: f"has more than {sys.get_int_max_str_digits()} digits",
+    "--xs=2," + "7" * 4000 + "/" + "3" * 4400: f"has more than {sys.get_int_max_str_digits()} digits",
+    "--xs=abc": "not a rational: 'abc'",
+}
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [
@@ -312,9 +324,15 @@ def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
         pytest.param(
             '{"families": {"3a": {"a": ' + "7" * 5000 + "}}}", ["eval", "3a"], id="config-a-5000-digits"
         ),
+        # a refused rational names its cause (REFUSAL_CAUSES)
+        pytest.param(None, ["eval", "1a", "-q=1e-5"], id="q-exponent-part"),
+        pytest.param(None, ["eval", "1a", "-q=1/0"], id="q-zero-denominator"),
+        pytest.param(None, ["eval", "1a", "--param", "a=" + "7" * 5000], id="param-a-5000-digits"),
+        pytest.param(None, ["eval", "1a", "--xs=2," + "7" * 4000 + "/" + "3" * 4400], id="xs-4400-digits"),
     ],
 )
 def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
+    cause = REFUSAL_CAUSES.get(argv[-1])
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config))
@@ -324,6 +342,8 @@ def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert len(error_lines(err)) == 1 and err.startswith("error:")
+    if cause is not None:
+        assert err.rstrip().endswith(cause)
 
 
 def test_eval_prints_exact_results_past_the_digit_limit(capsys):

@@ -2,10 +2,12 @@
 finite cutoffs and duality, each checked against an independent brute-force
 route before trusting frozen values."""
 
-import dataclasses
+import copy
+import pickle
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -761,7 +763,7 @@ def test_integer_horner_matches_fraction_reference(q):
         seqs, us = reference
         base = catalog.instantiate(key, None, q)
         for n in range(25):
-            pv = dataclasses.replace(base)
+            pv = base._replace()
             assert outcome(monic_poly.__wrapped__, pv, n) == us[n], (key, n)
             want = outcome(dual_normalized_poly_reference, *seqs, n)
             assert outcome(dual_normalized_poly, pv, n) == want, (key, n)
@@ -872,7 +874,7 @@ def test_sequences_at_negative_k_match_laurent_formula():
 
 
 def test_sequence_table_reads_any_prefix():
-    pv = dataclasses.replace(catalog.instantiate("1a"))  # empty memo
+    pv = catalog.instantiate("1a")._replace()  # empty memo
     sizes = (4, 21, 8, 1, 21, 26, 0)
     assert pv._values(0, 0) == () and pv._values(2, -2) == ()
     grown = [tuple(pv._values(which, m) for which in range(3)) for m in sizes]
@@ -889,7 +891,7 @@ def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
     rng = random.Random(79)
     scaled = 0
     for pv in sequence_vectors()[::3]:
-        pv = dataclasses.replace(pv)  # empty memo
+        pv = pv._replace()  # empty memo
         for m in rng.choices(range(-1, 16), k=25):
             if rng.random() < 0.3:
                 pv._values(0, rng.randint(0, 20) + 1)
@@ -904,7 +906,7 @@ def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
 
 def test_sequence_table_is_not_part_of_the_value():
     # private copies: instantiate shares one live vector, memos and all
-    grown, fresh = (dataclasses.replace(catalog.instantiate("2a")) for _ in range(2))
+    grown, fresh = (catalog.instantiate("2a")._replace() for _ in range(2))
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
     assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
@@ -912,8 +914,8 @@ def test_sequence_table_is_not_part_of_the_value():
     assert grown == fresh and hash(grown) == hash(fresh)
     assert grown._hash == fresh._hash == hash((grown.q, grown.a, grown.b, grown.d))
     assert repr(grown) == repr(fresh) == before and "_hash" not in before
-    assert [f.name for f in dataclasses.fields(grown)] == ["q", "a", "b", "d"]
-    copy = dataclasses.replace(grown)
+    assert grown.__reduce__() == (type(grown), (grown.q, grown.a, grown.b, grown.d))
+    copy = grown._replace()
     assert copy == grown and len(copy._table[0]) == 0
     assert copy._hash is None and hash(copy) == hash(grown)
     assert copy._forms is None and grown._forms is not None
@@ -923,6 +925,47 @@ def test_sequence_table_is_not_part_of_the_value():
     assert type(grown)._hash is None and type(grown)._forms is None
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
+
+
+def test_parameter_vector_value_semantics():
+    """A vector's value is its class and four fields: == holds only within
+    one class, fields cannot be assigned, the repr is unchanged, vectors can
+    be held weakly (the catalog's live table does), and every copy route
+    rebuilds through the constructor, so each validates."""
+    pv = catalog.instantiate("1a")
+    assert repr(pv) == (
+        "ParameterVector(q=Fraction(1, 2), "
+        "a=(Fraction(-109, 105), Fraction(4, 105), Fraction(1, 1)), "
+        "b=(Fraction(0, 1), Fraction(2, 1), Fraction(1, 2)), "
+        "d=(Fraction(131, 105), Fraction(-76, 105), Fraction(-389, 420), Fraction(16, 105), Fraction(1, 4)))"
+    )
+    unchecked = UncheckedParameterVector(pv.q, pv.a, pv.b, pv.d)
+    assert pv != unchecked and unchecked != pv and not pv == unchecked
+    assert repr(unchecked) == "Unchecked" + repr(pv)
+    for name, value in (("q", F(1, 3)), ("a", pv.b), ("_hash", 0)):
+        with pytest.raises(AttributeError):
+            setattr(pv, name, value)
+    with pytest.raises(AttributeError):
+        del pv.q
+    assert weakref.ref(pv)() is pv and weakref.ref(unchecked)() is unchecked
+    for twin in (pv._replace(), copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))):
+        assert type(twin) is ParameterVector and twin == pv and twin is not pv
+        assert twin._table == ((), (), ()) and twin._hash is None
+    assert pv._replace(q="1/2", b=list(pv.b)) == pv  # coerced as the constructor does
+    assert type(pickle.loads(pickle.dumps(unchecked))) is UncheckedParameterVector
+
+    bad_d = (pv.d[0] + 1,) + pv.d[1:]  # breaks the zero sum
+    with pytest.raises(ConstraintViolation):
+        pv._replace(d=bad_d)
+    broken = UncheckedParameterVector(pv.q, pv.a, pv.b, bad_d)
+    assert broken._replace(q=F(1, 3)).d == bad_d  # an unchecked copy stays unchecked
+    # the same bytes naming the checked class: loading constructs, and refuses
+    blob = pickle.dumps(broken, protocol=0)
+    assert b"\nUncheckedParameterVector\n" in blob
+    with pytest.raises(ConstraintViolation):
+        pickle.loads(blob.replace(b"\nUncheckedParameterVector\n", b"\nParameterVector\n"))
+    with pytest.raises(TypeError):
+        pv._replace(e=F(1))
 
 
 def test_threads_growing_one_table_get_the_serial_results():
@@ -937,7 +980,7 @@ def test_threads_growing_one_table_get_the_serial_results():
         for key in ("1a", "3a", "4d"):
             serial = {n: monic_poly.__wrapped__(catalog.instantiate(key), n) for n in degrees}
             for _ in range(5):
-                pv = dataclasses.replace(catalog.instantiate(key))  # empty memo
+                pv = catalog.instantiate(key)._replace()  # empty memo
                 barrier = threading.Barrier(len(degrees), timeout=30)
 
                 def build(n):
@@ -949,7 +992,7 @@ def test_threads_growing_one_table_get_the_serial_results():
                 fields_hash = hash((pv.q, pv.a, pv.b, pv.d))
                 assert results == {n: (u, fields_hash) for n, u in serial.items()}, key
                 assert pv._hash == fields_hash
-                assert pv._forms == dataclasses.replace(pv)._laurent_forms()
+                assert pv._forms == pv._replace()._laurent_forms()
                 x, h, g = pv._table
                 # a slower thread may publish a shorter prefix last
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
@@ -958,7 +1001,7 @@ def test_threads_growing_one_table_get_the_serial_results():
                 # a thread may lose its entries to another's new memo, but
                 # every entry left behind is a fresh vector's
                 assert pv._prefixes
-                fresh = dataclasses.replace(pv)
+                fresh = pv._replace()
                 for (which, m), form in pv._prefixes.items():
                     assert form == fresh._integer_prefix(which, m), (key, which, m)
     finally:

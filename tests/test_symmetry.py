@@ -1,5 +1,7 @@
 """Gauge actions, the q <-> 1/q exchange, duality, and the chart tables."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -44,6 +46,21 @@ def test_gauge_requires_nonzero_scales():
         GaugeAction(mu=0)
     with pytest.raises(ValueError):
         GaugeAction(rho=0)
+
+
+def test_gauge_action_value_semantics():
+    """Fields are coerced to Fractions and cannot be assigned; == (within the
+    class), the hash and the repr read the four fields; copies and pickles
+    rebuild through the constructor."""
+    g = GaugeAction(tau=1, mu="3/2")
+    assert repr(g) == "GaugeAction(tau=Fraction(1, 1), mu=Fraction(3, 2), sigma=Fraction(0, 1), rho=Fraction(1, 1))"
+    assert g == GaugeAction(F(1), F(3, 2)) and hash(g) == hash(GaugeAction(F(1), F(3, 2)))
+    assert g != GaugeAction(tau=1) and g != (F(1), F(3, 2), F(0), F(1))
+    with pytest.raises(AttributeError):
+        g.mu = F(0)
+    with pytest.raises(AttributeError):
+        del g.rho
+    assert copy.copy(g) == g == pickle.loads(pickle.dumps(g))
 
 
 def test_eigenvalue_scale_triples_sequences(pv_3a):
