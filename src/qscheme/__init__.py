@@ -2,7 +2,7 @@
 
 from .qrational import format_rational, parse_rational, rational
 from .qpolynomial import Poly, format_poly
-from .qseries import qhyper_sum, qpoch, qpoch_many
+from .qseries import qpoch, qpoch_many
 from .core import (
     NewtonExpansion,
     ParameterVector,

@@ -25,10 +25,13 @@ x = z + 1/z are evaluated at rational x through the pairing
     (1 - a q^j z)(1 - a q^j / z) = 1 - a q^j x + a^2 q^{2j}
                                  = a q^j (node(j) - x),
 
-which keeps the whole computation inside exact rational arithmetic.  Each
-series hands qseries.terminating_sum its step factor as Laurent
-coefficients in q^j (the paired factor above is q, -q a x, q a^2 from the
-power 0), which the term loop evaluates on integers.
+which keeps the whole computation inside exact rational arithmetic.  Every
+series is one _series row: a prefactor, x-free upper and lower parameters,
+and a step factor for qseries.terminating_sum stated as Laurent coefficients
+in q^j that are affine in x (q times the paired factor above is q, -q a x,
+q a^2 from the power 0).  An upper parameter t x of KLS puts the factor
+1 - t x q^j into the step factor, and an argument t x makes the step factor
+t x (-q^j)^c, c = s - r + 1.
 
 A closed form is set up once per (family, parameters, q, n): the set-up
 computes everything that does not depend on x (products of parameters,
@@ -52,7 +55,7 @@ from .core import ParameterVector, monic_poly
 from .errors import DivisionByZero, InadmissibleParams, Mismatch
 from .classifier import LABELS, ZeroPattern, pattern_of
 from .qrational import admissible_q, format_rational, rational
-from .qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
+from .qseries import qpoch, qpoch_many, terminating_sum
 from . import symmetry
 
 Params = Mapping[str, Fraction]
@@ -86,81 +89,33 @@ def _sample_xs(count: int) -> tuple[Fraction, ...]:
     return SAMPLE_XS[:count] + tuple(Fraction(x) for x in extra)
 
 
-def _scaled(pref: Fraction, series: Series) -> Series:
-    """x -> pref * series(x)."""
-    return lambda x: pref * series(x)
-
-
-def _parameter_series(
+def _series(
+    pref: Fraction,
     upper: tuple[Fraction, ...],
     lower: tuple[Fraction, ...],
     q: Fraction,
     n: int,
-    scale: Fraction = 1,
+    low: int,
+    const: tuple[Fraction, ...],
+    slope: tuple[Fraction, ...],
 ) -> Series:
-    """x -> the terminating series with upper parameters (*upper, scale*x),
-    lower parameters `lower` and argument q; upper[0] is q**(-n)."""
-    return lambda x: qhyper_sum((*upper, scale * x), lower, q, q, n)
-
-
-def _argument_series(
-    upper: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
-    q: Fraction,
-    n: int,
-    scale: Fraction,
-) -> Series:
-    """x -> the terminating series with the given parameters at the
-    argument scale*x; upper[0] is q**(-n)."""
-    return lambda x: qhyper_sum(upper, lower, q, scale * x, n)
-
-
-def _z_step(
-    q: Fraction, anchor: Fraction
-) -> Callable[[Fraction], tuple[tuple[Fraction, ...], int]]:
-    """x -> the z-series step factor q * (1 - anchor q^j x + anchor^2 q^{2j}),
-    i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z),
-    as its Laurent coefficients in q^j from the power 0; only the middle
-    one, -q anchor x, depends on x."""
-    qa, qaa = q * anchor, q * anchor * anchor
-    return lambda x: ((q, -qa * x, qaa), 0)
-
-
-def _z_series(
-    n: int,
-    q: Fraction,
-    anchor: Fraction,
-    upper_extra: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
-) -> Series:
-    """x -> sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
-    * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j}); a parameter 0
-    contributes (0;q)_k = 1 and is dropped."""
-    upper = (q ** (-n), *filter(None, upper_extra))
+    """x -> pref * sum_k (q^-n, upper; q)_k / ((q; q)_k (lower; q)_k)
+    * prod_{j<k} s(q^j), the step factor s(t) = sum_i c_i t^(low + i) with
+    c_i = const[i] + slope[i] * x: every representation of the catalog, as
+    data for qseries.terminating_sum.  A parameter 0 contributes
+    (0; q)_k = 1 and is dropped."""
+    upper = (q ** (-n), *filter(None, upper))
     lower = tuple(filter(None, lower))
-    step = _z_step(q, anchor)
-    return lambda x: terminating_sum(upper, lower, q, n, step(x))
-
-
-def _inverse_arg_series(
-    n: int,
-    q: Fraction,
-    node_scale: Fraction,
-    weight: Fraction,
-    upper_extra: tuple[Fraction, ...] = (),
-    lower: tuple[Fraction, ...] = (),
-    correction: int = 0,
-) -> Series:
-    """x -> the series whose terms carry (node_scale/x; q)_k * (weight*x)^k,
-    absorbed into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
-    so that x = 0 is a legal argument.  `correction` is the usual
-    sign/triangular-power exponent c of the underlying series: the step
-    factor weight * (x - node_scale*q^j) * (-q^j)^c has the Laurent
-    coefficients s*weight*x, -s*weight*node_scale from the power c, s = (-1)^c."""
-    upper = (q ** (-n), *upper_extra)
-    sw = -weight if correction % 2 else weight
-    shift = -sw * node_scale
-    return lambda x: terminating_sum(upper, lower, q, n, ((sw * x, shift), correction))
+    step = tuple(zip(const, slope))
+    # each c_i pays only for the Fraction operations its nonzero parts need
+    series = lambda x: terminating_sum(
+        upper,
+        lower,
+        q,
+        n,
+        ([c if not s else s * x if not c else c + s * x for c, s in step], low),
+    )
+    return series if pref == 1 else lambda x: pref * series(x)
 
 
 def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
@@ -169,18 +124,7 @@ def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
     representation that no diagram label carries."""
     a, b = p["a"], p["b"]
     pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
-    return _scaled(
-        pref,
-        _inverse_arg_series(
-            n,
-            q,
-            node_scale=Fraction(1),
-            weight=1 / a,
-            upper_extra=(a * b * q ** (n + 1),),
-            lower=(q * b,),
-            correction=-1,
-        ),
-    )
+    return _series(pref, (a * b * q ** (n + 1),), (q * b,), q, n, -1, (0, 1 / a), (-1 / a, 0))
 
 
 class FamilySpec(NamedTuple):
@@ -267,7 +211,10 @@ def _askey_wilson_series(p: Params, q: Fraction, n: int) -> Series:
     a = p["a"]
     lower = (a * p["b"], a * p["c"], a * p["d"])
     top = q ** (n - 1) * lower[0] * p["c"] * p["d"]
-    return _scaled(qpoch_many(lower, q, n) / a**n, _z_series(n, q, a, (top,), lower))
+    qa = q * a
+    return _series(
+        qpoch_many(lower, q, n) / a**n, (top,), lower, q, n, 0, (q, 0, qa * a), (0, -qa, 0)
+    )
 
 
 # The four families drawn at two labels, one Newton basis each: what both
@@ -355,8 +302,8 @@ _register(
         ),
         kn_fn=lambda p, q, n: qpoch(q ** (n + 1) * p["a"] * p["b"], q, n)
         / (qpoch(q * p["a"], q, n) * qpoch(q * p["c"], q, n)),
-        series=lambda p, q, n: _parameter_series(
-            (q ** (-n), p["a"] * p["b"] * q ** (n + 1)), (q * p["a"], q * p["c"]), q, n
+        series=lambda p, q, n: _series(
+            1, (p["a"] * p["b"] * q ** (n + 1),), (q * p["a"], q * p["c"]), q, n, 0, (q, 0), (0, -q)
         ),
     )
 )
@@ -384,11 +331,9 @@ _register(
             (0, p["a"] * q, 0),
             _lowering(-q * p["b"], -1, p["a"]),
         ),
-        series=lambda p, q, n: _scaled(
+        series=lambda p, q, n: _series(
             (-p["b"]) ** n * q ** (n * (n + 1) // 2) / qpoch(q * p["b"], q, n),
-            _inverse_arg_series(
-                n, q, node_scale=q * p["a"], weight=1 / p["b"], lower=(q * p["a"],)
-            ),
+            (), (q * p["a"],), q, n, 0, (0, -(1 / p["b"]) * q * p["a"]), (1 / p["b"], 0),
         ),
     )
 )
@@ -403,8 +348,8 @@ _register(
             (0, 0, 1),
             _lowering(q, -2, p["a"], p["b"]),
         ),
-        series=lambda p, q, n: _parameter_series(
-            (q ** (-n), Fraction(0)), (q * p["a"], q * p["b"]), q, n
+        series=lambda p, q, n: _series(
+            1, (0,), (q * p["a"], q * p["b"]), q, n, 0, (q, 0), (0, -q)
         ),
     )
 )
@@ -420,18 +365,12 @@ _register(
             (0, 0, 1 / (q * p["b"])),
             _lowering(1 / p["b"], -2, p["b"]),
         ),
-        series=lambda p, q, n: _scaled(
+        series=lambda p, q, n: _series(
             (-q * p["b"]) ** (-n)
             * q ** (-_halfsq(n))
             * qpoch(q * p["b"], q, n)
             / qpoch(q * p["a"], q, n),
-            _parameter_series(
-                (q ** (-n), p["a"] * p["b"] * q ** (n + 1)),
-                (q * p["b"], Fraction(0)),
-                q,
-                n,
-                q * p["b"],
-            ),
+            (p["a"] * p["b"] * q ** (n + 1),), (q * p["b"], 0), q, n, 0, (q, 0), (0, -q * q * p["b"])
         ),
     )
 )
@@ -446,8 +385,8 @@ _register(
             (0, 0, 0),
             _lowering(-1, -1, p["a"]),
         ),
-        series=lambda p, q, n: _argument_series(
-            (q ** (-n), p["a"] * p["b"] * q ** (n + 1)), (q * p["a"],), q, n, q
+        series=lambda p, q, n: _series(
+            1, (p["a"] * p["b"] * q ** (n + 1),), (q * p["a"],), q, n, 0, (0,), (q,)
         ),
     )
 )
@@ -479,8 +418,8 @@ _register(
             _lowering(q, -2, p["b"] / q),
         ),
         kn_fn=lambda p, q, n: Fraction(1),
-        series=lambda p, q, n: _scaled(
-            qpoch(p["b"], q, n), _parameter_series((q ** (-n),), (p["b"],), q, n)
+        series=lambda p, q, n: _series(
+            qpoch(p["b"], q, n), (), (p["b"],), q, n, 0, (q, 0), (0, -q)
         ),
     )
 )
@@ -496,9 +435,8 @@ _register(
         positivity="a < 0",
         coefficients=lambda p, q: ((-1, 0, 1), (0, 1, 0), _lowering(-p["a"], -1)),
         kn_fn=lambda p, q, n: Fraction(1),
-        series=lambda p, q, n: _scaled(
-            (-p["a"]) ** n * q ** (_halfsq(n)),
-            _inverse_arg_series(n, q, node_scale=Fraction(1), weight=q / p["a"]),
+        series=lambda p, q, n: _series(
+            (-p["a"]) ** n * q ** (_halfsq(n)), (), (), q, n, 0, (0, -q / p["a"]), (q / p["a"], 0)
         ),
     )
 )
@@ -510,11 +448,9 @@ _register(
         nonzero=("a",),
         newton_form="v_k(x) = x^k (1/x; q)_k",
         coefficients=lambda p, q: ((1, 0, -1), (0, 1, 0), _lowering(-p["a"], 0)),
-        series=lambda p, q, n: _scaled(
+        series=lambda p, q, n: _series(
             _sign(n) * q ** (n * (n + 1) // 2) * p["a"] ** n / qpoch(q * p["a"], q, n),
-            _inverse_arg_series(
-                n, q, node_scale=Fraction(1), weight=1 / p["a"], correction=-1
-            ),
+            (), (), q, n, -1, (0, 1 / p["a"]), (-1 / p["a"], 0),
         ),
     )
 )
@@ -525,9 +461,7 @@ _register(
         **_LITTLE_QLAGUERRE,
         newton_form="v_k(x) = x^k",
         coefficients=lambda p, q: ((1, 0, -1), (0, 0, 0), _lowering(1, -1, p["a"])),
-        series=lambda p, q, n: _argument_series(
-            (q ** (-n), Fraction(0)), (q * p["a"],), q, n, q
-        ),
+        series=lambda p, q, n: _series(1, (0,), (q * p["a"],), q, n, 0, (0,), (q,)),
     )
 )
 
@@ -542,16 +476,9 @@ _register(
             (0, 1, 0),
             _lowering(-p["a"] / q, 1),
         ),
-        series=lambda p, q, n: _scaled(
+        series=lambda p, q, n: _series(
             _sign(n) * q ** (n * n) * p["a"] ** n,
-            _inverse_arg_series(
-                n,
-                q,
-                node_scale=Fraction(1),
-                weight=-1 / p["a"],
-                upper_extra=(-p["a"] * q**n,),
-                correction=-2,
-            ),
+            (-p["a"] * q**n,), (), q, n, -2, (0, 1 / p["a"]), (-1 / p["a"], 0),
         ),
     )
 )
@@ -562,9 +489,7 @@ _register(
         **_QBESSEL,
         newton_form="v_k(x) = x^k",
         coefficients=lambda p, q: ((1 - p["a"], p["a"], -1), (0, 0, 0), _lowering(1, -1)),
-        series=lambda p, q, n: _argument_series(
-            (q ** (-n), -p["a"] * q**n), (Fraction(0),), q, n, q
-        ),
+        series=lambda p, q, n: _series(1, (-p["a"] * q**n,), (0,), q, n, 0, (0,), (q,)),
     )
 )
 
@@ -602,9 +527,8 @@ _register(
         positivity="none recorded",
         coefficients=lambda p, q: ((-1, 1, 0), (0, 0, 0), _lowering(1, -1)),
         kn_fn=lambda p, q, n: _sign(n) * q ** (n * n) / qpoch(q, q, n),
-        series=lambda p, q, n: _scaled(
-            1 / qpoch(q, q, n),
-            _argument_series((q ** (-n),), (Fraction(0),), q, n, -(q ** (n + 1))),
+        series=lambda p, q, n: _series(
+            1 / qpoch(q, q, n), (), (0,), q, n, 1, (0,), (q ** (n + 1),)
         ),
     )
 )

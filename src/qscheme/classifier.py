@@ -29,7 +29,6 @@ arrays, which are reported as unlisted with X-nn labels, never dropped.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 from typing import NamedTuple
 
@@ -296,6 +295,8 @@ def emit(graph: SchemeGraph, fmt: str) -> bytes:
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
+        import json  # only here: every `import qscheme` would pay for it
+
         payload = {
             "nodes": [
                 {

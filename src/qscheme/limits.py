@@ -43,7 +43,7 @@ RATIO_BOUND = Fraction(3, 4)
 EPS_RATIO = Fraction(1, 2)
 GAP_THRESHOLD = Fraction(1, 10**9)
 
-_Q = Fraction(1, 2)
+_Q = catalog.DEFAULT_Q
 
 
 # -- exact identities embedded in the limit formulas ---------------------------
@@ -64,12 +64,14 @@ def _identity_holds(lhs: Side, rhs: Side, n_max: int) -> bool:
     return True
 
 
-# The identities' parameters are also those of the limit targets below.
-_B = Fraction(1, 3)  # the lower parameter of the shifted product identity
-_BIG_QLAGUERRE = {"a": Fraction(1, 3), "b": Fraction(-1, 2)}
-_LITTLE_QJACOBI = {"a": Fraction(1, 4), "b": Fraction(1, 3)}
-_QBESSEL = {"a": Fraction(1)}
-_AL_SALAM_CARLITZ = {"a": Fraction(-1)}  # a limit target only: no identity uses it
+# The identities' parameters are also those of the limit targets below: each
+# is its family's catalog defaults.
+_B = catalog.FAMILIES["4b"].defaults["b"]  # the lower parameter of the shifted product identity
+_CDQHAHN = catalog.FAMILIES["2a"].defaults
+_BIG_QLAGUERRE = catalog.FAMILIES["3b"].defaults
+_LITTLE_QJACOBI = catalog.FAMILIES["3e"].defaults
+_QBESSEL = catalog.FAMILIES["4g"].defaults
+_AL_SALAM_CARLITZ = catalog.FAMILIES["4c"].defaults  # a limit target only: no identity uses it
 
 
 # name -> (lhs, rhs, n_max), each side n -> (x -> value) and each series the
@@ -98,11 +100,9 @@ _IDENTITIES: dict[str, tuple[Side, Side, int]] = {
     # the series of continuous dual q-Hahn anchored at a and at b, which
     # the polynomial's symmetry in its parameters makes equal
     "cdqhahn_rep_pair": (
+        lambda n: catalog.FAMILIES["2a"].series(_CDQHAHN, _Q, n),
         lambda n: catalog.FAMILIES["2a"].series(
-            {"a": Fraction(2), "b": Fraction(1, 3), "c": Fraction(1, 5)}, _Q, n
-        ),
-        lambda n: catalog.FAMILIES["2a"].series(
-            {"a": Fraction(1, 3), "b": Fraction(2), "c": Fraction(1, 5)}, _Q, n
+            {**_CDQHAHN, "a": _CDQHAHN["b"], "b": _CDQHAHN["a"]}, _Q, n
         ),
         6,
     ),

@@ -10,12 +10,13 @@ over k = 0..n of
     (q^{-n}; q)_k (a_2..a_r; q)_k / ((q; q)_k (b_1..b_s; q)_k)
         * ((-1)^k q^{k(k-1)/2})^(s - r + 1) * z^k.
 
-Every series of the package, this one and the catalog's, runs through one
-term loop, terminating_sum, in the form of Gasper & Rahman, Basic
-Hypergeometric Series (2004), ch. 1: each term is the previous one times a
-rational function of q^k.  Beyond the q-shifted factorials, that function's
-step factor is data, its Laurent coefficients in q^j, and the loop
-evaluates it on integers at q^j = P/R, building one Fraction per series.
+Every series of the package runs through one term loop, terminating_sum, in
+the form of Gasper & Rahman, Basic Hypergeometric Series (2004), ch. 1: each
+term is the previous one times a rational function of q^k.  Beyond the
+q-shifted factorials, that function's step factor is data, its Laurent
+coefficients in q^j (for the r_phi_s above, the one coefficient (-1)^c z at
+the power c = s - r + 1), and the loop evaluates it on integers at
+q^j = P/R, building one Fraction per series.
 
 Everything is exact over rationals; a vanishing denominator factor raises
 DivisionByZero unless an upper factor already killed the series at an
@@ -128,24 +129,3 @@ def terminating_sum(
         sn = sn * rd + tn
     return Fraction(sn, td)
 
-
-def qhyper_sum(
-    upper: Sequence[Fraction],
-    lower: Sequence[Fraction],
-    q: Fraction,
-    z: Fraction,
-    n: int,
-) -> Fraction:
-    """Sum the n+1 terms of the terminating series defined above.
-
-    The first upper parameter is expected to be q**(-n).  The factor
-    ((-1)^k q^{k(k-1)/2})^c z^k, c = s - r + 1, is the product of the step
-    factors z * (-q^j)^c over j < k: the one Laurent coefficient (-1)^c z
-    at the power c.
-    """
-    upper = [rational(u) for u in upper]
-    lower = [rational(b) for b in lower]
-    q = rational(q)
-    z = rational(z)
-    correction = len(lower) - len(upper) + 1
-    return terminating_sum(upper, lower, q, n, ((-z if correction % 2 else z,), correction))

@@ -26,7 +26,7 @@ from qscheme.qpolynomial import Poly, _newton_horner, _over_lcm
 from qscheme.qrational import admissible_q, rational
 from qscheme.catalog import _halfsq, _sign
 from qscheme.limits import DEFAULT_SAMPLE_XS
-from qscheme.qseries import qhyper_sum, qpoch, qpoch_many, terminating_sum
+from qscheme.qseries import qpoch, qpoch_many, terminating_sum
 
 
 def perturbed(
@@ -355,6 +355,15 @@ def per_term_z_series(n, q, x, anchor, upper_extra, lower):
     return total
 
 
+def qhyper(upper, lower, q, z, n):
+    """The terminating r_phi_s with these parameters at the argument z, on
+    terminating_sum: the step factor z (-q^j)^c, c = s - r + 1.  The
+    per-x representations keep x among the upper parameters here, where the
+    catalog moves it into the step factor."""
+    c = len(lower) - len(upper) + 1
+    return terminating_sum(upper, lower, q, n, ((-z if c % 2 else z,), c))
+
+
 # -- the closed forms as they were evaluated point by point -------------------------
 #
 # The catalog's series before they became per-degree set-ups: every x-free
@@ -417,7 +426,7 @@ def per_x_cdqhahn_value(
 def per_x_little_qjacobi_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
     """Little q-Jacobi in standard normalization, power-basis series."""
     a, b = p["a"], p["b"]
-    return qhyper_sum(
+    return qhyper(
         (q ** (-n), a * b * q ** (n + 1)), (q * a,), q, q * x, n
     )
 
@@ -444,7 +453,7 @@ def per_x_little_qjacobi_value_inverse_rep(
 def per_x_qbessel_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
     """q-Bessel in standard normalization, power-basis series."""
     a = p["a"]
-    return qhyper_sum((q ** (-n), -a * q**n), (Fraction(0),), q, q * x, n)
+    return qhyper((q ** (-n), -a * q**n), (Fraction(0),), q, q * x, n)
 
 
 def per_x_qbessel_value_inverse_rep(p, q: Fraction, n: int, x: Fraction) -> Fraction:
@@ -477,7 +486,7 @@ PER_X_NAMED = {
             (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]),
         ),
     "2a": lambda p, q, n, x: per_x_cdqhahn_value(q, n, x, p["a"], p["b"], p["c"]),
-    "2b": lambda p, q, n, x: qhyper_sum(
+    "2b": lambda p, q, n, x: qhyper(
             (q ** (-n), p["a"] * p["b"] * q ** (n + 1), x),
             (q * p["a"], q * p["c"]),
             q,
@@ -493,14 +502,14 @@ PER_X_NAMED = {
             n, q, x, node_scale=q * p["a"], weight=1 / p["b"], lower=(q * p["a"],)
         )
         / qpoch(q * p["b"], q, n),
-    "3c": lambda p, q, n, x: qhyper_sum(
+    "3c": lambda p, q, n, x: qhyper(
             (q ** (-n), Fraction(0), x), (q * p["a"], q * p["b"]), q, q, n
         ),
     "3d": lambda p, q, n, x: (-q * p["b"]) ** (-n)
         * q ** (-_halfsq(n))
         * qpoch(q * p["b"], q, n)
         / qpoch(q * p["a"], q, n)
-        * qhyper_sum(
+        * qhyper(
             (q ** (-n), p["a"] * p["b"] * q ** (n + 1), q * p["b"] * x),
             (q * p["b"], Fraction(0)),
             q,
@@ -511,7 +520,7 @@ PER_X_NAMED = {
     "4a": lambda p, q, n, x: per_x_z_series(n, q, x, p["a"], (), ())
         / p["a"] ** n,
     "4b": lambda p, q, n, x: qpoch(p["b"], q, n)
-        * qhyper_sum((q ** (-n), x), (p["b"],), q, q, n),
+        * qhyper((q ** (-n), x), (p["b"],), q, q, n),
     "4c": lambda p, q, n, x: (-p["a"]) ** n
         * q ** (_halfsq(n))
         * per_x_inverse_arg_series(
@@ -524,16 +533,16 @@ PER_X_NAMED = {
         * per_x_inverse_arg_series(
             n, q, x, node_scale=Fraction(1), weight=1 / p["a"], correction=-1
         ),
-    "4e": lambda p, q, n, x: qhyper_sum(
+    "4e": lambda p, q, n, x: qhyper(
             (q ** (-n), Fraction(0)), (q * p["a"],), q, q * x, n
         ),
     "4f'": lambda p, q, n, x: per_x_qbessel_value_inverse_rep(p, q, n, x),
     "4g": lambda p, q, n, x: per_x_qbessel_value(p, q, n, x),
-    "5a": lambda p, q, n, x: qhyper_sum(
+    "5a": lambda p, q, n, x: qhyper(
             (q ** (-n), x), (Fraction(0),), q, q, n
         ),
-    "5b": lambda p, q, n, x: qhyper_sum((q ** (-n),), (), q, q * x, n),
-    "5c'": lambda p, q, n, x: qhyper_sum(
+    "5b": lambda p, q, n, x: qhyper((q ** (-n),), (), q, q * x, n),
+    "5c'": lambda p, q, n, x: qhyper(
             (q ** (-n),), (Fraction(0),), q, -(q ** (n + 1)) * x, n
         )
         / qpoch(q, q, n),

@@ -103,6 +103,22 @@ def test_only_the_catalog_builds_series():
     assert importers == ["catalog.py"]
 
 
+def test_the_catalog_builds_every_series_in_one_place():
+    """catalog.py calls terminating_sum once, in _series, so every
+    representation is one _series row and no second way to build a series
+    comes back."""
+    tree = ast.parse((ROOT / "src" / "qscheme" / "catalog.py").read_text())
+    callers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "terminating_sum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["_series"]
+
+
 def _imported_modules(tree: ast.AST) -> set[str]:
     """Every module an `import` or absolute `from ... import` in tree names."""
     names = set()
@@ -143,3 +159,22 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
         check=True,
     )
     assert done.stdout.split() == []
+
+
+def test_import_leaves_json_unloaded():
+    """Only `graph --format json` and the CLI's own JSON need it; in a fresh
+    interpreter as above."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import qscheme\n"
+        "print('json' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == ["False"]

@@ -234,13 +234,35 @@ def test_kn_zero_raises():
         hyper_eval("1a", params, q, 5, F(2))
 
 
+@pytest.mark.parametrize(
+    "key, params, term", [("4b", {"b": F(2)}, 2), ("3d", {"a": F(1, 4), "b": F(2)}, 1)]
+)
+def test_vanishing_lower_factor_raises_at_every_x(key, params, term):
+    """At q = 1/2 and n = 2 a lower factor of the series vanishes at `term`,
+    so every x raises.  The x factor, (x; q)_k for 4b and (qbx; q)_k for 3d,
+    is part of the step factor, not an upper parameter that ends the sum:
+    at x = 1 it vanishes at term 1, no later than the lower factor, and the
+    value is still refused."""
+    for x in (1, 2, 3, F(1, 2)):
+        with pytest.raises(DivisionByZero, match=f"denominator vanished at term {term} "):
+            hyper_eval(key, params, "1/2", 2, x)
+
+
 # -- structural identities ------------------------------------------------------------
 
 
-def test_paired_factor_identity_randomized():
-    """The z-series step factors, evaluated from their Laurent coefficients,
+def test_paired_factor_identity_randomized(monkeypatch):
+    """The step factors of the z-series row (4a, Askey-Wilson at b = c = d = 0),
+    evaluated from the Laurent coefficients _series hands terminating_sum,
     multiply to q^k (az, a/z; q)_k, which as a polynomial in x equals
     q^k prod a q^j (node(j) - x)."""
+    steps = []
+
+    def record(upper, lower, q, n, step):
+        steps.append(step)
+        return F(1)
+
+    monkeypatch.setattr(catalog, "terminating_sum", record)
     rng = random.Random(31)
     for _ in range(12):
         a = F(rng.randint(1, 6), rng.randint(1, 4))
@@ -248,7 +270,8 @@ def test_paired_factor_identity_randomized():
         if q in (0, 1) or a == 0:
             continue
         x = F(rng.randint(-8, 8), rng.randint(1, 5))
-        coeffs, low = catalog._z_step(q, a)(x)
+        FAMILIES["4a"].series({"a": a}, q, 8)(x)
+        coeffs, low = steps.pop()
         for k in range(9):
             lhs = F(1)
             for j in range(k):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qscheme import catalog
 from qscheme.errors import DivisionByZero
-from qscheme.qseries import qhyper_sum, qpoch, terminating_sum
+from qscheme.qseries import qpoch, terminating_sum
 from reference import (
     fraction_terminating_sum,
     oracle_qhyper,
@@ -17,6 +17,7 @@ from reference import (
     outcome,
     per_term_inverse_arg_series,
     per_term_z_series,
+    qhyper,
 )
 
 rationals = st.fractions(
@@ -77,19 +78,19 @@ def test_qpoch_splitting(b, q, j, k):
 
 def test_single_term_series_is_one():
     q = F(1, 2)
-    assert qhyper_sum((F(1),), (F(5),), q, F(9), 0) == 1
+    assert qhyper((F(1),), (F(5),), q, F(9), 0) == 1
 
 
 def test_two_over_one_power_identity_at_three():
     # upper (1/q, x), lower (0), argument q collapses to x at n = 1
     q = F(1, 2)
-    assert qhyper_sum((q**-1, F(3)), (F(0),), q, q, 1) == 3
+    assert qhyper((q**-1, F(3)), (F(0),), q, q, 1) == 3
 
 
 def test_one_over_zero_three_term_sum():
     # n = 2, q = 1/2, argument 1: terms are 1 - 6 + 8
     q = F(1, 2)
-    assert qhyper_sum((q**-2,), (), q, F(1), 2) == 3
+    assert qhyper((q**-2,), (), q, F(1), 2) == 3
     assert oracle_qhyper((q**-2,), (), q, F(1), 2) == 3
 
 
@@ -97,7 +98,7 @@ def test_power_identity_up_to_eight():
     q = F(1, 2)
     for n in range(9):
         for x in (F(3), F(-2), F(1, 5)):
-            assert qhyper_sum((q**-n, x), (F(0),), q, q, n) == x**n
+            assert qhyper((q**-n, x), (F(0),), q, q, n) == x**n
 
 
 def test_matches_oracle_with_correction_exponent():
@@ -105,26 +106,26 @@ def test_matches_oracle_with_correction_exponent():
     q = F(1, 2)
     for n in range(7):
         for z in (F(3), F(-1, 2)):
-            got = qhyper_sum((q**-n,), (F(0),), q, z, n)
+            got = qhyper((q**-n,), (F(0),), q, z, n)
             assert got == oracle_qhyper((q**-n,), (F(0),), q, z, n)
     # three upper, none lower: correction exponent -2 (q-Bessel inverse form)
     for n in range(6):
-        got = qhyper_sum((q**-n, F(3), F(1, 7)), (), q, F(2), n)
+        got = qhyper((q**-n, F(3), F(1, 7)), (), q, F(2), n)
         assert got == oracle_qhyper((q**-n, F(3), F(1, 7)), (), q, F(2), n)
 
 
 def test_lower_parameter_collision_raises():
     q = F(1, 2)
     with pytest.raises(DivisionByZero):
-        qhyper_sum((q**-3, F(3)), (q**-1,), q, q, 3)
+        qhyper((q**-3, F(3)), (q**-1,), q, q, 3)
 
 
 @pytest.mark.parametrize("n", [-1, -3])
 def test_negative_bound_is_refused(n):
-    # qhyper_sum and every catalog series run through terminating_sum.
+    # every catalog series runs through terminating_sum
     q = F(1, 2)
     with pytest.raises(ValueError, match=f"a terminating series needs n >= 0, got n = {n}"):
-        qhyper_sum((q**-n, F(3)), (F(1, 5),), q, q, n)
+        catalog.FAMILIES["3e"].series({"a": F(3), "b": F(1, 5)}, q, n)(F(3))
     with pytest.raises(ValueError, match="n >= 0"):
         terminating_sum((), (), q, n, ((F(1),), 1))
 
@@ -133,7 +134,7 @@ def test_early_termination_makes_bad_lower_legal():
     # the extra upper q^{-1} kills the numerator before the lower q^{-2}
     # factor reaches its zero at k = 3
     q = F(1, 2)
-    value = qhyper_sum((q**-5, q**-1), (q**-2,), q, q, 5)
+    value = qhyper((q**-5, q**-1), (q**-2,), q, q, 5)
     k0 = F(1)
     k1 = oracle_qpoch(q**-5, q, 1) * oracle_qpoch(q**-1, q, 1) / (
         oracle_qpoch(q, q, 1) * oracle_qpoch(q**-2, q, 1)
@@ -145,10 +146,10 @@ def test_upper_zero_decides_lower_collision():
     q = F(1, 2)
     # the lower q^{-1} zeroes the denominator at term 2 and nothing ends the series first
     with pytest.raises(DivisionByZero):
-        qhyper_sum((q**-3, F(3)), (q**-1,), q, q, 3)
+        qhyper((q**-3, F(3)), (q**-1,), q, q, 3)
     # an upper q^{-1} zeroes the numerator at term 2, at or before the lower zero
     for lower in ((q**-2,), (q**-1,)):
-        value = qhyper_sum((q**-3, q**-1), lower, q, q, 3)
+        value = qhyper((q**-3, q**-1), lower, q, q, 3)
         assert value == oracle_qhyper((q**-3, q**-1), lower, q, q, 3)
 
 
@@ -176,18 +177,25 @@ def test_shared_term_loop_matches_per_term_reference():
         seen_corrections.add(len(lower) - len(upper) + 1)
         # with node_scale = 0 and x = 1 the inverse-argument series is the
         # power-basis series in z = weight
-        assert outcome(qhyper_sum, upper, lower, q, z, n) == outcome(
+        assert outcome(qhyper, upper, lower, q, z, n) == outcome(
             per_term_inverse_arg_series,
             n, q, F(1), F(0), z, upper_extra, lower, len(lower) - len(upper) + 1,
         )
-        inverse_arg = lambda: catalog._inverse_arg_series(
-            n, q, node_scale, weight, upper_extra, lower, correction
-        )(x)
-        assert outcome(inverse_arg) == outcome(
+        # the catalog's 1/x-parameter rows: the step factor
+        # sigma (x - node_scale q^j) (-q^j)^c with sigma = (-1)^c weight
+        sigma = -weight if correction % 2 else weight
+        inverse_arg = catalog._series(
+            1, upper_extra, lower, q, n, correction, (0, -sigma * node_scale), (sigma, 0)
+        )
+        assert outcome(inverse_arg, x) == outcome(
             per_term_inverse_arg_series, n, q, x, node_scale, weight, upper_extra, lower, correction
         )
-        z_series = lambda: catalog._z_series(n, q, anchor, upper_extra, lower)(x)
-        assert outcome(z_series) == outcome(per_term_z_series, n, q, x, anchor, upper_extra, lower)
+        # the catalog's z rows: q times the paired factor
+        # (1 - anchor q^j z)(1 - anchor q^j / z) = 1 - anchor q^j x + anchor^2 q^{2j}
+        z_series = catalog._series(
+            1, upper_extra, lower, q, n, 0, (q, 0, q * anchor * anchor), (0, -q * anchor, 0)
+        )
+        assert outcome(z_series, x) == outcome(per_term_z_series, n, q, x, anchor, upper_extra, lower)
     assert {-2, -1, 0, 1} <= seen_corrections and early > 0
 
 
