@@ -321,6 +321,20 @@ _register(
     )
 )
 
+
+def _big_qlaguerre_series(p: Params, q: Fraction, n: int) -> Series:
+    """3b's row, whose step factor (x - qa*t)/b divides by b.  The entry
+    shares its parameters with 3c, which allows b = 0, so `nonzero` leaves b
+    free and the row refuses b = 0 itself."""
+    if not p["b"]:
+        raise DivisionByZero("3b: the series divides by parameter b, which is 0")
+    inv_b = 1 / p["b"]
+    return _series(
+        (-p["b"]) ** n * q ** (n * (n + 1) // 2) / qpoch(q * p["b"], q, n),
+        (), (q * p["a"],), q, n, 0, (0, -inv_b * q * p["a"]), (inv_b, 0),
+    )
+
+
 _register(
     FamilySpec(
         key="3b",
@@ -331,10 +345,7 @@ _register(
             (0, p["a"] * q, 0),
             _lowering(-q * p["b"], -1, p["a"]),
         ),
-        series=lambda p, q, n: _series(
-            (-p["b"]) ** n * q ** (n * (n + 1) // 2) / qpoch(q * p["b"], q, n),
-            (), (q * p["a"],), q, n, 0, (0, -(1 / p["b"]) * q * p["a"]), (1 / p["b"], 0),
-        ),
+        series=_big_qlaguerre_series,
     )
 )
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -338,23 +338,33 @@ def _newton_row(h: tuple[Sequence[int], int], g: tuple[Fraction, ...], n: int) -
 
     h = (H, Dh) gives h_j = H_j/Dh over Dh, the lcm of the denominators of
     h[0..n] (as _integer_prefix builds it), and with g_j = a_j/b_j in lowest
-    terms,
+    terms each step ratio g_j/(h_n - h_{j-1}) is s_j/t_j, the pair
+    (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd (left as it is when both
+    vanish).  Then
 
-        N_k = prod_{j=k+1..n} a_j*Dh * prod_{j=1..k} b_j * prod_{j<k} (H_n - H_j),
+        N_k = prod_{j=k+1..n} s_j * prod_{j=1..k} t_j,
 
-    built by one suffix and one prefix product: no Fraction and no gcd.
+    built by one suffix and one prefix product: one small gcd per step and
+    no Fraction.  The gcds scale the whole row by one positive factor, which
+    every caller divides out by reading the row over N_n or N_0.
     """
     if n < 0:
         raise ValueError("a Newton row needs n >= 0")
     big, dh = h
+    top = big[n]
+    steps = []
+    for j in range(1, n + 1):
+        s, t = g[j].numerator * dh, g[j].denominator * (top - big[j - 1])
+        d = gcd(s, t)
+        steps.append((s // d, t // d) if d > 1 else (s, t))
     row = [1] * (n + 1)
     acc = 1
     for k in range(n - 1, -1, -1):
-        acc *= g[k + 1].numerator * dh
+        acc *= steps[k][0]
         row[k] = acc
     acc = 1
     for k in range(1, n + 1):
-        acc *= g[k].denominator * (big[n] - big[k - 1])
+        acc *= steps[k - 1][1]
         row[k] *= acc
     return row
 

@@ -213,16 +213,23 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
     The one Newton-to-monomial conversion of the package.  The accumulator
     holds integer numerators over den*t.  Each step multiplies it by
     (x - p/r) as acc*(r*x - p), scaling t by r, then adds nums[k]*t to the
-    constant term.  The result is the accumulator over den*t, reduced once;
-    no Fraction is built.
+    constant term.  A zero node only shifts the accumulator, and an integer
+    node (r = 1) leaves t alone and multiplies nothing by r.  The result is
+    the accumulator over den*t, reduced once; no Fraction is built.
     """
     if not nums:
         return Poly.zero()
     acc, t = [nums[-1]], 1  # low degree first
     for k in range(len(nums) - 2, -1, -1):
         p, r = nodes[k].numerator, nodes[k].denominator
-        acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
-        t *= r
+        if not p:
+            acc.insert(0, nums[k] * t)
+            continue
+        if r == 1:
+            acc = [-p * acc[0]] + [hi - p * lo for hi, lo in zip(acc, acc[1:])] + [acc[-1]]
+        else:
+            acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
+            t *= r
         acc[0] += nums[k] * t
     return Poly._of(acc, den * t)
 

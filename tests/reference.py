@@ -84,6 +84,22 @@ def fraction_horner(coeffs, nodes) -> Poly:
     return Poly(acc)
 
 
+def unreduced_newton_row(h, g, n: int) -> list[int]:
+    """Row n of the triangle as integers with no step reduced: with h given
+    as (H, Dh) and g_j = a_j/b_j, N_k = prod_{j>k} a_j*Dh
+    * prod_{j<=k} b_j*(H_n - H_{j-1}), each entry its own product."""
+    big, dh = h
+    row = []
+    for k in range(n + 1):
+        value = 1
+        for j in range(k + 1, n + 1):
+            value *= g[j].numerator * dh
+        for j in range(1, k + 1):
+            value *= g[j].denominator * (big[n] - big[j - 1])
+        row.append(value)
+    return row
+
+
 def triangle_rows(pv, order: int):
     """The whole triangle up to order, built row by row by the Fraction
     recursion c[n][k] = c[n][k+1] g[k+1] / (h[n] - h[k]); returns the rows

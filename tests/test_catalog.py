@@ -234,6 +234,18 @@ def test_kn_zero_raises():
         hyper_eval("1a", params, q, 5, F(2))
 
 
+def test_big_qlaguerre_row_refuses_b_zero_by_name():
+    # 3b's row divides by b; 3c shares the parameters and allows b = 0, so
+    # `list --json` keeps "any rational" for b and the refusal names it here.
+    with pytest.raises(InadmissibleParams, match="all lowering coefficients vanish"):
+        instantiate("3b", {"b": 0})
+    for n in range(5):
+        for x in (0, 2, F(1, 3)):
+            with pytest.raises(DivisionByZero, match="3b: the series divides by parameter b, which is 0"):
+                hyper_eval("3b", {"b": 0}, None, n, x)
+    assert hyper_eval("3c", {"b": 0}, None, 3, 2) == monic_poly(instantiate("3c", {"b": 0}), 3)(2)
+
+
 @pytest.mark.parametrize(
     "key, params, term", [("4b", {"b": F(2)}, 2), ("3d", {"a": F(1, 4), "b": F(2)}, 1)]
 )

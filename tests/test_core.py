@@ -50,6 +50,7 @@ from reference import (
     perturbed,
     poly_recurrence_check,
     triangle_rows,
+    unreduced_newton_row,
 )
 
 
@@ -791,7 +792,10 @@ def test_negative_degrees_are_refused(pv_3a, build, bound):
 
 
 def test_integer_horner_matches_fraction_reference_on_random_rows():
-    """Mixed, unreduced denominators, zero and integer nodes and coefficients."""
+    """Mixed, unreduced denominators, zero and integer nodes and coefficients;
+    then node lists of one kind or a mix: zero nodes (a shift), integer nodes
+    (no scaling of t), large and negative integers, rationals and powers of
+    a negative q, all-zero and all-integer lists included."""
     rng = random.Random(61)
 
     def scalar():
@@ -802,6 +806,23 @@ def test_integer_horner_matches_fraction_reference_on_random_rows():
         coeffs = [scalar() for _ in range(size)]
         nodes = tuple(scalar() for _ in range(size))
         assert core._newton_horner(*core._over_lcm(coeffs), nodes) == fraction_horner(coeffs, nodes)
+    kinds = {
+        "zero": lambda: F(0),
+        "small": lambda: F(rng.randint(-9, 9)),
+        "large": lambda: F(rng.choice([-1, 1]) * (2**70 + rng.randint(0, 99))),
+        "rational": scalar,
+        "q<0": lambda: rng.choice([F(-1, 2), F(-2), F(-3, 5)]) ** rng.randint(-4, 6),
+    }
+    mixes = [("zero",), ("small",), ("small", "large"), ("zero", "small", "large"),
+             ("rational",), ("q<0",), tuple(kinds)]
+    for mix in mixes:
+        for _ in range(60):
+            size = rng.randint(0, 13)
+            coeffs = [kinds[rng.choice(["zero", "small", "large", "rational"])]() for _ in range(size)]
+            nodes = tuple(kinds[rng.choice(mix)]() for _ in range(size))
+            want = fraction_horner(coeffs, nodes)
+            assert core._newton_horner(*core._over_lcm(coeffs), nodes) == want, (mix, coeffs, nodes)
+            assert product_of_linear(nodes) == fraction_horner([F(0)] * size + [F(1)], nodes + (F(0),))
 
 
 def test_integer_newton_row_matches_fraction_reference_on_random_rows():
@@ -834,6 +855,63 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
         assert core._expansion_rows.__wrapped__(pv, 12) == tuple(
             tuple(fraction_newton_row(h, g, n)) for n in range(13)
         ), pv
+
+
+def test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor():
+    """_newton_row divides each step ratio by its gcd: every entry keeps its
+    sign and zeros and shrinks, and the ratios to row[-1] and to row[0] equal
+    the unreduced row's, also with a zero lowering value (finite cutoff), a
+    repeated eigenvalue and a step where lowering and eigenvalue gap both
+    vanish (then every entry is zero)."""
+    rng = random.Random(97)
+
+    def scalar():
+        return F(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9, 25, 2**20 + 7]))
+
+    seen = {"cutoff": 0, "repeat": 0, "both": 0, "shrunk": 0}
+    for _ in range(800):
+        n = rng.randint(0, 11)
+        h = [scalar() for _ in range(n + 1)]
+        g = [scalar() for _ in range(n + 1)]
+        if n and rng.random() < 0.3:
+            g[rng.randint(1, n)] = F(0)
+        if n and rng.random() < 0.3:
+            h[n] = h[rng.randint(0, n - 1)]
+        hs = core._over_lcm(h)
+        row, ref = core._newton_row(hs, tuple(g), n), unreduced_newton_row(hs, g, n)
+        for k in range(n + 1):
+            assert (row[k] > 0) == (ref[k] > 0) and (row[k] < 0) == (ref[k] < 0)
+            assert abs(row[k]) <= abs(ref[k])
+            for top in (0, n):
+                if ref[top]:
+                    assert F(row[k], row[top]) == F(ref[k], ref[top])
+        steps = [(g[j], h[n] - h[j - 1]) for j in range(1, n + 1)]
+        seen["cutoff"] += any(not a and b for a, b in steps)
+        seen["repeat"] += any(a and not b for a, b in steps)
+        seen["both"] += any(not a and not b for a, b in steps)
+        if any(not a and not b for a, b in steps):
+            assert not any(row)
+        seen["shrunk"] += row != ref
+    assert min(seen.values()) > 20, seen
+
+
+def test_normalized_row_with_a_repeated_eigenvalue_matches_fraction_reference():
+    """_normalized builds the row before normalized_poly checks separation:
+    a repeated eigenvalue zeroes the row's upper entries, and row[0] still
+    normalizes it to the Fraction sum."""
+    rng = random.Random(101)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        h = [F(rng.randint(-20, 20), rng.choice([1, 3, 8])) for _ in range(n + 1)]
+        h[n] = h[rng.randint(0, n - 1)]
+        x = tuple(F(rng.randint(-20, 20), rng.choice([1, 1, 5])) for _ in range(n + 1))
+        g = tuple(F(rng.choice([-1, 1]) * rng.randint(1, 20), rng.choice([1, 2, 7])) for _ in range(n + 1))
+        got = core._normalized(core._over_lcm(h), x[:n], g, n)
+        assert got == dual_normalized_poly_reference(h, x, g, n)
+    pv = catalog.instantiate("3a")
+    broken = perturbed(pv, a=(pv.a[0], F(0), F(0)))
+    with pytest.raises(HSeparationViolated):
+        normalized_poly(broken, 2)
 
 
 def laurent(coeffs, q, k: int) -> F:
