@@ -1,6 +1,6 @@
 """Exact-arithmetic engine, classifier and CLI for the q-Askey scheme."""
 
-from .qrational import format_rational, parse_rational, rational
+from .qrational import format_rational, rational
 from .qpolynomial import Poly, format_poly
 from .qseries import qpoch, qpoch_many
 from .core import (

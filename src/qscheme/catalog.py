@@ -634,13 +634,22 @@ def closed_form(
 
 def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Series:
     """x -> k_n^{-1} * (named representation) at x, with k_n and the
-    series' x-free quantities computed once."""
+    series' x-free quantities computed once.  A division by zero there
+    raises one DivisionByZero naming the family, degree, parameters and q."""
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    kn = spec.kn_fn(p, q, n)
-    if kn == 0:
-        raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
-    series = spec.series(p, q, n)
+    part = f"k_{n}"
+    try:
+        kn = spec.kn_fn(p, q, n)
+        if kn == 0:
+            raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
+        part = f"the degree-{n} series"
+        series = spec.series(p, q, n)
+    except DivisionByZero:
+        raise
+    except ZeroDivisionError as exc:
+        at = "".join(f"{name}={value} " for name, value in p.items())
+        raise DivisionByZero(f"{spec.key}: {part} divides by zero at {at}q={q}") from exc
     return lambda x: series(x) / kn
 
 

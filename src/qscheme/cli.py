@@ -30,15 +30,25 @@ from .core import (
 )
 from .errors import QSchemeError
 from .qpolynomial import format_poly
-from .qrational import format_rational, parse_rational
+from .qrational import format_rational, rational
 
 DEFAULT_HARD_CAP = 24
 # Ceiling of `verify --count`; every suite's default count lies far below it.
 COUNT_CAP = 1000
+# (flag, least, greatest) of each integer size flag; greatest None is the
+# hard cap.  `main` checks every flag the command was given.
+BOUNDS = (("-n", 0, None), ("--n-max", 0, None), ("--depth", 1, None), ("--count", 0, COUNT_CAP))
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with each refusal raised as a UsageError for `main` to print."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def hard_cap() -> int:
@@ -79,7 +89,7 @@ def parse_param_overrides(pairs: list[str]) -> dict[str, Fraction]:
         if "=" not in pair:
             raise UsageError(f"--param expects name=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[name.strip()] = parse_rational(value)
+        out[name.strip()] = rational(value)
     return out
 
 
@@ -160,22 +170,17 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         raise UsageError(
             f"unknown family {args.family!r}; `qscheme list` shows the registry"
         )
-    cap = hard_cap()
-    if args.n > cap:
-        raise UsageError(f"n = {args.n} exceeds the hard cap {cap} (QSCHEME_HARD_CAP)")
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
     family_config = config.get("families", {}).get(args.family, {})
     try:
-        params = {name: parse_rational(str(value)) for name, value in family_config.items()}
+        params = {name: rational(str(value)) for name, value in family_config.items()}
         q = None
         if args.q is not None:
-            q = parse_rational(args.q)
+            q = rational(args.q)
         elif "q" in config:
-            q = parse_rational(str(config["q"]))
+            q = rational(str(config["q"]))
         xs = []
         if args.xs:
-            xs = [parse_rational(piece) for piece in args.xs.split(",")]
+            xs = [rational(piece) for piece in args.xs.split(",")]
         params.update(parse_param_overrides(args.param))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -188,8 +193,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             for n in range(args.n + 1)
         ]
     except QSchemeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from exc
     _print_eval(args, params, xs, pv, rows)
     return 0
 
@@ -257,12 +261,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = hard_cap()
-    for flag, value in (("--n-max", args.n_max), ("--depth", args.depth)):
-        if value is not None and value > cap:
-            raise UsageError(f"{flag} {value} exceeds the hard cap {cap} (QSCHEME_HARD_CAP)")
-    if args.count is not None and args.count > COUNT_CAP:
-        raise UsageError(f"--count {args.count} exceeds the cap {COUNT_CAP}")
     _check_writable(args.json)
     reports = verify.run_suite(
         args.suite,
@@ -289,24 +287,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "integer"  # argparse names the type in its error message
-    return parse
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  parse_args leaves it unchanged:
     each call fills a fresh namespace, and append copies the --param default."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qscheme",
         description="Exact-arithmetic toolkit for the q-Askey scheme "
         "(families, identities, classification graph, limit transitions).",
@@ -345,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES)
-    p_verify.add_argument("--n-max", type=_int_at_least(0), default=None)
-    p_verify.add_argument("--depth", type=_int_at_least(1), default=None)
-    p_verify.add_argument("--count", type=_int_at_least(0), default=None)
+    p_verify.add_argument("--n-max", type=int, default=None)
+    p_verify.add_argument("--depth", type=int, default=None)
+    p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--json", help="write the JSON report here")
     p_verify.set_defaults(fn=lambda a, cfg: cmd_verify(a))
@@ -356,9 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Every refusal, argparse's own included, ends here as
+    one `error:` line on stderr."""
     try:
+        args = build_parser().parse_args(argv)
+        cap = hard_cap()
+        for flag, least, greatest in BOUNDS:
+            value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+            if value is not None and value < least:
+                raise UsageError(f"{flag} must be >= {least}, got {value}")
+            if value is not None and value > (cap if greatest is None else greatest):
+                cause = f"the hard cap {cap} (QSCHEME_HARD_CAP)" if greatest is None else f"the cap {greatest}"
+                raise UsageError(f"{flag} {value} exceeds {cause}")
         config = load_config(args.config)
         return args.fn(args, config)
     except UsageError as exc:

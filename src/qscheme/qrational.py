@@ -15,14 +15,17 @@ from fractions import Fraction
 
 
 def _from_text(text: str) -> Fraction:
-    """Fraction of a "p/q" or decimal string; a ValueError names its cause.
-    An exponent part is refused before Fraction sees it: Fraction expands
-    1e-999999999 digit by digit."""
+    """Fraction of a "p/q" or decimal string; a ValueError names its cause:
+    an exponent part, a zero denominator or a run of digits past Python's
+    int/str limit.  An exponent part is refused before Fraction sees it:
+    Fraction expands 1e-999999999 digit by digit."""
     text = text.strip()
     if "e" in text or "E" in text:
         raise ValueError(f"not a rational: {text!r} has an exponent part")
     try:
         return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a rational: {text!r} has a zero denominator") from exc
     except ValueError as exc:
         limit = getattr(sys, "get_int_max_str_digits", int)()
         too_long = limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit
@@ -44,16 +47,6 @@ def rational(value: int | str | Fraction) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     return str(value)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" string; raises ValueError on malformed input, naming
-    the cause: an exponent part, a zero denominator or a run of digits past
-    Python's int/str limit."""
-    try:
-        return _from_text(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"not a rational: {text!r} has a zero denominator") from exc
 
 
 def admissible_q(q: Fraction) -> bool:

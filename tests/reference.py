@@ -575,10 +575,15 @@ def closed_outcome(fn, *args):
 
 def per_x_monic_value(key: str, q: F, n: int, x: F) -> F:
     """k_n^{-1} times the family's per-x named representation at its
-    defaults, refused as hyper_eval refuses a vanishing k_n."""
+    defaults, refused as hyper_eval refuses a k_n that vanishes or divides
+    by zero."""
     spec = catalog.FAMILIES[key]
     p = catalog.coerce_params(spec, None)
-    kn = spec.kn_fn(p, q, n)
+    try:
+        kn = spec.kn_fn(p, q, n)
+    except ZeroDivisionError as exc:
+        at = "".join(f"{name}={value} " for name, value in p.items())
+        raise DivisionByZero(f"{key}: k_{n} divides by zero at {at}q={q}") from exc
     if kn == 0:
         raise DivisionByZero(f"{key}: k_{n} vanishes for these parameters")
     return PER_X_NAMED[key](p, q, n, x) / kn
@@ -592,7 +597,7 @@ def per_x_closed_forms(key: str, q: F) -> dict:
     """(n, x) -> the outcome of per_x_monic_value for n <= CLOSED_FORM_DEGREE
     and x in catalog._sample_xs(n + 1), built once per session."""
     return {
-        (n, x): closed_outcome(per_x_monic_value, key, q, n, x)
+        (n, x): outcome(per_x_monic_value, key, q, n, x)
         for n in range(CLOSED_FORM_DEGREE + 1)
         for x in catalog._sample_xs(n + 1)
     }

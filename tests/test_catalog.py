@@ -116,15 +116,42 @@ def test_crosscheck_sets_up_each_closed_form_once_per_degree(monkeypatch):
 def test_closed_forms_match_their_per_point_evaluation():
     """hyper_eval, whose series is set up once per degree, against the named
     representations rebuilt at every x: the same value, or the same error
-    type and message, for every family, base in Q_POOL, n <= 8 and sample."""
+    type and message, for every family, base in Q_POOL, n <= 8 and sample.
+    A division by zero is refused as a DivisionByZero, never a bare
+    ZeroDivisionError, which `outcome` would let escape."""
     assert set(PER_X_NAMED) == set(FAMILIES)
-    seen = {"value": 0, DivisionByZero: 0, ZeroDivisionError: 0}
+    seen = {"value": 0, DivisionByZero: 0}
     for key in FAMILIES:
         for q in Q_POOL:
             for (n, x), want in per_x_closed_forms(key, q).items():
-                assert closed_outcome(hyper_eval, key, None, q, n, x) == want, (key, q, n, x)
+                assert outcome(hyper_eval, key, None, q, n, x) == want, (key, q, n, x)
                 seen[want[0] if type(want) is tuple else "value"] += 1
     assert min(seen.values()) > 50, seen
+
+
+@pytest.mark.parametrize(
+    "key, params, q, n, message",
+    [
+        ("2b", {"a": F(1, 4)}, F(2), 2, "2b: k_2 divides by zero at a=1/4 b=1/4 c=-1/2 q=2"),
+        ("3b", {"a": F(3)}, F(1, 3), 1, "3b: k_1 divides by zero at a=3 b=-1/2 q=1/3"),
+        ("3c", {"b": F(-2)}, F(-1, 2), 1, "3c: k_1 divides by zero at a=1/3 b=-2 q=-1/2"),
+        ("3d", {"a": F(1, 4)}, F(2), 2, "3d: k_2 divides by zero at a=1/4 b=1/3 q=2"),
+        ("3e", {"a": F(1, 4)}, F(2), 2, "3e: k_2 divides by zero at a=1/4 b=1/3 q=2"),
+        ("4d", {"a": F(3)}, F(1, 3), 1, "4d: k_1 divides by zero at a=3 q=1/3"),
+        ("4e", {"a": F(3)}, F(1, 3), 1, "4e: k_1 divides by zero at a=3 q=1/3"),
+    ],
+)
+def test_a_division_by_zero_in_k_n_is_refused_by_name(key, params, q, n, message):
+    """Where a q-Pochhammer in k_n vanishes at parameters instantiate
+    accepts, hyper_eval and closed_form raise one DivisionByZero naming the
+    family, degree, parameters and q, and the lower degrees still evaluate."""
+    for degree in range(n):
+        assert type(hyper_eval(key, params, q, degree, F(2))) is F
+    for call in (lambda: hyper_eval(key, params, q, n, F(2)), lambda: closed_form(key, params, q, n)):
+        with pytest.raises(DivisionByZero) as caught:
+            call()
+        assert str(caught.value) == message
+        assert type(caught.value.__cause__) is ZeroDivisionError
 
 
 def test_series_helpers_match_their_per_point_evaluation():

@@ -12,6 +12,7 @@ from qscheme import catalog
 from qscheme.cli import build_parser, main
 from qscheme.core import monic_poly
 from qscheme.qpolynomial import format_poly
+from qscheme.qrational import rational
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DOT = DATA / "scheme.dot"
@@ -23,6 +24,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refusal(err: str) -> str:
+    """The message of a refusal, whose stderr is exactly one `error:` line."""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    return err[len("error: "):-1]
 
 
 def test_list_contains_top_family(capsys):
@@ -127,7 +134,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 def test_eval_rejects_inadmissible_params(capsys):
     code, _, err = run(capsys, "eval", "3d", "--param", "b=0")
     assert code == 2
-    assert "violates" in err
+    assert "violates" in refusal(err)
 
 
 def test_eval_refuses_a_recurrence_coefficient_whose_next_polynomial_is_undefined(capsys):
@@ -140,18 +147,18 @@ def test_eval_refuses_a_recurrence_coefficient_whose_next_polynomial_is_undefine
 def test_eval_unknown_family(capsys):
     code, _, err = run(capsys, "eval", "9z")
     assert code == 2
-    assert "unknown family" in err
+    assert "unknown family" in refusal(err)
 
 
 def test_eval_respects_hard_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "5a", "-n", "30")
-    assert code == 2 and "hard cap" in err
+    assert code == 2 and "hard cap" in refusal(err)
     monkeypatch.setenv("QSCHEME_HARD_CAP", "40")
     code, out, _ = run(capsys, "eval", "5a", "-n", "30")
     assert code == 0
     monkeypatch.setenv("QSCHEME_HARD_CAP", "oops")
     code, _, err = run(capsys, "eval", "5a", "-n", "3")
-    assert code == 2 and "QSCHEME_HARD_CAP" in err
+    assert code == 2 and "QSCHEME_HARD_CAP" in refusal(err)
 
 
 def test_config_presets_parameters(capsys, tmp_path):
@@ -171,7 +178,7 @@ def test_config_must_be_valid_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     code, _, err = run(capsys, "--config", str(bad), "list")
-    assert code == 2 and "config" in err
+    assert code == 2 and "config" in refusal(err)
 
 
 def test_list_json_matches_golden_file(capsys, tmp_path):
@@ -248,13 +255,9 @@ def test_verify_small_run_with_json_report(capsys, tmp_path):
 
 
 def test_verify_unknown_suite_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "everything"])
-    assert exc.value.code == 2
-
-
-def error_lines(err: str) -> list[str]:
-    return [line for line in err.splitlines() if "error:" in line]
+    code, out, err = run(capsys, "verify", "everything")
+    assert code == 2 and out == ""
+    assert refusal(err).startswith("argument suite: invalid choice: 'everything'")
 
 
 @pytest.mark.parametrize(
@@ -266,11 +269,42 @@ def error_lines(err: str) -> list[str]:
     ],
 )
 def test_verify_rejects_out_of_range_counts(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    flag, value = argv[-2:]
+    least = {"--n-max": 0, "--count": 0, "--depth": 1}[flag]
+    assert (code, out, refusal(err)) == (2, "", f"{flag} must be >= {least}, got {value}")
+
+
+@pytest.mark.parametrize(
+    "hard_cap, argv, message",
+    [
+        (None, ["eval", "1a", "-n", "x"], "argument -n: invalid int value: 'x'"),
+        (None, ["eval"], "the following arguments are required: family"),
+        (None, ["verify", "all", "--bogus"], "unrecognized arguments: --bogus"),
+        (None, ["eval", "1a", "-n", "-1"], "-n must be >= 0, got -1"),
+        (None, ["eval", "1a", "-n", "99"], "-n 99 exceeds the hard cap 24 (QSCHEME_HARD_CAP)"),
+        ("oops", ["list"], "QSCHEME_HARD_CAP must be an integer, got 'oops'"),
+        ("oops", ["graph"], "QSCHEME_HARD_CAP must be an integer, got 'oops'"),
+    ],
+)
+def test_every_refusal_is_one_error_line(capsys, monkeypatch, hard_cap, argv, message):
+    """argparse's own refusals, the size bounds and a malformed hard cap all
+    exit 2 with one stderr line and no usage block."""
+    if hard_cap is None:
+        monkeypatch.delenv("QSCHEME_HARD_CAP", raising=False)
+    else:
+        monkeypatch.setenv("QSCHEME_HARD_CAP", hard_cap)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, refusal(err)) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", [[], ["list"], ["eval"], ["graph"], ["verify"]])
+def test_help_still_exits_zero(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert len(error_lines(err)) == 1 and "Traceback" not in err
+        main([*command, "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: qscheme", *command])) and err == ""
 
 
 def test_verify_n_max_zero_checks_degree_zero_only(capsys, monkeypatch):
@@ -302,6 +336,15 @@ REFUSAL_CAUSES = {
     "--xs=2," + "7" * 4000 + "/" + "3" * 4400: f"has more than {sys.get_int_max_str_digits()} digits",
     "--xs=abc": "not a rational: 'abc'",
 }
+
+
+@pytest.mark.parametrize("text, key", [("1/0", "1/0"), ("1e-5", "-q=1e-5"), ("abc", "--xs=abc")])
+def test_rational_refuses_text_as_the_cli_does(text, key):
+    """rational(str) is the CLI's one text parser: its ValueError names the
+    cause the CLI prints, a zero denominator included."""
+    with pytest.raises(ValueError) as caught:
+        rational(text)
+    assert str(caught.value).endswith(REFUSAL_CAUSES[key])
 
 
 @pytest.mark.parametrize(
@@ -341,9 +384,7 @@ def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
-    assert len(error_lines(err)) == 1 and err.startswith("error:")
-    if cause is not None:
-        assert err.rstrip().endswith(cause)
+    assert refusal(err).endswith(cause or "")
 
 
 def test_eval_prints_exact_results_past_the_digit_limit(capsys):
@@ -393,7 +434,7 @@ def test_verify_caps_depth_and_count(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QSCHEME_HARD_CAP", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert error_lines(err) == [err.strip()] and message in err
+    assert message in refusal(err)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +453,7 @@ def test_unwritable_output_or_undecodable_config_is_a_usage_error(capsys, tmp_pa
     paths = {"missing": tmp_path / "no-such-dir", "latin1": latin1}
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
-    assert error_lines(err) == [err.strip()] and err.startswith("error: cannot ")
+    assert refusal(err).startswith("cannot ")
 
 
 def _never_called(*args, **kwargs):
@@ -431,7 +472,7 @@ def test_unwritable_json_fails_before_any_work(capsys, monkeypatch, tmp_path, ar
     monkeypatch.setattr(target, _never_called)
     code, out, err = run(capsys, *argv, "--json", str(tmp_path / "no-such-dir" / "x.json"))
     assert code == 2 and out == ""
-    assert error_lines(err) == [err.strip()] and err.startswith("error: cannot write ")
+    assert refusal(err).startswith("cannot write ")
 
 
 @pytest.mark.parametrize("before", [None, b'{"kept": true}\n'], ids=["absent", "existing"])
@@ -451,4 +492,4 @@ def test_negative_hard_cap_is_a_usage_error(capsys, monkeypatch, argv):
     monkeypatch.setenv("QSCHEME_HARD_CAP", "-3")
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert error_lines(err) == [err.strip()] and "QSCHEME_HARD_CAP must be >= 0" in err
+    assert "QSCHEME_HARD_CAP must be >= 0" in refusal(err)
