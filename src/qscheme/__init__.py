@@ -12,6 +12,7 @@ from .core import (
     expansion,
     finite_cutoff,
     monic_poly,
+    monic_table,
     newton_basis,
     normalized_poly,
     recurrence_check,

@@ -123,8 +123,11 @@ def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
     series: the same polynomial as the power-basis series of 3e, and the one
     representation that no diagram label carries."""
     a, b = p["a"], p["b"]
-    pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
-    return _series(pref, (a * b * q ** (n + 1),), (q * b,), q, n, -1, (0, 1 / a), (-1 / a, 0))
+    try:
+        pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
+        return _series(pref, (a * b * q ** (n + 1),), (q * b,), q, n, -1, (0, 1 / a), (-1 / a, 0))
+    except ZeroDivisionError as exc:
+        raise _division_by_zero("3e", f"the degree-{n} 1/x series", p, q) from exc
 
 
 class FamilySpec(NamedTuple):
@@ -648,9 +651,15 @@ def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Series:
     except DivisionByZero:
         raise
     except ZeroDivisionError as exc:
-        at = "".join(f"{name}={value} " for name, value in p.items())
-        raise DivisionByZero(f"{spec.key}: {part} divides by zero at {at}q={q}") from exc
+        raise _division_by_zero(spec.key, part, p, q) from exc
     return lambda x: series(x) / kn
+
+
+def _division_by_zero(key: str, part: str, p: Params, q: Fraction) -> DivisionByZero:
+    """The refusal of a set-up that divided by zero, naming its family,
+    the part being set up, the parameters and q."""
+    at = "".join(f"{name}={value} " for name, value in p.items())
+    return DivisionByZero(f"{key}: {part} divides by zero at {at}q={q}")
 
 
 def crosscheck(family: str, n_max: int = 8) -> int:

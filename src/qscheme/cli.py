@@ -23,12 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, classifier, verify
-from .core import (
-    ParameterVector,
-    monic_poly,
-    recurrence_coeffs,
-)
-from .errors import QSchemeError
+from .core import ParameterVector, monic_table
+from .errors import Mismatch, QSchemeError
 from .qpolynomial import format_poly
 from .qrational import format_rational, rational
 
@@ -188,10 +184,9 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         pv = catalog.instantiate(args.family, params or None, q)
         _check_writable(args.json)
         # a_n needs eigenvalue(n + 1): build every row before printing any
-        rows = [
-            (monic_poly(pv, n), recurrence_coeffs(pv, n))
-            for n in range(args.n + 1)
-        ]
+        rows = monic_table(pv, args.n)
+    except Mismatch:
+        raise  # the table failed its own check: a verification failure, not bad input
     except QSchemeError as exc:
         raise UsageError(str(exc)) from exc
     _print_eval(args, params, xs, pv, rows)

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import (
     ConstraintViolation,
     HSeparationViolated,
+    Mismatch,
     XSeparationViolated,
     ZeroG,
 )
@@ -449,8 +450,16 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     """
     if n < 0:
         raise ValueError("recurrence coefficients need n >= 0")
-    x, g = pv._values(0, n + 1), pv._values(2, n + 2)
-    big, dh = pv._integer_prefix(1, n + 2)
+    return _recurrence_pair(pv._values(0, n + 1), pv._integer_prefix(1, n + 2), pv._values(2, n + 2), n)
+
+
+def _recurrence_pair(x: tuple[Fraction, ...], h: tuple[Sequence[int], int],
+                     g: tuple[Fraction, ...], n: int) -> tuple[Fraction, Fraction | None]:
+    """recurrence_coeffs(pv, n) from node(0..n), lowering(0..n+1) and
+    eigenvalue(0..n+1) as integers over a common denominator, which may be
+    a longer prefix's: each ratio's numerator and denominator both scale
+    with it, so the values do not depend on it."""
+    big, dh = h
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
         denom = big[da] - big[db]
@@ -476,6 +485,45 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     for num, d in terms:
         inner, den = inner * d + num * den, den * d
     return a_n, Fraction(ln * inner, ld * den)
+
+
+def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction, Fraction | None]]]:
+    """[(u_k, recurrence_coeffs(pv, k)) for k <= n], built by the three-term
+    recurrence and checked against the Newton expansion at its top row.
+
+    u_0 and u_1 are monic_poly's; each later u_{k+1} = (x - a_k)*u_k
+    - b_k*u_{k-1} is summed on the stored integers over
+    lcm(D_k*Da, D_{k-1}*Db), with a_k = A/Da, b_k = B/Db and u_m = U_m/D_m,
+    and reduced once.  Every (a_k, b_k) reads one eigenvalue prefix of
+    length n + 2.  Row k follows check_h_separation(k), as monic_poly(pv, k)
+    would, so a repeat is refused as there.  Raises Mismatch unless u_n
+    equals monic_poly(pv, n).
+    """
+    if n < 0:
+        raise ValueError("a monic table needs n >= 0")
+    x, h, g = pv._values(0, n + 1), pv._integer_prefix(1, n + 2), pv._values(2, n + 2)
+    rows = []
+    for k in range(n + 1):
+        pv.check_h_separation(k)
+        if k < 2:
+            u = monic_poly(pv, k)
+        else:
+            (u, (a, b)), (prev, _) = rows[k - 1], rows[k - 2]
+            den = lcm(u.den * a.denominator, prev.den * b.denominator)
+            scale = den // (u.den * a.denominator)
+            shift, an = a.denominator * scale, a.numerator * scale
+            out = [0, *(v * shift for v in u.nums)]
+            for i, v in enumerate(u.nums):
+                out[i] -= an * v
+            if b:
+                bn = b.numerator * (den // (prev.den * b.denominator))
+                for i, v in enumerate(prev.nums):
+                    out[i] -= bn * v
+            u = Poly._of(out, den)
+        rows.append((u, _recurrence_pair(x, h, g, k)))
+    if rows[n][0] != monic_poly(pv, n):
+        raise Mismatch(f"u_{n} by the three-term recurrence differs from the Newton expansion")
+    return rows
 
 
 def recurrence_check(pv: ParameterVector, n: int) -> bool:

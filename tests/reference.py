@@ -450,16 +450,21 @@ def per_x_little_qjacobi_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
 def per_x_little_qjacobi_value_inverse_rep(
     p, q: Fraction, n: int, x: Fraction
 ) -> Fraction:
-    """The same polynomial through its 1/x-parameter series."""
+    """The same polynomial through its 1/x-parameter series; a division by
+    zero in its x-free part is refused as the catalog refuses it."""
     a, b = p["a"], p["b"]
     sign = -1 if n % 2 else 1
-    pref = sign * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
+    try:
+        pref = sign * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
+        weight = 1 / a
+    except ZeroDivisionError as exc:
+        raise DivisionByZero(f"3e: the degree-{n} 1/x series divides by zero at a={a} b={b} q={q}") from exc
     return pref * per_x_inverse_arg_series(
         n,
         q,
         x,
         node_scale=Fraction(1),
-        weight=1 / a,
+        weight=weight,
         upper_extra=(a * b * q ** (n + 1),),
         lower=(q * b,),
         correction=-1,

@@ -154,6 +154,19 @@ def test_a_division_by_zero_in_k_n_is_refused_by_name(key, params, q, n, message
         assert type(caught.value.__cause__) is ZeroDivisionError
 
 
+def test_the_inverse_series_refuses_a_division_by_zero_by_name():
+    """At a = -3/2, q = -2/3, (aq; q)_n = (1; q)_n vanishes for every n >= 1:
+    little_qjacobi_value_inverse_rep refuses to set up its series with one
+    DivisionByZero in _monic_series' style, and degree 0 still evaluates."""
+    p = {"a": F(-3, 2), "b": F(2)}
+    assert catalog.little_qjacobi_value_inverse_rep(p, F(-2, 3), 0)(F(2)) == 1
+    for n in range(1, 9):
+        with pytest.raises(DivisionByZero) as caught:
+            catalog.little_qjacobi_value_inverse_rep(p, F(-2, 3), n)
+        assert str(caught.value) == f"3e: the degree-{n} 1/x series divides by zero at a=-3/2 b=2 q=-2/3"
+        assert type(caught.value.__cause__) is ZeroDivisionError
+
+
 def test_series_helpers_match_their_per_point_evaluation():
     """The series of 2a, 3e, 4g and 4f', reached by label, and the one
     representation no label carries, at the parameters the limit identities

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qscheme import catalog
+from qscheme import catalog, core
 from qscheme.cli import build_parser, main
 from qscheme.core import monic_poly
 from qscheme.qpolynomial import format_poly
@@ -464,7 +464,7 @@ def _never_called(*args, **kwargs):
     "argv, target",
     [
         (["verify", "charts"], "qscheme.verify.run_suite"),
-        (["eval", "3a", "-n", "3"], "qscheme.cli.monic_poly"),
+        (["eval", "3a", "-n", "3"], "qscheme.cli.monic_table"),
     ],
     ids=["verify", "eval"],
 )
@@ -473,6 +473,23 @@ def test_unwritable_json_fails_before_any_work(capsys, monkeypatch, tmp_path, ar
     code, out, err = run(capsys, *argv, "--json", str(tmp_path / "no-such-dir" / "x.json"))
     assert code == 2 and out == ""
     assert refusal(err).startswith("cannot write ")
+
+
+def test_eval_refuses_a_table_that_fails_its_top_row_check(capsys, monkeypatch, tmp_path):
+    """A fault planted in a_2 spoils u_3..u_6 of the table, which the check
+    against the Newton expansion refuses: nothing printed or written, one
+    error line naming the mismatch, exit 1."""
+    pair = core._recurrence_pair
+
+    def planted(x, h, g, n):
+        a_n, b_n = pair(x, h, g, n)
+        return (a_n + 1 if n == 2 else a_n), b_n
+
+    monkeypatch.setattr(core, "_recurrence_pair", planted)
+    target = tmp_path / "e.json"
+    code, out, err = run(capsys, "eval", "3a", "-n", "6", "--json", str(target))
+    assert (code, out) == (1, "") and not target.exists()
+    assert refusal(err) == "Mismatch: u_6 by the three-term recurrence differs from the Newton expansion"
 
 
 @pytest.mark.parametrize("before", [None, b'{"kept": true}\n'], ids=["absent", "existing"])

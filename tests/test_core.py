@@ -33,6 +33,7 @@ from qscheme.errors import (
     ConstraintViolation,
     HSeparationViolated,
     InadmissibleParams,
+    Mismatch,
     XSeparationViolated,
     ZeroG,
 )
@@ -417,6 +418,66 @@ def test_recurrence_coeffs_match_reference():
             raised += isinstance(expected[0], type)
             assert outcome(recurrence_coeffs, pv, n) == expected, (pv, n)
     assert raised > 100
+
+
+def per_degree_table(pv, n: int):
+    """The rows of monic_table, one monic_poly and one recurrence_coeffs per
+    degree, in the order eval built them before monic_table."""
+    return [(monic_poly(pv, k), recurrence_coeffs(pv, k)) for k in range(n + 1)]
+
+
+def test_monic_table_matches_the_per_degree_rows():
+    """Every family, at the default q and each base of Q_POOL it
+    instantiates at: the rows built by the recurrence are monic_poly's and
+    recurrence_coeffs', to n = 24."""
+    checked = 0
+    for key in catalog.FAMILIES:
+        for q in dict.fromkeys((catalog.DEFAULT_Q, *Q_POOL)):
+            try:
+                pv = catalog.instantiate(key, None, q)
+            except InadmissibleParams:
+                continue
+            assert core.monic_table(pv, 24) == per_degree_table(pv, 24), (key, q)
+            checked += 1
+    assert checked > 150
+
+
+def admissible_colliding_vectors(count: int, seed: int):
+    """Vectors that meet every constraint and whose eigenvalues repeat at
+    eigenvalue(n) == eigenvalue(j) with n + j = s, s <= 9."""
+    rng = random.Random(seed)
+    small = lambda: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+    for _ in range(count):
+        q = rng.choice([F(-3), F(-2), F(2), F(3), F(1, 2), F(-1, 3), F(2, 3), F(-3, 2)])
+        a1, b1, b2 = small(), small(), small()
+        a = (small(), a1, a1 * q ** rng.randint(1, 9))
+        d1, d2 = small(), small()
+        d3, d4 = a1 * b1 / q, q * a[2] * b2
+        yield ParameterVector(q=q, a=a, b=(small(), b1, b2), d=(-(d1 + d2 + d3 + d4), d1, d2, d3, d4))
+
+
+def test_monic_table_refuses_as_the_per_degree_rows():
+    """Where eigenvalues repeat, the table raises the error and pair that
+    the per-degree rows raise first, or returns the same rows."""
+    raised = 0
+    for pv in admissible_colliding_vectors(150, seed=37):
+        for n in (1, 4, 9):
+            expected = outcome(per_degree_table, pv, n)
+            raised += type(expected) is tuple
+            assert outcome(core.monic_table, pv, n) == expected, (pv, n)
+    assert raised > 150
+
+
+def test_monic_table_checks_its_top_row():
+    """On a vector that breaks the d3 constraint the recurrence does not
+    hold, and the table refuses it at its top row."""
+    pv = catalog.instantiate("3a")
+    broken = perturbed(pv, d=(pv.d[0] - 1, pv.d[1], pv.d[2], pv.d[3] + 1, pv.d[4]))
+    assert core.monic_table(broken, 1) == per_degree_table(broken, 1)
+    with pytest.raises(Mismatch, match=r"^u_6 by the three-term recurrence differs from the Newton expansion$"):
+        core.monic_table(broken, 6)
+    with pytest.raises(ValueError, match="n >= 0"):
+        core.monic_table(pv, -1)
 
 
 # -- the operator ----------------------------------------------------------------
