@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -487,69 +487,61 @@ def _recurrence_pair(x: tuple[Fraction, ...], h: tuple[Sequence[int], int],
     return a_n, Fraction(ln * inner, ld * den)
 
 
+def _three_term(u: Poly, prev: Poly, a: Fraction, b: Fraction | None) -> Poly:
+    """(x - a)*u - b*prev, one step of the three-term recurrence.
+
+    With u = U/D, prev = P/Dp, a = A/Da and b = B/Db, the step is summed on
+    the stored integers over lcm(D*Da, Dp*Db) and reduced once; there is no
+    b term when b is None or 0.
+    """
+    da = u.den * a.denominator
+    den = lcm(da, prev.den * b.denominator) if b else da
+    scale = den // da
+    shift, an = a.denominator * scale, a.numerator * scale
+    out = [0, *(v * shift for v in u.nums)]
+    for i, v in enumerate(u.nums):
+        out[i] -= an * v
+    if b:
+        bn = b.numerator * (den // (prev.den * b.denominator))
+        for i, v in enumerate(prev.nums):
+            out[i] -= bn * v
+    return Poly._of(out, den)
+
+
 def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction, Fraction | None]]]:
     """[(u_k, recurrence_coeffs(pv, k)) for k <= n], built by the three-term
     recurrence and checked against the Newton expansion at its top row.
 
-    u_0 and u_1 are monic_poly's; each later u_{k+1} = (x - a_k)*u_k
-    - b_k*u_{k-1} is summed on the stored integers over
-    lcm(D_k*Da, D_{k-1}*Db), with a_k = A/Da, b_k = B/Db and u_m = U_m/D_m,
-    and reduced once.  Every (a_k, b_k) reads one eigenvalue prefix of
-    length n + 2.  Row k follows check_h_separation(k), as monic_poly(pv, k)
-    would, so a repeat is refused as there.  Raises Mismatch unless u_n
-    equals monic_poly(pv, n).
+    From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k).
+    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2.  Row k
+    follows check_h_separation(k), as monic_poly(pv, k) would, so a repeat
+    is refused as there.  Raises Mismatch unless u_n equals
+    monic_poly(pv, n).
     """
     if n < 0:
         raise ValueError("a monic table needs n >= 0")
     x, h, g = pv._values(0, n + 1), pv._integer_prefix(1, n + 2), pv._values(2, n + 2)
     rows = []
+    u, prev = Poly.one(), Poly.zero()
     for k in range(n + 1):
         pv.check_h_separation(k)
-        if k < 2:
-            u = monic_poly(pv, k)
-        else:
-            (u, (a, b)), (prev, _) = rows[k - 1], rows[k - 2]
-            den = lcm(u.den * a.denominator, prev.den * b.denominator)
-            scale = den // (u.den * a.denominator)
-            shift, an = a.denominator * scale, a.numerator * scale
-            out = [0, *(v * shift for v in u.nums)]
-            for i, v in enumerate(u.nums):
-                out[i] -= an * v
-            if b:
-                bn = b.numerator * (den // (prev.den * b.denominator))
-                for i, v in enumerate(prev.nums):
-                    out[i] -= bn * v
-            u = Poly._of(out, den)
+        if k:
+            u, prev = _three_term(u, prev, *rows[k - 1][1]), u
         rows.append((u, _recurrence_pair(x, h, g, k)))
-    if rows[n][0] != monic_poly(pv, n):
+    if u != monic_poly(pv, n):
         raise Mismatch(f"u_{n} by the three-term recurrence differs from the Newton expansion")
     return rows
 
 
 def recurrence_check(pv: ParameterVector, n: int) -> bool:
     """Exact check of the three-term recurrence x*u_n = u_{n+1} + a_n*u_n
-    + b_n*u_{n-1} at index n (no b_n term at n = 0).
-
-    Each monic u_m is read as stored, integer numerators U_m over one
-    denominator D_m, and a_n = A/Da, b_n = B/Db in lowest terms.  Every term of
-    x*u_n - u_{n+1} - a_n*u_n - b_n*u_{n-1} is cross-multiplied by the
-    denominators of all the others: every factor is nonzero, so the
-    residual vanishes iff one integer list does.
+    + b_n*u_{n-1} at index n (no b_n term at n = 0): the Newton-built
+    u_{n+1} equals _three_term applied to the Newton-built u_n and u_{n-1}.
     """
     a_n, b_n = recurrence_coeffs(pv, n)
     u_n = monic_poly(pv, n)
-    # (scalar, u_m, power of x) for each term of the residual
-    terms = [(1, u_n, 1), (-1, monic_poly(pv, n + 1), 0), (-a_n, u_n, 0)]
-    if n:
-        terms.append((-b_n, monic_poly(pv, n - 1), 0))
-    parts = [(c, u.nums, u.den, shift) for c, u, shift in terms]
-    total = prod(c.denominator * den for c, _, den, _ in parts)
-    residual = [0] * (n + 2)
-    for c, nums, den, shift in parts:
-        scale = c.numerator * (total // (c.denominator * den))
-        for i, v in enumerate(nums, shift):
-            residual[i] += v * scale
-    return not any(residual)
+    prev = monic_poly(pv, n - 1) if n else Poly.zero()
+    return _three_term(u_n, prev, a_n, b_n) == monic_poly(pv, n + 1)
 
 
 def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:

@@ -1,3 +1,12 @@
+import os
+import sys
+
+# Tier-1 leaves no bytecode cache under src/: a cache left there makes the
+# benchmark's setup_s time a cached import, not a compile from source.  The
+# environment variable reaches the subprocesses that tests start.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 from fractions import Fraction
 
 import pytest

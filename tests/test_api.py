@@ -155,7 +155,8 @@ def test_no_module_imports_dataclasses():
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     """In a fresh interpreter without site hooks (-I -S), which could load
-    either module themselves."""
+    either module themselves.  -I ignores PYTHONDONTWRITEBYTECODE, so -B
+    keeps the import from writing a bytecode cache under src/."""
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -163,7 +164,7 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
         "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        [sys.executable, "-B", "-I", "-S", "-c", code, str(ROOT / "src")],
         capture_output=True,
         text=True,
         timeout=60,
@@ -182,7 +183,7 @@ def test_import_leaves_json_unloaded():
         "print('json' in sys.modules)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        [sys.executable, "-B", "-I", "-S", "-c", code, str(ROOT / "src")],
         capture_output=True,
         text=True,
         timeout=60,

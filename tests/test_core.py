@@ -637,11 +637,11 @@ def test_integer_operator_and_recurrence_match_fraction_references():
     assert raised > 50 and failed > 10 and repeated_nodes > 10
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(7))
 def test_recurrence_check_sees_every_coefficient(monkeypatch, pv_3a, n):
     """2**-64 added to any one coefficient of u_{n-1}, u_n or u_{n+1} makes
-    the recurrence fail: no cross-multiplication factor is zero and no term
-    is dropped."""
+    the recurrence fail: no term is dropped (at n = 0 there is no u_{-1},
+    and only u_0 and u_1 are nudged)."""
     assert all(b != 0 for _, b in (recurrence_coeffs(pv_3a, m) for m in range(1, 7)))
     real = core.monic_poly
     for m in (n - 1, n, n + 1):
