@@ -52,8 +52,8 @@ from fractions import Fraction
 from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .core import ParameterVector, monic_poly
-from .errors import DivisionByZero, InadmissibleParams, Mismatch
-from .classifier import LABELS, ZeroPattern, pattern_of
+from .errors import ConstraintViolation, DivisionByZero, InadmissibleParams, Mismatch
+from .classifier import LABELS, ZeroPattern, label_sort_key, pattern_of
 from .qrational import admissible_q, format_rational, rational
 from .qseries import qpoch, qpoch_many, terminating_sum
 from . import symmetry
@@ -609,7 +609,7 @@ def instantiate(
         a, b, d = spec.coefficients(p, q)
         try:
             return ParameterVector(q=q, a=a, b=b, d=d)
-        except Exception as exc:
+        except ConstraintViolation as exc:
             raise InadmissibleParams(f"{family}: {exc}") from exc
 
     return _live((family, *p.values(), q), build)
@@ -709,10 +709,14 @@ def instance_for_label(
     return _live(("q_invert", base), lambda: symmetry.q_invert(base))
 
 
+def gauged_instance(pv: ParameterVector, rho: Fraction) -> ParameterVector:
+    """pv with its nodes scaled by rho, the gauge GaugeAction(rho=rho).
+    Like instantiate's, the vector is shared while any caller holds it."""
+    return _live(("gauge", pv, rho), lambda: symmetry.apply_gauge(pv, symmetry.GaugeAction(rho=rho)))
+
+
 def registry_json() -> list[dict]:
     """CLI-facing registry serialization, ordered by diagram then name."""
-    from .classifier import label_sort_key
-
     out = []
     for spec in sorted(
         FAMILIES.values(), key=lambda s: (label_sort_key(s.key), s.name)

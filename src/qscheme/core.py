@@ -59,14 +59,12 @@ class ParameterVector:
     d: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
 
     def __init__(self, q, a, b, d) -> None:
-        vars(self).update(q=q, a=a, b=b, d=d)
+        vars(self).update(
+            q=rational(q), a=tuple(map(rational, a)), b=tuple(map(rational, b)), d=tuple(map(rational, d))
+        )
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "q", rational(self.q))
-        object.__setattr__(self, "a", tuple(rational(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(rational(v) for v in self.b))
-        object.__setattr__(self, "d", tuple(rational(v) for v in self.d))
         if len(self.a) != 3 or len(self.b) != 3 or len(self.d) != 5:
             raise ConstraintViolation("expected 3 + 3 + 5 coefficients")
         self._validate()
@@ -513,18 +511,19 @@ def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction,
     recurrence and checked against the Newton expansion at its top row.
 
     From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k).
-    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2.  Row k
-    follows check_h_separation(k), as monic_poly(pv, k) would, so a repeat
-    is refused as there.  Raises Mismatch unless u_n equals
-    monic_poly(pv, n).
+    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2.  One
+    check_h_separation(n) comes first and refuses what the per-degree rows
+    would: eigenvalues repeat only along one sum n + j, so a pair that
+    _recurrence_pair finds equal is the first repeat, the one the check
+    raises.  Raises Mismatch unless u_n equals monic_poly(pv, n).
     """
     if n < 0:
         raise ValueError("a monic table needs n >= 0")
+    pv.check_h_separation(n)
     x, h, g = pv._values(0, n + 1), pv._integer_prefix(1, n + 2), pv._values(2, n + 2)
     rows = []
     u, prev = Poly.one(), Poly.zero()
     for k in range(n + 1):
-        pv.check_h_separation(k)
         if k:
             u, prev = _three_term(u, prev, *rows[k - 1][1]), u
         rows.append((u, _recurrence_pair(x, h, g, k)))

@@ -29,7 +29,6 @@ from . import catalog
 from .core import ParameterVector, monic_poly
 from .qpolynomial import _homogeneous_horner, product_of_linear
 from .qrational import format_rational
-from .symmetry import GaugeAction, apply_gauge
 
 DEFAULT_SAMPLE_XS = (
     Fraction(-2),
@@ -163,8 +162,7 @@ class LimitCase(NamedTuple):
 def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
     """The source vector at epsilon with its nodes scaled by rho(epsilon),
     shared while alive by the cases whose schedules meet there."""
-    source, rho = case.source_instance(epsilon), case.rho(epsilon)
-    return catalog._live(("gauge", source, rho), lambda: apply_gauge(source, GaugeAction(rho=rho)))
+    return catalog.gauged_instance(case.source_instance(epsilon), case.rho(epsilon))
 
 
 def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:

@@ -6,7 +6,7 @@ den > 0, gcd(den, *nums) == 1 and no trailing zero numerator.  The zero
 polynomial stores no numerators over den = 1 and reports degree -1.  Every
 kernel of the package works on that integer form, so a product, a sum or a
 Newton conversion never builds a `Fraction` per coefficient; the `coeffs`
-view builds them on first use.  Degrees stay small (~20) at desk scale, so
+view builds them when read.  Degrees stay small (~20) at desk scale, so
 the plain dense representation is enough.
 """
 
@@ -28,7 +28,7 @@ class Poly:
     unique; `coeffs[i]` is the coefficient of x**i as a `Fraction`.
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     nums: tuple[int, ...]
     den: int
@@ -57,7 +57,6 @@ class Poly:
         self = object.__new__(Poly)
         _set_nums(self, nums)
         _set_den(self, den)
-        _set_coeffs(self, None)
         return self
 
     def __setattr__(self, name: str, value) -> None:
@@ -68,13 +67,9 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, low degree first, built once."""
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self.den
-            coeffs = tuple(Fraction(v, den) for v in self.nums)
-            _set_coeffs(self, coeffs)
-        return coeffs
+        """The coefficients as Fractions, low degree first."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
 
     def __repr__(self) -> str:
         return f"Poly(coeffs={self.coeffs!r})"
@@ -198,7 +193,6 @@ class Poly:
 
 _set_nums = Poly.nums.__set__
 _set_den = Poly.den.__set__
-_set_coeffs = Poly._coeffs.__set__
 
 
 def product_of_linear(roots: Iterable[Scalar]) -> Poly:
@@ -213,23 +207,16 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
     The one Newton-to-monomial conversion of the package.  The accumulator
     holds integer numerators over den*t.  Each step multiplies it by
     (x - p/r) as acc*(r*x - p), scaling t by r, then adds nums[k]*t to the
-    constant term.  A zero node only shifts the accumulator, and an integer
-    node (r = 1) leaves t alone and multiplies nothing by r.  The result is
-    the accumulator over den*t, reduced once; no Fraction is built.
+    constant term.  The result is the accumulator over den*t, reduced once;
+    no Fraction is built.
     """
     if not nums:
         return Poly.zero()
     acc, t = [nums[-1]], 1  # low degree first
     for k in range(len(nums) - 2, -1, -1):
         p, r = nodes[k].numerator, nodes[k].denominator
-        if not p:
-            acc.insert(0, nums[k] * t)
-            continue
-        if r == 1:
-            acc = [-p * acc[0]] + [hi - p * lo for hi, lo in zip(acc, acc[1:])] + [acc[-1]]
-        else:
-            acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
-            t *= r
+        acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
+        t *= r
         acc[0] += nums[k] * t
     return Poly._of(acc, den * t)
 

@@ -359,16 +359,6 @@ def suite_symmetry(seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
-def _default_vectors() -> list[ParameterVector]:
-    held = []
-    for key in catalog.FAMILIES:
-        try:
-            held.append(catalog.instantiate(key))
-        except QSchemeError:
-            pass
-    return held
-
-
 def run_suite(
     suite: str,
     *,
@@ -397,10 +387,6 @@ def run_suite(
         "charts": (suite_charts, {}),
         "symmetry": (suite_symmetry, {"seed": "seed"}),  # only within "all"
     }
-    # An "all" pass holds every family's default vector, so that the suites
-    # after constraints find them live in the catalog instead of rebuilding
-    # them; a family whose defaults fail is left to the suites to report.
-    held = _default_vectors() if suite == "all" else ()
     reports = []
     for name in table if suite == "all" else (suite,):
         fn, keywords = table[name]

@@ -1,5 +1,6 @@
 """Every public name of the package has a caller in the package or the bench,
-every series is the catalog's, and importing the package stays cheap.
+every series is the catalog's, only the catalog decides which vectors are
+shared, and importing the package stays cheap.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
@@ -128,6 +129,36 @@ def test_the_catalog_builds_every_series_in_one_place():
         and "terminating_sum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == ["_series"]
+
+
+def _names_in(tree: ast.AST) -> set[str]:
+    """Every identifier tree names: loaded or bound names, attributes,
+    imported names, definitions and string constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_only_the_catalog_decides_which_vectors_are_shared():
+    """The live table and the function that fills it are the catalog's
+    own: another module that wants a shared vector asks a public catalog
+    function for it."""
+    namers = sorted(
+        path.name
+        for path in (ROOT / "src" / "qscheme").glob("*.py")
+        if _names_in(ast.parse(path.read_text())) & {"_live", "_LIVE"}
+    )
+    assert namers == ["catalog.py"]
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:

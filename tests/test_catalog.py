@@ -26,7 +26,7 @@ from qscheme.catalog import (
 )
 from qscheme.classifier import build_graph, pattern_of
 from qscheme.core import monic_poly, recurrence_coeffs
-from qscheme.errors import DivisionByZero, InadmissibleParams
+from qscheme.errors import DivisionByZero, InadmissibleParams, Mismatch
 from qscheme.qpolynomial import product_of_linear
 from qscheme.symmetry import GaugeAction, apply_gauge, q_invert
 from qscheme.verify import Q_POOL
@@ -111,6 +111,43 @@ def test_crosscheck_sets_up_each_closed_form_once_per_degree(monkeypatch):
         monkeypatch.setitem(FAMILIES, key, spec._replace(series=series))
         assert crosscheck(key, n_max=8) == 45
         assert setups == list(range(9)), key
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [lambda pv, n: monic_poly(pv, n) * 2, lambda pv, n: monic_poly(pv, n + 1)],
+    ids=["not-monic", "wrong-degree"],
+)
+def test_crosscheck_refuses_an_engine_polynomial_that_is_not_monic_of_degree_n(monkeypatch, fake):
+    monkeypatch.setattr(catalog, "monic_poly", fake)
+    with pytest.raises(Mismatch) as caught:
+        crosscheck("3a", n_max=2)
+    assert str(caught.value) == "3a: engine polynomial at n=0 is not monic"
+
+
+def test_crosscheck_refuses_a_value_that_is_not_the_closed_form(monkeypatch):
+    real = catalog._monic_series
+
+    def off_at_degree_two(spec, p, q, n):
+        series = real(spec, p, q, n)
+        return lambda x: series(x) + (n == 2)
+
+    monkeypatch.setattr(catalog, "_monic_series", off_at_degree_two)
+    x = catalog._sample_xs(3)[0]
+    engine = monic_poly(instantiate("3a"), 2)(x)
+    with pytest.raises(Mismatch) as caught:
+        crosscheck("3a", n_max=4)
+    assert str(caught.value) == f"3a: n=2, x={x}: engine {engine} != closed form {engine + 1}"
+
+
+def test_crosscheck_refuses_a_pattern_off_the_diagram(monkeypatch):
+    monkeypatch.setattr(catalog, "pattern_of", lambda pv: FAMILIES["1a"].pattern)
+    with pytest.raises(Mismatch) as caught:
+        crosscheck("3a", n_max=1)
+    assert str(caught.value) == (
+        f"3a: default-parameter pattern {FAMILIES['1a'].pattern.as_string()} "
+        f"is not the diagram {FAMILIES['3a'].pattern.as_string()}"
+    )
 
 
 def test_closed_forms_match_their_per_point_evaluation():
@@ -258,6 +295,20 @@ def test_inadmissible_parameters():
         instantiate("3a", {"zz": 1})
     with pytest.raises(InadmissibleParams):
         instantiate("3a", None, q=1)
+
+
+def test_a_programming_error_in_the_coefficients_is_not_read_as_bad_parameters(monkeypatch):
+    """instantiate turns a broken constraint into InadmissibleParams and
+    nothing else: a coefficient that is a float is a TypeError."""
+    spec = FAMILIES["3a"]
+
+    def coefficients(p, q):
+        a, b, d = spec.coefficients(p, q)
+        return (1.0, *a[1:]), b, d
+
+    monkeypatch.setitem(FAMILIES, "3a", spec._replace(coefficients=coefficients))
+    with pytest.raises(TypeError, match="cannot interpret 1.0 as an exact rational"):
+        instantiate("3a", {"a": F(7, 19), "b": F(5, 23)})
 
 
 def test_degenerate_lowering_rejected():
@@ -550,7 +601,7 @@ def test_primed_labels_and_gauged_sources_hit_the_table(monkeypatch):
         return call
 
     monkeypatch.setattr(symmetry, "q_invert", counting("q_invert", symmetry.q_invert))
-    monkeypatch.setattr(limits, "apply_gauge", counting("apply_gauge", limits.apply_gauge))
+    monkeypatch.setattr(symmetry, "apply_gauge", counting("apply_gauge", symmetry.apply_gauge))
     params = {"a": F(2, 11), "b": F(3, 13)}
     primed = instance_for_label("3d'", params)
     assert instance_for_label("3d'", {"a": "2/11", "b": "3/13"}, "1/2") is primed

@@ -94,6 +94,11 @@ def test_rule_one_dependency():
     assert any("rule 1" in v for v in validate(pattern))
 
 
+@pytest.mark.parametrize("text", ["BWB|BBBBB|BBB", "BBB|BBBBB|BWB"])
+def test_rule_two_central_column(text):
+    assert validate(ZeroPattern.from_string(text)) == ["rule 2: b0 and a0 are always black"]
+
+
 def test_rules_four_five_minimum_blacks():
     assert any("rule 4" in v for v in validate(ZeroPattern.from_string("BBB|BBBBW|WBW")))
     assert any("rule 5" in v for v in validate(ZeroPattern.from_string("BBB|WWBWW|BBW")))

@@ -387,6 +387,18 @@ def test_eval_bad_input_is_a_usage_error(capsys, tmp_path, config, argv):
     assert refusal(err).endswith(cause or "")
 
 
+def test_a_config_holding_a_json_array_is_refused(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "--config", str(path), "list")
+    assert (code, out, refusal(err)) == (2, "", "config file must hold a JSON object")
+
+
+def test_a_param_without_a_value_is_refused(capsys):
+    code, out, err = run(capsys, "eval", "3a", "--param", "a")
+    assert (code, out, refusal(err)) == (2, "", "--param expects name=value, got 'a'")
+
+
 def test_eval_prints_exact_results_past_the_digit_limit(capsys):
     """At q = 10**-30, u_24 of 5b has coefficients of more than 4300 digits,
     Python's default int/str limit: they print in full, and the limit is in

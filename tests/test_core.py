@@ -139,6 +139,16 @@ def test_constructor_rejects_broken_constraints(field, value):
         ParameterVector(q=q, a=good["a"], b=good["b"], d=tuple(d))
 
 
+@pytest.mark.parametrize("row, value", [("a", (0, 1)), ("b", (0, 1, 2, 0)), ("d", (1, 2, -5, 2, 0, 0))])
+def test_constructor_counts_the_coefficients(row, value):
+    """Three a, three b and five d: a row of another length is refused
+    before any constraint is read (the d row with a sixth zero sums to 0)."""
+    fields = dict(q=F(1, 2), a=(0, 1, 0), b=(0, 1, 0), d=(1, 2, -5, 2, 0))
+    with pytest.raises(ConstraintViolation) as caught:
+        ParameterVector(**{**fields, row: value})
+    assert str(caught.value) == "expected 3 + 3 + 5 coefficients"
+
+
 def test_unchecked_constructor_skips_validation():
     pv = UncheckedParameterVector(
         q=F(1, 2), a=(0, 0, 0), b=(0, 0, 0), d=(1, 0, 0, 0, 0)

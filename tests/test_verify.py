@@ -9,6 +9,7 @@ import pytest
 
 from qscheme import catalog, core, verify
 from qscheme.core import apply_operator
+from qscheme.errors import InadmissibleParams
 from qscheme.qpolynomial import Poly
 from qscheme.symmetry import GaugeAction, apply_gauge
 from reference import perturbed
@@ -161,10 +162,10 @@ def test_suite_reports_share_no_list():
 
 def test_verify_all_builds_each_live_vector_once(monkeypatch):
     """One cold run_suite("all") at the default seed passes every check and
-    constructs at most 357 ParameterVectors: equal requests share one live
-    vector (514 were built when each request built its own), and the pass
-    holds the 18 default vectors throughout (375 when the recurrence suite
-    rebuilt those the constraints suite had dropped)."""
+    constructs at most 375 ParameterVectors: equal requests share one live
+    vector (514 were built when each request built its own).  A suite may
+    rebuild a default vector that an earlier suite dropped (357 when the
+    pass held the 18 default vectors throughout)."""
     built = 0
     real = core.ParameterVector.__post_init__
 
@@ -179,4 +180,29 @@ def test_verify_all_builds_each_live_vector_once(monkeypatch):
     monkeypatch.setattr(core.ParameterVector, "__post_init__", counting)
     checks = [c for report in verify.run_suite("all") for c in report.checks]
     assert len(checks) == 184 and all(c.passed for c in checks)
-    assert 0 < built <= 357
+    assert 0 < built <= 375
+
+
+def test_a_refused_default_vector_fails_its_constraints_and_catalog_checks(monkeypatch):
+    """A family whose defaults are refused fails its constraints and catalog
+    checks with the refusal's message; the other families still pass."""
+    real = catalog.instantiate
+
+    def refusing(key, *args):
+        if key == "2b":
+            raise InadmissibleParams("2b: refused on purpose")
+        return real(key, *args)
+
+    monkeypatch.setattr(catalog, "instantiate", refusing)
+    for suite in (verify.suite_constraints(), verify.suite_catalog(n_max=1)):
+        failed = [c for c in suite.checks if not c.passed]
+        assert failed == [verify.CheckResult(f"{suite.suite}/2b", False, "2b: refused on purpose")]
+        assert len(suite.checks) == len(catalog.FAMILIES)
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError) as caught:
+        verify.run_suite("nosuch")
+    assert str(caught.value) == (
+        "unknown suite 'nosuch'; choose from constraints, recurrence, eigen, duality, catalog, limits, charts, all"
+    )
