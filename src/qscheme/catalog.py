@@ -601,7 +601,7 @@ def instantiate(
 
     Equal requests (parameters and q compared after coercion, q omitted
     meaning DEFAULT_Q) get one shared vector while any caller holds it, so
-    its sequence table and memos are shared too; pv._replace() gives a
+    its sequence table and memos are shared too; copy.copy(pv) gives a
     private copy with empty memos."""
     spec, p, q = _resolve(family, params, q)
 

@@ -70,11 +70,15 @@ def load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
+    if unknown := sorted(set(config) - {"q", "families"}):
+        raise UsageError(f"unknown config key {unknown[0]!r}; a config holds only \"q\" and \"families\"")
     families = config.get("families", {})
     if not isinstance(families, dict) or not all(
         isinstance(params, dict) for params in families.values()
     ):
         raise UsageError('config "families" must map family keys to objects of parameters')
+    if unknown := sorted(set(families) - set(catalog.FAMILIES)):
+        raise UsageError(f"config names unknown family {unknown[0]!r}; `qscheme list` shows the registry")
     return config
 
 
@@ -251,7 +255,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
             f"(+{graph.unlisted_count} unlisted), {len(graph.arrows)} arrows"
         )
     else:
-        sys.stdout.buffer.write(blob)
+        sys.stdout.write(blob.decode("ascii"))
     return 0
 
 

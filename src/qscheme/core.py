@@ -42,16 +42,18 @@ from .qpolynomial import (
     _over_lcm,
     product_of_linear,
 )
-from .qrational import admissible_q, format_rational, rational
+from .qrational import _Value, admissible_q, format_rational, rational
 
 
-class ParameterVector:
+class ParameterVector(_Value):
     """q plus the eleven Laurent coefficients, validated on construction.
 
     Immutable: its value is (q, a, b, d), which `==` (between vectors of one
     class), the hash and `repr` read.  Every route to a vector validates:
-    the constructor, `_replace`, and copy and pickle, which rebuild it
-    through the constructor."""
+    the constructor, and copy and pickle, which rebuild it through the
+    constructor; `copy.copy(pv)` is a private copy with empty memos."""
+
+    _fields = ("q", "a", "b", "d")
 
     q: Fraction
     a: tuple[Fraction, Fraction, Fraction]
@@ -92,7 +94,7 @@ class ParameterVector:
     # asked; the integer prefixes _integer_prefix has built, by (which, m);
     # the first repeats _repeat_within has found, by which; once computed,
     # the hash and the integer Laurent forms.
-    # No part of the value: ==, hash, repr and _replace ignore them.  _table
+    # No part of the value: ==, hash, repr and copies ignore them.  _table
     # is replaced whole, never mutated; each _prefixes and _repeats entry is
     # written once, with its complete value.
     _table = ((), (), ())
@@ -101,34 +103,12 @@ class ParameterVector:
     _hash = None
     _forms = None
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: vectors are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: vectors are immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.q, self.a, self.b, self.d) == (other.q, other.a, other.b, other.d)
-        return NotImplemented
-
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = hash((self.q, self.a, self.b, self.d))
+            value = _Value.__hash__(self)
             object.__setattr__(self, "_hash", value)
         return value
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(q={self.q!r}, a={self.a!r}, b={self.b!r}, d={self.d!r})"
-
-    def __reduce__(self):
-        return type(self), (self.q, self.a, self.b, self.d)
-
-    def _replace(self, **changes) -> "ParameterVector":
-        """This vector with `changes` to its fields, validated, its memos
-        empty; `pv._replace()` is a private copy of pv."""
-        return type(self)(**{"q": self.q, "a": self.a, "b": self.b, "d": self.d, **changes})
 
     def _laurent_forms(self) -> tuple[tuple[list[int], int], ...]:
         """The node, eigenvalue and lowering coefficients in Laurent order
@@ -254,12 +234,7 @@ class ParameterVector:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ParameterVector":
-        return ParameterVector(
-            q=rational(data["q"]),
-            a=tuple(rational(v) for v in data["a"]),
-            b=tuple(rational(v) for v in data["b"]),
-            d=tuple(rational(v) for v in data["d"]),
-        )
+        return ParameterVector(data["q"], data["a"], data["b"], data["d"])
 
 
 def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | None:

@@ -16,19 +16,19 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .qrational import rational
+from .qrational import _Value, rational
 
 Scalar = Union[int, str, Fraction]
 
 
-class Poly:
+class Poly(_Value):
     """p(x) = sum_i nums[i] x**i / den in lowest terms; immutable.
 
     Two polynomials are equal iff their (nums, den) are, since the form is
     unique; `coeffs[i]` is the coefficient of x**i as a `Fraction`.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = _fields = ("nums", "den")
 
     nums: tuple[int, ...]
     den: int
@@ -59,9 +59,6 @@ class Poly:
         _set_den(self, den)
         return self
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to Poly.{name}: polynomials are immutable")
-
     def __reduce__(self):
         return Poly._of, (self.nums, self.den)
 
@@ -73,14 +70,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly(coeffs={self.coeffs!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
 
     @staticmethod
     def zero() -> "Poly":

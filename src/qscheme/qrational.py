@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 
 def _from_text(text: str) -> Fraction:
@@ -52,3 +53,40 @@ def format_rational(value: Fraction) -> str:
 def admissible_q(q: Fraction) -> bool:
     """Base values must avoid 0 and +/-1 so q**k never revisits 1."""
     return q != 0 and q != 1 and q != -1
+
+
+class _Value:
+    """An immutable exact value whose value is its class and its `_fields`:
+    `==` holds only within one class, the hash and the `Name(field=...)`
+    repr read the fields, copy and pickle rebuild through the constructor,
+    and attributes can be neither assigned nor deleted.  A subclass sets its
+    attributes with `object.__setattr__` or through `vars(self)`."""
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._get = attrgetter(*cls._fields)  # the field tuple, built once per class
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._get(self) == other._get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._get(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._get(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: values are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: values are immutable")

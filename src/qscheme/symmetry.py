@@ -25,15 +25,15 @@ from typing import NamedTuple
 
 from .core import ParameterVector
 from .errors import ChartUnreachable, XSeparationViolated
-from .qrational import rational
+from .qrational import _Value, rational
 
 
-class GaugeAction:
+class GaugeAction(_Value):
     """Shifts are applied before scales.  Immutable; its value is
     (tau, mu, sigma, rho), coerced to Fractions, and both scales are
     nonzero."""
 
-    __slots__ = ("tau", "mu", "sigma", "rho")
+    __slots__ = _fields = ("tau", "mu", "sigma", "rho")
 
     tau: Fraction
     mu: Fraction
@@ -44,31 +44,8 @@ class GaugeAction:
         values = tuple(map(rational, (tau, mu, sigma, rho)))
         if values[1] == 0 or values[3] == 0:
             raise ValueError("gauge scales must be nonzero")
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return self.tau, self.mu, self.sigma, self.rho
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to GaugeAction.{name}: gauge actions are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete GaugeAction.{name}: gauge actions are immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return "GaugeAction(tau={!r}, mu={!r}, sigma={!r}, rho={!r})".format(*self._values())
-
-    def __reduce__(self):
-        return GaugeAction, self._values()
 
 
 def apply_gauge(pv: ParameterVector, g: GaugeAction) -> ParameterVector:

@@ -25,7 +25,7 @@ from .core import (
     recurrence_check,
 )
 from .errors import ConstraintViolation, QSchemeError
-from .qrational import format_rational
+from .qrational import _Value, format_rational
 from .symmetry import (
     CHART_DISCREPANCIES,
     CHART_ROW_INSTANCE_LABEL,
@@ -71,32 +71,19 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-class SuiteReport:
-    """One suite's checks and warnings, appended to as the suite runs."""
+class SuiteReport(_Value):
+    """One suite's checks and warnings, appended to as the suite runs; its
+    fields are set once, and its lists, being mutable, leave it unhashable."""
+
+    _fields = ("suite", "checks", "warnings", "seed")
 
     suite: str
     checks: list[CheckResult]
     warnings: list[str]
     seed: int | None
 
-    def __init__(self, suite: str, seed: int | None = None) -> None:
-        self.suite = suite
-        self.checks = []
-        self.warnings = []
-        self.seed = seed
-
-    def _values(self) -> tuple:
-        return self.suite, self.checks, self.warnings, self.seed
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return "SuiteReport(suite={!r}, checks={!r}, warnings={!r}, seed={!r})".format(*self._values())
+    def __init__(self, suite: str, checks=(), warnings=(), seed: int | None = None) -> None:
+        vars(self).update(suite=suite, checks=list(checks), warnings=list(warnings), seed=seed)
 
     @property
     def passed(self) -> bool:

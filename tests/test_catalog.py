@@ -1,5 +1,6 @@
 """The family registry against the engine and against its own closed forms."""
 
+import copy
 import gc
 import os
 import random
@@ -640,7 +641,7 @@ def test_threads_racing_on_one_request_get_equal_vectors():
     try:
         for i in range(20):
             params = {"a": F(2, 3 + 2 * i), "b": F(-1, 7)}
-            serial = instantiate("3d", params)._replace()
+            serial = copy.copy(instantiate("3d", params))
             _clear_engine_caches()
             barrier = threading.Barrier(4, timeout=30)
 

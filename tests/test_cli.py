@@ -1,6 +1,8 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qscheme import catalog, core
+from qscheme import catalog, cli, core
 from qscheme.cli import build_parser, main
 from qscheme.core import monic_poly
 from qscheme.qpolynomial import format_poly
@@ -174,6 +176,26 @@ def test_config_presets_parameters(capsys, tmp_path):
     assert code == 0 and "q = 1/2" in out
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"q": "1/3", "families": {"3A": {"a": "3"}}},
+            "config names unknown family '3A'; `qscheme list` shows the registry",
+        ),
+        (
+            {"q": "1/3", "family": {"3a": {"a": "3"}}},
+            'unknown config key \'family\'; a config holds only "q" and "families"',
+        ),
+    ],
+)
+def test_config_keys_that_nothing_reads_are_refused(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(path), "eval", "3a")
+    assert (code, out, refusal(err)) == (2, "", message)
+
+
 def test_config_must_be_valid_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -194,6 +216,31 @@ def test_graph_dot_matches_golden_file(capsys, tmp_path):
     assert code == 0
     assert "34 labeled nodes (+27 unlisted), 170 arrows" in out
     assert target.read_bytes() == GOLDEN_DOT.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_writes_text_to_a_text_only_stdout(fmt, tmp_path):
+    """Without -o the graph goes through sys.stdout as text, so a stdout
+    without a byte buffer gets the bytes -o writes."""
+    target = tmp_path / f"scheme.{fmt}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["graph", "--format", fmt, "-o", str(target)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["graph", "--format", fmt]) == 0
+    assert out.getvalue().encode("ascii") == target.read_bytes()
+    if fmt == "dot":
+        assert out.getvalue() == GOLDEN_DOT.read_text(encoding="ascii")
+    else:
+        assert json.loads(out.getvalue())["counts"]["arrows"] == 170
+
+
+def test_all_digits_without_an_int_digit_limit(monkeypatch):
+    """On an interpreter without the int/str digit limit, `_all_digits`
+    leaves the interpreter alone."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", None, raising=False)
+    with cli._all_digits():
+        pass
 
 
 def test_graph_emission_is_byte_identical(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Exact dense polynomial arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -290,7 +292,26 @@ def test_of_brings_numerators_over_a_signed_denominator_to_lowest_terms(nums, de
 
 
 def test_poly_is_immutable():
+    """Neither field can be assigned or deleted: `monic_poly` hands one
+    cached polynomial to every caller."""
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p.nums = (3,)
+    with pytest.raises(AttributeError):
+        del p.nums
     assert p.nums == (1, 2) and p.den == 1
+
+
+def test_poly_value_protocol():
+    """Copy and pickle rebuild through `_of`, the repr shows the Fraction
+    coefficients, `==` with a non-polynomial is False, and a negative
+    power is refused."""
+    p = Poly([F(1, 2), -3, F(2, 3)])
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is Poly and twin == p and hash(twin) == hash(p)
+        assert (twin.nums, twin.den) == ((3, -18, 4), 6)
+    assert repr(p) == "Poly(coeffs=(Fraction(1, 2), Fraction(-3, 1), Fraction(2, 3)))"
+    assert Poly.one().__eq__(1) is NotImplemented
+    assert (Poly.one() == 1) is False and Poly.one() != 1
+    with pytest.raises(ValueError):
+        p ** -1

@@ -29,6 +29,11 @@ def test_qpoch_empty_product():
     assert qpoch(F(7, 3), F(1, 2), 0) == 1
 
 
+def test_qpoch_refuses_a_negative_length():
+    with pytest.raises(ValueError):
+        qpoch(F(7, 3), F(1, 2), -1)
+
+
 def test_qpoch_direct_value():
     # (1 - 1/2)(1 - 1/4) = 3/8
     assert qpoch(F(1, 2), F(1, 2), 2) == F(3, 8)

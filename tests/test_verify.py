@@ -3,6 +3,8 @@
 check names its first failing n, or (n, m) for duality."""
 
 import gc
+import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -158,6 +160,34 @@ def test_suite_reports_share_no_list():
     third.add("x", True)
     third.warnings.append("w")
     assert first == third and first.checks == [verify.CheckResult("x", True, "")]
+
+
+def test_suite_reports_are_values_of_their_own_class():
+    report = verify.SuiteReport("s", seed=3)
+    assert report.__eq__(object()) is NotImplemented and report != object()
+    report.add("x", True)
+    twin = pickle.loads(pickle.dumps(report))
+    assert twin == report and twin.checks is not report.checks
+    with pytest.raises(AttributeError):
+        report.seed = 4
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_random_parameter_vector_draws_again_after_a_refused_vector():
+    """A first draw whose lowering coefficients all vanish is refused by the
+    constructor; the generator draws again instead of raising."""
+
+    class Scripted(random.Random):
+        def randint(self, a, b):
+            return self.script.pop(0) if self.script else super().randint(a, b)
+
+    rng = Scripted(11)
+    # a1 = a2 = 1 and every other coefficient 0: d3 = d4 = 0, so all d vanish
+    rng.script = [1, 1, 1, 1] + [0, 1] * 6
+    pv = verify.random_parameter_vector(rng)
+    assert rng.script == [] and any(pv.d)
+    assert pv.h_separation_ok(12)
 
 
 def test_verify_all_builds_each_live_vector_once(monkeypatch):
