@@ -37,7 +37,9 @@ A closed form is set up once per (family, parameters, q, n): the set-up
 computes everything that does not depend on x (products of parameters,
 q**-n, prefactors, the upper and lower parameter tuples and the x-free step
 coefficients) and returns the function of x, so a check at many points
-pays for those once.  Nothing outlives that function.
+pays for those once.  Nothing outlives that function.  The set-up leaves
+the row on integers (see _series), and an evaluation builds one Fraction,
+the value, with k_n^{-1} folded in.
 
 A vector is built once per (family, parameters, q) while it is alive:
 instantiate keeps a weak table of live vectors, so equal requests share one
@@ -55,11 +57,13 @@ from .core import ParameterVector, monic_poly
 from .errors import ConstraintViolation, DivisionByZero, InadmissibleParams, Mismatch
 from .classifier import LABELS, ZeroPattern, label_sort_key, pattern_of
 from .qrational import admissible_q, format_rational, rational
+from .qpolynomial import _over_lcm
 from .qseries import qpoch, qpoch_many, terminating_sum
 from . import symmetry
 
 Params = Mapping[str, Fraction]
-Series = Callable[[Fraction], Fraction]  # x -> a closed form's value at x
+# (x, scale=(1, 1)) -> a closed form's value at x, times scale = (num, den)
+Series = Callable[..., Fraction]
 
 DEFAULT_Q = Fraction(1, 2)
 
@@ -103,19 +107,30 @@ def _series(
     * prod_{j<k} s(q^j), the step factor s(t) = sum_i c_i t^(low + i) with
     c_i = const[i] + slope[i] * x: every representation of the catalog, as
     data for qseries.terminating_sum.  A parameter 0 contributes
-    (0; q)_k = 1 and is dropped."""
-    upper = (q ** (-n), *filter(None, upper))
-    lower = tuple(filter(None, lower))
-    step = tuple(zip(const, slope))
-    # each c_i pays only for the Fraction operations its nonzero parts need
-    series = lambda x: terminating_sum(
-        upper,
-        lower,
-        q,
-        n,
-        ([c if not s else s * x if not c else c + s * x for c, s in step], low),
+    (0; q)_k = 1 and is dropped.
+
+    The row is set up once on integers: pref and each upper and lower
+    parameter as its pair (num, den), and const and slope as numerators C_i
+    and S_i over one common denominator L (see _step_at).  An evaluation
+    multiplies pref by the caller's scale, if any, as integer pairs, and
+    builds no Fraction but the value."""
+    upper = tuple(a.as_integer_ratio() for a in (q ** (-n), *filter(None, upper)))
+    lower = tuple(b.as_integer_ratio() for b in filter(None, lower))
+    nums, den = _over_lcm([c.as_integer_ratio() for c in (*const, *slope)])
+    row = (tuple(zip(nums[: len(const)], nums[len(const):])), den, low)
+    pn, pd = pref.as_integer_ratio()
+    return lambda x, scale=(1, 1): terminating_sum(
+        upper, lower, q, n, _step_at(row, x), (pn * scale[0], pd * scale[1])
     )
-    return series if pref == 1 else lambda x: pref * series(x)
+
+
+def _step_at(row: tuple[tuple[tuple[int, int], ...], int, int], x: Fraction) -> tuple[list[int], int, int]:
+    """The step (nums, den, low) of terminating_sum at x = s/r for a row
+    ((C_i, S_i) for each i, L, low) whose coefficient i is (C_i + S_i x)/L:
+    the numerators C_i*r + S_i*s over L*r."""
+    step, den, low = row
+    s, r = x.numerator, x.denominator
+    return [c * r + m * s for c, m in step], den * r, low
 
 
 def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
@@ -652,7 +667,8 @@ def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Series:
         raise
     except ZeroDivisionError as exc:
         raise _division_by_zero(spec.key, part, p, q) from exc
-    return lambda x: series(x) / kn
+    num, den = kn.as_integer_ratio()
+    return lambda x: series(x, (den, num))  # scaled by 1/k_n
 
 
 def _division_by_zero(key: str, part: str, p: Params, q: Fraction) -> DivisionByZero:

@@ -8,7 +8,8 @@ Commands:
 
 All inputs and outputs are exact rationals ("p/q" strings); there are no
 floating-point options, so no tolerance knobs exist at this boundary.
-Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
+Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error,
+141 when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -339,9 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit status a shell reports for a command that a closed pipe ended
+# (128 + SIGPIPE).
+CLOSED_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  Every refusal, argparse's own included, ends here as
-    one `error:` line on stderr."""
+    one `error:` line on stderr.  A reader that closes standard output early
+    (`| head -1`) ends the command quietly with CLOSED_PIPE."""
     try:
         args = build_parser().parse_args(argv)
         cap = hard_cap()
@@ -353,7 +360,14 @@ def main(argv: list[str] | None = None) -> int:
                 cause = f"the hard cap {cap} (QSCHEME_HARD_CAP)" if greatest is None else f"the cap {greatest}"
                 raise UsageError(f"{flag} {value} exceeds {cause}")
         config = load_config(args.config)
-        return args.fn(args, config)
+        code = args.fn(args, config)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull: the interpreter's flush at exit then has
+        # nowhere to fail and prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,15 @@ are eigenfunctions of the operator acting on the Newton basis as
 L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}, and satisfy the three-term
 recurrence x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1} exactly when the d3/d4
 constraints hold.
+
+Each vector keeps a sequence table: node(k), eigenvalue(k) and lowering(k)
+for k below the largest length asked for, each a reduced integer pair
+(num, den), den > 0, built from running integer powers q**k = P/R by one
+Laurent evaluation on integers with one gcd.  The integer kernels (the
+Newton row, the Newton Horner, the recurrence coefficients, the operator,
+the normalized polynomials) read those pairs, or a prefix of them over the
+lcm of its denominators, and build no Fraction per value; node, eigenvalue
+and lowering(k) and _values are the Fraction view.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from .qpolynomial import (
     _newton_division,
     _newton_horner,
     _over_lcm,
-    product_of_linear,
 )
 from .qrational import _Value, admissible_q, format_rational, rational
 
@@ -72,18 +80,24 @@ class ParameterVector(_Value):
         self._validate()
 
     def _validate(self) -> None:
+        """The constraints, on integers: d as numerators ds over their lcm
+        den, and d3 = a1*b1/q and d4 = q*a2*b2 compared cross-multiplied."""
         q, a, b, d = self.q, self.a, self.b, self.d
         if not admissible_q(q):
             raise ConstraintViolation(f"base q = {q} must avoid 0 and +/-1")
-        if sum(d) != 0:
+        (qn, qd), (a1, a1d), (a2, a2d), (b1, b1d), (b2, b2d) = (
+            v.as_integer_ratio() for v in (q, a[1], a[2], b[1], b[2])
+        )
+        ds, den = _over_lcm([v.as_integer_ratio() for v in d])
+        if sum(ds):
             raise ConstraintViolation("d coefficients must sum to zero")
-        if d[3] != a[1] * b[1] / q:
+        if ds[3] * a1d * b1d * qn != a1 * b1 * qd * den:
             raise ConstraintViolation("d3 must equal a1*b1/q")
-        if d[4] != q * a[2] * b[2]:
+        if ds[4] * qd * a2d * b2d != qn * a2 * b2 * den:
             raise ConstraintViolation("d4 must equal q*a2*b2")
-        if a[1] == 0 and a[2] == 0:
+        if not a1 and not a2:
             raise ConstraintViolation("a1 and a2 cannot both vanish")
-        if all(v == 0 for v in d):
+        if not any(ds):
             raise ConstraintViolation(
                 "all lowering coefficients vanish (degenerate family)"
             )
@@ -116,10 +130,9 @@ class ParameterVector(_Value):
         forms = self._forms
         if forms is None:
             a, b, d = self.a, self.b, self.d
-            forms = (
-                _over_lcm((b[2], b[0], b[1])),
-                _over_lcm((a[2], a[0], a[1])),
-                _over_lcm((d[4], d[2], d[0], d[1], d[3])),
+            forms = tuple(
+                _over_lcm([c.as_integer_ratio() for c in coeffs])
+                for coeffs in ((b[2], b[0], b[1]), (a[2], a[0], a[1]), (d[4], d[2], d[0], d[1], d[3]))
             )
             object.__setattr__(self, "_forms", forms)
         return forms
@@ -127,7 +140,7 @@ class ParameterVector(_Value):
     def _at(self, which: int, k: int) -> Fraction:
         p, r = self.q.numerator, self.q.denominator
         qk = (p**k, r**k) if k >= 0 else (r**-k, p**-k)
-        return _laurent_at(self._laurent_forms()[which], *qk)
+        return Fraction(*_laurent_at(self._laurent_forms()[which], *qk))
 
     def node(self, k: int) -> Fraction:
         return self._at(0, k)
@@ -139,11 +152,17 @@ class ParameterVector(_Value):
         return self._at(2, k)
 
     def _values(self, which: int, m: int) -> tuple[Fraction, ...]:
+        """node (which = 0), eigenvalue (1) or lowering (2) at k < m, as
+        Fractions read off the table's pairs."""
+        return tuple(Fraction(num, den) for num, den in self._pairs(which, m))
+
+    def _pairs(self, which: int, m: int) -> tuple[tuple[int, int], ...]:
         """node (which = 0), eigenvalue (1) or lowering (2) at k < m, each
-        value built once per vector from running integer powers q**k = P/R.
-        The table grows all three sequences at once by publishing longer
-        tuples in one assignment, never in place, so concurrent callers each
-        see a correct prefix."""
+        value a reduced integer pair (num, den), den > 0, built once per
+        vector from running integer powers q**k = P/R.  The table grows all
+        three sequences at once by publishing longer tuples in one
+        assignment, never in place, so concurrent callers each see a correct
+        prefix."""
         table = self._table
         start = len(table[0])
         if start < m:
@@ -173,7 +192,7 @@ class ParameterVector(_Value):
             object.__setattr__(self, "_prefixes", memo)
         form = memo.get((which, m))
         if form is None:
-            nums, den = _over_lcm(self._values(which, m))
+            nums, den = _over_lcm(self._pairs(which, m))
             form = memo[which, m] = (tuple(nums), den)
         return form
 
@@ -265,17 +284,24 @@ def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | 
     return None
 
 
-def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> Fraction:
+def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> tuple[int, int]:
     """sum_e c_e (P/R)**e for coefficients c_{-m..m} given as form =
     ([n_{-m}, ..., n_m], den), their integer numerators over one
-    denominator:
+    denominator, as the reduced pair (num, den), den > 0, of
 
         sum_e n_e P**(m+e) R**(m-e) / (den P**m R**m),
 
-    with the numerator summed by a homogeneous Horner; one Fraction, one gcd.
+    with the numerator summed by a homogeneous Horner; one gcd.  P = 0
+    (q = 0, which no checked vector has) raises ZeroDivisionError.
     """
     nums, den = form
-    return Fraction(_homogeneous_horner(nums, P, R), den * (P * R) ** (len(nums) // 2))
+    num, den = _homogeneous_horner(nums, P, R), den * (P * R) ** (len(nums) // 2)
+    if not den:
+        raise ZeroDivisionError("q = 0 leaves q**-k undefined")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 class UncheckedParameterVector(ParameterVector):
@@ -289,7 +315,7 @@ def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
     if k < 0:
         raise ValueError("the Newton basis needs k >= 0")
-    return product_of_linear(pv._values(0, k))
+    return _newton_horner([0] * k + [1], 1, pv._pairs(0, k))
 
 
 class NewtonExpansion(NamedTuple):
@@ -305,16 +331,16 @@ class NewtonExpansion(NamedTuple):
         return self.rows[n][k]
 
 
-def _newton_row(h: tuple[Sequence[int], int], g: tuple[Fraction, ...], n: int) -> list[int]:
+def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: int) -> list[int]:
     """Row n of the triangle as integers N_0..N_n over the common denominator
     N_n, from h[0..n] and g[0..n]; N_n != 0 needs h[n] != h[k] for k < n,
     N_0 != 0 needs g[1..n] nonzero.
 
     h = (H, Dh) gives h_j = H_j/Dh over Dh, the lcm of the denominators of
-    h[0..n] (as _integer_prefix builds it), and with g_j = a_j/b_j in lowest
-    terms each step ratio g_j/(h_n - h_{j-1}) is s_j/t_j, the pair
-    (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd (left as it is when both
-    vanish).  Then
+    h[0..n] (as _integer_prefix builds it), and with g_j = a_j/b_j given as
+    the table's reduced pair (a_j, b_j) each step ratio g_j/(h_n - h_{j-1})
+    is s_j/t_j, the pair (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd
+    (left as it is when both vanish).  Then
 
         N_k = prod_{j=k+1..n} s_j * prod_{j=1..k} t_j,
 
@@ -328,7 +354,8 @@ def _newton_row(h: tuple[Sequence[int], int], g: tuple[Fraction, ...], n: int) -
     top = big[n]
     steps = []
     for j in range(1, n + 1):
-        s, t = g[j].numerator * dh, g[j].denominator * (top - big[j - 1])
+        a, b = g[j]
+        s, t = a * dh, b * (top - big[j - 1])
         d = gcd(s, t)
         steps.append((s // d, t // d) if d > 1 else (s, t))
     row = [1] * (n + 1)
@@ -346,7 +373,7 @@ def _newton_row(h: tuple[Sequence[int], int], g: tuple[Fraction, ...], n: int) -
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     pv.check_h_separation(order)
-    g = pv._values(2, order + 1)
+    g = pv._pairs(2, order + 1)
     rows = (_newton_row(pv._integer_prefix(1, n + 1), g, n) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
@@ -364,8 +391,8 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     for a repeat.
     """
     pv.check_h_separation(n)
-    row = _newton_row(pv._integer_prefix(1, n + 1), pv._values(2, n + 1), n)
-    return _newton_horner(row, row[-1], pv._values(0, n))
+    row = _newton_row(pv._integer_prefix(1, n + 1), pv._pairs(2, n + 1), n)
+    return _newton_horner(row, row[-1], pv._pairs(0, n))
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
@@ -401,7 +428,7 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     out = [hk * ek * dg for hk, ek in zip(hs, e)]
     for k in range(m - 1):
         out[k] += gs[k + 1] * e[k + 1] * dh
-    return _newton_horner(out, den * dh * dg, pv._values(0, m - 1))
+    return _newton_horner(out, den * dh * dg, pv._pairs(0, m - 1))
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction | None]:
@@ -423,38 +450,38 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     """
     if n < 0:
         raise ValueError("recurrence coefficients need n >= 0")
-    return _recurrence_pair(pv._values(0, n + 1), pv._integer_prefix(1, n + 2), pv._values(2, n + 2), n)
+    return _recurrence_pair(pv._pairs(0, n + 1), pv._integer_prefix(1, n + 2), pv._pairs(2, n + 2), n)
 
 
-def _recurrence_pair(x: tuple[Fraction, ...], h: tuple[Sequence[int], int],
-                     g: tuple[Fraction, ...], n: int) -> tuple[Fraction, Fraction | None]:
-    """recurrence_coeffs(pv, n) from node(0..n), lowering(0..n+1) and
-    eigenvalue(0..n+1) as integers over a common denominator, which may be
-    a longer prefix's: each ratio's numerator and denominator both scale
-    with it, so the values do not depend on it."""
+def _recurrence_pair(x: Sequence[tuple[int, int]], h: tuple[Sequence[int], int],
+                     g: Sequence[tuple[int, int]], n: int) -> tuple[Fraction, Fraction | None]:
+    """recurrence_coeffs(pv, n) from node(0..n) and lowering(0..n+1) as the
+    table's integer pairs and eigenvalue(0..n+1) as integers over a common
+    denominator, which may be a longer prefix's: each ratio's numerator and
+    denominator both scale with it, so the values do not depend on it."""
     big, dh = h
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
         denom = big[da] - big[db]
         if not denom:
             raise HSeparationViolated(max(da, db), min(da, db))
-        value = g[num_idx]
-        if not value:
+        num, den = g[num_idx]
+        if not num:
             return 0, 1
-        return value.numerator * dh, value.denominator * denom
+        return num * dh, den * denom
 
     # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.
     un, ud = ratio(n + 1, n, n + 1)
     ln, ld = ratio(n, n - 1, n) if n else (0, 1)
-    xn, xd = x[n].numerator, x[n].denominator
+    xn, xd = x[n]
     a_n = Fraction((xn * ud + un * xd) * ld - ln * xd * ud, xd * ud * ld)
     if not n:
         return a_n, None
     if not ln:
         return a_n, Fraction(0)
     inner, den = ratio(n - 1, n - 2, n) if n >= 2 else (0, 1)
-    prev = x[n - 1]
-    terms = ((-ln, ld), ratio(n + 1, n - 1, n + 1), (xn, xd), (-prev.numerator, prev.denominator))
+    pn, pd = x[n - 1]
+    terms = ((-ln, ld), ratio(n + 1, n - 1, n + 1), (xn, xd), (-pn, pd))
     for num, d in terms:
         inner, den = inner * d + num * den, den * d
     return a_n, Fraction(ln * inner, ld * den)
@@ -495,7 +522,7 @@ def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction,
     if n < 0:
         raise ValueError("a monic table needs n >= 0")
     pv.check_h_separation(n)
-    x, h, g = pv._values(0, n + 1), pv._integer_prefix(1, n + 2), pv._values(2, n + 2)
+    x, h, g = pv._pairs(0, n + 1), pv._integer_prefix(1, n + 2), pv._pairs(2, n + 2)
     rows = []
     u, prev = Poly.one(), Poly.zero()
     for k in range(n + 1):
@@ -525,23 +552,24 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     Such an N truncates the family to a finite orthogonal system of degrees
     n <= N, and forces c[n][k] = 0 exactly for k <= N < n.
     """
-    g = pv._values(2, n_max + 2)
+    g = pv._pairs(2, n_max + 2)
     for k in range(1, n_max + 2):
-        if g[k] == 0:
+        if not g[k][0]:
             return k - 1
     return None
 
 
-def _normalized(values: tuple[Sequence[int], int], nodes: tuple[Fraction, ...],
-                g: tuple[Fraction, ...], n: int) -> Poly:
+def _normalized(values: tuple[Sequence[int], int], nodes: Sequence[tuple[int, int]],
+                g: Sequence[tuple[int, int]], n: int) -> Poly:
     """sum_k prod_{j<k} (values[n]-values[j]) / prod_{j=1..k} g[j]
           * prod_{j<k} (x - nodes[j]):
 
     the integer Newton row of `values` (values[0..n] as _integer_prefix
-    gives them) normalized by its k = 0 entry, which is nonzero once
-    lowering(1..n) is.  Raises ZeroG at the first vanishing lowering value."""
+    gives them; nodes and g as the table's pairs) normalized by its k = 0
+    entry, which is nonzero once lowering(1..n) is.  Raises ZeroG at the
+    first vanishing lowering value."""
     for j in range(1, n + 1):
-        if not g[j]:
+        if not g[j][0]:
             raise ZeroG(j)
     row = _newton_row(values, g, n)
     return _newton_horner(row, row[0], nodes)
@@ -555,7 +583,7 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     Requires lowering(1..n) nonzero and, checked after it, eigenvalue(0..n)
     free of repeats.
     """
-    u = _normalized(pv._integer_prefix(1, n + 1), pv._values(0, n), pv._values(2, n + 1), n)
+    u = _normalized(pv._integer_prefix(1, n + 1), pv._pairs(0, n), pv._pairs(2, n + 1), n)
     pv.check_h_separation(n)
     return u
 
@@ -570,4 +598,4 @@ def dual_normalized_poly(pv: ParameterVector, m: int) -> Poly:
 
     Requires lowering(1..m) nonzero.
     """
-    return _normalized(pv._integer_prefix(0, m + 1), pv._values(1, m), pv._values(2, m + 1), m)
+    return _normalized(pv._integer_prefix(0, m + 1), pv._pairs(1, m), pv._pairs(2, m + 1), m)

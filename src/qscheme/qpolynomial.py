@@ -35,7 +35,7 @@ class Poly(_Value):
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()) -> "Poly":
         """The polynomial with low-degree-first coefficients `coeffs`."""
-        return Poly._of(*_over_lcm([rational(c) for c in coeffs]))
+        return Poly._of(*_over_lcm([rational(c).as_integer_ratio() for c in coeffs]))
 
     @staticmethod
     def _of(nums: Sequence[int], den: int) -> "Poly":
@@ -171,7 +171,7 @@ class Poly(_Value):
             return Poly((self(shift),))
         s, r, d = scale.numerator, scale.denominator, self.degree
         nums = [v * s**k * r ** (d - k) for k, v in enumerate(self.nums)]
-        return _newton_horner(nums, self.den * r**d, (-shift / scale,) * len(nums))
+        return _newton_horner(nums, self.den * r**d, ((-shift / scale).as_integer_ratio(),) * len(nums))
 
     def deflate(self, root: Scalar) -> tuple["Poly", Fraction]:
         """Synthetic division by (x - root): returns (quotient, remainder)."""
@@ -186,12 +186,13 @@ _set_den = Poly.den.__set__
 
 def product_of_linear(roots: Iterable[Scalar]) -> Poly:
     """The monic polynomial with the given roots (with multiplicity)."""
-    roots = tuple(rational(r) for r in roots)
+    roots = [rational(r).as_integer_ratio() for r in roots]
     return _newton_horner([0] * len(roots) + [1], 1, roots)
 
 
-def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Poly:
-    """sum_k (nums[k]/den) * prod_{j<k} (x - nodes[j]) in the monomial basis.
+def _newton_horner(nums: list[int], den: int, nodes: Sequence[tuple[int, int]]) -> Poly:
+    """sum_k (nums[k]/den) * prod_{j<k} (x - nodes[j]) in the monomial basis,
+    each node an integer pair (p, r), r > 0, for p/r.
 
     The one Newton-to-monomial conversion of the package.  The accumulator
     holds integer numerators over den*t.  Each step multiplies it by
@@ -203,7 +204,7 @@ def _newton_horner(nums: list[int], den: int, nodes: tuple[Fraction, ...]) -> Po
         return Poly.zero()
     acc, t = [nums[-1]], 1  # low degree first
     for k in range(len(nums) - 2, -1, -1):
-        p, r = nodes[k].numerator, nodes[k].denominator
+        p, r = nodes[k]
         acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
         t *= r
         acc[0] += nums[k] * t
@@ -257,10 +258,11 @@ def _homogeneous_horner(nums: Sequence[int], s: int, r: int) -> int:
     return acc
 
 
-def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integer numerators of the rationals num/den given as (num, den)
+    pairs, den > 0, over the lcm of their denominators."""
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

@@ -15,8 +15,11 @@ the form of Gasper & Rahman, Basic Hypergeometric Series (2004), ch. 1: each
 term is the previous one times a rational function of q^k.  Beyond the
 q-shifted factorials, that function's step factor is data, its Laurent
 coefficients in q^j (for the r_phi_s above, the one coefficient (-1)^c z at
-the power c = s - r + 1), and the loop evaluates it on integers at
-q^j = P/R, building one Fraction per series.
+the power c = s - r + 1).  The loop takes everything as integers: each upper
+and lower parameter a = an/ad as the pair (an, ad), and the step factor as
+its Laurent numerators over one common denominator, (nums, den, low).  It
+evaluates the step factor by one homogeneous Horner at q^j = P/R and builds
+one Fraction per series: the value.
 
 Everything is exact over rationals; a vanishing denominator factor raises
 DivisionByZero unless an upper factor already killed the series at an
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DivisionByZero
-from .qpolynomial import _homogeneous_horner, _over_lcm
+from .qpolynomial import _homogeneous_horner
 from .qrational import rational
 
 
@@ -63,30 +66,35 @@ def qpoch_many(bs: Sequence[Fraction], q: Fraction, k: int) -> Fraction:
 
 
 def terminating_sum(
-    upper: Sequence[Fraction],
-    lower: Sequence[Fraction],
+    upper: Sequence[tuple[int, int]],
+    lower: Sequence[tuple[int, int]],
     q: Fraction,
     n: int,
-    step: tuple[Sequence[Fraction], int],
+    step: tuple[Sequence[int], int, int],
+    scale: tuple[int, int] = (1, 1),
 ) -> Fraction:
-    """sum_{k=0}^{n} (upper; q)_k / ((q; q)_k (lower; q)_k) * prod_{j<k} s(q**j),
+    """c * sum_{k=0}^{n} (upper; q)_k / ((q; q)_k (lower; q)_k) * prod_{j<k} s(q**j),
 
-    with the step factor s(t) = sum_i coeffs[i] * t**(low + i) given as its
-    Laurent coefficients, step = (coeffs, low); low may be negative.
+    with each upper and lower parameter a = an/ad given as the integer pair
+    (an, ad), ad != 0, the step factor s(t) = sum_i N_i t**(low + i) / den
+    given as its Laurent numerators over one denominator,
+    step = (nums, den, low), den != 0 (low may be negative), and the
+    prefactor c = cn/cd as scale = (cn, cd), cd != 0, the sum's term 0.
 
     The one term loop behind every series of the package, on integers.
     q**(k-1) = P/R is kept as running integer powers of q = p/r.  Term k is
     term k-1 times the integer ratio rn/rd of its new factors: each factor
-    1 - a*q**(k-1) is (ad*R - an*P)/(ad*R) for a = an/ad, and with coeffs
-    over their lcm den and high = low + len(coeffs) - 1,
+    1 - a*q**(k-1) is (ad*R - an*P)/(ad*R), and with
+    high = low + len(nums) - 1,
 
         s(P/R) = H * P**max(low, 0) * R**max(-high, 0)
                  / (den * P**max(-low, 0) * R**max(high, 0)),
 
     where H = sum_i N_i P**i R**(high-low-i) is one homogeneous Horner of
     the numerators N_i.  So term k costs O(len(upper) + len(lower) +
-    len(coeffs)) integer products.  The term tn/td and the partial sum sn/td
-    share one unreduced denominator, and one Fraction is built at the end.
+    len(nums)) integer products.  The term tn/td and the partial sum sn/td
+    share one unreduced denominator, and one Fraction is built at the end:
+    the value, prefactor included.
     Once an upper factor vanishes all later terms are zero and the loop
     stops, which is what makes early-terminating series with
     otherwise-degenerate lower parameters legal; a vanishing denominator
@@ -94,24 +102,22 @@ def terminating_sum(
     """
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    ups = [(a.numerator, a.denominator) for a in upper]
-    lows = [(b.numerator, b.denominator) for b in lower]
-    coeffs, low = step
-    nums, den = _over_lcm(coeffs)
+    nums, den, low = step
     high = low + len(nums) - 1
     p_up, p_down = max(low, 0), max(-low, 0)
     r_up, r_down = max(-high, 0), max(high, 0)
     p, r = q.numerator, q.denominator
-    tn = td = sn = 1
+    tn, td = scale  # term 0
+    sn = tn
     P = R = 1  # q**(k-1) = P/R while term k is built
     for k in range(1, n + 1):
         rn = rd = 1
-        for an, ad in ups:
+        for an, ad in upper:
             rn *= ad * R - an * P
             rd *= ad * R
         if not rn:
             break
-        for bn, bd in lows:
+        for bn, bd in lower:
             rd *= bd * R - bn * P
             rn *= bd * R
         rn *= _homogeneous_horner(nums, P, R) * P**p_up * R**r_up
@@ -128,4 +134,3 @@ def terminating_sum(
         td *= rd
         sn = sn * rd + tn
     return Fraction(sn, td)
-

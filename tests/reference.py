@@ -22,7 +22,7 @@ from qscheme.errors import (
     Mismatch,
     QSchemeError,
 )
-from qscheme.qpolynomial import Poly, _newton_horner, _over_lcm
+from qscheme.qpolynomial import Poly, _over_lcm
 from qscheme.qrational import admissible_q, rational
 from qscheme.catalog import _halfsq, _sign
 from qscheme.limits import DEFAULT_SAMPLE_XS
@@ -43,6 +43,24 @@ def perturbed(
         b=b if b is not None else pv.b,
         d=d if d is not None else pv.d,
     )
+
+
+def fraction_constraint_failure(q, a, b, d) -> str | None:
+    """Reference: the message of the first constraint a vector with these
+    fields breaks, or None, checked on Fractions in the constructor's order."""
+    if not admissible_q(q):
+        return f"base q = {q} must avoid 0 and +/-1"
+    if sum(d) != 0:
+        return "d coefficients must sum to zero"
+    if d[3] != a[1] * b[1] / q:
+        return "d3 must equal a1*b1/q"
+    if d[4] != q * a[2] * b[2]:
+        return "d4 must equal q*a2*b2"
+    if a[1] == 0 and a[2] == 0:
+        return "a1 and a2 cannot both vanish"
+    if all(v == 0 for v in d):
+        return "all lowering coefficients vanish (degenerate family)"
+    return None
 
 
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:
@@ -86,16 +104,16 @@ def fraction_horner(coeffs, nodes) -> Poly:
 
 def unreduced_newton_row(h, g, n: int) -> list[int]:
     """Row n of the triangle as integers with no step reduced: with h given
-    as (H, Dh) and g_j = a_j/b_j, N_k = prod_{j>k} a_j*Dh
-    * prod_{j<=k} b_j*(H_n - H_{j-1}), each entry its own product."""
+    as (H, Dh) and g_j = a_j/b_j as the pair (a_j, b_j), N_k = prod_{j>k}
+    a_j*Dh * prod_{j<=k} b_j*(H_n - H_{j-1}), each entry its own product."""
     big, dh = h
     row = []
     for k in range(n + 1):
         value = 1
         for j in range(k + 1, n + 1):
-            value *= g[j].numerator * dh
+            value *= g[j][0] * dh
         for j in range(1, k + 1):
-            value *= g[j].denominator * (big[n] - big[j - 1])
+            value *= g[j][1] * (big[n] - big[j - 1])
         row.append(value)
     return row
 
@@ -299,7 +317,7 @@ def fraction_apply_operator(pv, p: Poly) -> Poly:
         if k + 1 < len(e):
             value += g[k + 1] * e[k + 1]
         out.append(value)
-    return _newton_horner(*_over_lcm(out), pv._values(0, len(out)))
+    return fraction_horner(out, pv._values(0, len(out)))
 
 
 def poly_recurrence_check(pv, n: int) -> bool:
@@ -371,13 +389,24 @@ def per_term_z_series(n, q, x, anchor, upper_extra, lower):
     return total
 
 
+def terminating_sum_of_fractions(upper, lower, q, n, step, scale=(1, 1)):
+    """terminating_sum on rational parameters and a step (coeffs, low) of
+    rational Laurent coefficients, handed over in its integer forms: each
+    parameter as its pair (num, den) and the coefficients as numerators over
+    their lcm."""
+    coeffs, low = step
+    nums, den = _over_lcm([F(c).as_integer_ratio() for c in coeffs])
+    pairs = lambda values: [F(v).as_integer_ratio() for v in values]
+    return terminating_sum(pairs(upper), pairs(lower), q, n, (nums, den, low), scale)
+
+
 def qhyper(upper, lower, q, z, n):
     """The terminating r_phi_s with these parameters at the argument z, on
     terminating_sum: the step factor z (-q^j)^c, c = s - r + 1.  The
     per-x representations keep x among the upper parameters here, where the
     catalog moves it into the step factor."""
     c = len(lower) - len(upper) + 1
-    return terminating_sum(upper, lower, q, n, ((-z if c % 2 else z,), c))
+    return terminating_sum_of_fractions(upper, lower, q, n, ((-z if c % 2 else z,), c))
 
 
 # -- the closed forms as they were evaluated point by point -------------------------
@@ -404,7 +433,7 @@ def per_x_z_series(
 ) -> Fraction:
     """sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
     * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j})."""
-    return terminating_sum((q ** (-n), *upper_extra), lower, q, n, per_x_z_step(q, x, anchor))
+    return terminating_sum_of_fractions((q ** (-n), *upper_extra), lower, q, n, per_x_z_step(q, x, anchor))
 
 
 def per_x_inverse_arg_series(
@@ -424,7 +453,7 @@ def per_x_inverse_arg_series(
     factor weight * (x - node_scale*q^j) * (-q^j)^c has the Laurent
     coefficients s*weight*x, -s*weight*node_scale from the power c, s = (-1)^c."""
     sw = -weight if correction % 2 else weight
-    return terminating_sum(
+    return terminating_sum_of_fractions(
         (q ** (-n), *upper_extra), lower, q, n, ((sw * x, -sw * node_scale), correction)
     )
 
@@ -637,6 +666,14 @@ def fraction_terminating_sum(upper, lower, q, n, step):
                 )
         total += num / den * steps
     return total
+
+
+def fraction_series_row(pref, upper, lower, q, n, low, const, slope, x):
+    """Reference: a catalog _series row at x on Fractions: every parameter
+    as given, a 0 included ((0; q)_k = 1), each step coefficient c + s*x,
+    the Fraction term loop and the prefactor multiplied in last."""
+    coeffs = [F(c) + F(s) * x for c, s in zip(const, slope)]
+    return pref * fraction_terminating_sum((q ** (-n), *upper), lower, q, n, (coeffs, low))
 
 
 def fraction_eval(p: Poly, x) -> F:

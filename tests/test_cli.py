@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -17,6 +19,7 @@ from qscheme.qpolynomial import format_poly
 from qscheme.qrational import rational
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_DOT = DATA / "scheme.dot"
 GOLDEN_VERIFY_ALL_TXT = DATA / "verify_all.txt"
 GOLDEN_VERIFY_ALL_JSON = DATA / "verify_all.json"
@@ -569,3 +572,53 @@ def test_negative_hard_cap_is_a_usage_error(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "QSCHEME_HARD_CAP must be >= 0" in refusal(err)
+
+
+def test_a_negative_base_is_written_with_an_equals_sign(capsys):
+    code, out, err = run(capsys, "eval", "1a", "-q=-1/2", "-n", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].startswith("family 1a (Askey-Wilson), q = -1/2, ")
+
+
+def test_a_negative_base_after_a_space_is_read_as_an_option(capsys):
+    """argparse reads -1/2 after `-q ` as an option, so -q has no value."""
+    code, out, err = run(capsys, "eval", "1a", "-q", "-1/2")
+    assert (code, out, refusal(err)) == (2, "", "argument -q: expected one argument")
+
+
+def qscheme_into(stdout, *argv) -> subprocess.Popen:
+    """`python -m qscheme argv` started with its stdout on the pipe end
+    `stdout` and its stderr captured."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "qscheme", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+@pytest.mark.parametrize("argv", [["verify", "charts"], ["graph", "--format", "json"]])
+def test_a_pipe_closed_before_any_output_ends_the_command_quietly(argv):
+    """As `| head -c 0`: the reader is gone before the first write, so every
+    write fails, and the command exits CLOSED_PIPE with nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = qscheme_into(write, *argv)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (cli.CLOSED_PIPE, b"")
+
+
+@pytest.mark.parametrize("argv", [["verify", "charts"], ["graph", "--format", "json"]])
+def test_a_pipe_closed_after_one_line_ends_the_command_quietly(argv):
+    """As `| head -1`: the reader takes one line and closes.  Whether the
+    rest was already written decides the exit status, 0 or CLOSED_PIPE;
+    stderr stays empty either way."""
+    proc = qscheme_into(subprocess.PIPE, *argv)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, cli.CLOSED_PIPE) and err == b""

@@ -10,6 +10,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -44,6 +45,7 @@ from reference import (
     catalog_monic_polys,
     duality_check,
     fraction_apply_operator,
+    fraction_constraint_failure,
     fraction_horner,
     fraction_to_newton_coeffs,
     nested_loop_collision,
@@ -137,6 +139,38 @@ def test_constructor_rejects_broken_constraints(field, value):
         d = [F(0)] * 5
     with pytest.raises(ConstraintViolation):
         ParameterVector(q=q, a=good["a"], b=good["b"], d=tuple(d))
+
+
+def test_constraints_match_the_fraction_reference():
+    """Seeded fields, valid or with one constraint broken, at positive,
+    negative, integer and inadmissible bases: the constructor refuses
+    exactly what the Fraction checks refuse, with the same message."""
+    rng = random.Random(103)
+    small = lambda: F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5, 7]))
+    bases = [F(1, 2), F(-2, 3), F(3), F(-5, 2), F(7, 4)]
+    seen = {}
+    for _ in range(1500):
+        q = rng.choice(bases) if rng.random() < 0.95 else rng.choice([F(0), F(1), F(-1)])
+        a = (small(), small() if rng.random() < 0.8 else F(0), small() if rng.random() < 0.8 else F(0))
+        b = (small(), small() if rng.random() < 0.8 else F(0), small() if rng.random() < 0.8 else F(0))
+        d3, d4 = (a[1] * b[1] / q, q * a[2] * b[2]) if q not in (0, 1, -1) else (small(), small())
+        d1, d2 = (small(), small()) if rng.random() < 0.75 else (F(0), F(0))
+        d = [-(d1 + d2 + d3 + d4), d1, d2, d3, d4]
+        broken = rng.choice([None, None, 0, 3, 4])
+        if broken is not None:
+            e = F(rng.choice([-1, 1]), rng.choice([1, 3, 11]))
+            d[broken] += e
+            if broken:
+                d[0] -= e  # only d3 or d4 breaks; the sum still vanishes
+        want = fraction_constraint_failure(q, a, b, d)
+        try:
+            ParameterVector(q, a, b, d)
+            got = None
+        except ConstraintViolation as exc:
+            got = str(exc)
+        assert got == want, (q, a, b, d)
+        seen[want] = seen.get(want, 0) + 1
+    assert len(seen) == 9 and min(seen.values()) > 10, seen  # three inadmissible bases
 
 
 @pytest.mark.parametrize("row, value", [("a", (0, 1)), ("b", (0, 1, 2, 0)), ("d", (1, 2, -5, 2, 0, 0))])
@@ -810,6 +844,12 @@ def test_duality_parameter_involution():
 # -- integer kernels and the sequence table --------------------------------------
 
 
+def pairs(values) -> tuple[tuple[int, int], ...]:
+    """Each rational as the reduced pair (num, den), den > 0, that the
+    integer kernels read."""
+    return tuple(F(v).as_integer_ratio() for v in values)
+
+
 def fraction_newton_row(h, g, n: int) -> list[F]:
     """Reference: row n of the triangle by the Fraction recursion
     c[n][k] = c[n][k+1] * g[k+1] / (h[n] - h[k])."""
@@ -865,7 +905,7 @@ def test_negative_degrees_are_refused(pv_3a, build, bound):
         with pytest.raises(ValueError, match=bound):
             build(pv_3a, degree)
     with pytest.raises(ValueError, match="n >= 0"):
-        core._newton_row(pv_3a._integer_prefix(1, 5), pv_3a._values(2, 5), -1)
+        core._newton_row(pv_3a._integer_prefix(1, 5), pv_3a._pairs(2, 5), -1)
 
 
 def test_integer_horner_matches_fraction_reference_on_random_rows():
@@ -882,7 +922,7 @@ def test_integer_horner_matches_fraction_reference_on_random_rows():
         size = rng.randint(0, 12)
         coeffs = [scalar() for _ in range(size)]
         nodes = tuple(scalar() for _ in range(size))
-        assert core._newton_horner(*core._over_lcm(coeffs), nodes) == fraction_horner(coeffs, nodes)
+        assert core._newton_horner(*core._over_lcm(pairs(coeffs)), pairs(nodes)) == fraction_horner(coeffs, nodes)
     kinds = {
         "zero": lambda: F(0),
         "small": lambda: F(rng.randint(-9, 9)),
@@ -898,7 +938,7 @@ def test_integer_horner_matches_fraction_reference_on_random_rows():
             coeffs = [kinds[rng.choice(["zero", "small", "large", "rational"])]() for _ in range(size)]
             nodes = tuple(kinds[rng.choice(mix)]() for _ in range(size))
             want = fraction_horner(coeffs, nodes)
-            assert core._newton_horner(*core._over_lcm(coeffs), nodes) == want, (mix, coeffs, nodes)
+            assert core._newton_horner(*core._over_lcm(pairs(coeffs)), pairs(nodes)) == want, (mix, coeffs, nodes)
             assert product_of_linear(nodes) == fraction_horner([F(0)] * size + [F(1)], nodes + (F(0),))
 
 
@@ -922,7 +962,7 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
                 h.append(value)
         g = tuple(scalar(0.1) for _ in range(n + 1))
         zeros += F(0) in g[1:]
-        row = core._newton_row(core._over_lcm(h), g, n)
+        row = core._newton_row(core._over_lcm(pairs(h)), pairs(g), n)
         want = fraction_newton_row(h, g, n)
         assert all(isinstance(v, int) for v in row) and row[n] != 0
         assert [F(v, row[n]) for v in row] == want
@@ -954,8 +994,8 @@ def test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor():
             g[rng.randint(1, n)] = F(0)
         if n and rng.random() < 0.3:
             h[n] = h[rng.randint(0, n - 1)]
-        hs = core._over_lcm(h)
-        row, ref = core._newton_row(hs, tuple(g), n), unreduced_newton_row(hs, g, n)
+        hs = core._over_lcm(pairs(h))
+        row, ref = core._newton_row(hs, pairs(g), n), unreduced_newton_row(hs, pairs(g), n)
         for k in range(n + 1):
             assert (row[k] > 0) == (ref[k] > 0) and (row[k] < 0) == (ref[k] < 0)
             assert abs(row[k]) <= abs(ref[k])
@@ -983,7 +1023,7 @@ def test_normalized_row_with_a_repeated_eigenvalue_matches_fraction_reference():
         h[n] = h[rng.randint(0, n - 1)]
         x = tuple(F(rng.randint(-20, 20), rng.choice([1, 1, 5])) for _ in range(n + 1))
         g = tuple(F(rng.choice([-1, 1]) * rng.randint(1, 20), rng.choice([1, 2, 7])) for _ in range(n + 1))
-        got = core._normalized(core._over_lcm(h), x[:n], g, n)
+        got = core._normalized(core._over_lcm(pairs(h)), pairs(x[:n]), pairs(g), n)
         assert got == dual_normalized_poly_reference(h, x, g, n)
     pv = catalog.instantiate("3a")
     broken = perturbed(pv, a=(pv.a[0], F(0), F(0)))
@@ -1015,6 +1055,31 @@ def test_sequence_table_matches_laurent_formula():
             assert h[k] == laurent(pv.a, pv.q, k) == pv.eigenvalue(k), (pv, k)
             assert g[k] == laurent(pv.d, pv.q, k) == pv.lowering(k), (pv, k)
     assert unit_q >= 15
+
+
+def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
+    """Each node, eigenvalue and lowering value in the table is an int pair
+    (num, den) in lowest terms with den > 0: the pair of node, eigenvalue or
+    lowering(k), and the Fraction _values reads off it.  Negative k, where
+    the running power of q = p/r is r**-k / p**-k and its denominator is
+    negative for odd k at q < 0, gives reduced pairs too."""
+    negative_q = 0
+    for pv in sequence_vectors():
+        negative_q += pv.q < 0
+        accessors = (pv.node, pv.eigenvalue, pv.lowering)
+        forms = pv._laurent_forms()
+        p, r = pv.q.numerator, pv.q.denominator
+        for which, at in enumerate(accessors):
+            table, values = pv._pairs(which, 31), pv._values(which, 31)
+            assert len(table) == len(values) == 31
+            for k, (num, den) in enumerate(table):
+                assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1, (pv, which, k)
+                assert (num, den) == at(k).as_integer_ratio() and values[k] == F(num, den), (pv, which, k)
+            for k in range(-6, 0):
+                num, den = core._laurent_at(forms[which], r**-k, p**-k)
+                assert den > 0 and gcd(num, den) == 1, (pv, which, k)
+                assert F(num, den) == at(k) == laurent((pv.b, pv.a, pv.d)[which], pv.q, k), (pv, which, k)
+    assert negative_q >= 30
 
 
 def test_sequences_at_negative_k_match_laurent_formula():
@@ -1054,7 +1119,7 @@ def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
                 seq = pv._values(which, m)
                 nums, den = pv._integer_prefix(which, m)
                 assert type(nums) is tuple, (pv, which, m)
-                assert (list(nums), den) == (core._over_lcm(seq) if m > 0 else ([], 1)), (pv, which, m)
+                assert (list(nums), den) == (core._over_lcm(pairs(seq)) if m > 0 else ([], 1)), (pv, which, m)
                 scaled += m > 0 and den != core._over_lcm(pv._table[which])[1]
     assert scaled > 100
 
@@ -1147,8 +1212,8 @@ def test_threads_growing_one_table_get_the_serial_results():
                 x, h, g = pv._table
                 # a slower thread may publish a shorter prefix last
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
-                assert x == tuple(pv.node(k) for k in range(len(x)))
-                assert g == tuple(pv.lowering(k) for k in range(len(g)))
+                assert x == pairs(pv.node(k) for k in range(len(x)))
+                assert g == pairs(pv.lowering(k) for k in range(len(g)))
                 # a thread may lose its entries to another's new memo, but
                 # every entry left behind is a fresh vector's
                 assert pv._prefixes

@@ -18,6 +18,7 @@ from reference import (
     per_term_inverse_arg_series,
     per_term_z_series,
     qhyper,
+    terminating_sum_of_fractions,
 )
 
 rationals = st.fractions(
@@ -132,7 +133,7 @@ def test_negative_bound_is_refused(n):
     with pytest.raises(ValueError, match=f"a terminating series needs n >= 0, got n = {n}"):
         catalog.FAMILIES["3e"].series({"a": F(3), "b": F(1, 5)}, q, n)(F(3))
     with pytest.raises(ValueError, match="n >= 0"):
-        terminating_sum((), (), q, n, ((F(1),), 1))
+        terminating_sum((), (), q, n, ((1,), 1, 1))
 
 
 def test_early_termination_makes_bad_lower_legal():
@@ -207,7 +208,8 @@ def test_shared_term_loop_matches_per_term_reference():
 def test_integer_term_loop_matches_fraction_reference():
     """Value, or error and message, on seeded series with early stops,
     vanishing denominators, Laurent steps from q**-2 up with interior zero
-    coefficients or a zero at q**j = root, and negative, +/-1 and int bases."""
+    coefficients or a zero at q**j = root, and negative, +/-1 and int bases;
+    a prefactor passed as scale multiplies the value."""
     rng = random.Random(6161)
     small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
     seen = dict.fromkeys(
@@ -245,8 +247,12 @@ def test_integer_term_loop_matches_fraction_reference():
         step = (tuple(coeffs), low)
         rng.shuffle(upper)
         want = outcome(fraction_terminating_sum, upper, lower, q, n, step)
-        got = outcome(terminating_sum, upper, lower, q, n, step)
+        got = outcome(terminating_sum_of_fractions, upper, lower, q, n, step)
         assert got == want, (upper, lower, q, n, step)
         assert type(got) is F or got[0] is DivisionByZero
         seen["raised"] += type(want) is tuple
+        # the prefactor as term 0: any sign, and 0, which still sums (and raises)
+        scale = rng.choice([(3, 7), (-5, 2), (4, -9), (0, 1)])
+        scaled = outcome(terminating_sum_of_fractions, upper, lower, q, n, step, scale)
+        assert scaled == (want if type(want) is tuple else want * F(*scale)), (upper, lower, q, n, step, scale)
     assert min(seen.values()) > 20 and lows == {-2, -1, 0, 1}, (seen, lows)
