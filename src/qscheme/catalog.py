@@ -593,7 +593,7 @@ def _resolve(
 
 
 # The live vectors: each instance by (family, parameters in `defaults`
-# order, q), and each vector derived from one by what it is derived from.
+# order, q), and each q-inverted label's vector by ("q_invert", instance).
 # Held weakly, so a vector lives exactly as long as a caller or an engine
 # cache holds it, and equal requests share one vector and its memos.
 _LIVE: weakref.WeakValueDictionary[Hashable, ParameterVector] = weakref.WeakValueDictionary()
@@ -723,12 +723,6 @@ def instance_for_label(
         raise KeyError(f"no registry entry reaches diagram {label!r}")
     base = instantiate(partner, params, q)
     return _live(("q_invert", base), lambda: symmetry.q_invert(base))
-
-
-def gauged_instance(pv: ParameterVector, rho: Fraction) -> ParameterVector:
-    """pv with its nodes scaled by rho, the gauge GaugeAction(rho=rho).
-    Like instantiate's, the vector is shared while any caller holds it."""
-    return _live(("gauge", pv, rho), lambda: symmetry.apply_gauge(pv, symmetry.GaugeAction(rho=rho)))
 
 
 def registry_json() -> list[dict]:

@@ -2,8 +2,9 @@
 
 Each case moves the source family's parameters with epsilon and rescales its
 nodes by the gauge x -> rho(eps) * x, which turns u_n(x) into
-rho**n * u_n(x / rho); the gauged source's monic polynomial then converges
-coefficientwise to the target family's as epsilon goes to zero.
+rho**n * u_n(x / rho); the gap applies that law to the source's own monic
+polynomial, with no gauged copy of the vector, and the rescaled polynomial
+converges coefficientwise to the target family's as epsilon goes to zero.
 
 Because both sides are rational in epsilon, the gap (max absolute
 difference over a fixed sample set larger than the degree) decays
@@ -141,7 +142,7 @@ class LimitCase(NamedTuple):
     source_params: Callable[[Fraction], Mapping[str, Fraction]]
     target_label: str
     target_params: Mapping[str, Fraction]
-    rho: Callable[[Fraction], Fraction]  # the gauge's node scale at epsilon
+    rho: Callable[[Fraction], Fraction]  # the gauge's node scale at epsilon, gap's rho
     eps0: Fraction
     exact_checks: tuple[str, ...] = ()
 
@@ -159,32 +160,32 @@ class LimitCase(NamedTuple):
         return catalog.instance_for_label(self.target_label, self.target_params, _Q)
 
 
-def _gauged_source(case: LimitCase, epsilon: Fraction) -> ParameterVector:
-    """The source vector at epsilon with its nodes scaled by rho(epsilon),
-    shared while alive by the cases whose schedules meet there."""
-    return catalog.gauged_instance(case.source_instance(epsilon), case.rho(epsilon))
-
-
-def gap(source: ParameterVector, target: ParameterVector, n: int) -> Fraction:
-    """Max over the samples of |u_n(x) of source - u_n(x) of target|.
+def gap(source: ParameterVector, target: ParameterVector, n: int, rho: Fraction) -> Fraction:
+    """Max over the samples of |rho**n u_n(x / rho) of source - u_n(x) of target|.
 
     Both monic polynomials have degree n and are read as stored, integer
-    numerators U, V over denominators Du, Dv.  At x = s/r each is one
-    homogeneous Horner over r**n, so the difference there is
-    (U(s, r) Dv - V(s, r) Du) / (Du Dv r**n).  The samples' absolute
-    numerators are compared over their r**n by cross-multiplication, and one
-    Fraction is built, for the largest.
+    numerators U, V over denominators Du, Dv.  With rho = a/c, c > 0, and
+    x = s/r, one homogeneous Horner each gives rho**n u(x / rho) =
+    U(s c, r a) / (Du (r c)**n) and v(x) = V(s, r) / (Dv r**n), so the
+    difference there is (U(s c, r a) Dv - V(s, r) Du c**n) / (Du Dv (r c)**n).
+    The samples' absolute numerators are compared over their r**n by
+    cross-multiplication, and one Fraction is built, for the largest.
+    A zero rho raises ValueError, as it does for GaugeAction.
     """
+    if rho == 0:
+        raise ValueError("gauge scales must be nonzero")
+    a, c = rho.numerator, rho.denominator
     u, v = monic_poly(source, n), monic_poly(target, n)
+    du_cn = u.den * c**n
     best, best_rn = 0, 1
     for x in DEFAULT_SAMPLE_XS:
         s, r = x.numerator, x.denominator
-        num = _homogeneous_horner(u.nums, s, r) * v.den - _homogeneous_horner(v.nums, s, r) * u.den
+        num = _homogeneous_horner(u.nums, s * c, r * a) * v.den - _homogeneous_horner(v.nums, s, r) * du_cn
         num = abs(num)
         rn = r**n
         if num * best_rn > best * rn:
             best, best_rn = num, rn
-    return Fraction(best, u.den * v.den * best_rn)
+    return Fraction(best, du_cn * v.den * best_rn)
 
 
 class GapTrace(NamedTuple):
@@ -240,15 +241,17 @@ def verify(case: LimitCase, n_max: int = 4, t_max: int = 12) -> LimitReport:
     """Gap decay certificate over the epsilon schedule eps0 * EPS_RATIO**t,
     t = 1..t_max, plus the case's exact identities.
 
-    The target vector is built once and each gauged source once per epsilon,
-    so one call makes t_max + 1 instances however large n_max is.  A case
-    fails when no trace saw a nonzero gap: all-zero traces show no decay.
+    The target vector is built once and each source once per epsilon, with
+    the gauge applied by gap to its u_n, so one call makes t_max + 1
+    instances however large n_max is.  A case fails when no trace saw a
+    nonzero gap: all-zero traces show no decay.
     """
     target = case.target_instance()
-    sources = [_gauged_source(case, case.eps_at(t)) for t in range(1, t_max + 1)]
+    epsilons = [case.eps_at(t) for t in range(1, t_max + 1)]
+    sources = [(case.source_instance(eps), case.rho(eps)) for eps in epsilons]
     traces = []
     for n in range(n_max + 1):
-        gaps = tuple(gap(source, target, n) for source in sources)
+        gaps = tuple(gap(source, target, n, rho) for source, rho in sources)
         ratios = tuple(
             gaps[i + 1] / gaps[i]
             for i in range(len(gaps) - 1)

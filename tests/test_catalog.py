@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qscheme import catalog, core, limits, symmetry
+from qscheme import catalog, core, symmetry
 from qscheme.catalog import (
     FAMILIES,
     closed_form,
@@ -29,7 +29,7 @@ from qscheme.classifier import build_graph, pattern_of
 from qscheme.core import monic_poly, recurrence_coeffs
 from qscheme.errors import DivisionByZero, InadmissibleParams, Mismatch
 from qscheme.qpolynomial import product_of_linear
-from qscheme.symmetry import GaugeAction, apply_gauge, q_invert
+from qscheme.symmetry import q_invert
 from qscheme.verify import Q_POOL
 
 from reference import (
@@ -650,30 +650,15 @@ def test_an_inadmissible_request_stores_nothing():
     assert set(catalog._LIVE.keys()) == before
 
 
-def test_primed_labels_and_gauged_sources_hit_the_table(monkeypatch):
+def test_primed_labels_hit_the_table(monkeypatch):
     _clear_engine_caches()
-    built = {"q_invert": 0, "apply_gauge": 0}
-
-    def counting(name, real):
-        def call(*args):
-            built[name] += 1
-            return real(*args)
-
-        return call
-
-    monkeypatch.setattr(symmetry, "q_invert", counting("q_invert", symmetry.q_invert))
-    monkeypatch.setattr(symmetry, "apply_gauge", counting("apply_gauge", symmetry.apply_gauge))
+    built = []
+    real = symmetry.q_invert
+    monkeypatch.setattr(symmetry, "q_invert", lambda pv: built.append(pv) or real(pv))
     params = {"a": F(2, 11), "b": F(3, 13)}
     primed = instance_for_label("3d'", params)
     assert instance_for_label("3d'", {"a": "2/11", "b": "3/13"}, "1/2") is primed
-    assert primed == q_invert(instantiate("3d", params)) and built["q_invert"] == 1
-    # 2a->3b and 2a->3c share their source's epsilon schedule and rho
-    first, second = (case for case in limits.CASES if case.source_label == "2a")
-    eps = first.eps_at(3)
-    gauged = limits._gauged_source(first, eps)
-    assert limits._gauged_source(second, eps) is gauged and built["apply_gauge"] == 1
-    assert gauged == apply_gauge(first.source_instance(eps), GaugeAction(rho=first.rho(eps)))
-    assert limits._gauged_source(first, first.eps_at(4)) is not gauged
+    assert primed == q_invert(instantiate("3d", params)) and len(built) == 1
 
 
 def test_a_vector_lives_while_a_caller_or_an_engine_cache_holds_it():
@@ -720,9 +705,9 @@ def test_threads_racing_on_one_request_get_equal_vectors():
 
 
 def test_nothing_outlives_the_engine_caches():
-    """In a fresh interpreter, a limits and a charts pass (instances, primed
-    labels and gauged sources) fill the table; with the reports dropped and
-    the two caches cleared it is empty, and the next request builds anew."""
+    """In a fresh interpreter, a limits and a charts pass (instances and
+    primed labels) fill the table; with the reports dropped and the two
+    caches cleared it is empty, and the next request builds anew."""
     script = (
         "import gc\n"
         "from qscheme import catalog, core, verify\n"

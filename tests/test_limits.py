@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qscheme import limits, verify as verify_suites
+from qscheme import catalog, limits, symmetry, verify as verify_suites
 from qscheme.classifier import LABELS, build_graph, pattern_of
 from qscheme.core import monic_poly
 from qscheme.limits import (
@@ -18,6 +18,7 @@ from qscheme.limits import (
 )
 from qscheme.qpolynomial import Poly, product_of_linear
 from qscheme.qrational import format_rational
+from qscheme.symmetry import GaugeAction, apply_gauge
 
 import reference
 from reference import fraction_gap
@@ -37,6 +38,12 @@ EXPECTED_IDS = {
 CASE_BY_ID = {case.id: case for case in CASES}
 
 
+def case_gap(case, t: int, n: int) -> F:
+    """The case's gap at its t-th epsilon and degree n, as verify takes it."""
+    eps = case.eps_at(t)
+    return gap(case.source_instance(eps), case.target_instance(), n, case.rho(eps))
+
+
 def test_case_registry():
     assert set(CASE_BY_ID) == EXPECTED_IDS and len(CASES) == len(EXPECTED_IDS)
     assert CASE_BY_ID["4a->5a"].target_label == "5a"
@@ -48,16 +55,13 @@ def test_case_registry():
 def test_zero_degree_gap_vanishes():
     case = CASE_BY_ID["2a->3b"]
     for t in (1, 4, 9):
-        assert gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), 0) == 0
+        assert case_gap(case, t, 0) == 0
 
 
 def test_monomial_limit_gaps_strictly_decrease():
     case = CASE_BY_ID["4a->5a"]
     for n in range(1, 5):
-        gaps = [
-            gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), n)
-            for t in range(1, 13)
-        ]
+        gaps = [case_gap(case, t, n) for t in range(1, 13)]
         assert all(g > 0 for g in gaps)
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
 
@@ -156,10 +160,7 @@ def test_memoised_gaps_match_per_call_gap():
     for case in CASES:
         report = verify(case, n_max=2, t_max=4)
         for trace in report.traces:
-            expected = tuple(
-                gap(limits._gauged_source(case, case.eps_at(t)), case.target_instance(), trace.n)
-                for t in range(1, 5)
-            )
+            expected = tuple(case_gap(case, t, trace.n) for t in range(1, 5))
             assert trace.gaps == expected, (case.id, trace.n)
 
 
@@ -201,22 +202,54 @@ def test_gauged_gap_matches_rescaled_polynomials():
             for n in range(5):
                 diff = monic_poly(source, n).compose_affine(scale) * scale**-n - monic_poly(target, n)
                 expected = max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
-                gauged = limits._gauged_source(case, eps)
-                assert gap(gauged, target, n) == expected, (case.id, t, n)
+                assert gap(source, target, n, case.rho(eps)) == expected, (case.id, t, n)
 
 
 def test_integer_gap_matches_fraction_reference():
+    # Reference: build the gauged vector and subtract its u_n from the target's.
     zero = 0
     for case in CASES:
         target = case.target_instance()
-        for t in range(1, 13):
-            source = limits._gauged_source(case, case.eps_at(t))
-            for n in range(5):
-                want = fraction_gap(source, target, n)
-                got = gap(source, target, n)
+        for t in range(1, 15):
+            eps = case.eps_at(t)
+            source, rho = case.source_instance(eps), case.rho(eps)
+            gauged = apply_gauge(source, GaugeAction(rho=rho))
+            for n in range(7):
+                want = fraction_gap(gauged, target, n)
+                got = gap(source, target, n, rho)
                 assert got == want and type(got) is F, (case.id, t, n)
                 zero += want == 0
     assert zero > 0
+
+
+def test_gap_takes_negative_and_odd_denominator_scales():
+    """Every case's rho is positive over 1 or a power of 2; these scales
+    also put a negative a and an odd c of rho = a/c into the Horner."""
+    vectors = [catalog.instantiate(key) for key in ("1a", "3b", "4e")]
+    for rho in (F(-3, 2), F(5, 7), F(1)):
+        for source in vectors:
+            gauged = apply_gauge(source, GaugeAction(rho=rho))
+            for target in vectors:
+                for n in range(7):
+                    assert gap(source, target, n, rho) == fraction_gap(gauged, target, n), (rho, n)
+
+
+def test_a_zero_gauge_scale_is_refused():
+    pv = catalog.instantiate("3a")
+    for rho in (0, F(0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            gap(pv, pv, 2, rho)
+
+
+def test_limits_build_no_gauged_vector(monkeypatch):
+    calls = []
+    real = symmetry.apply_gauge
+    monkeypatch.setattr(symmetry, "apply_gauge", lambda *args: calls.append(args) or real(*args))
+    report = verify_suites.suite_limits()
+    assert all(c.passed for c in report.checks) and calls == []
+    # the table keeps instances and q-inverted labels only: no ("gauge", ...) key
+    kinds = {key[0] for key in catalog._LIVE.keys()}
+    assert "gauge" not in kinds and kinds <= set(catalog.FAMILIES) | {"q_invert"}
 
 
 @pytest.mark.parametrize(
@@ -235,4 +268,4 @@ def test_gap_compares_samples_over_their_denominators(monkeypatch, diff, expecte
         monkeypatch.setattr(module, "monic_poly", lambda poly, n: poly)
     target = Poly([F(1, 5), 0, 0, 1])
     source = target + diff
-    assert gap(source, target, 3) == fraction_gap(source, target, 3) == expected
+    assert gap(source, target, 3, 1) == fraction_gap(source, target, 3) == expected

@@ -72,7 +72,7 @@ def test_every_entry_point_raises_only_qscheme_errors_and_keeps_its_laws():
         u = outcome(monic_poly, pv, n)
         if not refused(u):
             outcome(apply_operator, pv, u)
-            assert limits.gap(pv, q_invert(pv), n) == 0, where
+            assert limits.gap(pv, q_invert(pv), n, 1) == 0, where
         outcome(normalized_poly, pv, n)
         outcome(dual_normalized_poly, pv, n)
         for chart in ChartId:
