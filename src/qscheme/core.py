@@ -59,7 +59,10 @@ class ParameterVector(_Value):
     Immutable: its value is (q, a, b, d), which `==` (between vectors of one
     class), the hash and `repr` read.  Every route to a vector validates:
     the constructor, and copy and pickle, which rebuild it through the
-    constructor; `copy.copy(pv)` is a private copy with empty memos."""
+    constructor.  The constructor reads the coefficients into integers once,
+    as _forms, which validation, the hash, the repeat test and the sequence
+    table all read; `copy.copy(pv)` rebuilds the forms and the hash, and its
+    table, prefixes and repeats start empty."""
 
     _fields = ("q", "a", "b", "d")
 
@@ -75,29 +78,36 @@ class ParameterVector(_Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if len(self.a) != 3 or len(self.b) != 3 or len(self.d) != 5:
+        a, b, d = self.a, self.b, self.d
+        if len(a) != 3 or len(b) != 3 or len(d) != 5:
             raise ConstraintViolation("expected 3 + 3 + 5 coefficients")
+        # the node, eigenvalue and lowering coefficients in Laurent order
+        # c_{-m..m}, each row as integer numerators over its lcm
+        rows = ((b[2], b[0], b[1]), (a[2], a[0], a[1]), (d[4], d[2], d[0], d[1], d[3]))
+        forms = tuple((tuple(nums), den) for nums, den in
+                      (_over_lcm([c.as_integer_ratio() for c in row]) for row in rows))
+        object.__setattr__(self, "_forms", forms)
         self._validate()
+        object.__setattr__(self, "_hash", hash((self.q.as_integer_ratio(), forms)))
 
     def _validate(self) -> None:
-        """The constraints, on integers: d as numerators ds over their lcm
-        den, and d3 = a1*b1/q and d4 = q*a2*b2 compared cross-multiplied."""
-        q, a, b, d = self.q, self.a, self.b, self.d
+        """The constraints, on the integer forms: with b1, b2 over xd, a1, a2
+        over hd and d over gd, d3 = a1*b1/q and d4 = q*a2*b2 compared
+        cross-multiplied."""
+        q = self.q
         if not admissible_q(q):
             raise ConstraintViolation(f"base q = {q} must avoid 0 and +/-1")
-        (qn, qd), (a1, a1d), (a2, a2d), (b1, b1d), (b2, b2d) = (
-            v.as_integer_ratio() for v in (q, a[1], a[2], b[1], b[2])
-        )
-        ds, den = _over_lcm([v.as_integer_ratio() for v in d])
-        if sum(ds):
+        qn, qd = q.numerator, q.denominator
+        ((b2, _, b1), xd), ((a2, _, a1), hd), (gs, gd) = self._forms
+        if sum(gs):
             raise ConstraintViolation("d coefficients must sum to zero")
-        if ds[3] * a1d * b1d * qn != a1 * b1 * qd * den:
+        if gs[4] * hd * xd * qn != a1 * b1 * qd * gd:
             raise ConstraintViolation("d3 must equal a1*b1/q")
-        if ds[4] * qd * a2d * b2d != qn * a2 * b2 * den:
+        if gs[0] * qd * hd * xd != qn * a2 * b2 * gd:
             raise ConstraintViolation("d4 must equal q*a2*b2")
         if not a1 and not a2:
             raise ConstraintViolation("a1 and a2 cannot both vanish")
-        if not any(ds):
+        if not any(gs):
             raise ConstraintViolation(
                 "all lowering coefficients vanish (degenerate family)"
             )
@@ -106,41 +116,22 @@ class ParameterVector(_Value):
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
     # asked; the integer prefixes _integer_prefix has built, by (which, m);
-    # the first repeats _repeat_within has found, by which; once computed,
-    # the hash and the integer Laurent forms.
+    # the first repeats _repeat_within has found, by which.  _forms and
+    # _hash are set once by the constructor.
     # No part of the value: ==, hash, repr and copies ignore them.  _table
     # is replaced whole, never mutated; each _prefixes and _repeats entry is
     # written once, with its complete value.
     _table = ((), (), ())
     _prefixes = None
     _repeats = None
-    _hash = None
-    _forms = None
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = _Value.__hash__(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    def _laurent_forms(self) -> tuple[tuple[list[int], int], ...]:
-        """The node, eigenvalue and lowering coefficients in Laurent order
-        c_{-m..m}, each as integer numerators over their lcm."""
-        forms = self._forms
-        if forms is None:
-            a, b, d = self.a, self.b, self.d
-            forms = tuple(
-                _over_lcm([c.as_integer_ratio() for c in coeffs])
-                for coeffs in ((b[2], b[0], b[1]), (a[2], a[0], a[1]), (d[4], d[2], d[0], d[1], d[3]))
-            )
-            object.__setattr__(self, "_forms", forms)
-        return forms
+        return self._hash
 
     def _at(self, which: int, k: int) -> Fraction:
         p, r = self.q.numerator, self.q.denominator
         qk = (p**k, r**k) if k >= 0 else (r**-k, p**-k)
-        return Fraction(*_laurent_at(self._laurent_forms()[which], *qk))
+        return Fraction(*_laurent_at(self._forms[which], *qk))
 
     def node(self, k: int) -> Fraction:
         return self._at(0, k)
@@ -166,7 +157,7 @@ class ParameterVector(_Value):
         table = self._table
         start = len(table[0])
         if start < m:
-            forms = self._laurent_forms()
+            forms = self._forms
             p, r = self.q.numerator, self.q.denominator
             P, R = p**start, r**start
             grown = ([], [], [])
@@ -208,8 +199,8 @@ class ParameterVector(_Value):
             memo = {}
             object.__setattr__(self, "_repeats", memo)
         if which not in memo:
-            row = (self.b, self.a)[which]
-            memo[which] = _first_repeat(row[1], row[2], self.q)
+            c2, _, c1 = self._forms[which][0]
+            memo[which] = _first_repeat(c1, c2, self.q.numerator, self.q.denominator)
         hit = memo[which]
         return hit if hit and hit[0] <= depth else None
 
@@ -256,9 +247,11 @@ class ParameterVector(_Value):
         return ParameterVector(data["q"], data["a"], data["b"], data["d"])
 
 
-def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | None:
+def _first_repeat(c1: int, c2: int, p: int, r: int) -> tuple[int, int] | None:
     """The first (n, j), j < n, in (n, j) order, with s_n == s_j among all k
-    for s_k = c0 + c1*q**k + c2*q**-k; None if s never repeats.
+    for s_k = c0 + c1*q**k + c2*q**-k; None if s never repeats.  c1 and c2
+    are integer numerators over one denominator, q = p/r in lowest terms,
+    r > 0.
 
     s_n - s_j = (q**n - q**j)(c1 - c2*q**-(n+j)): s is constant at q = 1 or
     c1 = c2 = 0 and has period 2 at q = -1; otherwise s_n == s_j iff c1, c2
@@ -266,16 +259,16 @@ def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | 
     In lowest terms q**s = p**s/r**s, searched on integers until it outgrows
     c2/c1.  q = 0 leaves q**-k undefined and raises ZeroDivisionError.
     """
-    if q == 0:
+    if not p:
         raise ZeroDivisionError("q = 0 leaves q**-k undefined")
-    if q == 1 or c1 == c2 == 0:
+    if p == r or c1 == c2 == 0:
         return 1, 0
-    if q == -1:
+    if p == -r:
         return (1, 0) if c1 + c2 == 0 else (2, 0)
     if c1 == 0 or c2 == 0:
         return None
-    num, den = (c2 / c1).as_integer_ratio()
-    p, r = q.as_integer_ratio()
+    g = gcd(c2, c1) if c1 > 0 else -gcd(c2, c1)
+    num, den = c2 // g, c1 // g
     P, R, s = p, r, 1
     while abs(P) <= abs(num) and R <= den:
         if (P, R) == (num, den):
@@ -284,9 +277,9 @@ def _first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | 
     return None
 
 
-def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> tuple[int, int]:
+def _laurent_at(form: tuple[tuple[int, ...], int], P: int, R: int) -> tuple[int, int]:
     """sum_e c_e (P/R)**e for coefficients c_{-m..m} given as form =
-    ([n_{-m}, ..., n_m], den), their integer numerators over one
+    ((n_{-m}, ..., n_m), den), their integer numerators over one
     denominator, as the reduced pair (num, den), den > 0, of
 
         sum_e n_e P**(m+e) R**(m-e) / (den P**m R**m),
@@ -305,7 +298,8 @@ def _laurent_at(form: tuple[list[int], int], P: int, R: int) -> tuple[int, int]:
 
 
 class UncheckedParameterVector(ParameterVector):
-    """Constraint checks skipped; only for deliberately broken vectors."""
+    """Constraint checks skipped, the forms and the hash still built; only
+    for deliberately broken vectors."""
 
     def _validate(self) -> None:  # noqa: D102 - negative-test escape hatch
         pass

@@ -63,6 +63,30 @@ def fraction_constraint_failure(q, a, b, d) -> str | None:
     return None
 
 
+def fraction_first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int, int] | None:
+    """Reference: the first (n, j), j < n, with s_n == s_j for s_k = c0 +
+    c1*q**k + c2*q**-k, or None, decided on Fractions: a repeat at q = 1 or
+    c1 = c2 = 0, period 2 at q = -1, and otherwise c2/c1 = q**s with
+    s = n + j, searched on the numerator and denominator of q**s until they
+    outgrow those of c2/c1.  q = 0 raises ZeroDivisionError."""
+    if q == 0:
+        raise ZeroDivisionError("q = 0 leaves q**-k undefined")
+    if q == 1 or c1 == c2 == 0:
+        return 1, 0
+    if q == -1:
+        return (1, 0) if c1 + c2 == 0 else (2, 0)
+    if c1 == 0 or c2 == 0:
+        return None
+    num, den = (c2 / c1).as_integer_ratio()
+    p, r = q.as_integer_ratio()
+    P, R, s = p, r, 1
+    while abs(P) <= abs(num) and R <= den:
+        if (P, R) == (num, den):
+            return s // 2 + 1, s - s // 2 - 1
+        P, R, s = P * p, R * r, s + 1
+    return None
+
+
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:
     """Reference: U_n(node(m)) == dual_U_m(eigenvalue(n)) for one pair, both
     polynomials built for it; verify's duality suite builds each once."""

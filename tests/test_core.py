@@ -46,6 +46,7 @@ from reference import (
     duality_check,
     fraction_apply_operator,
     fraction_constraint_failure,
+    fraction_first_repeat,
     fraction_horner,
     fraction_to_newton_coeffs,
     nested_loop_collision,
@@ -367,6 +368,60 @@ def colliding_vectors(count: int, seed: int):
             a = (a[0], a[1], a[1] * q ** rng.randint(1, 9))
         d = tuple(small() for _ in range(5))
         yield UncheckedParameterVector(q=q, a=a, b=(small(), small(), small()), d=d)
+
+
+def test_first_repeat_on_integers_matches_the_fraction_reference():
+    """2,000 seeded (c1, c2, q): the integer repeat test, given c1 and c2 as
+    numerators over one denominator and q as p/r, returns the Fraction
+    reference's pair or None, or raises its error.  The draws cover c1, c2
+    or both zero, q = +/-1, q = 0, and planted ratios c2/c1 = +/-q**s for
+    s up to 40, at negative q for odd and even s."""
+    rng = random.Random(211)
+    small = lambda: F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 9]))
+    nonzero = lambda: F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.choice([1, 2, 3, 4, 9]))
+    bases = [F(1, 2), F(-2, 3), F(3), F(-5, 2), F(7, 4), F(-1, 3), F(2), F(-3)]
+
+    def result(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return type(exc)
+
+    seen = dict.fromkeys(("zero c1 or c2", "both zero", "unit q", "zero q", "even s, q < 0", "odd s, q < 0"), 0)
+    hits = 0
+    for i in range(2000):
+        kind = i % 8
+        q = rng.choice(bases)
+        c1, c2 = small(), small()
+        if kind == 1:
+            c1, c2 = (F(0), c2) if rng.random() < 0.5 else (c1, F(0))
+        elif kind == 2:
+            c1 = c2 = F(0)
+        elif kind == 3:
+            q = F(rng.choice([-1, 1]))
+            if rng.random() < 0.5:
+                c2 = -c1
+        elif kind == 4:
+            q = F(0)
+        elif kind >= 5:
+            s = rng.randint(1, 40)
+            c1 = nonzero()
+            c2 = rng.choice([-1, 1]) * c1 * q**s
+            if q < 0:
+                seen[("even", "odd")[s % 2] + " s, q < 0"] += 1
+        seen["zero c1 or c2"] += (c1 == 0) != (c2 == 0)
+        seen["both zero"] += c1 == c2 == 0
+        seen["unit q"] += q in (1, -1)
+        seen["zero q"] += q == 0
+        scale = rng.choice([1, 1, 6])
+        (n1, n2), _ = core._over_lcm([c1.as_integer_ratio(), c2.as_integer_ratio()])
+        want = result(fraction_first_repeat, c1, c2, q)
+        got = result(core._first_repeat, n1 * scale, n2 * scale, q.numerator, q.denominator)
+        assert got == want, (c1, c2, q)
+        if q == 0:
+            assert want is ZeroDivisionError
+        hits += isinstance(want, tuple) and q not in (1, -1) and c1 != 0
+    assert min(seen.values()) > 50 and hits > 300, (seen, hits)
 
 
 def test_monic_poly_raises_the_triangle_collision():
@@ -1067,7 +1122,7 @@ def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
     for pv in sequence_vectors():
         negative_q += pv.q < 0
         accessors = (pv.node, pv.eigenvalue, pv.lowering)
-        forms = pv._laurent_forms()
+        forms = pv._forms
         p, r = pv.q.numerator, pv.q.denominator
         for which, at in enumerate(accessors):
             table, values = pv._pairs(which, 31), pv._values(which, 31)
@@ -1130,21 +1185,58 @@ def test_sequence_table_is_not_part_of_the_value():
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
     assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
-    assert fresh._hash is None
     assert grown == fresh and hash(grown) == hash(fresh)
-    assert grown._hash == fresh._hash == hash((grown.q, grown.a, grown.b, grown.d))
-    assert repr(grown) == repr(fresh) == before and "_hash" not in before
+    assert grown._hash == fresh._hash == hash((grown.q.as_integer_ratio(), grown._forms))
+    assert grown._forms == fresh._forms
+    assert repr(grown) == repr(fresh) == before and "_hash" not in before and "_forms" not in before
     assert grown.__reduce__() == (type(grown), (grown.q, grown.a, grown.b, grown.d))
     private = copy.copy(grown)
     assert private == grown and len(private._table[0]) == 0
-    assert private._hash is None and hash(private) == hash(grown)
-    assert private._forms is None and grown._forms is not None
+    # the constructor rebuilds the forms and the hash; the lazy memos start empty
+    assert private._hash == grown._hash and hash(private) == hash(grown)
+    assert private._forms == grown._forms
     assert private._prefixes is None and grown._prefixes
     assert private._repeats is None and grown._repeats == {1: None}  # eigenvalues never repeat
     assert type(grown)._prefixes is None and type(grown)._repeats is None
-    assert type(grown)._hash is None and type(grown)._forms is None
+    assert "_hash" not in vars(ParameterVector) and "_forms" not in vars(ParameterVector)
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
+    assert unchecked._forms == grown._forms
+
+
+def test_forms_and_hash_are_functions_of_the_value(monkeypatch):
+    """Every route to one value builds the same integer forms, the Fraction
+    rows in Laurent order over their lcm, and the same hash: coefficients
+    given as str, int or unreduced Fraction, copy, deepcopy and pickle, and
+    the unchecked twin; an unchecked q = 0 vector too.  Neither building a
+    vector nor hash() hashes a Fraction."""
+    vectors = sequence_vectors()
+    vectors.append(UncheckedParameterVector(q=0, a=(1, 2, 3), b=(1, 0, 2), d=(0, 0, 0, 0, 0)))
+    text = lambda v: str(v.numerator) if v.denominator == 1 else f"{3 * v.numerator}/{3 * v.denominator}"
+    number = lambda v: v.numerator if v.denominator == 1 else text(v)
+    unreduced = lambda v: F(5 * v.numerator, 5 * v.denominator)
+    calls = 0
+    real = F.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    for pv in vectors:
+        a, b, d = pv.a, pv.b, pv.d
+        rows = ((b[2], b[0], b[1]), (a[2], a[0], a[1]), (d[4], d[2], d[0], d[1], d[3]))
+        over_lcm = (core._over_lcm([c.as_integer_ratio() for c in row]) for row in rows)
+        assert pv._forms == tuple((tuple(nums), den) for nums, den in over_lcm), pv
+        cls = type(pv)
+        twins = [cls(str(pv.q), [str(v) for v in a], [str(v) for v in b], [str(v) for v in d])]
+        twins += [cls(f(pv.q), list(map(f, a)), tuple(map(f, b)), list(map(f, d))) for f in (number, unreduced)]
+        twins += [copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))]
+        twins.append(UncheckedParameterVector(pv.q, a, b, d))
+        for twin in twins:
+            assert twin._forms == pv._forms and hash(twin) == hash(pv), (pv, twin)
+    assert calls == 0
 
 
 def test_parameter_vector_value_semantics():
@@ -1170,7 +1262,7 @@ def test_parameter_vector_value_semantics():
     assert weakref.ref(pv)() is pv and weakref.ref(unchecked)() is unchecked
     for twin in (copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))):
         assert type(twin) is ParameterVector and twin == pv and twin is not pv
-        assert twin._table == ((), (), ()) and twin._hash is None
+        assert twin._table == ((), (), ()) and twin._hash == pv._hash and hash(twin) == hash(pv)
     assert ParameterVector("1/2", pv.a, list(pv.b), pv.d) == pv  # coerced by the constructor
     assert type(pickle.loads(pickle.dumps(unchecked))) is UncheckedParameterVector
 
@@ -1186,9 +1278,10 @@ def test_parameter_vector_value_semantics():
 
 def test_threads_growing_one_table_get_the_serial_results():
     """Four threads race to grow one fresh vector's table and to memoise its
-    hash, Laurent forms and integer prefixes; each gets the serial polynomial
-    and hash, the table left behind is a correct prefix, and every integer
-    prefix left behind is correct."""
+    integer prefixes; each gets the serial polynomial and hash, the table
+    left behind is a correct prefix, and every integer prefix left behind is
+    correct.  The forms and the hash are built by the constructor, before
+    any thread starts."""
     degrees = (24, 3, 17, 9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1205,10 +1298,8 @@ def test_threads_growing_one_table_get_the_serial_results():
 
                 with ThreadPoolExecutor(max_workers=len(degrees)) as pool:
                     results = dict(zip(degrees, pool.map(build, degrees, timeout=60)))
-                fields_hash = hash((pv.q, pv.a, pv.b, pv.d))
-                assert results == {n: (u, fields_hash) for n, u in serial.items()}, key
-                assert pv._hash == fields_hash
-                assert pv._forms == copy.copy(pv)._laurent_forms()
+                value_hash = hash(catalog.instantiate(key))
+                assert results == {n: (u, value_hash) for n, u in serial.items()}, key
                 x, h, g = pv._table
                 # a slower thread may publish a shorter prefix last
                 assert len(x) == len(h) == len(g) >= min(degrees) + 1
