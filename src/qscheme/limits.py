@@ -2,32 +2,27 @@
 
 Each case moves the source family's parameters with epsilon and rescales its
 nodes by the gauge x -> rho(eps) * x, which turns u_n(x) into
-rho**n * u_n(x / rho); the gap applies that law to the source's own monic
-polynomial, with no gauged copy of the vector, and the rescaled polynomial
-converges coefficientwise to the target family's as epsilon goes to zero.
-
-Because both sides are rational in epsilon, the gap (max absolute
-difference over a fixed sample set larger than the degree) decays
-geometrically; a case passes when the tail ratios stay below a bound and
-the final gap beats a hard threshold, both compared as exact rationals.
-The gap is computed on the two monic polynomials' integer numerators: each
-sample's difference is one integer over a known denominator, the largest is
-found by cross-multiplication, and one Fraction is built per gap.
-Identities that hold without any limit (power-basis evaluations and
-pairs of representations of one and the same polynomial) are asserted as
-exact equalities instead; each series is the catalog's, read by label,
-each side is set up once per degree and then evaluated at more nonzero
-points than the degree.
+rho**n * u_n(x / rho).  A case is decided on the eleven coefficients, as
+KLS ch. 14 states each limit: the source's registry formulas run on
+Laurent polynomials in eps and, modulo the gauge, must tend to the
+target's.  Three cases change Newton basis on the way; each is a direct
+case composed with two labels that share their u_n.  The gap printed
+beside the decision is taken at the last epsilon, on the polynomials'
+integer numerators.  Identities that hold without any limit (power-basis
+evaluations and pairs of representations of one polynomial) are exact
+equalities of the catalog's series, read by label, each side set up once
+per degree and evaluated at more nonzero points than the degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 from . import catalog
-from .core import ParameterVector, monic_poly
+from .core import ParameterVector, _first_repeat, monic_poly
+from .laurent import Laurent
 from .qpolynomial import _homogeneous_horner, product_of_linear
 from .qrational import format_rational
 
@@ -38,10 +33,6 @@ DEFAULT_SAMPLE_XS = (
     Fraction(1, 2),
     Fraction(3),
 )
-
-RATIO_BOUND = Fraction(3, 4)
-EPS_RATIO = Fraction(1, 2)
-GAP_THRESHOLD = Fraction(1, 10**9)
 
 _Q = catalog.DEFAULT_Q
 
@@ -136,7 +127,9 @@ EXACT_CHECKS: dict[str, Callable[[], bool]] = {
 
 class LimitCase(NamedTuple):
     """One arrow of the scheme: the source family at source_params(eps),
-    its nodes scaled by rho(eps), tends to the target at target_params."""
+    its nodes scaled by rho(eps), tends to the target at target_params.
+    A direct case's source is a registry entry; a composed case names in
+    `via` a direct case with the same source_params and rho."""
 
     source_label: str
     source_params: Callable[[Fraction], Mapping[str, Fraction]]
@@ -145,13 +138,14 @@ class LimitCase(NamedTuple):
     rho: Callable[[Fraction], Fraction]  # the gauge's node scale at epsilon, gap's rho
     eps0: Fraction
     exact_checks: tuple[str, ...] = ()
+    via: str | None = None
 
     @property
     def id(self) -> str:
         return f"{self.source_label}->{self.target_label}"
 
     def eps_at(self, t: int) -> Fraction:
-        return self.eps0 * EPS_RATIO**t
+        return self.eps0 * Fraction(1, 2) ** t
 
     def source_instance(self, eps: Fraction) -> ParameterVector:
         return catalog.instance_for_label(self.source_label, self.source_params(eps), _Q)
@@ -188,80 +182,85 @@ def gap(source: ParameterVector, target: ParameterVector, n: int, rho: Fraction)
     return Fraction(best, du_cn * v.den * best_rn)
 
 
-class GapTrace(NamedTuple):
-    n: int
-    gaps: tuple[Fraction, ...]
-    ratios: tuple[Fraction, ...]
-    converged: bool
+_EPS = Laurent(1, 1)
+_NAMES = ("a0", "a1", "a2", "b0", "b1", "b2", "d0", "d1", "d2", "d3", "d4")
+_LABEL_N_MAX = 8  # fixed, as the identities' bounds are: n_max never empties the check
+
+
+def _gauged_coefficients(case: LimitCase) -> tuple[Laurent, ...]:
+    """a0..d4 of the source at source_params(eps) as Laurent polynomials in
+    eps, by its registry formulas, with the b and d rows scaled by rho(eps)."""
+    spec = catalog.FAMILIES[case.source_label]
+    a, b, d = spec.coefficients({**spec.defaults, **case.source_params(_EPS)}, _Q)
+    rho = case.rho(_EPS)
+    return tuple(map(Laurent, (*a, *(rho * c for c in b), *(rho * c for c in d))))
+
+
+def _failure(case: LimitCase, eps: Fraction) -> str | None:
+    """What first fails in the case's certificate, None when it holds: a
+    composed case's via case and label identities at eps, or a direct
+    case's eleven coefficients, taken modulo the gauge, and its target's
+    separation, which together make u_n converge for every n."""
+    if case.via:
+        via = next(c for c in CASES if c.id == case.via)
+        if failure := _failure(via, eps):
+            return f"via {via.id}: {failure}"
+        for mine, theirs, pv, other in (
+            (case.source_label, via.source_label, case.source_instance(eps), via.source_instance(eps)),
+            (case.target_label, via.target_label, case.target_instance(), via.target_instance()),
+        ):
+            for n in range(_LABEL_N_MAX + 1):
+                if monic_poly(pv, n) != monic_poly(other, n):
+                    return f"label identity {mine} = {theirs} failed at n={n}"
+        return None
+    target = case.target_instance()
+    i = 1 if target.a[1] else 2
+    try:  # mu, with a0 set to the target's, leaves every u_n as it is
+        coeffs = _gauged_coefficients(case)
+        mu = target.a[i] / coeffs[i]
+    except ZeroDivisionError:
+        return "a division by a non-monomial in eps, in the source's coefficients or in mu"
+    coeffs = (target.a[0], *(mu * c for c in coeffs[1:3]), *coeffs[3:6], *(mu * c for c in coeffs[6:]))
+    for name, value, want in zip(_NAMES, map(Laurent, coeffs), (*target.a, *target.b, *target.d)):
+        if value and value.valuation() < 0:
+            return f"{name} diverges as eps**{value.valuation()}"
+        if value.coefficient(0) != want:
+            return f"{name} tends to {format_rational(value.coefficient(0))}, not {format_rational(want)}"
+    c2, _, c1 = target._forms[1][0]
+    if hit := _first_repeat(c1, c2, _Q.numerator, _Q.denominator):
+        return f"the target's eigenvalues repeat at n, j = {hit}"
+    return None
 
 
 class LimitReport(NamedTuple):
-    traces: tuple[GapTrace, ...]
+    failure: str | None  # the certificate's first failure, None when it holds
+    final_gap: Fraction
     exact_checks: tuple[tuple[str, bool], ...]
 
     @property
-    def examined(self) -> bool:
-        """Whether any trace saw a nonzero gap; all-zero traces show no decay."""
-        return any(g != 0 for t in self.traces for g in t.gaps)
-
-    @property
     def ok(self) -> bool:
-        return (
-            self.examined
-            and all(t.converged for t in self.traces)
-            and all(passed for _, passed in self.exact_checks)
-        )
+        return self.failure is None and all(passed for _, passed in self.exact_checks)
 
     @property
     def detail(self) -> str:
-        """The final gap, led by the first degree whose trace did not
-        converge and followed by any failed identity."""
-        if not self.examined:
-            return "no nonzero gap examined"
-        text = f"final gap {format_rational(max(t.gaps[-1] for t in self.traces))}"
-        bad = [t.n for t in self.traces if not t.converged]
-        if bad:
-            text = f"gap decay failed at n={bad[0]}; {text}"
+        """The final gap, after any certificate failure, then any failed identity."""
+        text = f"final gap {format_rational(self.final_gap)}"
+        if self.failure:
+            text = f"{self.failure}; {text}"
         failed = [name for name, passed in self.exact_checks if not passed]
         if failed:
             text += f"; exact identity failed ({', '.join(failed)})"
         return text
 
 
-def _trace_converged(gaps: Sequence[Fraction], ratios: Sequence[Fraction]) -> bool:
-    if all(g == 0 for g in gaps):
-        return True
-    if gaps[-1] >= GAP_THRESHOLD or not ratios:
-        return False
-    tail = ratios[len(ratios) // 2 :]
-    return all(r <= RATIO_BOUND for r in tail)
-
-
 def verify(case: LimitCase, n_max: int = 4, t_max: int = 12) -> LimitReport:
-    """Gap decay certificate over the epsilon schedule eps0 * EPS_RATIO**t,
-    t = 1..t_max, plus the case's exact identities.
-
-    The target vector is built once and each source once per epsilon, with
-    the gauge applied by gap to its u_n, so one call makes t_max + 1
-    instances however large n_max is.  A case fails when no trace saw a
-    nonzero gap: all-zero traces show no decay.
-    """
-    target = case.target_instance()
-    epsilons = [case.eps_at(t) for t in range(1, t_max + 1)]
-    sources = [(case.source_instance(eps), case.rho(eps)) for eps in epsilons]
-    traces = []
-    for n in range(n_max + 1):
-        gaps = tuple(gap(source, target, n, rho) for source, rho in sources)
-        ratios = tuple(
-            gaps[i + 1] / gaps[i]
-            for i in range(len(gaps) - 1)
-            if gaps[i] != 0 and gaps[i + 1] != 0
-        )
-        traces.append(
-            GapTrace(n=n, gaps=gaps, ratios=ratios, converged=_trace_converged(gaps, ratios))
-        )
+    """The case's certificate, for every n, and its exact identities, with
+    the largest gap over n <= n_max at eps_at(t_max) reported beside them."""
+    eps = case.eps_at(t_max)
+    source, target, rho = case.source_instance(eps), case.target_instance(), case.rho(eps)
+    final_gap = max((gap(source, target, n, rho) for n in range(n_max + 1)), default=Fraction(0))
     checks = tuple((name, EXACT_CHECKS[name]()) for name in case.exact_checks)
-    return LimitReport(traces=tuple(traces), exact_checks=checks)
+    return LimitReport(_failure(case, eps), final_gap, checks)
 
 
 # Sources shared by two cases, each built around its targets' parameters.
@@ -283,7 +282,7 @@ def _little_qjacobi(eps: Fraction) -> dict[str, Fraction]:
 CASES: tuple[LimitCase, ...] = (
     # continuous dual q-Hahn -> big q-Laguerre: shrink the node anchor while
     # the two companion parameters grow reciprocally.
-    LimitCase("2a", _cdqhahn, "3b", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16)),
+    LimitCase("2a", _cdqhahn, "3b", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16), via="2a->3c"),
     LimitCase(
         "2a", _cdqhahn, "3c", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16),
         ("cdqhahn_rep_pair", "big_qlaguerre_rep_pair"),
@@ -307,15 +306,15 @@ CASES: tuple[LimitCase, ...] = (
     ),
     LimitCase(
         "2b", _big_qjacobi, "3e", _LITTLE_QJACOBI,
-        lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24),
+        lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24), via="2b->3d",
     ),
     # little q-Jacobi -> q-Bessel: second parameter to -infinity with the
     # product of both parameters held fixed.  The inverse-argument forms sit
-    # on the q-inverted diagram, where 3d' has the same u_n as 3d.
+    # on the q-inverted diagram, where 3d' has the same u_n as 3d and 3e.
     LimitCase("3e", _little_qjacobi, "4g", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24)),
     LimitCase(
         "3d'", _little_qjacobi, "4f'", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24),
-        ("little_qjacobi_rep_pair", "qbessel_rep_pair"),
+        ("little_qjacobi_rep_pair", "qbessel_rep_pair"), via="3e->4g",
     ),
     # continuous big q-Hermite -> monomials.
     LimitCase(

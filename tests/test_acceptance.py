@@ -145,8 +145,10 @@ def test_criterion_6_chart_tables():
 
 
 def test_criterion_7_limit_transitions():
-    """Every limit case passes the geometric-decay certificate (tail ratio
-    <= 3/4, final gap < 10^-9 exactly) for n <= 4, t = 1..12, and the
+    """Every limit case passes its exact certificate: the source's eleven
+    coefficients, as Laurent polynomials in eps and taken modulo the gauge,
+    tend to the target's, or, for the three cases whose Newton basis
+    changes, a direct case's certificate plus two label identities.  The
     embedded exact identities hold with zero gap."""
     assert len(limits.CASES) == 10
     for case in limits.CASES:

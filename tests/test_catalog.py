@@ -706,8 +706,9 @@ def test_threads_racing_on_one_request_get_equal_vectors():
 
 def test_nothing_outlives_the_engine_caches():
     """In a fresh interpreter, a limits and a charts pass (instances and
-    primed labels) fill the table; with the reports dropped and the two
-    caches cleared it is empty, and the next request builds anew."""
+    primed labels, 19 vectors: limits builds one source per case) fill the
+    table; with the reports dropped and the two caches cleared it is empty,
+    and the next request builds anew."""
     script = (
         "import gc\n"
         "from qscheme import catalog, core, verify\n"
@@ -727,4 +728,4 @@ def test_nothing_outlives_the_engine_caches():
     )
     assert done.returncode == 0, done.stderr
     filled, left, table = map(int, done.stdout.split())
-    assert filled > 100 and (left, table) == (0, 0)
+    assert filled > 10 and (left, table) == (0, 0)

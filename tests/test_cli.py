@@ -468,21 +468,22 @@ def test_eval_prints_exact_results_past_the_digit_limit(capsys):
     assert out.splitlines()[-1].startswith(f"24  {expected} ")
 
 
-def test_verify_limits_at_n_max_zero_fails(capsys):
-    # Degree 0 gives all-zero gap traces, which show no decay.
+def test_verify_limits_at_n_max_zero_passes(capsys):
+    # The certificate decides every degree at once; at degree 0 the printed
+    # gap of each case is 0 (u_0 = 1 on both sides).
     code, out, _ = run(capsys, "verify", "limits", "--n-max", "0")
-    assert code == 1
-    assert "[FAIL] limits/2a->3b  (no nonzero gap examined)" in out
+    assert code == 0
+    assert "[pass] limits/2a->3b  (final gap 0)" in out
+    cases = [line for line in out.splitlines() if line.startswith("[pass]") and "final gap" in line]
+    assert len(cases) == 10 and all(line.endswith("(final gap 0)") for line in cases)
 
 
-def test_verify_limits_at_n_max_five_names_the_failing_degree(capsys):
-    # At the default 12 epsilons the degree-5 gaps of 2b->3d and 2b->3e
-    # have not yet fallen below the threshold.
+def test_verify_limits_at_n_max_five_passes(capsys):
+    # The gap-decay test this replaced failed 2b->3d and 2b->3e here: their
+    # degree-5 gaps had not yet fallen below its threshold at the 12th epsilon.
     code, out, _ = run(capsys, "verify", "limits", "--n-max", "5")
-    assert code == 1
-    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
-    assert [line.split()[1] for line in failed] == ["limits/2b->3d", "limits/2b->3e"]
-    assert all(line.split(None, 2)[2].startswith("(gap decay failed at n=5; final gap ") for line in failed)
+    assert code == 0 and "[FAIL]" not in out
+    assert out.splitlines()[-1] == "17/17 checks passed"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Limit transitions: exact gap decay plus the embedded exact identities."""
+"""Limit transitions: the exact certificate on the eleven coefficients, the
+reported final gap and the embedded exact identities."""
 
 from fractions import Fraction as F
 
@@ -11,8 +12,6 @@ from qscheme.limits import (
     CASES,
     DEFAULT_SAMPLE_XS,
     EXACT_CHECKS,
-    GAP_THRESHOLD,
-    RATIO_BOUND,
     gap,
     verify,
 )
@@ -50,6 +49,15 @@ def test_case_registry():
     # every identity is named by some case, so `verify all` runs each of them
     named = {name for case in CASES for name in case.exact_checks}
     assert named == set(EXACT_CHECKS) and len(EXACT_CHECKS) == 7
+    # each composed case goes through a direct case with its source path and rho
+    composed = {case.id: case.via for case in CASES if case.via}
+    assert composed == {"2a->3b": "2a->3c", "2b->3e": "2b->3d", "3d'->4f'": "3e->4g"}
+    for case_id, via_id in composed.items():
+        case, via = CASE_BY_ID[case_id], CASE_BY_ID[via_id]
+        assert via.via is None and case.eps0 == via.eps0
+        for t in (1, 12):
+            eps = case.eps_at(t)
+            assert case.source_params(eps) == via.source_params(eps) and case.rho(eps) == via.rho(eps)
 
 
 def test_zero_degree_gap_vanishes():
@@ -66,20 +74,18 @@ def test_monomial_limit_gaps_strictly_decrease():
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
 
 
-def _final_gap(report) -> str:
-    return format_rational(max(t.gaps[-1] for t in report.traces))
+def final_gap(case, n_max: int = 4, t_max: int = 12) -> F:
+    """The largest gap over n <= n_max at the case's last epsilon."""
+    return max(case_gap(case, t_max, n) for n in range(n_max + 1))
 
 
 @pytest.mark.parametrize("case_id", sorted(EXPECTED_IDS))
 def test_case_converges(case_id):
-    report = verify(CASE_BY_ID[case_id], n_max=4, t_max=12)
-    assert report.ok, report.detail
-    assert report.detail == f"final gap {_final_gap(report)}"
-    for trace in report.traces:
-        if any(g != 0 for g in trace.gaps):
-            assert trace.gaps[-1] < GAP_THRESHOLD
-            tail = trace.ratios[len(trace.ratios) // 2 :]
-            assert all(r <= RATIO_BOUND for r in tail)
+    case = CASE_BY_ID[case_id]
+    report = verify(case, n_max=4, t_max=12)
+    assert report.ok and report.failure is None, report.detail
+    assert report.final_gap == final_gap(case) > 0
+    assert report.detail == f"final gap {format_rational(report.final_gap)}"
 
 
 def test_exact_identities_hold():
@@ -103,24 +109,101 @@ def test_an_identity_is_decided_at_more_points_than_its_degree():
     assert not limits._identity_holds(lhs, planted, 6)
 
 
-def test_failing_detail_names_the_first_non_converged_degree(monkeypatch):
-    monkeypatch.setattr(limits, "GAP_THRESHOLD", F(1, 10**40))
-    report = verify(CASE_BY_ID["4e->5b"], n_max=2, t_max=3)
-    # degree 0 gives all-zero gaps, which count as converged
-    assert [t.converged for t in report.traces] == [True, False, False]
-    assert not report.ok
-    assert report.detail == f"gap decay failed at n=1; final gap {_final_gap(report)}"
+def test_failing_detail_names_the_first_failing_coefficient():
+    # 3a->4c with the target's a doubled: the eigenvalue and node rows do
+    # not hold a, and the lowering row tends to the true target's, whose
+    # d0 = a = -1, so d0 is the first coefficient that differs.
+    case = CASE_BY_ID["3a->4c"]
+    wrong = case._replace(target_params={"a": 2 * case.target_params["a"]})
+    report = verify(wrong)
+    assert not report.ok and report.failure == "d0 tends to -1, not -2"
+    assert report.detail == f"d0 tends to -1, not -2; final gap {format_rational(report.final_gap)}"
+
+
+def test_a_diverging_coefficient_is_named():
+    # 3a->4c without the gauge: its node row (0, a, 1/a) has b1 = a = 1/eps.
+    case = CASE_BY_ID["3a->4c"]._replace(rho=lambda eps: 1)
+    assert verify(case).failure == "b1 diverges as eps**-1"
+
+
+def test_a_sufficient_certificate_rejects_a_faster_gauge():
+    """4a->5a with rho = eps**2 is a true limit of the u_n, but its vector
+    tends to a different vector with the same u_n: the certificate, which is
+    sufficient and not necessary, does not certify it."""
+    case = CASE_BY_ID["4a->5a"]._replace(rho=lambda eps: eps * eps)
+    assert verify(case).failure == "b2 tends to 0, not 1"
+
+
+def test_a_target_whose_eigenvalues_repeat_is_not_certified(monkeypatch):
+    monkeypatch.setattr(limits, "_first_repeat", lambda *args: (3, 1))
+    report = verify(CASE_BY_ID["4e->5b"])
+    assert report.failure == "the target's eigenvalues repeat at n, j = (3, 1)"
+    # a composed case names the direct case whose certificate failed
+    report = verify(CASE_BY_ID["2b->3e"])
+    assert report.failure == "via 2b->3d: the target's eigenvalues repeat at n, j = (3, 1)"
+
+
+def test_a_division_by_a_non_monomial_is_not_certified():
+    # 2b's a1 = a*b*q: with a = 1 + eps it is no monomial, and mu would
+    # divide by it
+    failure = "a division by a non-monomial in eps, in the source's coefficients or in mu"
+    case = CASE_BY_ID["2b->3d"]._replace(source_params=lambda eps: {"a": 1 + eps, "c": eps})
+    assert verify(case).failure == failure
+    # 4a's coefficients divide by a itself
+    case = CASE_BY_ID["4a->5a"]._replace(source_params=lambda eps: {"a": 1 + eps})
+    assert verify(case).failure == failure
+
+
+def _scaled_target(case_id: str, name: str, factor: F):
+    case = CASE_BY_ID[case_id]
+    return case._replace(target_params={**case.target_params, name: case.target_params[name] * factor})
+
+
+def _doubled_source(case_id: str, name: str):
+    case = CASE_BY_ID[case_id]
+    params = case.source_params
+    return case._replace(source_params=lambda eps: {**params(eps), name: 2 * params(eps)[name]})
+
+
+PLANTED = {
+    # a target parameter off by 2**-40 or 2**-60: the gaps keep shrinking by
+    # the same ratio over the whole schedule, and only the coefficients show it
+    "2b->3d target a * (1 + 2**-40)": (_scaled_target("2b->3d", "a", 1 + F(1, 2**40)), "a2 tends to "),
+    "2b->3d target a * (1 + 2**-60)": (_scaled_target("2b->3d", "a", 1 + F(1, 2**60)), "a2 tends to "),
+    "3a->4c target a doubled": (_scaled_target("3a->4c", "a", F(2)), "d0 tends to -1, not -2"),
+    "3a->4b source b doubled": (_doubled_source("3a->4b", "b"), "d0 tends to 2/3, not 1/3"),
+    # the composed case's own target moves off its via case's target
+    "2a->3b target moved": (
+        CASE_BY_ID["2a->3b"]._replace(target_params={"a": F(1, 5), "b": F(-1, 2)}),
+        "label identity 3b = 3c failed at n=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_a_planted_mistake_fails(name):
+    case, failure = PLANTED[name]
+    report = verify(case)
+    assert not report.ok and report.failure.startswith(failure), report.detail
+    assert report.detail.startswith(f"{report.failure}; final gap ")
+
+
+def test_the_2_to_the_minus_40_target_still_shows_a_small_final_gap():
+    """The false target's final gap is as small as the true one's: only the
+    coefficients tell them apart."""
+    case, _ = PLANTED["2b->3d target a * (1 + 2**-40)"]
+    assert final_gap(case) < F(1, 10**9) and final_gap(CASE_BY_ID["2b->3d"]) < F(1, 10**9)
 
 
 def test_failed_identity_is_named_in_the_detail(monkeypatch):
     monkeypatch.setitem(EXACT_CHECKS, "power_basis_identity", lambda: False)
     report = verify(CASE_BY_ID["4a->5a"])
-    assert all(t.converged for t in report.traces) and not report.ok
+    assert report.failure is None and not report.ok
     suffix = "; exact identity failed (power_basis_identity)"
-    assert report.detail == f"final gap {_final_gap(report)}{suffix}"
-    monkeypatch.setattr(limits, "GAP_THRESHOLD", F(1, 10**40))
-    report = verify(CASE_BY_ID["4a->5a"], n_max=2, t_max=3)
-    assert report.detail == f"gap decay failed at n=1; final gap {_final_gap(report)}{suffix}"
+    assert report.detail == f"final gap {format_rational(report.final_gap)}{suffix}"
+    report = verify(CASE_BY_ID["4a->5a"]._replace(rho=lambda eps: eps * eps))
+    gap_text = format_rational(report.final_gap)
+    assert report.detail == f"b2 tends to 0, not 1; final gap {gap_text}{suffix}"
 
 
 def test_every_limit_is_a_scheme_arrow():
@@ -136,50 +219,53 @@ def test_limit_sources_admissible_along_schedule():
             assert pv.h_separation_ok(6)
 
 
-def test_all_zero_gap_traces_fail():
-    # At degree 0 both sides are u_0 = 1, so every gap is 0 and nothing is checked.
-    report = verify(CASES[0], n_max=0)
-    assert all(g == 0 for trace in report.traces for g in trace.gaps)
-    assert not report.examined and not report.ok
-    assert report.detail == "no nonzero gap examined"
-    # 3a->4c is exact up to degree 1, so its first nonzero gap is at n = 2.
-    unexamined = [c.id for c in CASES if not verify(c, n_max=1).examined]
-    assert unexamined == ["3a->4c"]
-
-
-def test_limits_suite_with_no_epsilon_fails_each_case():
-    # t_max = 0 gives empty gap traces: each case fails instead of crashing.
-    expected = {f"limits/{case.id}" for case in CASES}
+def test_a_zero_gap_does_not_decide_a_case():
+    """The certificate holds for every n, so neither the degrees nor the
+    epsilon of the printed gap change a decision: at n_max = 0 (u_0 = 1 on
+    both sides) every gap is 0 and every case still passes, and at t_max = 0
+    the gap is taken at eps0."""
+    for case in CASES:
+        report = verify(case, n_max=0)
+        assert report.ok and report.final_gap == 0, case.id
+        assert report.detail == "final gap 0"
     for reports in ([verify_suites.suite_limits(t_max=0)], verify_suites.run_suite("limits", depth=0)):
-        checks = {c.name: c for r in reports for c in r.checks if c.name in expected}
-        assert set(checks) == expected
-        assert all(not c.passed and c.detail == "no nonzero gap examined" for c in checks.values())
+        checks = {c.name: c for r in reports for c in r.checks}
+        for case in CASES:
+            check = checks[f"limits/{case.id}"]
+            assert check.passed and check.detail == f"final gap {format_rational(final_gap(case, t_max=0))}"
 
 
 def test_memoised_gaps_match_per_call_gap():
+    # verify takes every degree's gap on one source vector; each per-call
+    # gap builds its own
     for case in CASES:
-        report = verify(case, n_max=2, t_max=4)
-        for trace in report.traces:
-            expected = tuple(case_gap(case, t, trace.n) for t in range(1, 5))
-            assert trace.gaps == expected, (case.id, trace.n)
+        for t_max in (1, 4):
+            assert verify(case, n_max=2, t_max=t_max).final_gap == final_gap(case, 2, t_max), case.id
 
 
 def test_verify_builds_each_instance_once(monkeypatch):
-    # Each verify builds t_max sources (one per epsilon) and one target,
-    # however many degrees it checks.
+    """verify asks for one source, at the last epsilon, and one target; a
+    composed case also asks for its via case's source and target.  No
+    vector is built per epsilon of a schedule."""
     real = limits.catalog.instance_for_label
-    built = []
+    asked = []
 
-    def counting(label, *args):
-        built.append(label)
-        return real(label, *args)
+    def counting(label, params, *args):
+        asked.append((label, tuple(sorted(params.items()))))
+        return real(label, params, *args)
 
     monkeypatch.setattr(limits.catalog, "instance_for_label", counting)
     for case in CASES:
-        built.clear()
+        asked.clear()
         verify(case, n_max=2, t_max=4)
-        counts = {"source": built.count(case.source_label), "target": built.count(case.target_label)}
-        assert counts == {"source": 4, "target": 1} and len(built) == 5, case.id
+        eps = case.eps_at(4)
+        want = {(case.source_label, tuple(sorted(case.source_params(eps).items()))),
+                (case.target_label, tuple(sorted(case.target_params.items())))}
+        if case.via:
+            via = CASE_BY_ID[case.via]
+            want |= {(via.source_label, tuple(sorted(via.source_params(eps).items()))),
+                     (via.target_label, tuple(sorted(via.target_params.items())))}
+        assert set(asked) == want, case.id
 
 
 def test_limit_instances_sit_on_their_labels():
