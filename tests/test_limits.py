@@ -220,14 +220,18 @@ def test_limit_sources_admissible_along_schedule():
 
 
 def test_a_zero_gap_does_not_decide_a_case():
-    """The certificate holds for every n, so neither the degrees nor the
-    epsilon of the printed gap change a decision: at n_max = 0 (u_0 = 1 on
-    both sides) every gap is 0 and every case still passes, and at t_max = 0
-    the gap is taken at eps0."""
+    """The certificate holds for every n, so the degrees of the printed gap
+    do not change a decision: at n_max = 0 (u_0 = 1 on both sides) every gap
+    is 0 and every case still passes."""
     for case in CASES:
         report = verify(case, n_max=0)
         assert report.ok and report.final_gap == 0, case.id
         assert report.detail == "final gap 0"
+
+
+def test_limits_suite_with_no_epsilon_passes_each_case():
+    """t_max only sets the epsilon of the printed gap: at t_max = 0 the gap
+    is taken at eps0 and every case still passes on its certificate."""
     for reports in ([verify_suites.suite_limits(t_max=0)], verify_suites.run_suite("limits", depth=0)):
         checks = {c.name: c for r in reports for c in r.checks}
         for case in CASES:
