@@ -592,20 +592,10 @@ def _resolve(
     return spec, coerce_params(spec, params), q
 
 
-# The live vectors: each instance by (family, parameters in `defaults`
-# order, q), and each q-inverted label's vector by ("q_invert", instance).
-# Held weakly, so a vector lives exactly as long as a caller or an engine
-# cache holds it, and equal requests share one vector and its memos.
+# The live vectors, each instance by (family, parameters in `defaults`
+# order, q).  Held weakly, so a vector lives exactly as long as a caller or
+# an engine cache holds it, and equal requests share one vector and its memos.
 _LIVE: weakref.WeakValueDictionary[Hashable, ParameterVector] = weakref.WeakValueDictionary()
-
-
-def _live(key: Hashable, build: Callable[[], ParameterVector]) -> ParameterVector:
-    """The live vector stored under `key`, built and stored on a miss; a
-    build that raises stores nothing."""
-    pv = _LIVE.get(key)
-    if pv is None:
-        pv = _LIVE[key] = build()
-    return pv
 
 
 def instantiate(
@@ -617,17 +607,18 @@ def instantiate(
     Equal requests (parameters and q compared after coercion, q omitted
     meaning DEFAULT_Q) get one shared vector while any caller holds it, so
     its sequence table and memos are shared too; copy.copy(pv) gives a
-    private copy with empty memos."""
+    private copy with empty memos.  A request that is refused stores
+    nothing."""
     spec, p, q = _resolve(family, params, q)
-
-    def build() -> ParameterVector:
+    key = (family, *p.values(), q)
+    pv = _LIVE.get(key)
+    if pv is None:
         a, b, d = spec.coefficients(p, q)
         try:
-            return ParameterVector(q=q, a=a, b=b, d=d)
+            pv = _LIVE[key] = ParameterVector(q=q, a=a, b=b, d=d)
         except ConstraintViolation as exc:
             raise InadmissibleParams(f"{family}: {exc}") from exc
-
-    return _live((family, *p.values(), q), build)
+    return pv
 
 
 def hyper_eval(
@@ -714,15 +705,15 @@ def instance_for_label(
     label: str, params: Mapping | None = None, q: Fraction | int | str | None = None
 ) -> ParameterVector:
     """A vector whose pattern sits at the given diagram label, using the
-    registry entry directly or the q <-> 1/q image of its partner.  Like
-    instantiate's, the vector is shared while any caller holds it."""
+    registry entry directly or the q <-> 1/q image of its partner.  The
+    entry's vector is instantiate's, shared while any caller holds it; a
+    partner's image is built anew on each call."""
     if label in FAMILIES:
         return instantiate(label, params, q)
     partner = label[:-1] if label.endswith("'") else label + "'"
     if partner not in FAMILIES:
         raise KeyError(f"no registry entry reaches diagram {label!r}")
-    base = instantiate(partner, params, q)
-    return _live(("q_invert", base), lambda: symmetry.q_invert(base))
+    return symmetry.q_invert(instantiate(partner, params, q))
 
 
 def registry_json() -> list[dict]:

@@ -62,7 +62,7 @@ class ParameterVector(_Value):
     constructor.  The constructor reads the coefficients into integers once,
     as _forms, which validation, the hash, the repeat test and the sequence
     table all read; `copy.copy(pv)` rebuilds the forms and the hash, and its
-    table, prefixes and repeats start empty."""
+    table and prefixes start empty."""
 
     _fields = ("q", "a", "b", "d")
 
@@ -115,15 +115,13 @@ class ParameterVector(_Value):
     # -- sequences ---------------------------------------------------------
 
     # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked; the integer prefixes _integer_prefix has built, by (which, m);
-    # the first repeats _repeat_within has found, by which.  _forms and
-    # _hash are set once by the constructor.
+    # asked, and the integer prefixes _integer_prefix has built, by
+    # (which, m).  _forms and _hash are set once by the constructor.
     # No part of the value: ==, hash, repr and copies ignore them.  _table
-    # is replaced whole, never mutated; each _prefixes and _repeats entry is
-    # written once, with its complete value.
+    # is replaced whole, never mutated; each _prefixes entry is written
+    # once, with its complete value.
     _table = ((), (), ())
     _prefixes = None
-    _repeats = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -189,19 +187,16 @@ class ParameterVector(_Value):
 
     # -- separation checks (closed form, exact for every q and every k) -------
 
+    def _repeat(self, which: int) -> tuple[int, int] | None:
+        """The first repeat (n, j) among all k of the node (which = 0) or
+        eigenvalue (1) sequence, None if it never repeats."""
+        c2, _, c1 = self._forms[which][0]
+        return _first_repeat(c1, c2, self.q.numerator, self.q.denominator)
+
     def _repeat_within(self, which: int, depth: int) -> tuple[int, int] | None:
-        """The first repeat (n, j), n <= depth, of the node (which = 0) or
-        eigenvalue (1) sequence; _first_repeat runs once per vector and row."""
-        if depth < 1:
-            return None
-        memo = self._repeats
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_repeats", memo)
-        if which not in memo:
-            c2, _, c1 = self._forms[which][0]
-            memo[which] = _first_repeat(c1, c2, self.q.numerator, self.q.denominator)
-        hit = memo[which]
+        """The first repeat (n, j) with n <= depth; nothing is tested below
+        depth 1."""
+        hit = self._repeat(which) if depth >= 1 else None
         return hit if hit and hit[0] <= depth else None
 
     def h_separation_ok(self, depth: int) -> bool:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 from . import catalog
-from .core import ParameterVector, _first_repeat, monic_poly
+from .core import ParameterVector, monic_poly
 from .laurent import Laurent
 from .qpolynomial import _homogeneous_horner, product_of_linear
 from .qrational import format_rational
@@ -226,8 +226,7 @@ def _failure(case: LimitCase, eps: Fraction) -> str | None:
             return f"{name} diverges as eps**{value.valuation()}"
         if value.coefficient(0) != want:
             return f"{name} tends to {format_rational(value.coefficient(0))}, not {format_rational(want)}"
-    c2, _, c1 = target._forms[1][0]
-    if hit := _first_repeat(c1, c2, _Q.numerator, _Q.denominator):
+    if hit := target._repeat(1):
         return f"the target's eigenvalues repeat at n, j = {hit}"
     return None
 
@@ -253,12 +252,19 @@ class LimitReport(NamedTuple):
         return text
 
 
-def verify(case: LimitCase, n_max: int = 4, t_max: int = 12) -> LimitReport:
+# The printed gap's degrees, n <= _GAP_N_MAX, and its epsilon, eps_at(_GAP_T).
+# They decide nothing; these values keep the `verify all` bytes.
+_GAP_N_MAX = 4
+_GAP_T = 12
+
+
+def verify(case: LimitCase) -> LimitReport:
     """The case's certificate, for every n, and its exact identities, with
-    the largest gap over n <= n_max at eps_at(t_max) reported beside them."""
-    eps = case.eps_at(t_max)
+    the largest gap over n <= _GAP_N_MAX at eps_at(_GAP_T) reported beside
+    them."""
+    eps = case.eps_at(_GAP_T)
     source, target, rho = case.source_instance(eps), case.target_instance(), case.rho(eps)
-    final_gap = max((gap(source, target, n, rho) for n in range(n_max + 1)), default=Fraction(0))
+    final_gap = max(gap(source, target, n, rho) for n in range(_GAP_N_MAX + 1))
     checks = tuple((name, EXACT_CHECKS[name]()) for name in case.exact_checks)
     return LimitReport(_failure(case, eps), final_gap, checks)
 

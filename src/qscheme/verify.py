@@ -166,7 +166,7 @@ def random_broken_vector(rng: random.Random) -> UncheckedParameterVector:
 # -- suites --------------------------------------------------------------------
 
 
-def suite_constraints(depth: int = 12) -> SuiteReport:
+def suite_constraints() -> SuiteReport:
     report = SuiteReport("constraints")
     for key, spec in catalog.FAMILIES.items():
         try:
@@ -176,7 +176,7 @@ def suite_constraints(depth: int = 12) -> SuiteReport:
                 and pv.d[3] == pv.a[1] * pv.b[1] / pv.q
                 and pv.d[4] == pv.q * pv.a[2] * pv.b[2]
                 and pv.lowering(0) == 0
-                and pv.h_separation_ok(depth)
+                and pv._repeat(1) is None
                 and pattern_of(pv) == spec.pattern
             )
             report.add(f"constraints/{key}", ok)
@@ -284,10 +284,10 @@ def suite_catalog(n_max: int = 8) -> SuiteReport:
     return report
 
 
-def suite_limits(n_max: int = 4, t_max: int = 12) -> SuiteReport:
+def suite_limits() -> SuiteReport:
     report = SuiteReport("limits")
     for case in limits.CASES:
-        rep = limits.verify(case, n_max=n_max, t_max=t_max)
+        rep = limits.verify(case)
         report.add(f"limits/{case.id}", rep.ok, rep.detail)
         for name, passed in rep.exact_checks:
             report.add(f"limits/{case.id}/{name}", passed, "exact identity")
@@ -365,12 +365,12 @@ def run_suite(
     # suite -> (function, {run_suite argument: suite keyword}).  Built per call
     # so that the module globals are read when the suites run.
     table = {
-        "constraints": (suite_constraints, {"depth": "depth"}),
+        "constraints": (suite_constraints, {}),
         "recurrence": (suite_recurrence, {"n_max": "n_max", "count": "count", "seed": "seed"}),
         "eigen": (suite_eigen, {"n_max": "n_max", "count": "count", "seed": "seed"}),
         "duality": (suite_duality, {"depth": "depth"}),
         "catalog": (suite_catalog, {"n_max": "n_max"}),
-        "limits": (suite_limits, {"n_max": "n_max", "depth": "t_max"}),
+        "limits": (suite_limits, {}),
         "charts": (suite_charts, {}),
         "symmetry": (suite_symmetry, {"seed": "seed"}),  # only within "all"
     }

@@ -45,6 +45,17 @@ def perturbed(
     )
 
 
+def repeating_1a(s: int) -> ParameterVector:
+    """The default 1a with a2 = a1*q**s, and d4 = q*a2*b2 and d0 solved
+    again so that the d sum to zero: an admissible vector whose eigenvalues
+    first repeat at the pair (n, j) with n + j = s, n = s // 2 + 1."""
+    pv = catalog.instantiate("1a")
+    (a0, a1, _), b, (_, d1, d2, d3, _) = pv.a, pv.b, pv.d
+    a2 = a1 * pv.q**s
+    d4 = pv.q * a2 * b[2]
+    return ParameterVector(pv.q, (a0, a1, a2), b, (-(d1 + d2 + d3 + d4), d1, d2, d3, d4))
+
+
 def fraction_constraint_failure(q, a, b, d) -> str | None:
     """Reference: the message of the first constraint a vector with these
     fields breaks, or None, checked on Fractions in the constructor's order."""

@@ -152,7 +152,7 @@ def test_criterion_7_limit_transitions():
     embedded exact identities hold with zero gap."""
     assert len(limits.CASES) == 10
     for case in limits.CASES:
-        report = limits.verify(case, n_max=4, t_max=12)
+        report = limits.verify(case)
         assert report.ok, case.id
     for name, check in limits.EXACT_CHECKS.items():
         assert check(), name

@@ -651,14 +651,19 @@ def test_an_inadmissible_request_stores_nothing():
 
 
 def test_primed_labels_hit_the_table(monkeypatch):
+    """A primed label's vector is q_invert of its partner's shared vector,
+    which equal requests hit in the table; the table keeps no image."""
     _clear_engine_caches()
     built = []
     real = symmetry.q_invert
     monkeypatch.setattr(symmetry, "q_invert", lambda pv: built.append(pv) or real(pv))
     params = {"a": F(2, 11), "b": F(3, 13)}
     primed = instance_for_label("3d'", params)
-    assert instance_for_label("3d'", {"a": "2/11", "b": "3/13"}, "1/2") is primed
-    assert primed == q_invert(instantiate("3d", params)) and len(built) == 1
+    again = instance_for_label("3d'", {"a": "2/11", "b": "3/13"}, "1/2")
+    base = instantiate("3d", params)
+    assert primed == again == q_invert(base)
+    assert len(built) == 2 and all(pv is base for pv in built)
+    assert {key[0] for key in catalog._LIVE.keys()} <= set(catalog.FAMILIES)
 
 
 def test_a_vector_lives_while_a_caller_or_an_engine_cache_holds_it():
@@ -680,7 +685,8 @@ def test_a_vector_lives_while_a_caller_or_an_engine_cache_holds_it():
 def test_threads_racing_on_one_request_get_equal_vectors():
     """Four threads (more than the cores of a small host) ask for the same
     new vectors at once: a race on a miss may build twice, but every thread
-    gets the serial value, and the table then hands out one vector."""
+    gets the serial value, and the table then hands out one vector for the
+    instance; the primed label's image equals it on every call."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -699,7 +705,7 @@ def test_threads_racing_on_one_request_get_equal_vectors():
             primed, plain = instance_for_label("3d'", params), instantiate("3d", params)
             assert plain == serial and primed == q_invert(serial)
             assert all(p == primed and v == plain for p, v in results)
-            assert instance_for_label("3d'", params) is primed and instantiate("3d", params) is plain
+            assert instance_for_label("3d'", params) == primed and instantiate("3d", params) is plain
     finally:
         sys.setswitchinterval(interval)
 

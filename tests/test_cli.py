@@ -17,6 +17,7 @@ from qscheme.cli import build_parser, main
 from qscheme.core import monic_poly
 from qscheme.qpolynomial import format_poly
 from qscheme.qrational import rational
+from reference import repeating_1a
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,17 +115,41 @@ def test_eval_at_the_hard_cap_matches_recorded_digests(capsys, tmp_path):
         assert got == want, key
 
 
-def test_verify_limits_matches_recorded_digests(capsys, tmp_path):
-    """SHA-256 of the stdout and --json bytes of verify limits --n-max 6
-    --depth 14; guards every limit gap and exact identity byte for byte."""
-    recorded = json.loads((DATA / "verify_limits_sha256.json").read_text())["sha256"]
-    target = tmp_path / "limits.json"
-    code, out, _ = run(capsys, "verify", "limits", "--n-max", "6", "--depth", "14", "--json", str(target))
-    assert code == 0
-    assert {
-        "stdout": hashlib.sha256(out.encode()).hexdigest(),
-        "json": hashlib.sha256(target.read_bytes()).hexdigest(),
-    } == recorded
+def _verify_bytes(capsys, tmp_path, *argv) -> tuple[int, str, bytes]:
+    """The exit code, stdout and --json bytes of a `verify` run, whose
+    stderr is empty."""
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", *argv, "--json", str(target))
+    assert err == ""
+    return code, out, target.read_bytes()
+
+
+def test_verify_limits_ignores_n_max_and_depth(capsys, tmp_path):
+    """A limit case is decided for every n, so the size flags reach nothing:
+    the stdout and --json bytes are those of the flag-free run, whose check
+    lines are the golden verify-all file's."""
+    default = _verify_bytes(capsys, tmp_path, "limits")
+    assert default[0] == 0
+    for flags in (("--n-max", "6", "--depth", "14"), ("--n-max", "0"), ("--n-max", "5"), ("--depth", "1")):
+        assert _verify_bytes(capsys, tmp_path, "limits", *flags) == default, flags
+    golden = GOLDEN_VERIFY_ALL_TXT.read_text(encoding="utf-8").splitlines()
+    lines = default[1].splitlines()
+    assert lines[:-1] == [line for line in golden if line.startswith(("[pass] limits/", "[FAIL] limits/"))]
+    assert lines[-1] == "17/17 checks passed"
+
+
+def test_verify_constraints_ignores_depth(capsys, tmp_path, monkeypatch):
+    """Eigenvalue separation is decided for every n, so --depth reaches
+    nothing in the constraints suite: served a 1a whose eigenvalues first
+    repeat at (n, j) = (3, 2), it fails constraints/1a at every depth."""
+    default = _verify_bytes(capsys, tmp_path, "constraints")
+    assert default[0] == 0 and default[1].splitlines()[-1] == "18/18 checks passed"
+    assert _verify_bytes(capsys, tmp_path, "constraints", "--depth", "1") == default
+    planted, real = repeating_1a(5), catalog.instantiate
+    monkeypatch.setattr(catalog, "instantiate", lambda key, *args: planted if key == "1a" else real(key, *args))
+    failing = _verify_bytes(capsys, tmp_path, "constraints")
+    assert failing[0] == 1 and "[FAIL] constraints/1a\n" in failing[1]
+    assert _verify_bytes(capsys, tmp_path, "constraints", "--depth", "1") == failing
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -466,24 +491,6 @@ def test_eval_prints_exact_results_past_the_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
     assert max(abs(c).denominator for c in u.coeffs).bit_length() > 4300 * 3.32
     assert out.splitlines()[-1].startswith(f"24  {expected} ")
-
-
-def test_verify_limits_at_n_max_zero_passes(capsys):
-    # The certificate decides every degree at once; at degree 0 the printed
-    # gap of each case is 0 (u_0 = 1 on both sides).
-    code, out, _ = run(capsys, "verify", "limits", "--n-max", "0")
-    assert code == 0
-    assert "[pass] limits/2a->3b  (final gap 0)" in out
-    cases = [line for line in out.splitlines() if line.startswith("[pass]") and "final gap" in line]
-    assert len(cases) == 10 and all(line.endswith("(final gap 0)") for line in cases)
-
-
-def test_verify_limits_at_n_max_five_passes(capsys):
-    # The gap-decay test this replaced failed 2b->3d and 2b->3e here: their
-    # degree-5 gaps had not yet fallen below its threshold at the 12th epsilon.
-    code, out, _ = run(capsys, "verify", "limits", "--n-max", "5")
-    assert code == 0 and "[FAIL]" not in out
-    assert out.splitlines()[-1] == "17/17 checks passed"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qscheme import catalog, limits, symmetry, verify as verify_suites
+from qscheme import catalog, core, limits, symmetry, verify as verify_suites
 from qscheme.classifier import LABELS, build_graph, pattern_of
 from qscheme.core import monic_poly
 from qscheme.limits import (
@@ -74,17 +74,18 @@ def test_monomial_limit_gaps_strictly_decrease():
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
 
 
-def final_gap(case, n_max: int = 4, t_max: int = 12) -> F:
-    """The largest gap over n <= n_max at the case's last epsilon."""
-    return max(case_gap(case, t_max, n) for n in range(n_max + 1))
+def final_gap(case) -> F:
+    """The largest gap over n <= 4 at the case's 12th epsilon, the degrees
+    and epsilon of the printed gap."""
+    return max(case_gap(case, 12, n) for n in range(5))
 
 
 @pytest.mark.parametrize("case_id", sorted(EXPECTED_IDS))
 def test_case_converges(case_id):
     case = CASE_BY_ID[case_id]
-    report = verify(case, n_max=4, t_max=12)
+    report = verify(case)
     assert report.ok and report.failure is None, report.detail
-    assert report.final_gap == final_gap(case) > 0
+    assert report.final_gap > 0
     assert report.detail == f"final gap {format_rational(report.final_gap)}"
 
 
@@ -135,12 +136,14 @@ def test_a_sufficient_certificate_rejects_a_faster_gauge():
 
 
 def test_a_target_whose_eigenvalues_repeat_is_not_certified(monkeypatch):
-    monkeypatch.setattr(limits, "_first_repeat", lambda *args: (3, 1))
-    report = verify(CASE_BY_ID["4e->5b"])
-    assert report.failure == "the target's eigenvalues repeat at n, j = (3, 1)"
+    # the certificate reads no u_n, so a planted repeat reaches only it
+    monkeypatch.setattr(core, "_first_repeat", lambda *args: (3, 1))
+    case = CASE_BY_ID["4e->5b"]
+    assert limits._failure(case, case.eps_at(12)) == "the target's eigenvalues repeat at n, j = (3, 1)"
     # a composed case names the direct case whose certificate failed
-    report = verify(CASE_BY_ID["2b->3e"])
-    assert report.failure == "via 2b->3d: the target's eigenvalues repeat at n, j = (3, 1)"
+    case = CASE_BY_ID["2b->3e"]
+    failure = limits._failure(case, case.eps_at(12))
+    assert failure == "via 2b->3d: the target's eigenvalues repeat at n, j = (3, 1)"
 
 
 def test_a_division_by_a_non_monomial_is_not_certified():
@@ -219,32 +222,35 @@ def test_limit_sources_admissible_along_schedule():
             assert pv.h_separation_ok(6)
 
 
-def test_a_zero_gap_does_not_decide_a_case():
-    """The certificate holds for every n, so the degrees of the printed gap
-    do not change a decision: at n_max = 0 (u_0 = 1 on both sides) every gap
-    is 0 and every case still passes."""
+def test_a_zero_gap_does_not_decide_a_case(monkeypatch):
+    """The certificate holds for every n, so the printed gap decides
+    nothing: with every gap read as 0, each case still passes and each
+    planted mistake still fails."""
+    monkeypatch.setattr(limits, "gap", lambda *args: F(0))
     for case in CASES:
-        report = verify(case, n_max=0)
-        assert report.ok and report.final_gap == 0, case.id
-        assert report.detail == "final gap 0"
+        report = verify(case)
+        assert report.ok and report.detail == "final gap 0", case.id
+    for case, failure in PLANTED.values():
+        assert verify(case).failure.startswith(failure)
 
 
-def test_limits_suite_with_no_epsilon_passes_each_case():
-    """t_max only sets the epsilon of the printed gap: at t_max = 0 the gap
-    is taken at eps0 and every case still passes on its certificate."""
-    for reports in ([verify_suites.suite_limits(t_max=0)], verify_suites.run_suite("limits", depth=0)):
+def test_limits_suite_takes_no_size_argument():
+    """The limits suite is decided for every n: run_suite passes it none of
+    its size arguments, and its details print the gap of final_gap."""
+    with pytest.raises(TypeError):
+        verify_suites.suite_limits(n_max=6)
+    for reports in ([verify_suites.suite_limits()], verify_suites.run_suite("limits", n_max=0, depth=1)):
         checks = {c.name: c for r in reports for c in r.checks}
         for case in CASES:
             check = checks[f"limits/{case.id}"]
-            assert check.passed and check.detail == f"final gap {format_rational(final_gap(case, t_max=0))}"
+            assert check.passed and check.detail == f"final gap {format_rational(final_gap(case))}"
 
 
 def test_memoised_gaps_match_per_call_gap():
     # verify takes every degree's gap on one source vector; each per-call
     # gap builds its own
     for case in CASES:
-        for t_max in (1, 4):
-            assert verify(case, n_max=2, t_max=t_max).final_gap == final_gap(case, 2, t_max), case.id
+        assert verify(case).final_gap == final_gap(case), case.id
 
 
 def test_verify_builds_each_instance_once(monkeypatch):
@@ -261,8 +267,8 @@ def test_verify_builds_each_instance_once(monkeypatch):
     monkeypatch.setattr(limits.catalog, "instance_for_label", counting)
     for case in CASES:
         asked.clear()
-        verify(case, n_max=2, t_max=4)
-        eps = case.eps_at(4)
+        verify(case)
+        eps = case.eps_at(12)
         want = {(case.source_label, tuple(sorted(case.source_params(eps).items()))),
                 (case.target_label, tuple(sorted(case.target_params.items())))}
         if case.via:
@@ -337,9 +343,9 @@ def test_limits_build_no_gauged_vector(monkeypatch):
     monkeypatch.setattr(symmetry, "apply_gauge", lambda *args: calls.append(args) or real(*args))
     report = verify_suites.suite_limits()
     assert all(c.passed for c in report.checks) and calls == []
-    # the table keeps instances and q-inverted labels only: no ("gauge", ...) key
+    # the table keeps instances only: no ("gauge", ...) or ("q_invert", ...) key
     kinds = {key[0] for key in catalog._LIVE.keys()}
-    assert "gauge" not in kinds and kinds <= set(catalog.FAMILIES) | {"q_invert"}
+    assert kinds <= set(catalog.FAMILIES)
 
 
 @pytest.mark.parametrize(

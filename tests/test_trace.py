@@ -25,7 +25,7 @@ def test_traced_constraints_suite_runs(monkeypatch):
     assert reports[0].passed
     assert tracer.calls("verify.run_suite") == 1
     assert tracer.calls("verify.suite_constraints") == 1
-    assert tracer.calls("core.ParameterVector.h_separation_ok") == 18
+    assert tracer.calls("core.ParameterVector.lowering") == 18
 
 
 def test_bench_workloads_run_and_pass_their_gates(monkeypatch):

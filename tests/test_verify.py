@@ -10,11 +10,12 @@ from fractions import Fraction as F
 import pytest
 
 from qscheme import catalog, core, verify
+from qscheme.classifier import pattern_of
 from qscheme.core import apply_operator
 from qscheme.errors import InadmissibleParams
 from qscheme.qpolynomial import Poly
 from qscheme.symmetry import GaugeAction, apply_gauge
-from reference import perturbed
+from reference import perturbed, repeating_1a
 
 
 def test_first_failure_needs_one_result_and_stops_at_the_first_failure():
@@ -192,10 +193,8 @@ def test_random_parameter_vector_draws_again_after_a_refused_vector():
 
 def test_verify_all_builds_each_live_vector_once(monkeypatch):
     """One cold run_suite("all") at the default seed passes every check and
-    constructs at most 375 ParameterVectors: equal requests share one live
-    vector (514 were built when each request built its own).  A suite may
-    rebuild a default vector that an earlier suite dropped (357 when the
-    pass held the 18 default vectors throughout)."""
+    constructs at most 200 ParameterVectors: equal requests share one live
+    vector (182 are built; 296 when each request builds its own)."""
     built = 0
     real = core.ParameterVector.__post_init__
 
@@ -210,7 +209,7 @@ def test_verify_all_builds_each_live_vector_once(monkeypatch):
     monkeypatch.setattr(core.ParameterVector, "__post_init__", counting)
     checks = [c for report in verify.run_suite("all") for c in report.checks]
     assert len(checks) == 184 and all(c.passed for c in checks)
-    assert 0 < built <= 375
+    assert 0 < built <= 200
 
 
 def test_a_refused_default_vector_fails_its_constraints_and_catalog_checks(monkeypatch):
@@ -228,6 +227,21 @@ def test_a_refused_default_vector_fails_its_constraints_and_catalog_checks(monke
         failed = [c for c in suite.checks if not c.passed]
         assert failed == [verify.CheckResult(f"{suite.suite}/2b", False, "2b: refused on purpose")]
         assert len(suite.checks) == len(catalog.FAMILIES)
+
+
+def test_constraints_fail_eigenvalues_that_first_repeat_past_the_hard_cap(monkeypatch):
+    """The default 1a with a2 = a1 q**59, and d4 and d0 solved again, keeps
+    its pattern, and its eigenvalues first repeat at (n, j) = (30, 29),
+    past any depth the CLI allows: the constraints suite, which checks every
+    n, fails it."""
+    planted = repeating_1a(59)
+    assert planted.h_separation_ok(29) and not planted.h_separation_ok(30)
+    assert pattern_of(planted) == catalog.FAMILIES["1a"].pattern
+    real = catalog.instantiate
+    monkeypatch.setattr(catalog, "instantiate", lambda key, *args: planted if key == "1a" else real(key, *args))
+    checks = {c.name: c.passed for c in verify.suite_constraints().checks}
+    assert checks.pop("constraints/1a") is False
+    assert all(checks.values()) and len(checks) == len(catalog.FAMILIES) - 1
 
 
 def test_run_suite_refuses_an_unknown_suite():
