@@ -124,18 +124,45 @@ def _verify_bytes(capsys, tmp_path, *argv) -> tuple[int, str, bytes]:
     return code, out, target.read_bytes()
 
 
-def test_verify_limits_ignores_n_max_and_depth(capsys, tmp_path):
-    """A limit case is decided for every n, so the size flags reach nothing:
-    the stdout and --json bytes are those of the flag-free run, whose check
-    lines are the golden verify-all file's."""
-    default = _verify_bytes(capsys, tmp_path, "limits")
-    assert default[0] == 0
-    for flags in (("--n-max", "6", "--depth", "14"), ("--n-max", "0"), ("--n-max", "5"), ("--depth", "1")):
-        assert _verify_bytes(capsys, tmp_path, "limits", *flags) == default, flags
+def test_verify_limits_matches_recorded_digests(capsys, tmp_path):
+    """SHA-256 of the stdout and --json bytes of verify limits --n-max 6
+    --depth 14; guards every limit gap and exact identity byte for byte. A
+    limit case is decided for every n, so the size flags reach nothing: the
+    bytes are those of the flag-free run, whose check lines are the golden
+    verify-all file's."""
+    recorded = json.loads((DATA / "verify_limits_sha256.json").read_text())["sha256"]
+    code, out, report = _verify_bytes(capsys, tmp_path, "limits", "--n-max", "6", "--depth", "14")
+    assert code == 0
+    assert {
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "json": hashlib.sha256(report).hexdigest(),
+    } == recorded
+    assert _verify_bytes(capsys, tmp_path, "limits") == (code, out, report)
+    assert _verify_bytes(capsys, tmp_path, "limits", "--depth", "1") == (code, out, report)
     golden = GOLDEN_VERIFY_ALL_TXT.read_text(encoding="utf-8").splitlines()
-    lines = default[1].splitlines()
+    lines = out.splitlines()
     assert lines[:-1] == [line for line in golden if line.startswith(("[pass] limits/", "[FAIL] limits/"))]
     assert lines[-1] == "17/17 checks passed"
+
+
+def test_verify_limits_at_n_max_zero_passes(capsys, tmp_path):
+    # --n-max no longer reaches the limits suite: at --n-max 0 each of the
+    # ten cases still prints its final gap at the fixed degree bound, and
+    # the bytes are those of the flag-free run.
+    code, out, report = _verify_bytes(capsys, tmp_path, "limits", "--n-max", "0")
+    assert code == 0
+    cases = [line for line in out.splitlines() if line.startswith("[pass]") and "final gap" in line]
+    assert len(cases) == 10 and not any(line.endswith("(final gap 0)") for line in cases)
+    assert _verify_bytes(capsys, tmp_path, "limits") == (code, out, report)
+
+
+def test_verify_limits_at_n_max_five_passes(capsys, tmp_path):
+    # The gap-decay test this replaced failed 2b->3d and 2b->3e here: their
+    # degree-5 gaps had not yet fallen below its threshold at the 12th epsilon.
+    code, out, report = _verify_bytes(capsys, tmp_path, "limits", "--n-max", "5")
+    assert code == 0 and "[FAIL]" not in out
+    assert out.splitlines()[-1] == "17/17 checks passed"
+    assert _verify_bytes(capsys, tmp_path, "limits") == (code, out, report)
 
 
 def test_verify_constraints_ignores_depth(capsys, tmp_path, monkeypatch):
