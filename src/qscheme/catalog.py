@@ -592,9 +592,9 @@ def _resolve(
     return spec, coerce_params(spec, params), q
 
 
-# The live vectors, each instance by (family, parameters in `defaults`
-# order, q).  Held weakly, so a vector lives exactly as long as a caller or
-# an engine cache holds it, and equal requests share one vector and its memos.
+# The live vectors, by (family, parameters in `defaults` order, q) as integer
+# ratios.  Held weakly, so a vector lives exactly as long as a caller or an
+# engine cache holds it, and equal requests share one vector and its memos.
 _LIVE: weakref.WeakValueDictionary[Hashable, ParameterVector] = weakref.WeakValueDictionary()
 
 
@@ -610,7 +610,7 @@ def instantiate(
     private copy with empty memos.  A request that is refused stores
     nothing."""
     spec, p, q = _resolve(family, params, q)
-    key = (family, *p.values(), q)
+    key = (family, *(v.as_integer_ratio() for v in p.values()), q.as_integer_ratio())
     pv = _LIVE.get(key)
     if pv is None:
         a, b, d = spec.coefficients(p, q)

@@ -26,7 +26,7 @@ Laurent evaluation on integers with one gcd.  The integer kernels (the
 Newton row, the Newton Horner, the recurrence coefficients, the operator,
 the normalized polynomials) read those pairs, or a prefix of them over the
 lcm of its denominators, and build no Fraction per value; node, eigenvalue
-and lowering(k) and _values are the Fraction view.
+and lowering(k) are the Fraction view.
 """
 
 from __future__ import annotations
@@ -139,11 +139,6 @@ class ParameterVector(_Value):
 
     def lowering(self, k: int) -> Fraction:
         return self._at(2, k)
-
-    def _values(self, which: int, m: int) -> tuple[Fraction, ...]:
-        """node (which = 0), eigenvalue (1) or lowering (2) at k < m, as
-        Fractions read off the table's pairs."""
-        return tuple(Fraction(num, den) for num, den in self._pairs(which, m))
 
     def _pairs(self, which: int, m: int) -> tuple[tuple[int, int], ...]:
         """node (which = 0), eigenvalue (1) or lowering (2) at k < m, each

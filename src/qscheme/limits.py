@@ -25,6 +25,7 @@ from .core import ParameterVector, monic_poly
 from .laurent import Laurent
 from .qpolynomial import _homogeneous_horner, product_of_linear
 from .qrational import format_rational
+from .symmetry import gauge_rows
 
 DEFAULT_SAMPLE_XS = (
     Fraction(-2),
@@ -187,15 +188,6 @@ _NAMES = ("a0", "a1", "a2", "b0", "b1", "b2", "d0", "d1", "d2", "d3", "d4")
 _LABEL_N_MAX = 8  # fixed, as the identities' bounds are: n_max never empties the check
 
 
-def _gauged_coefficients(case: LimitCase) -> tuple[Laurent, ...]:
-    """a0..d4 of the source at source_params(eps) as Laurent polynomials in
-    eps, by its registry formulas, with the b and d rows scaled by rho(eps)."""
-    spec = catalog.FAMILIES[case.source_label]
-    a, b, d = spec.coefficients({**spec.defaults, **case.source_params(_EPS)}, _Q)
-    rho = case.rho(_EPS)
-    return tuple(map(Laurent, (*a, *(rho * c for c in b), *(rho * c for c in d))))
-
-
 def _failure(case: LimitCase, eps: Fraction) -> str | None:
     """What first fails in the case's certificate, None when it holds: a
     composed case's via case and label identities at eps, or a direct
@@ -213,15 +205,15 @@ def _failure(case: LimitCase, eps: Fraction) -> str | None:
                 if monic_poly(pv, n) != monic_poly(other, n):
                     return f"label identity {mine} = {theirs} failed at n={n}"
         return None
-    target = case.target_instance()
+    target, spec = case.target_instance(), catalog.FAMILIES[case.source_label]
     i = 1 if target.a[1] else 2
-    try:  # mu, with a0 set to the target's, leaves every u_n as it is
-        coeffs = _gauged_coefficients(case)
-        mu = target.a[i] / coeffs[i]
+    try:  # the source's rows in eps, gauged: mu and tau take a_i and a0 to the target's
+        a, b, d = spec.coefficients({**spec.defaults, **case.source_params(_EPS)}, _Q)
+        mu = target.a[i] / Laurent(a[i])
+        rows = gauge_rows(a, b, d, target.a[0] / mu - a[0], mu, 0, Laurent(case.rho(_EPS)))
     except ZeroDivisionError:
         return "a division by a non-monomial in eps, in the source's coefficients or in mu"
-    coeffs = (target.a[0], *(mu * c for c in coeffs[1:3]), *coeffs[3:6], *(mu * c for c in coeffs[6:]))
-    for name, value, want in zip(_NAMES, map(Laurent, coeffs), (*target.a, *target.b, *target.d)):
+    for name, value, want in zip(_NAMES, (c for row in rows for c in row), (*target.a, *target.b, *target.d)):
         if value and value.valuation() < 0:
             return f"{name} diverges as eps**{value.valuation()}"
         if value.coefficient(0) != want:

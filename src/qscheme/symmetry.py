@@ -48,18 +48,21 @@ class GaugeAction(_Value):
             object.__setattr__(self, name, value)
 
 
-def apply_gauge(pv: ParameterVector, g: GaugeAction) -> ParameterVector:
+def gauge_rows(a, b, d, tau, mu, sigma, rho) -> tuple[tuple, tuple, tuple]:
     """a0 -> mu*(a0+tau), a1,a2 -> mu*., b0 -> rho*(b0+sigma), b1,b2 -> rho*.,
-    d_i -> mu*rho*d_i.  The defining constraints are preserved."""
-    a0, a1, a2 = pv.a
-    b0, b1, b2 = pv.b
-    scale = g.mu * g.rho
-    return ParameterVector(
-        q=pv.q,
-        a=(g.mu * (a0 + g.tau), g.mu * a1, g.mu * a2),
-        b=(g.rho * (b0 + g.sigma), g.rho * b1, g.rho * b2),
-        d=tuple(scale * v for v in pv.d),
+    d_i -> mu*rho*d_i.  Only + and * are used: the rows may hold Fractions
+    or Laurent polynomials."""
+    scale = mu * rho
+    return (
+        (mu * (a[0] + tau), mu * a[1], mu * a[2]),
+        (rho * (b[0] + sigma), rho * b[1], rho * b[2]),
+        tuple(scale * v for v in d),
     )
+
+
+def apply_gauge(pv: ParameterVector, g: GaugeAction) -> ParameterVector:
+    """gauge_rows on the vector's rows, which preserves the constraints."""
+    return ParameterVector(pv.q, *gauge_rows(pv.a, pv.b, pv.d, g.tau, g.mu, g.sigma, g.rho))
 
 
 def q_invert(pv: ParameterVector) -> ParameterVector:
@@ -98,7 +101,6 @@ class ChartId(Enum):
 class ChartPoint(NamedTuple):
     chart: ChartId
     coords: tuple[Fraction, Fraction, Fraction, Fraction]
-    vector: ParameterVector
 
     @property
     def signature(self) -> tuple[bool, bool, bool, bool]:
@@ -107,8 +109,8 @@ class ChartPoint(NamedTuple):
 
 
 def canonicalize(pv: ParameterVector, chart: ChartId) -> ChartPoint:
-    """Gauge the vector into the chart: shifts pin a0 = b0 = 0, scales pin
-    the chart's two coordinates to 1; returns the four local coordinates."""
+    """Gauge the vector's rows into the chart: shifts pin a0 = b0 = 0, scales
+    pin the chart's two coordinates to 1; returns the four local coordinates."""
     a2 = pv.a[2]
     if a2 == 0:
         raise ChartUnreachable(f"{chart.name}: a2 = 0 cannot be scaled to 1")
@@ -123,16 +125,14 @@ def canonicalize(pv: ParameterVector, chart: ChartId) -> ChartPoint:
         if d0 == 0:
             raise ChartUnreachable(f"{chart.name}: d0 = 0 cannot be scaled to 1")
         rho = a2 / d0
-    gauged = apply_gauge(
-        pv, GaugeAction(tau=-pv.a[0], mu=mu, sigma=-pv.b[0], rho=rho)
-    )
+    a, b, d = gauge_rows(pv.a, pv.b, pv.d, -pv.a[0], mu, -pv.b[0], rho)
     if chart is ChartId.A2B2:
-        coords = (gauged.a[1], gauged.b[1], gauged.d[0], gauged.d[1])
+        coords = (a[1], b[1], d[0], d[1])
     elif chart is ChartId.A2D0_D1:
-        coords = (gauged.a[1], gauged.b[1], gauged.b[2], gauged.d[1])
+        coords = (a[1], b[1], b[2], d[1])
     else:
-        coords = (gauged.a[1], gauged.b[1], gauged.b[2], gauged.d[2])
-    return ChartPoint(chart=chart, coords=coords, vector=gauged)
+        coords = (a[1], b[1], b[2], d[2])
+    return ChartPoint(chart=chart, coords=coords)
 
 
 # -- published chart tables --------------------------------------------------

@@ -328,12 +328,18 @@ def fraction_deflate(p: Poly, root) -> tuple[Poly, F]:
     return Poly(quotient.coeffs), rem
 
 
+def fraction_values(pv, which: int, m: int) -> tuple[F, ...]:
+    """node (which = 0), eigenvalue (1) or lowering (2) at k < m, as
+    Fractions built from the sequence table's integer pairs."""
+    return tuple(F(num, den) for num, den in pv._pairs(which, m))
+
+
 def fraction_to_newton_coeffs(pv, p: Poly) -> list[F]:
     """Reference: coefficients e_k with p = sum e_k v_k, by repeated node
     deflation on Fractions."""
     out: list[F] = []
     rest = p
-    for node in pv._values(0, p.degree + 1):
+    for node in fraction_values(pv, 0, p.degree + 1):
         rest, value = fraction_deflate(rest, node)
         out.append(value)
     if not out:
@@ -345,14 +351,14 @@ def fraction_apply_operator(pv, p: Poly) -> Poly:
     """Reference: L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1} applied
     termwise to the Fraction Newton coefficients of p."""
     e = fraction_to_newton_coeffs(pv, p)
-    h, g = pv._values(1, len(e)), pv._values(2, len(e))
+    h, g = fraction_values(pv, 1, len(e)), fraction_values(pv, 2, len(e))
     out = []
     for k in range(len(e)):
         value = h[k] * e[k]
         if k + 1 < len(e):
             value += g[k + 1] * e[k + 1]
         out.append(value)
-    return fraction_horner(out, pv._values(0, len(out)))
+    return fraction_horner(out, fraction_values(pv, 0, len(out)))
 
 
 def poly_recurrence_check(pv, n: int) -> bool:

@@ -650,6 +650,21 @@ def test_an_inadmissible_request_stores_nothing():
     assert set(catalog._LIVE.keys()) == before
 
 
+def test_instantiate_hashes_no_fraction(monkeypatch):
+    """The live table's keys hold the parameters and q as integer ratios, so
+    neither a miss nor a hit hashes a Fraction."""
+    hashed = []
+    fraction_hash = F.__hash__
+    params, q = {"a": F(5, 17), "b": F(-7, 19), "c": F(3, 23), "d": F(11, 29)}, F(-4, 31)
+    before = len(catalog._LIVE)
+    monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or fraction_hash(self))
+    built = instantiate("1a", params, q)
+    assert len(catalog._LIVE) == before + 1
+    assert instantiate("1a", params, q) is built
+    monkeypatch.undo()
+    assert not hashed, hashed
+
+
 def test_primed_labels_hit_the_table(monkeypatch):
     """A primed label's vector is q_invert of its partner's shared vector,
     which equal requests hit in the table; the table keeps no image."""

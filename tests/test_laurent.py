@@ -1,4 +1,4 @@
-"""Laurent polynomials in eps, and the limit certificate's coefficients.
+"""Laurent polynomials in eps, and the limit certificate's gauged rows.
 
 Each law is checked by evaluating both sides at several rational eps, an
 evaluation the module itself does not need, read off the stored terms.
@@ -11,6 +11,7 @@ import pytest
 
 from qscheme import limits
 from qscheme.laurent import Laurent
+from qscheme.symmetry import GaugeAction, apply_gauge, gauge_rows
 
 EPSILONS = (F(1, 3), F(-2), F(5, 7), F(1, 2**20))
 DIRECT = ("2a->3c", "3a->4c", "3a->4b", "2b->3d", "3e->4g", "4a->5a", "4e->5b")
@@ -91,13 +92,19 @@ def test_a_non_rational_does_not_mix_in():
 
 
 @pytest.mark.parametrize("case_id", DIRECT)
-def test_certificate_coefficients_are_the_engine_vectors(case_id):
-    """The Laurent coefficients at eps = eps_at(t) are the vector the engine
-    builds at that eps, gauged by rho: the certificate reads the same
-    formulas as verify's source."""
+def test_certificate_coefficients_are_the_engine_vectors(case_id, monkeypatch):
+    """The certificate's gauged Laurent rows at eps = eps_at(t) are the
+    vector the engine builds at that eps, under apply_gauge with the
+    certificate's (tau, mu, 0, rho) at eps: the certificate reads the same
+    formulas as verify's source and applies the same gauge law."""
     case = CASE_BY_ID[case_id]
-    coeffs = limits._gauged_coefficients(case)
+    calls = []
+    monkeypatch.setattr(limits, "gauge_rows", lambda *args: calls.append(args) or gauge_rows(*args))
+    assert limits._failure(case, case.eps_at(0)) is None
+    ((a, b, d, tau, mu, sigma, rho),) = calls
+    rows = gauge_rows(a, b, d, tau, mu, sigma, rho)
+    assert sigma == 0
     for t in (0, 1, 7, 12):
         eps = case.eps_at(t)
-        pv, rho = case.source_instance(eps), case.rho(eps)
-        assert [at(c, eps) for c in coeffs] == [*pv.a, *(rho * c for c in pv.b), *(rho * c for c in pv.d)]
+        pv = apply_gauge(case.source_instance(eps), GaugeAction(at(tau, eps), at(mu, eps), 0, at(rho, eps)))
+        assert [at(c, eps) for row in rows for c in row] == [*pv.a, *pv.b, *pv.d]

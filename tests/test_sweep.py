@@ -5,7 +5,8 @@ Each call either returns or raises a QSchemeError (`outcome` lets no other
 exception through), and the table never fails its own check.  Where the
 calls succeed, the exact laws between them must hold: the recurrence, the
 table's rows, q_invert leaving u_n unchanged, the two involutions, the
-inverse gauge and the gauge invariance of the zero pattern.
+inverse gauge and the gauge invariance of the zero pattern and of each
+chart's coordinates.
 """
 
 import random
@@ -75,8 +76,6 @@ def test_every_entry_point_raises_only_qscheme_errors_and_keeps_its_laws():
             assert limits.gap(pv, q_invert(pv), n, 1) == 0, where
         outcome(normalized_poly, pv, n)
         outcome(dual_normalized_poly, pv, n)
-        for chart in ChartId:
-            outcome(canonicalize, pv, chart)
 
         assert q_invert(q_invert(pv)) == pv, where
         dual = outcome(dualize, pv)
@@ -86,4 +85,6 @@ def test_every_entry_point_raises_only_qscheme_errors_and_keeps_its_laws():
         gauged = apply_gauge(pv, g)
         assert apply_gauge(gauged, inverse) == pv, (where, g)
         assert outcome(pattern_of, gauged) == outcome(pattern_of, pv), (where, g)
+        for chart in ChartId:  # a chart point, or the same refusal
+            assert outcome(canonicalize, gauged, chart) == outcome(canonicalize, pv, chart), (where, g, chart)
     assert vectors > 1000 and checked > 1000, (vectors, checked)

@@ -9,13 +9,14 @@ import pytest
 
 from qscheme import catalog
 from qscheme.classifier import LABELS, pattern_of
-from qscheme.core import monic_poly
+from qscheme.core import ParameterVector, monic_poly
 from qscheme.errors import ChartUnreachable, XSeparationViolated
 from qscheme.symmetry import (
     CHART_DISCREPANCIES,
     CHART_ROW_INSTANCE_LABEL,
     CHART_ROWS,
     ChartId,
+    ChartPoint,
     GaugeAction,
     apply_gauge,
     canonicalize,
@@ -23,7 +24,7 @@ from qscheme.symmetry import (
     q_invert,
 )
 from qscheme.verify import random_parameter_vector
-from reference import duality_check
+from reference import duality_check, outcome
 
 
 def constraints_hold(pv) -> bool:
@@ -182,8 +183,11 @@ def test_self_dual_patterns():
 
 def test_canonicalize_pins_and_coords(pv_1a_top):
     point = canonicalize(pv_1a_top, ChartId.A2B2)
-    assert point.vector.a[0] == 0 and point.vector.b[0] == 0
-    assert point.vector.a[2] == 1 and point.vector.b[2] == 1
+    (a0, _, a2), (b0, _, b2) = pv_1a_top.a, pv_1a_top.b
+    pinned = apply_gauge(pv_1a_top, GaugeAction(-a0, 1 / a2, -b0, 1 / b2))
+    assert pinned.a[0] == 0 and pinned.b[0] == 0
+    assert pinned.a[2] == 1 and pinned.b[2] == 1
+    assert point.coords == (pinned.a[1], pinned.b[1], pinned.d[0], pinned.d[1])
     assert all(c != 0 for c in point.coords)  # top family: all black
 
 
@@ -198,12 +202,23 @@ def test_canonicalize_bottom_family_all_zero():
     assert point.coords == (0, 0, 0, 0)
 
 
-def test_canonicalize_idempotent(pv_3a):
-    for chart in ChartId:
-        point = canonicalize(pv_3a, chart)
-        again = canonicalize(point.vector, chart)
-        assert again.vector == point.vector
-        assert again.coords == point.coords
+def test_canonicalize_builds_no_vector(monkeypatch):
+    """The chart coordinates are read off the gauged rows; no gauged vector
+    is constructed, for any label in any chart, reachable or not."""
+    built = []
+    init = ParameterVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    vectors = [catalog.instance_for_label(label) for label in LABELS]
+    monkeypatch.setattr(ParameterVector, "__init__", counting)
+    points = [outcome(canonicalize, pv, chart) for pv in vectors for chart in ChartId]
+    assert not built
+    assert sum(type(point) is ChartPoint for point in points) > 40
+    apply_gauge(vectors[0], GaugeAction(mu=2))  # the counter sees a construction
+    assert len(built) == 1
 
 
 def test_canonicalize_unreachable():
