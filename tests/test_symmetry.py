@@ -197,6 +197,19 @@ def test_canonicalize_3a_signature(pv_3a):
     assert a1 == 0 and d1 == 0 and b1 != 0 and d0 != 0
 
 
+def test_canonicalize_idempotent(pv_3a):
+    """A vector already gauged into the chart canonicalizes to the same
+    coordinates: its pins are 0 and 1, so the chart moves it no further."""
+    a0, a2, b0 = pv_3a.a[0], pv_3a.a[2], pv_3a.b[0]
+    for chart in ChartId:
+        point = canonicalize(pv_3a, chart)
+        rho = 1 / pv_3a.b[2] if chart is ChartId.A2B2 else a2 / pv_3a.d[0]
+        gauged = apply_gauge(pv_3a, GaugeAction(-a0, 1 / a2, -b0, rho))
+        assert gauged.a[0] == 0 and gauged.b[0] == 0 and gauged.a[2] == 1
+        again = canonicalize(gauged, chart)
+        assert again == point
+
+
 def test_canonicalize_bottom_family_all_zero():
     point = canonicalize(catalog.instantiate("5a"), ChartId.A2B2)
     assert point.coords == (0, 0, 0, 0)
