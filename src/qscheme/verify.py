@@ -2,16 +2,18 @@
 
 Each suite re-checks one block of the library's defining identities from
 scratch (constraint algebra, three-term recurrences, eigenvalue equation,
-duality, catalog closed forms, limit transitions, chart tables).  All
-randomness is driven by a fixed, printed seed; every assertion is an exact
-rational comparison.
+duality, catalog closed forms, limit transitions, chart tables, gauge
+symmetry).  All randomness is driven by a fixed, printed seed; every
+assertion is an exact rational comparison.  Each check runs through
+`SuiteReport.add`, where a refusal fails that check alone, with its message.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import catalog, limits
 from .classifier import DUAL_PAIRS, LABELS, SELF_DUAL, pattern_of
@@ -53,17 +55,6 @@ Q_POOL = (
     Fraction(5),
 )
 
-SUITES = (
-    "constraints",
-    "recurrence",
-    "eigen",
-    "duality",
-    "catalog",
-    "limits",
-    "charts",
-    "all",
-)
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -89,7 +80,13 @@ class SuiteReport(_Value):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
+    def add(self, name: str, check: Callable[..., tuple[bool, str]], *args) -> None:
+        """Record check(*args)'s (passed, detail) under `name`; a refusal
+        raised on the way fails the check, with its message as the detail."""
+        try:
+            passed, detail = check(*args)
+        except QSchemeError as exc:
+            passed, detail = False, str(exc)
         self.checks.append(CheckResult(name, passed, detail))
 
     def to_json(self) -> dict:
@@ -167,57 +164,59 @@ def random_broken_vector(rng: random.Random) -> UncheckedParameterVector:
 
 
 def suite_constraints() -> SuiteReport:
+    def check(key):
+        pv = catalog.instantiate(key)
+        return (
+            sum(pv.d) == 0
+            and pv.d[3] == pv.a[1] * pv.b[1] / pv.q
+            and pv.d[4] == pv.q * pv.a[2] * pv.b[2]
+            and pv.lowering(0) == 0
+            and pv._repeat(1) is None
+            and pattern_of(pv) == catalog.FAMILIES[key].pattern
+        ), ""
+
     report = SuiteReport("constraints")
-    for key, spec in catalog.FAMILIES.items():
-        try:
-            pv = catalog.instantiate(key)
-            ok = (
-                sum(pv.d) == 0
-                and pv.d[3] == pv.a[1] * pv.b[1] / pv.q
-                and pv.d[4] == pv.q * pv.a[2] * pv.b[2]
-                and pv.lowering(0) == 0
-                and pv._repeat(1) is None
-                and pattern_of(pv) == spec.pattern
-            )
-            report.add(f"constraints/{key}", ok)
-        except QSchemeError as exc:
-            report.add(f"constraints/{key}", False, str(exc))
+    for key in catalog.FAMILIES:
+        report.add(f"constraints/{key}", check, key)
     return report
 
 
+def _identity_checks(report: SuiteReport, holds, n_max: int, rng, count: int, depth: int, show_q=False) -> None:
+    """Checks `<suite>/<key>` on each family's defaults, then `<suite>/random-<i>` on
+    `count` vectors drawn from rng with eigenvalue separation to `depth`: each names the
+    first n <= n_max where holds(pv, n) fails, after a random vector's q if show_q."""
+
+    def check(with_q, build, *args):
+        pv = build(*args)
+        failure = _first_failure(holds(pv, n) for n in range(n_max + 1))
+        q = with_q and f"q={format_rational(pv.q)}"
+        return failure is None, ", ".join(filter(None, (q, failure)))
+
+    for key in catalog.FAMILIES:
+        report.add(f"{report.suite}/{key}", check, False, catalog.instantiate, key)
+    for i in range(count):
+        report.add(f"{report.suite}/random-{i}", check, show_q, random_parameter_vector, rng, depth)
+
+
 def suite_recurrence(n_max: int = 10, count: int = 25, seed: int = DEFAULT_SEED) -> SuiteReport:
+    def broken_fails():
+        pv = random_broken_vector(rng)
+        return any(not recurrence_check(pv, n) for n in range(7)), "must fail for some n <= 6"
+
     report = SuiteReport("recurrence", seed=seed)
     rng = random.Random(seed)
-    for key in catalog.FAMILIES:
-        pv = catalog.instantiate(key)
-        failure = _first_failure(recurrence_check(pv, n) for n in range(n_max + 1))
-        report.add(f"recurrence/{key}", failure is None, failure or "")
-    for i in range(count):
-        pv = random_parameter_vector(rng, depth=n_max + 2)
-        failure = _first_failure(recurrence_check(pv, n) for n in range(n_max + 1))
-        detail = f"q={format_rational(pv.q)}"
-        report.add(f"recurrence/random-{i}", failure is None, f"{detail}, {failure}" if failure else detail)
+    _identity_checks(report, recurrence_check, n_max, rng, count, n_max + 2, show_q=True)
     for i in range(5):
-        pv = random_broken_vector(rng)
-        fails = any(not recurrence_check(pv, n) for n in range(7))
-        report.add(f"recurrence/broken-{i}", fails, "must fail for some n <= 6")
+        report.add(f"recurrence/broken-{i}", broken_fails)
     return report
 
 
 def suite_eigen(n_max: int = 10, count: int = 10, seed: int = DEFAULT_SEED) -> SuiteReport:
+    def holds(pv, n):
+        return apply_operator(pv, monic_poly(pv, n)) == monic_poly(pv, n) * pv.eigenvalue(n)
+
     report = SuiteReport("eigen", seed=seed)
-    rng = random.Random(seed)
-    vectors = [(f"eigen/{key}", catalog.instantiate(key)) for key in catalog.FAMILIES]
-    vectors += [
-        (f"eigen/random-{i}", random_parameter_vector(rng, depth=n_max + 1))
-        for i in range(count)
-    ]
-    for name, pv in vectors:
-        failure = _first_failure(
-            apply_operator(pv, monic_poly(pv, n)) == monic_poly(pv, n) * pv.eigenvalue(n)
-            for n in range(n_max + 1)
-        )
-        report.add(name, failure is None, failure or "")
+    _identity_checks(report, holds, n_max, random.Random(seed), count, n_max + 1)
     return report
 
 
@@ -253,85 +252,75 @@ def _duality_failure(pv: ParameterVector, depth: int) -> str | None:
 
 
 def suite_duality(depth: int = 8) -> SuiteReport:
-    report = SuiteReport("duality")
-    failure = _duality_failure(catalog.instantiate("1a"), depth)
-    report.add("duality/1a", failure is None, failure or f"n,m <= {depth}")
-    for label, dual_label, params in DUALITY_INSTANCES:
+    def values_1a():
+        failure = _duality_failure(catalog.instantiate("1a"), depth)
+        return failure is None, failure or f"n,m <= {depth}"
+
+    def pair(label, dual_label, params):
         pv = catalog.instantiate(label, params or None)
-        dual = dualize(pv, depth=depth + 1)
-        pair_ok = pattern_of(dual) == LABELS[dual_label]
+        pair_ok = pattern_of(dualize(pv, depth=depth + 1)) == LABELS[dual_label]
         failure = _duality_failure(pv, depth)
-        report.add(
-            f"duality/{label}<->{dual_label}",
-            pair_ok and failure is None,
-            failure or "pattern and values",
-        )
-    for label in SELF_DUAL:
+        return pair_ok and failure is None, failure or "pattern and values"
+
+    def self_dual(label):
         pv = catalog.instance_for_label(label, _DUALITY_PARAMS.get(label))
-        ok = pv.x_separation_ok(depth) and pattern_of(dualize(pv)) == pattern_of(pv)
-        report.add(f"duality/self-dual/{label}", ok)
+        return pv.x_separation_ok(depth) and pattern_of(dualize(pv)) == pattern_of(pv), ""
+
+    report = SuiteReport("duality")
+    report.add("duality/1a", values_1a)
+    for label, dual_label, params in DUALITY_INSTANCES:
+        report.add(f"duality/{label}<->{dual_label}", pair, label, dual_label, params)
+    for label in SELF_DUAL:
+        report.add(f"duality/self-dual/{label}", self_dual, label)
     return report
 
 
 def suite_catalog(n_max: int = 8) -> SuiteReport:
+    def check(key):
+        n = catalog.crosscheck(key, n_max=n_max)
+        return n > 0, f"{n} values"
+
     report = SuiteReport("catalog")
     for key in catalog.FAMILIES:
-        try:
-            n = catalog.crosscheck(key, n_max=n_max)
-            report.add(f"catalog/{key}", n > 0, f"{n} values")
-        except QSchemeError as exc:
-            report.add(f"catalog/{key}", False, str(exc))
+        report.add(f"catalog/{key}", check, key)
     return report
 
 
 def suite_limits() -> SuiteReport:
     report = SuiteReport("limits")
     for case in limits.CASES:
-        rep = limits.verify(case)
-        report.add(f"limits/{case.id}", rep.ok, rep.detail)
-        for name, passed in rep.exact_checks:
-            report.add(f"limits/{case.id}/{name}", passed, "exact identity")
+        # One certificate per case and its identity lines; a refusal, never cached, fails each.
+        certify = functools.cache(functools.partial(limits.verify, case))
+        report.add(f"limits/{case.id}", lambda: (certify().ok, certify().detail))
+        for name in case.exact_checks:
+            report.add(f"limits/{case.id}/{name}", lambda: (dict(certify().exact_checks)[name], "exact identity"))
     return report
 
 
 def suite_charts() -> SuiteReport:
+    def check(chart, label, printed):
+        instance_label = CHART_ROW_INSTANCE_LABEL.get((chart, label), label)
+        point = canonicalize(catalog.instance_for_label(instance_label), chart)
+        shown = f"printed {signature_string(printed)}", f"computed {signature_string(point.signature)}"
+        discrepancy = CHART_DISCREPANCIES.get((chart, label))
+        if discrepancy is None:
+            return point.signature == printed, " ".join(shown)
+        # Documented table discrepancies warn instead of failing.
+        report.warnings.append(f"{chart.name} row {label}: {discrepancy}; {', '.join(shown)}")
+        return True, "documented discrepancy"
+
     report = SuiteReport("charts")
     for chart, rows in CHART_ROWS.items():
         for label, printed in rows:
-            instance_label = CHART_ROW_INSTANCE_LABEL.get((chart, label), label)
-            point = canonicalize(catalog.instance_for_label(instance_label), chart)
-            matches = point.signature == printed
-            discrepancy = CHART_DISCREPANCIES.get((chart, label))
-            name = f"charts/{chart.name}/{label}"
-            if discrepancy is not None:
-                # Documented table discrepancies warn instead of failing.
-                report.add(name, True, "documented discrepancy")
-                report.warnings.append(
-                    f"{chart.name} row {label}: {discrepancy}; "
-                    f"printed {signature_string(printed)}, "
-                    f"computed {signature_string(point.signature)}"
-                )
-            else:
-                report.add(
-                    name,
-                    matches,
-                    f"printed {signature_string(printed)} "
-                    f"computed {signature_string(point.signature)}",
-                )
+            report.add(f"charts/{chart.name}/{label}", check, chart, label, printed)
     return report
 
 
 def suite_symmetry(seed: int = DEFAULT_SEED) -> SuiteReport:
-    """Gauge/involution checks on four catalog and six random vectors, for
-    n <= 6 (exercised through `verify all` and tests)."""
-    report = SuiteReport("symmetry", seed=seed)
-    rng = random.Random(seed)
-    vectors = [catalog.instantiate(key) for key in ("1a", "2b", "3a", "4c")]
-    vectors += [random_parameter_vector(rng, depth=8) for _ in range(6)]
-    gauge = GaugeAction(
-        tau=Fraction(3, 2), mu=Fraction(2), sigma=Fraction(-1, 3), rho=Fraction(3, 4)
-    )
-    for i, pv in enumerate(vectors):
+    """Gauge/involution checks, for n <= 6, on four catalog and six random vectors."""
+
+    def check(build, *args):
+        pv = build(*args)
         gauged = apply_gauge(pv, gauge)
         failure = _first_failure(
             monic_poly(gauged, n)
@@ -342,8 +331,35 @@ def suite_symmetry(seed: int = DEFAULT_SEED) -> SuiteReport:
         details = [failure] if failure else []
         if q_invert(q_invert(pv)) != pv:
             details.append("q_invert is not an involution")
-        report.add(f"symmetry/gauge-{i}", not details, "; ".join(details))
+        return not details, "; ".join(details)
+
+    report = SuiteReport("symmetry", seed=seed)
+    gauge = GaugeAction(
+        tau=Fraction(3, 2), mu=Fraction(2), sigma=Fraction(-1, 3), rho=Fraction(3, 4)
+    )
+    builds = [(catalog.instantiate, key) for key in ("1a", "2b", "3a", "4c")]
+    builds += [(random_parameter_vector, random.Random(seed), 8)] * 6
+    for i, build in enumerate(builds):
+        report.add(f"symmetry/gauge-{i}", check, *build)
     return report
+
+
+def _suites() -> dict[str, tuple[Callable[..., SuiteReport], tuple[str, ...]]]:
+    """Each suite by name, in the order `all` runs them: its function and the
+    run_suite options it takes; built per call, so module globals are read then."""
+    return {
+        "constraints": (suite_constraints, ()),
+        "recurrence": (suite_recurrence, ("n_max", "count", "seed")),
+        "eigen": (suite_eigen, ("n_max", "count", "seed")),
+        "duality": (suite_duality, ("depth",)),
+        "catalog": (suite_catalog, ("n_max",)),
+        "limits": (suite_limits, ()),
+        "charts": (suite_charts, ()),
+        "symmetry": (suite_symmetry, ("seed",)),
+    }
+
+
+SUITES = (*_suites(), "all")
 
 
 def run_suite(
@@ -362,22 +378,6 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     args = {"n_max": n_max, "depth": depth, "count": count, "seed": seed}
-    # suite -> (function, {run_suite argument: suite keyword}).  Built per call
-    # so that the module globals are read when the suites run.
-    table = {
-        "constraints": (suite_constraints, {}),
-        "recurrence": (suite_recurrence, {"n_max": "n_max", "count": "count", "seed": "seed"}),
-        "eigen": (suite_eigen, {"n_max": "n_max", "count": "count", "seed": "seed"}),
-        "duality": (suite_duality, {"depth": "depth"}),
-        "catalog": (suite_catalog, {"n_max": "n_max"}),
-        "limits": (suite_limits, {}),
-        "charts": (suite_charts, {}),
-        "symmetry": (suite_symmetry, {"seed": "seed"}),  # only within "all"
-    }
-    reports = []
-    for name in table if suite == "all" else (suite,):
-        fn, keywords = table[name]
-        reports.append(
-            fn(**{kw: args[arg] for arg, kw in keywords.items() if args[arg] is not None})
-        )
-    return reports
+    table = _suites()
+    chosen = table.values() if suite == "all" else [table[suite]]
+    return [fn(**{o: args[o] for o in options if args[o] is not None}) for fn, options in chosen]

@@ -56,6 +56,37 @@ def repeating_1a(s: int) -> ParameterVector:
     return ParameterVector(pv.q, (a0, a1, a2), b, (-(d1 + d2 + d3 + d4), d1, d2, d3, d4))
 
 
+# The checks of `verify all` that build a vector of 2b or its q-inverse
+# 2b', in report order: a refusal of 2b fails exactly these.
+CHECKS_BUILDING_2B = (
+    "constraints/2b",
+    "recurrence/2b",
+    "eigen/2b",
+    "catalog/2b",
+    "limits/2b->3d",
+    "limits/2b->3e",
+    "charts/A2B2/2b",
+    "charts/A2D0_D1/2b",
+    "charts/A2D0_D1/2b'",
+    "charts/A2D0_D2/2b",
+    "charts/A2D0_D2/2b'",
+    "symmetry/gauge-1",
+)
+
+
+def refuse_2b(monkeypatch) -> None:
+    """Make catalog.instantiate refuse every 2b vector with the message
+    '2b: refused on purpose'; other families build as before."""
+    real = catalog.instantiate
+
+    def refusing(key, *args):
+        if key == "2b":
+            raise InadmissibleParams("2b: refused on purpose")
+        return real(key, *args)
+
+    monkeypatch.setattr(catalog, "instantiate", refusing)
+
+
 def fraction_constraint_failure(q, a, b, d) -> str | None:
     """Reference: the message of the first constraint a vector with these
     fields breaks, or None, checked on Fractions in the constructor's order."""

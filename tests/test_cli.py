@@ -17,7 +17,7 @@ from qscheme.cli import build_parser, main
 from qscheme.core import monic_poly
 from qscheme.qpolynomial import format_poly
 from qscheme.qrational import rational
-from reference import repeating_1a
+from reference import CHECKS_BUILDING_2B, refuse_2b, repeating_1a
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -328,6 +328,24 @@ def test_verify_all_matches_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert out == GOLDEN_VERIFY_ALL_TXT.read_text(encoding="utf-8")
     assert target.read_bytes() == GOLDEN_VERIFY_ALL_JSON.read_bytes()
+
+
+def test_verify_all_reports_a_refused_vector_in_its_own_checks(capsys, tmp_path, monkeypatch):
+    """With 2b's defaults refused, `verify all` still prints every check and
+    writes its report: the checks that build 2b fail with the refusal's
+    message, the rest pass, and stderr stays empty."""
+    refuse_2b(monkeypatch)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "all", "--json", str(target))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    checks = [line for line in lines if line.startswith(("[pass] ", "[FAIL] "))]
+    assert len(checks) == 184 and lines[-1] == "172/184 checks passed"
+    assert [line for line in checks if line.startswith("[FAIL] ")] == [
+        f"[FAIL] {name}  (2b: refused on purpose)" for name in CHECKS_BUILDING_2B
+    ]
+    report = json.loads(target.read_text())
+    assert [c["name"] for r in report for c in r["checks"] if not c["pass"]] == list(CHECKS_BUILDING_2B)
 
 
 def test_verify_constraints(capsys):

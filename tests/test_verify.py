@@ -9,18 +9,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from qscheme import catalog, core, verify
+from qscheme import catalog, core, symmetry, verify
 from qscheme.classifier import pattern_of
 from qscheme.core import apply_operator
-from qscheme.errors import InadmissibleParams
 from qscheme.qpolynomial import Poly
 from qscheme.symmetry import GaugeAction, apply_gauge
-from reference import perturbed, repeating_1a
+from reference import CHECKS_BUILDING_2B, perturbed, refuse_2b, repeating_1a
 
 
 def test_first_failure_needs_one_result_and_stops_at_the_first_failure():
     assert verify._first_failure([]) == "compared no n"
+    assert verify._first_failure([True]) is None
     assert verify._first_failure([True, True]) is None
+    assert verify._first_failure([True, True, False, False]) == "first failure at n=2"
     seen = []
     results = (seen.append(ok) or ok for ok in (True, False, True))
     assert verify._first_failure(results) == "first failure at n=1"
@@ -42,12 +43,6 @@ def test_checks_that_compare_nothing_fail(suite, kwargs, vacuous):
     assert compared_nothing
     assert not any(c.passed for c in compared_nothing)
     assert all(c.passed for c in report.checks if not vacuous(c.name))
-
-
-def test_first_failure_names_the_first_failing_n():
-    assert verify._first_failure([True, True, False, False]) == "first failure at n=2"
-    assert verify._first_failure([True]) is None
-    assert verify._first_failure([]) == "compared no n"
 
 
 def test_a_failing_recurrence_check_names_its_first_failing_n(monkeypatch):
@@ -154,11 +149,11 @@ def test_duality_builds_each_polynomial_once_per_instance(monkeypatch):
 
 def test_suite_reports_share_no_list():
     first, second, third = (verify.SuiteReport("s", seed=3) for _ in range(3))
-    first.add("x", True)
+    first.add("x", lambda: (True, ""))
     first.warnings.append("w")
     assert second.checks == [] and second.warnings == [] and first != second
     assert repr(second) == "SuiteReport(suite='s', checks=[], warnings=[], seed=3)"
-    third.add("x", True)
+    third.add("x", lambda: (True, ""))
     third.warnings.append("w")
     assert first == third and first.checks == [verify.CheckResult("x", True, "")]
 
@@ -166,7 +161,7 @@ def test_suite_reports_share_no_list():
 def test_suite_reports_are_values_of_their_own_class():
     report = verify.SuiteReport("s", seed=3)
     assert report.__eq__(object()) is NotImplemented and report != object()
-    report.add("x", True)
+    report.add("x", lambda: (True, ""))
     twin = pickle.loads(pickle.dumps(report))
     assert twin == report and twin.checks is not report.checks
     with pytest.raises(AttributeError):
@@ -212,21 +207,43 @@ def test_verify_all_builds_each_live_vector_once(monkeypatch):
     assert 0 < built <= 200
 
 
-def test_a_refused_default_vector_fails_its_constraints_and_catalog_checks(monkeypatch):
-    """A family whose defaults are refused fails its constraints and catalog
-    checks with the refusal's message; the other families still pass."""
-    real = catalog.instantiate
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_a_refused_default_vector_fails_only_the_checks_that_build_it(monkeypatch, suite):
+    """A family whose defaults are refused fails each check that builds one
+    of its vectors, with the refusal's message; the suite reports the same
+    checks as before and every other one still passes."""
+    names = [c.name for report in verify.run_suite(suite) for c in report.checks]
+    refuse_2b(monkeypatch)
+    checks = [c for report in verify.run_suite(suite) for c in report.checks]
+    assert [c.name for c in checks] == names
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == [
+        name for name in CHECKS_BUILDING_2B if suite == "all" or name.startswith(f"{suite}/")
+    ]
+    assert all(c.detail == "2b: refused on purpose" for c in failed)
+    if suite == "all":
+        assert (len(checks), len(failed)) == (184, 12)
 
-    def refusing(key, *args):
-        if key == "2b":
-            raise InadmissibleParams("2b: refused on purpose")
-        return real(key, *args)
 
-    monkeypatch.setattr(catalog, "instantiate", refusing)
-    for suite in (verify.suite_constraints(), verify.suite_catalog(n_max=1)):
-        failed = [c for c in suite.checks if not c.passed]
-        assert failed == [verify.CheckResult(f"{suite.suite}/2b", False, "2b: refused on purpose")]
-        assert len(suite.checks) == len(catalog.FAMILIES)
+def test_a_gauge_law_that_breaks_the_constraints_fails_each_symmetry_check(monkeypatch):
+    """apply_gauge runs inside each symmetry check: a gauge law that scales
+    the d row without mu fails every one of them, naming the violated
+    constraint, or for a vector whose d3 and d4 vanish (4c and one random
+    vector), which keeps its constraints, the first failing n; the other
+    suites still run."""
+
+    def without_mu(a, b, d, tau, mu, sigma, rho, real=symmetry.gauge_rows):
+        a, b, _ = real(a, b, d, tau, mu, sigma, rho)
+        return a, b, tuple(rho * v for v in d)
+
+    monkeypatch.setattr(symmetry, "gauge_rows", without_mu)
+    reports = verify.run_suite("all")
+    assert sum(len(r.checks) for r in reports) == 184
+    checks = reports[-1].checks
+    assert [c.name for c in checks] == [f"symmetry/gauge-{i}" for i in range(10)]
+    assert not any(c.passed for c in checks)
+    d3, d4, n1 = "d3 must equal a1*b1/q", "d4 must equal q*a2*b2", "first failure at n=1"
+    assert [c.detail for c in checks] == [d3, d4, d4, n1, n1, d3, d3, d3, d3, d3]
 
 
 def test_constraints_fail_eigenvalues_that_first_repeat_past_the_hard_cap(monkeypatch):
@@ -248,5 +265,6 @@ def test_run_suite_refuses_an_unknown_suite():
     with pytest.raises(ValueError) as caught:
         verify.run_suite("nosuch")
     assert str(caught.value) == (
-        "unknown suite 'nosuch'; choose from constraints, recurrence, eigen, duality, catalog, limits, charts, all"
+        "unknown suite 'nosuch'; choose from constraints, recurrence, eigen, duality, catalog, limits, charts, "
+        "symmetry, all"
     )
