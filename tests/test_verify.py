@@ -19,13 +19,17 @@ from reference import CHECKS_BUILDING_2B, perturbed, refuse_2b, repeating_1a
 
 def test_first_failure_needs_one_result_and_stops_at_the_first_failure():
     assert verify._first_failure([]) == "compared no n"
-    assert verify._first_failure([True]) is None
     assert verify._first_failure([True, True]) is None
-    assert verify._first_failure([True, True, False, False]) == "first failure at n=2"
     seen = []
     results = (seen.append(ok) or ok for ok in (True, False, True))
     assert verify._first_failure(results) == "first failure at n=1"
     assert seen == [True, False]
+
+
+def test_first_failure_names_the_first_failing_n():
+    assert verify._first_failure([True, True, False, False]) == "first failure at n=2"
+    assert verify._first_failure([True]) is None
+    assert verify._first_failure([]) == "compared no n"
 
 
 @pytest.mark.parametrize(
