@@ -188,8 +188,10 @@ def _build_label_table() -> dict[str, ZeroPattern]:
 LABELS: dict[str, ZeroPattern] = _build_label_table()
 PATTERN_LABELS: dict[ZeroPattern, str] = {p: label for label, p in LABELS.items()}
 
-SELF_DUAL = ("1a", "3c", "4b", "5a")
-DUAL_PAIRS = (("2a", "2b"), ("3a", "3d"), ("3b", "3b'"), ("4a", "4f"), ("4c", "4d'"))
+# ZeroPattern.dual over the unprimed labels, each pair listed at its earlier label.
+_DUALS = {label: PATTERN_LABELS[p.dual()] for label, p in LABELS.items() if "'" not in label and p.dual()}
+SELF_DUAL = tuple(label for label, dual in _DUALS.items() if dual == label)
+DUAL_PAIRS = tuple((label, dual) for label, dual in _DUALS.items() if dual > label)
 
 
 def label_sort_key(label: str) -> tuple:

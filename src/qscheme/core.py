@@ -428,12 +428,12 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     each ratio an integer pair over the common denominator of
     eigenvalue(0..n+1), summed by cross-multiplication: one Fraction for a_n
     and one for b_n.  At n = 0 the lead ratio r(0, -1, 0) is absent, so
-    a_0 = node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)).  Each ratio
-    tests its denominator before its numerator: u_{n+1}, and so a_n, needs
-    eigenvalue(n+1) != eigenvalue(n) even where lowering(n+1) = 0.
+    a_0 = node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)).  a_n needs
+    u_{n+1}, so check_h_separation(n + 1) comes first, as in monic_poly.
     """
     if n < 0:
         raise ValueError("recurrence coefficients need n >= 0")
+    pv.check_h_separation(n + 1)
     return _recurrence_pair(pv._pairs(0, n + 1), pv._integer_prefix(1, n + 2), pv._pairs(2, n + 2), n)
 
 
@@ -442,27 +442,20 @@ def _recurrence_pair(x: Sequence[tuple[int, int]], h: tuple[Sequence[int], int],
     """recurrence_coeffs(pv, n) from node(0..n) and lowering(0..n+1) as the
     table's integer pairs and eigenvalue(0..n+1) as integers over a common
     denominator, which may be a longer prefix's: each ratio's numerator and
-    denominator both scale with it, so the values do not depend on it."""
+    denominator both scale with it, so the values do not depend on it.  The
+    caller has checked eigenvalue(0..n+1), so no ratio divides by zero."""
     big, dh = h
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
-        denom = big[da] - big[db]
-        if not denom:
-            raise HSeparationViolated(max(da, db), min(da, db))
         num, den = g[num_idx]
-        if not num:
-            return 0, 1
-        return num * dh, den * denom
+        return num * dh, den * (big[da] - big[db])
 
-    # upper before lead: when both denominators vanish, (n+1, n) is the pair raised.
     un, ud = ratio(n + 1, n, n + 1)
     ln, ld = ratio(n, n - 1, n) if n else (0, 1)
     xn, xd = x[n]
     a_n = Fraction((xn * ud + un * xd) * ld - ln * xd * ud, xd * ud * ld)
     if not n:
         return a_n, None
-    if not ln:
-        return a_n, Fraction(0)
     inner, den = ratio(n - 1, n - 2, n) if n >= 2 else (0, 1)
     pn, pd = x[n - 1]
     terms = ((-ln, ld), ratio(n + 1, n - 1, n + 1), (xn, xd), (-pn, pd))
@@ -497,15 +490,13 @@ def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction,
     recurrence and checked against the Newton expansion at its top row.
 
     From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k).
-    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2.  One
-    check_h_separation(n) comes first and refuses what the per-degree rows
-    would: eigenvalues repeat only along one sum n + j, so a pair that
-    _recurrence_pair finds equal is the first repeat, the one the check
-    raises.  Raises Mismatch unless u_n equals monic_poly(pv, n).
+    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2, after one
+    check_h_separation(n + 1), the check recurrence_coeffs(pv, n) makes.
+    Raises Mismatch unless u_n equals monic_poly(pv, n).
     """
     if n < 0:
         raise ValueError("a monic table needs n >= 0")
-    pv.check_h_separation(n)
+    pv.check_h_separation(n + 1)
     x, h, g = pv._pairs(0, n + 1), pv._integer_prefix(1, n + 2), pv._pairs(2, n + 2)
     rows = []
     u, prev = Poly.one(), Poly.zero()

@@ -77,16 +77,11 @@ def q_invert(pv: ParameterVector) -> ParameterVector:
     )
 
 
-def dualize(pv: ParameterVector, depth: int | None = None) -> ParameterVector:
-    """Swap the node and eigenvalue rows (a_i <-> b_i), keeping the d_i.
-
-    The dual vector needs its own eigenvalue separation, i.e. the original
-    nodes must not collide; pass depth to verify that eagerly.
-    """
+def dualize(pv: ParameterVector) -> ParameterVector:
+    """Swap the node and eigenvalue rows (a_i <-> b_i), keeping the d_i; refuses
+    constant nodes (b1 = b2 = 0), which would be the dual's constant eigenvalues."""
     if pv.b[1] == 0 and pv.b[2] == 0:
         raise XSeparationViolated(1, 0)
-    if depth is not None:
-        pv.check_x_separation(depth)
     return ParameterVector(q=pv.q, a=pv.b, b=pv.a, d=pv.d)
 
 

@@ -163,17 +163,24 @@ def random_broken_vector(rng: random.Random) -> UncheckedParameterVector:
 # -- suites --------------------------------------------------------------------
 
 
+def _repeat_detail(pv: ParameterVector, which: int) -> str | None:
+    """The first repeat among all k, as `node(m) == node(j)` (which = 0) or `eigenvalue(n) == eigenvalue(j)` (1)."""
+    hit, row = pv._repeat(which), ("node", "eigenvalue")[which]
+    return hit and f"{row}({hit[0]}) == {row}({hit[1]})"
+
+
 def suite_constraints() -> SuiteReport:
     def check(key):
-        pv = catalog.instantiate(key)
-        return (
-            sum(pv.d) == 0
-            and pv.d[3] == pv.a[1] * pv.b[1] / pv.q
-            and pv.d[4] == pv.q * pv.a[2] * pv.b[2]
-            and pv.lowering(0) == 0
-            and pv._repeat(1) is None
-            and pattern_of(pv) == catalog.FAMILIES[key].pattern
-        ), ""
+        pv, want = catalog.instantiate(key), catalog.FAMILIES[key].pattern
+        failure = (
+            sum(pv.d) != 0 and "d coefficients must sum to zero"
+            or pv.d[3] != pv.a[1] * pv.b[1] / pv.q and "d3 must equal a1*b1/q"
+            or pv.d[4] != pv.q * pv.a[2] * pv.b[2] and "d4 must equal q*a2*b2"
+            or pv.lowering(0) != 0 and "lowering(0) must vanish"
+            or _repeat_detail(pv, 1)
+            or (got := pattern_of(pv)) != want and f"pattern {got.as_string()}, diagram {key} is {want.as_string()}"
+        )
+        return not failure, failure or ""
 
     report = SuiteReport("constraints")
     for key in catalog.FAMILIES:
@@ -252,19 +259,23 @@ def _duality_failure(pv: ParameterVector, depth: int) -> str | None:
 
 
 def suite_duality(depth: int = 8) -> SuiteReport:
+    def wrong_dual(pv, want):
+        got = pattern_of(dualize(pv))
+        return got != want and f"dual pattern {got.as_string()}, expected {want.as_string()}"
+
     def values_1a():
         failure = _duality_failure(catalog.instantiate("1a"), depth)
         return failure is None, failure or f"n,m <= {depth}"
 
     def pair(label, dual_label, params):
         pv = catalog.instantiate(label, params or None)
-        pair_ok = pattern_of(dualize(pv, depth=depth + 1)) == LABELS[dual_label]
-        failure = _duality_failure(pv, depth)
-        return pair_ok and failure is None, failure or "pattern and values"
+        failure = _repeat_detail(pv, 0) or wrong_dual(pv, LABELS[dual_label]) or _duality_failure(pv, depth)
+        return not failure, failure or "pattern and values"
 
     def self_dual(label):
         pv = catalog.instance_for_label(label, _DUALITY_PARAMS.get(label))
-        return pv.x_separation_ok(depth) and pattern_of(dualize(pv)) == pattern_of(pv), ""
+        failure = _repeat_detail(pv, 0) or wrong_dual(pv, pattern_of(pv))
+        return not failure, failure or ""
 
     report = SuiteReport("duality")
     report.add("duality/1a", values_1a)

@@ -1,8 +1,8 @@
 """Hand-transcribed golden data for the published scheme chart.
 
 18 base diagrams (their mirrors complete the chart; two diagrams are their
-own mirror), 29 arrows inside one half, and the six arrows connecting the
-two halves.
+own mirror), the dual pairs and self-dual diagrams, 29 arrows inside one
+half, and the six arrows connecting the two halves.
 """
 
 BASE_PATTERNS = {
@@ -27,6 +27,11 @@ BASE_PATTERNS = {
 }
 
 SELF_MIRRORED = ("1a", "3e")
+
+# The published node/eigenvalue duality: five pairs and four self-dual
+# diagrams, in the chart's order.
+DUAL_PAIRS = (("2a", "2b"), ("3a", "3d"), ("3b", "3b'"), ("4a", "4f"), ("4c", "4d'"))
+SELF_DUAL = ("1a", "3c", "4b", "5a")
 
 BASE_ARROWS = [
     ("1a", "2a"), ("1a", "2b"),

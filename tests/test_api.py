@@ -1,6 +1,7 @@
 """Every public name of the package has a caller in the package or the bench,
 every series is the catalog's, only the catalog decides which vectors are
-shared, and importing the package stays cheap.
+shared, separation is decided in one place, importing the package stays
+cheap, and every test name is in the ledger tests/data/test_names.txt.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
@@ -25,7 +26,6 @@ KEPT = {
     "core.to_newton_coeffs": "items 1 and 5",
     "core.finite_cutoff": "items 1 and 5",
     "core.ParameterVector.from_json_dict": "item 5: eval --vector and identify",
-    "classifier.ZeroPattern.dual": "item 5: identify prints the dual label",
 }
 
 
@@ -131,6 +131,35 @@ def test_the_catalog_builds_every_series_in_one_place():
     assert callers == ["_series"]
 
 
+def _callers_of(name: str) -> list[str]:
+    """module.qualname of the function around each call of `name` in the
+    package, one entry per call, in source order."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(scope)
+            visit(child, scope)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_separation_is_decided_in_one_place():
+    """The closed-form repeat test has one caller, the vector's _repeat, and
+    each separation error is raised by the vector's check alone, plus
+    dualize's guard against constant nodes: no second separation test comes
+    back beside them."""
+    assert _callers_of("_first_repeat") == ["core.ParameterVector._repeat"]
+    assert _callers_of("HSeparationViolated") == ["core.ParameterVector.check_h_separation"]
+    assert _callers_of("XSeparationViolated") == ["core.ParameterVector.check_x_separation", "symmetry.dualize"]
+
+
 def _names_in(tree: ast.AST) -> set[str]:
     """Every identifier tree names: loaded or bound names, attributes,
     imported names, definitions and string constants."""
@@ -221,3 +250,27 @@ def test_import_leaves_json_unloaded():
         check=True,
     )
     assert done.stdout.split() == ["False"]
+
+
+LEDGER = ROOT / "tests" / "data" / "test_names.txt"
+
+
+def collected_test_names() -> list[str]:
+    """Each test function's node id, tests/test_x.py::test_y, sorted; a
+    parametrized test is one name, its function's."""
+    return sorted(
+        f"tests/{path.name}::{node.name}"
+        for path in (ROOT / "tests").glob("test_*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+    )
+
+
+def test_every_test_name_is_in_the_ledger():
+    """A test removed, renamed or merged, or a new one, fails here by name
+    until tests/data/test_names.txt, which no tool regenerates, is edited."""
+    ledger, names = LEDGER.read_text().splitlines(), collected_test_names()
+    lines = [f"removed or renamed: {name}" for name in sorted(set(ledger) - set(names))]
+    lines += [f"added: {name}" for name in sorted(set(names) - set(ledger))]
+    assert not lines, "\n".join([*lines, "edit tests/data/test_names.txt and name the change in CHANGES.md"])
+    assert ledger == names, "tests/data/test_names.txt must list each name once, sorted"

@@ -1,8 +1,8 @@
 """Zero patterns, admissibility rules, enumeration and the scheme graph.
 
 The golden data here was transcribed by hand from the published scheme
-chart: 18 base diagrams, their mirrors, 29 in-chart arrows and the six
-arrows crossing between the two mirror halves.
+chart: 18 base diagrams, their mirrors, the dual pairs, 29 in-chart arrows
+and the six arrows crossing between the two mirror halves.
 """
 
 from itertools import product
@@ -26,6 +26,7 @@ from qscheme.classifier import (
 )
 from qscheme.errors import RuleViolation
 
+import golden_data
 from golden_data import SELF_MIRRORED, all_labelled_patterns, golden_arrow_set
 from reference import perturbed
 
@@ -70,6 +71,8 @@ def test_label_table_matches_golden_transcription():
 
 
 def test_published_dual_pairs():
+    """The lists derived from ZeroPattern.dual are the published ones."""
+    assert (DUAL_PAIRS, SELF_DUAL) == (golden_data.DUAL_PAIRS, golden_data.SELF_DUAL)
     for a, b in DUAL_PAIRS:
         assert LABELS[a].dual() == LABELS[b], (a, b)
     for label in SELF_DUAL:

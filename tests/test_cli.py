@@ -175,7 +175,7 @@ def test_verify_constraints_ignores_depth(capsys, tmp_path, monkeypatch):
     planted, real = repeating_1a(5), catalog.instantiate
     monkeypatch.setattr(catalog, "instantiate", lambda key, *args: planted if key == "1a" else real(key, *args))
     failing = _verify_bytes(capsys, tmp_path, "constraints")
-    assert failing[0] == 1 and "[FAIL] constraints/1a\n" in failing[1]
+    assert failing[0] == 1 and "[FAIL] constraints/1a  (eigenvalue(3) == eigenvalue(2))\n" in failing[1]
     assert _verify_bytes(capsys, tmp_path, "constraints", "--depth", "1") == failing
 
 

@@ -484,21 +484,18 @@ def test_cold_monic_poly_builds_no_triangle():
 
 
 def recurrence_coeffs_reference(pv, n: int):
-    """Reference: the recurrence coefficients with every ratio recomputed
-    where it is used, its denominator checked before its numerator is read;
-    a_0 as node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0)) once
-    eigenvalue(1) != eigenvalue(0) is checked."""
+    """Reference: a_n needs u_{n+1}, so eigenvalue(0..n+1) are first scanned
+    for a repeat with Fractions, the first in (n, j) order raised; then the
+    formula, with every ratio recomputed where it is used, and a_0 as
+    node(0) - lowering(1)/(eigenvalue(1) - eigenvalue(0))."""
     h, g, x = pv.eigenvalue, pv.lowering, pv.node
+    if hit := nested_loop_collision(h, n + 1):
+        raise HSeparationViolated(*hit)
     if n == 0:
-        if h(1) == h(0):
-            raise HSeparationViolated(1, 0)
         return x(0) - g(1) / (h(1) - h(0)), None
 
     def ratio(num_idx, da, db):
-        denom = h(da) - h(db)
-        if denom == 0:
-            raise HSeparationViolated(max(da, db), min(da, db))
-        return g(num_idx) / denom
+        return g(num_idx) / (h(da) - h(db))
 
     a_n = x(n) + ratio(n + 1, n, n + 1) - ratio(n, n - 1, n)
     lead = ratio(n, n - 1, n)
@@ -872,7 +869,8 @@ def test_normalized_poly_matches_fraction_reference():
 def test_dual_normalized_two_routes():
     """Sum form vs product times the dualized vector's monic polynomial."""
     pv = catalog.instantiate("2a", {"a": F(3), "b": F(1, 4), "c": F(1, 5)})
-    dual = dualize(pv, depth=9)
+    assert pv._repeat(0) is None
+    dual = dualize(pv)
     for m in range(7):
         factor = F(1)
         xm = pv.node(m)

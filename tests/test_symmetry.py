@@ -10,7 +10,7 @@ import pytest
 from qscheme import catalog
 from qscheme.classifier import LABELS, pattern_of
 from qscheme.core import ParameterVector, monic_poly
-from qscheme.errors import ChartUnreachable, XSeparationViolated
+from qscheme.errors import ChartUnreachable, HSeparationViolated, XSeparationViolated
 from qscheme.symmetry import (
     CHART_DISCREPANCIES,
     CHART_ROW_INSTANCE_LABEL,
@@ -150,11 +150,19 @@ def test_dualize_rejects_constant_nodes(pv_5b):
 
 
 def test_dualize_depth_check():
+    """dualize is a row swap: nodes that repeat past the constant case are
+    the dual's eigenvalues repeating, refused once its polynomials reach the
+    repeat."""
     # a = 2, q = 1/2 collides node(0) with node(2)
     pv = catalog.instantiate("3a", {"a": F(2), "b": F(1, 4)})
-    with pytest.raises(XSeparationViolated):
-        dualize(pv, depth=4)
-    dualize(pv)  # shallow swap itself is fine
+    with pytest.raises(XSeparationViolated) as caught:
+        pv.check_x_separation(4)
+    assert str(caught.value) == "node(2) == node(0)"
+    dual = dualize(pv)  # the swap itself is fine
+    monic_poly(dual, 1)
+    with pytest.raises(HSeparationViolated) as caught:
+        monic_poly(dual, 2)
+    assert str(caught.value) == "eigenvalue(2) == eigenvalue(0)"
 
 
 def test_dual_pair_patterns_and_values():
@@ -167,7 +175,8 @@ def test_dual_pair_patterns_and_values():
     )
     for label, dual_label, params in pairs:
         pv = catalog.instantiate(label, params or None)
-        dual = dualize(pv, depth=8)
+        assert pv._repeat(0) is None, label
+        dual = dualize(pv)
         assert pattern_of(dual) == LABELS[dual_label], label
         assert all(duality_check(pv, n, m) for n in range(7) for m in range(7))
 

@@ -1,6 +1,7 @@
 """Suite-level behaviour of the verify module: a check that compared no
 (vector, n) instance fails instead of passing vacuously, and a failing
-check names its first failing n, or (n, m) for duality."""
+check names its witness: the first failing n, or (n, m) for duality, the
+first false condition, the first repeat or the wrong pattern."""
 
 import gc
 import pickle
@@ -128,11 +129,58 @@ def test_run_suite_takes_its_options_by_keyword_only(monkeypatch):
 
 def test_self_dual_check_fails_on_the_default_1a_instance(monkeypatch):
     # at a = 2, q = 1/2 the nodes repeat, node(2) == node(0), so the dual
-    # vector has no u_2 although its pattern is 1a again
+    # vector has no u_2 although its pattern is 1a again; the repeat is
+    # decided for every k, so depth 1 does not hide it
     monkeypatch.delitem(verify._DUALITY_PARAMS, "1a")
-    checks = {c.name: c.passed for c in verify.suite_duality(depth=2).checks}
-    assert checks["duality/self-dual/1a"] is False
-    assert all(passed for name, passed in checks.items() if name != "duality/self-dual/1a")
+    for depth in (1, 2):
+        checks = {c.name: c for c in verify.suite_duality(depth=depth).checks}
+        assert checks["duality/self-dual/1a"][1:] == (False, "node(2) == node(0)")
+        assert all(c.passed for name, c in checks.items() if name != "duality/self-dual/1a")
+
+
+def test_a_failing_duality_check_names_the_node_repeat_or_the_dual_pattern(monkeypatch):
+    """Nodes that repeat at any k fail a pair before it is dualized; a dual
+    pattern that is not the expected one fails a pair or a self-dual check
+    with both patterns."""
+    repeating, (pair_2a, *_) = {"a": F(2), "b": F(1, 4)}, verify.DUALITY_INSTANCES
+    instances = (("3a", "3d", repeating), pair_2a[:1] + ("3d",) + pair_2a[2:])
+    monkeypatch.setattr(verify, "DUALITY_INSTANCES", instances)
+    monkeypatch.setattr(verify, "SELF_DUAL", ("2a",))
+    checks = [c for c in verify.suite_duality(depth=1).checks if c.name != "duality/1a"]
+    want = {"2a": "BBB|BBBBW|BBW", "2b": "BBW|BBBBW|BBB", "3d": "BBW|BBBWW|BBB"}
+    assert [(c.name, c.passed, c.detail) for c in checks] == [
+        ("duality/3a<->3d", False, "node(2) == node(0)"),
+        ("duality/2a<->3d", False, f"dual pattern {want['2b']}, expected {want['3d']}"),
+        ("duality/self-dual/2a", False, f"dual pattern {want['2b']}, expected {want['2a']}"),
+    ]
+
+
+def test_a_failing_constraints_check_names_its_first_false_condition(monkeypatch):
+    """Each broken condition is named; the eigenvalue repeat has its own
+    test above.  lowering(0) is the d sum, so it fails with it, named after
+    the sum."""
+    pv = catalog.instantiate("3a")
+    planted = {}
+    for name, i in (("sum", 0), ("d3", 3), ("d4", 4)):
+        d = list(pv.d)
+        d[i] += F(1, 7)
+        if i:
+            d[0] -= F(1, 7)
+        planted[name] = perturbed(pv, d=tuple(d))
+    planted["pattern"] = catalog.instantiate("2a")
+    real = catalog.instantiate
+    details = {}
+    for name, vector in planted.items():
+        monkeypatch.setattr(catalog, "instantiate", lambda key, *args: vector if key == "3a" else real(key, *args))
+        (check,) = [c for c in verify.suite_constraints().checks if not c.passed]
+        assert check.name == "constraints/3a"
+        details[name] = check.detail
+    assert details == {
+        "sum": "d coefficients must sum to zero",
+        "d3": "d3 must equal a1*b1/q",
+        "d4": "d4 must equal q*a2*b2",
+        "pattern": "pattern BBB|BBBBW|BBW, diagram 3a is BBB|BBBWW|BBW",
+    }
 
 
 def test_duality_builds_each_polynomial_once_per_instance(monkeypatch):
@@ -254,15 +302,15 @@ def test_constraints_fail_eigenvalues_that_first_repeat_past_the_hard_cap(monkey
     """The default 1a with a2 = a1 q**59, and d4 and d0 solved again, keeps
     its pattern, and its eigenvalues first repeat at (n, j) = (30, 29),
     past any depth the CLI allows: the constraints suite, which checks every
-    n, fails it."""
+    n, fails it and names the repeat."""
     planted = repeating_1a(59)
     assert planted.h_separation_ok(29) and not planted.h_separation_ok(30)
     assert pattern_of(planted) == catalog.FAMILIES["1a"].pattern
     real = catalog.instantiate
     monkeypatch.setattr(catalog, "instantiate", lambda key, *args: planted if key == "1a" else real(key, *args))
-    checks = {c.name: c.passed for c in verify.suite_constraints().checks}
-    assert checks.pop("constraints/1a") is False
-    assert all(checks.values()) and len(checks) == len(catalog.FAMILIES) - 1
+    checks = {c.name: c for c in verify.suite_constraints().checks}
+    assert checks.pop("constraints/1a")[1:] == (False, "eigenvalue(30) == eigenvalue(29)")
+    assert all(c.passed and c.detail == "" for c in checks.values()) and len(checks) == len(catalog.FAMILIES) - 1
 
 
 def test_run_suite_refuses_an_unknown_suite():
