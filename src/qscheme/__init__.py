@@ -8,7 +8,6 @@ from .core import (
     ParameterVector,
     UncheckedParameterVector,
     apply_operator,
-    dual_normalized_poly,
     expansion,
     finite_cutoff,
     monic_poly,

@@ -24,7 +24,7 @@ for k below the largest length asked for, each a reduced integer pair
 (num, den), den > 0, built from running integer powers q**k = P/R by one
 Laurent evaluation on integers with one gcd.  The integer kernels (the
 Newton row, the Newton Horner, the recurrence coefficients, the operator,
-the normalized polynomials) read those pairs, or a prefix of them over the
+the normalized polynomial) read those pairs, or a prefix of them over the
 lcm of its denominators, and build no Fraction per value; node, eigenvalue
 and lowering(k) are the Fraction view.
 """
@@ -534,43 +534,23 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     return None
 
 
-def _normalized(values: tuple[Sequence[int], int], nodes: Sequence[tuple[int, int]],
-                g: Sequence[tuple[int, int]], n: int) -> Poly:
-    """sum_k prod_{j<k} (values[n]-values[j]) / prod_{j=1..k} g[j]
-          * prod_{j<k} (x - nodes[j]):
+def normalized_poly(pv: ParameterVector, n: int) -> Poly:
+    """The normalized polynomial
 
-    the integer Newton row of `values` (values[0..n] as _integer_prefix
-    gives them; nodes and g as the table's pairs) normalized by its k = 0
-    entry, which is nonzero once lowering(1..n) is.  Raises ZeroG at the
-    first vanishing lowering value."""
+        sum_k prod_{j<k} (eigenvalue(n)-eigenvalue(j)) / prod_{j=1..k} lowering(j)
+              * prod_{j<k} (x - node(j)),
+
+    the integer Newton row of eigenvalue(0..n) read over its k = 0 entry,
+    which is nonzero once lowering(1..n) is; raises ZeroG at the first
+    vanishing lowering value.  With eigenvalue(0..n) distinct it is u_n
+    rescaled by prod_{j<n} (eigenvalue(n)-eigenvalue(j))/lowering(j+1); it
+    divides by no eigenvalue difference, so a repeat only lowers its degree.
+    The sum is symmetric under dualize's node/eigenvalue exchange: the family
+    satisfies normalized_poly(pv, n)(node(m)) == normalized_poly(dualize(pv), m)(eigenvalue(n)).
+    """
+    g = pv._pairs(2, n + 1)
     for j in range(1, n + 1):
         if not g[j][0]:
             raise ZeroG(j)
-    row = _newton_row(values, g, n)
-    return _newton_horner(row, row[0], nodes)
-
-
-def normalized_poly(pv: ParameterVector, n: int) -> Poly:
-    """u_n rescaled by prod_{j<n} (eigenvalue(n)-eigenvalue(j))/lowering(j+1).
-
-    In this normalization the family satisfies the node/eigenvalue duality
-    normalized_poly(pv, n)(node(m)) == dual_normalized_poly(pv, m)(eigenvalue(n)).
-    Requires lowering(1..n) nonzero and, checked after it, eigenvalue(0..n)
-    free of repeats.
-    """
-    u = _normalized(pv._integer_prefix(1, n + 1), pv._pairs(0, n), pv._pairs(2, n + 1), n)
-    pv.check_h_separation(n)
-    return u
-
-
-def dual_normalized_poly(pv: ParameterVector, m: int) -> Poly:
-    """The dual partner of normalized_poly, a polynomial in the eigenvalue
-    variable: normalized_poly with the node and eigenvalue sequences
-    exchanged,
-
-        sum_k prod_{j<k} (node(m)-node(j)) / prod_{j=1..k} lowering(j)
-              * prod_{j<k} (y - eigenvalue(j)).
-
-    Requires lowering(1..m) nonzero.
-    """
-    return _normalized(pv._integer_prefix(0, m + 1), pv._pairs(1, m), pv._pairs(2, m + 1), m)
+    row = _newton_row(pv._integer_prefix(1, n + 1), g, n)
+    return _newton_horner(row, row[0], pv._pairs(0, n))

@@ -265,7 +265,7 @@ def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable form, highest degree first: "x^2 - 3/2 x + 1/2".
 
     Each coefficient nums[i]/den is reduced by one gcd and written from its
@@ -285,7 +285,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = text
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             body = xpow if mag == 1 and d == 1 else f"{text} {xpow}"
         if not parts:
             parts.append(f"-{body}" if num < 0 else body)

@@ -21,7 +21,6 @@ from .core import (
     ParameterVector,
     UncheckedParameterVector,
     apply_operator,
-    dual_normalized_poly,
     monic_poly,
     normalized_poly,
     recurrence_check,
@@ -229,7 +228,8 @@ def suite_eigen(n_max: int = 10, count: int = 10, seed: int = DEFAULT_SEED) -> S
 
 # Parameters free of node collisions for the pair and self-dual checks; a
 # label not listed here uses its defaults.  The default 1a (a = 2, q = 1/2)
-# has node(2) == node(0): its dual has no u_2.
+# has node(2) == node(0): its dual vector has eigenvalue(2) == eigenvalue(0),
+# and duality/1a still compares its values.
 _DUALITY_PARAMS: dict[str, dict] = {
     "1a": {"a": Fraction(3)},
     "2a": {"a": Fraction(3), "b": Fraction(1, 4), "c": Fraction(1, 5)},
@@ -242,39 +242,45 @@ DUALITY_INSTANCES: tuple[tuple[str, str, dict], ...] = tuple(
 )
 
 
-def _duality_failure(pv: ParameterVector, depth: int) -> str | None:
-    """None when normalized_poly(pv, n)(node(m)) == dual_normalized_poly(pv,
-    m)(eigenvalue(n)) for every n, m <= depth, each polynomial built once;
-    else a detail naming the first failing (n, m) in (n, m) order, or saying
-    that depth < 0 left nothing to compare."""
+def _duality_failure(pv: ParameterVector, dual: ParameterVector, depth: int) -> str | None:
+    """None when normalized_poly(pv, n)(node(m)) == normalized_poly(dual,
+    m)(eigenvalue(n)) for dual = dualize(pv) and every n, m <= depth, each
+    polynomial built once; else a detail naming the first failing (n, m) in
+    (n, m) order, or saying that depth < 0 left nothing to compare."""
     duals = []
     for n in range(depth + 1):
         u = normalized_poly(pv, n)
         for m in range(depth + 1):
             if m == len(duals):
-                duals.append(dual_normalized_poly(pv, m))
+                duals.append(normalized_poly(dual, m))
             if u(pv.node(m)) != duals[m](pv.eigenvalue(n)):
                 return f"first failure at n={n}, m={m}"
     return None if depth >= 0 else "compared no n"
 
 
 def suite_duality(depth: int = 8) -> SuiteReport:
-    def wrong_dual(pv, want):
-        got = pattern_of(dualize(pv))
+    def wrong_dual(dual, want):
+        got = pattern_of(dual)
         return got != want and f"dual pattern {got.as_string()}, expected {want.as_string()}"
 
     def values_1a():
-        failure = _duality_failure(catalog.instantiate("1a"), depth)
+        pv = catalog.instantiate("1a")
+        failure = _repeat_detail(pv, 1) or _duality_failure(pv, dualize(pv), depth)
         return failure is None, failure or f"n,m <= {depth}"
 
     def pair(label, dual_label, params):
         pv = catalog.instantiate(label, params or None)
-        failure = _repeat_detail(pv, 0) or wrong_dual(pv, LABELS[dual_label]) or _duality_failure(pv, depth)
+        failure = (
+            _repeat_detail(pv, 0)
+            or wrong_dual(dual := dualize(pv), LABELS[dual_label])
+            or _repeat_detail(pv, 1)
+            or _duality_failure(pv, dual, depth)
+        )
         return not failure, failure or "pattern and values"
 
     def self_dual(label):
         pv = catalog.instance_for_label(label, _DUALITY_PARAMS.get(label))
-        failure = _repeat_detail(pv, 0) or wrong_dual(pv, pattern_of(pv))
+        failure = _repeat_detail(pv, 0) or wrong_dual(dualize(pv), pattern_of(pv))
         return not failure, failure or ""
 
     report = SuiteReport("duality")

@@ -10,7 +10,6 @@ from qscheme import catalog
 from qscheme.core import (
     ParameterVector,
     UncheckedParameterVector,
-    dual_normalized_poly,
     monic_poly,
     normalized_poly,
     recurrence_coeffs,
@@ -27,6 +26,7 @@ from qscheme.qrational import admissible_q, rational
 from qscheme.catalog import _halfsq, _sign
 from qscheme.limits import DEFAULT_SAMPLE_XS
 from qscheme.qseries import qpoch, qpoch_many, terminating_sum
+from qscheme.symmetry import dualize
 
 
 def perturbed(
@@ -130,10 +130,11 @@ def fraction_first_repeat(c1: Fraction, c2: Fraction, q: Fraction) -> tuple[int,
 
 
 def duality_check(pv: ParameterVector, n: int, m: int) -> bool:
-    """Reference: U_n(node(m)) == dual_U_m(eigenvalue(n)) for one pair, both
-    polynomials built for it; verify's duality suite builds each once."""
+    """Reference: U_n(node(m)) == dual U_m(eigenvalue(n)) for one pair, the
+    dual read off the dual vector, both polynomials built for it; verify's
+    duality suite builds each once."""
     lhs = normalized_poly(pv, n)(pv.node(m))
-    rhs = dual_normalized_poly(pv, m)(pv.eigenvalue(n))
+    rhs = normalized_poly(dualize(pv), m)(pv.eigenvalue(n))
     return lhs == rhs
 
 
@@ -327,7 +328,7 @@ class FractionPoly:
         out.reverse()
         return FractionPoly(out), rem
 
-    def format(self, var: str = "x") -> str:
+    def format(self) -> str:
         """Highest degree first, each coefficient written from its
         numerator and denominator."""
         if self.is_zero:
@@ -343,7 +344,7 @@ class FractionPoly:
             if i == 0:
                 body = text
             else:
-                xpow = var if i == 1 else f"{var}^{i}"
+                xpow = "x" if i == 1 else f"x^{i}"
                 body = xpow if mag == 1 and den == 1 else f"{text} {xpow}"
             if not parts:
                 parts.append(f"-{body}" if num < 0 else body)
@@ -760,7 +761,7 @@ def fraction_gap(source, target, n: int) -> F:
     return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
 
 
-def fraction_format_poly(p: Poly, var: str = "x") -> str:
+def fraction_format_poly(p: Poly) -> str:
     """Reference: format_poly on Fraction comparisons, abs and str."""
     if p.is_zero:
         return "0"
@@ -774,7 +775,7 @@ def fraction_format_poly(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             body = xpow if mag == 1 else f"{mag} {xpow}"
         if not parts:
             parts.append(f"-{body}" if sign == "-" else body)

@@ -160,6 +160,14 @@ def test_separation_is_decided_in_one_place():
     assert _callers_of("XSeparationViolated") == ["core.ParameterVector.check_x_separation", "symmetry.dualize"]
 
 
+def test_the_newton_row_has_one_caller_per_job():
+    """The expansion, the monic polynomial and the normalized polynomial each
+    build their Newton row in one place; the dual family is normalized_poly
+    on the dual vector, so no second normalization or kernel-level dual
+    comes back beside them."""
+    assert _callers_of("_newton_row") == ["core._expansion_rows", "core.monic_poly", "core.normalized_poly"]
+
+
 def _names_in(tree: ast.AST) -> set[str]:
     """Every identifier tree names: loaded or bound names, attributes,
     imported names, definitions and string constants."""

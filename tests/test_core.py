@@ -20,7 +20,6 @@ from qscheme.core import (
     ParameterVector,
     UncheckedParameterVector,
     apply_operator,
-    dual_normalized_poly,
     expansion,
     finite_cutoff,
     monic_poly,
@@ -816,7 +815,7 @@ def test_cutoff_zeroes_low_columns():
 
 def test_normalized_trivial(pv_3a):
     assert normalized_poly(pv_3a, 0) == Poly.one()
-    assert dual_normalized_poly(pv_3a, 0) == Poly.one()
+    assert normalized_poly(dualize(pv_3a), 0) == Poly.one()
 
 
 def test_normalized_first_order(pv_3a):
@@ -829,24 +828,33 @@ def test_normalized_requires_nonzero_lowering():
     with pytest.raises(ZeroG):
         normalized_poly(pv, 4)
     with pytest.raises(ZeroG):
-        dual_normalized_poly(pv, 4)
+        normalized_poly(dualize(pv), 4)
 
 
-def normalized_poly_reference(pv, n: int) -> Poly:
-    """Reference: the factor as the running Fraction product normalized_poly
-    built before it read the factor off the Newton row."""
-    h, g = fraction_values(pv, 1, n + 1), fraction_values(pv, 2, n + 1)
-    factor = F(1)
-    for j in range(n):
-        if g[j + 1] == 0:
-            raise ZeroG(j + 1)
-        factor *= (h[n] - h[j]) / g[j + 1]
-    return monic_poly(pv, n) * factor
+def normalized_poly_reference(values, nodes, g, n: int) -> Poly:
+    """Reference: sum_k prod_{j<k} (values[n]-values[j]) / prod_{j=1..k} g[j]
+    * prod_{j<k} (x - nodes[j]) from sequence lists, each coefficient a
+    running Fraction product, by the Fraction Horner; ZeroG at the first
+    vanishing g[j].  The eigenvalues as values and the nodes as nodes give
+    normalized_poly, exchanged they give its dual."""
+    coeffs = [F(1)]
+    for k in range(1, n + 1):
+        if g[k] == 0:
+            raise ZeroG(k)
+        coeffs.append(coeffs[-1] * (values[n] - values[k - 1]) / g[k])
+    return fraction_horner(coeffs, nodes[: n + 1])
+
+
+def vector_sequences(pv, n: int):
+    """(eigenvalue, node, lowering) at k <= n as Fractions, in the order
+    normalized_poly_reference reads them."""
+    return tuple(fraction_values(pv, which, n + 1) for which in (1, 0, 2))
 
 
 def test_normalized_poly_matches_fraction_reference():
-    """Value, or error and index: ZeroG at the first vanishing lowering value
-    before any eigenvalue repeat, at q = +/-1 too."""
+    """Value, or ZeroG and its index at the first vanishing lowering value,
+    against the Fraction sum; an eigenvalue repeat at or below n, at q = +/-1
+    too, is no refusal."""
     rng = random.Random(83)
     vectors = [qracah_like(n_cut) for n_cut in (1, 2, 4)]
     vectors += [catalog.instantiate(key, None, F(-2, 3)) for key in catalog.FAMILIES]
@@ -857,17 +865,18 @@ def test_normalized_poly_matches_fraction_reference():
         q = pv.q
         d[0] = -(d[1] * q**j + d[2] * q**-j + d[3] * q ** (2 * j) + d[4] * q ** (-2 * j))
         vectors.append(perturbed(pv, d=tuple(d)))
-    seen = {ZeroG: 0, HSeparationViolated: 0, Poly: 0}
+    seen = {ZeroG: 0, Poly: 0, "repeat": 0}
     for pv in vectors:
         for n in range(9):
-            want = outcome(normalized_poly_reference, pv, n)
+            want = outcome(normalized_poly_reference, *vector_sequences(pv, n), n)
             assert outcome(normalized_poly, pv, n) == want, (pv, n)
             seen[want[0] if isinstance(want, tuple) else Poly] += 1
+            seen["repeat"] += isinstance(want, Poly) and not pv.h_separation_ok(n)
     assert min(seen.values()) > 100, seen
 
 
 def test_dual_normalized_two_routes():
-    """Sum form vs product times the dualized vector's monic polynomial."""
+    """The dual vector's sum form vs product times its monic polynomial."""
     pv = catalog.instantiate("2a", {"a": F(3), "b": F(1, 4), "c": F(1, 5)})
     assert pv._repeat(0) is None
     dual = dualize(pv)
@@ -877,7 +886,7 @@ def test_dual_normalized_two_routes():
         for j in range(m):
             factor *= (xm - pv.node(j)) / pv.lowering(j + 1)
         via_dual = monic_poly(dual, m) * factor
-        assert dual_normalized_poly(pv, m) == via_dual
+        assert normalized_poly(dual, m) == via_dual
 
 
 def test_duality_trivial(pv_3a):
@@ -914,40 +923,36 @@ def fraction_newton_row(h, g, n: int) -> list[F]:
     return row
 
 
-def dual_normalized_poly_reference(x, h, g, m: int) -> Poly:
-    """Reference: the dual sum from sequence lists and the Fraction Horner."""
-    coeffs = [F(1)]
-    for k in range(1, m + 1):
-        if g[k] == 0:
-            raise ZeroG(k)
-        coeffs.append(coeffs[-1] * (x[m] - x[k - 1]) / g[k])
-    return fraction_horner(coeffs, h[: m + 1])
-
-
 @pytest.mark.parametrize("q", Q_POOL)
 def test_integer_horner_matches_fraction_reference(q):
-    """monic_poly and dual_normalized_poly, uncached and on a fresh table for
-    every degree, against the Fraction Horner on per-k sequence values."""
-    compared = 0
+    """monic_poly and normalized_poly, uncached and on a fresh table for
+    every degree, and normalized_poly on the dual vector of each family whose
+    nodes are not constant, against the Fraction Horner on per-k sequence
+    values."""
+    compared = duals = 0
     for key in catalog.FAMILIES:
         if (reference := catalog_monic_polys(key, q)) is None:
             continue
-        seqs, us = reference
+        (x, h, g), us = reference
         base = catalog.instantiate(key, None, q)
         for n in range(25):
             pv = copy.copy(base)
             assert outcome(monic_poly.__wrapped__, pv, n) == us[n], (key, n)
-            want = outcome(dual_normalized_poly_reference, *seqs, n)
-            assert outcome(dual_normalized_poly, pv, n) == want, (key, n)
+            want = outcome(normalized_poly_reference, h, x, g, n)
+            assert outcome(normalized_poly, pv, n) == want, (key, n)
             compared += 1
-    assert compared >= 15 * 25
+            if pv.b[1] or pv.b[2]:
+                want = outcome(normalized_poly_reference, x, h, g, n)
+                assert outcome(normalized_poly, dualize(pv), n) == want, (key, n)
+                duals += 1
+    assert compared >= 15 * 25 and duals >= 10 * 25, (compared, duals)
 
 
 def test_dual_normalized_poly_rejects_a_negative_degree(pv_3a):
     # the Horner needs no node for a single coefficient, so m = -1 must be
-    # refused before it would return the constant 1
+    # refused on the dual vector before it would return the constant 1
     with pytest.raises(ValueError):
-        dual_normalized_poly(pv_3a, -1)
+        normalized_poly(dualize(pv_3a), -1)
 
 
 @pytest.mark.parametrize(
@@ -1067,22 +1072,32 @@ def test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor():
 
 
 def test_normalized_row_with_a_repeated_eigenvalue_matches_fraction_reference():
-    """_normalized builds the row before normalized_poly checks separation:
-    a repeated eigenvalue zeroes the row's upper entries, and row[0] still
-    normalizes it to the Fraction sum."""
+    """A repeated eigenvalue zeroes the Newton row's upper entries, and row[0]
+    still normalizes it to the Fraction sum: on admissible vectors with
+    a2 = a1*q**(n+j), whose eigenvalue(n) repeats eigenvalue(j) for a j < n,
+    the degree drops to at most j; on constant eigenvalues the sum is 1."""
     rng = random.Random(101)
-    for _ in range(200):
-        n = rng.randint(1, 9)
-        h = [F(rng.randint(-20, 20), rng.choice([1, 3, 8])) for _ in range(n + 1)]
-        h[n] = h[rng.randint(0, n - 1)]
-        x = tuple(F(rng.randint(-20, 20), rng.choice([1, 1, 5])) for _ in range(n + 1))
-        g = tuple(F(rng.choice([-1, 1]) * rng.randint(1, 20), rng.choice([1, 2, 7])) for _ in range(n + 1))
-        got = core._normalized(core._over_lcm(pairs(h)), pairs(x[:n]), pairs(g), n)
-        assert got == dual_normalized_poly_reference(h, x, g, n)
+    small = lambda: F(rng.randint(-20, 20), rng.choice([1, 3, 8]))
+    compared = 0
+    while compared < 200:
+        q, n = rng.choice(Q_POOL), rng.randint(1, 9)
+        j = rng.randint(0, n - 1)
+        a1, b1, b2 = small() or F(1), small(), small()
+        a = (small(), a1, a1 * q ** (n + j))
+        d1, d2, d3, d4 = small(), small(), a1 * b1 / q, q * a[2] * b2
+        try:
+            pv = ParameterVector(q=q, a=a, b=(small(), b1, b2), d=(-(d1 + d2 + d3 + d4), d1, d2, d3, d4))
+        except ConstraintViolation:
+            continue
+        assert pv.eigenvalue(n) == pv.eigenvalue(j)
+        got = outcome(normalized_poly, pv, n)
+        assert got == outcome(normalized_poly_reference, *vector_sequences(pv, n), n), (pv, n)
+        if isinstance(got, Poly):
+            assert got.degree <= j, (pv, n)
+            compared += 1
     pv = catalog.instantiate("3a")
     broken = perturbed(pv, a=(pv.a[0], F(0), F(0)))
-    with pytest.raises(HSeparationViolated):
-        normalized_poly(broken, 2)
+    assert normalized_poly(broken, 2) == normalized_poly_reference(*vector_sequences(broken, 2), 2) == Poly.one()
 
 
 def laurent(coeffs, q, k: int) -> F:

@@ -144,7 +144,11 @@ FORMAT_POLYS = [
 @pytest.mark.parametrize("p", FORMAT_POLYS, ids=range(len(FORMAT_POLYS)))
 @pytest.mark.parametrize("var", ["x", "y"])
 def test_format_poly_matches_fraction_reference(p, var):
-    assert format_poly(p, var) == fraction_format_poly(p, var)
+    # the text always names the variable x: a variable name, x included, is
+    # no argument
+    assert format_poly(p) == fraction_format_poly(p)
+    with pytest.raises(TypeError):
+        format_poly(p, var)
 
 
 def test_format_poly_matches_fraction_reference_on_random_polys():
@@ -155,8 +159,7 @@ def test_format_poly_matches_fraction_reference_on_random_polys():
 
     for _ in range(500):
         p = Poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 10))])
-        var = rng.choice(["x", "y"])
-        assert format_poly(p, var) == fraction_format_poly(p, var), p
+        assert format_poly(p) == fraction_format_poly(p), p
 
 
 # -- the Newton-form kernel against the Poly-level references -----------------
@@ -276,7 +279,7 @@ def test_integer_poly_matches_fraction_reference(a, b, s, t):
         assert got.coeffs == want.coeffs
     assert p.deflate(t)[1] == ref_p.deflate(t)[1]
     assert p(t) == ref_p(t)
-    assert format_poly(p) == ref_p.format() and format_poly(q, "y") == ref_q.format("y")
+    assert format_poly(p) == ref_p.format() and format_poly(q) == ref_q.format()
 
 
 @given(

@@ -5,7 +5,7 @@ Each call either returns or raises a QSchemeError (`outcome` lets no other
 exception through), and the table never fails its own check.  Where the
 calls succeed, the exact laws between them must hold: the recurrence, the
 table's rows, q_invert leaving u_n unchanged, the two involutions, the
-inverse gauge and the gauge invariance of the zero pattern and of each
+node/eigenvalue duality read off the dual vector, the inverse gauge and the gauge invariance of the zero pattern and of each
 chart's coordinates.
 """
 
@@ -16,14 +16,13 @@ from qscheme import catalog, limits
 from qscheme.classifier import pattern_of
 from qscheme.core import (
     apply_operator,
-    dual_normalized_poly,
     monic_poly,
     monic_table,
     normalized_poly,
     recurrence_check,
     recurrence_coeffs,
 )
-from qscheme.errors import Mismatch
+from qscheme.errors import Mismatch, ZeroG
 from qscheme.symmetry import ChartId, GaugeAction, apply_gauge, canonicalize, dualize, q_invert
 from qscheme.verify import Q_POOL
 
@@ -52,7 +51,7 @@ def draws(count: int, seed: int):
 
 
 def test_every_entry_point_raises_only_qscheme_errors_and_keeps_its_laws():
-    vectors = checked = 0
+    vectors = checked = pairs = repeats = skipped = 0
     for key, params, q, n, x, g in draws(1200, seed=2029):
         where = (key, params, q, n)
         outcome(catalog.hyper_eval, key, params, q, n, x)
@@ -75,16 +74,29 @@ def test_every_entry_point_raises_only_qscheme_errors_and_keeps_its_laws():
             outcome(apply_operator, pv, u)
             assert limits.gap(pv, q_invert(pv), n, 1) == 0, where
         outcome(normalized_poly, pv, n)
-        outcome(dual_normalized_poly, pv, n)
 
         assert q_invert(q_invert(pv)) == pv, where
         dual = outcome(dualize, pv)
         if not refused(dual):
             assert dualize(dual) == pv, where
+            # normalized_poly(pv, k)(node(m)) == normalized_poly(dual, m)(eigenvalue(k))
+            # for k, m <= 4, eigenvalue repeats on either side included; a
+            # pair whose either side ZeroG refuses is skipped
+            us, vs = ([outcome(normalized_poly, w, k) for k in range(5)] for w in (pv, dual))
+            assert all(r[0] is ZeroG for r in us + vs if refused(r)), where
+            for k, u in enumerate(us):
+                for m, v in enumerate(vs):
+                    if refused(u) or refused(v):
+                        skipped += 1
+                    else:
+                        assert u(pv.node(m)) == v(pv.eigenvalue(k)), (where, k, m)
+                        pairs += 1
+                        repeats += not (pv.h_separation_ok(k) and dual.h_separation_ok(m))
         inverse = GaugeAction(tau=-g.mu * g.tau, mu=1 / g.mu, sigma=-g.rho * g.sigma, rho=1 / g.rho)
         gauged = apply_gauge(pv, g)
         assert apply_gauge(gauged, inverse) == pv, (where, g)
         assert outcome(pattern_of, gauged) == outcome(pattern_of, pv), (where, g)
         for chart in ChartId:  # a chart point, or the same refusal
             assert outcome(canonicalize, gauged, chart) == outcome(canonicalize, pv, chart), (where, g, chart)
-    assert vectors > 1000 and checked > 1000, (vectors, checked)
+    counts = vectors, checked, pairs, repeats, skipped
+    assert vectors > 1000 and checked > 1000 and pairs > 15000 and repeats > 100, counts

@@ -52,7 +52,7 @@ def test_traced_duality_and_catalog_suites_reach_their_layers(monkeypatch):
         reports = verify.run_suite("duality", depth=2) + verify.run_suite("catalog", n_max=1)
     assert [r.suite for r in reports] == ["duality", "catalog"]
     assert all(c.passed for r in reports for c in r.checks)
-    assert tracer.calls("core.dual_normalized_poly") > 0
+    assert tracer.calls("core.normalized_poly") > 0 and tracer.calls("symmetry.dualize") > 0
     assert tracer.calls("catalog.crosscheck") == 18
 
 

@@ -83,11 +83,26 @@ def test_a_failing_eigen_check_names_its_first_failing_n(monkeypatch):
     assert {c.detail for c in report.checks} == {"compared no n"}
 
 
-def test_a_failing_duality_check_names_its_first_failing_pair(monkeypatch):
-    def off_at_degree_2(pv, m, build=verify.dual_normalized_poly):
-        return build(pv, m) + (Poly.one() if m == 2 else Poly.zero())
+def recorded_duals(monkeypatch) -> list:
+    """The dual vectors that verify builds from here on, in build order."""
+    duals = []
 
-    monkeypatch.setattr(verify, "dual_normalized_poly", off_at_degree_2)
+    def recorded(pv, build=verify.dualize):
+        duals.append(build(pv))
+        return duals[-1]
+
+    monkeypatch.setattr(verify, "dualize", recorded)
+    return duals
+
+
+def test_a_failing_duality_check_names_its_first_failing_pair(monkeypatch):
+    duals = recorded_duals(monkeypatch)
+
+    def off_at_dual_degree_2(pv, m, build=verify.normalized_poly):
+        planted = m == 2 and any(pv is dual for dual in duals)
+        return build(pv, m) + (Poly.one() if planted else Poly.zero())
+
+    monkeypatch.setattr(verify, "normalized_poly", off_at_dual_degree_2)
     value_checks = lambda report: [c for c in report.checks if "self-dual" not in c.name]
     checks = value_checks(verify.suite_duality(depth=3))
     assert len(checks) == 1 + len(verify.DUALITY_INSTANCES)
@@ -184,14 +199,13 @@ def test_a_failing_constraints_check_names_its_first_false_condition(monkeypatch
 
 
 def test_duality_builds_each_polynomial_once_per_instance(monkeypatch):
-    builds = {"normalized": [], "dual": []}
-    for name, key in (("normalized_poly", "normalized"), ("dual_normalized_poly", "dual")):
+    duals, builds = recorded_duals(monkeypatch), {"normalized": [], "dual": []}
 
-        def counted(pv, n, build=getattr(verify, name), calls=builds[key]):
-            calls.append((pv, n))
-            return build(pv, n)
+    def counted(pv, n, build=verify.normalized_poly):
+        builds["dual" if any(pv is dual for dual in duals) else "normalized"].append((pv, n))
+        return build(pv, n)
 
-        monkeypatch.setattr(verify, name, counted)
+    monkeypatch.setattr(verify, "normalized_poly", counted)
     report = verify.suite_duality(depth=8)
     assert report.passed
     instances = 1 + len(verify.DUALITY_INSTANCES)
