@@ -297,7 +297,7 @@ def emit(graph: SchemeGraph, fmt: str) -> bytes:
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        import json  # only here: every `import qscheme` would pay for it
+        import json  # only here: every import of the classifier would pay for it
 
         payload = {
             "nodes": [

@@ -2,7 +2,8 @@
 
 18 base diagrams (their mirrors complete the chart; two diagrams are their
 own mirror), the dual pairs and self-dual diagrams, 29 arrows inside one
-half, and the six arrows connecting the two halves.
+half, and the six arrows connecting the two halves; and the package's public
+namespace, `qscheme.__all__`.
 """
 
 BASE_PATTERNS = {
@@ -50,6 +51,57 @@ CROSS_ARROWS = [
     ("2b", "3b'"), ("2b'", "3b"),
     ("3d", "4d'"), ("3d'", "4d"),
     ("4g", "5c'"), ("4g'", "5c"),
+]
+
+
+# `qscheme.__all__`: 35 re-exported names and the ten submodules they come
+# from, sorted as `dir()` sorts them.
+PACKAGE_ALL = [
+    "ChartId",
+    "ChartPoint",
+    "GaugeAction",
+    "NewtonExpansion",
+    "ParameterVector",
+    "Poly",
+    "SchemeGraph",
+    "SchemeNode",
+    "UncheckedParameterVector",
+    "ZeroPattern",
+    "apply_gauge",
+    "apply_operator",
+    "arrows_from",
+    "build_graph",
+    "canonicalize",
+    "catalog",
+    "classifier",
+    "core",
+    "dualize",
+    "emit",
+    "enumerate_nodes",
+    "errors",
+    "expansion",
+    "finite_cutoff",
+    "format_poly",
+    "format_rational",
+    "laurent",
+    "limits",
+    "monic_poly",
+    "monic_table",
+    "newton_basis",
+    "normalized_poly",
+    "pattern_of",
+    "q_invert",
+    "qpoch",
+    "qpoch_many",
+    "qpolynomial",
+    "qrational",
+    "qseries",
+    "rational",
+    "recurrence_check",
+    "recurrence_coeffs",
+    "symmetry",
+    "to_newton_coeffs",
+    "validate",
 ]
 
 

@@ -1,17 +1,25 @@
 """Every public name of the package has a caller in the package or the bench,
 every series is the catalog's, only the catalog decides which vectors are
-shared, separation is decided in one place, importing the package stays
-cheap, and every test name is in the ledger tests/data/test_names.txt.
+shared, separation is decided in one place, the package's namespace is the
+pinned one and each name in it is its home module's own object, importing
+the package loads no submodule until a name is read, and every test name is
+in the ledger tests/data/test_names.txt.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
-Read from the source with `ast`; the import test runs in a fresh interpreter.
+Read from the source with `ast`; the import tests run in a fresh interpreter.
 """
 
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
+from golden_data import PACKAGE_ALL
+
+import qscheme
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "qscheme").glob("*.py") if p.name != "__init__.py")
@@ -221,43 +229,90 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
-def test_import_leaves_dataclasses_and_inspect_unloaded():
-    """In a fresh interpreter without site hooks (-I -S), which could load
-    either module themselves.  -I ignores PYTHONDONTWRITEBYTECODE, so -B
-    keeps the import from writing a bytecode cache under src/."""
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import qscheme, qscheme.cli\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
-    )
+# The submodules in qscheme.__all__, sorted.
+SUBMODULES = ("catalog", "classifier", "core", "errors", "laurent", "limits", "qpolynomial", "qrational", "qseries", "symmetry")
+
+
+def _fresh(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter without site hooks
+    (-I -S), which could load modules themselves, with src/ first on its
+    path.  -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the imports from
+    writing a bytecode cache under src/."""
     done = subprocess.run(
-        [sys.executable, "-B", "-I", "-S", "-c", code, str(ROOT / "src")],
+        [sys.executable, "-B", "-I", "-S", "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + code, str(ROOT / "src")],
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert done.stdout.split() == []
+    return done.stdout.splitlines()
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """With the CLI loaded, and through it verify and limits, so the check
+    covers the modules that once needed them."""
+    code = (
+        "import qscheme, qscheme.cli\n"
+        "print(*(m for m in ('qscheme.limits', 'qscheme.verify') if m in sys.modules))\n"
+        "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    assert _fresh(code) == ["qscheme.limits qscheme.verify", ""]
 
 
 def test_import_leaves_json_unloaded():
-    """Only `graph --format json` and the CLI's own JSON need it; in a fresh
-    interpreter as above."""
+    """Only `graph --format json` and the CLI's own JSON need it.  The star
+    import loads every submodule the package re-exports, as `import qscheme`
+    did before it loaded them lazily."""
     code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import qscheme\n"
+        "from qscheme import *\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qscheme.')))\n"
         "print('json' in sys.modules)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-B", "-I", "-S", "-c", code, str(ROOT / "src")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    assert _fresh(code) == [" ".join(f"qscheme.{name}" for name in SUBMODULES), "False"]
+
+
+def test_import_loads_no_submodule_until_a_name_is_read():
+    """`import qscheme` compiles nothing beyond __init__.py, and reading a
+    name from core loads only core and the modules core imports."""
+    code = (
+        "import qscheme\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qscheme') or m == 'fractions'))\n"
+        "from qscheme.core import monic_poly\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qscheme')))\n"
     )
-    assert done.stdout.split() == ["False"]
+    assert _fresh(code) == [
+        "qscheme",
+        "qscheme qscheme.core qscheme.errors qscheme.qpolynomial qscheme.qrational",
+    ]
+
+
+def test_package_names_are_pinned_and_held_by_their_home_modules():
+    """Each name is the very object its home module holds, read from there
+    on each access: the package keeps no copy, so a rebinding in the home
+    module is what the package returns."""
+    assert qscheme.__all__ == PACKAGE_ALL
+    for name in PACKAGE_ALL:
+        value = getattr(qscheme, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"qscheme.{name}"], name
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
+    copies = [name for name, value in vars(qscheme).items() if name in PACKAGE_ALL and not isinstance(value, types.ModuleType)]
+    assert copies == []
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from qscheme import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PACKAGE_ALL
+    assert all(value is getattr(qscheme, name) for name, value in namespace.items())
+    assert set(PACKAGE_ALL) <= set(dir(qscheme))
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'qscheme' has no attribute 'nosuch'$"):
+        qscheme.nosuch
 
 
 LEDGER = ROOT / "tests" / "data" / "test_names.txt"

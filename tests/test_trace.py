@@ -96,3 +96,21 @@ def test_traced_eval_cap_item_records_the_largest_coefficient_bits(monkeypatch):
     assert all(type(c) is Fraction for c in coeffs)
     assert tracer.max_bits[24] > 0
     assert tracer.max_bits[24] == max(coeff_bits(c) for c in coeffs)
+
+
+def test_package_names_follow_the_tracer_rebinding(monkeypatch):
+    # The package keeps no copy of a name, so inside the tracer its
+    # monic_poly is the span bound in core, and after it the cached original.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from bench.spans import Tracer
+
+    import qscheme
+    from qscheme import core
+
+    original = core.monic_poly
+    with Tracer().installed():
+        assert core.monic_poly is not original
+        assert qscheme.monic_poly is core.monic_poly
+    assert qscheme.monic_poly is core.monic_poly is original
+    assert hasattr(qscheme.monic_poly, "cache_info")
+    assert "monic_poly" not in vars(qscheme)
