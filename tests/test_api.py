@@ -249,10 +249,10 @@ def _fresh(code: str) -> list[str]:
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
-    """With the CLI loaded, and through it verify and limits, so the check
-    covers the modules that once needed them."""
+    """With the CLI and verify loaded, and through verify limits, so the
+    check covers the modules that once needed them."""
     code = (
-        "import qscheme, qscheme.cli\n"
+        "import qscheme, qscheme.cli, qscheme.verify\n"
         "print(*(m for m in ('qscheme.limits', 'qscheme.verify') if m in sys.modules))\n"
         "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
@@ -299,20 +299,44 @@ def test_package_names_are_pinned_and_held_by_their_home_modules():
             assert value is getattr(sys.modules[value.__module__], name), name
     copies = [name for name, value in vars(qscheme).items() if name in PACKAGE_ALL and not isinstance(value, types.ModuleType)]
     assert copies == []
-
-
-def test_star_import_and_dir_list_every_public_name():
     namespace = {}
     exec("from qscheme import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PACKAGE_ALL
     assert all(value is getattr(qscheme, name) for name, value in namespace.items())
     assert set(PACKAGE_ALL) <= set(dir(qscheme))
-
-
-def test_an_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'qscheme' has no attribute 'nosuch'$"):
         qscheme.nosuch
+
+
+# The modules each CLI command loads, beyond qscheme and qscheme.cli, which
+# imports the engine (core, errors, qpolynomial, qrational) for every command.
+ENGINE = ("core", "errors", "qpolynomial", "qrational")
+CATALOG = ("catalog", "classifier", "qseries", "symmetry")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["nosuch"], ENGINE),
+        (["graph"], ("classifier", *ENGINE)),
+        (["list"], (*CATALOG, *ENGINE)),
+        (["eval", "1a"], (*CATALOG, *ENGINE)),
+        (["verify", "charts", "--seed", "1"], (*CATALOG, *ENGINE, "laurent", "limits", "verify")),
+    ],
+    ids=["usage-error", "graph", "list", "eval", "verify"],
+)
+def test_each_cli_command_loads_only_the_modules_it_runs(argv, loaded):
+    """Only `verify` loads verify and limits, and `graph` no catalog: the CLI
+    imports each layer inside the command that runs it."""
+    code = (
+        "import contextlib, io\n"
+        "from qscheme import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    cli.main({argv!r})\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qscheme.')))\n"
+    )
+    assert _fresh(code) == [" ".join(sorted(f"qscheme.{name}" for name in ("cli", *loaded)))]
 
 
 LEDGER = ROOT / "tests" / "data" / "test_names.txt"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qscheme import catalog, cli, core
+from qscheme import catalog, cli, core, verify
 from qscheme.cli import build_parser, main
 from qscheme.core import monic_poly
 from qscheme.qpolynomial import format_poly
@@ -377,7 +377,8 @@ def test_verify_small_run_with_json_report(capsys, tmp_path):
 def test_verify_unknown_suite_usage_error(capsys):
     code, out, err = run(capsys, "verify", "everything")
     assert code == 2 and out == ""
-    assert refusal(err).startswith("argument suite: invalid choice: 'everything'")
+    suites = ", ".join(map(repr, verify.SUITES))
+    assert refusal(err) == f"argument suite: invalid choice: 'everything' (choose from {suites})"
 
 
 @pytest.mark.parametrize(

@@ -99,8 +99,10 @@ def test_traced_eval_cap_item_records_the_largest_coefficient_bits(monkeypatch):
 
 
 def test_package_names_follow_the_tracer_rebinding(monkeypatch):
-    # The package keeps no copy of a name, so inside the tracer its
-    # monic_poly is the span bound in core, and after it the cached original.
+    # Inside the tracer the package's monic_poly is the span bound in core,
+    # and after it the cached original.  The tracer rebinds names in the
+    # package module too, so that much held with the eager import as well;
+    # what this pins is that the package keeps no copy of the name.
     monkeypatch.syspath_prepend(str(ROOT))
     from bench.spans import Tracer
 
