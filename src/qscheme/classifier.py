@@ -147,31 +147,20 @@ FAMILY_LISTS: dict[str, tuple[str, ...]] = {
     "2a": ("continuous dual q-Hahn", "dual q-Hahn"),
     "2b": ("big q-Jacobi", "q-Hahn"),
     "3a": ("Al-Salam-Chihara", "dual q-Krawtchouk"),
-    "3b": (
-        "big q-Laguerre",
-        "q^-1-Meixner",
-        "affine q-Krawtchouk",
-        "quantum q^-1-Krawtchouk",
-    ),
-    "3c": (
-        "big q-Laguerre",
-        "q^-1-Meixner",
-        "affine q-Krawtchouk",
-        "quantum q^-1-Krawtchouk",
-    ),
+    "3b": ("big q-Laguerre", "q^-1-Meixner", "affine q-Krawtchouk", "quantum q^-1-Krawtchouk"),
     "3d": ("little q-Jacobi", "q-Krawtchouk"),
-    "3e": ("little q-Jacobi", "q-Krawtchouk"),
     "4a": ("continuous big q-Hermite",),
     "4b": ("shifted-factorial polynomials x^n (b/x;q)_n",),
     "4c": ("Al-Salam-Carlitz I", "q^-1-Al-Salam-Carlitz II"),
     "4d": ("little q-Laguerre", "q^-1-Laguerre", "q^-1-Charlier"),
-    "4e": ("little q-Laguerre", "q^-1-Laguerre", "q^-1-Charlier"),
     "4f": ("q^-1-Bessel",),
     "4g": ("q-Bessel",),
     "5a": ("monomials x^n",),
     "5b": ("shifted-factorial polynomials x^n (1/x;q)_n",),
     "5c": ("q^-1-Stieltjes-Wigert",),
 }
+# A family at two labels, one per Newton basis, lists its names once.
+FAMILY_LISTS |= {twin: FAMILY_LISTS[label] for twin, label in (("3c", "3b"), ("3e", "3d"), ("4e", "4d"))}
 
 
 def _build_label_table() -> dict[str, ZeroPattern]:

@@ -64,6 +64,10 @@ def hard_cap() -> int:
 
 
 def load_config(path: str | None) -> dict:
+    """The config at path, {} for None, with q and every parameter value
+    parsed as a rational; any malformed value or unknown name is refused
+    here, whatever the command.  Whether a value may be 0 is left to
+    instantiate, since --param may override it."""
     if path is None:
         return {}
     try:
@@ -84,7 +88,18 @@ def load_config(path: str | None) -> dict:
 
     if unknown := sorted(set(families) - set(catalog.FAMILIES)):
         raise UsageError(f"config names unknown family {unknown[0]!r}; `qscheme list` shows the registry")
-    return config
+    try:
+        parsed = {"families": {
+            key: {name: rational(str(value)) for name, value in params.items()} for key, params in families.items()
+        }}
+        if "q" in config:
+            parsed["q"] = rational(str(config["q"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    for key, params in families.items():
+        if unknown := [name for name in params if name not in catalog.FAMILIES[key].defaults]:
+            raise UsageError(f"{key}: unknown parameter {unknown[0]!r}")
+    return parsed
 
 
 def parse_param_overrides(pairs: list[str]) -> dict[str, Fraction]:
@@ -179,14 +194,9 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         raise UsageError(
             f"unknown family {args.family!r}; `qscheme list` shows the registry"
         )
-    family_config = config.get("families", {}).get(args.family, {})
+    params = dict(config.get("families", {}).get(args.family, {}))
     try:
-        params = {name: rational(str(value)) for name, value in family_config.items()}
-        q = None
-        if args.q is not None:
-            q = rational(args.q)
-        elif "q" in config:
-            q = rational(str(config["q"]))
+        q = rational(args.q) if args.q is not None else config.get("q")
         xs = []
         if args.xs:
             xs = [rational(piece) for piece in args.xs.split(",")]

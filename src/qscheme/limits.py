@@ -5,8 +5,10 @@ nodes by the gauge x -> rho(eps) * x, which turns u_n(x) into
 rho**n * u_n(x / rho).  A case is decided on the eleven coefficients, as
 KLS ch. 14 states each limit: the source's registry formulas run on
 Laurent polynomials in eps and, modulo the gauge, must tend to the
-target's.  Three cases change Newton basis on the way; each is a direct
-case composed with two labels that share their u_n.  The gap printed
+target's.  Three cases change Newton basis on the way: each is a direct
+case read at other labels that share their u_n with its own, and compares
+u_n only where its vector differs from the direct case's, which is across
+the labels it changes.  The gap printed
 beside the decision is taken at the last epsilon, on the polynomials'
 integer numerators.  Identities that hold without any limit (power-basis
 evaluations and pairs of representations of one polynomial) are exact
@@ -48,12 +50,12 @@ def _identity_holds(lhs: Side, rhs: Side, n_max: int) -> bool:
     """lhs(n)(x) == rhs(n)(x) for every n <= n_max at the catalog's nonzero
     samples, at least n + 1 of them (and never fewer than five), so two
     sides of degree n that agree there are equal; each side is set up once
-    per n."""
+    per n.  An n_max < 0, which compares nothing, fails."""
     for n in range(n_max + 1):
         left, right = lhs(n), rhs(n)
         if not all(left(x) == right(x) for x in catalog._sample_xs(max(n + 1, 5))):
             return False
-    return True
+    return n_max >= 0
 
 
 # The identities' parameters are also those of the limit targets below: each
@@ -129,8 +131,9 @@ EXACT_CHECKS: dict[str, Callable[[], bool]] = {
 class LimitCase(NamedTuple):
     """One arrow of the scheme: the source family at source_params(eps),
     its nodes scaled by rho(eps), tends to the target at target_params.
-    A direct case's source is a registry entry; a composed case names in
-    `via` a direct case with the same source_params and rho."""
+    A direct case's source is a registry entry; a composed case is the
+    direct case named in `via`, with its source path, target parameters,
+    rho and eps0, read at other labels that share their u_n with its own."""
 
     source_label: str
     source_params: Callable[[Fraction], Mapping[str, Fraction]]
@@ -201,6 +204,8 @@ def _failure(case: LimitCase, eps: Fraction) -> str | None:
             (case.source_label, via.source_label, case.source_instance(eps), via.source_instance(eps)),
             (case.target_label, via.target_label, case.target_instance(), via.target_instance()),
         ):
+            if pv == other:  # a label the case keeps: one vector, so one u_n
+                continue
             for n in range(_LABEL_N_MAX + 1):
                 if monic_poly(pv, n) != monic_poly(other, n):
                     return f"label identity {mine} = {theirs} failed at n={n}"
@@ -261,30 +266,37 @@ def verify(case: LimitCase) -> LimitReport:
     return LimitReport(_failure(case, eps), final_gap, checks)
 
 
-# Sources shared by two cases, each built around its targets' parameters.
+def _composed(direct: LimitCase, source_label: str, target_label: str, exact_checks=()) -> LimitCase:
+    """The direct case read at two labels that share their u_n with its own."""
+    return direct._replace(
+        source_label=source_label, target_label=target_label, exact_checks=exact_checks, via=direct.id
+    )
 
 
-def _cdqhahn(eps: Fraction) -> dict[str, Fraction]:
-    return {"a": eps, "b": _Q * _BIG_QLAGUERRE["a"] / eps, "c": _Q * _BIG_QLAGUERRE["b"] / eps}
-
-
-def _big_qjacobi(eps: Fraction) -> dict[str, Fraction]:
-    a = _LITTLE_QJACOBI["b"]
-    return {"a": a, "b": _LITTLE_QJACOBI["a"], "c": -a * eps}
-
-
-def _little_qjacobi(eps: Fraction) -> dict[str, Fraction]:
-    return {"a": _QBESSEL["a"] * eps / _Q, "b": -1 / eps}
-
+# continuous dual q-Hahn -> big q-Laguerre: shrink the node anchor while the
+# two companion parameters grow reciprocally.
+_CDQHAHN_BIG_QLAGUERRE = LimitCase(
+    "2a", lambda eps: {"a": eps, "b": _Q * _BIG_QLAGUERRE["a"] / eps, "c": _Q * _BIG_QLAGUERRE["b"] / eps},
+    "3c", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16), ("cdqhahn_rep_pair", "big_qlaguerre_rep_pair"),
+)
+# big q-Jacobi -> little q-Jacobi: the fourth (translation) parameter of the
+# four-parameter normalization shrinks; absorbed into the third slot.
+_BIG_LITTLE_QJACOBI = LimitCase(
+    "2b",
+    lambda eps: {"a": _LITTLE_QJACOBI["b"], "b": _LITTLE_QJACOBI["a"], "c": -_LITTLE_QJACOBI["b"] * eps},
+    "3d", _LITTLE_QJACOBI, lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24),
+)
+# little q-Jacobi -> q-Bessel: second parameter to -infinity with the product
+# of both parameters held fixed.  The inverse-argument forms sit on the
+# q-inverted diagram, where 3d' has the same u_n as 3d and 3e.
+_LITTLE_QJACOBI_QBESSEL = LimitCase(
+    "3e", lambda eps: {"a": _QBESSEL["a"] * eps / _Q, "b": -1 / eps},
+    "4g", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24),
+)
 
 CASES: tuple[LimitCase, ...] = (
-    # continuous dual q-Hahn -> big q-Laguerre: shrink the node anchor while
-    # the two companion parameters grow reciprocally.
-    LimitCase("2a", _cdqhahn, "3b", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16), via="2a->3c"),
-    LimitCase(
-        "2a", _cdqhahn, "3c", _BIG_QLAGUERRE, lambda eps: eps, Fraction(1, 2**16),
-        ("cdqhahn_rep_pair", "big_qlaguerre_rep_pair"),
-    ),
+    _composed(_CDQHAHN_BIG_QLAGUERRE, "2a", "3b"),
+    _CDQHAHN_BIG_QLAGUERRE,
     # Al-Salam-Chihara -> Al-Salam-Carlitz I: both parameters grow, the
     # polynomial is viewed at a magnified argument.
     LimitCase(
@@ -296,24 +308,10 @@ CASES: tuple[LimitCase, ...] = (
         "3a", lambda eps: {"a": eps, "b": _B / eps}, "4b", {"b": _B},
         lambda eps: eps, Fraction(1, 2**16), ("shifted_product_identity",),
     ),
-    # big q-Jacobi -> little q-Jacobi: the fourth (translation) parameter of
-    # the four-parameter normalization shrinks; absorbed into the third slot.
-    LimitCase(
-        "2b", _big_qjacobi, "3d", _LITTLE_QJACOBI,
-        lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24),
-    ),
-    LimitCase(
-        "2b", _big_qjacobi, "3e", _LITTLE_QJACOBI,
-        lambda eps: 1 / (_Q * _LITTLE_QJACOBI["b"]), Fraction(1, 2**24), via="2b->3d",
-    ),
-    # little q-Jacobi -> q-Bessel: second parameter to -infinity with the
-    # product of both parameters held fixed.  The inverse-argument forms sit
-    # on the q-inverted diagram, where 3d' has the same u_n as 3d and 3e.
-    LimitCase("3e", _little_qjacobi, "4g", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24)),
-    LimitCase(
-        "3d'", _little_qjacobi, "4f'", _QBESSEL, lambda eps: Fraction(1), Fraction(1, 2**24),
-        ("little_qjacobi_rep_pair", "qbessel_rep_pair"), via="3e->4g",
-    ),
+    _BIG_LITTLE_QJACOBI,
+    _composed(_BIG_LITTLE_QJACOBI, "2b", "3e"),
+    _LITTLE_QJACOBI_QBESSEL,
+    _composed(_LITTLE_QJACOBI_QBESSEL, "3d'", "4f'", ("little_qjacobi_rep_pair", "qbessel_rep_pair")),
     # continuous big q-Hermite -> monomials.
     LimitCase(
         "4a", lambda eps: {"a": eps}, "5a", {}, lambda eps: eps, Fraction(1, 2**16),

@@ -101,15 +101,15 @@ class SuiteReport(_Value):
         }
 
 
-def _first_failure(results: Iterable[bool]) -> str | None:
-    """None when every result holds and there is at least one; otherwise the
-    witness: the first failing n, for results given in n = 0, 1, ... order,
-    or that nothing was compared, so such a check fails instead of passing
-    vacuously.  Stops at the first failure."""
+def _first_failure(results: Iterable[tuple[str, bool]]) -> str | None:
+    """None when every (where, holds) result holds and there is at least
+    one; otherwise the witness: where the first failure is, or that nothing
+    was compared, so such a check fails instead of passing vacuously.
+    Stops at the first failure."""
     compared = False
-    for n, ok in enumerate(results):
+    for where, ok in results:
         if not ok:
-            return f"first failure at n={n}"
+            return f"first failure at {where}"
         compared = True
     return None if compared else "compared no n"
 
@@ -194,7 +194,7 @@ def _identity_checks(report: SuiteReport, holds, n_max: int, rng, count: int, de
 
     def check(with_q, build, *args):
         pv = build(*args)
-        failure = _first_failure(holds(pv, n) for n in range(n_max + 1))
+        failure = _first_failure((f"n={n}", holds(pv, n)) for n in range(n_max + 1))
         q = with_q and f"q={format_rational(pv.q)}"
         return failure is None, ", ".join(filter(None, (q, failure)))
 
@@ -247,15 +247,12 @@ def _duality_failure(pv: ParameterVector, dual: ParameterVector, depth: int) -> 
     m)(eigenvalue(n)) for dual = dualize(pv) and every n, m <= depth, each
     polynomial built once; else a detail naming the first failing (n, m) in
     (n, m) order, or saying that depth < 0 left nothing to compare."""
-    duals = []
-    for n in range(depth + 1):
-        u = normalized_poly(pv, n)
-        for m in range(depth + 1):
-            if m == len(duals):
-                duals.append(normalized_poly(dual, m))
-            if u(pv.node(m)) != duals[m](pv.eigenvalue(n)):
-                return f"first failure at n={n}, m={m}"
-    return None if depth >= 0 else "compared no n"
+    poly = functools.cache(normalized_poly)
+    return _first_failure(
+        (f"n={n}, m={m}", poly(pv, n)(pv.node(m)) == poly(dual, m)(pv.eigenvalue(n)))
+        for n in range(depth + 1)
+        for m in range(depth + 1)
+    )
 
 
 def suite_duality(depth: int = 8) -> SuiteReport:
@@ -338,11 +335,9 @@ def suite_symmetry(seed: int = DEFAULT_SEED) -> SuiteReport:
 
     def check(build, *args):
         pv = build(*args)
-        gauged = apply_gauge(pv, gauge)
+        gauged, rho = apply_gauge(pv, gauge), gauge.rho
         failure = _first_failure(
-            monic_poly(gauged, n)
-            == monic_poly(pv, n).compose_affine(1 / gauge.rho, -gauge.sigma)
-            * gauge.rho**n
+            (f"n={n}", monic_poly(gauged, n) == monic_poly(pv, n).compose_affine(1 / rho, -gauge.sigma) * rho**n)
             for n in range(7)
         )
         details = [failure] if failure else []

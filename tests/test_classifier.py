@@ -5,13 +5,16 @@ chart: 18 base diagrams, their mirrors, the dual pairs, 29 in-chart arrows
 and the six arrows crossing between the two mirror halves.
 """
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from qscheme import catalog
+from qscheme import catalog, classifier
 from qscheme.classifier import (
     DUAL_PAIRS,
+    FAMILY_LISTS,
     LABELS,
     PATTERN_LABELS,
     SELF_DUAL,
@@ -224,6 +227,27 @@ def test_every_catalog_family_lands_on_its_node():
     for key, spec in catalog.FAMILIES.items():
         node = by_label[spec.key]
         assert pattern_of(catalog.instantiate(key)) == node.pattern
+
+
+def test_a_family_at_two_labels_lists_its_names_once():
+    """Labels whose family lists are equal hold one tuple, which the source
+    spells once; they are exactly the unprimed catalog labels that share a
+    family name."""
+    def pairs(labels, key):
+        return {(a, b) for a in labels for b in labels if a < b and key(a) == key(b)}
+
+    equal = pairs(FAMILY_LISTS, FAMILY_LISTS.get)
+    assert all(FAMILY_LISTS[a] is FAMILY_LISTS[b] for a, b in equal)
+    # read from the source: CPython shares equal tuple constants, so `is` alone
+    # would pass a list spelled twice
+    (literal,) = [
+        node.value for node in ast.parse(Path(classifier.__file__).read_text()).body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "FAMILY_LISTS"
+    ]
+    spelled = [ast.literal_eval(value) for value in literal.values]
+    assert len(spelled) == len(set(spelled))
+    same_name = pairs([key for key in catalog.FAMILIES if "'" not in key], lambda key: catalog.FAMILIES[key].name)
+    assert equal == same_name == {("3b", "3c"), ("3d", "3e"), ("4d", "4e")}
 
 
 def test_emit_deterministic_and_complete():

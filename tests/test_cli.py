@@ -251,6 +251,23 @@ def test_config_keys_that_nothing_reads_are_refused(capsys, tmp_path, config, me
     assert (code, out, refusal(err)) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"q": "abc"}, "not a rational: 'abc'"),
+        ({"families": {"3a": {"a": "1/0"}}}, "not a rational: '1/0' has a zero denominator"),
+        ({"families": {"3a": {"zz": "1"}}}, "3a: unknown parameter 'zz'"),
+    ],
+    ids=["q", "value", "name"],
+)
+@pytest.mark.parametrize("argv", [["list"], ["graph"], ["verify", "constraints"], ["eval", "2a"]], ids=" ".join)
+def test_every_command_refuses_a_malformed_config(capsys, tmp_path, config, message, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(path), *argv)
+    assert (code, out, refusal(err)) == (2, "", message)
+
+
 def test_config_must_be_valid_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -49,15 +49,37 @@ def test_case_registry():
     # every identity is named by some case, so `verify all` runs each of them
     named = {name for case in CASES for name in case.exact_checks}
     assert named == set(EXACT_CHECKS) and len(EXACT_CHECKS) == 7
-    # each composed case goes through a direct case with its source path and rho
+    # each composed case is a direct case read at other labels: its source
+    # path, target parameters, rho and eps0 are the direct case's own
     composed = {case.id: case.via for case in CASES if case.via}
     assert composed == {"2a->3b": "2a->3c", "2b->3e": "2b->3d", "3d'->4f'": "3e->4g"}
     for case_id, via_id in composed.items():
         case, via = CASE_BY_ID[case_id], CASE_BY_ID[via_id]
-        assert via.via is None and case.eps0 == via.eps0
-        for t in (1, 12):
-            eps = case.eps_at(t)
-            assert case.source_params(eps) == via.source_params(eps) and case.rho(eps) == via.rho(eps)
+        assert via.via is None
+        assert case == via._replace(
+            source_label=case.source_label, target_label=case.target_label,
+            exact_checks=case.exact_checks, via=via_id,
+        )
+
+
+def test_a_composed_certificate_compares_only_the_labels_it_changes(monkeypatch):
+    """A label the case keeps holds its via case's own vector, so only the
+    changed labels' u_n are compared, and never a vector with itself."""
+    compared = []
+    real = limits.monic_poly
+    monkeypatch.setattr(limits, "monic_poly", lambda pv, n: compared.append((pv, n)) or real(pv, n))
+    changes = {"2a->3b": ("target",), "2b->3e": ("target",), "3d'->4f'": ("source", "target")}
+    for case_id, changed in changes.items():
+        case = CASE_BY_ID[case_id]
+        via, eps = CASE_BY_ID[case.via], case.eps_at(12)
+        sides = {
+            "source": (case.source_instance(eps), via.source_instance(eps)),
+            "target": (case.target_instance(), via.target_instance()),
+        }
+        compared.clear()
+        assert limits._failure(case, eps) is None
+        assert compared == [(pv, n) for side in changed for n in range(9) for pv in sides[side]], case_id
+        assert all(mine[0] != theirs[0] for mine, theirs in zip(compared[::2], compared[1::2])), case_id
 
 
 def test_zero_degree_gap_vanishes():
@@ -108,6 +130,8 @@ def test_an_identity_is_decided_at_more_points_than_its_degree():
     assert n_max == 6 and limits._identity_holds(lhs, rhs, 6)
     assert all(lhs(6)(x) == planted(6)(x) for x in fooled)
     assert not limits._identity_holds(lhs, planted, 6)
+    # an identity that compares nothing fails, even against a constant
+    assert not limits._identity_holds(lhs, lambda n: lambda x: 12345, -1)
 
 
 def test_failing_detail_names_the_first_failing_coefficient():
@@ -180,6 +204,16 @@ PLANTED = {
         CASE_BY_ID["2a->3b"]._replace(target_params={"a": F(1, 5), "b": F(-1, 2)}),
         "label identity 3b = 3c failed at n=1",
     ),
+    "2b->3e target moved": (
+        CASE_BY_ID["2b->3e"]._replace(target_params={"a": F(1, 5), "b": F(1, 3)}),
+        "label identity 3e = 3d failed at n=1",
+    ),
+    "3d'->4f' target moved": (
+        CASE_BY_ID["3d'->4f'"]._replace(target_params={"a": F(1, 5)}),
+        "label identity 4f' = 4g failed at n=1",
+    ),
+    # a kept label is compared too once its vector leaves the via case's
+    "2a->3b source b doubled": (_doubled_source("2a->3b", "b"), "label identity 2a = 2a failed at n=1"),
 }
 
 

@@ -18,19 +18,25 @@ from qscheme.symmetry import GaugeAction, apply_gauge
 from reference import CHECKS_BUILDING_2B, perturbed, refuse_2b, repeating_1a
 
 
+def at_n(results) -> list[tuple[str, bool]]:
+    """Results given in n = 0, 1, ... order, each with its `n=` witness."""
+    return [(f"n={n}", ok) for n, ok in enumerate(results)]
+
+
 def test_first_failure_needs_one_result_and_stops_at_the_first_failure():
     assert verify._first_failure([]) == "compared no n"
-    assert verify._first_failure([True, True]) is None
+    assert verify._first_failure(at_n([True, True])) is None
     seen = []
-    results = (seen.append(ok) or ok for ok in (True, False, True))
+    results = ((where, seen.append(ok) or ok) for where, ok in at_n([True, False, True]))
     assert verify._first_failure(results) == "first failure at n=1"
     assert seen == [True, False]
 
 
 def test_first_failure_names_the_first_failing_n():
-    assert verify._first_failure([True, True, False, False]) == "first failure at n=2"
-    assert verify._first_failure([True]) is None
+    assert verify._first_failure(at_n([True, True, False, False])) == "first failure at n=2"
+    assert verify._first_failure(at_n([True])) is None
     assert verify._first_failure([]) == "compared no n"
+    assert verify._first_failure([("n=0, m=0", True), ("n=0, m=1", False)]) == "first failure at n=0, m=1"
 
 
 @pytest.mark.parametrize(
