@@ -29,7 +29,7 @@ from pathlib import Path
 from .core import ParameterVector, monic_table
 from .errors import Mismatch, QSchemeError
 from .qpolynomial import format_poly
-from .qrational import format_rational, rational
+from .qrational import admissible_q, format_rational, rational
 
 DEFAULT_HARD_CAP = 24
 # Ceiling of `verify --count`; every suite's default count lies far below it.
@@ -63,11 +63,27 @@ def hard_cap() -> int:
     return cap
 
 
+# The Python type json.load gives each JSON type that is not a rational.
+_NOT_RATIONAL = {bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
+def _config_rational(value, where: str) -> Fraction:
+    """A config value, a JSON string or number, as a rational; any other
+    JSON type is refused by name."""
+    if kind := _NOT_RATIONAL.get(type(value)):
+        raise UsageError(f"not a rational: config {where} is a JSON {kind}, not a string or a number")
+    try:
+        return rational(str(value))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def load_config(path: str | None) -> dict:
     """The config at path, {} for None, with q and every parameter value
-    parsed as a rational; any malformed value or unknown name is refused
-    here, whatever the command.  Whether a value may be 0 is left to
-    instantiate, since --param may override it."""
+    parsed as a rational; any malformed value or unknown name, and a q that
+    is 0 or +/-1, is refused here, whatever the command.  Whether a
+    parameter may be 0 is left to instantiate, since --param may override
+    it."""
     if path is None:
         return {}
     try:
@@ -88,14 +104,14 @@ def load_config(path: str | None) -> dict:
 
     if unknown := sorted(set(families) - set(catalog.FAMILIES)):
         raise UsageError(f"config names unknown family {unknown[0]!r}; `qscheme list` shows the registry")
-    try:
-        parsed = {"families": {
-            key: {name: rational(str(value)) for name, value in params.items()} for key, params in families.items()
-        }}
-        if "q" in config:
-            parsed["q"] = rational(str(config["q"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    parsed = {"families": {
+        key: {name: _config_rational(value, f"{key} parameter {name}") for name, value in params.items()}
+        for key, params in families.items()
+    }}
+    if "q" in config:
+        parsed["q"] = q = _config_rational(config["q"], "q")
+        if not admissible_q(q):
+            raise UsageError(f"base q = {q} must avoid 0 and +/-1")
     for key, params in families.items():
         if unknown := [name for name in params if name not in catalog.FAMILIES[key].defaults]:
             raise UsageError(f"{key}: unknown parameter {unknown[0]!r}")

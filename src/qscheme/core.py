@@ -20,13 +20,14 @@ recurrence x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1} exactly when the d3/d4
 constraints hold.
 
 Each vector keeps a sequence table: node(k), eigenvalue(k) and lowering(k)
-for k below the largest length asked for, each a reduced integer pair
-(num, den), den > 0, built from running integer powers q**k = P/R by one
-Laurent evaluation on integers with one gcd.  The integer kernels (the
-Newton row, the Newton Horner, the recurrence coefficients, the operator,
-the normalized polynomial) read those pairs, or a prefix of them over the
-lcm of its denominators, and build no Fraction per value; node, eigenvalue
-and lowering(k) are the Fraction view.
+for k below the largest length asked for, each sequence held once as
+integer numerators over the lcm of its denominators, and the node and
+lowering values also as reduced integer pairs (num, den), den > 0, each
+built from running integer powers q**k = P/R by one Laurent evaluation on
+integers with one gcd.  The integer kernels (the Newton row, the Newton
+Horner, the recurrence coefficients, the operator, the normalized
+polynomial) read prefixes of the table and build no Fraction per value;
+node, eigenvalue and lowering(k) are the Fraction view.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class ParameterVector(_Value):
     constructor.  The constructor reads the coefficients into integers once,
     as _forms, which validation, the hash, the repeat test and the sequence
     table all read; `copy.copy(pv)` rebuilds the forms and the hash, and its
-    table and prefixes start empty."""
+    table starts empty."""
 
     _fields = ("q", "a", "b", "d")
 
@@ -114,14 +115,13 @@ class ParameterVector(_Value):
 
     # -- sequences ---------------------------------------------------------
 
-    # (node(0..), eigenvalue(0..), lowering(0..)) as far as any caller has
-    # asked, and the integer prefixes _integer_prefix has built, by
-    # (which, m).  _forms and _hash are set once by the constructor.
-    # No part of the value: ==, hash, repr and copies ignore them.  _table
-    # is replaced whole, never mutated; each _prefixes entry is written
-    # once, with its complete value.
-    _table = ((), (), ())
-    _prefixes = None
+    # The sequence table as far as any caller has asked: node(0..) and
+    # lowering(0..) as reduced pairs, by which, and each of node,
+    # eigenvalue and lowering(0..) once, as (numerators, den) over the lcm
+    # of its denominators held.  _forms and _hash are set once by the
+    # constructor.  No part of the value: ==, hash, repr and copies ignore
+    # them.  _table is replaced whole, never mutated.
+    _table = ({0: (), 2: ()}, (((), 1),) * 3)
 
     def __hash__(self) -> int:
         return self._hash
@@ -140,45 +140,41 @@ class ParameterVector(_Value):
     def lowering(self, k: int) -> Fraction:
         return self._at(2, k)
 
-    def _pairs(self, which: int, m: int) -> tuple[tuple[int, int], ...]:
-        """node (which = 0), eigenvalue (1) or lowering (2) at k < m, each
-        value a reduced integer pair (num, den), den > 0, built once per
-        vector from running integer powers q**k = P/R.  The table grows all
-        three sequences at once by publishing longer tuples in one
-        assignment, never in place, so concurrent callers each see a correct
-        prefix."""
+    def _grown(self, m: int) -> tuple:
+        """The sequence table, grown to length m or more: k runs on from the
+        table's end with running integer powers q**k = P/R, each value a
+        reduced pair, and each sequence's numerators are put over the lcm
+        of its old denominator and the new ones.  The longer table is
+        published in one assignment, never in place, so concurrent callers
+        each see a correct prefix."""
         table = self._table
-        start = len(table[0])
+        pairs, forms = table
+        start = len(pairs[0])
         if start < m:
-            forms = self._forms
             p, r = self.q.numerator, self.q.denominator
             P, R = p**start, r**start
             grown = ([], [], [])
             for _ in range(start, m):
-                for values, form in zip(grown, forms):
+                for values, form in zip(grown, self._forms):
                     values.append(_laurent_at(form, P, R))
                 P *= p
                 R *= r
-            table = tuple(old + tuple(new) for old, new in zip(table, grown))
+            pairs = {which: old + tuple(grown[which]) for which, old in pairs.items()}
+            table = (pairs, tuple(_extended(form, new) for form, new in zip(forms, grown)))
             object.__setattr__(self, "_table", table)
-        return table[which][:max(m, 0)]
+        return table
+
+    def _pairs(self, which: int, m: int) -> tuple[tuple[int, int], ...]:
+        """node (which = 0) or lowering (2) at k < m, each value a reduced
+        integer pair (num, den), den > 0."""
+        return self._grown(m)[0][which][:max(m, 0)]
 
     def _integer_prefix(self, which: int, m: int) -> tuple[tuple[int, ...], int]:
         """node (which = 0), eigenvalue (1) or lowering (2) at k < m as
-        integer numerators over the lcm of exactly those m denominators,
-        built once per (which, m).  Threads that race on a new entry at
-        worst build it twice; each writes the same complete value."""
-        if m <= 0:
-            return (), 1
-        memo = self._prefixes
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_prefixes", memo)
-        form = memo.get((which, m))
-        if form is None:
-            nums, den = _over_lcm(self._pairs(which, m))
-            form = memo[which, m] = (tuple(nums), den)
-        return form
+        integer numerators over that sequence's denominator in the table,
+        the lcm of all its values held, which may be a longer prefix's."""
+        nums, den = self._grown(m)[1][which]
+        return nums[:max(m, 0)], den
 
     # -- separation checks (closed form, exact for every q and every k) -------
 
@@ -287,6 +283,15 @@ def _laurent_at(form: tuple[tuple[int, ...], int], P: int, R: int) -> tuple[int,
     return num // g, den // g
 
 
+def _extended(form: tuple[tuple[int, ...], int], pairs: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """form = (nums, den) with the rationals given as reduced pairs appended,
+    all numerators over the lcm of den and the pairs' denominators."""
+    nums, den = form
+    full = lcm(den, *(d for _, d in pairs))
+    scale = full // den
+    return tuple([v * scale for v in nums] + [n * (full // d) for n, d in pairs]), full
+
+
 class UncheckedParameterVector(ParameterVector):
     """Constraint checks skipped, the forms and the hash still built; only
     for deliberately broken vectors."""
@@ -320,11 +325,11 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
     N_n, from h[0..n] and g[0..n]; N_n != 0 needs h[n] != h[k] for k < n,
     N_0 != 0 needs g[1..n] nonzero.
 
-    h = (H, Dh) gives h_j = H_j/Dh over Dh, the lcm of the denominators of
-    h[0..n] (as _integer_prefix builds it), and with g_j = a_j/b_j given as
-    the table's reduced pair (a_j, b_j) each step ratio g_j/(h_n - h_{j-1})
-    is s_j/t_j, the pair (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd
-    (left as it is when both vanish).  Then
+    h = (H, Dh) gives h_j = H_j/Dh over any common denominator Dh (as
+    _integer_prefix reads it), and with g_j = a_j/b_j given as the table's
+    reduced pair (a_j, b_j) each step ratio g_j/(h_n - h_{j-1}) is s_j/t_j,
+    the pair (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd (left as it is
+    when both vanish).  Then
 
         N_k = prod_{j=k+1..n} s_j * prod_{j=1..k} t_j,
 
@@ -397,8 +402,8 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}: expand p over the basis,
     transform termwise, convert back to the monomial basis, all on integers.
     The expansion is to_newton_coeffs' e_k = E_k/den, scaled by Dx as there;
-    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over the lcms of
-    their prefixes (lowering(0) = 0 adds nothing to Dg),
+    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over the table's
+    denominators,
     h_k e_k + g_{k+1} e_{k+1} = (H_k E_k Dg + G_{k+1} E_{k+1} Dh) / (den Dh Dg)
     goes to _newton_horner, whose output Poly keeps them as integers: no
     Fraction is built.
@@ -440,10 +445,11 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
 def _recurrence_pair(x: Sequence[tuple[int, int]], h: tuple[Sequence[int], int],
                      g: Sequence[tuple[int, int]], n: int) -> tuple[Fraction, Fraction | None]:
     """recurrence_coeffs(pv, n) from node(0..n) and lowering(0..n+1) as the
-    table's integer pairs and eigenvalue(0..n+1) as integers over a common
-    denominator, which may be a longer prefix's: each ratio's numerator and
-    denominator both scale with it, so the values do not depend on it.  The
-    caller has checked eigenvalue(0..n+1), so no ratio divides by zero."""
+    table's integer pairs and eigenvalue(0..n+1) as integers over the
+    table's denominator, which is a longer prefix's once the table has grown
+    past n + 2: each ratio's numerator and denominator both scale with it,
+    so the values do not depend on it.  The caller has checked
+    eigenvalue(0..n+1), so no ratio divides by zero."""
     big, dh = h
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:

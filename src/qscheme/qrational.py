@@ -15,13 +15,18 @@ from fractions import Fraction
 from operator import attrgetter
 
 
+# A decimal with an exponent part, in any form Fraction would accept: digits
+# (underscores allowed), an optional point, e or E, then signed digits.
+_EXPONENT = re.compile(r"[+-]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE][+-]?\d[\d_]*")
+
+
 def _from_text(text: str) -> Fraction:
     """Fraction of a "p/q" or decimal string; a ValueError names its cause:
     an exponent part, a zero denominator or a run of digits past Python's
     int/str limit.  An exponent part is refused before Fraction sees it:
     Fraction expands 1e-999999999 digit by digit."""
     text = text.strip()
-    if "e" in text or "E" in text:
+    if _EXPONENT.fullmatch(text):
         raise ValueError(f"not a rational: {text!r} has an exponent part")
     try:
         return Fraction(text)

@@ -361,9 +361,10 @@ def fraction_deflate(p: Poly, root) -> tuple[Poly, F]:
 
 
 def fraction_values(pv, which: int, m: int) -> tuple[F, ...]:
-    """node (which = 0), eigenvalue (1) or lowering (2) at k < m, as
-    Fractions built from the sequence table's integer pairs."""
-    return tuple(F(num, den) for num, den in pv._pairs(which, m))
+    """node (which = 0), eigenvalue (1) or lowering (2) at k < m, as the
+    vector's Fraction view gives them, one value per call."""
+    at = (pv.node, pv.eigenvalue, pv.lowering)[which]
+    return tuple(at(k) for k in range(m))
 
 
 def fraction_to_newton_coeffs(pv, p: Poly) -> list[F]:

@@ -268,6 +268,47 @@ def test_every_command_refuses_a_malformed_config(capsys, tmp_path, config, mess
     assert (code, out, refusal(err)) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"q": None}, "not a rational: config q is a JSON null, not a string or a number"),
+        ({"q": True}, "not a rational: config q is a JSON boolean, not a string or a number"),
+        ({"q": [1, 2]}, "not a rational: config q is a JSON array, not a string or a number"),
+        (
+            {"families": {"3a": {"a": False}}},
+            "not a rational: config 3a parameter a is a JSON boolean, not a string or a number",
+        ),
+        (
+            {"families": {"3a": {"a": {"p": 1}}}},
+            "not a rational: config 3a parameter a is a JSON object, not a string or a number",
+        ),
+        ({"q": 1}, "base q = 1 must avoid 0 and +/-1"),
+        ({"q": "-1"}, "base q = -1 must avoid 0 and +/-1"),
+        ({"q": 0}, "base q = 0 must avoid 0 and +/-1"),
+        ({"q": "2/2"}, "base q = 1 must avoid 0 and +/-1"),
+    ],
+    ids=["q-null", "q-true", "q-array", "a-false", "a-object", "q-1", "q-minus-1", "q-0", "q-2/2"],
+)
+@pytest.mark.parametrize("argv", [["list"], ["graph"], ["verify", "constraints"], ["eval", "3a"]], ids=" ".join)
+def test_every_command_gives_a_config_one_verdict(capsys, tmp_path, config, message, argv):
+    """A config value that is no JSON string or number is refused by its
+    type, and a base q of 0 or +/-1 by the text eval gave it, whatever the
+    command: one verdict per config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(path), *argv)
+    assert (code, out, refusal(err)) == (2, "", message)
+
+
+def test_a_config_number_reads_as_its_decimal(capsys, tmp_path):
+    """JSON numbers are read through their decimal text: an integer and a
+    float are both rationals, so a config q of 0.5 is q = 1/2."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"q": 0.5, "families": {"3a": {"a": 3}}}))
+    code, out, _ = run(capsys, "--config", str(path), "eval", "3a", "-n", "1")
+    assert code == 0 and "q = 1/2" in out and "a=3" in out
+
+
 def test_config_must_be_valid_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -483,6 +524,32 @@ def test_rational_refuses_text_as_the_cli_does(text, key):
     with pytest.raises(ValueError) as caught:
         rational(text)
     assert str(caught.value).endswith(REFUSAL_CAUSES[key])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("three", "not a rational: 'three'"),
+        ("one", "not a rational: 'one'"),
+        ("Eve", "not a rational: 'Eve'"),
+        ("1e", "not a rational: '1e'"),
+        ("e5", "not a rational: 'e5'"),
+        ("1.5E-3", "not a rational: '1.5E-3' has an exponent part"),
+        (".5e+2", "not a rational: '.5e+2' has an exponent part"),
+        ("-1_0e5", "not a rational: '-1_0e5' has an exponent part"),
+        ("2.e1", "not a rational: '2.e1' has an exponent part"),
+    ],
+)
+def test_only_a_decimal_with_one_has_an_exponent_part(capsys, text, message):
+    """A word holding an e is no exponent: the refusal names the text alone.
+    Every decimal form Fraction would read with an exponent is still refused
+    as one, before Fraction sees it."""
+    with pytest.raises(ValueError) as caught:
+        rational(text)
+    assert str(caught.value) == message
+    for argv in (["eval", "1a", f"-q={text}"], ["eval", "1a", "--param", f"a={text}"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, refusal(err)) == (2, "", message)
 
 
 @pytest.mark.parametrize(

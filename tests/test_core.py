@@ -10,7 +10,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -1105,6 +1105,13 @@ def laurent(coeffs, q, k: int) -> F:
     return sum((c * q ** (p * k) for c, p in zip(coeffs, (0, 1, -1, 2, -2))), F(0))
 
 
+def table_values(pv, which: int, m: int) -> tuple[F, ...]:
+    """node (which = 0), eigenvalue (1) or lowering (2) at k < m as the
+    sequence table holds them, integer numerators over one denominator."""
+    nums, den = pv._integer_prefix(which, m)
+    return tuple(F(v, den) for v in nums)
+
+
 def sequence_vectors():
     vectors = [catalog.instantiate(key, None, q) for key in catalog.FAMILIES for q in (F(1, 2), F(-2, 3))]
     rng = random.Random(67)
@@ -1117,7 +1124,7 @@ def test_sequence_table_matches_laurent_formula():
     unit_q = 0
     for pv in sequence_vectors():
         unit_q += pv.q in (1, -1)
-        x, h, g = (fraction_values(pv, which, 31) for which in range(3))
+        x, h, g = (table_values(copy.copy(pv), which, 31) for which in range(3))
         assert len(x) == len(h) == len(g) == 31
         for k in range(31):
             assert x[k] == laurent(pv.b, pv.q, k) == pv.node(k), (pv, k)
@@ -1127,23 +1134,30 @@ def test_sequence_table_matches_laurent_formula():
 
 
 def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
-    """Each node, eigenvalue and lowering value in the table is an int pair
-    (num, den) in lowest terms with den > 0: the pair of node, eigenvalue or
-    lowering(k).  Negative k, where the running power of q = p/r is
-    r**-k / p**-k and its denominator is negative for odd k at q < 0, gives
-    reduced pairs too."""
+    """Each node and lowering value in the table is an int pair (num, den)
+    in lowest terms with den > 0, the pair of node or lowering(k); each
+    sequence is a tuple of int numerators over the lcm of its values'
+    denominators, each value that of node, eigenvalue or lowering(k).
+    Negative k, where the running power of q = p/r is r**-k / p**-k and its
+    denominator is negative for odd k at q < 0, gives reduced pairs too."""
     negative_q = 0
     for pv in sequence_vectors():
+        pv = copy.copy(pv)  # empty memo
         negative_q += pv.q < 0
         accessors = (pv.node, pv.eigenvalue, pv.lowering)
         forms = pv._forms
         p, r = pv.q.numerator, pv.q.denominator
-        for which, at in enumerate(accessors):
+        for which in (0, 2):
             table = pv._pairs(which, 31)
             assert len(table) == 31
             for k, (num, den) in enumerate(table):
                 assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1, (pv, which, k)
-                assert (num, den) == at(k).as_integer_ratio(), (pv, which, k)
+                assert (num, den) == accessors[which](k).as_integer_ratio(), (pv, which, k)
+        for which, at in enumerate(accessors):
+            nums, den = pv._integer_prefix(which, 31)
+            assert type(nums) is tuple and len(nums) == 31 and all(type(v) is int for v in nums)
+            assert den == lcm(*(at(k).denominator for k in range(31))), (pv, which)
+            assert [F(v, den) for v in nums] == [at(k) for k in range(31)], (pv, which)
             for k in range(-6, 0):
                 num, den = core._laurent_at(forms[which], r**-k, p**-k)
                 assert den > 0 and gcd(num, den) == 1, (pv, which, k)
@@ -1163,34 +1177,58 @@ def test_sequences_at_negative_k_match_laurent_formula():
 
 
 def test_sequence_table_reads_any_prefix():
+    """Any length, asked before or after a longer one, reads that many
+    values: the node and lowering pairs, and each sequence over its
+    denominator in the table as it stands, which only grows."""
     pv = copy.copy(catalog.instantiate("1a"))  # empty memo
     sizes = (4, 21, 8, 1, 21, 26, 0)
-    assert pv._pairs(0, 0) == () and pv._pairs(2, -2) == ()
-    grown = [tuple(pv._pairs(which, m) for which in range(3)) for m in sizes]
+    assert pv._pairs(0, 0) == () and pv._pairs(2, -2) == () and pv._integer_prefix(2, -2)[0] == ()
+    grown = [(pv._pairs(0, m), pv._pairs(2, m), *(table_values(pv, which, m) for which in range(3))) for m in sizes]
     longest = grown[5]
     for m, table in zip(sizes, grown):
         assert table == tuple(seq[:m] for seq in longest)
-    assert all(len(seq) == 26 for seq in pv._table)
+    pairs, forms = pv._table
+    assert all(len(seq) == 26 for seq in pairs.values()) and all(len(nums) == 26 for nums, _ in forms)
+    dens = [pv._integer_prefix(which, 26)[1] for which in range(3)]
+    assert [pv._integer_prefix(which, 3)[1] for which in range(3)] == dens
 
 
-def test_integer_prefixes_are_each_prefix_over_its_own_lcm():
-    """Any prefix, asked in any order and again, is the Fraction prefix over
-    the lcm of exactly its denominators, as a tuple, on a table grown by other
-    callers too; many of them have a smaller lcm than the whole table's."""
+def test_results_do_not_depend_on_the_order_of_requests():
+    """Each kernel gives a fresh vector's result on a vector whose table was
+    first grown to length 40 and on one asked in descending n: the table's
+    denominators depend on its length, no value does.  Seeded random,
+    broken, colliding (q = +/-1 included) and zero-lowering vectors."""
     rng = random.Random(79)
-    scaled = 0
-    for pv in sequence_vectors()[::3]:
-        pv = copy.copy(pv)  # empty memo
-        for m in rng.choices(range(-1, 16), k=25):
-            if rng.random() < 0.3:
-                pv._pairs(0, rng.randint(0, 20) + 1)
-            for which in range(3):
-                seq = pv._pairs(which, m)
-                nums, den = pv._integer_prefix(which, m)
-                assert type(nums) is tuple, (pv, which, m)
-                assert (list(nums), den) == (core._over_lcm(seq) if m > 0 else ([], 1)), (pv, which, m)
-                scaled += m > 0 and den != core._over_lcm(pv._table[which])[1]
-    assert scaled > 100
+    vectors = [random_parameter_vector(rng) for _ in range(10)]
+    vectors += [random_broken_vector(rng) for _ in range(6)]
+    vectors += list(colliding_vectors(9, seed=101))
+    vectors += [qracah_like(n_cut) for n_cut in (1, 3)]
+    degrees = range(10)
+
+    def results(pv, order):
+        monic_poly.cache_clear()  # each route builds its own polynomials
+        out = {}
+        for n in order:
+            probe = Poly([F(k + 1, 2 + k % 3) for k in range(n + 1)])
+            out[n] = (
+                outcome(monic_poly, pv, n),
+                outcome(normalized_poly, pv, n),
+                to_newton_coeffs(pv, probe),
+                apply_operator(pv, probe),
+                outcome(recurrence_coeffs, pv, n),
+                outcome(core.monic_table, pv, n),
+            )
+        return out
+
+    built = set()
+    for pv in vectors:
+        fresh = results(copy.copy(pv), degrees)
+        built.update(isinstance(row[0], Poly) for row in fresh.values())
+        grown = copy.copy(pv)
+        grown._integer_prefix(0, 40)
+        assert results(grown, degrees) == fresh, pv
+        assert results(copy.copy(pv), reversed(degrees)) == fresh, pv
+    assert built == {True, False}  # built polynomials and refusals both compared
 
 
 def test_sequence_table_is_not_part_of_the_value():
@@ -1198,19 +1236,19 @@ def test_sequence_table_is_not_part_of_the_value():
     grown, fresh = (copy.copy(catalog.instantiate("2a")) for _ in range(2))
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
-    assert len(grown._table[0]) == 13 and len(fresh._table[0]) == 0
+    assert len(grown._table[0][0]) == 13 and len(fresh._table[0][0]) == 0
     assert grown == fresh and hash(grown) == hash(fresh)
     assert grown._hash == fresh._hash == hash((grown.q.as_integer_ratio(), grown._forms))
     assert grown._forms == fresh._forms
     assert repr(grown) == repr(fresh) == before and "_hash" not in before and "_forms" not in before
     assert grown.__reduce__() == (type(grown), (grown.q, grown.a, grown.b, grown.d))
     private = copy.copy(grown)
-    assert private == grown and len(private._table[0]) == 0
+    assert private == grown and len(private._table[0][0]) == 0
     # the constructor rebuilds the forms and the hash; the lazy memos start empty
     assert private._hash == grown._hash and hash(private) == hash(grown)
     assert private._forms == grown._forms
-    assert private._prefixes is None and grown._prefixes
-    assert type(grown)._prefixes is None and not hasattr(grown, "_repeats")  # separation is not memoised
+    assert "_table" not in vars(private) and "_table" in vars(grown)
+    assert not hasattr(grown, "_repeats")  # separation is not memoised
     assert "_hash" not in vars(ParameterVector) and "_forms" not in vars(ParameterVector)
     unchecked = perturbed(grown)
     assert hash(unchecked) == hash(grown) and unchecked._hash == grown._hash
@@ -1275,7 +1313,7 @@ def test_parameter_vector_value_semantics():
     assert weakref.ref(pv)() is pv and weakref.ref(unchecked)() is unchecked
     for twin in (copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))):
         assert type(twin) is ParameterVector and twin == pv and twin is not pv
-        assert twin._table == ((), (), ()) and twin._hash == pv._hash and hash(twin) == hash(pv)
+        assert "_table" not in vars(twin) and twin._hash == pv._hash and hash(twin) == hash(pv)
     assert ParameterVector("1/2", pv.a, list(pv.b), pv.d) == pv  # coerced by the constructor
     assert type(pickle.loads(pickle.dumps(unchecked))) is UncheckedParameterVector
 
@@ -1290,11 +1328,10 @@ def test_parameter_vector_value_semantics():
 
 
 def test_threads_growing_one_table_get_the_serial_results():
-    """Four threads race to grow one fresh vector's table and to memoise its
-    integer prefixes; each gets the serial polynomial and hash, the table
-    left behind is a correct prefix, and every integer prefix left behind is
-    correct.  The forms and the hash are built by the constructor, before
-    any thread starts."""
+    """Four threads race to grow one fresh vector's table; each gets the
+    serial polynomial and hash, and the table left behind is a fresh
+    vector's table of its length.  The forms and the hash are built by the
+    constructor, before any thread starts."""
     degrees = (24, 3, 17, 9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1313,16 +1350,50 @@ def test_threads_growing_one_table_get_the_serial_results():
                     results = dict(zip(degrees, pool.map(build, degrees, timeout=60)))
                 value_hash = hash(catalog.instantiate(key))
                 assert results == {n: (u, value_hash) for n, u in serial.items()}, key
-                x, h, g = pv._table
+                by_which, forms = pv._table
+                x, g = by_which[0], by_which[2]
                 # a slower thread may publish a shorter prefix last
-                assert len(x) == len(h) == len(g) >= min(degrees) + 1
+                assert len(x) == len(g) >= min(degrees) + 1 and all(len(nums) == len(x) for nums, _ in forms)
                 assert x == pairs(pv.node(k) for k in range(len(x)))
                 assert g == pairs(pv.lowering(k) for k in range(len(g)))
-                # a thread may lose its entries to another's new memo, but
-                # every entry left behind is a fresh vector's
-                assert pv._prefixes
+                # whatever length is left behind, it is a fresh vector's table
                 fresh = copy.copy(pv)
-                for (which, m), form in pv._prefixes.items():
-                    assert form == fresh._integer_prefix(which, m), (key, which, m)
+                fresh._pairs(0, len(x))
+                assert pv._table == fresh._table, key
     finally:
         sys.setswitchinterval(interval)
+
+
+def memo_ints(pv) -> int:
+    """The integers held in vars(pv) outside the value fields (q, a, b, d),
+    counted through nested tuples, lists and dicts: every memo the vector
+    keeps, whatever its name."""
+
+    def count(obj) -> int:
+        if isinstance(obj, int):
+            return 1
+        if isinstance(obj, dict):
+            return sum(map(count, obj)) + sum(map(count, obj.values()))
+        if isinstance(obj, (tuple, list)):
+            return sum(map(count, obj))
+        return 0
+
+    return sum(count(value) for name, value in vars(pv).items() if name not in pv._fields)
+
+
+def test_a_vectors_memo_grows_linearly_with_the_degree():
+    """After every recurrence and eigenvalue identity to n, and the table,
+    normalized polynomial and Newton coefficients too, a vector holds at
+    most 12 (n + 2) integers: one row per sequence, none per length asked."""
+    rng = random.Random(107)
+    for n in (4, 10, 24):
+        for _ in range(4):
+            pv = copy.copy(random_parameter_vector(rng, depth=n + 1))  # empty memo
+            for k in range(n + 1):
+                u = monic_poly.__wrapped__(pv, k)
+                assert recurrence_check(pv, k)
+                assert apply_operator(pv, u) == u * pv.eigenvalue(k)
+                normalized_poly(pv, k)
+                to_newton_coeffs(pv, u)
+            core.monic_table(pv, n)
+            assert memo_ints(pv) <= 12 * (n + 2), (n, memo_ints(pv))
