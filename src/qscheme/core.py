@@ -20,13 +20,13 @@ recurrence x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1} exactly when the d3/d4
 constraints hold.
 
 Each vector keeps a sequence table: node(k), eigenvalue(k) and lowering(k)
-for k below the largest length asked for, each sequence held once as
-integer numerators over the lcm of its denominators, and the node and
-lowering values also as reduced integer pairs (num, den), den > 0, each
-built from running integer powers q**k = P/R by one Laurent evaluation on
+for k below the largest length asked for, each sequence held once: node
+and lowering as reduced integer pairs (num, den), den > 0, and eigenvalue
+as integer numerators over the lcm of its denominators, each value built
+from running integer powers q**k = P/R by one Laurent evaluation on
 integers with one gcd.  The integer kernels (the Newton row, the Newton
 Horner, the recurrence coefficients, the operator, the normalized
-polynomial) read prefixes of the table and build no Fraction per value;
+polynomial) read the table once per call and build no Fraction per value;
 node, eigenvalue and lowering(k) are the Fraction view.
 """
 
@@ -116,12 +116,11 @@ class ParameterVector(_Value):
     # -- sequences ---------------------------------------------------------
 
     # The sequence table as far as any caller has asked: node(0..) and
-    # lowering(0..) as reduced pairs, by which, and each of node,
-    # eigenvalue and lowering(0..) once, as (numerators, den) over the lcm
-    # of its denominators held.  _forms and _hash are set once by the
-    # constructor.  No part of the value: ==, hash, repr and copies ignore
-    # them.  _table is replaced whole, never mutated.
-    _table = ({0: (), 2: ()}, (((), 1),) * 3)
+    # lowering(0..) as reduced pairs, and eigenvalue(0..) as (numerators,
+    # den) over the lcm of its denominators held.  _forms and _hash are set
+    # once by the constructor.  No part of the value: ==, hash, repr and
+    # copies ignore them.  _table is replaced whole, never mutated.
+    _table = ((), ((), 1), ())
 
     def __hash__(self) -> int:
         return self._hash
@@ -141,15 +140,16 @@ class ParameterVector(_Value):
         return self._at(2, k)
 
     def _grown(self, m: int) -> tuple:
-        """The sequence table, grown to length m or more: k runs on from the
-        table's end with running integer powers q**k = P/R, each value a
-        reduced pair, and each sequence's numerators are put over the lcm
-        of its old denominator and the new ones.  The longer table is
-        published in one assignment, never in place, so concurrent callers
-        each see a correct prefix."""
+        """The sequence table (node pairs, eigenvalue row, lowering pairs),
+        grown to length m or more: k runs on from the table's end with
+        running integer powers q**k = P/R, each value a reduced pair, and
+        the eigenvalue numerators are put over the lcm of the row's old
+        denominator and the new ones.  The longer table is published in one
+        assignment, never in place, so concurrent callers each see a correct
+        prefix."""
         table = self._table
-        pairs, forms = table
-        start = len(pairs[0])
+        x, h, g = table
+        start = len(x)
         if start < m:
             p, r = self.q.numerator, self.q.denominator
             P, R = p**start, r**start
@@ -159,22 +159,9 @@ class ParameterVector(_Value):
                     values.append(_laurent_at(form, P, R))
                 P *= p
                 R *= r
-            pairs = {which: old + tuple(grown[which]) for which, old in pairs.items()}
-            table = (pairs, tuple(_extended(form, new) for form, new in zip(forms, grown)))
+            table = (x + tuple(grown[0]), _extended(h, grown[1]), g + tuple(grown[2]))
             object.__setattr__(self, "_table", table)
         return table
-
-    def _pairs(self, which: int, m: int) -> tuple[tuple[int, int], ...]:
-        """node (which = 0) or lowering (2) at k < m, each value a reduced
-        integer pair (num, den), den > 0."""
-        return self._grown(m)[0][which][:max(m, 0)]
-
-    def _integer_prefix(self, which: int, m: int) -> tuple[tuple[int, ...], int]:
-        """node (which = 0), eigenvalue (1) or lowering (2) at k < m as
-        integer numerators over that sequence's denominator in the table,
-        the lcm of all its values held, which may be a longer prefix's."""
-        nums, den = self._grown(m)[1][which]
-        return nums[:max(m, 0)], den
 
     # -- separation checks (closed form, exact for every q and every k) -------
 
@@ -304,7 +291,7 @@ def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
     if k < 0:
         raise ValueError("the Newton basis needs k >= 0")
-    return _newton_horner([0] * k + [1], 1, pv._pairs(0, k))
+    return _newton_horner([0] * k + [1], 1, pv._grown(k)[0])
 
 
 class NewtonExpansion(NamedTuple):
@@ -325,8 +312,8 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
     N_n, from h[0..n] and g[0..n]; N_n != 0 needs h[n] != h[k] for k < n,
     N_0 != 0 needs g[1..n] nonzero.
 
-    h = (H, Dh) gives h_j = H_j/Dh over any common denominator Dh (as
-    _integer_prefix reads it), and with g_j = a_j/b_j given as the table's
+    h = (H, Dh) gives h_j = H_j/Dh over any common denominator Dh (the
+    table's eigenvalue row), and with g_j = a_j/b_j given as the table's
     reduced pair (a_j, b_j) each step ratio g_j/(h_n - h_{j-1}) is s_j/t_j,
     the pair (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd (left as it is
     when both vanish).  Then
@@ -362,8 +349,8 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     pv.check_h_separation(order)
-    g = pv._pairs(2, order + 1)
-    rows = (_newton_row(pv._integer_prefix(1, n + 1), g, n) for n in range(order + 1))
+    _, h, g = pv._grown(order + 1)
+    rows = (_newton_row(h, g, n) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
 
@@ -380,18 +367,21 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     for a repeat.
     """
     pv.check_h_separation(n)
-    row = _newton_row(pv._integer_prefix(1, n + 1), pv._pairs(2, n + 1), n)
-    return _newton_horner(row, row[-1], pv._pairs(0, n))
+    x, h, g = pv._grown(n + 1)
+    row = _newton_row(h, g, n)
+    return _newton_horner(row, row[-1], x)
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     """Coefficients e_k with p = sum e_k v_k.
 
-    With node(0..d-1) over their lcm Dx and p = sum N_i x**i / D, synthetic
-    division of P(y) = sum N_i Dx**(d-i) y**i by y - Dx*node(j) runs on
-    integers; its k-th remainder e'_k gives e_k = e'_k Dx**k / (D Dx**d).
+    With node(0..d-1), the table's pairs, over their lcm Dx and
+    p = sum N_i x**i / D, synthetic division of P(y) = sum N_i Dx**(d-i) y**i
+    by y - Dx*node(j) runs on integers; its k-th remainder e'_k gives
+    e_k = e'_k Dx**k / (D Dx**d).
     """
-    nums, den = _newton_division(p, pv._integer_prefix(0, p.degree))
+    nodes = pv._grown(p.degree)[0][:max(p.degree, 0)]
+    nums, den = _newton_division(p, _over_lcm(nodes))
     return [Fraction(v, den) for v in nums] or [Fraction(0)]
 
 
@@ -402,22 +392,22 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}: expand p over the basis,
     transform termwise, convert back to the monomial basis, all on integers.
     The expansion is to_newton_coeffs' e_k = E_k/den, scaled by Dx as there;
-    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over the table's
-    denominators,
+    with eigenvalue(k) = H_k/Dh over the table's denominator and
+    lowering(0..d) = G_k/Dg over the lcm of their own,
     h_k e_k + g_{k+1} e_{k+1} = (H_k E_k Dg + G_{k+1} E_{k+1} Dh) / (den Dh Dg)
     goes to _newton_horner, whose output Poly keeps them as integers: no
     Fraction is built.
     """
-    e, den = _newton_division(p, pv._integer_prefix(0, p.degree))
-    if not e:
+    if p.is_zero:
         return Poly.zero()
-    m = len(e)
-    hs, dh = pv._integer_prefix(1, m)
-    gs, dg = pv._integer_prefix(2, m)
+    d = p.degree
+    x, (hs, dh), g = pv._grown(d + 1)
+    e, den = _newton_division(p, _over_lcm(x[:d]))
+    gs, dg = _over_lcm(g[:d + 1])
     out = [hk * ek * dg for hk, ek in zip(hs, e)]
-    for k in range(m - 1):
+    for k in range(d):
         out[k] += gs[k + 1] * e[k + 1] * dh
-    return _newton_horner(out, den * dh * dg, pv._pairs(0, m - 1))
+    return _newton_horner(out, den * dh * dg, x)
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction | None]:
@@ -439,15 +429,15 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     if n < 0:
         raise ValueError("recurrence coefficients need n >= 0")
     pv.check_h_separation(n + 1)
-    return _recurrence_pair(pv._pairs(0, n + 1), pv._integer_prefix(1, n + 2), pv._pairs(2, n + 2), n)
+    return _recurrence_pair(*pv._grown(n + 2), n)
 
 
 def _recurrence_pair(x: Sequence[tuple[int, int]], h: tuple[Sequence[int], int],
                      g: Sequence[tuple[int, int]], n: int) -> tuple[Fraction, Fraction | None]:
     """recurrence_coeffs(pv, n) from node(0..n) and lowering(0..n+1) as the
     table's integer pairs and eigenvalue(0..n+1) as integers over the
-    table's denominator, which is a longer prefix's once the table has grown
-    past n + 2: each ratio's numerator and denominator both scale with it,
+    table's denominator, a longer prefix's once the table has grown past
+    n + 2: each ratio's numerator and denominator both scale with it,
     so the values do not depend on it.  The caller has checked
     eigenvalue(0..n+1), so no ratio divides by zero."""
     big, dh = h
@@ -503,7 +493,7 @@ def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction,
     if n < 0:
         raise ValueError("a monic table needs n >= 0")
     pv.check_h_separation(n + 1)
-    x, h, g = pv._pairs(0, n + 1), pv._integer_prefix(1, n + 2), pv._pairs(2, n + 2)
+    x, h, g = pv._grown(n + 2)
     rows = []
     u, prev = Poly.one(), Poly.zero()
     for k in range(n + 1):
@@ -533,7 +523,7 @@ def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
     Such an N truncates the family to a finite orthogonal system of degrees
     n <= N, and forces c[n][k] = 0 exactly for k <= N < n.
     """
-    g = pv._pairs(2, n_max + 2)
+    g = pv._grown(n_max + 2)[2]
     for k in range(1, n_max + 2):
         if not g[k][0]:
             return k - 1
@@ -554,9 +544,9 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     The sum is symmetric under dualize's node/eigenvalue exchange: the family
     satisfies normalized_poly(pv, n)(node(m)) == normalized_poly(dualize(pv), m)(eigenvalue(n)).
     """
-    g = pv._pairs(2, n + 1)
+    x, h, g = pv._grown(n + 1)
     for j in range(1, n + 1):
         if not g[j][0]:
             raise ZeroG(j)
-    row = _newton_row(pv._integer_prefix(1, n + 1), g, n)
-    return _newton_horner(row, row[0], pv._pairs(0, n))
+    row = _newton_row(h, g, n)
+    return _newton_horner(row, row[0], x)

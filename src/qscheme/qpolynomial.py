@@ -205,7 +205,7 @@ def _newton_horner(nums: list[int], den: int, nodes: Sequence[tuple[int, int]]) 
     acc, t = [nums[-1]], 1  # low degree first
     for k in range(len(nums) - 2, -1, -1):
         p, r = nodes[k]
-        acc = [-p * acc[0]] + [r * hi - p * lo for hi, lo in zip(acc, acc[1:])] + [r * acc[-1]]
+        acc = [r * hi - p * lo for hi, lo in zip([0, *acc], [*acc, 0])]
         t *= r
         acc[0] += nums[k] * t
     return Poly._of(acc, den * t)
@@ -260,8 +260,11 @@ def _homogeneous_horner(nums: Sequence[int], s: int, r: int) -> int:
 
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """Integer numerators of the rationals num/den given as (num, den)
-    pairs, den > 0, over the lcm of their denominators."""
-    den = lcm(*(d for _, d in pairs))
+    pairs, den > 0, over the lcm of their denominators.  The denominators
+    go to lcm as a list: CPython builds the tuple for f(*generator) at a
+    guessed length of 10 and shrinks it, so each call would park one tuple
+    in a shorter length's free list (up to 2000 per length)."""
+    den = lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
 
 

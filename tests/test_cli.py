@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -760,3 +762,131 @@ def test_a_pipe_closed_after_one_line_ends_the_command_quietly(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) in (0, cli.CLOSED_PIPE) and err == b""
+
+
+# The grammar of the property test below: each piece of a draw is valid,
+# or, less often, one of the refusals the CLI must turn into one `error:`
+# line.
+GOOD_RATIONALS = ["1/2", "-2/3", "5/2", "3", "-7/5", "0.25", " 4/9 "]
+BAD_RATIONALS = ["abc", "three", "one", "1/0", "1e5", "2.5E-3", "", "1//2", "1" * 5000, "0", "1", "-1", "2/2"]
+JSON_TYPES = [None, True, False, [], [1], {}, {"a": 1}]
+
+
+def draw_config(rng, tmp_path, i: int) -> str:
+    """The path of a config file: a valid config, one holding a JSON type
+    or text that is no rational in one slot, one with an unknown name, or a
+    file that is missing or no JSON.  It never names family 1a, which the
+    verdict check evaluates."""
+    key = rng.choice([key for key in catalog.FAMILIES if key != "1a" and catalog.FAMILIES[key].defaults])
+    name = rng.choice(list(catalog.FAMILIES[key].defaults))
+    good = rng.choice(GOOD_RATIONALS + [3, -2, 0.5, "0"])  # "0": a parameter instantiate refuses, a q load_config does
+    bad = rng.choice(JSON_TYPES + BAD_RATIONALS[:-4] + [0, 1, -1, 1.0])
+    path = tmp_path / f"config{i}.json"
+    fault = rng.randrange(6)
+    if fault == 0:
+        return str(tmp_path / "missing.json")
+    if fault == 1:
+        path.write_text(rng.choice(["{", "q = 1/2", ""]))
+        return str(path)
+    config = rng.choice([
+        {},
+        {"q": good},
+        {"families": {key: {name: good}}},
+        {"q": good, "families": {key: {name: good}}},
+        {"q": good, "families": {key: {}}},
+        bad,
+        {"q": bad},
+        {"families": bad},
+        {"families": {key: bad}},
+        {"families": {key: {name: bad}}},
+        {"families": {rng.choice(["9z", "1A"]): {}}, rng.choice(["zz", "Q"]): good},
+    ])
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def draw_argv(rng, tmp_path, i: int) -> list[str]:
+    """One command line for list, graph, eval or verify.  A run that the
+    CLI accepts builds at most degree 3, or is verify constraints or charts;
+    any other suite is drawn only with a size flag out of range."""
+
+    def wrong(p: float = 0.08) -> bool:
+        return rng.random() < p
+
+    def rational_text() -> str:
+        return rng.choice(BAD_RATIONALS if wrong() else GOOD_RATIONALS)
+
+    def json_path(flag: str = "--json") -> list[str]:
+        if rng.random() < 0.7:
+            return []
+        return [flag, str(tmp_path / (f"missing/out{i}" if wrong(0.2) else f"out{i}"))]
+
+    argv = ["--config", draw_config(rng, tmp_path, i)] if wrong(0.25) else []
+    command = rng.choice(["list", "graph", "eval", "verify"])
+    argv.append(command)
+    if command == "list":
+        argv += ["--node", rng.choice(["4d", "1a", "zz"])] if rng.random() < 0.5 else []
+        argv += json_path()
+    elif command == "graph":
+        argv += ["--format", "svg" if wrong() else rng.choice(["dot", "json"])] if rng.random() < 0.5 else []
+        argv += json_path("-o")
+    elif command == "eval":
+        family = rng.choice(["9z", "1A"]) if wrong(0.05) else rng.choice(list(catalog.FAMILIES))
+        argv.append(family)
+        n = rng.choice([-1, 25, 99, "x", "1" * 5000]) if wrong() else rng.randrange(4)
+        argv += ["-n", str(n)]
+        argv += [f"-q={rational_text()}"] if rng.random() < 0.6 else []
+        names = list(catalog.FAMILIES[family].defaults) if family in catalog.FAMILIES else []
+        for _ in range(rng.randrange(3) if names or wrong(0.2) else 0):
+            name = rng.choice(["zz", ""]) if wrong(0.05) or not names else rng.choice(names)
+            argv += ["--param", name if wrong(0.05) else f"{name}={rational_text()}"]
+        argv += ["--xs=" + ",".join(rational_text() for _ in range(rng.randrange(1, 3)))] if rng.random() < 0.3 else []
+        argv += json_path()
+    else:
+        suites = ["constraints", "charts"] if rng.random() < 0.6 else [
+            "recurrence", "eigen", "duality", "catalog", "limits", "symmetry", "all"]
+        suite = "nosuch" if wrong(0.05) else rng.choice(suites)
+        argv.append(suite)
+        flags = {"--n-max": [0, 3], "--depth": [1, 3], "--count": [0, 5], "--seed": [7, -3]}
+        bad = {"--n-max": [-1, 25], "--depth": [0, 25], "--count": [-1, 1001], "--seed": ["x"]}
+        heavy = rng.choice(["--n-max", "--depth", "--count"]) if suite not in ("constraints", "charts") else None
+        for flag in flags:
+            if flag == heavy or wrong(0.05):
+                argv += [flag, str(rng.choice(bad[flag]))]
+            elif rng.random() < 0.3:
+                argv += [flag, str(rng.choice(flags[flag]))]
+        argv += json_path()
+    return argv
+
+
+def test_random_command_lines_exit_0_or_2_with_one_error_line(capsys, tmp_path, monkeypatch):
+    """Seeded command lines for every command, valid and malformed: each
+    exits 0 with nothing on stderr or 2 with one `error:` line, and no
+    exception leaves main; an exponent part is named only for a text with
+    digits.  Every drawn config gets one verdict from list, graph, verify
+    constraints and eval."""
+    monkeypatch.delenv("QSCHEME_HARD_CAP", raising=False)
+    rng = random.Random(2024)
+    codes = []
+    for i in range(300):
+        argv = draw_argv(rng, tmp_path, i)
+        code, _, err = run(capsys, *argv)
+        codes.append(code)
+        assert code in (0, 2), (argv, code, err)
+        if code == 0:
+            assert err == "", (argv, err)
+        elif "has an exponent part" in (message := refusal(err)):
+            assert re.search(r"'[^']*\d[^']*' has an exponent part", message), (argv, message)
+    assert 100 < codes.count(0) < 200, codes.count(0)  # both outcomes drawn often
+    commands = (["list"], ["graph"], ["verify", "constraints"], ["eval", "1a", "-n", "2"])
+    verdicts = []
+    for i in range(60):
+        path = draw_config(rng, tmp_path, 1000 + i)
+        results = set()
+        for argv in commands:
+            code, _, err = run(capsys, "--config", path, *argv)
+            assert code in (0, 2) and (err == "" if code == 0 else refusal(err)), (path, argv, code, err)
+            results.add((code, err))
+        assert len(results) == 1, (Path(path).read_text() if Path(path).exists() else path, results)
+        verdicts += [code for code, _ in results]
+    assert 15 < verdicts.count(0) < 45, verdicts.count(0)

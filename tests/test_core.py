@@ -964,7 +964,7 @@ def test_negative_degrees_are_refused(pv_3a, build, bound):
         with pytest.raises(ValueError, match=bound):
             build(pv_3a, degree)
     with pytest.raises(ValueError, match="n >= 0"):
-        core._newton_row(pv_3a._integer_prefix(1, 5), pv_3a._pairs(2, 5), -1)
+        core._newton_row(*pv_3a._grown(5)[1:], -1)
 
 
 def test_integer_horner_matches_fraction_reference_on_random_rows():
@@ -1105,11 +1105,12 @@ def laurent(coeffs, q, k: int) -> F:
     return sum((c * q ** (p * k) for c, p in zip(coeffs, (0, 1, -1, 2, -2))), F(0))
 
 
-def table_values(pv, which: int, m: int) -> tuple[F, ...]:
-    """node (which = 0), eigenvalue (1) or lowering (2) at k < m as the
-    sequence table holds them, integer numerators over one denominator."""
-    nums, den = pv._integer_prefix(which, m)
-    return tuple(F(v, den) for v in nums)
+def table_values(pv, m: int) -> tuple[tuple[F, ...], ...]:
+    """node, eigenvalue and lowering at k < m as the sequence table holds
+    them: node and lowering as reduced pairs, eigenvalue as integer
+    numerators over one denominator."""
+    x, (nums, den), g = pv._grown(m)
+    return tuple(F(*v) for v in x[:m]), tuple(F(v, den) for v in nums[:m]), tuple(F(*v) for v in g[:m])
 
 
 def sequence_vectors():
@@ -1124,7 +1125,7 @@ def test_sequence_table_matches_laurent_formula():
     unit_q = 0
     for pv in sequence_vectors():
         unit_q += pv.q in (1, -1)
-        x, h, g = (table_values(copy.copy(pv), which, 31) for which in range(3))
+        x, h, g = table_values(copy.copy(pv), 31)
         assert len(x) == len(h) == len(g) == 31
         for k in range(31):
             assert x[k] == laurent(pv.b, pv.q, k) == pv.node(k), (pv, k)
@@ -1135,11 +1136,11 @@ def test_sequence_table_matches_laurent_formula():
 
 def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
     """Each node and lowering value in the table is an int pair (num, den)
-    in lowest terms with den > 0, the pair of node or lowering(k); each
-    sequence is a tuple of int numerators over the lcm of its values'
-    denominators, each value that of node, eigenvalue or lowering(k).
-    Negative k, where the running power of q = p/r is r**-k / p**-k and its
-    denominator is negative for odd k at q < 0, gives reduced pairs too."""
+    in lowest terms with den > 0, the pair of node or lowering(k); the
+    eigenvalue sequence is a tuple of int numerators over the lcm of its
+    values' denominators, each value that of eigenvalue(k).  Negative k,
+    where the running power of q = p/r is r**-k / p**-k and its denominator
+    is negative for odd k at q < 0, gives reduced pairs too."""
     negative_q = 0
     for pv in sequence_vectors():
         pv = copy.copy(pv)  # empty memo
@@ -1147,17 +1148,16 @@ def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
         accessors = (pv.node, pv.eigenvalue, pv.lowering)
         forms = pv._forms
         p, r = pv.q.numerator, pv.q.denominator
-        for which in (0, 2):
-            table = pv._pairs(which, 31)
-            assert len(table) == 31
-            for k, (num, den) in enumerate(table):
-                assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1, (pv, which, k)
-                assert (num, den) == accessors[which](k).as_integer_ratio(), (pv, which, k)
+        x, (nums, den), g = pv._grown(31)
+        for which, table in ((0, x), (2, g)):
+            assert type(table) is tuple and len(table) == 31
+            for k, (num, d) in enumerate(table):
+                assert type(num) is type(d) is int and d > 0 and gcd(num, d) == 1, (pv, which, k)
+                assert (num, d) == accessors[which](k).as_integer_ratio(), (pv, which, k)
+        assert type(nums) is tuple and len(nums) == 31 and all(type(v) is int for v in nums)
+        assert den == lcm(*(pv.eigenvalue(k).denominator for k in range(31))), pv
+        assert [F(v, den) for v in nums] == [pv.eigenvalue(k) for k in range(31)], pv
         for which, at in enumerate(accessors):
-            nums, den = pv._integer_prefix(which, 31)
-            assert type(nums) is tuple and len(nums) == 31 and all(type(v) is int for v in nums)
-            assert den == lcm(*(at(k).denominator for k in range(31))), (pv, which)
-            assert [F(v, den) for v in nums] == [at(k) for k in range(31)], (pv, which)
             for k in range(-6, 0):
                 num, den = core._laurent_at(forms[which], r**-k, p**-k)
                 assert den > 0 and gcd(num, den) == 1, (pv, which, k)
@@ -1177,20 +1177,23 @@ def test_sequences_at_negative_k_match_laurent_formula():
 
 
 def test_sequence_table_reads_any_prefix():
-    """Any length, asked before or after a longer one, reads that many
-    values: the node and lowering pairs, and each sequence over its
-    denominator in the table as it stands, which only grows."""
+    """Any length, asked before or after a longer one, reads the table as
+    it stands, which only grows: at least that many values, the same values
+    at each k, the eigenvalues over the denominator of all of them held."""
     pv = copy.copy(catalog.instantiate("1a"))  # empty memo
     sizes = (4, 21, 8, 1, 21, 26, 0)
-    assert pv._pairs(0, 0) == () and pv._pairs(2, -2) == () and pv._integer_prefix(2, -2)[0] == ()
-    grown = [(pv._pairs(0, m), pv._pairs(2, m), *(table_values(pv, which, m) for which in range(3))) for m in sizes]
+    assert pv._grown(0) == pv._grown(-2) == ((), ((), 1), ())
+    grown, held = [], 0
+    for m in sizes:
+        held = max(held, m)
+        x, (nums, _), g = pv._grown(m)
+        assert len(x) == len(nums) == len(g) == held, m
+        grown.append(table_values(pv, m))
     longest = grown[5]
     for m, table in zip(sizes, grown):
         assert table == tuple(seq[:m] for seq in longest)
-    pairs, forms = pv._table
-    assert all(len(seq) == 26 for seq in pairs.values()) and all(len(nums) == 26 for nums, _ in forms)
-    dens = [pv._integer_prefix(which, 26)[1] for which in range(3)]
-    assert [pv._integer_prefix(which, 3)[1] for which in range(3)] == dens
+    den = pv._table[1][1]
+    assert den == lcm(*(pv.eigenvalue(k).denominator for k in range(26))) and pv._grown(3)[1][1] == den
 
 
 def test_results_do_not_depend_on_the_order_of_requests():
@@ -1225,7 +1228,7 @@ def test_results_do_not_depend_on_the_order_of_requests():
         fresh = results(copy.copy(pv), degrees)
         built.update(isinstance(row[0], Poly) for row in fresh.values())
         grown = copy.copy(pv)
-        grown._integer_prefix(0, 40)
+        grown._grown(40)
         assert results(grown, degrees) == fresh, pv
         assert results(copy.copy(pv), reversed(degrees)) == fresh, pv
     assert built == {True, False}  # built polynomials and refusals both compared
@@ -1236,14 +1239,14 @@ def test_sequence_table_is_not_part_of_the_value():
     grown, fresh = (copy.copy(catalog.instantiate("2a")) for _ in range(2))
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
-    assert len(grown._table[0][0]) == 13 and len(fresh._table[0][0]) == 0
+    assert len(grown._table[0]) == 13 and fresh._table == ((), ((), 1), ())
     assert grown == fresh and hash(grown) == hash(fresh)
     assert grown._hash == fresh._hash == hash((grown.q.as_integer_ratio(), grown._forms))
     assert grown._forms == fresh._forms
     assert repr(grown) == repr(fresh) == before and "_hash" not in before and "_forms" not in before
     assert grown.__reduce__() == (type(grown), (grown.q, grown.a, grown.b, grown.d))
     private = copy.copy(grown)
-    assert private == grown and len(private._table[0][0]) == 0
+    assert private == grown and len(private._table[0]) == 0
     # the constructor rebuilds the forms and the hash; the lazy memos start empty
     assert private._hash == grown._hash and hash(private) == hash(grown)
     assert private._forms == grown._forms
@@ -1350,18 +1353,42 @@ def test_threads_growing_one_table_get_the_serial_results():
                     results = dict(zip(degrees, pool.map(build, degrees, timeout=60)))
                 value_hash = hash(catalog.instantiate(key))
                 assert results == {n: (u, value_hash) for n, u in serial.items()}, key
-                by_which, forms = pv._table
-                x, g = by_which[0], by_which[2]
+                x, (nums, _), g = pv._table
                 # a slower thread may publish a shorter prefix last
-                assert len(x) == len(g) >= min(degrees) + 1 and all(len(nums) == len(x) for nums, _ in forms)
+                assert len(x) == len(nums) == len(g) >= min(degrees) + 1
                 assert x == pairs(pv.node(k) for k in range(len(x)))
                 assert g == pairs(pv.lowering(k) for k in range(len(g)))
                 # whatever length is left behind, it is a fresh vector's table
                 fresh = copy.copy(pv)
-                fresh._pairs(0, len(x))
+                fresh._grown(len(x))
                 assert pv._table == fresh._table, key
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_each_sequence_is_held_once():
+    """After every kernel has read it, a vector keeps its constructor's
+    forms and hash and one table of three entries: node and lowering only
+    as reduced pairs, eigenvalue only as integer numerators over the lcm of
+    their denominators."""
+    for key in ("1a", "3a", "4d", "5b"):
+        pv = copy.copy(catalog.instantiate(key))  # empty memo
+        u = monic_poly.__wrapped__(pv, 6)
+        assert recurrence_check(pv, 5) and apply_operator(pv, u) == u * pv.eigenvalue(6)
+        core.monic_table(pv, 6)
+        core._expansion_rows.__wrapped__(pv, 6)
+        normalized_poly(pv, 6)
+        to_newton_coeffs(pv, u)
+        newton_basis(pv, 7)
+        core.finite_cutoff(pv, 6)
+        assert sorted(set(vars(pv)) - set(pv._fields)) == ["_forms", "_hash", "_table"], key
+        x, h, g = pv._table
+        m = len(x)
+        assert m == 8 and x == pairs(pv.node(k) for k in range(m)), key
+        assert g == pairs(pv.lowering(k) for k in range(m)), key
+        nums, den = h
+        assert den == lcm(*(pv.eigenvalue(k).denominator for k in range(m))), key
+        assert nums == tuple(int(pv.eigenvalue(k) * den) for k in range(m)), key
 
 
 def memo_ints(pv) -> int:
@@ -1383,12 +1410,15 @@ def memo_ints(pv) -> int:
 
 def test_a_vectors_memo_grows_linearly_with_the_degree():
     """After every recurrence and eigenvalue identity to n, and the table,
-    normalized polynomial and Newton coefficients too, a vector holds at
-    most 12 (n + 2) integers: one row per sequence, none per length asked."""
+    normalized polynomial and Newton coefficients too, a vector holds its
+    constructor's forms and hash and at most 5 integers per index k <= n + 1
+    the table reaches, plus one denominator: a node and a lowering pair and
+    one eigenvalue numerator, none per length asked."""
     rng = random.Random(107)
     for n in (4, 10, 24):
         for _ in range(4):
             pv = copy.copy(random_parameter_vector(rng, depth=n + 1))  # empty memo
+            built = memo_ints(pv)  # the forms and the hash
             for k in range(n + 1):
                 u = monic_poly.__wrapped__(pv, k)
                 assert recurrence_check(pv, k)
@@ -1396,4 +1426,4 @@ def test_a_vectors_memo_grows_linearly_with_the_degree():
                 normalized_poly(pv, k)
                 to_newton_coeffs(pv, u)
             core.monic_table(pv, n)
-            assert memo_ints(pv) <= 12 * (n + 2), (n, memo_ints(pv))
+            assert memo_ints(pv) <= built + 5 * (n + 2) + 1, (n, memo_ints(pv))
