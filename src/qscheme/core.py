@@ -50,6 +50,7 @@ from .qpolynomial import (
     _newton_division,
     _newton_horner,
     _over_lcm,
+    product_of_linear,
 )
 from .qrational import _Value, admissible_q, format_rational, rational
 
@@ -291,7 +292,7 @@ def newton_basis(pv: ParameterVector, k: int) -> Poly:
     """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
     if k < 0:
         raise ValueError("the Newton basis needs k >= 0")
-    return _newton_horner([0] * k + [1], 1, pv._grown(k)[0])
+    return product_of_linear(map(pv.node, range(k)))
 
 
 class NewtonExpansion(NamedTuple):
@@ -307,16 +308,18 @@ class NewtonExpansion(NamedTuple):
         return self.rows[n][k]
 
 
-def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: int) -> list[int]:
-    """Row n of the triangle as integers N_0..N_n over the common denominator
-    N_n, from h[0..n] and g[0..n]; N_n != 0 needs h[n] != h[k] for k < n,
+def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: int, dx: int) -> list[int]:
+    """Row n of the triangle as integers N_0..N_n with c[n][k] = N_k Dx**k
+    / (N_n Dx**n), from h[0..n] and g[0..n]: the coefficients of u_n in
+    _newton_horner's integer Newton form over the nodes' denominator Dx
+    (Dx = 1 gives the row itself).  N_n != 0 needs h[n] != h[k] for k < n,
     N_0 != 0 needs g[1..n] nonzero.
 
     h = (H, Dh) gives h_j = H_j/Dh over any common denominator Dh (the
     table's eigenvalue row), and with g_j = a_j/b_j given as the table's
-    reduced pair (a_j, b_j) each step ratio g_j/(h_n - h_{j-1}) is s_j/t_j,
-    the pair (a_j*Dh, b_j*(H_n - H_{j-1})) divided by its gcd (left as it is
-    when both vanish).  Then
+    reduced pair (a_j, b_j) each step ratio Dx*g_j/(h_n - h_{j-1}) is
+    s_j/t_j, the pair (a_j*Dh*Dx, b_j*(H_n - H_{j-1})) divided by its gcd
+    (left as it is when both vanish).  Then
 
         N_k = prod_{j=k+1..n} s_j * prod_{j=1..k} t_j,
 
@@ -327,7 +330,7 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
     if n < 0:
         raise ValueError("a Newton row needs n >= 0")
     big, dh = h
-    top = big[n]
+    top, dh = big[n], dh * dx
     steps = []
     for j in range(1, n + 1):
         a, b = g[j]
@@ -350,7 +353,7 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     pv.check_h_separation(order)
     _, h, g = pv._grown(order + 1)
-    rows = (_newton_row(h, g, n) for n in range(order + 1))
+    rows = (_newton_row(h, g, n, 1) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
 
 
@@ -364,25 +367,26 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     """The monic degree-n polynomial sum_k c[n][k] v_k in the monomial basis.
 
     Only row n of the triangle is built, after eigenvalue(0..n) are checked
-    for a repeat.
+    for a repeat, in the integer Newton form of node(0..n-1) over their lcm
+    Dx, where u_n has leading coefficient N_n Dx**n.
     """
     pv.check_h_separation(n)
     x, h, g = pv._grown(n + 1)
-    row = _newton_row(h, g, n)
-    return _newton_horner(row, row[-1], x)
+    nodes = _over_lcm(x[:n])
+    row = _newton_row(h, g, n, nodes[1])
+    return _newton_horner(row, row[-1] * nodes[1] ** n, nodes)
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     """Coefficients e_k with p = sum e_k v_k.
 
-    With node(0..d-1), the table's pairs, over their lcm Dx and
-    p = sum N_i x**i / D, synthetic division of P(y) = sum N_i Dx**(d-i) y**i
-    by y - Dx*node(j) runs on integers; its k-th remainder e'_k gives
-    e_k = e'_k Dx**k / (D Dx**d).
+    _newton_division over node(0..d-1), the table's pairs over their lcm Dx,
+    gives p = sum E_k W_k(x) / den on integers, and v_k = W_k / Dx**k
+    scales back to x: e_k = E_k Dx**k / den.
     """
-    nodes = pv._grown(p.degree)[0][:max(p.degree, 0)]
-    nums, den = _newton_division(p, _over_lcm(nodes))
-    return [Fraction(v, den) for v in nums] or [Fraction(0)]
+    xs, dx = _over_lcm(pv._grown(p.degree)[0][:max(p.degree, 0)])
+    nums, den = _newton_division(p, (xs, dx))
+    return [Fraction(v * dx**k, den) for k, v in enumerate(nums)] or [Fraction(0)]
 
 
 def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
@@ -391,23 +395,25 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     The operator is represented through its Newton-basis action
     L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}: expand p over the basis,
     transform termwise, convert back to the monomial basis, all on integers.
-    The expansion is to_newton_coeffs' e_k = E_k/den, scaled by Dx as there;
-    with eigenvalue(k) = H_k/Dh over the table's denominator and
-    lowering(0..d) = G_k/Dg over the lcm of their own,
-    h_k e_k + g_{k+1} e_{k+1} = (H_k E_k Dg + G_{k+1} E_{k+1} Dh) / (den Dh Dg)
-    goes to _newton_horner, whose output Poly keeps them as integers: no
-    Fraction is built.
+    _newton_division gives p = sum E_k W_k(x) / den over node(0..d-1) with
+    their lcm Dx, and v_k = W_k / Dx**k; with eigenvalue(k) = H_k/Dh over the
+    table's denominator and lowering(0..d) = G_k/Dg over the lcm of their
+    own, L p = sum (H_k E_k Dg + G_{k+1} E_{k+1} Dh Dx) W_k / (den Dh Dg),
+    which goes to _newton_horner over the same nodes: nothing is rescaled
+    between the two kernels and no Fraction is built.
     """
     if p.is_zero:
         return Poly.zero()
     d = p.degree
     x, (hs, dh), g = pv._grown(d + 1)
-    e, den = _newton_division(p, _over_lcm(x[:d]))
+    nodes = _over_lcm(x[:d])
+    e, den = _newton_division(p, nodes)
     gs, dg = _over_lcm(g[:d + 1])
     out = [hk * ek * dg for hk, ek in zip(hs, e)]
+    lift = dh * nodes[1]
     for k in range(d):
-        out[k] += gs[k + 1] * e[k + 1] * dh
-    return _newton_horner(out, den * dh * dg, x)
+        out[k] += gs[k + 1] * e[k + 1] * lift
+    return _newton_horner(out, den * dh * dg, nodes)
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction | None]:
@@ -548,5 +554,6 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     for j in range(1, n + 1):
         if not g[j][0]:
             raise ZeroG(j)
-    row = _newton_row(h, g, n)
-    return _newton_horner(row, row[0], x)
+    nodes = _over_lcm(x[:n])
+    row = _newton_row(h, g, n, nodes[1])
+    return _newton_horner(row, row[0], nodes)

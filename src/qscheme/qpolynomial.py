@@ -164,20 +164,25 @@ class Poly(_Value):
         """Return p(scale*x + shift).
 
         With scale s = S/R != 0, p(s*x + t) = sum_k c_k s^k (x + t/s)^k: the
-        Newton form with every node -t/s and coefficients
-        c_k s^k = nums[k] S^k R^(d-k) / (den R^d)."""
+        Newton form with every node -t/s = X/Dx, where (x + t/s)^k is
+        W_k(x)/Dx^k, and coefficients
+        c_k s^k / Dx^k = nums[k] S^k (R Dx)^(d-k) / (den (R Dx)^d)."""
         scale, shift = rational(scale), rational(shift)
         if scale == 0 or self.is_zero:
             return Poly((self(shift),))
-        s, r, d = scale.numerator, scale.denominator, self.degree
+        node, dx = (-shift / scale).as_integer_ratio()
+        s, r, d = scale.numerator, scale.denominator * dx, self.degree
         nums = [v * s**k * r ** (d - k) for k, v in enumerate(self.nums)]
-        return _newton_horner(nums, self.den * r**d, ((-shift / scale).as_integer_ratio(),) * len(nums))
+        return _newton_horner(nums, self.den * r**d, ((node,) * d, dx))
 
     def deflate(self, root: Scalar) -> tuple["Poly", Fraction]:
-        """Synthetic division by (x - root): returns (quotient, remainder)."""
-        root = rational(root)
-        out, den = _newton_division(self, ((root.numerator,), root.denominator))
-        return Poly._of(out[1:], den), Fraction(out[0], den)
+        """Synthetic division by (x - root): returns (quotient, remainder).
+
+        With root = X/Dx, _newton_division gives p = (e_0 + (Dx*x - X) Q(Dx*x))
+        / den, so the quotient's x**i coefficient is Q_i Dx**(i+1) / den."""
+        num, dx = rational(root).as_integer_ratio()
+        out, den = _newton_division(self, ((num,), dx))
+        return Poly._of([v * dx**i for i, v in enumerate(out[1:], 1)], den), Fraction(out[0], den)
 
 
 _set_nums = Poly.nums.__set__
@@ -185,47 +190,50 @@ _set_den = Poly.den.__set__
 
 
 def product_of_linear(roots: Iterable[Scalar]) -> Poly:
-    """The monic polynomial with the given roots (with multiplicity)."""
-    roots = [rational(r).as_integer_ratio() for r in roots]
-    return _newton_horner([0] * len(roots) + [1], 1, roots)
+    """The monic polynomial with the given roots (with multiplicity): the
+    Newton form W_k(x) / Dx**k with the roots as its k nodes over their lcm Dx."""
+    xs, dx = _over_lcm([rational(r).as_integer_ratio() for r in roots])
+    return _newton_horner([0] * len(xs) + [1], dx ** len(xs), (xs, dx))
 
 
-def _newton_horner(nums: list[int], den: int, nodes: Sequence[tuple[int, int]]) -> Poly:
-    """sum_k (nums[k]/den) * prod_{j<k} (x - nodes[j]) in the monomial basis,
-    each node an integer pair (p, r), r > 0, for p/r.
+def _newton_horner(nums: Sequence[int], den: int, nodes: tuple[Sequence[int], int]) -> Poly:
+    """sum_k nums[k] * W_k(x) / den in the monomial basis, with
 
-    The one Newton-to-monomial conversion of the package.  The accumulator
-    holds integer numerators over den*t.  Each step multiplies it by
-    (x - p/r) as acc*(r*x - p), scaling t by r, then adds nums[k]*t to the
-    constant term.  The result is the accumulator over den*t, reduced once;
-    no Fraction is built.
+        W_k(x) = prod_{j<k} (Dx*x - X_j)
+
+    for the nodes y_j = X_j/Dx given as their integer numerators over one
+    denominator, nodes = (X, Dx), X holding at least len(nums) - 1 entries:
+    the integer Newton form that _newton_division returns, so that
+    _newton_horner(*_newton_division(p, nodes), nodes) == p.
+
+    The one Newton-to-monomial conversion of the package.  A Horner in
+    z = Dx*x runs on integers: each step prepends nums[k] to the
+    accumulator, then subtracts X_k times the next entry, which is
+    nums[k] + (z - X_k) * acc.  Then the z**i coefficient is scaled by Dx**i
+    once, and the result is reduced over den; no Fraction is built.
     """
-    if not nums:
-        return Poly.zero()
-    acc, t = [nums[-1]], 1  # low degree first
+    xs, dx = nodes
+    acc = nums[-1:]  # low degree first, in z
     for k in range(len(nums) - 2, -1, -1):
-        p, r = nodes[k]
-        acc = [r * hi - p * lo for hi, lo in zip([0, *acc], [*acc, 0])]
-        t *= r
-        acc[0] += nums[k] * t
-    return Poly._of(acc, den * t)
+        node = xs[k]
+        acc = [hi - node * lo for hi, lo in zip([nums[k], *acc], [*acc, 0])]
+    return Poly._of([v * dx**i for i, v in enumerate(acc)], den)
 
 
 def _newton_division(p: Poly, nodes: tuple[Sequence[int], int]) -> tuple[list[int], int]:
-    """Divide p by (x - y_0), the quotient by (x - y_1), and so on,
-    m <= deg p + 1 times, for the nodes y_j = X_j/Dx given as their integer
-    numerators over one denominator, nodes = (X, Dx): integers (out, den) with
+    """Divide p by the Newton factors of the nodes y_j = X_j/Dx, given as
+    their integer numerators over one denominator, nodes = (X, Dx),
+    m = len(X) <= deg p + 1 times: integers (out, den) with
 
-        p = sum_{k<m} (out[k]/den) prod_{j<k} (x - y_j)
-            + prod_{j<m} (x - y_j) * sum_i (out[m+i]/den) x**i,
+        p = sum_{k<m} out[k] W_k(x) / den + W_m(x) * sum_i out[m+i] (Dx*x)**i / den,
 
-    the m remainders, then the last quotient.  The inverse of _newton_horner,
-    and the one synthetic division of the package.  With p = sum N_i x**i / D
-    of degree d, the integer polynomial P(y) = sum N_i Dx**(d-i) y**i has
-    p(x) = P(Dx*x) / (D Dx**d).  Synthetic division of P by (y - X_0),
-    (y - X_1), ... runs on integers; its k-th remainder e'_k gives
-    out[k] = e'_k Dx**k, and its last quotient Q gives out[m+i] = Q_i Dx**(m+i),
-    all over den = D Dx**d.  N_i and D are p's own numerators and
+    W_k(x) = prod_{j<k} (Dx*x - X_j): the m remainders, then the last
+    quotient, in _newton_horner's integer Newton form.  The inverse of
+    _newton_horner, and the one synthetic division of the package.  With
+    p = sum N_i x**i / D of degree d, the integer polynomial
+    P(z) = sum N_i Dx**(d-i) z**i has p(x) = P(Dx*x) / (D Dx**d), so
+    synthetic division of P by (z - X_0), (z - X_1), ... on integers gives
+    out over den = D Dx**d.  N_i and D are p's own numerators and
     denominator, read as stored.
     """
     xs, dx = nodes
@@ -241,11 +249,7 @@ def _newton_division(p: Poly, nodes: tuple[Sequence[int], int]) -> tuple[list[in
         for i in range(1, len(acc)):
             acc[i] += node * acc[i - 1]
         rems.append(acc.pop())
-    out, scale = rems + acc[::-1], 1
-    for j in range(len(out)):
-        out[j] *= scale
-        scale *= dx
-    return out, den * dx ** (len(nums) - 1)
+    return rems + acc[::-1], den * dx ** (len(nums) - 1)
 
 
 def _homogeneous_horner(nums: Sequence[int], s: int, r: int) -> int:

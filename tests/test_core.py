@@ -235,13 +235,21 @@ def test_separation_predicates_match_pairwise_reference():
 
 def test_separation_at_q_zero_raises_instead_of_hanging():
     """q = 0, which only an unchecked vector reaches, has no q**-k: every
-    separation check past depth 0 raises ZeroDivisionError."""
+    separation check past depth 0 raises ZeroDivisionError, and so does
+    every sequence value past k = 0, read one by one or through the
+    sequence table (normalized_poly reads it with no separation check)."""
+    undefined = r"q = 0 leaves q\*\*-k undefined"
     for row in ((1, 2, 3), (0, 0, 0), (1, 0, 2)):
         pv = UncheckedParameterVector(q=0, a=row, b=row, d=(0, 0, 0, 0, 0))
         assert pv.h_separation_ok(0) and pv.x_separation_ok(0)
         for check in (pv.h_separation_ok, pv.check_h_separation, pv.x_separation_ok, pv.check_x_separation):
             with pytest.raises(ZeroDivisionError):
                 check(1)
+        for value in (pv.node, pv.eigenvalue, pv.lowering):
+            with pytest.raises(ZeroDivisionError, match=undefined):
+                value(1)
+        with pytest.raises(ZeroDivisionError, match=undefined):
+            normalized_poly(pv, 1)
 
 
 # -- Newton basis and expansion ---------------------------------------------------
@@ -964,24 +972,28 @@ def test_negative_degrees_are_refused(pv_3a, build, bound):
         with pytest.raises(ValueError, match=bound):
             build(pv_3a, degree)
     with pytest.raises(ValueError, match="n >= 0"):
-        core._newton_row(*pv_3a._grown(5)[1:], -1)
+        core._newton_row(*pv_3a._grown(5)[1:], -1, 1)
 
 
-def test_integer_horner_matches_fraction_reference_on_random_rows():
-    """Mixed, unreduced denominators, zero and integer nodes and coefficients;
-    then node lists of one kind or a mix: zero nodes (a shift), integer nodes
-    (no scaling of t), large and negative integers, rationals and powers of
-    a negative q, all-zero and all-integer lists included."""
-    rng = random.Random(61)
+def integer_newton_form(coeffs, nodes) -> tuple[list[int], int, tuple[list[int], int]]:
+    """_newton_horner's arguments for sum_k coeffs[k] prod_{j<k} (x - nodes[j]):
+    with the nodes X_j/Dx over their lcm, prod_{j<k} (x - nodes[j]) is
+    W_k(x)/Dx**k, so over Dx**m, m = len(coeffs), coefficient k carries
+    Dx**(m-k)."""
+    (nums, den), (xs, dx) = core._over_lcm(pairs(coeffs)), core._over_lcm(pairs(nodes))
+    m = len(nums)
+    return [v * dx ** (m - k) for k, v in enumerate(nums)], den * dx**m, (xs, dx)
+
+
+def random_node_kinds(rng) -> tuple[dict, list[tuple[str, ...]]]:
+    """Node draws by kind, and the mixes of kinds the kernel tests run:
+    zero nodes (a shift), small and large integers (Dx = 1), rationals over
+    mixed denominators and powers of a negative q, all-zero and all-integer
+    lists included."""
 
     def scalar():
         return F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 4, 6, 9, 25, 2**20 + 7]))
 
-    for _ in range(500):
-        size = rng.randint(0, 12)
-        coeffs = [scalar() for _ in range(size)]
-        nodes = tuple(scalar() for _ in range(size))
-        assert core._newton_horner(*core._over_lcm(pairs(coeffs)), pairs(nodes)) == fraction_horner(coeffs, nodes)
     kinds = {
         "zero": lambda: F(0),
         "small": lambda: F(rng.randint(-9, 9)),
@@ -991,14 +1003,61 @@ def test_integer_horner_matches_fraction_reference_on_random_rows():
     }
     mixes = [("zero",), ("small",), ("small", "large"), ("zero", "small", "large"),
              ("rational",), ("q<0",), tuple(kinds)]
+    return kinds, mixes
+
+
+def test_integer_horner_matches_fraction_reference_on_random_rows():
+    """Mixed, unreduced denominators, zero and integer nodes and coefficients;
+    then node lists of one kind or a mix, each row put into the integer
+    Newton form over its nodes' lcm."""
+    rng = random.Random(61)
+    kinds, mixes = random_node_kinds(rng)
+    scalar = kinds["rational"]
+    for _ in range(500):
+        size = rng.randint(0, 12)
+        coeffs = [scalar() for _ in range(size)]
+        nodes = tuple(scalar() for _ in range(size))
+        assert core._newton_horner(*integer_newton_form(coeffs, nodes)) == fraction_horner(coeffs, nodes)
     for mix in mixes:
         for _ in range(60):
             size = rng.randint(0, 13)
             coeffs = [kinds[rng.choice(["zero", "small", "large", "rational"])]() for _ in range(size)]
             nodes = tuple(kinds[rng.choice(mix)]() for _ in range(size))
             want = fraction_horner(coeffs, nodes)
-            assert core._newton_horner(*core._over_lcm(pairs(coeffs)), pairs(nodes)) == want, (mix, coeffs, nodes)
+            assert core._newton_horner(*integer_newton_form(coeffs, nodes)) == want, (mix, coeffs, nodes)
             assert product_of_linear(nodes) == fraction_horner([F(0)] * size + [F(1)], nodes + (F(0),))
+
+
+def test_newton_division_and_horner_are_exact_inverses():
+    """_newton_horner(*_newton_division(p, nodes), nodes) == p with deg p
+    nodes over their lcm, for p of degree 0..12 and the zero polynomial:
+    nodes of each kind and mix, a repeated node, integer nodes (Dx = 1) and
+    nodes over a common denominator larger than their lcm."""
+    rng = random.Random(67)
+    kinds, mixes = random_node_kinds(rng)
+    coefficient = ["zero", "small", "large", "rational"]
+    seen = {"repeat": 0, "dx=1": 0, "unreduced": 0, "zero": 0}
+    runs = [(mix, None) for mix in mixes] + [(tuple(kinds), "repeat"), (tuple(kinds), "unreduced")]
+    for mix, twist in runs:
+        for _ in range(50):
+            p = Poly([kinds[rng.choice(coefficient)]() for _ in range(rng.randint(0, 13))])
+            d = max(p.degree, 0)
+            draws = [kinds[rng.choice(mix)]() for _ in range(d)]
+            if twist == "repeat" and d >= 2:
+                i = rng.randrange(1, d)
+                draws[i] = draws[rng.randrange(i)]
+                seen["repeat"] += 1
+            xs, dx = core._over_lcm(pairs(draws))
+            if twist == "unreduced":
+                factor = rng.choice([2, 3, 10, 2**40 + 15])
+                xs, dx = [v * factor for v in xs], dx * factor
+                seen["unreduced"] += 1
+            seen["dx=1"] += dx == 1 and d > 0
+            seen["zero"] += p.is_zero
+            out, den = core._newton_division(p, (xs, dx))
+            assert len(out) == d + (not p.is_zero) and all(isinstance(v, int) for v in out)
+            assert core._newton_horner(out, den, (xs, dx)) == p, (mix, twist, p, draws)
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_integer_newton_row_matches_fraction_reference_on_random_rows():
@@ -1021,7 +1080,7 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
                 h.append(value)
         g = tuple(scalar(0.1) for _ in range(n + 1))
         zeros += F(0) in g[1:]
-        row = core._newton_row(core._over_lcm(pairs(h)), pairs(g), n)
+        row = core._newton_row(core._over_lcm(pairs(h)), pairs(g), n, 1)
         want = fraction_newton_row(h, g, n)
         assert all(isinstance(v, int) for v in row) and row[n] != 0
         assert [F(v, row[n]) for v in row] == want
@@ -1054,7 +1113,7 @@ def test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor():
         if n and rng.random() < 0.3:
             h[n] = h[rng.randint(0, n - 1)]
         hs = core._over_lcm(pairs(h))
-        row, ref = core._newton_row(hs, pairs(g), n), unreduced_newton_row(hs, pairs(g), n)
+        row, ref = core._newton_row(hs, pairs(g), n, 1), unreduced_newton_row(hs, pairs(g), n)
         for k in range(n + 1):
             assert (row[k] > 0) == (ref[k] > 0) and (row[k] < 0) == (ref[k] < 0)
             assert abs(row[k]) <= abs(ref[k])
