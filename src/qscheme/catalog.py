@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import wraps
 from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .core import ParameterVector, monic_poly
@@ -156,7 +157,8 @@ class FamilySpec(NamedTuple):
     coefficients: Callable[[Params, Fraction], tuple[tuple, tuple, tuple]]
     kn_fn: Callable[[Params, Fraction, int], Fraction]
     # (p, q, n) -> the named representation as a function of x, with every
-    # x-free quantity (products of parameters, q**-n, prefactors) computed once
+    # x-free quantity (products of parameters, q**-n, prefactors) computed
+    # once; a division by zero there raises DivisionByZero naming the entry
     series: Callable[[Params, Fraction, int], Series]
     nonzero: tuple[str, ...] = ()  # the parameters that must not vanish
 
@@ -199,18 +201,36 @@ FAMILIES: dict[str, FamilySpec] = {}
 
 
 def _register(spec: FamilySpec) -> None:
-    FAMILIES[spec.key] = spec
+    FAMILIES[spec.key] = spec._replace(series=_refusing(spec.key, spec.series))
+
+
+def _refusing(key: str, series: Callable[[Params, Fraction, int], Series]) -> Callable[[Params, Fraction, int], Series]:
+    """Entry `key`'s raw series factory, refusing a division by zero in its
+    set-up as _monic_series does: one DivisionByZero naming the entry, the
+    degree, the parameters and q.  The raw factory is its __wrapped__."""
+
+    @wraps(series)
+    def refusing(p: Params, q: Fraction, n: int) -> Series:
+        try:
+            return series(p, q, n)
+        except DivisionByZero:
+            raise
+        except ZeroDivisionError as exc:
+            raise _division_by_zero(key, f"the degree-{n} series", p, q) from exc
+
+    return refusing
 
 
 def _specialised(parent: str, **fixed: Fraction) -> dict[str, Callable]:
-    """The coefficients, k_n and series of the registered `parent` with the
-    parameters `fixed` held at their values, for an entry that is the
+    """The coefficients, k_n and raw series of the registered `parent` with
+    the parameters `fixed` held at their values, for an entry that is the
     parent's family at those values (an arrow of the scheme)."""
     spec = FAMILIES[parent]
+    series = spec.series.__wrapped__
     return {
         "coefficients": lambda p, q: spec.coefficients({**p, **fixed}, q),
         "kn_fn": lambda p, q, n: spec.kn_fn({**p, **fixed}, q, n),
-        "series": lambda p, q, n: spec.series({**p, **fixed}, q, n),
+        "series": lambda p, q, n: series({**p, **fixed}, q, n),
     }
 
 
@@ -647,17 +667,13 @@ def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Series:
     raises one DivisionByZero naming the family, degree, parameters and q."""
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    part = f"k_{n}"
     try:
         kn = spec.kn_fn(p, q, n)
-        if kn == 0:
-            raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
-        part = f"the degree-{n} series"
-        series = spec.series(p, q, n)
-    except DivisionByZero:
-        raise
     except ZeroDivisionError as exc:
-        raise _division_by_zero(spec.key, part, p, q) from exc
+        raise _division_by_zero(spec.key, f"k_{n}", p, q) from exc
+    if kn == 0:
+        raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
+    series = spec.series(p, q, n)
     num, den = kn.as_integer_ratio()
     return lambda x: series(x, (den, num))  # scaled by 1/k_n
 

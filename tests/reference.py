@@ -1,6 +1,35 @@
 """Reference routes shared by the tests: plain Fraction versions of what the
 engine computes with integer kernels and closed forms, kept to pin the
-engine to them, and the helpers that build the tests' broken vectors."""
+engine to them, and the helpers that build the tests' broken vectors.
+
+A reference stays while a test that compares against it kills a mutant of
+tests/mutants.py that no other check kills, or pins code that no mutant
+of the list reaches yet; a comparison whose every mutant another check
+also kills is retired with its reference.  What stays, and the mutant that
+only its test kills:
+
+- unreduced_newton_row: "newton_row: step ratios not reduced", killed only
+  by test_core.py::test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor;
+- fitted_instantiate, with CLOSED_FORMS, solve_linear and laurent_inverse:
+  "error: constraint refusal without the family", killed only by
+  test_catalog.py::test_instantiate_matches_direct_elimination;
+- fraction_horner and fraction_values: "error: ZeroG names the next
+  index", killed only by test_core.py::test_normalized_poly_matches_fraction_reference
+  (with its own normalized_poly_reference);
+- triangle_rows, fraction_first_repeat, fraction_constraint_failure,
+  nested_loop_collision and duality_check (test_core.py, test_symmetry.py,
+  test_acceptance.py): none; each mutant they kill is killed by another
+  check too, and each test checks more than the list's mutants reach (the
+  collision tests, the pairwise repeat search, a duality relation that
+  reads no engine kernel);
+- FractionPoly, fraction_deflate, fraction_eval, fraction_format_poly,
+  poly_product_of_linear and poly_compose_affine (test_polynomial.py),
+  fraction_terminating_sum, terminating_sum_of_fractions, qhyper,
+  oracle_qpoch and oracle_qhyper (test_qseries.py), fraction_series_row
+  (test_catalog.py) and fraction_gap (test_limits.py): none; the list
+  has no mutant of format_poly, evaluation, compose_affine, deflate or the
+  term loop's arithmetic, so the matrix cannot yet decide them.
+"""
 
 from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
@@ -12,7 +41,6 @@ from qscheme.core import (
     UncheckedParameterVector,
     monic_poly,
     normalized_poly,
-    recurrence_coeffs,
 )
 from qscheme.errors import (
     DivisionByZero,
@@ -23,9 +51,8 @@ from qscheme.errors import (
 )
 from qscheme.qpolynomial import Poly, _over_lcm
 from qscheme.qrational import admissible_q, rational
-from qscheme.catalog import _halfsq, _sign
 from qscheme.limits import DEFAULT_SAMPLE_XS
-from qscheme.qseries import qpoch, qpoch_many, terminating_sum
+from qscheme.qseries import terminating_sum
 from qscheme.symmetry import dualize
 
 
@@ -205,29 +232,6 @@ def triangle_rows(pv, order: int):
     return rows, None
 
 
-MONIC_DEGREE = 24
-
-
-@cache
-def catalog_monic_polys(key: str, q: F):
-    """The family's default instance at q, built once per session: its
-    (node, eigenvalue, lowering) values and the outcome of u_n for
-    k, n <= MONIC_DEGREE, u_n the Fraction Horner of row n of the whole
-    triangle or the triangle's collision error.  None when the family
-    refuses q."""
-    try:
-        pv = catalog.instantiate(key, None, q)
-    except QSchemeError:
-        return None
-    seqs = tuple(
-        tuple(f(k) for k in range(MONIC_DEGREE + 1)) for f in (pv.node, pv.eigenvalue, pv.lowering)
-    )
-    rows, error = triangle_rows(pv, MONIC_DEGREE)
-    us = [fraction_horner(row, seqs[0]) for row in rows]
-    us += [(type(error), str(error))] * (MONIC_DEGREE + 1 - len(rows))
-    return seqs, tuple(us)
-
-
 @dataclass(frozen=True)
 class FractionPoly:
     """Reference: the polynomial type that stored one reduced Fraction per
@@ -367,50 +371,6 @@ def fraction_values(pv, which: int, m: int) -> tuple[F, ...]:
     return tuple(at(k) for k in range(m))
 
 
-def fraction_to_newton_coeffs(pv, p: Poly) -> list[F]:
-    """Reference: coefficients e_k with p = sum e_k v_k, by repeated node
-    deflation on Fractions."""
-    out: list[F] = []
-    rest = p
-    for node in fraction_values(pv, 0, p.degree + 1):
-        rest, value = fraction_deflate(rest, node)
-        out.append(value)
-    if not out:
-        out.append(F(0))
-    return out
-
-
-def fraction_apply_operator(pv, p: Poly) -> Poly:
-    """Reference: L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1} applied
-    termwise to the Fraction Newton coefficients of p."""
-    e = fraction_to_newton_coeffs(pv, p)
-    h, g = fraction_values(pv, 1, len(e)), fraction_values(pv, 2, len(e))
-    out = []
-    for k in range(len(e)):
-        value = h[k] * e[k]
-        if k + 1 < len(e):
-            value += g[k + 1] * e[k + 1]
-        out.append(value)
-    return fraction_horner(out, fraction_values(pv, 0, len(out)))
-
-
-def poly_recurrence_check(pv, n: int) -> bool:
-    """Reference: the three-term recurrence as one Poly equation, summed by
-    Poly products and sums on Fractions."""
-    if n == 0:
-        lhs = Poly.x() * monic_poly(pv, 0)
-        rhs = monic_poly(pv, 1) + recurrence_coeffs(pv, 0)[0] * monic_poly(pv, 0)
-        return lhs == rhs
-    a_n, b_n = recurrence_coeffs(pv, n)
-    lhs = Poly.x() * monic_poly(pv, n)
-    rhs = (
-        monic_poly(pv, n + 1)
-        + a_n * monic_poly(pv, n)
-        + b_n * monic_poly(pv, n - 1)
-    )
-    return lhs == rhs
-
-
 def poly_product_of_linear(roots) -> Poly:
     """Reference: one Poly product per monic linear factor."""
     acc = Poly.one()
@@ -422,45 +382,6 @@ def poly_product_of_linear(roots) -> Poly:
 def poly_compose_affine(p: Poly, scale, shift=0) -> Poly:
     """Reference: a Horner over FractionPoly in the argument scale*x + shift."""
     return Poly(FractionPoly(p.coeffs).compose_affine(scale, shift).coeffs)
-
-
-def per_term_inverse_arg_series(n, q, x, node_scale, weight, upper_extra, lower, correction):
-    """Reference: every term rebuilt from qpoch products, the triangular power
-    taken as q ** (k(k-1)/2 * correction)."""
-    total = F(0)
-    for k in range(n + 1):
-        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
-        if num == 0:
-            break
-        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
-        if den == 0:
-            raise DivisionByZero(f"denominator vanished at term {k} of a terminating series")
-        term = num / den * weight**k
-        for j in range(k):
-            term *= x - node_scale * q**j
-        if correction:
-            sign = -1 if (k * correction) % 2 else 1
-            term *= sign * q ** (k * (k - 1) // 2 * correction)
-        total += term
-    return total
-
-
-def per_term_z_series(n, q, x, anchor, upper_extra, lower):
-    """Reference: every term rebuilt from qpoch products and the paired
-    product prod_{j<k} (1 - anchor q^j x + anchor^2 q^{2j})."""
-    total = F(0)
-    for k in range(n + 1):
-        num = qpoch(q ** (-n), q, k) * qpoch_many(upper_extra, q, k)
-        if num == 0:
-            break
-        den = qpoch(q, q, k) * qpoch_many(lower, q, k)
-        if den == 0:
-            raise DivisionByZero(f"denominator vanished at term {k} of a terminating series")
-        paired = F(1)
-        for j in range(k):
-            paired *= 1 - anchor * q**j * x + anchor * anchor * q ** (2 * j)
-        total += num / den * q**k * paired
-    return total
 
 
 def terminating_sum_of_fractions(upper, lower, q, n, step, scale=(1, 1)):
@@ -481,234 +402,6 @@ def qhyper(upper, lower, q, z, n):
     catalog moves it into the step factor."""
     c = len(lower) - len(upper) + 1
     return terminating_sum_of_fractions(upper, lower, q, n, ((-z if c % 2 else z,), c))
-
-
-# -- the closed forms as they were evaluated point by point -------------------------
-#
-# The catalog's series before they became per-degree set-ups: every x-free
-# quantity rebuilt at each x.  The helpers and the family lambdas are kept
-# as they were, renamed per_x_*.
-
-
-def per_x_z_step(q: Fraction, x: Fraction, anchor: Fraction) -> tuple[tuple[Fraction, ...], int]:
-    """The z-series step factor q * (1 - anchor q^j x + anchor^2 q^{2j}),
-    i.e. q times the paired factor (1 - anchor q^j z)(1 - anchor q^j / z),
-    as its Laurent coefficients in q^j from the power 0."""
-    return (q, -q * anchor * x, q * anchor * anchor), 0
-
-
-def per_x_z_series(
-    n: int,
-    q: Fraction,
-    x: Fraction,
-    anchor: Fraction,
-    upper_extra: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
-) -> Fraction:
-    """sum_k (q^{-n};q)_k (upper_extra;q)_k / ((q;q)_k (lower;q)_k)
-    * q^k * prod_{j<k}(1 - anchor q^j x + anchor^2 q^{2j})."""
-    return terminating_sum_of_fractions((q ** (-n), *upper_extra), lower, q, n, per_x_z_step(q, x, anchor))
-
-
-def per_x_inverse_arg_series(
-    n: int,
-    q: Fraction,
-    x: Fraction,
-    node_scale: Fraction,
-    weight: Fraction,
-    upper_extra: tuple[Fraction, ...] = (),
-    lower: tuple[Fraction, ...] = (),
-    correction: int = 0,
-) -> Fraction:
-    """Series whose terms carry (node_scale/x; q)_k * (weight*x)^k, absorbed
-    into the polynomial product weight^k * prod_{j<k} (x - node_scale*q^j)
-    so that x = 0 is a legal argument.  `correction` is the usual
-    sign/triangular-power exponent c of the underlying series: the step
-    factor weight * (x - node_scale*q^j) * (-q^j)^c has the Laurent
-    coefficients s*weight*x, -s*weight*node_scale from the power c, s = (-1)^c."""
-    sw = -weight if correction % 2 else weight
-    return terminating_sum_of_fractions(
-        (q ** (-n), *upper_extra), lower, q, n, ((sw * x, -sw * node_scale), correction)
-    )
-
-
-def per_x_cdqhahn_value(
-    q: Fraction, n: int, x: Fraction, anchor: Fraction, o1: Fraction, o2: Fraction
-) -> Fraction:
-    """Monic continuous dual q-Hahn value anchored at one of its parameters."""
-    if anchor == 0:
-        raise InadmissibleParams("continuous dual q-Hahn anchor must be nonzero")
-    pref = qpoch_many((anchor * o1, anchor * o2), q, n) / anchor**n
-    return pref * per_x_z_series(n, q, x, anchor, (), (anchor * o1, anchor * o2))
-
-
-def per_x_little_qjacobi_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
-    """Little q-Jacobi in standard normalization, power-basis series."""
-    a, b = p["a"], p["b"]
-    return qhyper(
-        (q ** (-n), a * b * q ** (n + 1)), (q * a,), q, q * x, n
-    )
-
-
-def per_x_little_qjacobi_value_inverse_rep(
-    p, q: Fraction, n: int, x: Fraction
-) -> Fraction:
-    """The same polynomial through its 1/x-parameter series; a division by
-    zero in its x-free part is refused as the catalog refuses it."""
-    a, b = p["a"], p["b"]
-    sign = -1 if n % 2 else 1
-    try:
-        pref = sign * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
-        weight = 1 / a
-    except ZeroDivisionError as exc:
-        raise DivisionByZero(f"3e: the degree-{n} 1/x series divides by zero at a={a} b={b} q={q}") from exc
-    return pref * per_x_inverse_arg_series(
-        n,
-        q,
-        x,
-        node_scale=Fraction(1),
-        weight=weight,
-        upper_extra=(a * b * q ** (n + 1),),
-        lower=(q * b,),
-        correction=-1,
-    )
-
-
-def per_x_qbessel_value(p, q: Fraction, n: int, x: Fraction) -> Fraction:
-    """q-Bessel in standard normalization, power-basis series."""
-    a = p["a"]
-    return qhyper((q ** (-n), -a * q**n), (Fraction(0),), q, q * x, n)
-
-
-def per_x_qbessel_value_inverse_rep(p, q: Fraction, n: int, x: Fraction) -> Fraction:
-    """The same polynomial through its 1/x-parameter series."""
-    a = p["a"]
-    sign = -1 if n % 2 else 1
-    pref = sign * q ** (n * n) * a**n
-    return pref * per_x_inverse_arg_series(
-        n,
-        q,
-        x,
-        node_scale=Fraction(1),
-        weight=-1 / a,
-        upper_extra=(-a * q**n,),
-        correction=-2,
-    )
-
-
-PER_X_NAMED = {
-    "1a": lambda p, q, n, x: qpoch_many(
-            (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]), q, n
-        )
-        / p["a"] ** n
-        * per_x_z_series(
-            n,
-            q,
-            x,
-            p["a"],
-            (q ** (n - 1) * p["a"] * p["b"] * p["c"] * p["d"],),
-            (p["a"] * p["b"], p["a"] * p["c"], p["a"] * p["d"]),
-        ),
-    "2a": lambda p, q, n, x: per_x_cdqhahn_value(q, n, x, p["a"], p["b"], p["c"]),
-    "2b": lambda p, q, n, x: qhyper(
-            (q ** (-n), p["a"] * p["b"] * q ** (n + 1), x),
-            (q * p["a"], q * p["c"]),
-            q,
-            q,
-            n,
-        ),
-    "3a": lambda p, q, n, x: qpoch(p["a"] * p["b"], q, n)
-        / p["a"] ** n
-        * per_x_z_series(n, q, x, p["a"], (), (p["a"] * p["b"], Fraction(0))),
-    "3b": lambda p, q, n, x: (-p["b"]) ** n
-        * q ** (n * (n + 1) // 2)
-        * per_x_inverse_arg_series(
-            n, q, x, node_scale=q * p["a"], weight=1 / p["b"], lower=(q * p["a"],)
-        )
-        / qpoch(q * p["b"], q, n),
-    "3c": lambda p, q, n, x: qhyper(
-            (q ** (-n), Fraction(0), x), (q * p["a"], q * p["b"]), q, q, n
-        ),
-    "3d": lambda p, q, n, x: (-q * p["b"]) ** (-n)
-        * q ** (-_halfsq(n))
-        * qpoch(q * p["b"], q, n)
-        / qpoch(q * p["a"], q, n)
-        * qhyper(
-            (q ** (-n), p["a"] * p["b"] * q ** (n + 1), q * p["b"] * x),
-            (q * p["b"], Fraction(0)),
-            q,
-            q,
-            n,
-        ),
-    "3e": lambda p, q, n, x: per_x_little_qjacobi_value(p, q, n, x),
-    "4a": lambda p, q, n, x: per_x_z_series(n, q, x, p["a"], (), ())
-        / p["a"] ** n,
-    "4b": lambda p, q, n, x: qpoch(p["b"], q, n)
-        * qhyper((q ** (-n), x), (p["b"],), q, q, n),
-    "4c": lambda p, q, n, x: (-p["a"]) ** n
-        * q ** (_halfsq(n))
-        * per_x_inverse_arg_series(
-            n, q, x, node_scale=Fraction(1), weight=q / p["a"]
-        ),
-    "4d": lambda p, q, n, x: _sign(n)
-        * q ** (n * (n + 1) // 2)
-        * p["a"] ** n
-        / qpoch(q * p["a"], q, n)
-        * per_x_inverse_arg_series(
-            n, q, x, node_scale=Fraction(1), weight=1 / p["a"], correction=-1
-        ),
-    "4e": lambda p, q, n, x: qhyper(
-            (q ** (-n), Fraction(0)), (q * p["a"],), q, q * x, n
-        ),
-    "4f'": lambda p, q, n, x: per_x_qbessel_value_inverse_rep(p, q, n, x),
-    "4g": lambda p, q, n, x: per_x_qbessel_value(p, q, n, x),
-    "5a": lambda p, q, n, x: qhyper(
-            (q ** (-n), x), (Fraction(0),), q, q, n
-        ),
-    "5b": lambda p, q, n, x: qhyper((q ** (-n),), (), q, q * x, n),
-    "5c'": lambda p, q, n, x: qhyper(
-            (q ** (-n),), (Fraction(0),), q, -(q ** (n + 1)) * x, n
-        )
-        / qpoch(q, q, n),
-}
-
-
-def closed_outcome(fn, *args):
-    """outcome, also for the ZeroDivisionError of a vanishing prefactor."""
-    try:
-        return outcome(fn, *args)
-    except ZeroDivisionError as exc:
-        return type(exc), str(exc)
-
-
-def per_x_monic_value(key: str, q: F, n: int, x: F) -> F:
-    """k_n^{-1} times the family's per-x named representation at its
-    defaults, refused as hyper_eval refuses a k_n that vanishes or divides
-    by zero."""
-    spec = catalog.FAMILIES[key]
-    p = catalog.coerce_params(spec, None)
-    try:
-        kn = spec.kn_fn(p, q, n)
-    except ZeroDivisionError as exc:
-        at = "".join(f"{name}={value} " for name, value in p.items())
-        raise DivisionByZero(f"{key}: k_{n} divides by zero at {at}q={q}") from exc
-    if kn == 0:
-        raise DivisionByZero(f"{key}: k_{n} vanishes for these parameters")
-    return PER_X_NAMED[key](p, q, n, x) / kn
-
-
-CLOSED_FORM_DEGREE = 8
-
-
-@cache
-def per_x_closed_forms(key: str, q: F) -> dict:
-    """(n, x) -> the outcome of per_x_monic_value for n <= CLOSED_FORM_DEGREE
-    and x in catalog._sample_xs(n + 1), built once per session."""
-    return {
-        (n, x): outcome(per_x_monic_value, key, q, n, x)
-        for n in range(CLOSED_FORM_DEGREE + 1)
-        for x in catalog._sample_xs(n + 1)
-    }
 
 
 def fraction_terminating_sum(upper, lower, q, n, step):

@@ -2,8 +2,9 @@
 every series is the catalog's, only the catalog decides which vectors are
 shared, separation is decided in one place, the package's namespace is the
 pinned one and each name in it is its home module's own object, importing
-the package loads no submodule until a name is read, and every test name is
-in the ledger tests/data/test_names.txt.
+the package loads no submodule until a name is read, every mutant of
+tests/mutants.py applies once, and every test name is in the ledger
+tests/data/test_names.txt.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
@@ -16,6 +17,7 @@ import sys
 import types
 from pathlib import Path
 
+import mutants
 import pytest
 from golden_data import PACKAGE_ALL
 
@@ -337,6 +339,18 @@ def test_each_cli_command_loads_only_the_modules_it_runs(argv, loaded):
         "print(*sorted(m for m in sys.modules if m.startswith('qscheme.')))\n"
     )
     assert _fresh(code) == [" ".join(sorted(f"qscheme.{name}" for name in ("cli", *loaded)))]
+
+
+def test_every_mutant_applies_once():
+    """Each mutant of tests/mutants.py replaces text that occurs once in its
+    file with different text, under a name of its own, and the test it
+    names as its only killer is in the ledger: a source edit that moves a
+    target fails here, not as a mutant that never applies."""
+    names, ledger = [mutant.name for mutant in mutants.MUTANTS], LEDGER.read_text().splitlines()
+    assert len(set(names)) == len(names)
+    for mutant in mutants.MUTANTS:
+        assert (ROOT / mutant.path).read_text().count(mutant.old) == 1 and mutant.new != mutant.old, mutant.name
+        assert mutant.only in (None, *ledger), mutant.name
 
 
 LEDGER = ROOT / "tests" / "data" / "test_names.txt"

@@ -32,19 +32,7 @@ from qscheme.qpolynomial import product_of_linear
 from qscheme.symmetry import q_invert
 from qscheme.verify import Q_POOL
 
-from reference import (
-    PER_X_NAMED,
-    closed_outcome,
-    fitted_instantiate,
-    fraction_series_row,
-    outcome,
-    per_x_cdqhahn_value,
-    per_x_closed_forms,
-    per_x_little_qjacobi_value,
-    per_x_little_qjacobi_value_inverse_rep,
-    per_x_qbessel_value,
-    per_x_qbessel_value_inverse_rep,
-)
+from reference import fitted_instantiate, fraction_series_row, outcome
 
 
 def test_registry_shape():
@@ -152,22 +140,6 @@ def test_crosscheck_refuses_a_pattern_off_the_diagram(monkeypatch):
     )
 
 
-def test_closed_forms_match_their_per_point_evaluation():
-    """hyper_eval, whose series is set up once per degree, against the named
-    representations rebuilt at every x: the same value, or the same error
-    type and message, for every family, base in Q_POOL, n <= 8 and sample.
-    A division by zero is refused as a DivisionByZero, never a bare
-    ZeroDivisionError, which `outcome` would let escape."""
-    assert set(PER_X_NAMED) == set(FAMILIES)
-    seen = {"value": 0, DivisionByZero: 0}
-    for key in FAMILIES:
-        for q in Q_POOL:
-            for (n, x), want in per_x_closed_forms(key, q).items():
-                assert outcome(hyper_eval, key, None, q, n, x) == want, (key, q, n, x)
-                seen[want[0] if type(want) is tuple else "value"] += 1
-    assert min(seen.values()) > 50, seen
-
-
 @pytest.mark.parametrize(
     "key, params, q, n, message",
     [
@@ -206,39 +178,21 @@ def test_the_inverse_series_refuses_a_division_by_zero_by_name():
         assert type(caught.value.__cause__) is ZeroDivisionError
 
 
-def test_series_helpers_match_their_per_point_evaluation():
-    """The series of 2a, 3e, 4g and 4f', reached by label, and the one
-    representation no label carries, at the parameters the limit identities
-    use and others, against their per-x forms on every third base of Q_POOL."""
-    pairs = []
-    for a, o1, o2 in ((F(2), F(1, 3), F(1, 5)), (F(1, 3), F(2), F(1, 5))):
-        p = {"a": a, "b": o1, "c": o2}
-        pairs.append(
-            (lambda q, n, p=p: FAMILIES["2a"].series(p, q, n),
-             lambda q, n, x, a=a, o1=o1, o2=o2: per_x_cdqhahn_value(q, n, x, a, o1, o2))
-        )
-    helpers = (
-        (FAMILIES["3e"].series, per_x_little_qjacobi_value, ("a", "b")),
-        (catalog.little_qjacobi_value_inverse_rep, per_x_little_qjacobi_value_inverse_rep, ("a", "b")),
-        (FAMILIES["4g"].series, per_x_qbessel_value, ("a",)),
-        (FAMILIES["4f'"].series, per_x_qbessel_value_inverse_rep, ("a",)),
-    )
-    for factory, per_x, names in helpers:
-        for values in ((F(1, 4), F(1, 3)), (F(-3, 2), F(2))):
-            p = dict(zip(names, values))
-            pairs.append(
-                (lambda q, n, factory=factory, p=p: factory(p, q, n),
-                 lambda q, n, x, per_x=per_x, p=p: per_x(p, q, n, x))
-            )
-    raised = 0
-    for factory, per_x in pairs:
-        for q in Q_POOL[::3]:
-            for n in range(9):
-                for x in catalog._sample_xs(n + 1):
-                    want = closed_outcome(per_x, q, n, x)
-                    assert closed_outcome(lambda: factory(q, n)(x)) == want, (q, n, x)
-                    raised += type(want) is tuple
-    assert raised > 0
+def test_a_raw_series_factory_refuses_a_forbidden_zero_by_name():
+    """FamilySpec.series, reached without coerce_params, refuses a parameter
+    that `nonzero` forbids at 0 with the DivisionByZero that _monic_series
+    raises: it names the entry asked for, 2a and not the 1a it specialises."""
+    refused = []
+    for key, spec in FAMILIES.items():
+        for name in spec.nonzero:
+            with pytest.raises(DivisionByZero) as caught:
+                spec.series({**spec.defaults, name: F(0)}, F(1, 2), 1)
+            assert str(caught.value).startswith(f"{key}: the degree-1 series divides by zero at ")
+            assert type(caught.value.__cause__) is ZeroDivisionError
+            refused.append(key)
+    assert refused == ["1a", "2a", "3a", "3d", "4a", "4c", "4d", "4f'"]
+    with pytest.raises(DivisionByZero, match="^2a: the degree-1 series divides by zero at a=0 b=1/3 c=1/5 q=1/2$"):
+        FAMILIES["2a"].series({"a": F(0), "b": F(1, 3), "c": F(1, 5)}, F(1, 2), 1)
 
 
 # The (family, q) pairs of Q_POOL at which some degree up to 24 has no

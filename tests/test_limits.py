@@ -134,6 +134,15 @@ def test_an_identity_is_decided_at_more_points_than_its_degree():
     assert not limits._identity_holds(lhs, lambda n: lambda x: 12345, -1)
 
 
+def test_an_identity_of_degree_n_is_read_at_n_plus_one_catalog_samples():
+    """A false degree-6 identity that agrees at the first five catalog
+    samples, all that a fixed count of five would read, fails."""
+    lhs, rhs, _ = limits._IDENTITIES["shifted_product_identity"]
+    quintic = product_of_linear(catalog._sample_xs(5))
+    planted = lambda n: (lambda x: rhs(n)(x) + quintic(x)) if n == 6 else rhs(n)
+    assert not limits._identity_holds(lhs, planted, 6)
+
+
 def test_failing_detail_names_the_first_failing_coefficient():
     # 3a->4c with the target's a doubled: the eigenvalue and node rows do
     # not hold a, and the lowering row tends to the true target's, whose

@@ -15,8 +15,6 @@ from reference import (
     oracle_qhyper,
     oracle_qpoch,
     outcome,
-    per_term_inverse_arg_series,
-    per_term_z_series,
     qhyper,
     terminating_sum_of_fractions,
 )
@@ -157,52 +155,6 @@ def test_upper_zero_decides_lower_collision():
     for lower in ((q**-2,), (q**-1,)):
         value = qhyper((q**-3, q**-1), lower, q, q, 3)
         assert value == oracle_qhyper((q**-3, q**-1), lower, q, q, 3)
-
-
-def test_shared_term_loop_matches_per_term_reference():
-    rng = random.Random(4242)
-    small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
-    seen_corrections = set()
-    early = 0
-    for _ in range(150):
-        q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
-        n = rng.randint(0, 7)
-        upper_extra = tuple(small() for _ in range(rng.randint(0, 2)))
-        lower = tuple(small() for _ in range(rng.randint(0, 2)))
-        if rng.random() < 0.3 and n >= 2:
-            # an upper q^{-m} ends the series at term m, so a lower q^{-m}
-            # whose zero would come at term m + 1 stays legal
-            m = rng.randint(0, n - 2)
-            upper_extra += (q ** (-m),)
-            lower += (q ** (-m),)
-            early += 1
-        correction = rng.choice([-2, -1, 0, 1])
-        x, node_scale, weight, anchor, z = (small() for _ in range(5))
-
-        upper = (q ** (-n),) + upper_extra
-        seen_corrections.add(len(lower) - len(upper) + 1)
-        # with node_scale = 0 and x = 1 the inverse-argument series is the
-        # power-basis series in z = weight
-        assert outcome(qhyper, upper, lower, q, z, n) == outcome(
-            per_term_inverse_arg_series,
-            n, q, F(1), F(0), z, upper_extra, lower, len(lower) - len(upper) + 1,
-        )
-        # the catalog's 1/x-parameter rows: the step factor
-        # sigma (x - node_scale q^j) (-q^j)^c with sigma = (-1)^c weight
-        sigma = -weight if correction % 2 else weight
-        inverse_arg = catalog._series(
-            1, upper_extra, lower, q, n, correction, (0, -sigma * node_scale), (sigma, 0)
-        )
-        assert outcome(inverse_arg, x) == outcome(
-            per_term_inverse_arg_series, n, q, x, node_scale, weight, upper_extra, lower, correction
-        )
-        # the catalog's z rows: q times the paired factor
-        # (1 - anchor q^j z)(1 - anchor q^j / z) = 1 - anchor q^j x + anchor^2 q^{2j}
-        z_series = catalog._series(
-            1, upper_extra, lower, q, n, 0, (q, 0, q * anchor * anchor), (0, -q * anchor, 0)
-        )
-        assert outcome(z_series, x) == outcome(per_term_z_series, n, q, x, anchor, upper_extra, lower)
-    assert {-2, -1, 0, 1} <= seen_corrections and early > 0
 
 
 def test_integer_term_loop_matches_fraction_reference():

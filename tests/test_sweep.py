@@ -55,6 +55,9 @@ def test_every_entry_point_raises_only_qscheme_errors_and_keeps_its_laws():
     for key, params, q, n, x, g in draws(1200, seed=2029):
         where = (key, params, q, n)
         outcome(catalog.hyper_eval, key, params, q, n, x)
+        series = outcome(catalog.FAMILIES[key].series, params, q, n)
+        if not refused(series):
+            outcome(series, x)
         pv = outcome(catalog.instantiate, key, params, q)
         if refused(pv):
             continue
