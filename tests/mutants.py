@@ -60,7 +60,7 @@ class Mutant(NamedTuple):
 
 
 CORE, POLY, LIMITS = "src/qscheme/core.py", "src/qscheme/qpolynomial.py", "src/qscheme/limits.py"
-CATALOG, ERRORS = "src/qscheme/catalog.py", "src/qscheme/errors.py"
+CATALOG, ERRORS, SERIES = "src/qscheme/catalog.py", "src/qscheme/errors.py", "src/qscheme/qseries.py"
 
 MUTANTS = (
     # -- the integer kernels -------------------------------------------------------
@@ -111,7 +111,72 @@ MUTANTS = (
     Mutant("sequence table: lowering(k) + k", CORE,
            "_extended(h, grown[1]), g + tuple(grown[2]))",
            "_extended(h, grown[1]), g + tuple((v + k * d, d) for k, (v, d) in enumerate(grown[2], start)))"),
+    # -- the polynomial kernels -------------------------------------------------------
+    Mutant("format_poly: coefficient not reduced", POLY,
+           "        g = gcd(num, den)\n", "        g = 1\n"),
+    Mutant("format_poly: sign of a later term dropped", POLY,
+           """parts.append(f"{'-' if num < 0 else '+'} {body}")""", 'parts.append(f"+ {body}")'),
+    Mutant("format_poly: sign of the leading term dropped", POLY,
+           'parts.append(f"-{body}" if num < 0 else body)', "parts.append(body)"),
+    Mutant("format_poly: unit coefficient written as 1 x^i", POLY,
+           'body = xpow if mag == 1 and d == 1 else f"{text} {xpow}"', 'body = f"{text} {xpow}"'),
+    Mutant("Poly.__call__: denominator without r**d", POLY,
+           "self.den * r ** self.degree)", "self.den)"),
+    Mutant("Poly.__call__: x read as its numerator", POLY,
+           "        r = x.denominator\n", "        r = 1\n"),
+    Mutant("homogeneous_horner: power of r not raised", POLY,
+           "        rpow *= r\n", "        rpow = r\n"),
+    Mutant("homogeneous_horner: every lower term over one more r", POLY,
+           "    acc, rpow = nums[-1], 1", "    acc, rpow = nums[-1], r"),
+    Mutant("compose_affine: node sign flipped", POLY,
+           "node, dx = (-shift / scale).as_integer_ratio()", "node, dx = (shift / scale).as_integer_ratio()"),
+    Mutant("compose_affine: c_k scaled by s**(k+1)", POLY,
+           "nums = [v * s**k * r ** (d - k) for", "nums = [v * s ** (k + 1) * r ** (d - k) for"),
+    Mutant("compose_affine: zero scale not special-cased", POLY,
+           "        if scale == 0 or self.is_zero:", "        if self.is_zero:",
+           only="tests/test_polynomial.py::test_compose_affine"),
+    Mutant("deflate: quotient coefficient i scaled by Dx**i", POLY,
+           "enumerate(out[1:], 1)], den)", "enumerate(out[1:])], den)",
+           only="tests/test_polynomial.py::test_deflate_reverses_linear_multiplication"),
+    Mutant("deflate: remainder sign flipped", POLY,
+           "Fraction(out[0], den)", "Fraction(-out[0], den)",
+           only="tests/test_polynomial.py::test_deflate_reverses_linear_multiplication"),
+    Mutant("product_of_linear: roots negated", POLY,
+           "_over_lcm([rational(r).as_integer_ratio() for r in roots])",
+           "_over_lcm([(-rational(r)).as_integer_ratio() for r in roots])"),
+    Mutant("product_of_linear: leading numerator over Dx, not Dx**n", POLY,
+           "[0] * len(xs) + [1], dx ** len(xs),", "[0] * len(xs) + [1], dx,"),
+    Mutant("Poly.__add__: first summand not brought over the lcm", POLY,
+           "a = [v * (den // self.den) for v in self.nums]", "a = list(self.nums)"),
+    Mutant("Poly.__add__: second summand not brought over the lcm", POLY,
+           "b = [v * (den // other.den) for v in other.nums]", "b = list(other.nums)"),
+    Mutant("Poly.__mul__: scalar denominator dropped", POLY,
+           "self.den * s.denominator)", "self.den)"),
+    Mutant("Poly.__mul__: scalar sign dropped", POLY,
+           "[v * s.numerator for v in self.nums]", "[v * abs(s.numerator) for v in self.nums]"),
+    # -- the series kernels -----------------------------------------------------------
+    Mutant("terminating_sum: upper factor's denominator without R", SERIES,
+           "            rd *= ad * R\n", "            rd *= ad\n"),
+    Mutant("terminating_sum: (q; q)_k factor 1 + q**k", SERIES,
+           "        rd *= R - P\n", "        rd *= R + P\n"),
+    Mutant("terminating_sum: partial sum not brought over the new denominator", SERIES,
+           "        sn = sn * rd + tn\n", "        sn = sn + tn\n"),
+    Mutant("terminating_sum: negative step powers dropped", SERIES,
+           "rd *= den * P**p_down * R**r_down", "rd *= den * R**r_down",
+           only="tests/test_qseries.py::test_matches_oracle_with_correction_exponent"),
+    Mutant("_step_at: x's denominator dropped", CATALOG,
+           "for c, m in step], den * r, low", "for c, m in step], den, low"),
+    Mutant("_step_at: constant not brought over r", CATALOG,
+           "[c * r + m * s for c, m in step]", "[c + m * s for c, m in step]"),
+    Mutant("qpoch: factor 1 + b q**j", SERIES,
+           "        num *= bd * R - bn * P\n", "        num *= bd * R + bn * P\n"),
+    Mutant("qpoch: denominator r**(k(k+1)/2)", SERIES,
+           "r ** (k * (k - 1) // 2))", "r ** (k * (k + 1) // 2))"),
     # -- the constraints and the repeat test ---------------------------------------
+    # item 16's mutant: (a - 2)*c added to 1a's d0, which vanishes at the default a = 2
+    Mutant("catalog: 1a's d0 + (a - 2)*c", CATALOG,
+           "_lowering(q / a, -2, ab / q, ac / q, ad / q)",
+           '(lambda d: (d[0] + (a - 2) * p["c"], *d[1:]))(_lowering(q / a, -2, ab / q, ac / q, ad / q))'),
     Mutant("constraints: d0 left out of the sum", CORE,
            "        if sum(gs):", "        if sum(gs[1:]):"),
     Mutant("constraints: d3 = a1*b1*q", CORE,
@@ -128,9 +193,12 @@ MUTANTS = (
     # -- limits, series and gauges -----------------------------------------------------
     Mutant("limits.gap: gauge scale inverted", LIMITS,
            "_homogeneous_horner(u.nums, s * c, r * a)", "_homogeneous_horner(u.nums, s * a, r * c)"),
+    Mutant("limits.gap: samples compared without their denominators", LIMITS,
+           "        if num * best_rn > best * rn:", "        if num > best:"),
+    Mutant("limits.gap: target not scaled by c**n", LIMITS,
+           "    du_cn = u.den * c**n\n", "    du_cn = u.den\n"),
     Mutant("_identity_holds: five samples at every degree", LIMITS,
-           "catalog._sample_xs(max(n + 1, 5))", "catalog._sample_xs(5)",
-           only="tests/test_limits.py::test_an_identity_of_degree_n_is_read_at_n_plus_one_catalog_samples"),
+           "catalog._sample_xs(max(n + 1, 5))", "catalog._sample_xs(5)"),
     Mutant("_series: zero parameters kept", CATALOG,
            "(q ** (-n), *filter(None, upper)))\n    lower = tuple(b.as_integer_ratio() for b in filter(None, lower))",
            "(q ** (-n), *upper))\n    lower = tuple(b.as_integer_ratio() for b in lower)",
@@ -172,9 +240,9 @@ MUTANTS = (
     Mutant("error: 1/x series division message", CATALOG,
            'f"the degree-{n} 1/x series"', 'f"the degree-{n} series"',
            only="tests/test_catalog.py::test_the_inverse_series_refuses_a_division_by_zero_by_name"),
-    Mutant("error: term loop names the previous term", "src/qscheme/qseries.py",
+    Mutant("error: term loop names the previous term", SERIES,
            'f"denominator vanished at term {k} of', 'f"denominator vanished at term {k - 1} of'),
-    Mutant("error: term loop raises a bare ZeroDivisionError", "src/qscheme/qseries.py",
+    Mutant("error: term loop raises a bare ZeroDivisionError", SERIES,
            "            raise DivisionByZero(\n", "            raise ZeroDivisionError(\n"),
     Mutant("error: forbidden zero parameter message", CATALOG,
            'f"{spec.key}: parameter {name} violates {name} != 0"', 'f"{spec.key}: parameter {name} must not be 0"'),

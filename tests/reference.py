@@ -22,28 +22,23 @@ only its test kills:
   check too, and each test checks more than the list's mutants reach (the
   collision tests, the pairwise repeat search, a duality relation that
   reads no engine kernel);
-- FractionPoly, fraction_deflate, fraction_eval, fraction_format_poly,
-  poly_product_of_linear and poly_compose_affine (test_polynomial.py),
-  fraction_terminating_sum, terminating_sum_of_fractions, qhyper,
-  oracle_qpoch and oracle_qhyper (test_qseries.py), fraction_series_row
-  (test_catalog.py) and fraction_gap (test_limits.py): none; the list
-  has no mutant of format_poly, evaluation, compose_affine, deflate or the
-  term loop's arithmetic, so the matrix cannot yet decide them.
+- fraction_format_poly and poly_product_of_linear (the parametrized
+  tables of test_polynomial.py): none; each mutant of format_poly and
+  product_of_linear that they kill is killed by another check too, and
+  they wait for the next retirement, with their hand-picked inputs;
+- oracle_qpoch and oracle_qhyper (test_qseries.py): textbook term-by-term
+  products and sums, independent of the engine's term loop, not copies of
+  a kernel;
+- terminating_sum_of_fractions and qhyper: adapters that hand rational
+  parameters to the engine's terminating_sum, not references.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction, Fraction as F
 from functools import cache
 
 from qscheme import catalog
-from qscheme.core import (
-    ParameterVector,
-    UncheckedParameterVector,
-    monic_poly,
-    normalized_poly,
-)
+from qscheme.core import ParameterVector, UncheckedParameterVector, normalized_poly
 from qscheme.errors import (
-    DivisionByZero,
     HSeparationViolated,
     InadmissibleParams,
     Mismatch,
@@ -51,7 +46,6 @@ from qscheme.errors import (
 )
 from qscheme.qpolynomial import Poly, _over_lcm
 from qscheme.qrational import admissible_q, rational
-from qscheme.limits import DEFAULT_SAMPLE_XS
 from qscheme.qseries import terminating_sum
 from qscheme.symmetry import dualize
 
@@ -232,138 +226,6 @@ def triangle_rows(pv, order: int):
     return rows, None
 
 
-@dataclass(frozen=True)
-class FractionPoly:
-    """Reference: the polynomial type that stored one reduced Fraction per
-    coefficient, low degree first with no trailing zeros, with its Fraction
-    arithmetic and formatting.  Evaluation, affine composition and deflation
-    are the Fraction Horner routes the integer kernels were pinned to."""
-
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        out = [rational(c) for c in self.coeffs]
-        while out and out[-1] == 0:
-            out.pop()
-        object.__setattr__(self, "coeffs", tuple(out))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coeff(self, i: int) -> F:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return F(0)
-
-    def __add__(self, other: "FractionPoly") -> "FractionPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return FractionPoly(out)
-
-    def __neg__(self) -> "FractionPoly":
-        return FractionPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "FractionPoly":
-        if not isinstance(other, FractionPoly):
-            s = rational(other)
-            return FractionPoly(tuple(c * s for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return FractionPoly()
-        out = [F(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FractionPoly(out)
-
-    def __rmul__(self, other) -> "FractionPoly":
-        return self * other
-
-    def __pow__(self, n: int) -> "FractionPoly":
-        result = FractionPoly((1,))
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __call__(self, x) -> F:
-        """Horner on Fractions, one reduced Fraction per step."""
-        x = F(x)
-        acc = F(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose_affine(self, scale, shift=0) -> "FractionPoly":
-        """A Horner over FractionPoly in the argument scale*x + shift."""
-        arg = FractionPoly((rational(shift), rational(scale)))
-        acc = FractionPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + FractionPoly((c,))
-        return acc
-
-    def deflate(self, root) -> tuple["FractionPoly", F]:
-        """Synthetic division by (x - root) on Fractions: (quotient, remainder)."""
-        root = rational(root)
-        acc = F(0)
-        out: list[F] = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        if not out:
-            return FractionPoly(), F(0)
-        rem = out.pop()
-        out.reverse()
-        return FractionPoly(out), rem
-
-    def format(self) -> str:
-        """Highest degree first, each coefficient written from its
-        numerator and denominator."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            num, den = c.numerator, c.denominator
-            if not num:
-                continue
-            mag = -num if num < 0 else num
-            text = str(mag) if den == 1 else f"{mag}/{den}"
-            if i == 0:
-                body = text
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                body = xpow if mag == 1 and den == 1 else f"{text} {xpow}"
-            if not parts:
-                parts.append(f"-{body}" if num < 0 else body)
-            else:
-                parts.append(f"{'-' if num < 0 else '+'} {body}")
-        return " ".join(parts)
-
-
-def fraction_deflate(p: Poly, root) -> tuple[Poly, F]:
-    """Reference: synthetic division by (x - root) on Fractions, returning
-    (quotient, remainder)."""
-    quotient, rem = FractionPoly(p.coeffs).deflate(root)
-    return Poly(quotient.coeffs), rem
-
-
 def fraction_values(pv, which: int, m: int) -> tuple[F, ...]:
     """node (which = 0), eigenvalue (1) or lowering (2) at k < m, as the
     vector's Fraction view gives them, one value per call."""
@@ -377,11 +239,6 @@ def poly_product_of_linear(roots) -> Poly:
     for r in roots:
         acc = acc * Poly.linear(r)
     return acc
-
-
-def poly_compose_affine(p: Poly, scale, shift=0) -> Poly:
-    """Reference: a Horner over FractionPoly in the argument scale*x + shift."""
-    return Poly(FractionPoly(p.coeffs).compose_affine(scale, shift).coeffs)
 
 
 def terminating_sum_of_fractions(upper, lower, q, n, step, scale=(1, 1)):
@@ -402,57 +259,6 @@ def qhyper(upper, lower, q, z, n):
     catalog moves it into the step factor."""
     c = len(lower) - len(upper) + 1
     return terminating_sum_of_fractions(upper, lower, q, n, ((-z if c % 2 else z,), c))
-
-
-def fraction_terminating_sum(upper, lower, q, n, step):
-    """Reference: the Fraction term loop that terminating_sum replaced, with
-    the numerator, denominator and step product kept as running Fractions
-    and the step's Laurent coefficients (coeffs, low) turned into the
-    Fraction lambda sum_i coeffs[i] * qj**(low + i)."""
-    if n < 0:
-        raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    coeffs, low = step
-    step = lambda qj: sum(c * qj ** (low + i) for i, c in enumerate(coeffs))
-    num = den = steps = F(1)
-    total = F(0)
-    qj = F(1)
-    for k in range(n + 1):
-        if k > 0:
-            for a in upper:
-                num *= 1 - a * qj
-            if num == 0:
-                break
-            for b in lower:
-                den *= 1 - b * qj
-            steps *= step(qj)
-            qj *= q
-            den *= 1 - qj
-            if den == 0:
-                raise DivisionByZero(
-                    f"denominator vanished at term {k} of a terminating series"
-                )
-        total += num / den * steps
-    return total
-
-
-def fraction_series_row(pref, upper, lower, q, n, low, const, slope, x):
-    """Reference: a catalog _series row at x on Fractions: every parameter
-    as given, a 0 included ((0; q)_k = 1), each step coefficient c + s*x,
-    the Fraction term loop and the prefactor multiplied in last."""
-    coeffs = [F(c) + F(s) * x for c, s in zip(const, slope)]
-    return pref * fraction_terminating_sum((q ** (-n), *upper), lower, q, n, (coeffs, low))
-
-
-def fraction_eval(p: Poly, x) -> F:
-    """Reference: Horner on Fractions, one reduced Fraction per step."""
-    return FractionPoly(p.coeffs)(x)
-
-
-def fraction_gap(source, target, n: int) -> F:
-    """Reference: the limit gap as the Poly difference of the two monic
-    polynomials evaluated at each sample, maximised over Fractions."""
-    diff = monic_poly(source, n) - monic_poly(target, n)
-    return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
 
 
 def fraction_format_poly(p: Poly) -> str:

@@ -17,10 +17,6 @@ from qscheme.limits import (
 )
 from qscheme.qpolynomial import Poly, product_of_linear
 from qscheme.qrational import format_rational
-from qscheme.symmetry import GaugeAction, apply_gauge
-
-import reference
-from reference import fraction_gap
 
 EXPECTED_IDS = {
     "2a->3b",
@@ -117,10 +113,11 @@ def test_exact_identities_hold():
 
 
 def test_an_identity_is_decided_at_more_points_than_its_degree():
-    """A false degree-6 identity that agrees at five points fails: the
-    shifted product's right side plus a quintic vanishing at those five."""
+    """A false degree-6 identity that agrees at the first five catalog
+    samples, all that a fixed count of five would read, fails: the shifted
+    product's right side plus a quintic vanishing at those five."""
     lhs, rhs, n_max = limits._IDENTITIES["shifted_product_identity"]
-    fooled = (F(3), F(-2), F(1, 5), F(7, 2), F(-1, 3))
+    fooled = catalog._sample_xs(5)
     quintic = product_of_linear(fooled)
 
     def planted(n):
@@ -135,12 +132,13 @@ def test_an_identity_is_decided_at_more_points_than_its_degree():
 
 
 def test_an_identity_of_degree_n_is_read_at_n_plus_one_catalog_samples():
-    """A false degree-6 identity that agrees at the first five catalog
-    samples, all that a fixed count of five would read, fails."""
-    lhs, rhs, _ = limits._IDENTITIES["shifted_product_identity"]
-    quintic = product_of_linear(catalog._sample_xs(5))
-    planted = lambda n: (lambda x: rhs(n)(x) + quintic(x)) if n == 6 else rhs(n)
-    assert not limits._identity_holds(lhs, planted, 6)
+    """Degree n is compared at the first max(n + 1, 5) catalog samples, in
+    order: a true identity's side is called at exactly those points."""
+    seen = []
+    lhs = lambda n: lambda x: seen.append((n, x)) or x**n
+    assert limits._identity_holds(lhs, lambda n: lambda x: x**n, 7)
+    xs = catalog._sample_xs(8)
+    assert seen == [(n, x) for n in range(8) for x in xs[: max(n + 1, 5)]]
 
 
 def test_failing_detail_names_the_first_failing_coefficient():
@@ -329,36 +327,22 @@ def test_limit_instances_sit_on_their_labels():
             assert pattern_of(source) == LABELS[case.source_label], (case.id, t)
 
 
+def rescaled_gap(source, target, n: int, rho: F) -> F:
+    """The gap by its definition: rescale the source polynomial itself,
+    max over the samples of |rho**n u_n^src(x / rho) - u_n^tgt(x)|."""
+    diff = monic_poly(source, n).compose_affine(1 / rho) * rho**n - monic_poly(target, n)
+    return max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
+
+
 def test_gauged_gap_matches_rescaled_polynomials():
-    # Reference: rescale the source polynomial itself, with scale = 1/rho:
-    # u_n^src(scale * x) * scale**-n - u_n^tgt(x).
     for case in CASES:
         target = case.target_instance()
         for t in range(1, 13):
             eps = case.eps_at(t)
-            source = case.source_instance(eps)
-            scale = 1 / case.rho(eps)
-            for n in range(5):
-                diff = monic_poly(source, n).compose_affine(scale) * scale**-n - monic_poly(target, n)
-                expected = max(abs(diff(x)) for x in DEFAULT_SAMPLE_XS)
-                assert gap(source, target, n, case.rho(eps)) == expected, (case.id, t, n)
-
-
-def test_integer_gap_matches_fraction_reference():
-    # Reference: build the gauged vector and subtract its u_n from the target's.
-    zero = 0
-    for case in CASES:
-        target = case.target_instance()
-        for t in range(1, 15):
-            eps = case.eps_at(t)
             source, rho = case.source_instance(eps), case.rho(eps)
-            gauged = apply_gauge(source, GaugeAction(rho=rho))
-            for n in range(7):
-                want = fraction_gap(gauged, target, n)
+            for n in range(5):
                 got = gap(source, target, n, rho)
-                assert got == want and type(got) is F, (case.id, t, n)
-                zero += want == 0
-    assert zero > 0
+                assert got == rescaled_gap(source, target, n, rho) and type(got) is F, (case.id, t, n)
 
 
 def test_gap_takes_negative_and_odd_denominator_scales():
@@ -367,10 +351,9 @@ def test_gap_takes_negative_and_odd_denominator_scales():
     vectors = [catalog.instantiate(key) for key in ("1a", "3b", "4e")]
     for rho in (F(-3, 2), F(5, 7), F(1)):
         for source in vectors:
-            gauged = apply_gauge(source, GaugeAction(rho=rho))
             for target in vectors:
                 for n in range(7):
-                    assert gap(source, target, n, rho) == fraction_gap(gauged, target, n), (rho, n)
+                    assert gap(source, target, n, rho) == rescaled_gap(source, target, n, rho), (rho, n)
 
 
 def test_a_zero_gauge_scale_is_refused():
@@ -403,8 +386,7 @@ def test_limits_build_no_gauged_vector(monkeypatch):
 def test_gap_compares_samples_over_their_denominators(monkeypatch, diff, expected):
     # gap reads each side's monic polynomial through monic_poly; here the
     # "vectors" are the polynomials themselves, so the difference is chosen.
-    for module in (limits, reference):
-        monkeypatch.setattr(module, "monic_poly", lambda poly, n: poly)
+    monkeypatch.setattr(limits, "monic_poly", lambda poly, n: poly)
     target = Poly([F(1, 5), 0, 0, 1])
     source = target + diff
-    assert gap(source, target, 3, 1) == fraction_gap(source, target, 3) == expected
+    assert gap(source, target, 3, 1) == expected

@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-import random
 import tracemalloc
 from fractions import Fraction as F
 from math import gcd
@@ -17,14 +16,7 @@ from qscheme.qpolynomial import (
     format_poly,
     product_of_linear,
 )
-from reference import (
-    FractionPoly,
-    fraction_deflate,
-    fraction_eval,
-    fraction_format_poly,
-    poly_compose_affine,
-    poly_product_of_linear,
-)
+from reference import fraction_format_poly, poly_product_of_linear
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeff, min_size=0, max_size=6).map(Poly)
@@ -55,6 +47,8 @@ def test_zero_polynomial_degree():
 def test_compose_affine():
     p = Poly([0, 0, 1])  # x^2
     assert p.compose_affine(F(1, 2), F(3)) == Poly([9, 3, F(1, 4)])
+    # a zero scale leaves the constant p(shift)
+    assert Poly([1, -2, F(1, 3)]).compose_affine(0, F(4, 5)) == Poly.constant(F(-29, 75))
 
 
 def test_deflate_reverses_linear_multiplication():
@@ -64,16 +58,7 @@ def test_deflate_reverses_linear_multiplication():
     assert quotient == product_of_linear([F(2), F(-1, 3)])
     _, rem2 = p.deflate(F(5))
     assert rem2 == p(F(5))
-
-
-def test_deflate_matches_fraction_reference():
-    rng = random.Random(59)
-    small = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
-    for size in range(10):
-        for _ in range(12):
-            p = Poly([small() for _ in range(size)])
-            root = small()
-            assert p.deflate(root) == fraction_deflate(p, root), (p, root)
+    assert p.deflate(F(-1, 3)) == (product_of_linear([F(1), F(2)]), 0)
     assert Poly.zero().deflate(3) == (Poly.zero(), 0)
     assert Poly([F(5, 3)]).deflate(F(-2, 7)) == (Poly.zero(), F(5, 3))
 
@@ -91,6 +76,8 @@ def test_format_poly():
     assert format_poly(Poly.one()) == "1"
     assert format_poly(Poly([0, 1])) == "x"
     assert format_poly(Poly([-1, 0, 0, 2])) == "2 x^3 - 1"
+    assert format_poly(Poly([F(-5, 2), 0, F(-2, 3)])) == "-2/3 x^2 - 5/2"
+    assert format_poly(Poly([0, -1])) == "-x"
 
 
 BIG = 3**90 + 1
@@ -109,24 +96,11 @@ EVAL_POLYS = [
 
 @pytest.mark.parametrize("p", EVAL_POLYS, ids=range(len(EVAL_POLYS)))
 def test_integer_eval_matches_fraction_reference(p):
+    # the reference is the definition, sum_i c_i x**i on Fractions
     for x in EVAL_POINTS:
         got = p(x)
-        assert type(got) is F and got == fraction_eval(p, x), (p, x)
-    assert p("3/4") == fraction_eval(p, F(3, 4))
-
-
-def test_integer_eval_matches_fraction_reference_on_random_polys():
-    """500 seeded polynomials with mixed denominators, one point each."""
-    rng = random.Random(73)
-    dens = [1, 1, 2, 3, 4, 5, 12, 49, 2**31 - 1, 10**12]
-
-    def scalar():
-        return F(rng.randint(-(10**6), 10**6), rng.choice(dens))
-
-    for _ in range(500):
-        p = Poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 14))])
-        x = scalar()
-        assert p(x) == fraction_eval(p, x), (p, x)
+        assert type(got) is F and got == sum(c * F(x) ** i for i, c in enumerate(p.coeffs)), (p, x)
+    assert p("3/4") == p(F(3, 4))
 
 
 FORMAT_POLYS = [
@@ -153,17 +127,6 @@ def test_format_poly_matches_fraction_reference(p, var):
         format_poly(p, var)
 
 
-def test_format_poly_matches_fraction_reference_on_random_polys():
-    rng = random.Random(79)
-
-    def scalar():
-        return F(rng.choice([-1, 1, rng.randint(-(10**30), 10**30)]), rng.choice([1, 1, 1, 2, 9, 10**20]))
-
-    for _ in range(500):
-        p = Poly([scalar() if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, 10))])
-        assert format_poly(p) == fraction_format_poly(p), p
-
-
 # -- the Newton-form kernel against the Poly-level references -----------------
 
 
@@ -186,102 +149,7 @@ def test_product_of_linear_matches_poly_product_reference(roots):
     assert got.degree == len(roots) and got.is_monic
 
 
-def test_product_of_linear_matches_reference_on_random_roots():
-    """Repeated roots drawn from a small pool, mixed denominators, no roots."""
-    rng = random.Random(83)
-    pool = [F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 2**20 + 7])) for _ in range(6)]
-    for _ in range(300):
-        roots = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
-        assert product_of_linear(roots) == poly_product_of_linear(roots), roots
-
-
-AFFINE_CASES = [
-    (Poly([]), F(3, 2), F(1, 3)),
-    (Poly([]), 0, F(1, 3)),
-    (Poly([F(-5, 7)]), F(3, 2), F(1, 3)),
-    (Poly([F(-5, 7)]), 0, 0),
-    (Poly([1, -2, F(1, 3)]), 0, F(4, 5)),
-    (Poly([1, -2, F(1, 3)]), 0, 0),
-    (Poly([1, -2, F(1, 3)]), F(-2, 9), 0),
-    (Poly([0, 0, 0, 1]), 1, -1),
-    (Poly([F(1, 2), 0, F(-3, 4), 0, 2]), F(-1, 3), F(5, 2)),
-    (Poly([F(2**50 + 3, 3**30), -1, F(7, 2**45)]), F(3**20, 2**31), F(-(5**18), 7)),
-]
-
-
-@pytest.mark.parametrize("p, scale, shift", AFFINE_CASES, ids=range(len(AFFINE_CASES)))
-def test_compose_affine_matches_poly_horner_reference(p, scale, shift):
-    assert p.compose_affine(scale, shift) == poly_compose_affine(p, scale, shift)
-
-
-def test_compose_affine_matches_reference_on_random_polys():
-    """Zero scale and zero shift each about one draw in six."""
-    rng = random.Random(89)
-
-    def scalar(zero_share):
-        if rng.random() < zero_share:
-            return F(0)
-        return F(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 9, 25, 2**20 + 7]))
-
-    for _ in range(400):
-        p = Poly([scalar(0.1) for _ in range(rng.randint(0, 12))])
-        scale, shift = scalar(1 / 6), scalar(1 / 6)
-        assert p.compose_affine(scale, shift) == poly_compose_affine(p, scale, shift), (p, scale, shift)
-
-
-# -- the integer representation against the Fraction reference ----------------
-
-# Zeros, negative denominators (reduced away by Fraction) and large numerators.
-scalars = st.one_of(
-    st.just(F(0)),
-    st.builds(F, st.integers(-9, 9), st.integers(-12, 12).filter(bool)),
-    st.builds(F, st.integers(-(2**70), 2**70), st.sampled_from([1, -3, 2**40, -(10**12) - 1])),
-)
-# Up to two trailing zeros after the drawn coefficients.
-coeff_lists = st.builds(
-    lambda cs, zeros: cs + [F(0)] * zeros, st.lists(scalars, max_size=6), st.integers(0, 2)
-)
-
-
-def assert_lowest_terms(p: Poly) -> None:
-    assert p.den > 0 and gcd(p.den, *p.nums) == 1, (p.nums, p.den)
-    assert not p.nums or p.nums[-1] != 0, p.nums
-
-
-@given(a=coeff_lists, b=coeff_lists, s=scalars, t=scalars)
-@settings(max_examples=150, derandomize=True)
-def test_integer_poly_matches_fraction_reference(a, b, s, t):
-    p, q = Poly(a), Poly(b)
-    ref_p, ref_q = FractionPoly(a), FractionPoly(b)
-    for got, want in ((p, ref_p), (q, ref_q)):
-        assert_lowest_terms(got)
-        assert got.coeffs == want.coeffs and all(type(c) is F for c in got.coeffs)
-        assert (got.degree, got.is_zero, got.is_monic) == (want.degree, want.is_zero, want.is_monic)
-    # Equality and hashing follow the Fraction coefficients.
-    assert (p == q) == (ref_p.coeffs == ref_q.coeffs)
-    for same in (Poly(a + [0]), Poly._of([-6 * v for v in p.nums], -6 * p.den), p * 1):
-        assert same == p and hash(same) == hash(p)
-    assert p - p == Poly.zero() and hash(p - p) == hash(Poly.zero())
-    if not p.is_zero:
-        half = Poly._of(p.nums, 2 * p.den)  # the same numerators when they are not all even
-        assert half != p and half == p * F(1, 2)
-    results = [
-        (p + q, ref_p + ref_q),
-        (p - q, ref_p - ref_q),
-        (-p, -ref_p),
-        (p * q, ref_p * ref_q),
-        (p * s, ref_p * s),
-        (s * q, s * ref_q),
-        (q**2, ref_q**2),
-        (p.compose_affine(s, t), ref_p.compose_affine(s, t)),
-        (p.deflate(t)[0], ref_p.deflate(t)[0]),
-    ]
-    for got, want in results:
-        assert_lowest_terms(got)
-        assert got.coeffs == want.coeffs
-    assert p.deflate(t)[1] == ref_p.deflate(t)[1]
-    assert p(t) == ref_p(t)
-    assert format_poly(p) == ref_p.format() and format_poly(q) == ref_q.format()
+# -- the integer representation ----------------------------------------------
 
 
 @given(
@@ -291,9 +159,14 @@ def test_integer_poly_matches_fraction_reference(a, b, s, t):
 @settings(max_examples=150, derandomize=True)
 def test_of_brings_numerators_over_a_signed_denominator_to_lowest_terms(nums, den):
     p = Poly._of(nums, den)
-    assert_lowest_terms(p)
-    assert p.coeffs == FractionPoly([F(v, den) for v in nums]).coeffs
-    assert p == Poly([F(v, den) for v in nums])
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1, (p.nums, p.den)
+    assert not p.nums or p.nums[-1] != 0, p.nums
+    want = [F(v, den) for v in nums]
+    while want and not want[-1]:
+        want.pop()
+    assert p.coeffs == tuple(want)
+    same = Poly(want)
+    assert p == same and hash(p) == hash(same)
 
 
 def test_poly_is_immutable():

@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from qscheme import catalog
 from qscheme.errors import DivisionByZero
 from qscheme.qseries import qpoch, terminating_sum
-from reference import (
-    fraction_terminating_sum,
-    oracle_qhyper,
-    oracle_qpoch,
-    outcome,
-    qhyper,
-    terminating_sum_of_fractions,
-)
+from reference import oracle_qhyper, oracle_qpoch, qhyper
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -106,16 +99,17 @@ def test_power_identity_up_to_eight():
 
 
 def test_matches_oracle_with_correction_exponent():
-    # one lower, one upper: correction exponent +1 (used by Stieltjes-Wigert)
-    q = F(1, 2)
-    for n in range(7):
-        for z in (F(3), F(-1, 2)):
-            got = qhyper((q**-n,), (F(0),), q, z, n)
-            assert got == oracle_qhyper((q**-n,), (F(0),), q, z, n)
-    # three upper, none lower: correction exponent -2 (q-Bessel inverse form)
-    for n in range(6):
-        got = qhyper((q**-n, F(3), F(1, 7)), (), q, F(2), n)
-        assert got == oracle_qhyper((q**-n, F(3), F(1, 7)), (), q, F(2), n)
+    # at q = -2/3, unlike 1/2, the step's powers of q**k have numerators other than 1
+    for q in (F(1, 2), F(-2, 3)):
+        # one lower, one upper: correction exponent +1 (used by Stieltjes-Wigert)
+        for n in range(7):
+            for z in (F(3), F(-1, 2)):
+                got = qhyper((q**-n,), (F(0),), q, z, n)
+                assert got == oracle_qhyper((q**-n,), (F(0),), q, z, n)
+        # three upper, none lower: correction exponent -2 (q-Bessel inverse form)
+        for n in range(6):
+            got = qhyper((q**-n, F(3), F(1, 7)), (), q, F(2), n)
+            assert got == oracle_qhyper((q**-n, F(3), F(1, 7)), (), q, F(2), n)
 
 
 def test_lower_parameter_collision_raises():
@@ -156,55 +150,3 @@ def test_upper_zero_decides_lower_collision():
         value = qhyper((q**-3, q**-1), lower, q, q, 3)
         assert value == oracle_qhyper((q**-3, q**-1), lower, q, q, 3)
 
-
-def test_integer_term_loop_matches_fraction_reference():
-    """Value, or error and message, on seeded series with early stops,
-    vanishing denominators, Laurent steps from q**-2 up with interior zero
-    coefficients or a zero at q**j = root, and negative, +/-1 and int bases;
-    a prefactor passed as scale multiplies the value."""
-    rng = random.Random(6161)
-    small = lambda: F(rng.randint(-5, 5), rng.randint(1, 4))
-    seen = dict.fromkeys(
-        ("early", "raised", "zero_step", "interior_zero", "int_q", "negative_q", "unit_q"), 0
-    )
-    lows = set()
-    for _ in range(600):
-        if rng.random() < 0.3:
-            q = rng.choice([-3, -2, -1, 1, 2, 3])  # an int base, +/-1 included
-            seen["int_q"] += 1
-            seen["unit_q"] += q in (-1, 1)
-        else:
-            q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
-        seen["negative_q"] += q < 0
-        n = rng.randint(0, 8)
-        upper = [F(q) ** -n] + [small() for _ in range(rng.randint(0, 2))]
-        lower = [small() for _ in range(rng.randint(0, 2))]
-        if rng.random() < 0.3 and n >= 1:
-            m = rng.randint(0, n - 1)
-            upper.append(F(q) ** -m)  # ends the series at term m + 1
-            seen["early"] += 1
-        if rng.random() < 0.3 and n >= 1:
-            lower.append(F(q) ** -rng.randint(0, n - 1))  # a denominator zero
-        low = rng.randint(-2, 1)
-        lows.add(low)
-        if rng.random() < 0.3:
-            root, z = F(q) ** rng.randint(0, max(n - 1, 0)), small() or F(1)
-            coeffs = (-z * root, z)  # z * (q**j - root) * q**(j*low): zero at q**j = root
-            seen["zero_step"] += 1
-        else:
-            coeffs = [small() for _ in range(rng.randint(1, 3))]
-            if len(coeffs) == 3 and rng.random() < 0.5:
-                coeffs[1] = F(0)
-                seen["interior_zero"] += 1
-        step = (tuple(coeffs), low)
-        rng.shuffle(upper)
-        want = outcome(fraction_terminating_sum, upper, lower, q, n, step)
-        got = outcome(terminating_sum_of_fractions, upper, lower, q, n, step)
-        assert got == want, (upper, lower, q, n, step)
-        assert type(got) is F or got[0] is DivisionByZero
-        seen["raised"] += type(want) is tuple
-        # the prefactor as term 0: any sign, and 0, which still sums (and raises)
-        scale = rng.choice([(3, 7), (-5, 2), (4, -9), (0, 1)])
-        scaled = outcome(terminating_sum_of_fractions, upper, lower, q, n, step, scale)
-        assert scaled == (want if type(want) is tuple else want * F(*scale)), (upper, lower, q, n, step, scale)
-    assert min(seen.values()) > 20 and lows == {-2, -1, 0, 1}, (seen, lows)
