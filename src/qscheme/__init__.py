@@ -13,15 +13,11 @@ _EXPORTS = {
     "qpolynomial": ("Poly", "format_poly"),
     "qseries": ("qpoch", "qpoch_many"),
     "core": (
-        "NewtonExpansion",
         "ParameterVector",
         "UncheckedParameterVector",
         "apply_operator",
-        "expansion",
-        "finite_cutoff",
         "monic_poly",
         "monic_table",
-        "newton_basis",
         "normalized_poly",
         "recurrence_check",
         "recurrence_coeffs",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     ConstraintViolation,
@@ -50,7 +50,6 @@ from .qpolynomial import (
     _newton_division,
     _newton_horner,
     _over_lcm,
-    product_of_linear,
 )
 from .qrational import _Value, admissible_q, format_rational, rational
 
@@ -288,26 +287,6 @@ class UncheckedParameterVector(ParameterVector):
         pass
 
 
-def newton_basis(pv: ParameterVector, k: int) -> Poly:
-    """The monic basis polynomial prod_{j<k} (x - node(j)); k = 0 gives 1."""
-    if k < 0:
-        raise ValueError("the Newton basis needs k >= 0")
-    return product_of_linear(map(pv.node, range(k)))
-
-
-class NewtonExpansion(NamedTuple):
-    """Lower-triangular expansion coefficients of u_n over the Newton basis."""
-
-    vector: ParameterVector
-    order: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def coeff(self, n: int, k: int) -> Fraction:
-        if not 0 <= k <= n <= self.order:
-            raise IndexError(f"coefficient ({n},{k}) outside triangle")
-        return self.rows[n][k]
-
-
 def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: int, dx: int) -> list[int]:
     """Row n of the triangle as integers N_0..N_n with c[n][k] = N_k Dx**k
     / (N_n Dx**n), from h[0..n] and g[0..n]: the coefficients of u_n in
@@ -349,17 +328,15 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
     return row
 
 
+# No command calls this: it stays only because the benchmark clears its cache
+# and reads its hit ratio by name (core.expansion_rows_hit_ratio), and the
+# benchmark change that drops that metric deletes it.
 @lru_cache(maxsize=4096)
 def _expansion_rows(pv: ParameterVector, order: int) -> tuple[tuple[Fraction, ...], ...]:
     pv.check_h_separation(order)
     _, h, g = pv._grown(order + 1)
     rows = (_newton_row(h, g, n, 1) for n in range(order + 1))
     return tuple(tuple(Fraction(v, row[-1]) for v in row) for row in rows)
-
-
-def expansion(pv: ParameterVector, order: int) -> NewtonExpansion:
-    """All c[n][k] for n <= order; zero lowering values propagate exact zeros."""
-    return NewtonExpansion(pv, order, _expansion_rows(pv, order))
 
 
 @lru_cache(maxsize=8192)
@@ -520,20 +497,6 @@ def recurrence_check(pv: ParameterVector, n: int) -> bool:
     u_n = monic_poly(pv, n)
     prev = monic_poly(pv, n - 1) if n else Poly.zero()
     return _three_term(u_n, prev, a_n, b_n) == monic_poly(pv, n + 1)
-
-
-def finite_cutoff(pv: ParameterVector, n_max: int) -> int | None:
-    """Smallest N with lowering(N+1) = 0 and lowering(j) != 0 for j <= N.
-
-    Searched for N up to n_max; None when no lowering value vanishes there.
-    Such an N truncates the family to a finite orthogonal system of degrees
-    n <= N, and forces c[n][k] = 0 exactly for k <= N < n.
-    """
-    g = pv._grown(n_max + 2)[2]
-    for k in range(1, n_max + 2):
-        if not g[k][0]:
-            return k - 1
-    return None
 
 
 def normalized_poly(pv: ParameterVector, n: int) -> Poly:

@@ -54,13 +54,12 @@ CROSS_ARROWS = [
 ]
 
 
-# `qscheme.__all__`: 35 re-exported names and the ten submodules they come
+# `qscheme.__all__`: 31 re-exported names and the ten submodules they come
 # from, sorted as `dir()` sorts them.
 PACKAGE_ALL = [
     "ChartId",
     "ChartPoint",
     "GaugeAction",
-    "NewtonExpansion",
     "ParameterVector",
     "Poly",
     "SchemeGraph",
@@ -79,15 +78,12 @@ PACKAGE_ALL = [
     "emit",
     "enumerate_nodes",
     "errors",
-    "expansion",
-    "finite_cutoff",
     "format_poly",
     "format_rational",
     "laurent",
     "limits",
     "monic_poly",
     "monic_table",
-    "newton_basis",
     "normalized_poly",
     "pattern_of",
     "q_invert",

@@ -226,8 +226,7 @@ MUTANTS = (
     Mutant("error: eigenvalue repeat raised as a node repeat", CORE,
            "            raise HSeparationViolated(*hit)", "            raise XSeparationViolated(*hit)"),
     Mutant("error: ZeroG names the next index", CORE,
-           "            raise ZeroG(j)", "            raise ZeroG(j + 1)",
-           only="tests/test_core.py::test_normalized_poly_matches_fraction_reference"),
+           "            raise ZeroG(j)", "            raise ZeroG(j + 1)"),
     Mutant("error: k_n division names k_(n+1)", CATALOG,
            'raise _division_by_zero(spec.key, f"k_{n}", p, q)', 'raise _division_by_zero(spec.key, f"k_{n + 1}", p, q)',
            only="tests/test_catalog.py::test_a_division_by_zero_in_k_n_is_refused_by_name"),

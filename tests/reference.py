@@ -13,19 +13,13 @@ only its test kills:
 - fitted_instantiate, with CLOSED_FORMS, solve_linear and laurent_inverse:
   "error: constraint refusal without the family", killed only by
   test_catalog.py::test_instantiate_matches_direct_elimination;
-- fraction_horner and fraction_values: "error: ZeroG names the next
-  index", killed only by test_core.py::test_normalized_poly_matches_fraction_reference
-  (with its own normalized_poly_reference);
-- triangle_rows, fraction_first_repeat, fraction_constraint_failure,
-  nested_loop_collision and duality_check (test_core.py, test_symmetry.py,
-  test_acceptance.py): none; each mutant they kill is killed by another
-  check too, and each test checks more than the list's mutants reach (the
-  collision tests, the pairwise repeat search, a duality relation that
-  reads no engine kernel);
-- fraction_format_poly and poly_product_of_linear (the parametrized
-  tables of test_polynomial.py): none; each mutant of format_poly and
-  product_of_linear that they kill is killed by another check too, and
-  they wait for the next retirement, with their hand-picked inputs;
+- triangle_rows, fraction_horner, fraction_values, fraction_first_repeat,
+  fraction_constraint_failure, nested_loop_collision and duality_check
+  (test_core.py, test_symmetry.py, test_acceptance.py): none; each mutant
+  they kill is killed by another check too, and each test checks more than
+  the list's mutants reach (the collision tests, the Newton triangle summed
+  over the basis, the normalized sum, the pairwise repeat search, a
+  duality relation that reads no engine kernel);
 - oracle_qpoch and oracle_qhyper (test_qseries.py): textbook term-by-term
   products and sums, independent of the engine's term loop, not copies of
   a kernel;
@@ -233,14 +227,6 @@ def fraction_values(pv, which: int, m: int) -> tuple[F, ...]:
     return tuple(at(k) for k in range(m))
 
 
-def poly_product_of_linear(roots) -> Poly:
-    """Reference: one Poly product per monic linear factor."""
-    acc = Poly.one()
-    for r in roots:
-        acc = acc * Poly.linear(r)
-    return acc
-
-
 def terminating_sum_of_fractions(upper, lower, q, n, step, scale=(1, 1)):
     """terminating_sum on rational parameters and a step (coeffs, low) of
     rational Laurent coefficients, handed over in its integer forms: each
@@ -259,29 +245,6 @@ def qhyper(upper, lower, q, z, n):
     catalog moves it into the step factor."""
     c = len(lower) - len(upper) + 1
     return terminating_sum_of_fractions(upper, lower, q, n, ((-z if c % 2 else z,), c))
-
-
-def fraction_format_poly(p: Poly) -> str:
-    """Reference: format_poly on Fraction comparisons, abs and str."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            xpow = "x" if i == 1 else f"x^{i}"
-            body = xpow if mag == 1 else f"{mag} {xpow}"
-        if not parts:
-            parts.append(f"-{body}" if sign == "-" else body)
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
 
 
 def oracle_qpoch(b: F, q: F, k: int) -> F:

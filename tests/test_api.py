@@ -2,13 +2,15 @@
 every series is the catalog's, only the catalog decides which vectors are
 shared, separation is decided in one place, the package's namespace is the
 pinned one and each name in it is its home module's own object, importing
-the package loads no submodule until a name is read, every mutant of
+the package loads no submodule until a name is read, every function of
+src/ is entered by a command or listed with its reason, every mutant of
 tests/mutants.py applies once, and every test name is in the ledger
 tests/data/test_names.txt.
 
 A name that only tests reach is API nobody uses: it is deleted, or, when it
 states a paper object that an open ROADMAP item will call, listed in KEPT.
-Read from the source with `ast`; the import tests run in a fresh interpreter.
+Read from the source with `ast`; the import and reach tests run in a fresh
+interpreter.
 """
 
 import ast
@@ -30,11 +32,7 @@ CALLERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 # Paper objects without a caller yet, each with the ROADMAP item that gives
 # it one.  A name leaves this list as soon as something calls it.
 KEPT = {
-    "core.expansion": "items 7 and 10: the c_{n,k} triangle",
-    "core.NewtonExpansion.coeff": "items 7 and 10: one c_{n,k}",
-    "core.newton_basis": "items 1 and 5",
     "core.to_newton_coeffs": "items 1 and 5",
-    "core.finite_cutoff": "items 1 and 5",
     "core.ParameterVector.from_json_dict": "item 5: eval --vector and identify",
 }
 
@@ -171,10 +169,10 @@ def test_separation_is_decided_in_one_place():
 
 
 def test_the_newton_row_has_one_caller_per_job():
-    """The expansion, the monic polynomial and the normalized polynomial each
-    build their Newton row in one place; the dual family is normalized_poly
-    on the dual vector, so no second normalization or kernel-level dual
-    comes back beside them."""
+    """The benchmark's row cache, the monic polynomial and the normalized
+    polynomial each build their Newton row in one place; the dual family is
+    normalized_poly on the dual vector, so no second normalization or
+    kernel-level dual comes back beside them."""
     assert _callers_of("_newton_row") == ["core._expansion_rows", "core.monic_poly", "core.normalized_poly"]
 
 
@@ -339,6 +337,109 @@ def test_each_cli_command_loads_only_the_modules_it_runs(argv, loaded):
         "print(*sorted(m for m in sys.modules if m.startswith('qscheme.')))\n"
     )
     assert _fresh(code) == [" ".join(sorted(f"qscheme.{name}" for name in ("cli", *loaded)))]
+
+
+# Functions of src/ that no command of test_every_function_is_entered_by_a_command_or_listed
+# enters, each with why it stays; KEPT's names join them.
+UNREACHED = {
+    # read by name by the benchmark, until its layer metrics come from the
+    # profiler (ROADMAP item 31)
+    "core._expansion_rows": "bench: bench/workloads.py clears its cache and reads its hit ratio",
+    "core.ParameterVector.x_separation_ok": "bench: bench/spans.py wraps it by name",
+    "core.ParameterVector.check_x_separation": "bench: bench/spans.py wraps it by name",
+    **{f"qpolynomial.Poly.{name}": "bench: bench/spans.py wraps it by name" for name in (
+        "x", "constant", "linear", "__add__", "__neg__", "__sub__", "__rmul__", "__pow__", "deflate")},
+    "catalog.hyper_eval": "bench: random-identities' series oracle",
+    # error paths: only a refusal or a failing check enters them
+    "catalog._division_by_zero": "error path: a series or k_n that divides by zero",
+    "errors.HSeparationViolated.__init__": "error path: an eigenvalue repeat",
+    "errors.XSeparationViolated.__init__": "error path: a node repeat",
+    "errors.ZeroG.__init__": "error path: a vanishing lowering value",
+    "errors.RuleViolation.__init__": "error path: an inadmissible zero pattern",
+    "qrational._Value.__setattr__": "error path: refuses an assignment",
+    "qrational._Value.__delattr__": "error path: refuses a deletion",
+    # the value protocol, for library callers, copies and pickles
+    "qrational._Value.__repr__": "repr",
+    "qrational._Value.__reduce__": "copy and pickle",
+    "qrational._Value.__hash__": "the hash of a value without its own; no command hashes one",
+    "qpolynomial.Poly.__repr__": "repr",
+    "qpolynomial.Poly.__reduce__": "copy and pickle",
+    "qpolynomial.Poly.__new__": "the public constructor Poly(coeffs); the engine builds through Poly._of",
+    "laurent.Laurent.__eq__": "== of Laurent polynomials, which the tests compare",
+    "__init__.__dir__": "dir(qscheme)",
+}
+
+
+def function_lines() -> dict[tuple[str, int], str]:
+    """(file name, first line) -> module.qualname of every function and
+    method defined in src/qscheme, nested ones included.  The first line is
+    the code object's co_firstlineno: a decorated function's starts at its
+    first decorator."""
+    out = {}
+
+    def visit(node: ast.AST, scope: str, path: Path) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    out[path.name, min([child.lineno, *(d.lineno for d in child.decorator_list)])] = name
+                visit(child, name, path)
+            else:
+                visit(child, scope, path)
+
+    for path in (ROOT / "src" / "qscheme").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, path)
+    return out
+
+
+def test_every_function_is_entered_by_a_command_or_listed(tmp_path):
+    """A trimmed command list, run in one fresh interpreter under
+    sys.setprofile from before the package is imported, enters every
+    function of src/ but those listed in UNREACHED or KEPT, and every listed
+    one is still there and still not entered: a function that no command
+    reaches fails here until it is deleted or listed with its reason."""
+    from qscheme import catalog
+
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text('{"q": true}')
+    commands = [
+        ["verify", "all", "--json", str(tmp_path / "verify.json")],
+        ["eval", "1a", "-q", "1/3", "--json", str(tmp_path / "eval.json")],
+        *(["eval", key] for key in catalog.FAMILIES),
+        ["list"],
+        ["list", "--json", str(tmp_path / "list.json")],
+        ["graph"],
+        ["graph", "--format", "json"],
+        ["graph", "--output", str(tmp_path / "scheme.dot")],
+        # two refusals: argparse's, and a config value that is no rational
+        ["nosuch"],
+        ["--config", str(bad_config), "list"],
+    ]
+    code = (
+        "import contextlib, io\n"
+        "from pathlib import Path\n"
+        "entered = set()\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and entered.add(frame.f_code))\n"
+        "from qscheme import cli\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for argv in {commands!r}:\n"
+        "        codes.append(cli.main(argv))\n"
+        "sys.setprofile(None)\n"
+        "print(*codes)\n"
+        "home = Path(cli.__file__).parent\n"
+        "for c in entered:\n"
+        "    if Path(c.co_filename).parent == home:\n"
+        "        print(Path(c.co_filename).name, c.co_firstlineno)\n"
+    )
+    codes, *lines = _fresh(code)
+    assert codes.split() == ["0"] * (len(commands) - 2) + ["2", "2"]
+    functions = function_lines()
+    entered = {functions.get((name, int(line))) for name, line in map(str.split, lines)}
+    defined, listed = set(functions.values()), {*UNREACHED, *KEPT}
+    assert not defined - entered - listed, f"functions no command enters: {sorted(defined - entered - listed)}"
+    assert not listed - defined, f"listed functions that no longer exist: {sorted(listed - defined)}"
+    assert not listed & entered, f"listed functions that a command enters now: {sorted(listed & entered)}"
 
 
 def test_every_mutant_applies_once():

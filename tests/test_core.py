@@ -16,14 +16,10 @@ import pytest
 
 from qscheme import catalog, core
 from qscheme.core import (
-    NewtonExpansion,
     ParameterVector,
     UncheckedParameterVector,
     apply_operator,
-    expansion,
-    finite_cutoff,
     monic_poly,
-    newton_basis,
     normalized_poly,
     recurrence_check,
     recurrence_coeffs,
@@ -60,6 +56,19 @@ def oracle_coeff(pv, n: int, k: int) -> F:
     for j in range(k, n):
         total *= pv.lowering(j + 1) / (pv.eigenvalue(n) - pv.eigenvalue(j))
     return total
+
+
+def newton_coeffs(pv, n: int) -> list[F]:
+    """c[n][0..n], row n of the engine's one row builder read over its last
+    entry; eigenvalue(0..n) must be distinct."""
+    _, h, g = pv._grown(n + 1)
+    row = core._newton_row(h, g, n, 1)
+    return [F(v, row[n]) for v in row]
+
+
+def basis(pv, k: int) -> Poly:
+    """The Newton basis polynomial v_k = prod_{j<k} (x - node(j))."""
+    return product_of_linear(map(pv.node, range(k)))
 
 
 def expand_in_monic_basis(pv, p: Poly) -> list[F]:
@@ -252,47 +261,45 @@ def test_separation_at_q_zero_raises_instead_of_hanging():
 
 
 def test_newton_basis_empty_product(pv_3a):
-    assert newton_basis(pv_3a, 0) == Poly.one()
+    """v_0 = 1, and each v_k is monic of degree k and vanishes at node(j),
+    j < k."""
+    assert basis(pv_3a, 0) == Poly.one()
+    for k in range(1, 7):
+        v = basis(pv_3a, k)
+        assert v.is_monic and v.degree == k
+        assert all(v(pv_3a.node(j)) == 0 for j in range(k))
 
 
 def test_newton_basis_3a_degree_two(pv_3a):
     # nodes 5/2 and 2: (x - 5/2)(x - 2) = x^2 - 9/2 x + 5
-    assert newton_basis(pv_3a, 2) == Poly([5, F(-9, 2), 1])
+    assert basis(pv_3a, 2) == Poly([5, F(-9, 2), 1])
 
 
 def test_newton_basis_constant_nodes(pv_5b):
     # shifting the node row of the pure-power family gives (x - shift)^k
     shifted = apply_gauge(pv_5b, GaugeAction(sigma=1))
     assert shifted.b == (F(1), F(0), F(0))
-    assert newton_basis(shifted, 3) == product_of_linear([1, 1, 1])
+    assert basis(shifted, 3) == Poly([-1, 3, -3, 1])
 
 
 def test_expansion_diagonal_is_one(pv_3a):
-    exp = expansion(pv_3a, 6)
-    assert all(exp.coeff(n, n) == 1 for n in range(7))
-
-
-@pytest.mark.parametrize("n, k", [(2, 3), (2, -1), (7, 0), (-1, -1)])
-def test_expansion_coeff_refuses_outside_its_triangle(pv_3a, n, k):
-    with pytest.raises(IndexError):
-        expansion(pv_3a, 6).coeff(n, k)
+    """c[n][n] = 1: over the monic Newton basis, u_n is monic of degree n."""
+    for n in range(7):
+        u = monic_poly(pv_3a, n)
+        assert u.is_monic and u.degree == n
 
 
 def test_expansion_frozen_values(pv_3a, pv_5b):
-    assert expansion(pv_3a, 1).coeff(1, 0) == F(1, 4)
-    exp = expansion(pv_5b, 2)
-    assert exp.coeff(2, 0) == F(1, 2)
-    assert exp.coeff(2, 1) == F(-3, 2)
+    assert newton_coeffs(pv_3a, 1) == [F(1, 4), 1]
+    assert newton_coeffs(pv_5b, 2) == [F(1, 2), F(-3, 2), 1]
 
 
 def test_expansion_matches_oracle_randomized():
     rng = random.Random(11)
     for _ in range(8):
         pv = random_parameter_vector(rng, depth=9)
-        exp = expansion(pv, 8)
         for n in range(9):
-            for k in range(n + 1):
-                assert exp.coeff(n, k) == oracle_coeff(pv, n, k)
+            assert newton_coeffs(pv, n) == [oracle_coeff(pv, n, k) for k in range(n + 1)]
 
 
 def test_expansion_raises_on_eigenvalue_collision():
@@ -301,8 +308,8 @@ def test_expansion_raises_on_eigenvalue_collision():
         q=q, a=(F(0), F(1), q), b=(F(0), F(1), F(0)), d=(1, 1, -4, 2, 0)
     )
     assert not pv.h_separation_ok(1)
-    with pytest.raises(HSeparationViolated):
-        expansion(pv, 1)
+    with pytest.raises(HSeparationViolated, match=r"^eigenvalue\(1\) == eigenvalue\(0\)$"):
+        monic_poly(pv, 1)
 
 
 # -- monic polynomials -----------------------------------------------------------
@@ -340,12 +347,15 @@ def test_two_routes_to_monic_polynomials(pv_3a):
 
 @pytest.mark.parametrize("q", [catalog.DEFAULT_Q, F(-2, 3)])
 def test_monic_poly_matches_basis_product_reference(q):
-    """u_n against row n of expansion() summed over the Newton basis."""
+    """u_n against row n of the Fraction triangle summed over the Newton
+    basis."""
     for key in catalog.FAMILIES:
         pv = catalog.instantiate(key, None, q)
         nodes = [pv.node(k) for k in range(13)]
+        rows, collision = triangle_rows(pv, 12)
+        assert collision is None, key
         for n in range(13):
-            assert monic_poly(pv, n) == fraction_horner(expansion(pv, n).rows[n], nodes), (key, n)
+            assert monic_poly(pv, n) == fraction_horner(rows[n], nodes), (key, n)
 
 
 def colliding_vectors(count: int, seed: int):
@@ -416,23 +426,30 @@ def test_first_repeat_on_integers_matches_the_fraction_reference():
 
 
 def test_monic_poly_raises_the_triangle_collision():
-    """The same error and pair as expansion(pv, n), including at q = +/-1."""
+    """monic_poly(pv, n) raises HSeparationViolated(m, j) when a row m <= n
+    of the integer triangle has a zero last entry N_m, at the first such m
+    and the first j with eigenvalue(m) == eigenvalue(j); otherwise it is row
+    n summed over the Newton basis.  Including at q = +/-1."""
     raised = 0
     for pv in colliding_vectors(200, seed=29):
+        _, h, g = pv._grown(9)
+        nodes = [pv.node(k) for k in range(9)]
+        rows = [core._newton_row(h, g, m, 1) for m in range(9)]
         for n in range(9):
-            expected = outcome(expansion, pv, n)
             got = outcome(monic_poly, pv, n)
-            if isinstance(expected, NewtonExpansion):
-                assert got == fraction_horner(expected.rows[n], [pv.node(k) for k in range(n + 1)])
+            m = next((m for m in range(n + 1) if not rows[m][m]), None)
+            if m is None:
+                assert got == fraction_horner([F(v, rows[n][n]) for v in rows[n]], nodes), (pv, n)
             else:
                 raised += 1
-                assert got == expected, (pv, n)
+                j = h[0].index(h[0][m])
+                assert got == (HSeparationViolated, str(HSeparationViolated(m, j))), (pv, n)
     assert raised > 600
 
 
 def test_one_repeat_test_matches_references_at_every_q():
-    """Separation methods, monic_poly and expansion agree with the pairwise
-    and the whole-triangle references, in value or in error and pair, at
+    """Separation methods and monic_poly agree with the pairwise and the
+    whole-triangle references, in value or in error and pair, at
     q = +/-1 too, where no closed form in q**(n+j) decides a repeat."""
     pairs = unit_q = 0
     for seed in (29, 31, 37):
@@ -454,22 +471,22 @@ def test_one_repeat_test_matches_references_at_every_q():
                 hit = nested_loop_collision(h.__getitem__, depth)
                 if collision is None:
                     assert hit is None
-                    assert expansion(pv, depth).rows == tuple(map(tuple, rows))
                     assert monic_poly(pv, depth) == fraction_horner(rows[depth], nodes)
                 else:
                     assert (collision.n, collision.j) == hit
                     want = HSeparationViolated, str(collision)
-                    assert outcome(expansion, pv, depth) == want, (pv, depth)
                     assert outcome(monic_poly, pv, depth) == want, (pv, depth)
     assert pairs == 9000 and unit_q > 250
 
 
-def test_cold_monic_poly_builds_no_triangle():
+def test_cold_monic_poly_builds_no_triangle(monkeypatch):
+    """A cold monic_poly(pv, 24) builds row 24 of the triangle alone."""
     pv = catalog.instantiate("1a")
+    built, row = [], core._newton_row
+    monkeypatch.setattr(core, "_newton_row", lambda h, g, n, dx: built.append(n) or row(h, g, n, dx))
     monic_poly.cache_clear()
-    core._expansion_rows.cache_clear()
     monic_poly(pv, 24)
-    assert core._expansion_rows.cache_info().misses == 0
+    assert built == [24]
     assert monic_poly.cache_info().misses == 1
 
 
@@ -579,15 +596,15 @@ def test_monic_table_checks_its_top_row():
 def test_newton_coeff_round_trip(pv_3a):
     p = Poly([F(1, 3), F(-2), F(5), F(1)])
     e = to_newton_coeffs(pv_3a, p)
-    assert sum((newton_basis(pv_3a, k) * c for k, c in enumerate(e)), Poly.zero()) == p
+    assert sum((basis(pv_3a, k) * c for k, c in enumerate(e)), Poly.zero()) == p
 
 
 def test_operator_on_basis_elements(pv_5b):
-    v0 = newton_basis(pv_5b, 0)
+    v0 = basis(pv_5b, 0)
     assert apply_operator(pv_5b, v0) == v0 * pv_5b.eigenvalue(0)
     # L v_2 = h_2 v_2 + g_2 v_1 with h_2 = 3, g_2 = -3
     assert pv_5b.eigenvalue(2) == 3 and pv_5b.lowering(2) == -3
-    v2, v1 = newton_basis(pv_5b, 2), newton_basis(pv_5b, 1)
+    v2, v1 = basis(pv_5b, 2), basis(pv_5b, 1)
     assert apply_operator(pv_5b, v2) == v2 * 3 + v1 * -3
 
 
@@ -722,32 +739,39 @@ def qracah_like(n_cut: int) -> ParameterVector:
 
 
 def test_finite_cutoff_detected():
+    """lowering first vanishes at N + 1 = 4, so every u_n, n > 3, vanishes
+    at node(0..3), the finite system's grid, and u_3 does not."""
     pv = qracah_like(3)
-    assert finite_cutoff(pv, 10) == 3
+    assert [pv.lowering(k) == 0 for k in range(1, 5)] == [False, False, False, True]
+    nodes = [pv.node(j) for j in range(4)]
+    for n in range(4, 8):
+        assert [monic_poly(pv, n)(x) for x in nodes] == [0] * 4, n
+    assert 0 not in [monic_poly(pv, 3)(x) for x in nodes]
 
 
 def test_finite_cutoff_absent(pv_3a):
-    assert finite_cutoff(pv_3a, 50) is None
+    assert all(pv_3a.lowering(k) for k in range(1, 52))
 
 
 def test_finite_cutoff_boundary():
-    # lowering(1) = 0: d row (-3, 2, 1, 0, 0) at q = 1/2
+    # lowering(1) = 0: d row (-3, 2, 1, 0, 0) at q = 1/2, so N = 0 and
+    # every u_n, n >= 1, vanishes at node(0)
     pv = ParameterVector(
         q=F(1, 2), a=(F(0), F(1), F(0)), b=(F(0), F(0), F(1)), d=(-3, 2, 1, 0, 0)
     )
     assert pv.lowering(1) == 0
-    assert finite_cutoff(pv, 5) == 0
+    assert [monic_poly(pv, n)(pv.node(0)) == 0 for n in range(6)] == [False] + [True] * 5
 
 
 def test_cutoff_zeroes_low_columns():
     """With lowering(N+1) = 0 the coefficients vanish exactly for k <= N < n."""
     n_cut = 3
     pv = qracah_like(n_cut)
-    exp = expansion(pv, 7)
     for n in range(8):
+        row = newton_coeffs(pv, n)
         for k in range(n + 1):
             want_zero = k <= n_cut < n
-            assert (exp.coeff(n, k) == 0) == want_zero, (n, k)
+            assert (row[k] == 0) == want_zero, (n, k)
 
 
 # -- normalized polynomials and duality --------------------------------------------
@@ -764,11 +788,13 @@ def test_normalized_first_order(pv_3a):
 
 
 def test_normalized_requires_nonzero_lowering():
+    """ZeroG names the first vanishing lowering value: lowering(3) for the
+    family cut at N = 2, and for its dual."""
     pv = qracah_like(2)
-    with pytest.raises(ZeroG):
-        normalized_poly(pv, 4)
-    with pytest.raises(ZeroG):
-        normalized_poly(dualize(pv), 4)
+    for vector in (pv, dualize(pv)):
+        with pytest.raises(ZeroG, match=r"^lowering\(3\) == 0$") as raised:
+            normalized_poly(vector, 4)
+        assert raised.value.j == 3
 
 
 def normalized_poly_reference(values, nodes, g, n: int) -> Poly:
@@ -872,7 +898,7 @@ def test_dual_normalized_poly_rejects_a_negative_degree(pv_3a):
 
 @pytest.mark.parametrize(
     "build, bound",
-    [(monic_poly, "n >= 0"), (normalized_poly, "n >= 0"), (newton_basis, "k >= 0")],
+    [(monic_poly, "n >= 0"), (normalized_poly, "n >= 0")],
 )
 def test_negative_degrees_are_refused(pv_3a, build, bound):
     for degree in (-1, -5):
@@ -968,9 +994,10 @@ def test_newton_division_and_horner_are_exact_inverses():
 
 
 def test_integer_newton_row_matches_fraction_reference_on_random_rows():
-    """The integer row over its common denominator, and the Fraction rows of
-    _expansion_rows, against the Fraction recursion: zero lowering values
-    (finite families), mixed denominators, separated eigenvalues."""
+    """The integer row over its common denominator, on random rows and on
+    each family's sequence table, against the Fraction recursion: zero
+    lowering values (finite families), mixed denominators, separated
+    eigenvalues."""
     rng = random.Random(73)
 
     def scalar(zero_share=0.0):
@@ -994,9 +1021,7 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
     assert zeros > 50
     for pv in [catalog.instantiate(key) for key in catalog.FAMILIES] + [qracah_like(4)]:
         h, g = fraction_values(pv, 1, 13), fraction_values(pv, 2, 13)
-        assert core._expansion_rows.__wrapped__(pv, 12) == tuple(
-            tuple(fraction_newton_row(h, g, n)) for n in range(13)
-        ), pv
+        assert [newton_coeffs(pv, n) for n in range(13)] == [fraction_newton_row(h, g, n) for n in range(13)], pv
 
 
 def test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor():
@@ -1342,11 +1367,8 @@ def test_each_sequence_is_held_once():
         u = monic_poly.__wrapped__(pv, 6)
         assert recurrence_check(pv, 5) and apply_operator(pv, u) == u * pv.eigenvalue(6)
         core.monic_table(pv, 6)
-        core._expansion_rows.__wrapped__(pv, 6)
         normalized_poly(pv, 6)
         to_newton_coeffs(pv, u)
-        newton_basis(pv, 7)
-        core.finite_cutoff(pv, 6)
         assert sorted(set(vars(pv)) - set(pv._fields)) == ["_forms", "_hash", "_table"], key
         x, h, g = pv._table
         m = len(x)

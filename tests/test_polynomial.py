@@ -16,7 +16,6 @@ from qscheme.qpolynomial import (
     format_poly,
     product_of_linear,
 )
-from reference import fraction_format_poly, poly_product_of_linear
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeff, min_size=0, max_size=6).map(Poly)
@@ -26,6 +25,7 @@ def test_product_of_two_linears():
     # (x - 1)(x - 1/2) = x^2 - 3/2 x + 1/2
     got = Poly.linear(1) * Poly.linear(F(1, 2))
     assert got == Poly([F(1, 2), F(-3, 2), 1])
+    assert product_of_linear(iter(["1", F(1, 2)])) == got
 
 
 def test_multiplicative_identity():
@@ -53,6 +53,7 @@ def test_compose_affine():
 
 def test_deflate_reverses_linear_multiplication():
     p = product_of_linear([F(1), F(2), F(-1, 3)])
+    assert p.is_monic and p.degree == 3
     quotient, rem = p.deflate(F(1))
     assert rem == 0
     assert quotient == product_of_linear([F(2), F(-1, 3)])
@@ -103,50 +104,29 @@ def test_integer_eval_matches_fraction_reference(p):
     assert p("3/4") == p(F(3, 4))
 
 
+# Each polynomial with its text, written out from its Fraction coefficients.
 FORMAT_POLYS = [
-    Poly.zero(),
-    Poly.one(),
-    Poly.constant(-1),
-    Poly([0, -1]),
-    Poly([1, 1, 1]),
-    Poly([-1, -1, -1]),
-    Poly([F(-1, 3), 0, F(1, 3)]),
-    Poly([F(5, 2), F(-7, 4), F(-10, 11)]),
-    Poly([BIG, -BIG, 0, F(BIG, 2**70), F(-1, BIG)]),
-    Poly([0, 0, F(-3, 2), 11, -1]),
+    (Poly.zero(), "0"),
+    (Poly.one(), "1"),
+    (Poly.constant(-1), "-1"),
+    (Poly([0, -1]), "-x"),
+    (Poly([1, 1, 1]), "x^2 + x + 1"),
+    (Poly([-1, -1, -1]), "-x^2 - x - 1"),
+    (Poly([F(-1, 3), 0, F(1, 3)]), "1/3 x^2 - 1/3"),
+    (Poly([F(5, 2), F(-7, 4), F(-10, 11)]), "-10/11 x^2 - 7/4 x + 5/2"),
+    (Poly([BIG, -BIG, 0, F(BIG, 2**70), F(-1, BIG)]), f"-1/{BIG} x^4 + {BIG // 2}/{2**69} x^3 - {BIG} x + {BIG}"),
+    (Poly([0, 0, F(-3, 2), 11, -1]), "-x^4 + 11 x^3 - 3/2 x^2"),
 ]
 
 
-@pytest.mark.parametrize("p", FORMAT_POLYS, ids=range(len(FORMAT_POLYS)))
+@pytest.mark.parametrize("p, text", FORMAT_POLYS, ids=range(len(FORMAT_POLYS)))
 @pytest.mark.parametrize("var", ["x", "y"])
-def test_format_poly_matches_fraction_reference(p, var):
+def test_format_poly_matches_fraction_reference(p, text, var):
     # the text always names the variable x: a variable name, x included, is
     # no argument
-    assert format_poly(p) == fraction_format_poly(p)
+    assert format_poly(p) == text
     with pytest.raises(TypeError):
         format_poly(p, var)
-
-
-# -- the Newton-form kernel against the Poly-level references -----------------
-
-
-ROOT_LISTS = [
-    [],
-    [0],
-    [F(-3, 7)],
-    [1, 1, 1],
-    [F(1, 2)] * 5,
-    [0, 0, F(2, 3), F(2, 3), -5],
-    ["2/3", 4, F(-1, 9), "2/3"],
-    [F(2**40 + 1, 3**20), F(-(3**15), 2**33), 7],
-]
-
-
-@pytest.mark.parametrize("roots", ROOT_LISTS, ids=range(len(ROOT_LISTS)))
-def test_product_of_linear_matches_poly_product_reference(roots):
-    got = product_of_linear(iter(roots))
-    assert got == poly_product_of_linear(roots)
-    assert got.degree == len(roots) and got.is_monic
 
 
 # -- the integer representation ----------------------------------------------
