@@ -25,9 +25,12 @@ and lowering as reduced integer pairs (num, den), den > 0, and eigenvalue
 as integer numerators over the lcm of its denominators, each value built
 from running integer powers q**k = P/R by one Laurent evaluation on
 integers with one gcd.  The integer kernels (the Newton row, the Newton
-Horner, the recurrence coefficients, the operator, the normalized
+Horner and division, the three-term step, the operator, the normalized
 polynomial) read the table once per call and build no Fraction per value;
-node, eigenvalue and lowering(k) are the Fraction view.
+the Newton Horner and division each update one list in place, and the
+three-term step reads (a_n, b_n) as integer pairs.  The recurrence
+coefficients are one Fraction each, and node, eigenvalue and lowering(k)
+are the Fraction view of the table.
 """
 
 from __future__ import annotations
@@ -374,10 +377,11 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     transform termwise, convert back to the monomial basis, all on integers.
     _newton_division gives p = sum E_k W_k(x) / den over node(0..d-1) with
     their lcm Dx, and v_k = W_k / Dx**k; with eigenvalue(k) = H_k/Dh over the
-    table's denominator and lowering(0..d) = G_k/Dg over the lcm of their
+    table's denominator and lowering(1..d) = G_k/Dg over the lcm of their
     own, L p = sum (H_k E_k Dg + G_{k+1} E_{k+1} Dh Dx) W_k / (den Dh Dg),
-    which goes to _newton_horner over the same nodes: nothing is rescaled
-    between the two kernels and no Fraction is built.
+    a row built in one pass, which goes to _newton_horner over the same
+    nodes: nothing is rescaled between the two kernels and no Fraction is
+    built.
     """
     if p.is_zero:
         return Poly.zero()
@@ -385,11 +389,9 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     x, (hs, dh), g = pv._grown(d + 1)
     nodes = _over_lcm(x[:d])
     e, den = _newton_division(p, nodes)
-    gs, dg = _over_lcm(g[:d + 1])
-    out = [hk * ek * dg for hk, ek in zip(hs, e)]
+    gs, dg = _over_lcm(g[1:d + 1])
     lift = dh * nodes[1]
-    for k in range(d):
-        out[k] += gs[k + 1] * e[k + 1] * lift
+    out = [hk * ek * dg + gk * ek1 * lift for hk, ek, gk, ek1 in zip(hs, e, [*gs, 0], [*e[1:], 0])]
     return _newton_horner(out, den * dh * dg, nodes)
 
 
@@ -443,34 +445,43 @@ def _recurrence_pair(x: Sequence[tuple[int, int]], h: tuple[Sequence[int], int],
     return a_n, Fraction(ln * inner, ld * den)
 
 
-def _three_term(u: Poly, prev: Poly, a: Fraction, b: Fraction | None) -> Poly:
-    """(x - a)*u - b*prev, one step of the three-term recurrence.
+def _three_term(u: Poly, prev: Poly, a: tuple[int, int], b: tuple[int, int] | None) -> Poly:
+    """(x - a)*u - b*prev, one step of the three-term recurrence, with a and
+    b given as integer pairs (num, den), den > 0, as as_integer_ratio()
+    gives them.
 
     With u = U/D, prev = P/Dp, a = A/Da and b = B/Db, the step is summed on
     the stored integers over lcm(D*Da, Dp*Db) and reduced once; there is no
-    b term when b is None or 0.
+    b term when b is None, and a b of numerator 0 adds zeros.
     """
-    da = u.den * a.denominator
-    den = lcm(da, prev.den * b.denominator) if b else da
+    an, ad = a
+    da = u.den * ad
+    den = lcm(da, prev.den * b[1]) if b else da
     scale = den // da
-    shift, an = a.denominator * scale, a.numerator * scale
+    shift, an = ad * scale, an * scale
     out = [0, *(v * shift for v in u.nums)]
     for i, v in enumerate(u.nums):
         out[i] -= an * v
     if b:
-        bn = b.numerator * (den // (prev.den * b.denominator))
+        bn = b[0] * (den // (prev.den * b[1]))
         for i, v in enumerate(prev.nums):
             out[i] -= bn * v
     return Poly._of(out, den)
+
+
+def _pairs(a: Fraction, b: Fraction | None) -> tuple[tuple[int, int], tuple[int, int] | None]:
+    """(a_n, b_n) as _three_term's integer pairs; a b_n of 0 stays a pair."""
+    return a.as_integer_ratio(), None if b is None else b.as_integer_ratio()
 
 
 def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction, Fraction | None]]]:
     """[(u_k, recurrence_coeffs(pv, k)) for k <= n], built by the three-term
     recurrence and checked against the Newton expansion at its top row.
 
-    From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k).
-    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2, after one
-    check_h_separation(n + 1), the check recurrence_coeffs(pv, n) makes.
+    From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k), on
+    the integer pairs of the row's Fractions.  Every (a_k, b_k) reads one
+    eigenvalue prefix of length n + 2, after one check_h_separation(n + 1),
+    the check recurrence_coeffs(pv, n) makes.
     Raises Mismatch unless u_n equals monic_poly(pv, n).
     """
     if n < 0:
@@ -481,7 +492,7 @@ def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction,
     u, prev = Poly.one(), Poly.zero()
     for k in range(n + 1):
         if k:
-            u, prev = _three_term(u, prev, *rows[k - 1][1]), u
+            u, prev = _three_term(u, prev, *_pairs(*rows[k - 1][1])), u
         rows.append((u, _recurrence_pair(x, h, g, k)))
     if u != monic_poly(pv, n):
         raise Mismatch(f"u_{n} by the three-term recurrence differs from the Newton expansion")
@@ -493,10 +504,10 @@ def recurrence_check(pv: ParameterVector, n: int) -> bool:
     + b_n*u_{n-1} at index n (no b_n term at n = 0): the Newton-built
     u_{n+1} equals _three_term applied to the Newton-built u_n and u_{n-1}.
     """
-    a_n, b_n = recurrence_coeffs(pv, n)
+    coeffs = recurrence_coeffs(pv, n)
     u_n = monic_poly(pv, n)
     prev = monic_poly(pv, n - 1) if n else Poly.zero()
-    return _three_term(u_n, prev, a_n, b_n) == monic_poly(pv, n + 1)
+    return _three_term(u_n, prev, *_pairs(*coeffs)) == monic_poly(pv, n + 1)
 
 
 def normalized_poly(pv: ParameterVector, n: int) -> Poly:

@@ -124,8 +124,8 @@ class Poly(_Value):
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if not isinstance(other, Poly):
-            s = rational(other)
-            return Poly._of([v * s.numerator for v in self.nums], self.den * s.denominator)
+            num, den = rational(other).as_integer_ratio()
+            return Poly._of([v * num for v in self.nums], self.den * den)
         if self.is_zero or other.is_zero:
             return Poly.zero()
         b = other.nums
@@ -207,17 +207,26 @@ def _newton_horner(nums: Sequence[int], den: int, nodes: tuple[Sequence[int], in
     _newton_horner(*_newton_division(p, nodes), nodes) == p.
 
     The one Newton-to-monomial conversion of the package.  A Horner in
-    z = Dx*x runs on integers: each step prepends nums[k] to the
-    accumulator, then subtracts X_k times the next entry, which is
-    nums[k] + (z - X_k) * acc.  Then the z**i coefficient is scaled by Dx**i
-    once, and the result is reduced over den; no Fraction is built.
+    z = Dx*x runs on integers in one list, updated in place: after step k
+    the list holds nums[k] + (z - X_k) * (the polynomial of step k + 1),
+    low degree first, from entry k on.  So step k walks down from the top,
+    subtracting from each entry X_k times the old value of the entry above
+    it, which a running carry holds.  Then the z**i coefficient is scaled
+    by Dx**i through a running power, and the result is reduced over den;
+    no Fraction is built.
     """
     xs, dx = nodes
-    acc = nums[-1:]  # low degree first, in z
-    for k in range(len(nums) - 2, -1, -1):
-        node = xs[k]
-        acc = [hi - node * lo for hi, lo in zip([nums[k], *acc], [*acc, 0])]
-    return Poly._of([v * dx**i for i, v in enumerate(acc)], den)
+    acc = list(nums)
+    top = len(acc) - 1
+    for k in range(top - 1, -1, -1):
+        node, carry = xs[k], acc[top]
+        for i in range(top - 1, k - 1, -1):
+            carry, acc[i] = acc[i], acc[i] - node * carry
+    power = 1
+    for i in range(1, top + 1):
+        power *= dx
+        acc[i] *= power
+    return Poly._of(acc, den)
 
 
 def _newton_division(p: Poly, nodes: tuple[Sequence[int], int]) -> tuple[list[int], int]:
@@ -234,22 +243,24 @@ def _newton_division(p: Poly, nodes: tuple[Sequence[int], int]) -> tuple[list[in
     P(z) = sum N_i Dx**(d-i) z**i has p(x) = P(Dx*x) / (D Dx**d), so
     synthetic division of P by (z - X_0), (z - X_1), ... on integers gives
     out over den = D Dx**d.  N_i and D are p's own numerators and
-    denominator, read as stored.
+    denominator, read as stored; the Dx powers are one running product.
+    The division runs in one list, low degree first: dividing by (z - X_k)
+    carries the running value down from the top entry to entry k, which
+    ends as the remainder, and leaves the quotient above it.
     """
     xs, dx = nodes
     if not p.nums:
         return [0] * len(xs), 1
-    nums, den = p.nums, p.den
-    acc, scale = [], 1  # P, high degree first
-    for num in reversed(nums):
-        acc.append(num * scale)
-        scale *= dx
-    rems = []
-    for node in xs:
-        for i in range(1, len(acc)):
-            acc[i] += node * acc[i - 1]
-        rems.append(acc.pop())
-    return rems + acc[::-1], den * dx ** (len(nums) - 1)
+    acc, d = list(p.nums), p.degree
+    power = 1
+    for i in range(d - 1, -1, -1):
+        power *= dx
+        acc[i] *= power
+    for k, node in enumerate(xs):
+        carry = acc[d]
+        for i in range(d - 1, k - 1, -1):
+            carry = acc[i] = acc[i] + node * carry
+    return acc, p.den * dx**d
 
 
 def _homogeneous_horner(nums: Sequence[int], s: int, r: int) -> int:

@@ -83,14 +83,13 @@ MUTANTS = (
     Mutant("monic_poly: eigenvalue repeat not checked", CORE,
            "    pv.check_h_separation(n)\n    x, h, g = pv._grown(n + 1)\n", "    x, h, g = pv._grown(n + 1)\n"),
     Mutant("newton_horner: node added", POLY,
-           "        acc = [hi - node * lo for", "        acc = [hi + node * lo for"),
+           "carry, acc[i] = acc[i], acc[i] - node * carry", "carry, acc[i] = acc[i], acc[i] + node * carry"),
     Mutant("newton_horner: coefficient i scaled by Dx**(i+1)", POLY,
-           "    return Poly._of([v * dx**i for i, v in enumerate(acc)], den)",
-           "    return Poly._of([v * dx ** (i + 1) for i, v in enumerate(acc)], den)"),
+           "    for i in range(1, top + 1):", "    for i in range(top + 1):"),
     Mutant("newton_division: node subtracted", POLY,
-           "            acc[i] += node * acc[i - 1]", "            acc[i] -= node * acc[i - 1]"),
+           "carry = acc[i] = acc[i] + node * carry", "carry = acc[i] = acc[i] - node * carry"),
     Mutant("newton_division: denominator without Dx**d", POLY,
-           "    return rems + acc[::-1], den * dx ** (len(nums) - 1)", "    return rems + acc[::-1], den"),
+           "    return acc, p.den * dx**d", "    return acc, p.den"),
     Mutant("Poly._of: negative denominator kept", POLY,
            "            if den < 0:\n                g = -g\n            nums = tuple(nums)",
            "            nums = tuple(nums)"),
@@ -106,7 +105,7 @@ MUTANTS = (
     Mutant("recurrence_coeffs: a_n's upper ratio in the other order", CORE,
            "    un, ud = ratio(n + 1, n, n + 1)", "    un, ud = ratio(n + 1, n + 1, n)"),
     Mutant("recurrence_check: always holds", CORE,
-           "    return _three_term(u_n, prev, a_n, b_n) == monic_poly(pv, n + 1)", "    return True"),
+           "    return _three_term(u_n, prev, *_pairs(*coeffs)) == monic_poly(pv, n + 1)", "    return True"),
     # the item 9 mutant: k added to every lowering value g_k, k >= 1, in the table
     Mutant("sequence table: lowering(k) + k", CORE,
            "_extended(h, grown[1]), g + tuple(grown[2]))",
@@ -151,9 +150,9 @@ MUTANTS = (
     Mutant("Poly.__add__: second summand not brought over the lcm", POLY,
            "b = [v * (den // other.den) for v in other.nums]", "b = list(other.nums)"),
     Mutant("Poly.__mul__: scalar denominator dropped", POLY,
-           "self.den * s.denominator)", "self.den)"),
+           "self.den * den)", "self.den)"),
     Mutant("Poly.__mul__: scalar sign dropped", POLY,
-           "[v * s.numerator for v in self.nums]", "[v * abs(s.numerator) for v in self.nums]"),
+           "[v * num for v in self.nums]", "[v * abs(num) for v in self.nums]"),
     # -- the series kernels -----------------------------------------------------------
     Mutant("terminating_sum: upper factor's denominator without R", SERIES,
            "            rd *= ad * R\n", "            rd *= ad\n"),

@@ -349,7 +349,7 @@ UNREACHED = {
     "core.ParameterVector.check_x_separation": "bench: bench/spans.py wraps it by name",
     **{f"qpolynomial.Poly.{name}": "bench: bench/spans.py wraps it by name" for name in (
         "x", "constant", "linear", "__add__", "__neg__", "__sub__", "__rmul__", "__pow__", "deflate")},
-    "catalog.hyper_eval": "bench: random-identities' series oracle",
+    "catalog.hyper_eval": "bench: eval-cap's oracle (bench/workloads.py, EvalCap.oracle)",
     # error paths: only a refusal or a failing check enters them
     "catalog._division_by_zero": "error path: a series or k_n that divides by zero",
     "errors.HSeparationViolated.__init__": "error path: an eigenvalue repeat",

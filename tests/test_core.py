@@ -657,6 +657,22 @@ def test_recurrence_check_holds(pv_3a):
     assert all(recurrence_check(pv_3a, n) for n in range(1, 9))
 
 
+def test_the_recurrence_holds_where_there_is_no_b_term():
+    """Two steps add no b_n*u_{n-1}: n = 0, where b_0 is None, and a lowering
+    cutoff, where b_n = 0.  1a with a = 2, b = 4 at q = 1/2 has lowering(4)
+    = 0, so b_4 = 0 and the integer pair that the three-term step reads is
+    (0, 1), which is truthy where Fraction(0) is not; the recurrence and
+    the table still hold on both sides of the cutoff."""
+    pv = catalog.instantiate("1a", {"a": 2, "b": 4}, q=F(1, 2))
+    assert pv.lowering(4) == 0
+    assert recurrence_coeffs(pv, 0)[1] is None and recurrence_coeffs(pv, 4)[1] == 0
+    assert core._pairs(*recurrence_coeffs(pv, 4))[1] == (0, 1)
+    assert all(recurrence_check(pv, n) for n in range(7))
+    rows = core.monic_table(pv, 6)
+    assert rows[0][1][1] is None and rows[4][1][1] == 0
+    assert [u for u, _ in rows] == [monic_poly(pv, k) for k in range(7)]
+
+
 def test_recurrence_matches_classical_al_salam_carlitz():
     # the classical closed form: a_n = (1+a) q^n, b_n = -a q^{n-1} (1 - q^n)
     q = F(1, 2)
