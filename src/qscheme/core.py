@@ -20,17 +20,16 @@ recurrence x*u_n = u_{n+1} + a_n*u_n + b_n*u_{n-1} exactly when the d3/d4
 constraints hold.
 
 Each vector keeps a sequence table: node(k), eigenvalue(k) and lowering(k)
-for k below the largest length asked for, each sequence held once: node
-and lowering as reduced integer pairs (num, den), den > 0, and eigenvalue
-as integer numerators over the lcm of its denominators, each value built
-from running integer powers q**k = P/R by one Laurent evaluation on
-integers with one gcd.  The integer kernels (the Newton row, the Newton
-Horner and division, the three-term step, the operator, the normalized
-polynomial) read the table once per call and build no Fraction per value;
-the Newton Horner and division each update one list in place, and the
-three-term step reads (a_n, b_n) as integer pairs.  The recurrence
-coefficients are one Fraction each, and node, eigenvalue and lowering(k)
-are the Fraction view of the table.
+for k below the largest length asked for, each sequence held once as one
+integer row (numerators, den), den the lcm of the denominators of the
+values held, each value built from running integer powers q**k = P/R by
+one Laurent evaluation on integers with one gcd.  The integer kernels (the
+Newton row, the Newton Horner and division, the three-term step, the
+operator, the normalized polynomial) read the rows once per call, as they
+stand, and build no Fraction per value; the Newton Horner and division
+each update one list in place.  The recurrence coefficients are one
+Fraction each, and node, eigenvalue and lowering(k) are the Fraction view
+of the table.
 """
 
 from __future__ import annotations
@@ -118,12 +117,12 @@ class ParameterVector(_Value):
 
     # -- sequences ---------------------------------------------------------
 
-    # The sequence table as far as any caller has asked: node(0..) and
-    # lowering(0..) as reduced pairs, and eigenvalue(0..) as (numerators,
-    # den) over the lcm of its denominators held.  _forms and _hash are set
-    # once by the constructor.  No part of the value: ==, hash, repr and
-    # copies ignore them.  _table is replaced whole, never mutated.
-    _table = ((), ((), 1), ())
+    # The sequence table as far as any caller has asked: node(0..),
+    # eigenvalue(0..) and lowering(0..), each as one row (numerators, den)
+    # over the lcm of the denominators held.  _forms and _hash are set once
+    # by the constructor.  No part of the value: ==, hash, repr and copies
+    # ignore them.  _table is replaced whole, never mutated.
+    _table = (((), 1),) * 3
 
     def __hash__(self) -> int:
         return self._hash
@@ -143,16 +142,14 @@ class ParameterVector(_Value):
         return self._at(2, k)
 
     def _grown(self, m: int) -> tuple:
-        """The sequence table (node pairs, eigenvalue row, lowering pairs),
-        grown to length m or more: k runs on from the table's end with
-        running integer powers q**k = P/R, each value a reduced pair, and
-        the eigenvalue numerators are put over the lcm of the row's old
-        denominator and the new ones.  The longer table is published in one
-        assignment, never in place, so concurrent callers each see a correct
-        prefix."""
+        """The sequence table (node, eigenvalue and lowering rows), grown to
+        length m or more: k runs on from the table's end with running
+        integer powers q**k = P/R, each value a reduced pair, and each row's
+        numerators are put over the lcm of its old denominator and the new
+        ones.  The longer table is published in one assignment, never in
+        place, so concurrent callers each see a correct prefix."""
         table = self._table
-        x, h, g = table
-        start = len(x)
+        start = len(table[0][0])
         if start < m:
             p, r = self.q.numerator, self.q.denominator
             P, R = p**start, r**start
@@ -162,7 +159,7 @@ class ParameterVector(_Value):
                     values.append(_laurent_at(form, P, R))
                 P *= p
                 R *= r
-            table = (x + tuple(grown[0]), _extended(h, grown[1]), g + tuple(grown[2]))
+            table = tuple(_extended(row, values) for row, values in zip(table, grown))
             object.__setattr__(self, "_table", table)
         return table
 
@@ -273,11 +270,11 @@ def _laurent_at(form: tuple[tuple[int, ...], int], P: int, R: int) -> tuple[int,
     return num // g, den // g
 
 
-def _extended(form: tuple[tuple[int, ...], int], pairs: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """form = (nums, den) with the rationals given as reduced pairs appended,
+def _extended(row: tuple[tuple[int, ...], int], pairs: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """row = (nums, den) with the rationals given as reduced pairs appended,
     all numerators over the lcm of den and the pairs' denominators."""
-    nums, den = form
-    full = lcm(den, *(d for _, d in pairs))
+    nums, den = row
+    full = lcm(den, *[d for _, d in pairs])
     scale = full // den
     return tuple([v * scale for v in nums] + [n * (full // d) for n, d in pairs]), full
 
@@ -290,18 +287,18 @@ class UncheckedParameterVector(ParameterVector):
         pass
 
 
-def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: int, dx: int) -> list[int]:
+def _newton_row(h: tuple[Sequence[int], int], g: tuple[Sequence[int], int], n: int, dx: int) -> list[int]:
     """Row n of the triangle as integers N_0..N_n with c[n][k] = N_k Dx**k
     / (N_n Dx**n), from h[0..n] and g[0..n]: the coefficients of u_n in
     _newton_horner's integer Newton form over the nodes' denominator Dx
     (Dx = 1 gives the row itself).  N_n != 0 needs h[n] != h[k] for k < n,
     N_0 != 0 needs g[1..n] nonzero.
 
-    h = (H, Dh) gives h_j = H_j/Dh over any common denominator Dh (the
-    table's eigenvalue row), and with g_j = a_j/b_j given as the table's
-    reduced pair (a_j, b_j) each step ratio Dx*g_j/(h_n - h_{j-1}) is
-    s_j/t_j, the pair (a_j*Dh*Dx, b_j*(H_n - H_{j-1})) divided by its gcd
-    (left as it is when both vanish).  Then
+    h = (H, Dh) and g = (G, Dg) give h_j = H_j/Dh and g_j = G_j/Dg over any
+    common denominators (the table's eigenvalue and lowering rows), so each
+    step ratio Dx*g_j/(h_n - h_{j-1}) is s_j/t_j, the pair
+    (G_j*Dh*Dx, Dg*(H_n - H_{j-1})) divided by its gcd (left as it is when
+    both vanish).  Then
 
         N_k = prod_{j=k+1..n} s_j * prod_{j=1..k} t_j,
 
@@ -311,12 +308,11 @@ def _newton_row(h: tuple[Sequence[int], int], g: Sequence[tuple[int, int]], n: i
     """
     if n < 0:
         raise ValueError("a Newton row needs n >= 0")
-    big, dh = h
+    (big, dh), (gs, dg) = h, g
     top, dh = big[n], dh * dx
     steps = []
     for j in range(1, n + 1):
-        a, b = g[j]
-        s, t = a * dh, b * (top - big[j - 1])
+        s, t = gs[j] * dh, dg * (top - big[j - 1])
         d = gcd(s, t)
         steps.append((s // d, t // d) if d > 1 else (s, t))
     row = [1] * (n + 1)
@@ -347,25 +343,24 @@ def monic_poly(pv: ParameterVector, n: int) -> Poly:
     """The monic degree-n polynomial sum_k c[n][k] v_k in the monomial basis.
 
     Only row n of the triangle is built, after eigenvalue(0..n) are checked
-    for a repeat, in the integer Newton form of node(0..n-1) over their lcm
-    Dx, where u_n has leading coefficient N_n Dx**n.
+    for a repeat, in the integer Newton form of the table's node row over
+    its denominator Dx, where u_n has leading coefficient N_n Dx**n.
     """
     pv.check_h_separation(n)
     x, h, g = pv._grown(n + 1)
-    nodes = _over_lcm(x[:n])
-    row = _newton_row(h, g, n, nodes[1])
-    return _newton_horner(row, row[-1] * nodes[1] ** n, nodes)
+    row = _newton_row(h, g, n, x[1])
+    return _newton_horner(row, row[-1] * x[1] ** n, x)
 
 
 def to_newton_coeffs(pv: ParameterVector, p: Poly) -> list[Fraction]:
     """Coefficients e_k with p = sum e_k v_k.
 
-    _newton_division over node(0..d-1), the table's pairs over their lcm Dx,
-    gives p = sum E_k W_k(x) / den on integers, and v_k = W_k / Dx**k
-    scales back to x: e_k = E_k Dx**k / den.
+    _newton_division over node(0..d-1), the table's node row over its
+    denominator Dx, gives p = sum E_k W_k(x) / den on integers, and
+    v_k = W_k / Dx**k scales back to x: e_k = E_k Dx**k / den.
     """
-    xs, dx = _over_lcm(pv._grown(p.degree)[0][:max(p.degree, 0)])
-    nums, den = _newton_division(p, (xs, dx))
+    xs, dx = pv._grown(p.degree)[0]
+    nums, den = _newton_division(p, (xs[:max(p.degree, 0)], dx))
     return [Fraction(v * dx**k, den) for k, v in enumerate(nums)] or [Fraction(0)]
 
 
@@ -375,24 +370,22 @@ def apply_operator(pv: ParameterVector, p: Poly) -> Poly:
     The operator is represented through its Newton-basis action
     L v_k = eigenvalue(k) v_k + lowering(k) v_{k-1}: expand p over the basis,
     transform termwise, convert back to the monomial basis, all on integers.
-    _newton_division gives p = sum E_k W_k(x) / den over node(0..d-1) with
-    their lcm Dx, and v_k = W_k / Dx**k; with eigenvalue(k) = H_k/Dh over the
-    table's denominator and lowering(1..d) = G_k/Dg over the lcm of their
-    own, L p = sum (H_k E_k Dg + G_{k+1} E_{k+1} Dh Dx) W_k / (den Dh Dg),
-    a row built in one pass, which goes to _newton_horner over the same
-    nodes: nothing is rescaled between the two kernels and no Fraction is
-    built.
+    _newton_division gives p = sum E_k W_k(x) / den over node(0..d-1), read
+    from the table's node row over its denominator Dx, and v_k = W_k / Dx**k;
+    with eigenvalue(k) = H_k/Dh and lowering(k) = G_k/Dg over the table's
+    denominators, L p = sum (H_k E_k Dg + G_{k+1} E_{k+1} Dh Dx) W_k
+    / (den Dh Dg), a row built in one pass, which goes to _newton_horner
+    over the same nodes: nothing is rescaled between the two kernels and no
+    Fraction is built.
     """
     if p.is_zero:
         return Poly.zero()
     d = p.degree
-    x, (hs, dh), g = pv._grown(d + 1)
-    nodes = _over_lcm(x[:d])
-    e, den = _newton_division(p, nodes)
-    gs, dg = _over_lcm(g[1:d + 1])
-    lift = dh * nodes[1]
-    out = [hk * ek * dg + gk * ek1 * lift for hk, ek, gk, ek1 in zip(hs, e, [*gs, 0], [*e[1:], 0])]
-    return _newton_horner(out, den * dh * dg, nodes)
+    (xs, dx), (hs, dh), (gs, dg) = pv._grown(d + 1)
+    e, den = _newton_division(p, (xs[:d], dx))
+    lift = dh * dx
+    out = [hk * ek * dg + gk * ek1 * lift for hk, ek, gk, ek1 in zip(hs, e, [*gs[1:d + 1], 0], [*e[1:], 0])]
+    return _newton_horner(out, den * dh * dg, (xs, dx))
 
 
 def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction | None]:
@@ -417,71 +410,63 @@ def recurrence_coeffs(pv: ParameterVector, n: int) -> tuple[Fraction, Fraction |
     return _recurrence_pair(*pv._grown(n + 2), n)
 
 
-def _recurrence_pair(x: Sequence[tuple[int, int]], h: tuple[Sequence[int], int],
-                     g: Sequence[tuple[int, int]], n: int) -> tuple[Fraction, Fraction | None]:
-    """recurrence_coeffs(pv, n) from node(0..n) and lowering(0..n+1) as the
-    table's integer pairs and eigenvalue(0..n+1) as integers over the
-    table's denominator, a longer prefix's once the table has grown past
-    n + 2: each ratio's numerator and denominator both scale with it,
-    so the values do not depend on it.  The caller has checked
-    eigenvalue(0..n+1), so no ratio divides by zero."""
-    big, dh = h
+def _recurrence_pair(x: tuple[Sequence[int], int], h: tuple[Sequence[int], int],
+                     g: tuple[Sequence[int], int], n: int) -> tuple[Fraction, Fraction | None]:
+    """recurrence_coeffs(pv, n) from node(0..n), eigenvalue(0..n+1) and
+    lowering(0..n+1) as the table's rows, each integers over the row's
+    denominator, a longer prefix's once the table has grown past n + 2:
+    each term's numerator and denominator both scale with it, so the values
+    do not depend on it.  The caller has checked eigenvalue(0..n+1), so no
+    ratio divides by zero."""
+    (xs, dx), (big, dh), (gs, dg) = x, h, g
 
     def ratio(num_idx: int, da: int, db: int) -> tuple[int, int]:
-        num, den = g[num_idx]
-        return num * dh, den * (big[da] - big[db])
+        return gs[num_idx] * dh, dg * (big[da] - big[db])
 
     un, ud = ratio(n + 1, n, n + 1)
     ln, ld = ratio(n, n - 1, n) if n else (0, 1)
-    xn, xd = x[n]
-    a_n = Fraction((xn * ud + un * xd) * ld - ln * xd * ud, xd * ud * ld)
+    xn = xs[n]
+    a_n = Fraction((xn * ud + un * dx) * ld - ln * dx * ud, dx * ud * ld)
     if not n:
         return a_n, None
     inner, den = ratio(n - 1, n - 2, n) if n >= 2 else (0, 1)
-    pn, pd = x[n - 1]
-    terms = ((-ln, ld), ratio(n + 1, n - 1, n + 1), (xn, xd), (-pn, pd))
+    terms = ((-ln, ld), ratio(n + 1, n - 1, n + 1), (xn - xs[n - 1], dx))
     for num, d in terms:
         inner, den = inner * d + num * den, den * d
     return a_n, Fraction(ln * inner, ld * den)
 
 
-def _three_term(u: Poly, prev: Poly, a: tuple[int, int], b: tuple[int, int] | None) -> Poly:
+def _three_term(u: Poly, prev: Poly, a: Fraction, b: Fraction | None) -> Poly:
     """(x - a)*u - b*prev, one step of the three-term recurrence, with a and
-    b given as integer pairs (num, den), den > 0, as as_integer_ratio()
-    gives them.
+    b the Fractions that recurrence_coeffs returns.
 
-    With u = U/D, prev = P/Dp, a = A/Da and b = B/Db, the step is summed on
-    the stored integers over lcm(D*Da, Dp*Db) and reduced once; there is no
-    b term when b is None, and a b of numerator 0 adds zeros.
+    With u = U/D, prev = P/Dp, a = A/Da and b = B/Db, as as_integer_ratio()
+    gives them, the step is summed on the stored integers over
+    lcm(D*Da, Dp*Db) and reduced once; a b of None or 0 adds no term.
     """
-    an, ad = a
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio() if b else (0, 1)
     da = u.den * ad
-    den = lcm(da, prev.den * b[1]) if b else da
+    den = lcm(da, prev.den * bd) if bn else da
     scale = den // da
     shift, an = ad * scale, an * scale
-    out = [0, *(v * shift for v in u.nums)]
+    out = [0] + [v * shift for v in u.nums]
     for i, v in enumerate(u.nums):
         out[i] -= an * v
-    if b:
-        bn = b[0] * (den // (prev.den * b[1]))
+    if bn:
+        bn *= den // (prev.den * bd)
         for i, v in enumerate(prev.nums):
             out[i] -= bn * v
     return Poly._of(out, den)
-
-
-def _pairs(a: Fraction, b: Fraction | None) -> tuple[tuple[int, int], tuple[int, int] | None]:
-    """(a_n, b_n) as _three_term's integer pairs; a b_n of 0 stays a pair."""
-    return a.as_integer_ratio(), None if b is None else b.as_integer_ratio()
 
 
 def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction, Fraction | None]]]:
     """[(u_k, recurrence_coeffs(pv, k)) for k <= n], built by the three-term
     recurrence and checked against the Newton expansion at its top row.
 
-    From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k), on
-    the integer pairs of the row's Fractions.  Every (a_k, b_k) reads one
-    eigenvalue prefix of length n + 2, after one check_h_separation(n + 1),
-    the check recurrence_coeffs(pv, n) makes.
+    From u_0 = 1, each u_{k+1} is _three_term(u_k, u_{k-1}, a_k, b_k).
+    Every (a_k, b_k) reads one eigenvalue prefix of length n + 2, after one
+    check_h_separation(n + 1), the check recurrence_coeffs(pv, n) makes.
     Raises Mismatch unless u_n equals monic_poly(pv, n).
     """
     if n < 0:
@@ -492,7 +477,7 @@ def monic_table(pv: ParameterVector, n: int) -> list[tuple[Poly, tuple[Fraction,
     u, prev = Poly.one(), Poly.zero()
     for k in range(n + 1):
         if k:
-            u, prev = _three_term(u, prev, *_pairs(*rows[k - 1][1])), u
+            u, prev = _three_term(u, prev, *rows[k - 1][1]), u
         rows.append((u, _recurrence_pair(x, h, g, k)))
     if u != monic_poly(pv, n):
         raise Mismatch(f"u_{n} by the three-term recurrence differs from the Newton expansion")
@@ -507,7 +492,7 @@ def recurrence_check(pv: ParameterVector, n: int) -> bool:
     coeffs = recurrence_coeffs(pv, n)
     u_n = monic_poly(pv, n)
     prev = monic_poly(pv, n - 1) if n else Poly.zero()
-    return _three_term(u_n, prev, *_pairs(*coeffs)) == monic_poly(pv, n + 1)
+    return _three_term(u_n, prev, *coeffs) == monic_poly(pv, n + 1)
 
 
 def normalized_poly(pv: ParameterVector, n: int) -> Poly:
@@ -526,8 +511,7 @@ def normalized_poly(pv: ParameterVector, n: int) -> Poly:
     """
     x, h, g = pv._grown(n + 1)
     for j in range(1, n + 1):
-        if not g[j][0]:
+        if not g[0][j]:
             raise ZeroG(j)
-    nodes = _over_lcm(x[:n])
-    row = _newton_row(h, g, n, nodes[1])
-    return _newton_horner(row, row[0], nodes)
+    row = _newton_row(h, g, n, x[1])
+    return _newton_horner(row, row[0], x)

@@ -74,7 +74,7 @@ MUTANTS = (
            "    pv.check_h_separation(n + 1)\n    x, h, g = pv._grown(n + 2)\n    rows = []",
            "    pv.check_h_separation(n)\n    x, h, g = pv._grown(n + 2)\n    rows = []"),
     Mutant("newton_row: eigenvalue difference off by one", CORE,
-           "        s, t = a * dh, b * (top - big[j - 1])", "        s, t = a * dh, b * (top - big[j])"),
+           "        s, t = gs[j] * dh, dg * (top - big[j - 1])", "        s, t = gs[j] * dh, dg * (top - big[j])"),
     Mutant("newton_row: node denominator not folded in", CORE,
            "    top, dh = big[n], dh * dx", "    top, dh = big[n], dh"),
     Mutant("newton_row: step ratios not reduced", CORE,
@@ -96,20 +96,22 @@ MUTANTS = (
     Mutant("Poly._of: gcd of the denominator and the constant term only", POLY,
            "            g = gcd(den, *nums)", "            g = gcd(den, nums[0])"),
     Mutant("to_newton_coeffs: e_k scaled by Dx**(k+1)", CORE,
-           "Fraction(v * dx**k, den) for k, v", "Fraction(v * dx ** (k + 1), den) for k, v",
-           only="tests/test_core.py::test_newton_coeff_round_trip"),
+           "Fraction(v * dx**k, den) for k, v", "Fraction(v * dx ** (k + 1), den) for k, v"),
     Mutant("apply_operator: lowering term without Dx", CORE,
-           "    lift = dh * nodes[1]", "    lift = dh"),
+           "    lift = dh * dx", "    lift = dh"),
     Mutant("normalized_poly: read over |row[0]|", CORE,
-           "    return _newton_horner(row, row[0], nodes)", "    return _newton_horner(row, abs(row[0]), nodes)"),
+           "    return _newton_horner(row, row[0], x)", "    return _newton_horner(row, abs(row[0]), x)"),
     Mutant("recurrence_coeffs: a_n's upper ratio in the other order", CORE,
            "    un, ud = ratio(n + 1, n, n + 1)", "    un, ud = ratio(n + 1, n + 1, n)"),
     Mutant("recurrence_check: always holds", CORE,
-           "    return _three_term(u_n, prev, *_pairs(*coeffs)) == monic_poly(pv, n + 1)", "    return True"),
+           "    return _three_term(u_n, prev, *coeffs) == monic_poly(pv, n + 1)", "    return True"),
     # the item 9 mutant: k added to every lowering value g_k, k >= 1, in the table
     Mutant("sequence table: lowering(k) + k", CORE,
-           "_extended(h, grown[1]), g + tuple(grown[2]))",
-           "_extended(h, grown[1]), g + tuple((v + k * d, d) for k, (v, d) in enumerate(grown[2], start)))"),
+           "            table = tuple(_extended(",
+           "            grown[2][:] = [(v + k * d, d) for k, (v, d) in enumerate(grown[2], start)]\n"
+           "            table = tuple(_extended("),
+    Mutant("_extended: old numerators not rescaled", CORE,
+           "    scale = full // den\n", "    scale = 1\n"),
     # -- the polynomial kernels -------------------------------------------------------
     Mutant("format_poly: coefficient not reduced", POLY,
            "        g = gcd(num, den)\n", "        g = 1\n"),

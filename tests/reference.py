@@ -185,17 +185,17 @@ def fraction_horner(coeffs, nodes) -> Poly:
 
 
 def unreduced_newton_row(h, g, n: int) -> list[int]:
-    """Row n of the triangle as integers with no step reduced: with h given
-    as (H, Dh) and g_j = a_j/b_j as the pair (a_j, b_j), N_k = prod_{j>k}
-    a_j*Dh * prod_{j<=k} b_j*(H_n - H_{j-1}), each entry its own product."""
-    big, dh = h
+    """Row n of the triangle as integers with no step reduced: with h and g
+    given as (H, Dh) and (G, Dg), N_k = prod_{j>k} G_j*Dh
+    * prod_{j<=k} Dg*(H_n - H_{j-1}), each entry its own product."""
+    (big, dh), (gs, dg) = h, g
     row = []
     for k in range(n + 1):
         value = 1
         for j in range(k + 1, n + 1):
-            value *= g[j][0] * dh
+            value *= gs[j] * dh
         for j in range(1, k + 1):
-            value *= g[j][1] * (big[n] - big[j - 1])
+            value *= dg * (big[n] - big[j - 1])
         row.append(value)
     return row
 

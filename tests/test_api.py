@@ -176,6 +176,18 @@ def test_the_newton_row_has_one_caller_per_job():
     assert _callers_of("_newton_row") == ["core._expansion_rows", "core.monic_poly", "core.normalized_poly"]
 
 
+def test_each_sequence_is_put_over_one_denominator_in_one_place():
+    """The vector's constructor puts its coefficient rows over their lcm and
+    _grown extends each sequence row with _extended; the engine's kernels
+    read those rows as they stand, so no kernel puts a prefix of the table
+    over an lcm of its own again."""
+    assert _callers_of("_over_lcm") == [
+        "catalog._series", "core.ParameterVector.__post_init__", "qpolynomial.Poly.__new__",
+        "qpolynomial.product_of_linear",
+    ]
+    assert _callers_of("_extended") == ["core.ParameterVector._grown"]
+
+
 def _names_in(tree: ast.AST) -> set[str]:
     """Every identifier tree names: loaded or bound names, attributes,
     imported names, definitions and string constants."""

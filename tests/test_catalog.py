@@ -658,7 +658,7 @@ def test_nothing_outlives_the_engine_caches():
         "core.monic_poly.cache_clear()\n"
         "core._expansion_rows.cache_clear()\n"
         "gc.collect()\n"
-        "print(filled, len(catalog._LIVE), len(catalog.instantiate('1a')._table[0]))\n"
+        "print(filled, len(catalog._LIVE), len(catalog.instantiate('1a')._table[0][0]))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(

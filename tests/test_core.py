@@ -660,13 +660,12 @@ def test_recurrence_check_holds(pv_3a):
 def test_the_recurrence_holds_where_there_is_no_b_term():
     """Two steps add no b_n*u_{n-1}: n = 0, where b_0 is None, and a lowering
     cutoff, where b_n = 0.  1a with a = 2, b = 4 at q = 1/2 has lowering(4)
-    = 0, so b_4 = 0 and the integer pair that the three-term step reads is
-    (0, 1), which is truthy where Fraction(0) is not; the recurrence and
-    the table still hold on both sides of the cutoff."""
+    = 0, so b_4 = 0, which the three-term step reads as no term, as it reads
+    None; the recurrence and the table still hold on both sides of the
+    cutoff."""
     pv = catalog.instantiate("1a", {"a": 2, "b": 4}, q=F(1, 2))
     assert pv.lowering(4) == 0
     assert recurrence_coeffs(pv, 0)[1] is None and recurrence_coeffs(pv, 4)[1] == 0
-    assert core._pairs(*recurrence_coeffs(pv, 4))[1] == (0, 1)
     assert all(recurrence_check(pv, n) for n in range(7))
     rows = core.monic_table(pv, 6)
     assert rows[0][1][1] is None and rows[4][1][1] == 0
@@ -890,8 +889,8 @@ def test_duality_parameter_involution():
 
 
 def pairs(values) -> tuple[tuple[int, int], ...]:
-    """Each rational as the reduced pair (num, den), den > 0, that the
-    integer kernels read."""
+    """Each rational as the reduced pair (num, den), den > 0, that
+    as_integer_ratio gives."""
     return tuple(F(v).as_integer_ratio() for v in values)
 
 
@@ -1030,7 +1029,7 @@ def test_integer_newton_row_matches_fraction_reference_on_random_rows():
                 h.append(value)
         g = tuple(scalar(0.1) for _ in range(n + 1))
         zeros += F(0) in g[1:]
-        row = core._newton_row(core._over_lcm(pairs(h)), pairs(g), n, 1)
+        row = core._newton_row(core._over_lcm(pairs(h)), core._over_lcm(pairs(g)), n, 1)
         want = fraction_newton_row(h, g, n)
         assert all(isinstance(v, int) for v in row) and row[n] != 0
         assert [F(v, row[n]) for v in row] == want
@@ -1060,8 +1059,8 @@ def test_reduced_newton_row_is_the_unreduced_row_over_a_positive_factor():
             g[rng.randint(1, n)] = F(0)
         if n and rng.random() < 0.3:
             h[n] = h[rng.randint(0, n - 1)]
-        hs = core._over_lcm(pairs(h))
-        row, ref = core._newton_row(hs, pairs(g), n, 1), unreduced_newton_row(hs, pairs(g), n)
+        hs, gs = core._over_lcm(pairs(h)), core._over_lcm(pairs(g))
+        row, ref = core._newton_row(hs, gs, n, 1), unreduced_newton_row(hs, gs, n)
         for k in range(n + 1):
             assert (row[k] > 0) == (ref[k] > 0) and (row[k] < 0) == (ref[k] < 0)
             assert abs(row[k]) <= abs(ref[k])
@@ -1114,10 +1113,8 @@ def laurent(coeffs, q, k: int) -> F:
 
 def table_values(pv, m: int) -> tuple[tuple[F, ...], ...]:
     """node, eigenvalue and lowering at k < m as the sequence table holds
-    them: node and lowering as reduced pairs, eigenvalue as integer
-    numerators over one denominator."""
-    x, (nums, den), g = pv._grown(m)
-    return tuple(F(*v) for v in x[:m]), tuple(F(v, den) for v in nums[:m]), tuple(F(*v) for v in g[:m])
+    them: each as integer numerators over one denominator."""
+    return tuple(tuple(F(v, den) for v in nums[:m]) for nums, den in pv._grown(m))
 
 
 def sequence_vectors():
@@ -1141,13 +1138,12 @@ def test_sequence_table_matches_laurent_formula():
     assert unit_q >= 15
 
 
-def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
-    """Each node and lowering value in the table is an int pair (num, den)
-    in lowest terms with den > 0, the pair of node or lowering(k); the
-    eigenvalue sequence is a tuple of int numerators over the lcm of its
-    values' denominators, each value that of eigenvalue(k).  Negative k,
-    where the running power of q = p/r is r**-k / p**-k and its denominator
-    is negative for odd k at q < 0, gives reduced pairs too."""
+def test_sequence_table_holds_integer_rows_equal_to_the_fraction_view():
+    """Each sequence in the table, node, eigenvalue and lowering, is a tuple
+    of int numerators over the lcm of its values' denominators, each value
+    that of node, eigenvalue or lowering(k).  Negative k, where the running
+    power of q = p/r is r**-k / p**-k and its denominator is negative for
+    odd k at q < 0, gives reduced pairs (num, den), den > 0."""
     negative_q = 0
     for pv in sequence_vectors():
         pv = copy.copy(pv)  # empty memo
@@ -1155,15 +1151,11 @@ def test_sequence_table_holds_reduced_pairs_equal_to_the_fraction_view():
         accessors = (pv.node, pv.eigenvalue, pv.lowering)
         forms = pv._forms
         p, r = pv.q.numerator, pv.q.denominator
-        x, (nums, den), g = pv._grown(31)
-        for which, table in ((0, x), (2, g)):
-            assert type(table) is tuple and len(table) == 31
-            for k, (num, d) in enumerate(table):
-                assert type(num) is type(d) is int and d > 0 and gcd(num, d) == 1, (pv, which, k)
-                assert (num, d) == accessors[which](k).as_integer_ratio(), (pv, which, k)
-        assert type(nums) is tuple and len(nums) == 31 and all(type(v) is int for v in nums)
-        assert den == lcm(*(pv.eigenvalue(k).denominator for k in range(31))), pv
-        assert [F(v, den) for v in nums] == [pv.eigenvalue(k) for k in range(31)], pv
+        for which, (nums, den) in enumerate(pv._grown(31)):
+            at = accessors[which]
+            assert type(nums) is tuple and len(nums) == 31 and all(type(v) is int for v in nums)
+            assert den == lcm(*(at(k).denominator for k in range(31))), (pv, which)
+            assert [F(v, den) for v in nums] == [at(k) for k in range(31)], (pv, which)
         for which, at in enumerate(accessors):
             for k in range(-6, 0):
                 num, den = core._laurent_at(forms[which], r**-k, p**-k)
@@ -1186,21 +1178,21 @@ def test_sequences_at_negative_k_match_laurent_formula():
 def test_sequence_table_reads_any_prefix():
     """Any length, asked before or after a longer one, reads the table as
     it stands, which only grows: at least that many values, the same values
-    at each k, the eigenvalues over the denominator of all of them held."""
+    at each k, each sequence over the denominator of all of its values held."""
     pv = copy.copy(catalog.instantiate("1a"))  # empty memo
     sizes = (4, 21, 8, 1, 21, 26, 0)
-    assert pv._grown(0) == pv._grown(-2) == ((), ((), 1), ())
+    assert pv._grown(0) == pv._grown(-2) == (((), 1), ((), 1), ((), 1))
     grown, held = [], 0
     for m in sizes:
         held = max(held, m)
-        x, (nums, _), g = pv._grown(m)
-        assert len(x) == len(nums) == len(g) == held, m
+        assert [len(nums) for nums, _ in pv._grown(m)] == [held] * 3, m
         grown.append(table_values(pv, m))
     longest = grown[5]
     for m, table in zip(sizes, grown):
         assert table == tuple(seq[:m] for seq in longest)
-    den = pv._table[1][1]
-    assert den == lcm(*(pv.eigenvalue(k).denominator for k in range(26))) and pv._grown(3)[1][1] == den
+    dens = [den for _, den in pv._table]
+    assert dens == [lcm(*(at(k).denominator for k in range(26))) for at in (pv.node, pv.eigenvalue, pv.lowering)]
+    assert [den for _, den in pv._grown(3)] == dens
 
 
 def test_results_do_not_depend_on_the_order_of_requests():
@@ -1246,14 +1238,14 @@ def test_sequence_table_is_not_part_of_the_value():
     grown, fresh = (copy.copy(catalog.instantiate("2a")) for _ in range(2))
     before = repr(grown)
     monic_poly.__wrapped__(grown, 12)
-    assert len(grown._table[0]) == 13 and fresh._table == ((), ((), 1), ())
+    assert len(grown._table[0][0]) == 13 and fresh._table == (((), 1), ((), 1), ((), 1))
     assert grown == fresh and hash(grown) == hash(fresh)
     assert grown._hash == fresh._hash == hash((grown.q.as_integer_ratio(), grown._forms))
     assert grown._forms == fresh._forms
     assert repr(grown) == repr(fresh) == before and "_hash" not in before and "_forms" not in before
     assert grown.__reduce__() == (type(grown), (grown.q, grown.a, grown.b, grown.d))
     private = copy.copy(grown)
-    assert private == grown and len(private._table[0]) == 0
+    assert private == grown and len(private._table[0][0]) == 0
     # the constructor rebuilds the forms and the hash; the lazy memos start empty
     assert private._hash == grown._hash and hash(private) == hash(grown)
     assert private._forms == grown._forms
@@ -1360,14 +1352,14 @@ def test_threads_growing_one_table_get_the_serial_results():
                     results = dict(zip(degrees, pool.map(build, degrees, timeout=60)))
                 value_hash = hash(catalog.instantiate(key))
                 assert results == {n: (u, value_hash) for n, u in serial.items()}, key
-                x, (nums, _), g = pv._table
                 # a slower thread may publish a shorter prefix last
-                assert len(x) == len(nums) == len(g) >= min(degrees) + 1
-                assert x == pairs(pv.node(k) for k in range(len(x)))
-                assert g == pairs(pv.lowering(k) for k in range(len(g)))
+                (m,) = {len(nums) for nums, _ in pv._table}
+                assert m >= min(degrees) + 1
+                assert table_values(pv, m) == tuple(
+                    tuple(at(k) for k in range(m)) for at in (pv.node, pv.eigenvalue, pv.lowering))
                 # whatever length is left behind, it is a fresh vector's table
                 fresh = copy.copy(pv)
-                fresh._grown(len(x))
+                fresh._grown(m)
                 assert pv._table == fresh._table, key
     finally:
         sys.setswitchinterval(interval)
@@ -1375,9 +1367,9 @@ def test_threads_growing_one_table_get_the_serial_results():
 
 def test_each_sequence_is_held_once():
     """After every kernel has read it, a vector keeps its constructor's
-    forms and hash and one table of three entries: node and lowering only
-    as reduced pairs, eigenvalue only as integer numerators over the lcm of
-    their denominators."""
+    forms and hash and one table of three entries, node, eigenvalue and
+    lowering, each only as integer numerators over the lcm of their
+    denominators."""
     for key in ("1a", "3a", "4d", "5b"):
         pv = copy.copy(catalog.instantiate(key))  # empty memo
         u = monic_poly.__wrapped__(pv, 6)
@@ -1386,13 +1378,10 @@ def test_each_sequence_is_held_once():
         normalized_poly(pv, 6)
         to_newton_coeffs(pv, u)
         assert sorted(set(vars(pv)) - set(pv._fields)) == ["_forms", "_hash", "_table"], key
-        x, h, g = pv._table
-        m = len(x)
-        assert m == 8 and x == pairs(pv.node(k) for k in range(m)), key
-        assert g == pairs(pv.lowering(k) for k in range(m)), key
-        nums, den = h
-        assert den == lcm(*(pv.eigenvalue(k).denominator for k in range(m))), key
-        assert nums == tuple(int(pv.eigenvalue(k) * den) for k in range(m)), key
+        for (nums, den), at in zip(pv._table, (pv.node, pv.eigenvalue, pv.lowering), strict=True):
+            assert len(nums) == 8, key
+            assert den == lcm(*(at(k).denominator for k in range(8))), key
+            assert nums == tuple(int(at(k) * den) for k in range(8)), key
 
 
 def memo_ints(pv) -> int:
@@ -1415,9 +1404,9 @@ def memo_ints(pv) -> int:
 def test_a_vectors_memo_grows_linearly_with_the_degree():
     """After every recurrence and eigenvalue identity to n, and the table,
     normalized polynomial and Newton coefficients too, a vector holds its
-    constructor's forms and hash and at most 5 integers per index k <= n + 1
-    the table reaches, plus one denominator: a node and a lowering pair and
-    one eigenvalue numerator, none per length asked."""
+    constructor's forms and hash and 3 integers per index k <= n + 1 the
+    table reaches, plus one denominator per sequence: a node, an eigenvalue
+    and a lowering numerator, none per length asked."""
     rng = random.Random(107)
     for n in (4, 10, 24):
         for _ in range(4):
@@ -1430,4 +1419,4 @@ def test_a_vectors_memo_grows_linearly_with_the_degree():
                 normalized_poly(pv, k)
                 to_newton_coeffs(pv, u)
             core.monic_table(pv, n)
-            assert memo_ints(pv) <= built + 5 * (n + 2) + 1, (n, memo_ints(pv))
+            assert memo_ints(pv) <= built + 3 * (n + 2) + 3, (n, memo_ints(pv))
