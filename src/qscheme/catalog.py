@@ -39,7 +39,8 @@ q**-n, prefactors, the upper and lower parameter tuples and the x-free step
 coefficients) and returns the function of x, so a check at many points
 pays for those once.  Nothing outlives that function.  The set-up leaves
 the row on integers (see _series), and an evaluation builds one Fraction,
-the value, with k_n^{-1} folded in.
+the value, with k_n^{-1} folded in.  _refusing refuses a division by zero
+in any k_n or series set-up, naming the entry, the part and its degree.
 
 A vector is built once per (family, parameters, q) while it is alive:
 instantiate keeps a weak table of live vectors, so equal requests share one
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .core import ParameterVector, monic_poly
@@ -107,16 +108,16 @@ def _series(
     """x -> pref * sum_k (q^-n, upper; q)_k / ((q; q)_k (lower; q)_k)
     * prod_{j<k} s(q^j), the step factor s(t) = sum_i c_i t^(low + i) with
     c_i = const[i] + slope[i] * x: every representation of the catalog, as
-    data for qseries.terminating_sum.  A parameter 0 contributes
-    (0; q)_k = 1 and is dropped.
+    data for qseries.terminating_sum, which takes a parameter 0 as the
+    factor (0; q)_k = 1.
 
     The row is set up once on integers: pref and each upper and lower
     parameter as its pair (num, den), and const and slope as numerators C_i
     and S_i over one common denominator L (see _step_at).  An evaluation
     multiplies pref by the caller's scale, if any, as integer pairs, and
     builds no Fraction but the value."""
-    upper = tuple(a.as_integer_ratio() for a in (q ** (-n), *filter(None, upper)))
-    lower = tuple(b.as_integer_ratio() for b in filter(None, lower))
+    upper = tuple(a.as_integer_ratio() for a in (q ** (-n), *upper))
+    lower = tuple(b.as_integer_ratio() for b in lower)
     nums, den = _over_lcm([c.as_integer_ratio() for c in (*const, *slope)])
     row = (tuple(zip(nums[: len(const)], nums[len(const):])), den, low)
     pn, pd = pref.as_integer_ratio()
@@ -134,16 +135,33 @@ def _step_at(row: tuple[tuple[tuple[int, int], ...], int, int], x: Fraction) -> 
     return [c * r + m * s for c, m in step], den * r, low
 
 
+def _refusing(key: str, part: Callable[[int], str], fn: Callable) -> Callable:
+    """A set-up fn(p, q, n) of entry `key` that refuses a division by zero
+    with one DivisionByZero naming the entry, part(n), the parameters and q,
+    and passes a DivisionByZero that fn raises itself unchanged.  The raw
+    set-up is its __wrapped__."""
+
+    @wraps(fn)
+    def refusing(p: Params, q: Fraction, n: int):
+        try:
+            return fn(p, q, n)
+        except DivisionByZero:
+            raise
+        except ZeroDivisionError as exc:
+            at = "".join(f"{name}={value} " for name, value in p.items())
+            raise DivisionByZero(f"{key}: {part(n)} divides by zero at {at}q={q}") from exc
+
+    return refusing
+
+
+@partial(_refusing, "3e", lambda n: f"the degree-{n} 1/x series")
 def little_qjacobi_value_inverse_rep(p: Params, q: Fraction, n: int) -> Series:
     """Little q-Jacobi in standard normalization through its 1/x-parameter
     series: the same polynomial as the power-basis series of 3e, and the one
     representation that no diagram label carries."""
     a, b = p["a"], p["b"]
-    try:
-        pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
-        return _series(pref, (a * b * q ** (n + 1),), (q * b,), q, n, -1, (0, 1 / a), (-1 / a, 0))
-    except ZeroDivisionError as exc:
-        raise _division_by_zero("3e", f"the degree-{n} 1/x series", p, q) from exc
+    pref = _sign(n) * q ** (n * (n + 1) // 2) * a**n * qpoch(b * q, q, n) / qpoch(a * q, q, n)
+    return _series(pref, (a * b * q ** (n + 1),), (q * b,), q, n, -1, (0, 1 / a), (-1 / a, 0))
 
 
 class FamilySpec(NamedTuple):
@@ -157,8 +175,7 @@ class FamilySpec(NamedTuple):
     coefficients: Callable[[Params, Fraction], tuple[tuple, tuple, tuple]]
     kn_fn: Callable[[Params, Fraction, int], Fraction]
     # (p, q, n) -> the named representation as a function of x, with every
-    # x-free quantity (products of parameters, q**-n, prefactors) computed
-    # once; a division by zero there raises DivisionByZero naming the entry
+    # x-free quantity (products of parameters, q**-n, prefactors) computed once
     series: Callable[[Params, Fraction, int], Series]
     nonzero: tuple[str, ...] = ()  # the parameters that must not vanish
 
@@ -201,35 +218,21 @@ FAMILIES: dict[str, FamilySpec] = {}
 
 
 def _register(spec: FamilySpec) -> None:
-    FAMILIES[spec.key] = spec._replace(series=_refusing(spec.key, spec.series))
-
-
-def _refusing(key: str, series: Callable[[Params, Fraction, int], Series]) -> Callable[[Params, Fraction, int], Series]:
-    """Entry `key`'s raw series factory, refusing a division by zero in its
-    set-up as _monic_series does: one DivisionByZero naming the entry, the
-    degree, the parameters and q.  The raw factory is its __wrapped__."""
-
-    @wraps(series)
-    def refusing(p: Params, q: Fraction, n: int) -> Series:
-        try:
-            return series(p, q, n)
-        except DivisionByZero:
-            raise
-        except ZeroDivisionError as exc:
-            raise _division_by_zero(key, f"the degree-{n} series", p, q) from exc
-
-    return refusing
+    FAMILIES[spec.key] = spec._replace(
+        kn_fn=_refusing(spec.key, lambda n: f"k_{n}", spec.kn_fn),
+        series=_refusing(spec.key, lambda n: f"the degree-{n} series", spec.series),
+    )
 
 
 def _specialised(parent: str, **fixed: Fraction) -> dict[str, Callable]:
-    """The coefficients, k_n and raw series of the registered `parent` with
-    the parameters `fixed` held at their values, for an entry that is the
-    parent's family at those values (an arrow of the scheme)."""
+    """The coefficients and the raw k_n and series of the registered
+    `parent` with the parameters `fixed` held at their values, for an entry
+    that is the parent's family at those values (an arrow of the scheme)."""
     spec = FAMILIES[parent]
-    series = spec.series.__wrapped__
+    kn_fn, series = spec.kn_fn.__wrapped__, spec.series.__wrapped__
     return {
         "coefficients": lambda p, q: spec.coefficients({**p, **fixed}, q),
-        "kn_fn": lambda p, q, n: spec.kn_fn({**p, **fixed}, q, n),
+        "kn_fn": lambda p, q, n: kn_fn({**p, **fixed}, q, n),
         "series": lambda p, q, n: series({**p, **fixed}, q, n),
     }
 
@@ -663,26 +666,16 @@ def closed_form(
 
 def _monic_series(spec: FamilySpec, p: Params, q: Fraction, n: int) -> Series:
     """x -> k_n^{-1} * (named representation) at x, with k_n and the
-    series' x-free quantities computed once.  A division by zero there
-    raises one DivisionByZero naming the family, degree, parameters and q."""
+    series' x-free quantities computed once.  A division by zero there is
+    refused by the entry's kn_fn or series (see _refusing)."""
     if n < 0:
         raise ValueError(f"a terminating series needs n >= 0, got n = {n}")
-    try:
-        kn = spec.kn_fn(p, q, n)
-    except ZeroDivisionError as exc:
-        raise _division_by_zero(spec.key, f"k_{n}", p, q) from exc
+    kn = spec.kn_fn(p, q, n)
     if kn == 0:
         raise DivisionByZero(f"{spec.key}: k_{n} vanishes for these parameters")
     series = spec.series(p, q, n)
     num, den = kn.as_integer_ratio()
     return lambda x: series(x, (den, num))  # scaled by 1/k_n
-
-
-def _division_by_zero(key: str, part: str, p: Params, q: Fraction) -> DivisionByZero:
-    """The refusal of a set-up that divided by zero, naming its family,
-    the part being set up, the parameters and q."""
-    at = "".join(f"{name}={value} " for name, value in p.items())
-    return DivisionByZero(f"{key}: {part} divides by zero at {at}q={q}")
 
 
 def crosscheck(family: str, n_max: int = 8) -> int:

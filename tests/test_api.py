@@ -363,7 +363,6 @@ UNREACHED = {
         "x", "constant", "linear", "__add__", "__neg__", "__sub__", "__rmul__", "__pow__", "deflate")},
     "catalog.hyper_eval": "bench: eval-cap's oracle (bench/workloads.py, EvalCap.oracle)",
     # error paths: only a refusal or a failing check enters them
-    "catalog._division_by_zero": "error path: a series or k_n that divides by zero",
     "errors.HSeparationViolated.__init__": "error path: an eigenvalue repeat",
     "errors.XSeparationViolated.__init__": "error path: a node repeat",
     "errors.ZeroG.__init__": "error path: a vanishing lowering value",

@@ -56,6 +56,18 @@ def test_crosscheck_compares_each_degree_at_enough_distinct_points():
         assert crosscheck(key, n_max=14) == sum(n + 1 for n in range(15)) == 120
 
 
+@pytest.mark.parametrize("q", [F(-2, 3), F(-3, 2)])
+def test_every_closed_form_matches_the_engine_at_bases_with_numerator_not_one(q):
+    """verify all reads every series at q = 1/2, where each power of q's
+    numerator is 1: at q = -2/3 and -3/2 a fault in those powers shows."""
+    for key in FAMILIES:
+        pv = instantiate(key, None, q)
+        for n in range(7):
+            series, u = closed_form(key, None, q, n), monic_poly(pv, n)
+            for x in catalog._sample_xs(n + 1):
+                assert series(x) == u(x), (key, n, x)
+
+
 @pytest.mark.parametrize("key", list(FAMILIES))
 def test_crosscheck_resolves_once_and_builds_each_k_n_once(monkeypatch, key):
     spec = FAMILIES[key]
